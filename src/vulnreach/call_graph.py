@@ -8,6 +8,8 @@ vulnerable call site.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 from .code_model import (
@@ -31,11 +33,6 @@ class CallEdge:
 class CallGraph:
     nodes: frozenset[str]
     edges: frozenset[CallEdge]
-
-    def callers_of(self, callee_sig: str) -> list[CallEdge]:
-        found = [e for e in self.edges if e.callee == callee_sig]
-        found.sort(key=lambda e: (e.caller, e.site.line, e.site.index))
-        return found
 
 
 @dataclass(frozen=True)
@@ -133,54 +130,138 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
                        targets: list[tuple[MethodDecl, Statement]],
                        filters: PathFilterConfig | None = None,
                        diagnostics: list | None = None) -> list[MethodCallPath]:
-    """All maximal acyclic caller chains ending at each vulnerable call site.
+    """The first max_paths call paths, in order, from an entry method to each
+    vulnerable call site.
 
-    Backward traversal from each target method; a chain is emitted when it
-    cannot be extended by any unvisited caller (or max_depth is reached, in
-    which case the still-extensible chain is dropped as incomplete) and its
-    first method passes the entry filters. Ordering is deterministic:
-    lexicographic by signature sequence, then by call-site position.
+    A path is a chain of distinct methods, entry first, in which each method
+    calls the next and the last one holds the vulnerable call. It is kept when
+    it has at most max_depth methods, its first method passes the entry
+    filters, and every caller of that first method already lies on the path:
+    it is a maximal acyclic caller chain. Paths are ordered lexicographically
+    by signature sequence, then by call-site (line, index) sequence; one path
+    is produced per combination of call sites along its methods.
+
+    The budget bounds the search, not only its output. Per target, a backward
+    breadth-first search gives every method's distance to the target within
+    max_depth - 1 hops; only the calls to those methods are indexed, as no
+    other call can lie on a kept path. A depth-first search runs from each
+    entry-eligible first method in signature order, over distinct callees in
+    signature order. It skips a callee from which the path could not, within
+    max_depth methods, still take in every caller of the first method and
+    then reach the target. It thus yields the target's paths lazily in the
+    documented order. The per-target streams are merged and only
+    max_paths + 1 paths are drawn; the extra one only signals truncation,
+    which appends PathBudgetExceeded to diagnostics.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
     if filters is None:
         filters = PathFilterConfig()
-    results: list[MethodCallPath] = []
-    truncated = False
+    max_depth = filters.max_depth
+    incoming: dict[str, list[CallEdge]] = {}
+    for e in graph.edges:
+        incoming.setdefault(e.callee, []).append(e)
 
-    for target_method, site in targets:
-        # chain: list of (method, site-of-call-to-next) built backward.
-        def visit(chain: list[tuple[MethodDecl, Statement]], seen: set[str]):
-            nonlocal truncated
-            head, _ = chain[0]
-            incoming = [e for e in graph.callers_of(head.signature())
-                        if e.caller not in seen]
-            if not incoming:
-                if is_entry_eligible(head, filters):
-                    results.append(_to_path(chain))
-                return
-            if len(chain) >= filters.max_depth:
-                # Extensible but over budget: incomplete, drop.
-                return
-            for edge in incoming:
-                caller = model.method_by_signature(edge.caller)
-                if caller is None:
-                    continue
-                visit([(caller, edge.site)] + chain, seen | {edge.caller})
+    def target_paths(target: MethodDecl, site: Statement):
+        t = target.signature()
+        dist = _hops_to(t, incoming, max_depth - 1,
+                        lambda sig: model.method_by_signature(sig) is not None)
+        # Only the methods in dist can lie on a kept path: index the calls to them.
+        callees: dict[str, set[str]] = {}
+        sites: dict[tuple[str, str], list[Statement]] = {}
+        for v in dist:
+            for e in incoming.get(v, ()):
+                callees.setdefault(e.caller, set()).add(v)
+                sites.setdefault((e.caller, v), []).append(e.site)
+        ordered_callees = {u: sorted(cs) for u, cs in callees.items()}
+        for hop_sites in sites.values():
+            hop_sites.sort(key=_site_key)
+        hops_to_caller: dict[str, dict[str, int]] = {}
+        for head in sorted(dist):
+            method = target if head == t else model.method_by_signature(head)
+            head_callers = {e.caller for e in incoming.get(head, ())}
+            if not is_entry_eligible(method, filters) or not head_callers <= dist.keys():
+                continue
+            required = {}
+            for m in head_callers - {head, t}:
+                if m not in hops_to_caller:
+                    hops_to_caller[m] = _hops_to(m, incoming, max_depth - 1 - dist[m],
+                                                 dist.__contains__)
+                required[m] = hops_to_caller[m]
+            for sigs in _simple_paths(head, t, ordered_callees, dist, required, max_depth):
+                methods = tuple(model.method_by_signature(s) for s in sigs[:-1]) + (target,)
+                hops = [sites[pair] for pair in zip(sigs, sigs[1:])] + [[site]]
+                for call_sites in itertools.product(*hops):
+                    key = (sigs, tuple(_site_key(s) for s in call_sites))
+                    yield key, MethodCallPath(methods=methods, call_sites=call_sites)
 
-        visit([(target_method, site)], {target_method.signature()})
-
-    results.sort(key=lambda p: (p.signatures(),
-                                tuple((s.line, s.index) for s in p.call_sites)))
+    merged = heapq.merge(*(target_paths(m, s) for m, s in targets),
+                         key=lambda item: item[0])
+    results = [path for _, path in itertools.islice(merged, filters.max_paths + 1)]
     if len(results) > filters.max_paths:
-        truncated = True
-        results = results[: filters.max_paths]
-    if truncated and diagnostics is not None:
-        diagnostics.append(PathBudgetExceeded(limit=filters.max_paths))
+        del results[filters.max_paths:]
+        if diagnostics is not None:
+            diagnostics.append(PathBudgetExceeded(limit=filters.max_paths))
     return results
 
 
-def _to_path(chain: list[tuple[MethodDecl, Statement]]) -> MethodCallPath:
-    methods = tuple(m for m, _ in chain)
-    sites = tuple(s for _, s in chain)
-    return MethodCallPath(methods=methods, call_sites=sites)
+def _site_key(site: Statement) -> tuple[int, int]:
+    return site.line, site.index
+
+
+def _hops_to(start: str, incoming: dict[str, list[CallEdge]], max_hops: int,
+             keep) -> dict[str, int]:
+    """Backward breadth-first search: the number of calls from each method
+    that reaches start within max_hops calls, passing only methods that
+    satisfy keep."""
+    hops = {start: 0}
+    frontier = [start]
+    for d in range(1, max_hops + 1):
+        reached = []
+        for v in frontier:
+            for e in incoming.get(v, ()):
+                if e.caller not in hops and keep(e.caller):
+                    hops[e.caller] = d
+                    reached.append(e.caller)
+        frontier = reached
+    return hops
+
+
+def _simple_paths(head: str, target: str, ordered_callees: dict[str, list[str]],
+                  dist: dict[str, int], required: dict[str, dict[str, int]],
+                  max_depth: int):
+    """Signature sequences of the simple paths head -> ... -> target with at
+    most max_depth methods that visit every method in required, in
+    lexicographic order.
+
+    dist gives each method's distance to target, and required[m] each
+    method's distance to m; a method is pushed only when the path can still
+    reach every unvisited required method and then target within max_depth.
+    ordered_callees holds only methods in dist.
+    """
+    if head == target:
+        if not required:
+            yield (target,)
+        return
+    path = [head]
+    on_path = {head, target}
+
+    def fits(c: str) -> bool:
+        n = len(path) + 1  # methods on the path once c is pushed
+        return n + dist[c] <= max_depth and all(
+            m in on_path or (c in hops and n + hops[c] + dist[m] <= max_depth)
+            for m, hops in required.items())
+
+    stack = [iter(ordered_callees.get(head, ()))]
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            on_path.discard(path.pop())
+        elif c == target:
+            if required.keys() <= on_path:
+                yield (*path, target)
+        elif c not in on_path and fits(c):
+            path.append(c)
+            on_path.add(c)
+            stack.append(iter(ordered_callees.get(c, ())))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import VulnreachError
@@ -325,8 +326,30 @@ class CodeModel:
     def find_class(self, fqn: str) -> ClassDecl | None:
         return self.index.get(fqn)
 
+    @cached_property
+    def _classes_by_simple(self) -> dict[str, list[ClassDecl]]:
+        out: dict[str, list[ClassDecl]] = {}
+        for c in self.classes:
+            out.setdefault(c.simple_name, []).append(c)
+        return out
+
+    @cached_property
+    def _methods_by_signature(self) -> dict[str, MethodDecl]:
+        out: dict[str, MethodDecl] = {}
+        for _, m in self.all_methods():
+            out.setdefault(m.signature(), m)  # first declaration in file order wins
+        return out
+
+    @cached_property
+    def _direct_subtypes(self) -> dict[str, list[ClassDecl]]:
+        out: dict[str, list[ClassDecl]] = {}
+        for c in self.classes:
+            for sup in c.supertypes:
+                out.setdefault(sup, []).append(c)
+        return out
+
     def classes_by_simple_name(self, simple: str) -> list[ClassDecl]:
-        return [c for c in self.classes if c.simple_name == simple]
+        return list(self._classes_by_simple.get(simple, ()))
 
     def all_methods(self):
         for cls in self.classes:
@@ -334,10 +357,7 @@ class CodeModel:
                 yield cls, m
 
     def method_by_signature(self, sig: str) -> MethodDecl | None:
-        for _, m in self.all_methods():
-            if m.signature() == sig:
-                return m
-        return None
+        return self._methods_by_signature.get(sig)
 
     def owner_of(self, method: MethodDecl) -> ClassDecl | None:
         return self.index.get(method.owner)
@@ -382,17 +402,14 @@ class CodeModel:
     def subtypes_of(self, fqn: str) -> list[ClassDecl]:
         """All model classes transitively declaring fqn among their supertypes."""
         out: list[ClassDecl] = []
-        pending = {fqn}
-        done: set[str] = set()
+        done = {fqn}
+        pending = [fqn]
         while pending:
-            cur = pending.pop()
-            if cur in done:
-                continue
-            done.add(cur)
-            for cls in self.classes:
-                if cur in cls.supertypes and cls.fqn not in done:
+            for cls in self._direct_subtypes.get(pending.pop(), ()):
+                if cls.fqn not in done:
+                    done.add(cls.fqn)
                     out.append(cls)
-                    pending.add(cls.fqn)
+                    pending.append(cls.fqn)
         return out
 
     def supertype_chain(self, cls: ClassDecl) -> list[str]:

@@ -289,15 +289,17 @@ class _Chain:
 
 
 def _enumerate_chains(method: MethodDecl, var: str, before_index: int,
-                      known: frozenset[str], visited: frozenset[int]) -> list[_Chain]:
+                      known: frozenset[str]) -> list[_Chain]:
     """All def-use chains ending at a use of var before before_index.
 
     Every earlier definition of the variable is chained (flattened branches
     mean a textually later definition cannot be proven to kill an earlier
-    one); a chain never revisits a statement.
+    one). For the same reason a variable with no earlier declaration (a
+    formal parameter or a field) also keeps its entry value, which ends one
+    more chain with var as its origin. Each hop goes to a strictly earlier
+    statement, so a chain never revisits one.
     """
-    defs = [d for d in _defining_statements(method, var)
-            if d.index < before_index and d.index not in visited]
+    defs = [d for d in _defining_statements(method, var) if d.index < before_index]
     if not defs:
         return [_Chain(hops=(), origin=var)]
     chains: list[_Chain] = []
@@ -307,10 +309,11 @@ def _enumerate_chains(method: MethodDecl, var: str, before_index: int,
             chains.append(_Chain(hops=(PtgTuple(None, var, d),), origin=None))
             continue
         for src in sources:
-            for sub in _enumerate_chains(method, src, d.index, known,
-                                         visited | {d.index}):
+            for sub in _enumerate_chains(method, src, d.index, known):
                 chains.append(_Chain(hops=sub.hops + (PtgTuple(src, var, d),),
                                      origin=sub.origin))
+    if all(d.kind != "Declaration" for d in defs):
+        chains.append(_Chain(hops=(), origin=var))
     return chains
 
 
@@ -332,7 +335,7 @@ def build_ptg(method: MethodDecl, callee_params: list[str],
     for cp in callee_params:
         if cp not in mentioned and cp not in known:
             raise UnknownVariable(cp)
-        for chain in _enumerate_chains(method, cp, use_index, known, frozenset()):
+        for chain in _enumerate_chains(method, cp, use_index, known):
             for hop in chain.hops:
                 key = (hop.source, hop.target, hop.edge.index)
                 if key not in seen:
@@ -351,7 +354,7 @@ def _paths_for_var(method: MethodDecl, var: str, call_stmt: Statement,
     pass_hop = PtgTuple(source=var, target=var, edge=call_stmt)
     pass_type = TransferType(classify_expr(arg_expr, upstream, allowlist), call_stmt)
     out: list[ParameterPath] = []
-    for chain in _enumerate_chains(method, var, call_stmt.index, known, frozenset()):
+    for chain in _enumerate_chains(method, var, call_stmt.index, known):
         types = tuple(classify_statement(h.edge, upstream, allowlist) for h in chain.hops)
         out.append(ParameterPath(
             parameter=var,

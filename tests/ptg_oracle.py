@@ -5,6 +5,9 @@ The oracle enumerates chains with an explicit worklist over partial chains,
 directly from the def-use definition: a use of a variable links to every
 earlier definition of it (flattened bodies cannot prove kills), recursively
 through each definition's source variables, never revisiting a statement.
+A use of a variable that no earlier statement declares (a formal parameter
+or a field) also links to the variable's entry value, even when earlier
+assignments exist.
 It shares no code with the production enumeration.
 """
 
@@ -35,11 +38,13 @@ def oracle_chains(method: MethodDecl, terminal: str, use_index: int) -> list[tup
     work = [(terminal, use_index, (), frozenset())]
     while work:
         var, before, hops, visited = work.pop()
-        defs = [s for s in method.body
-                if s.kind in ("Declaration", "Assignment") and s.lhs == var
-                and s.index < before and s.index not in visited]
-        if not defs:
+        earlier = [s for s in method.body
+                   if s.kind in ("Declaration", "Assignment") and s.lhs == var
+                   and s.index < before]
+        defs = [s for s in earlier if s.index not in visited]
+        if not defs or not any(s.kind == "Declaration" for s in earlier):
             complete.append((tuple(reversed(hops)), var))
+        if not defs:
             continue
         for d in defs:
             sources = ordered_vars(d.rhs_expr, known) if d.rhs_expr is not None else ()

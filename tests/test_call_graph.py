@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from vulnreach.call_graph import (
     MethodCallPath,
+    PathBudgetExceeded,
     PathFilterConfig,
     build_call_graph,
     extract_call_paths,
@@ -12,6 +15,7 @@ from vulnreach.code_model import parse_project
 from vulnreach.vuln_report import load_report, match_signature
 
 from conftest import analyse_fixture, fixture_paths
+from path_oracle import layered_graph, oracle_call_paths, random_graph
 
 
 def _setup(name):
@@ -167,6 +171,38 @@ class TestExtractCallPaths:
         assert [p.signatures() for p in a] == [p.signatures() for p in b]
         assert [[s.index for s in p.call_sites] for p in a] == \
                [[s.index for s in p.call_sites] for p in b]
+
+
+class TestBudgetedSearch:
+    def test_equals_exhaustive_oracle_on_random_graphs(self):
+        rng = random.Random(20260418)
+        truncated = multi_site = 0
+        for _ in range(3000):
+            graph, model, targets, filters = random_graph(rng)
+            got_diags, want_diags = [], []
+            got = extract_call_paths(graph, model, targets, filters, got_diags)
+            want = oracle_call_paths(graph, model, targets, filters, want_diags)
+            assert got == want
+            assert got_diags == want_diags
+            truncated += bool(want_diags)
+            multi_site += len({p.signatures() for p in want}) < len(want)
+        # The generator reaches the cases the order and the budget hinge on.
+        assert truncated >= 100 and multi_site >= 100
+
+    @pytest.mark.parametrize("dispatcher", [False, True])
+    def test_budget_bounds_the_search(self, dispatcher):
+        # 8 ** 8 (16.7M) maximal paths: only an enumeration cut by the
+        # budget finishes. Under a dispatcher, the first layer's methods are
+        # entry-eligible, but no path from them can take in their caller.
+        graph, model, targets = layered_graph(layers=8, width=8, dispatcher=dispatcher)
+        diags = []
+        paths = extract_call_paths(graph, model, targets,
+                                   PathFilterConfig(max_depth=9 + dispatcher), diags)
+        first = ("g.Z#main()",) * dispatcher + tuple(f"g.L{i}#m0()" for i in range(6))
+        assert [p.signatures() for p in paths] == [
+            first + (f"g.L6#m{a}()", f"g.L7#m{b}()", "g.T#sink()")
+            for a in range(8) for b in range(8)]
+        assert diags == [PathBudgetExceeded(limit=64)]
 
 
 def test_constructor_not_entry_eligible():

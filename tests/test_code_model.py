@@ -57,6 +57,11 @@ class TestParseProject:
         assert len(model.index) == 3
         assert model.find_class("h.Leaf").supertypes == ("h.Mid",)
         assert model.find_class("h.Mid").supertypes == ("h.Base",)
+        assert {c.fqn for c in model.subtypes_of("h.Base")} == {"h.Mid", "h.Leaf"}
+        assert model.subtypes_of("h.Leaf") == []
+        assert [c.fqn for c in model.classes_by_simple_name("Mid")] == ["h.Mid"]
+        assert model.method_by_signature("h.Leaf#go(String)").owner == "h.Leaf"
+        assert model.method_by_signature("h.Mid#go(String)") is None
 
     def test_parse_twice_identical(self):
         project, _, _ = fixture_paths("diamond_paths")

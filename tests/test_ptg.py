@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vulnreach.call_graph import MethodCallPath
 from vulnreach.code_model import (
     Statement,
     binary_op,
@@ -193,6 +194,19 @@ class TestDecideReachability:
         kinds_per_path = [p.kinds() for p in arg.paths]
         assert any(all(k in BENIGN for k in ks) for ks in kinds_per_path)
         assert any(any(k not in BENIGN for k in ks) for ks in kinds_per_path)
+
+    @pytest.mark.parametrize("body, reachable", [
+        # A formal reassigned under a guard still carries its entry value.
+        ("if (f) { xml = xml.trim(); }\n        Sink.use(xml);", True),
+        ("String s = xml;\n        if (f) { s = s.trim(); }\n        Sink.use(s);", True),
+        # A local has no entry value: only its definitions reach the use.
+        ("String s = xml.trim();\n        if (f) { s = s.trim(); }\n        Sink.use(s);",
+         False),
+    ], ids=["formal", "local-copy", "local"])
+    def test_guarded_reassignment(self, tmp_path, body, reachable):
+        method = _parse_method(tmp_path, "        " + body, params="String xml, boolean f")
+        path = MethodCallPath(methods=(method,), call_sites=(method.body[-1],))
+        assert decide_reachability(path, analyse_path(path)).path_reachable is reachable
 
     def test_pruning_soundness_on_corpus(self):
         from conftest import corpus_names
