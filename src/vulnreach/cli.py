@@ -114,7 +114,7 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
             else:
                 analysis = analyse_path(path, model, report, cfg.allowlist)
                 result = decide_reachability(path, analysis, report)
-                summary = tuple(t.kind for t in analysis.flat_types())
+                summary = analysis.kinds()
             path_records.append(PathRecord(signatures=path.signatures(),
                                            reachable=result.path_reachable,
                                            transfer_summary=summary))

@@ -101,12 +101,17 @@ class Expr:
     operand_vars: frozenset[str] = frozenset()
 
     def walk(self):
-        """Yield this node and every descendant, pre-order."""
-        yield self
-        if self.receiver is not None:
-            yield from self.receiver.walk()
-        for a in self.args:
-            yield from a.walk()
+        """Yield this node and every descendant, pre-order. Uses an explicit
+        stack, so a deeply nested expression (a long concatenation is a
+        left-deep BinaryOp chain) cannot exhaust the interpreter's stack."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.args:
+                stack.extend(node.args[::-1])
+            if node.receiver is not None:
+                stack.append(node.receiver)
 
     def calls(self):
         """Yield every Call node in this expression, pre-order."""

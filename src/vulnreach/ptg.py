@@ -1,10 +1,12 @@
 """Parameter transfer analysis.
 
-For each method on a call path, builds a per-method Parameter Transfer Graph
-of <SourceNode, TargetNode, Edge> tuples over variables and statements,
-enumerates the def-use chains that feed the arguments of the next call
-(ultimately the vulnerable call), classifies every hop into one of four
-propagation kinds, and renders the per-path reachability verdict.
+For each method on a call path, builds the def-use graph behind its
+Parameter Transfer Graph (<SourceNode, TargetNode, Edge> tuples), classifies
+each definition once into one of four propagation kinds, and answers which
+origins reach each argument of the next call (ultimately the vulnerable
+call) through benign hops only, and which kinds lie on its slice. The
+verdict is a fixpoint over those origin sets (the summary edges of IFDS:
+Reps, Horwitz & Sagiv, POPL 1995); chains are expanded only when read.
 
 Propagation kinds:
   DirectPropagation  value passed on unchanged
@@ -20,7 +22,10 @@ caller-supplied payload, so later hops off it classify as NoPropagation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .call_graph import MethodCallPath
 from .code_model import CodeModel, Expr, MethodDecl, Statement
@@ -110,12 +115,6 @@ class PtgTuple:
 
 
 @dataclass(frozen=True)
-class ParameterTransferGraph:
-    method: MethodDecl
-    tuples: tuple[PtgTuple, ...]
-
-
-@dataclass(frozen=True)
 class ParameterPath:
     """One def-use chain feeding a call argument, origin first.
 
@@ -139,16 +138,43 @@ class ParameterPath:
 
 @dataclass(frozen=True)
 class ArgAnalysis:
-    """Analysis of one argument position at a call site."""
+    """Analysis of one argument position at a call site. pass_type classifies
+    the argument-pass hop; its evidence is the call statement."""
 
     position: int
     expr: Expr
     display_name: str
     terminal_vars: tuple[str, ...]
-    paths: tuple[ParameterPath, ...]
+    graph: "DefUseGraph"
+    pass_type: TransferType
 
-    def benign_paths(self) -> tuple[ParameterPath, ...]:
-        return tuple(p for p in self.paths if p.is_benign())
+    @cached_property
+    def paths(self) -> tuple[ParameterPath, ...]:
+        """Every chain feeding the argument (2^k for k guarded reassignments)."""
+        return tuple(self._path(var, *chain) for var in self.terminal_vars
+                     for chain in self.graph.chains(var, self.pass_type.evidence.index))
+
+    def _path(self, var: str, hops: tuple[PtgTuple, ...], origin: str | None) -> ParameterPath:
+        types = tuple(self.graph.types[h.edge.index] for h in hops) + (self.pass_type,)
+        return ParameterPath(var, hops + (PtgTuple(var, var, self.pass_type.evidence),),
+                             types, origin)
+
+    def witness(self, admit) -> ParameterPath | None:
+        """The first benign path, in paths order, whose origin admit accepts."""
+        found = ((var, self.graph.witness(var, self.pass_type.evidence.index, admit))
+                 for var in self.terminal_vars if self.pass_type.kind in BENIGN)
+        return next((self._path(var, *w) for var, w in found if w is not None), None)
+
+    def blocking_type(self) -> TransferType:
+        """The first non-benign type of the first path holding one, else
+        NoPropagation at the call."""
+        blocked = self.pass_type.kind not in BENIGN
+        for var in self.terminal_vars:
+            hops = self.graph.first_blocked(var, self.pass_type.evidence.index, blocked)
+            if hops is not None:
+                return next(t for t in self._path(var, hops, None).transfer_types
+                            if t.kind not in BENIGN)
+        return TransferType(NO_PROPAGATION, self.pass_type.evidence)
 
 
 @dataclass(frozen=True)
@@ -158,7 +184,6 @@ class MethodTransfer:
     method: MethodDecl
     call_stmt: Statement
     args: tuple[ArgAnalysis, ...]
-    upstream: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -170,12 +195,15 @@ class PathAnalysis:
     per_method: tuple[MethodTransfer, ...]
 
     def flat_types(self) -> tuple[TransferType, ...]:
-        out: list[TransferType] = []
-        for mt in self.per_method:
-            for arg in mt.args:
-                for p in arg.paths:
-                    out.extend(p.transfer_types)
-        return tuple(out)
+        return tuple(t for mt in self.per_method for arg in mt.args
+                     for p in arg.paths for t in p.transfer_types)
+
+    def kinds(self) -> tuple[str, ...]:
+        """flat_types()' distinct kinds in KINDS order, expanding no chain."""
+        args = [a for mt in self.per_method for a in mt.args if a.terminal_vars]
+        found = {a.pass_type.kind for a in args}.union(*(
+            a.graph.kinds(v, a.pass_type.evidence.index) for a in args for v in a.terminal_vars))
+        return tuple(k for k in KINDS if k in found)
 
 
 @dataclass(frozen=True)
@@ -193,19 +221,8 @@ class ReachabilityResult:
 
 def ordered_vars(expr: Expr, known: frozenset[str]) -> tuple[str, ...]:
     """Known variable names in source appearance order, deduplicated."""
-    out: list[str] = []
-    for node in expr.walk():
-        if node.kind == "VarRef" and node.name in known and node.name not in out:
-            out.append(node.name)
-    return tuple(out)
-
-
-def _var_bearing_operands(call_expr: Expr) -> list[Expr]:
-    ops: list[Expr] = []
-    if call_expr.receiver is not None and call_expr.receiver.operand_vars:
-        ops.append(call_expr.receiver)
-    ops.extend(a for a in call_expr.args if a.operand_vars)
-    return ops
+    return tuple(dict.fromkeys(node.name for node in expr.walk()
+                               if node.kind == "VarRef" and node.name in known))
 
 
 def classify_expr(expr: Expr | None, upstream: frozenset[str],
@@ -226,13 +243,11 @@ def classify_expr(expr: Expr | None, upstream: frozenset[str],
         inner = classify_expr(expr.args[0], upstream, allowlist)
         return TYPE_CONVERSION if inner == DIRECT else inner
     if expr.kind == "Call" and allowlist.matches(expr):
-        data = _var_bearing_operands(expr)
+        data = [e for e in (expr.receiver, *expr.args) if e is not None and e.operand_vars]
         if len(data) == 1 and data[0].kind == "VarRef":
             return TYPE_CONVERSION if data[0].name in upstream else NO_PROPAGATION
     # BinaryOp, New, FieldAccess, non-conversion Call: the value is derived.
-    if expr.operand_vars & upstream:
-        return VALUE_CHANGE
-    return NO_PROPAGATION
+    return VALUE_CHANGE if expr.operand_vars & upstream else NO_PROPAGATION
 
 
 def classify_statement(stmt: Statement, upstream_vars: frozenset[str],
@@ -247,11 +262,8 @@ def classify_statement(stmt: Statement, upstream_vars: frozenset[str],
 
 
 def known_variables(method: MethodDecl, fields: frozenset[str] = frozenset()) -> frozenset[str]:
-    names = {p.name for p in method.params} | set(fields)
-    for st in method.body:
-        if st.lhs:
-            names.add(st.lhs)
-    return frozenset(names)
+    return frozenset({p.name for p in method.params} | set(fields)
+                     | {st.lhs for st in method.body if st.lhs})
 
 
 def upstream_closure(method: MethodDecl, allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST,
@@ -261,114 +273,156 @@ def upstream_closure(method: MethodDecl, allowlist: ConversionAllowlist = DEFAUL
     so a field assigned from a formal anywhere in the body counts."""
     upstream: set[str] = {p.name for p in method.params}
     changed = True
-    while changed:
+    while changed:  # a benign right-hand side reads an upstream variable
         changed = False
         for st in method.body:
-            if st.kind in ("Declaration", "Assignment") and st.lhs and st.lhs not in upstream:
-                t = classify_statement(st, frozenset(upstream), allowlist)
-                if t.kind in BENIGN:
-                    upstream.add(st.lhs)
-                    changed = True
+            if st.kind in ("Declaration", "Assignment") and st.lhs and st.lhs not in upstream \
+                    and st.rhs_expr is not None \
+                    and not upstream.isdisjoint(st.rhs_expr.operand_vars) \
+                    and classify_statement(st, upstream, allowlist).kind in BENIGN:
+                upstream.add(st.lhs)
+                changed = True
     return frozenset(upstream)
 
 
 # ---------------------------------------------------------------------------
-# chain enumeration / PTG construction
+# per-method def-use graph
 # ---------------------------------------------------------------------------
 
 
-def _defining_statements(method: MethodDecl, var: str) -> list[Statement]:
-    return [st for st in method.body
-            if st.kind in ("Declaration", "Assignment") and st.lhs == var]
+_NO_DEFS = (0, None, frozenset(), frozenset(), False)
 
 
-@dataclass(frozen=True)
-class _Chain:
-    hops: tuple[PtgTuple, ...]
-    origin: str | None
+class DefUseGraph:
+    """Def-use graph of one method over states (variable, before-index), on
+    the backward slices of the roots. A use links to every earlier definition
+    of the variable (flattened branches cannot prove a kill) and, when none
+    is a declaration, to its entry value (a formal or a field): the chain's
+    origin. A definition links to its sources, or ends the chain with origin
+    None. edges holds the hops, keyed (source, target, index). In index order
+    each definition is classified once and stores running unions over its
+    variable's definitions so far (a prefix of them all) of the origins
+    reaching them through benign hops only and of the kinds on their slices."""
 
+    def __init__(self, method: MethodDecl, roots: list[tuple[str, int]],
+                 known: frozenset[str], upstream: frozenset[str],
+                 allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST):
+        defs: dict[str, list[Statement]] = {}
+        for st in method.body:
+            if st.lhs and st.kind in ("Declaration", "Assignment"):
+                defs.setdefault(st.lhs, []).append(st)
+        self.sources: dict[int, tuple[str, ...]] = {}
+        self.edges: dict[tuple, PtgTuple] = {}
+        todo = list(roots)
+        while todo:  # a hop's key fixes the state it leads to
+            var, before = todo.pop()
+            for d in defs.get(var, ()):
+                if d.index >= before:
+                    break
+                if d.index not in self.sources:
+                    self.sources[d.index] = (ordered_vars(d.rhs_expr, known)
+                                             if d.rhs_expr is not None else ())
+                for src in self.sources[d.index] or (None,):
+                    if (src, var, d.index) not in self.edges:
+                        self.edges[src, var, d.index] = PtgTuple(src, var, d)
+                        if src is not None:
+                            todo.append((src, d.index))
+        self.types: dict[int, TransferType] = {}
+        # var -> (index, statement, origins, kinds, declared so far) per definition
+        self._sums: dict[str, list[tuple]] = {}
+        for st in (st for st in method.body if st.index in self.sources):
+            t = self.types[st.index] = classify_statement(st, upstream, allowlist)
+            origins, kinds = (set() if self.sources[st.index] else {None}), {t.kind}
+            for v in self.sources[st.index]:
+                _, _, o, k, declared = self._last(v, st.index)
+                origins |= o if declared else o | {v}
+                kinds |= k
+            _, _, o, k, declared = self._last(st.lhs, st.index)
+            self._sums.setdefault(st.lhs, []).append((
+                st.index, st, o | origins if t.kind in BENIGN else o, k | kinds,
+                declared or st.kind == "Declaration"))
 
-def _enumerate_chains(method: MethodDecl, var: str, before_index: int,
-                      known: frozenset[str]) -> list[_Chain]:
-    """All def-use chains ending at a use of var before before_index.
+    def _upto(self, var: str, before: int) -> list[tuple]:
+        entries = self._sums.get(var, [])
+        return entries[:bisect_left(entries, (before,))]
 
-    Every earlier definition of the variable is chained (flattened branches
-    mean a textually later definition cannot be proven to kill an earlier
-    one). For the same reason a variable with no earlier declaration (a
-    formal parameter or a field) also keeps its entry value, which ends one
-    more chain with var as its origin. Each hop goes to a strictly earlier
-    statement, so a chain never revisits one.
-    """
-    defs = [d for d in _defining_statements(method, var) if d.index < before_index]
-    if not defs:
-        return [_Chain(hops=(), origin=var)]
-    chains: list[_Chain] = []
-    for d in defs:
-        sources = ordered_vars(d.rhs_expr, known) if d.rhs_expr is not None else ()
-        if not sources:
-            chains.append(_Chain(hops=(PtgTuple(None, var, d),), origin=None))
-            continue
-        for src in sources:
-            for sub in _enumerate_chains(method, src, d.index, known):
-                chains.append(_Chain(hops=sub.hops + (PtgTuple(src, var, d),),
-                                     origin=sub.origin))
-    if all(d.kind != "Declaration" for d in defs):
-        chains.append(_Chain(hops=(), origin=var))
-    return chains
+    def _last(self, var: str, before: int) -> tuple:
+        i = bisect_left(self._sums.get(var, ()), (before,))
+        return self._sums[var][i - 1] if i else _NO_DEFS
+
+    def origins(self, var: str, before: int) -> frozenset:
+        """Origins of the all-benign chains ending at (var, before)."""
+        _, _, origins, _, declared = self._last(var, before)
+        return origins if declared else origins | {var}
+
+    def kinds(self, var: str, before: int) -> frozenset[str]:
+        """Kinds on the backward slice of (var, before)."""
+        return self._last(var, before)[3]
+
+    def chains(self, var: str, before: int) -> Iterator[tuple[tuple[PtgTuple, ...], str | None]]:
+        """Every chain ending at (var, before) as (hops origin first, origin), per
+        definition in index order, per source in order, then the entry value."""
+        for _, d, *_ in self._upto(var, before):
+            if not self.sources[d.index]:
+                yield (PtgTuple(None, var, d),), None
+            for src in self.sources[d.index]:
+                for hops, origin in self.chains(src, d.index):
+                    yield hops + (PtgTuple(src, var, d),), origin
+        if not self._last(var, before)[4]:
+            yield (), var
+
+    def witness(self, var: str, before: int, admit) -> tuple[tuple, str] | None:
+        """(hops, origin) of the first all-benign chain in chains() order whose
+        origin admit accepts. The first definition whose running origins hold
+        one contributes it, so the descent never backtracks."""
+        if not any(admit(o) for o in self.origins(var, before)):
+            return None
+        hops: list[PtgTuple] = []
+        while d := next((e[1] for e in self._upto(var, before)
+                         if any(admit(o) for o in e[2])), None):
+            src = next(s for s in self.sources[d.index]
+                       if any(admit(o) for o in self.origins(s, d.index)))
+            hops.append(PtgTuple(src, var, d))
+            var, before = src, d.index
+        return tuple(reversed(hops)), var
+
+    def first_blocked(self, var: str, before: int, blocked: bool) -> tuple | None:
+        """Hops, origin first, of the first chain in chains() order holding a
+        non-benign hop (of the first chain when blocked is set); None when no
+        chain holds one. Found by the same descent, on the kind summaries."""
+        if not blocked and self.kinds(var, before).issubset(BENIGN):
+            return None
+        hops: list[PtgTuple] = []
+        while entries := self._upto(var, before):
+            d = next(e[1] for e in entries if blocked or not e[3].issubset(BENIGN))
+            srcs = self.sources[d.index]
+            if not blocked and self.types[d.index].kind in BENIGN:
+                srcs = [s for s in srcs if not self.kinds(s, d.index).issubset(BENIGN)]
+            else:
+                blocked = True
+            hops.append(PtgTuple(srcs[0] if srcs else None, var, d))
+            if not srcs:
+                break
+            var, before = srcs[0], d.index
+        return tuple(reversed(hops))
 
 
 def build_ptg(method: MethodDecl, callee_params: list[str],
               fields: frozenset[str] = frozenset(),
-              use_index: int | None = None) -> ParameterTransferGraph:
+              use_index: int | None = None) -> tuple[PtgTuple, ...]:
     """Parameter Transfer Graph restricted to the chains that end at the
-    given callee parameters; statements irrelevant to those chains are
-    excluded. Raises UnknownVariable for a name absent from the body."""
-    known = known_variables(method, fields)
+    given callee parameters: their backward slices' tuples, ordered by
+    statement. Raises UnknownVariable for a name absent from the body."""
     if use_index is None:
         use_index = (method.body[-1].index + 1) if method.body else 0
-    mentioned = set(known)
-    for st in method.body:
-        if st.rhs_expr is not None:
-            mentioned |= st.rhs_expr.operand_vars
-    tuples: list[PtgTuple] = []
-    seen: set[tuple] = set()
-    for cp in callee_params:
-        if cp not in mentioned and cp not in known:
-            raise UnknownVariable(cp)
-        for chain in _enumerate_chains(method, cp, use_index, known):
-            for hop in chain.hops:
-                key = (hop.source, hop.target, hop.edge.index)
-                if key not in seen:
-                    seen.add(key)
-                    tuples.append(hop)
-    tuples.sort(key=lambda t: (t.edge.index, t.target, t.source or ""))
-    return ParameterTransferGraph(method=method, tuples=tuple(tuples))
-
-
-def _paths_for_var(method: MethodDecl, var: str, call_stmt: Statement,
-                   arg_expr: Expr, known: frozenset[str],
-                   upstream: frozenset[str],
-                   allowlist: ConversionAllowlist) -> list[ParameterPath]:
-    """ParameterPaths for one callee variable: each def-use chain plus the
-    final argument-pass hop at the call site."""
-    pass_hop = PtgTuple(source=var, target=var, edge=call_stmt)
-    pass_type = TransferType(classify_expr(arg_expr, upstream, allowlist), call_stmt)
-    out: list[ParameterPath] = []
-    for chain in _enumerate_chains(method, var, call_stmt.index, known):
-        types = tuple(classify_statement(h.edge, upstream, allowlist) for h in chain.hops)
-        out.append(ParameterPath(
-            parameter=var,
-            hops=chain.hops + (pass_hop,),
-            transfer_types=types + (pass_type,),
-            origin=chain.origin,
-        ))
-    return out
-
-
-def _display_name(expr: Expr, position: int) -> str:
-    if expr.kind == "VarRef":
-        return expr.name
-    return f"arg{position}"
+    known = known_variables(method, fields)
+    mentioned = known.union(*(st.rhs_expr.operand_vars for st in method.body if st.rhs_expr))
+    if unknown := [cp for cp in callee_params if cp not in mentioned]:
+        raise UnknownVariable(unknown[0])
+    graph = DefUseGraph(method, [(cp, use_index) for cp in callee_params], known,
+                        upstream_closure(method, fields=fields))
+    return tuple(sorted(graph.edges.values(),
+                        key=lambda t: (t.edge.index, t.target, t.source or "")))
 
 
 def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,
@@ -377,22 +431,14 @@ def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,
     """Analyse how values reach the arguments of one call site in a method."""
     known = known_variables(method, fields)
     upstream = upstream_closure(method, allowlist, fields)
-    args: list[ArgAnalysis] = []
-    for j, arg_expr in enumerate(call_expr.args):
-        terminal = ordered_vars(arg_expr, known)
-        paths: list[ParameterPath] = []
-        for var in terminal:
-            paths.extend(_paths_for_var(method, var, call_stmt, arg_expr, known,
-                                        upstream, allowlist))
-        args.append(ArgAnalysis(
-            position=j,
-            expr=arg_expr,
-            display_name=_display_name(arg_expr, j),
-            terminal_vars=terminal,
-            paths=tuple(paths),
-        ))
-    return MethodTransfer(method=method, call_stmt=call_stmt, args=tuple(args),
-                          upstream=upstream)
+    terminals = [ordered_vars(arg_expr, known) for arg_expr in call_expr.args]
+    graph = DefUseGraph(method, [(v, call_stmt.index) for vs in terminals for v in vs],
+                        known, upstream, allowlist)
+    args = tuple(ArgAnalysis(
+        j, arg_expr, arg_expr.name if arg_expr.kind == "VarRef" else f"arg{j}", terminals[j],
+        graph, TransferType(classify_expr(arg_expr, upstream, allowlist), call_stmt))
+        for j, arg_expr in enumerate(call_expr.args))
+    return MethodTransfer(method=method, call_stmt=call_stmt, args=args)
 
 
 def _call_expr_at(stmt: Statement, callee: MethodDecl | None,
@@ -410,45 +456,28 @@ def _call_expr_at(stmt: Statement, callee: MethodDecl | None,
     return None
 
 
-def _owner_fields(model: CodeModel | None, method: MethodDecl) -> frozenset[str]:
-    if model is None:
-        return frozenset()
-    owner = model.owner_of(method)
-    return owner.field_names() if owner is not None else frozenset()
-
-
 def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
                  report: VulnerabilityReport | None = None,
                  allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST) -> PathAnalysis:
     """Walk the call path from its end to its start, analysing at each method
     the call site that leads to the next hop (the vulnerable call in the last
-    method).
-    """
+    method)."""
     per_method: list[MethodTransfer] = []
     k = len(path.methods)
     for i in range(k - 1, -1, -1):
-        method = path.methods[i]
-        stmt = path.call_sites[i]
+        method, stmt = path.methods[i], path.call_sites[i]
         callee = path.methods[i + 1] if i + 1 < k else None
         call_expr = _call_expr_at(stmt, callee,
                                   report=report if i == k - 1 else None)
         if call_expr is None:
             # No resolvable call expression: record an empty transfer.
-            per_method.append(MethodTransfer(method=method, call_stmt=stmt,
-                                             args=(), upstream=frozenset()))
+            per_method.append(MethodTransfer(method=method, call_stmt=stmt, args=()))
             continue
+        owner = model.owner_of(method) if model is not None else None
         per_method.append(analyse_call_site(
-            method, stmt, call_expr, fields=_owner_fields(model, method),
-            allowlist=allowlist))
+            method, stmt, call_expr, allowlist=allowlist,
+            fields=owner.field_names() if owner is not None else frozenset()))
     return PathAnalysis(path=path, per_method=tuple(per_method))
-
-
-def analyse_parameter_transfer(path: MethodCallPath, model: CodeModel | None = None,
-                               allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST
-                               ) -> list[TransferType]:
-    """Flat list of every transfer type met along the path, ordered by method
-    (end to start), then parameter, then chain."""
-    return list(analyse_path(path, model, allowlist=allowlist).flat_types())
 
 
 # ---------------------------------------------------------------------------
@@ -475,68 +504,39 @@ def decide_reachability(path: MethodCallPath, analysis: PathAnalysis,
 
     A chain is benign when it contains only DirectPropagation/TypeConversion.
     An argument is reachable when at least one benign chain grounds out at an
-    attacker-suppliable origin: walking caller-ward, a chain rooted in a
-    formal parameter requires the corresponding argument of the upstream call
-    site to be reachable in turn, all the way to the entry method, whose
-    formals are user-supplied by definition.
+    attacker-suppliable origin: a field, or a formal parameter whose argument
+    at the upstream call site is reachable in turn, all the way to the entry
+    method, whose formals are user-supplied by definition: a fixpoint over
+    (level, argument) facts, computed on demand from the origin summaries.
+    The witness is the first such chain in ArgAnalysis.paths order, else the
+    parameter's blocking_type().
     """
     per_method = analysis.per_method  # [0] = last method on the path
     n = len(per_method)
 
-    memo: dict[tuple[int, int], "ParameterPath | None"] = {}
+    def admits(level: int):
+        formals = per_method[level].method.param_names()
+        return lambda o: o is not None and (o not in formals or level == n - 1
+                                            or reachable(level + 1, formals.index(o)))
 
-    def arg_witness(level: int, position: int) -> ParameterPath | None:
-        # level indexes per_method (0 = vulnerable call site).
-        key = (level, position)
-        if key in memo:
-            return memo[key]
-        memo[key] = None  # cycle guard
-        mt = per_method[level]
-        if position >= len(mt.args):
-            return None
-        found: ParameterPath | None = None
-        for p in mt.args[position].benign_paths():
-            if p.origin is None:
-                continue
-            formals = mt.method.param_names()
-            if p.origin in formals:
-                if level == n - 1:
-                    found = p  # entry formals are attacker-supplied
-                else:
-                    pos = formals.index(p.origin)
-                    if arg_witness(level + 1, pos) is not None:
-                        found = p
-            else:
-                # Field origin admitted as input per the field rule.
-                found = p
-            if found is not None:
-                break
-        memo[key] = found
-        return found
+    reached: dict[tuple[int, int], bool] = {}
 
-    last = per_method[0] if per_method else None
+    def reachable(level: int, pos: int) -> bool:
+        if (level, pos) not in reached:
+            args = per_method[level].args
+            reached[level, pos] = pos < len(args) and args[pos].witness(admits(level)) is not None
+        return reached[level, pos]
+
     per_parameter: dict[str, tuple[bool, object]] = {}
-    reachable_all = True
-    if last is not None:
-        relevant = _relevant_positions(last, report)
-        for pos in relevant:
+    if per_method:
+        last, admit = per_method[0], admits(0)
+        for pos in _relevant_positions(last, report):
             arg = last.args[pos]
-            witness: object = arg_witness(0, pos)
-            ok = witness is not None
-            if not ok:
-                witness = _blocking_type(arg, last.call_stmt)
+            witness = arg.witness(admit)
             name = arg.display_name
             if name in per_parameter:
                 name = f"{name}@{pos}"
-            per_parameter[name] = (ok, witness)
-            reachable_all = reachable_all and ok
+            per_parameter[name] = (witness is not None, witness or arg.blocking_type())
     return ReachabilityResult(path=path, per_parameter=per_parameter,
-                              path_reachable=reachable_all, analysis=analysis)
-
-
-def _blocking_type(arg: ArgAnalysis, call_stmt: Statement) -> TransferType:
-    for p in arg.paths:
-        for t in p.transfer_types:
-            if t.kind not in BENIGN:
-                return t
-    return TransferType(NO_PROPAGATION, call_stmt)
+                              path_reachable=all(ok for ok, _ in per_parameter.values()),
+                              analysis=analysis)

@@ -477,20 +477,20 @@ def emit_tests(artifacts: list[TestArtifact], project_root: str | Path,
                test_dir: str = "src/test/java", force: bool = False) -> list[Path]:
     """Write artifacts plus the interceptor scaffold into the project's test
     directory. Identical existing files are left untouched; differing ones
-    raise WouldOverwrite unless force is set. Returns the paths written."""
+    raise WouldOverwrite unless force is set, before any file is written.
+    Returns the paths written."""
     root = Path(project_root)
     target = root / test_dir
     if not target.is_dir():
         raise TestDirMissing(f"no test directory at {target}")
-    written: list[Path] = []
     payloads = [(target / a.file_name, a.source_text) for a in artifacts]
     payloads.append((target / assets.INTERCEPTOR_FILE_NAME, assets.INTERCEPTOR_SOURCE))
-    for path, text in payloads:
-        if path.exists():
-            if path.read_text(encoding="utf-8") == text:
-                continue
-            if not force:
+    pending = [(path, text) for path, text in payloads
+               if not path.exists() or path.read_text(encoding="utf-8") != text]
+    if not force:
+        for path, _ in pending:
+            if path.exists():
                 raise WouldOverwrite(path)
+    for path, text in pending:
         path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    return [path for path, _ in pending]

@@ -32,6 +32,21 @@ class TestAnalyzeCommand:
         assert emitted == ["VulEUT_CVE_2017_7957_P1_T1Test.java",
                            "VulEUT_CVE_2017_7957_P1_T2Test.java"]
 
+    def test_deep_concatenation_degrades_cleanly(self, scratch_project, tmp_path):
+        # A 3000-term concatenation parses to a BinaryOp chain 3000 deep.
+        root = scratch_project("lion_reachable")
+        terms = " + ".join(["part"] * 3000)
+        (root / "src/main/java/com/lion/util/Banner.java").write_text(
+            "package com.lion.util;\n\npublic class Banner {\n"
+            "    public String render(String part) {\n"
+            f"        String s = {terms};\n        return s;\n    }}\n}}\n")
+        _, poc, _ = fixture_paths("lion_reachable")
+        out = tmp_path / "out"
+        code = main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(out)])
+        assert code == 2
+        assert [p.reachable for p in read_report(out / "report.json").paths] == [True]
+
     def test_openolat_full_vs_paths_only(self, scratch_project, tmp_path):
         out_full = tmp_path / "full"
         root, _ = _run(scratch_project, "openolat_unreachable", out_full)

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from vulnreach.code_model import (
     Statement,
     binary_op,
     call,
+    cast,
     literal,
     parse_project,
     var_ref,
@@ -21,7 +25,6 @@ from vulnreach.ptg import (
     UnknownVariable,
     VALUE_CHANGE,
     analyse_call_site,
-    analyse_parameter_transfer,
     analyse_path,
     build_ptg,
     classify_expr,
@@ -32,7 +35,8 @@ from vulnreach.ptg import (
     upstream_closure,
 )
 
-from conftest import analyse_fixture
+import ptg_reference
+from conftest import analyse_fixture, corpus_names
 from ptg_oracle import oracle_chains, random_method
 
 
@@ -53,16 +57,15 @@ class TestBuildPtg:
         method = _parse_method(tmp_path,
                                "        String xml = EntityUtils.toString(entity);\n"
                                "        Sink.use(xml);")
-        graph = build_ptg(method, ["xml"])
-        assert len(graph.tuples) == 1
-        t = graph.tuples[0]
+        edges = build_ptg(method, ["xml"])
+        assert len(edges) == 1
+        t = edges[0]
         assert (t.source, t.target) == ("entity", "xml")
         assert str(t) == "<entity, xml, EntityUtils.toString>"
 
     def test_identity_passthrough_empty_graph(self, tmp_path):
         method = _parse_method(tmp_path, "        Sink.use(entity);")
-        graph = build_ptg(method, ["entity"])
-        assert graph.tuples == ()
+        assert build_ptg(method, ["entity"]) == ()
         # The identity chain still exists at the call site.
         mt = analyse_call_site(method, method.body[0],
                                next(method.body[0].calls()))
@@ -80,8 +83,8 @@ class TestBuildPtg:
             "        String dead2 = dead;\n"
             "        Sink.use(hop);")
         call_stmt = method.body[-1]
-        graph = build_ptg(method, ["hop"], use_index=call_stmt.index)
-        touched = {t.edge.index for t in graph.tuples}
+        edges = build_ptg(method, ["hop"], use_index=call_stmt.index)
+        touched = {t.edge.index for t in edges}
         # Independent backward slice over every def-use chain.
         sliced = set()
         for chain, _ in oracle_chains(method, "hop", call_stmt.index):
@@ -209,7 +212,6 @@ class TestDecideReachability:
         assert decide_reachability(path, analyse_path(path)).path_reachable is reachable
 
     def test_pruning_soundness_on_corpus(self):
-        from conftest import corpus_names
         for name in corpus_names():
             *_, results, _ = analyse_fixture(name)[0:5]
             for r in results:
@@ -221,7 +223,6 @@ class TestDecideReachability:
 
     def test_hops_chain_linkage_on_corpus(self):
         # Each hop's target feeds the next hop's source.
-        from conftest import corpus_names
         for name in corpus_names():
             *_, results, _ = analyse_fixture(name)[0:5]
             for r in results:
@@ -259,6 +260,110 @@ class TestOracleEquivalence:
             assert impl == want
 
 
+class _FieldModel:
+    """Stands in for a CodeModel where analyse_path reads field names."""
+
+    def __init__(self, fields: dict[str, frozenset[str]]):
+        self.fields = fields
+
+    def owner_of(self, method):
+        return SimpleNamespace(field_names=lambda: self.fields[method.owner])
+
+
+def _random_arg(rng, names):
+    v, w = var_ref(rng.choice(names)), var_ref(rng.choice(names))
+    return rng.choice((v, v, cast("Object", v), call("toString", v),
+                       binary_op("+", v, w), literal('"k"')))
+
+
+def _random_path(rng):
+    """One to three random methods, each but the last calling the next with
+    random arguments; a formal sometimes becomes a field of its class."""
+    methods, fields = [], {}
+    for i in range(rng.randrange(1, 4)):
+        method, _ = random_method(rng)
+        params, owner = method.params, f"gen.C{i}"
+        fields[owner] = frozenset()
+        if len(params) > 1 and rng.random() < 0.3:
+            params, fields[owner] = params[:-1], frozenset({params[-1].name})
+        methods.append(dataclasses.replace(method, owner=owner, params=params))
+    for i, method in enumerate(methods):
+        names = [p.name for p in method.params] + sorted(fields[method.owner]) \
+            + [st.lhs for st in method.body if st.lhs]
+        n_args = len(methods[i + 1].params) if i + 1 < len(methods) \
+            else rng.randrange(1, 4)
+        site = method.body[-1]
+        site = dataclasses.replace(site, rhs_expr=call(
+            "generated" if i + 1 < len(methods) else "sink", None,
+            *[_random_arg(rng, names) for _ in range(n_args)]))
+        methods[i] = dataclasses.replace(method, body=method.body[:-1] + (site,))
+    path = MethodCallPath(methods=tuple(methods),
+                          call_sites=tuple(m.body[-1] for m in methods))
+    return path, _FieldModel(fields)
+
+
+class TestAgainstReference:
+    """The summaries reproduce the chain enumerator they replaced
+    (tests/ptg_reference.py): verdicts, witnesses, blocking types, the
+    distinct kinds of its flat types, and the lazily expanded paths."""
+
+    def _assert_same(self, path, model=None, report=None):
+        analysis = analyse_path(path, model, report)
+        old_analysis = ptg_reference.analyse_path(path, model, report)
+        assert [a.paths for mt in analysis.per_method for a in mt.args] == \
+               [a.paths for mt in old_analysis.per_method for a in mt.args]
+        old_kinds = {t.kind for t in old_analysis.flat_types()}
+        assert analysis.kinds() == tuple(k for k in KINDS if k in old_kinds)
+        new = decide_reachability(path, analysis, report)
+        old = ptg_reference.decide_reachability(path, old_analysis, report)
+        assert (new.path_reachable, new.per_parameter) == \
+               (old.path_reachable, old.per_parameter)
+        return new.path_reachable
+
+    def test_corpus(self):
+        compared = 0
+        for name in corpus_names():
+            model, report, _, results, _ = analyse_fixture(name)
+            for r in results:
+                self._assert_same(r.path, model, report)
+                compared += 1
+        assert compared >= 18
+
+    def test_random_paths(self):
+        rng = random.Random(4242)
+        methods, verdicts = 0, set()
+        for _ in range(400):
+            path, model = _random_path(rng)
+            reachable = self._assert_same(path, model)
+            methods += len(path.methods)
+            verdicts.add((len(path.methods) > 1, reachable))
+        assert methods >= 500
+        assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_slice_edges_equal_oracle_hops(self):
+        rng = random.Random(777)
+        for _ in range(300):
+            method, terminal = random_method(rng)
+            use = method.body[-1].index
+            edges = {(t.source, t.target, t.edge.index)
+                     for t in build_ptg(method, [terminal], use_index=use)}
+            assert edges == {hop for chain, _ in oracle_chains(method, terminal, use)
+                             for hop in chain}
+
+    def test_sixty_four_guarded_reassignments(self, tmp_path):
+        # 2^64 chains: the reference enumerator would never finish.
+        method = _parse_method(
+            tmp_path, "        if (f) { xml = xml.trim(); }\n" * 64 + "        Sink.use(xml);",
+            params="String xml, boolean f")
+        path = MethodCallPath(methods=(method,), call_sites=(method.body[-1],))
+        start = time.perf_counter()
+        analysis = analyse_path(path)
+        result = decide_reachability(path, analysis)
+        kinds = analysis.kinds()
+        assert time.perf_counter() - start < 1.0
+        assert result.path_reachable
+        assert kinds == (DIRECT, VALUE_CHANGE)
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -276,7 +381,6 @@ def _exprs(draw, depth=0):
     if choice == 2:
         return binary_op("+", draw(_exprs(depth + 1)), draw(_exprs(depth + 1)))
     if choice == 3:
-        from vulnreach.code_model import cast
         return cast("Object", draw(_exprs(depth + 1)))
     if choice == 4:
         return call("toString", draw(_exprs(depth + 1)))
@@ -315,15 +419,8 @@ def test_monotonicity_unrelated_statement(seed):
     extra = Statement(kind="Declaration", lhs="zz",
                       rhs_expr=literal('"fresh"'),
                       line=99, index=len(method.body), declared_type="String")
-    import dataclasses
     grown = dataclasses.replace(method, body=method.body + (extra,))
     upstream_after = upstream_closure(grown)
     after = [classify_statement(s, upstream_after).kind for s in grown.body[:-1]]
     assert before == after
 
-
-def test_analyse_parameter_transfer_flat_api():
-    model, report, _, results, _ = analyse_fixture("lion_reachable")
-    path = results[0].path
-    flat = analyse_parameter_transfer(path, model)
-    assert [t.kind for t in flat] == [t.kind for t in results[0].analysis.flat_types()]

@@ -371,6 +371,16 @@ class TestEmitTests:
         written = emit_tests(changed, root, force=True)
         assert [p.name for p in written] == [artifacts[0].file_name]
 
+    def test_refused_emission_writes_nothing(self, lion, scratch_project):
+        # The interceptor is written last; its clash must stop the new tests too.
+        root = scratch_project("lion_reachable")
+        tree = root / "src/test/java"
+        (tree / assets.INTERCEPTOR_FILE_NAME).write_text("// edited by hand\n")
+        before = {p: p.read_bytes() for p in tree.rglob("*")}
+        with pytest.raises(WouldOverwrite):
+            emit_tests(self._artifacts(lion), root)
+        assert {p: p.read_bytes() for p in tree.rglob("*")} == before
+
     def test_missing_test_dir(self, lion, tmp_path):
         with pytest.raises(TestDirMissingError):
             emit_tests(self._artifacts(lion), tmp_path)
