@@ -52,8 +52,6 @@ class ParseDiagnostic:
 # expressions
 # ---------------------------------------------------------------------------
 
-EXPR_KINDS = ("VarRef", "Literal", "Call", "Cast", "BinaryOp", "FieldAccess", "New")
-
 _JAVA_LANG = {
     "Object", "String", "StringBuilder", "StringBuffer", "CharSequence",
     "Integer", "Long", "Short", "Byte", "Double", "Float", "Boolean",
@@ -206,8 +204,6 @@ def opaque_expr(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # statements, methods, classes
 # ---------------------------------------------------------------------------
-
-STATEMENT_KINDS = ("Assignment", "Invocation", "Return", "Declaration", "Other")
 
 
 @dataclass(frozen=True)
@@ -435,46 +431,62 @@ class CodeModel:
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
+# One match per lexeme, in a single findall call. Whitespace other than "\n"
+# is skipped inside the match; "\n" is a lexeme of its own so that lines can
+# be counted. A character that starts no lexeme, and the end of the text,
+# match with an empty group: every match attempt succeeds, so the search
+# never rescans a run of whitespace.
+_LEXEME_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>//[^\n]*|/\*.*?\*/)
-    | (?P<string>"(?:\\.|[^"\\])*")
-    | (?P<char>'(?:\\.|[^'\\])*')
-    | (?P<number>\d[\w]*(?:\.[\w]+)?)
-    | (?P<ident>[A-Za-z_$][\w$]*)
-    | (?P<op><<=|>>>=|>>=|>>>|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::|\.\.\.|[{}()\[\];,.<>=+\-*/%!&|^~?:@])
+    [^\S\n]*
+    (?:
+      (
+        \n
+      | //[^\n]*|/\*.*?\*/
+      | "(?:\\.|[^"\\])*"
+      | '(?:\\.|[^'\\])*'
+      | \d[\w]*(?:\.[\w]+)?
+      | [A-Za-z_$][\w$]*
+      | <<=|>>>=|>>=|>>>|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::|\.\.\.|[{}()\[\];,.<>=+\-*/%!&|^~?:@]
+      )
+    | \S
+    | \Z
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
+# A token's kind follows from its first character: identifiers (keywords
+# included) start with one of these, string and char literals with a quote,
+# numbers with a decimal digit, operators with anything else.
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _is_literal(text: str) -> bool:
+    c = text[0]
+    return c == '"' or c == "'" or c.isdecimal()
+
+
+def _tokenize(source: str) -> tuple[list[str], list[int]]:
+    """Token texts of source, comments dropped, and each token's 1-based line."""
+    texts: list[str] = []
+    lines: list[int] = []
     line = 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            # Unknown byte: skip it.
-            if source[pos] == "\n":
-                line += 1
-            pos += 1
+    for s in _LEXEME_RE.findall(source):
+        if s == "\n":
+            line += 1
             continue
-        kind = m.lastgroup or "op"
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line))
-        line += text.count("\n")
-        pos = m.end()
-    return tokens
+        if not s:
+            continue
+        c = s[0]
+        if c == "/" and s[1:2] in ("/", "*"):
+            line += s.count("\n")
+            continue
+        texts.append(s)
+        lines.append(line)
+        if c == '"' or c == "'":
+            line += s.count("\n")
+    return texts, lines
 
 
 class _ParseError(Exception):
@@ -484,80 +496,109 @@ class _ParseError(Exception):
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Position i in a file's tokens: texts[j] is token j's text, lines[j] its
+    line. Two None sentinels after the last token let peek, at and at_ident
+    look one token past the end without a bounds check."""
+
+    __slots__ = ("texts", "lines", "n", "i")
+
+    def __init__(self, texts: list[str], lines: list[int]):
+        self.n = len(texts)
+        self.texts: list[str | None] = [*texts, None, None]
+        self.lines = lines
         self.i = 0
 
-    def peek(self, offset: int = 0) -> _Token | None:
-        j = self.i + offset
-        return self.tokens[j] if j < len(self.tokens) else None
+    def peek(self, offset: int = 0) -> str | None:
+        return self.texts[self.i + offset]
 
     def at(self, text: str, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        return t is not None and t.text == text
+        return self.texts[self.i + offset] == text
 
     def at_ident(self, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        return t is not None and t.kind == "ident"
+        t = self.texts[self.i + offset]
+        return t is not None and t[0] in _IDENT_START
 
-    def next(self) -> _Token:
-        t = self.peek()
-        if t is None:
+    def next(self) -> str:
+        i = self.i
+        if i >= self.n:
             raise _ParseError("unexpected end of file", self.line())
-        self.i += 1
-        return t
+        self.i = i + 1
+        return self.texts[i]
 
-    def expect(self, text: str) -> _Token:
-        t = self.peek()
-        if t is None or t.text != text:
+    def expect(self, text: str) -> str:
+        if self.texts[self.i] != text:
             raise _ParseError(f"expected '{text}'", self.line())
-        return self.next()
+        self.i += 1
+        return text
 
     def line(self) -> int:
-        t = self.peek()
-        if t is not None:
-            return t.line
-        return self.tokens[-1].line if self.tokens else 1
+        """Line of the current token, or of the last one at the end."""
+        return self.lines[min(self.i, self.n - 1)] if self.n else 1
 
     def eof(self) -> bool:
-        return self.i >= len(self.tokens)
+        return self.i >= self.n
 
-    def skip_balanced(self, open_: str, close: str) -> list[_Token]:
+    def skip_balanced(self, open_: str, close: str) -> list[str]:
         """Consume from the current open_ token through its matching close."""
-        toks = [self.expect(open_)]
+        start = self.i
+        self.expect(open_)
         depth = 1
         while depth > 0:
             t = self.next()
-            toks.append(t)
-            if t.text == open_:
+            if t == open_:
                 depth += 1
-            elif t.text == close:
+            elif t == close:
                 depth -= 1
-        return toks
+        return self.texts[start:self.i]
 
     def skip_generics(self) -> None:
         """Skip a balanced <...> group starting at the cursor."""
         depth = 0
         while True:
             t = self.next()
-            if t.text == "<":
+            if t == "<":
                 depth += 1
-            elif t.text in (">", ">>", ">>>"):
-                depth -= len(t.text)
+            elif t in (">", ">>", ">>>"):
+                depth -= len(t)
             if depth <= 0:
                 return
+
+
+def _idents(texts: list[str]) -> str:
+    return " ".join(t for t in texts if t[0] in _IDENT_START)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+# Deepest nesting the body parser follows. A nested statement, a
+# binary-operator operand, a prefix operator or cast, and a conditional arm
+# each count one level. A statement holding deeper input becomes one opaque
+# statement. A level costs at most six interpreter frames, so parsing stays
+# within Python's default recursion limit from any caller less than 200
+# frames deep.
+_MAX_NESTING = 128
+
+_COMPOUND_ASSIGN = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
+
+# Binary operators by precedence; instanceof parses as a relational operator
+# whose right-hand side is a type.
+_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7, "instanceof": 7,
+    "<<": 8, ">>": 8, ">>>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
+}
+_RELATIONAL = 7
+_PREFIX_OPS = frozenset(("!", "~", "+", "-", "++", "--"))
+_KEYWORD_PRIMARIES = frozenset(("true", "false", "null", "this", "super", "new"))
+
 
 class _FileParser:
     def __init__(self, path: str, source: str, diagnostics: list[ParseDiagnostic]):
         self.path = path
         self.source = source
-        self.cur = _Cursor(_tokenize(source))
+        self.cur = _Cursor(*_tokenize(source))
         self.diagnostics = diagnostics
         self.package = ""
         self.imports: list[tuple[str, str]] = []
@@ -573,16 +614,14 @@ class _FileParser:
         cur = self.cur
         while not cur.eof():
             try:
-                if cur.at("@"):
-                    self._skip_annotation()
-                    continue
                 t = cur.peek()
-                assert t is not None
-                if t.text == "package":
+                if t == "@":
+                    self._skip_annotation()
+                elif t == "package":
                     cur.next()
                     self.package = self._dotted_name()
                     self._skip_to(";")
-                elif t.text == "import":
+                elif t == "import":
                     cur.next()
                     static = cur.at("static")
                     if static:
@@ -595,12 +634,12 @@ class _FileParser:
                     elif not static:
                         self.imports.append((name.rsplit(".", 1)[-1], name))
                     self._skip_to(";")
-                elif t.text in _MODIFIERS or t.text in ("class", "interface", "enum", "record"):
+                elif t in _MODIFIERS or t in ("class", "interface", "enum", "record"):
                     self._parse_type_decl()
-                elif t.text == ";":
+                elif t == ";":
                     cur.next()
                 else:
-                    self.warn(f"skipping unexpected token '{t.text}'")
+                    self.warn(f"skipping unexpected token '{t}'")
                     cur.next()
             except _ParseError as e:
                 self.warn(str(e), e.line)
@@ -610,25 +649,22 @@ class _FileParser:
     def _resync(self):
         cur = self.cur
         while not cur.eof():
-            t = cur.next()
-            if t.text in (";", "}"):
+            if cur.next() in (";", "}"):
                 return
 
     def _skip_to(self, text: str):
         cur = self.cur
         while not cur.eof():
-            if cur.at(text):
-                cur.next()
+            if cur.next() == text:
                 return
-            cur.next()
 
     def _dotted_name(self) -> str:
         cur = self.cur
-        parts = [cur.next().text]
+        name = cur.next()
         while cur.at(".") and cur.at_ident(1):
-            cur.next()
-            parts.append(cur.next().text)
-        return ".".join(parts)
+            name += "." + cur.texts[cur.i + 1]
+            cur.i += 2
+        return name
 
     def _skip_annotation(self) -> str:
         cur = self.cur
@@ -646,33 +682,22 @@ class _FileParser:
         t = cur.peek()
         if t is None:
             raise _ParseError("expected type", cur.line())
-        if t.text in _PRIMITIVES:
+        if t in _PRIMITIVES:
             cur.next()
-            text = t.text
-        elif t.kind == "ident" and t.text not in _KEYWORDS:
+            text = t
+        elif t[0] in _IDENT_START and t not in _KEYWORDS:
             text = self._dotted_name()
         else:
-            raise _ParseError(f"expected type, found '{t.text}'", t.line)
+            raise _ParseError(f"expected type, found '{t}'", cur.line())
         if cur.at("<"):
             start = cur.i
             try:
-                toks: list[str] = []
-                depth = 0
-                while True:
-                    tok = cur.next()
-                    toks.append(tok.text)
-                    if tok.text == "<":
-                        depth += 1
-                    elif tok.text in (">", ">>", ">>>"):
-                        depth -= len(tok.text)
-                    if depth <= 0:
-                        break
-                text += "".join(toks)
+                cur.skip_generics()
+                text += "".join(cur.texts[start:cur.i])
             except _ParseError:
                 cur.i = start
         while cur.at("[") and cur.at("]", 1):
-            cur.next()
-            cur.next()
+            cur.i += 2
             text += "[]"
         return text
 
@@ -683,22 +708,22 @@ class _FileParser:
         annotations: list[str] = []
         while cur.at("@"):
             annotations.append(self._skip_annotation())
-        while not cur.eof() and cur.peek().text in _MODIFIERS:  # type: ignore[union-attr]
+        while cur.peek() in _MODIFIERS:
             cur.next()
             while cur.at("@"):
                 annotations.append(self._skip_annotation())
+        line = cur.line()
         kw = cur.next()
-        if kw.text not in ("class", "interface", "enum", "record"):
-            raise _ParseError(f"expected type declaration, found '{kw.text}'", kw.line)
-        name_tok = cur.next()
-        simple = name_tok.text
+        if kw not in ("class", "interface", "enum", "record"):
+            raise _ParseError(f"expected type declaration, found '{kw}'", line)
+        simple = cur.next()
         if cur.at("<"):
             cur.skip_generics()
-        if kw.text == "record" and cur.at("("):
+        if kw == "record" and cur.at("("):
             cur.skip_balanced("(", ")")
         supertypes: list[str] = []
         while cur.at("extends") or cur.at("implements") or cur.at("permits"):
-            keyword = cur.next().text
+            keyword = cur.next()
             while True:
                 sup = self._type_ref()
                 if keyword != "permits":
@@ -712,14 +737,19 @@ class _FileParser:
         cur.expect("{")
         methods: list[MethodDecl] = []
         fields: list[FieldDecl] = []
-        if kw.text == "enum":
+        if kw == "enum":
             self._skip_enum_constants()
         while not cur.eof() and not cur.at("}"):
+            start = cur.i
             try:
-                self._parse_member(fqn, simple, kw.text == "interface", methods, fields)
+                self._parse_member(fqn, simple, kw == "interface", methods, fields)
             except _ParseError as e:
                 self.warn(str(e), e.line)
                 self._resync_member()
+                if cur.i == start:
+                    # Nothing consumed (a stray ')' or ']'): the next member
+                    # would fail at the same token again.
+                    cur.next()
         if cur.at("}"):
             cur.next()
         resolved_supers = tuple(
@@ -736,7 +766,7 @@ class _FileParser:
             imports=tuple(self.imports),
             wildcard_imports=tuple(self.wildcards),
             source_text=self.source,
-            is_interface=kw.text == "interface",
+            is_interface=kw == "interface",
         ))
 
     def _resolve_supertype(self, name: str) -> str:
@@ -754,15 +784,14 @@ class _FileParser:
         depth = 0
         while not cur.eof():
             t = cur.peek()
-            assert t is not None
-            if depth == 0 and t.text == ";":
+            if depth == 0 and t == ";":
                 cur.next()
                 return
-            if depth == 0 and t.text == "}":
+            if depth == 0 and t == "}":
                 return
-            if t.text in ("(", "{"):
+            if t in ("(", "{"):
                 depth += 1
-            elif t.text in (")", "}"):
+            elif t in (")", "}"):
                 depth -= 1
             cur.next()
 
@@ -771,14 +800,13 @@ class _FileParser:
         depth = 0
         while not cur.eof():
             t = cur.peek()
-            assert t is not None
-            if depth == 0 and t.text in (";", "}"):
-                if t.text == ";":
+            if depth == 0 and t in (";", "}"):
+                if t == ";":
                     cur.next()
                 return
-            if t.text in ("{", "(", "["):
+            if t in ("{", "(", "["):
                 depth += 1
-            elif t.text in ("}", ")", "]"):
+            elif t in ("}", ")", "]"):
                 if depth == 0:
                     return
                 depth -= 1
@@ -790,32 +818,30 @@ class _FileParser:
         annotations: list[str] = []
         mods: set[str] = set()
         while True:
-            if cur.at("@"):
-                annotations.append(self._skip_annotation())
-                continue
             t = cur.peek()
-            if t is not None and t.text in _MODIFIERS:
-                mods.add(cur.next().text)
-                continue
-            break
-        t = cur.peek()
+            if t == "@":
+                annotations.append(self._skip_annotation())
+            elif t in _MODIFIERS:
+                mods.add(cur.next())
+            else:
+                break
         if t is None:
             return
-        if t.text in ("class", "interface", "enum", "record"):
+        if t in ("class", "interface", "enum", "record"):
             self._parse_type_decl(outer_fqn=owner_fqn)
             return
-        if t.text == "{":
+        if t == "{":
             cur.skip_balanced("{", "}")
             return
-        if t.text == ";":
+        if t == ";":
             cur.next()
             return
-        if t.text == "<":
+        if t == "<":
             cur.skip_generics()
             t = cur.peek()
         # Constructor: simple name immediately followed by '('.
-        if t is not None and t.text == owner_simple and cur.at("(", 1):
-            name = cur.next().text
+        if t == owner_simple and cur.at("(", 1):
+            name = cur.next()
             self._finish_method(owner_fqn, name, "void", mods, annotations,
                                 in_interface, methods, constructor=True)
             return
@@ -823,7 +849,7 @@ class _FileParser:
         declared = self._type_ref()
         if not cur.at_ident():
             raise _ParseError("expected member name", line)
-        name = cur.next().text
+        name = cur.next()
         if cur.at("("):
             self._finish_method(owner_fqn, name, declared, mods, annotations,
                                 in_interface, methods, constructor=False)
@@ -836,7 +862,7 @@ class _FileParser:
                 self._skip_initializer()
             if cur.at(","):
                 cur.next()
-                name = cur.next().text
+                name = cur.next()
                 continue
             break
         if cur.at(";"):
@@ -847,12 +873,11 @@ class _FileParser:
         depth = 0
         while not cur.eof():
             t = cur.peek()
-            assert t is not None
-            if depth == 0 and t.text in (",", ";"):
+            if depth == 0 and t in (",", ";"):
                 return
-            if t.text in ("(", "{", "["):
+            if t in ("(", "{", "["):
                 depth += 1
-            elif t.text in (")", "}", "]"):
+            elif t in (")", "}", "]"):
                 depth -= 1
             cur.next()
 
@@ -917,10 +942,9 @@ class _FileParser:
             if cur.at("..."):
                 cur.next()
                 declared += "[]"
-            pname = cur.next().text
+            pname = cur.next()
             while cur.at("[") and cur.at("]", 1):
-                cur.next()
-                cur.next()
+                cur.i += 2
                 declared += "[]"
             if pname not in seen:
                 seen.add(pname)
@@ -938,6 +962,7 @@ class _BodyParser:
         self.fp = file_parser
         self.cur = file_parser.cur
         self.stmts: list[Statement] = []
+        self.depth = 0  # nesting levels open, see _MAX_NESTING
 
     def parse_block(self) -> list[Statement]:
         self.cur.expect("{")
@@ -949,6 +974,14 @@ class _BodyParser:
         self.stmts.append(Statement(kind=kind, lhs=lhs, rhs_expr=rhs, line=line,
                                     index=len(self.stmts), declared_type=declared_type))
 
+    def _nest(self) -> int:
+        """Open one nesting level and return the depth outside it."""
+        depth = self.depth
+        if depth >= _MAX_NESTING:
+            raise _ParseError(f"nesting deeper than {_MAX_NESTING}", self.cur.line())
+        self.depth = depth + 1
+        return depth
+
     def _statements_until_close(self):
         cur = self.cur
         while not cur.eof():
@@ -958,132 +991,113 @@ class _BodyParser:
             self._statement()
 
     def _statement(self):
+        """Parse one statement; one that fails to parse is rewound and kept
+        as an opaque statement. A statement that ends in a nested statement
+        (an else branch, a loop or synchronized body) leaves that statement to
+        this loop, so an else-if chain does not deepen the stack."""
         cur = self.cur
-        t = cur.peek()
-        if t is None:
-            return
-        start = cur.i
-        try:
-            self._statement_inner(t)
-        except _ParseError as e:
-            cur.i = start
-            self._opaque_statement(str(e))
+        depth = self._nest()
+        while not cur.eof():
+            start = cur.i
+            try:
+                if not self._statement_inner():
+                    break
+            except _ParseError as e:
+                cur.i = start
+                self.depth = depth + 1
+                self._opaque_statement(str(e))
+                break
+        self.depth = depth
 
     def _opaque_statement(self, reason: str):
         """Consume one unparseable statement, keeping its identifiers."""
         cur = self.cur
         line = cur.line()
         self.fp.warn(f"opaque statement ({reason})", line)
-        texts: list[str] = []
+        start = cur.i
         depth = 0
         while not cur.eof():
             t = cur.peek()
-            assert t is not None
-            if depth == 0 and t.text == ";":
+            if depth == 0 and t == ";":
                 cur.next()
                 break
-            if depth == 0 and t.text == "}":
+            if depth == 0 and t == "}":
                 break
-            if t.text in ("(", "[", "{"):
+            if t in ("(", "[", "{"):
                 depth += 1
-            elif t.text in (")", "]", "}"):
+            elif t in (")", "]", "}"):
                 depth -= 1
                 if depth < 0:
+                    if cur.i == start:
+                        # A stray ')' or ']': the enclosing statement loop
+                        # would otherwise stop here again and again.
+                        cur.next()
                     break
-            if t.kind == "ident":
-                texts.append(t.text)
             cur.next()
-        self._emit("Other", None, opaque_expr(" ".join(texts)), line)
+        self._emit("Other", None, opaque_expr(_idents(cur.texts[start:cur.i])), line)
 
-    def _statement_inner(self, t: _Token):
+    def _statement_inner(self) -> bool:
+        """Parse the statement at the cursor. True when it ends in a nested
+        statement that the caller must parse next."""
         cur = self.cur
-        line = t.line
-        text = t.text
+        line = cur.line()
+        text = cur.peek()
         if text == ";":
             cur.next()
-            return
-        if text == "{":
+        elif text == "{":
             cur.next()
             self._statements_until_close()
-            return
-        if text == "if":
+        elif text == "if":
             cur.next()
-            cur.expect("(")
-            cond = self._expr()
-            cur.expect(")")
-            self._emit("Other", None, cond, line)
+            self._condition(line)
             self._statement()
             if cur.at("else"):
                 cur.next()
-                self._statement()
-            return
-        if text == "while":
+                return True
+        elif text == "while":
             cur.next()
-            cur.expect("(")
-            cond = self._expr()
-            cur.expect(")")
-            self._emit("Other", None, cond, line)
-            if cur.at(";"):
-                cur.next()
-            else:
-                self._statement()
-            return
-        if text == "do":
+            self._condition(line)
+            if not cur.at(";"):
+                return True
+            cur.next()
+        elif text == "do":
             cur.next()
             self._statement()
             cur.expect("while")
-            cur.expect("(")
-            cond = self._expr()
-            cur.expect(")")
-            self._emit("Other", None, cond, line)
+            self._condition(line)
             if cur.at(";"):
                 cur.next()
-            return
-        if text == "for":
+        elif text == "for":
             self._for_statement(line)
-            return
-        if text == "try":
+            return True
+        elif text == "try":
             self._try_statement()
-            return
-        if text == "switch":
+        elif text == "switch":
             cur.next()
-            cur.expect("(")
-            sel = self._expr()
-            cur.expect(")")
-            self._emit("Other", None, sel, line)
+            self._condition(line)
             self._switch_body()
-            return
-        if text == "synchronized":
+        elif text == "synchronized":
             cur.next()
             if cur.at("("):
-                cur.expect("(")
-                e = self._expr()
-                cur.expect(")")
-                self._emit("Other", None, e, line)
-            self._statement()
-            return
-        if text == "return":
+                self._condition(line)
+            return True
+        elif text == "return":
             cur.next()
-            rhs = None
-            if not cur.at(";"):
-                rhs = self._expr()
+            rhs = None if cur.at(";") else self._expr()
             cur.expect(";")
             self._emit("Return", None, rhs, line)
-            return
-        if text == "throw":
+        elif text == "throw":
             cur.next()
             e = self._expr()
             cur.expect(";")
             self._emit("Other", None, e, line)
-            return
-        if text in ("break", "continue"):
+        elif text in ("break", "continue"):
             cur.next()
             if cur.at_ident():
                 cur.next()
             cur.expect(";")
             self._emit("Other", None, literal(text), line)
-            return
-        if text == "assert":
+        elif text == "assert":
             cur.next()
             e = self._expr()
             if cur.at(":"):
@@ -1091,34 +1105,38 @@ class _BodyParser:
                 e = binary_op(":", e, self._expr())
             cur.expect(";")
             self._emit("Other", None, e, line)
-            return
-        # Declaration, assignment, or expression statement.
-        if self._try_declaration(line):
-            return
-        lv_start = self.cur.i
+        elif not self._try_declaration(line):
+            # Assignment or expression statement.
+            lv_start = cur.i
+            e = self._expr()
+            if cur.peek() in _COMPOUND_ASSIGN:
+                op = cur.next()
+                rhs = self._expr()
+                cur.expect(";")
+                lhs = self._lvalue_name(e)
+                if lhs is None:
+                    cur.i = lv_start
+                    raise _ParseError("unsupported assignment target", line)
+                if op != "=":
+                    rhs = binary_op(op[:-1], e, rhs)
+                self._emit("Assignment", lhs, rhs, line)
+            else:
+                cur.expect(";")
+                if e.kind == "BinaryOp" and e.name in ("++", "--") and e.args and e.args[0].kind == "VarRef":
+                    name = e.args[0].name
+                    self._emit("Assignment", name, binary_op(e.name[0], var_ref(name), literal("1")), line)
+                elif e.kind == "Call":
+                    self._emit("Invocation", None, e, line)
+                else:
+                    self._emit("Other", None, e, line)
+        return False
+
+    def _condition(self, line: int):
+        """The '(expr)' after if, while, switch or synchronized: an Other statement."""
+        self.cur.expect("(")
         e = self._expr()
-        nxt = cur.peek()
-        if nxt is not None and nxt.text in ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^="):
-            op = cur.next().text
-            rhs = self._expr()
-            cur.expect(";")
-            lhs = self._lvalue_name(e)
-            if lhs is None:
-                self.cur.i = lv_start
-                raise _ParseError("unsupported assignment target", line)
-            if op != "=":
-                rhs = binary_op(op[:-1], e, rhs)
-            self._emit("Assignment", lhs, rhs, line)
-            return
-        cur.expect(";")
-        if e.kind == "BinaryOp" and e.name in ("++", "--") and e.args and e.args[0].kind == "VarRef":
-            name = e.args[0].name
-            self._emit("Assignment", name, binary_op(e.name[0], var_ref(name), literal("1")), line)
-            return
-        if e.kind == "Call":
-            self._emit("Invocation", None, e, line)
-        else:
-            self._emit("Other", None, e, line)
+        self.cur.expect(")")
+        self._emit("Other", None, e, line)
 
     def _lvalue_name(self, e: Expr) -> str | None:
         if e.kind == "VarRef":
@@ -1142,41 +1160,38 @@ class _BodyParser:
         # Enhanced for: "Type name : expr" — scan ahead without consuming.
         enhanced = False
         depth = 0
-        j = cur.i
-        while j < len(cur.tokens):
-            tok = cur.tokens[j]
-            if tok.text in ("(", "[", "<"):
+        texts = cur.texts
+        for j in range(cur.i, cur.n):
+            tok = texts[j]
+            if tok in ("(", "[", "<"):
                 depth += 1
-            elif tok.text in (")", "]"):
+            elif tok in (")", "]"):
                 if depth == 0:
                     break
                 depth -= 1
-            elif tok.text in (">", ">>"):
-                depth -= len(tok.text) if depth > 0 else 0
-            elif tok.text == ";" and depth == 0:
+            elif tok in (">", ">>"):
+                depth -= len(tok) if depth > 0 else 0
+            elif tok == ";" and depth == 0:
                 break
-            elif tok.text == ":" and depth == 0:
+            elif tok == ":" and depth == 0:
                 enhanced = True
                 break
-            j += 1
         if enhanced:
             if cur.at("final"):
                 cur.next()
             declared = self.fp._type_ref()
-            name = cur.next().text
+            name = cur.next()
             cur.expect(":")
             iterable = self._expr()
             cur.expect(")")
             # Loop variable holds elements extracted from the iterable.
             self._emit("Declaration", name, call("iterate", None, iterable), line,
                        declared_type=declared)
-            self._statement()
             return
         if not cur.at(";"):
             if not self._try_declaration(line, terminator=";"):
                 e = self._expr()
-                nxt = cur.peek()
-                if nxt is not None and nxt.text == "=":
+                if cur.at("="):
                     cur.next()
                     rhs = self._expr()
                     lhs = self._lvalue_name(e)
@@ -1194,9 +1209,8 @@ class _BodyParser:
         if not cur.at(")"):
             while True:
                 e = self._expr()
-                nxt = cur.peek()
-                if nxt is not None and nxt.text in ("=", "+=", "-=", "*=", "/="):
-                    op = cur.next().text
+                if cur.peek() in ("=", "+=", "-=", "*=", "/="):
+                    op = cur.next()
                     rhs = self._expr()
                     lhs = self._lvalue_name(e)
                     if lhs is not None:
@@ -1213,7 +1227,6 @@ class _BodyParser:
                     continue
                 break
         cur.expect(")")
-        self._statement()
 
     def _try_statement(self):
         cur = self.cur
@@ -1239,7 +1252,7 @@ class _BodyParser:
             while cur.at("|"):
                 cur.next()
                 self.fp._type_ref()
-            name = cur.next().text
+            name = cur.next()
             cur.expect(")")
             # The exception object originates inside the runtime.
             self._emit("Declaration", name, new_object(ex_type), line, declared_type=ex_type)
@@ -1270,13 +1283,9 @@ class _BodyParser:
         """Attempt to parse 'Type name (= expr)? (, name (= expr)?)* ;'."""
         cur = self.cur
         start = cur.i
-        t = cur.peek()
-        if t is None:
-            return False
-        if t.text == "final":
+        if cur.at("final"):
             cur.next()
-            t = cur.peek()
-        if t is None or (t.kind != "ident" and t.text not in _PRIMITIVES):
+        if not cur.at_ident():
             cur.i = start
             return False
         try:
@@ -1284,22 +1293,17 @@ class _BodyParser:
         except _ParseError:
             cur.i = start
             return False
-        if not cur.at_ident():
-            cur.i = start
-            return False
-        nxt = cur.peek(1)
-        if nxt is None or nxt.text not in ("=", ";", ","):
+        if not cur.at_ident() or cur.peek(1) not in ("=", ";", ","):
             cur.i = start
             return False
         while True:
-            name = cur.next().text
+            name = cur.next()
             rhs: Expr | None = None
             if cur.at("="):
                 cur.next()
                 if cur.at("{"):
                     # Array initializer: collect identifiers opaquely.
-                    toks = cur.skip_balanced("{", "}")
-                    rhs = opaque_expr(" ".join(x.text for x in toks if x.kind == "ident"))
+                    rhs = opaque_expr(_idents(cur.skip_balanced("{", "}")))
                 else:
                     rhs = self._expr()
             self._emit("Declaration", name, rhs, line, declared_type=declared)
@@ -1315,64 +1319,85 @@ class _BodyParser:
 
     # -- expressions ---------------------------------------------------------
 
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">=", "instanceof"),
-        ("<<", ">>", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
     def _expr(self) -> Expr:
-        return self._ternary()
-
-    def _ternary(self) -> Expr:
-        cond = self._binary(0)
-        if self.cur.at("?"):
-            self.cur.next()
+        """A conditional expression. The chain c1 ? a1 : c2 ? a2 : b groups
+        to the right and is parsed in a loop; each arm counts as a level."""
+        cur = self.cur
+        cond = self._binary(1)
+        if not cur.at("?"):
+            return cond
+        depth = self.depth
+        arms: list[tuple[Expr, Expr]] = []
+        while cur.at("?"):
+            self._nest()
+            cur.next()
             a = self._expr()
-            self.cur.expect(":")
-            b = self._ternary()
-            return binary_op("?:", cond, a, b)
+            cur.expect(":")
+            arms.append((cond, a))
+            cond = self._binary(1)
+        self.depth = depth
+        for c, a in reversed(arms):
+            cond = binary_op("?:", c, a, cond)
         return cond
 
-    def _binary(self, level: int) -> Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self._binary(level + 1)
+    def _binary(self, min_prec: int) -> Expr:
+        """Precedence climbing over operators of precedence min_prec and
+        above, left-associative. `limit` caps the next operator's precedence:
+        after `a op b` at op's, after `x instanceof T` at relational, so
+        that in `x instanceof T + y` the `+` ends the expression."""
+        cur = self.cur
+        texts = cur.texts
+        depth = self._nest()
+        left = self._unary()
+        limit = 10
         while True:
-            t = self.cur.peek()
-            if t is None or t.text not in ops:
-                return left
-            self.cur.next()
-            if t.text == "instanceof":
+            op = texts[cur.i]
+            prec = _PRECEDENCE.get(op)
+            if prec is None or prec < min_prec or prec > limit:
+                break
+            cur.i += 1
+            if op == "instanceof":
                 self.fp._type_ref()
-                if self.cur.at_ident():
-                    self.cur.next()
+                if cur.at_ident():
+                    cur.i += 1
                 left = binary_op("instanceof", left)
+                limit = _RELATIONAL
                 continue
-            right = self._binary(level + 1)
-            left = binary_op(t.text, left, right)
+            left = binary_op(op, left, self._binary(prec + 1))
+            limit = prec
+        self.depth = depth
+        return left
 
     def _unary(self) -> Expr:
+        """Prefix operators and casts, collected in a loop and counted as
+        levels, around a postfix expression."""
         cur = self.cur
         t = cur.peek()
-        if t is None:
-            raise _ParseError("expected expression", cur.line())
-        if t.text in ("!", "~", "+", "-", "++", "--"):
-            cur.next()
-            return binary_op(t.text, self._unary())
-        if t.text == "(":
-            cast_type = self._try_cast()
-            if cast_type is not None:
-                return cast(cast_type, self._unary())
-        return self._postfix()
+        if t not in _PREFIX_OPS and t != "(":
+            return self._postfix()
+        depth = self.depth
+        prefixes: list[tuple[bool, str]] = []  # (is_cast, operator or type)
+        while True:
+            t = cur.peek()
+            if t is None:
+                raise _ParseError("expected expression", cur.line())
+            if t in _PREFIX_OPS:
+                self._nest()
+                cur.i += 1
+                prefixes.append((False, t))
+                continue
+            if t == "(":
+                cast_type = self._try_cast()
+                if cast_type is not None:
+                    self._nest()
+                    prefixes.append((True, cast_type))
+                    continue
+            break
+        e = self._postfix()
+        self.depth = depth
+        for is_cast, text in reversed(prefixes):
+            e = cast(text, e) if is_cast else binary_op(text, e)
+        return e
 
     def _try_cast(self) -> str | None:
         cur = self.cur
@@ -1387,50 +1412,45 @@ class _BodyParser:
             cur.i = start
             return None
         nxt = cur.peek(1)
-        base = re.sub(r"[<\[].*", "", declared)
-        is_primitive = base in _PRIMITIVES
         ok_follow = nxt is not None and (
-            nxt.kind in ("ident", "string", "char", "number")
-            or nxt.text in ("(", "new", "!", "~")
+            nxt[0] in _IDENT_START or _is_literal(nxt)
+            or nxt in ("(", "new", "!", "~")
         )
-        looks_like_type = is_primitive or "<" in declared or "[]" in declared \
-            or "." in base or (base[:1].isupper())
-        if ok_follow and looks_like_type:
-            cur.next()  # ')'
-            return declared
+        if ok_follow:
+            base = re.sub(r"[<\[].*", "", declared)
+            if base in _PRIMITIVES or "<" in declared or "[]" in declared \
+                    or "." in base or base[:1].isupper():
+                cur.next()  # ')'
+                return declared
         cur.i = start
         return None
 
     def _postfix(self) -> Expr:
         cur = self.cur
+        texts = cur.texts
         e = self._primary()
         while True:
-            t = cur.peek()
-            if t is None:
-                return e
-            if t.text == ".":
-                nxt = cur.peek(1)
+            t = texts[cur.i]
+            if t == ".":
+                nxt = texts[cur.i + 1]
                 if nxt is None:
                     return e
-                if nxt.text == "class":
-                    cur.next()
-                    cur.next()
+                if nxt == "class":
+                    cur.i += 2
                     chain = _name_chain(e) or "?"
                     e = literal(f"{chain}.class")
                     continue
-                if nxt.text == "new":
+                if nxt == "new":
                     # Qualified inner-class creation: treat opaque.
-                    cur.next()
-                    cur.next()
+                    cur.i += 2
                     tp = self.fp._type_ref()
                     args = self._call_args() if cur.at("(") else ()
                     e = new_object(tp, *args)
                     continue
-                if nxt.kind != "ident":
+                if nxt[0] not in _IDENT_START:
                     return e
-                cur.next()
-                name = cur.next().text
-                if cur.at("<") :
+                cur.i += 2
+                if cur.at("<"):
                     start = cur.i
                     try:
                         cur.skip_generics()
@@ -1439,89 +1459,82 @@ class _BodyParser:
                     except _ParseError:
                         cur.i = start
                 if cur.at("("):
-                    args = self._call_args()
-                    e = call(name, e, *args)
+                    e = call(nxt, e, *self._call_args())
                 else:
-                    e = field_access(e, name)
+                    e = field_access(e, nxt)
                 continue
-            if t.text == "[":
-                cur.next()
+            if t == "[":
+                cur.i += 1
                 idx = self._expr() if not cur.at("]") else literal("")
                 cur.expect("]")
                 e = binary_op("[]", e, idx)
                 continue
-            if t.text in ("++", "--"):
-                cur.next()
-                e = binary_op(t.text, e)
+            if t == "++" or t == "--":
+                cur.i += 1
+                e = binary_op(t, e)
                 continue
-            if t.text == "::":
-                cur.next()
+            if t == "::":
+                cur.i += 1
                 if cur.at_ident() or cur.at("new"):
-                    cur.next()
+                    cur.i += 1
                 e = literal("::")
                 continue
             return e
 
     def _call_args(self) -> tuple[Expr, ...]:
+        """Parenthesised arguments. A lambda argument collapses to an opaque
+        node over the variables it mentions."""
         cur = self.cur
+        texts = cur.texts
         cur.expect("(")
         args: list[Expr] = []
         while not cur.at(")"):
-            args.append(self._lambda_or_expr())
+            lambda_at = -1
+            if cur.at_ident() and cur.at("->", 1):
+                lambda_at = cur.i + 2
+            elif cur.at("("):
+                j = cur.i + 1
+                depth = 1
+                while j < cur.n and depth > 0:
+                    if texts[j] == "(":
+                        depth += 1
+                    elif texts[j] == ")":
+                        depth -= 1
+                    j += 1
+                if texts[j] == "->":
+                    lambda_at = j + 1
+            if lambda_at < 0:
+                args.append(self._expr())
+            else:
+                cur.i = lambda_at
+                if cur.at("{"):
+                    args.append(opaque_expr(_idents(cur.skip_balanced("{", "}"))))
+                else:
+                    args.append(opaque_expr(" ".join(sorted(self._expr().operand_vars))))
             if cur.at(","):
                 cur.next()
         cur.expect(")")
         return tuple(args)
-
-    def _lambda_or_expr(self) -> Expr:
-        """Arguments may be lambdas; collapse those to opaque nodes."""
-        cur = self.cur
-        if cur.at_ident() and cur.at("->", 1):
-            cur.next()
-            cur.next()
-            return self._lambda_body()
-        if cur.at("("):
-            j = cur.i + 1
-            depth = 1
-            while j < len(cur.tokens) and depth > 0:
-                txt = cur.tokens[j].text
-                if txt == "(":
-                    depth += 1
-                elif txt == ")":
-                    depth -= 1
-                j += 1
-            if j < len(cur.tokens) and cur.tokens[j].text == "->":
-                cur.skip_balanced("(", ")")
-                cur.expect("->")
-                return self._lambda_body()
-        return self._expr()
-
-    def _lambda_body(self) -> Expr:
-        cur = self.cur
-        if cur.at("{"):
-            toks = cur.skip_balanced("{", "}")
-            return opaque_expr(" ".join(t.text for t in toks if t.kind == "ident"))
-        e = self._expr()
-        return opaque_expr(" ".join(sorted(e.operand_vars)))
 
     def _primary(self) -> Expr:
         cur = self.cur
         t = cur.peek()
         if t is None:
             raise _ParseError("expected expression", cur.line())
-        if t.kind in ("string", "char", "number"):
-            cur.next()
-            return literal(t.text)
-        if t.text in ("true", "false", "null"):
-            cur.next()
-            return literal(t.text)
-        if t.text in ("this", "super"):
+        if t[0] in _IDENT_START and t not in _KEYWORD_PRIMARIES:
             cur.next()
             if cur.at("("):
-                args = self._call_args()
-                return call(t.text, None, *args)
-            return literal(t.text)
-        if t.text == "new":
+                return call(t, None, *self._call_args())
+            return var_ref(t)
+        if _is_literal(t) or t in ("true", "false", "null"):
+            cur.next()
+            return literal(t)
+        if t in ("this", "super"):
+            cur.next()
+            if cur.at("("):
+                return call(t, None, *self._call_args())
+            return literal(t)
+        if t == "new":
             cur.next()
             tp = self.fp._type_ref()
             if cur.at("("):
@@ -1537,28 +1550,15 @@ class _BodyParser:
                         sizes.append(self._expr())
                     cur.expect("]")
                 if cur.at("{"):
-                    toks = cur.skip_balanced("{", "}")
-                    sizes.append(opaque_expr(" ".join(x.text for x in toks if x.kind == "ident")))
+                    sizes.append(opaque_expr(_idents(cur.skip_balanced("{", "}"))))
                 return new_object(re.sub(r"<.*", "", tp) + "[]", *sizes)
             return new_object(re.sub(r"<.*", "", tp))
-        if t.text == "(":
+        if t == "(":
             cur.next()
             e = self._expr()
             cur.expect(")")
             return e
-        if t.kind == "ident":
-            cur.next()
-            if cur.at("("):
-                args = self._call_args()
-                return call(t.text, None, *args)
-            return var_ref(t.text)
-        if t.text == "switch":
-            # Switch expression: consume opaquely.
-            cur.next()
-            toks = cur.skip_balanced("(", ")") if cur.at("(") else []
-            toks += cur.skip_balanced("{", "}") if cur.at("{") else []
-            return opaque_expr(" ".join(x.text for x in toks if x.kind == "ident"))
-        raise _ParseError(f"unexpected token '{t.text}' in expression", t.line)
+        raise _ParseError(f"unexpected token '{t}' in expression", cur.line())
 
 
 # ---------------------------------------------------------------------------
@@ -1617,7 +1617,7 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     return CodeModel(classes=tuple(classes), index=index, diagnostics=tuple(diagnostics))
 
 
-def _receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):
+def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):
     """Resolve the receiver of a call to ('internal', ClassDecl),
     ('external', fqn) or ('unknown', None).
     """
@@ -1675,7 +1675,7 @@ def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr,
     if expr.kind != "Call":
         raise ValueError("resolve_invocation requires a Call expression")
     arity = len(expr.args)
-    kind, target = _receiver_binding(model, context, expr)
+    kind, target = receiver_binding(model, context, expr)
     if kind == "external":
         return ExternalCallee(class_fqn=target, method_name=expr.name, arity=arity)
     if kind == "unknown":

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .code_model import ClassDecl, CodeModel, Expr, MethodDecl, _receiver_binding
+from .code_model import ClassDecl, CodeModel, Expr, MethodDecl, receiver_binding
 from .errors import VulnreachError
 
 VULNERABILITY_KINDS = (
@@ -295,7 +295,7 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
 
     cls_match = False
     if context is not None:
-        kind, target = _receiver_binding(model, context, call_expr)
+        kind, target = receiver_binding(model, context, call_expr)
         if kind == "external":
             cls_match = target == api.class_fqn
         elif kind == "internal":

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import shutil
+import signal
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,22 @@ def pytest_terminal_summary(terminalreporter):
         for label in sorted(ACCEPTANCE_RESULTS):
             status = "PASS" if ACCEPTANCE_RESULTS[label] else "FAIL"
             terminalreporter.write_line(f"{status}  criterion {label}")
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block once it has run for seconds, so that a
+    hang fails its test instead of stopping the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def corpus_names() -> list[str]:

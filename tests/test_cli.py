@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
 from vulnreach.confirm import read_report
 
-from conftest import fixture_paths
+from conftest import fixture_paths, time_limit
+from java_sources import VOCAB
 
 STUB = Path(__file__).parent / "stub_tool.py"
 
@@ -45,6 +51,26 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--project", str(root), "--poc", str(poc),
                      "--out", str(out)])
         assert code == 2
+        assert [p.reachable for p in read_report(out / "report.json").paths] == [True]
+
+    @pytest.mark.parametrize("source", [
+        "class C { ) }",
+        "class C { void m() { ) } }",
+        "class C { void m() { String s = " + "(" * 5000 + "a" + ")" * 5000 + "; } }",
+        "class C { void m() { " + "{" * 5000 + "}" * 5000 + " } }",
+    ], ids=["stray-member-closer", "stray-statement-closer", "parentheses-5000", "blocks-5000"])
+    def test_hostile_file_degrades_to_diagnostics(self, scratch_project, tmp_path, capsys,
+                                                  source):
+        root = scratch_project("lion_reachable")
+        (root / "src/main/java/com/lion/util/Hostile.java").write_text(source)
+        _, poc, _ = fixture_paths("lion_reachable")
+        out = tmp_path / "out"
+        with time_limit(5):
+            code = main(["analyze", "--project", str(root), "--poc", str(poc),
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Hostile.java" in err and "parse failure" not in err
         assert [p.reachable for p in read_report(out / "report.json").paths] == [True]
 
     def test_openolat_full_vs_paths_only(self, scratch_project, tmp_path):
@@ -201,3 +227,30 @@ def test_run_pipeline_paths_only_marks_all_reachable(scratch_project, tmp_path):
     report = run_pipeline(cfg)
     assert all(p.reachable for p in report.paths)
     assert len(report.tests) == 2
+
+
+_soup_tokens = st.sampled_from(VOCAB + ["XmlUtil", "xml2Obj", "XStream", "fromXML"]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
+
+
+@given(tokens=st.lists(_soup_tokens, max_size=150), in_method=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_token_soup_degrades_to_diagnostics(tokens, in_method):
+    # Arbitrary tokens beside the lion fixture: analyze finishes, reports
+    # what it could not parse as diagnostics, and never raises.
+    soup = " ".join(tokens)
+    if in_method:
+        soup = f"class Soup {{ void m(String xml) {{ {soup} }} }}"
+    project, poc, _ = fixture_paths("lion_reachable")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "project"
+        shutil.copytree(project, root)
+        (root / "src/test/java").mkdir(parents=True)
+        (root / "src/main/java/Soup.java").write_text(soup, encoding="utf-8")
+        err = io.StringIO()
+        with time_limit(5), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["analyze", "--project", str(root), "--poc", str(poc),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2)
+    assert "parse failure" not in err.getvalue()

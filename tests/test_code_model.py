@@ -1,5 +1,11 @@
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
+from vulnreach import code_model
 from vulnreach.code_model import (
     ExternalCallee,
     NoSourceFiles,
@@ -8,7 +14,15 @@ from vulnreach.code_model import (
     resolve_invocation,
 )
 
-from conftest import analyse_fixture, fixture_paths
+import parser_reference
+from conftest import analyse_fixture, corpus_names, fixture_paths, time_limit
+from java_sources import mutated_corpus_file, random_method_source, token_soup
+
+# The benchmark's generators, loaded by path: bench/ is not a package.
+_GEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("bench_gen", _GEN_PATH)
+gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 
 def _method(model, fqn, name):
@@ -172,3 +186,115 @@ class TestResolveInvocation:
                         for m in resolved:
                             assert m.name == call_expr.name
                             assert len(m.params) == len(call_expr.args)
+
+
+def _parse_source(module, source: str):
+    """(classes, diagnostics) of one source text under a front end module."""
+    diagnostics: list = []
+    classes = module._FileParser("Src.java", source, diagnostics).parse()
+    return classes, diagnostics
+
+
+class TestAgainstReference:
+    """The one-call tokenizer and precedence-climbing parser build the same
+    model as the front end they replaced (tests/parser_reference.py):
+    classes, statements and diagnostics alike."""
+
+    def test_corpus(self):
+        for name in corpus_names():
+            project, _, _ = fixture_paths(name)
+            assert parse_project(project, emit_warnings=False) == \
+                parser_reference.parse_project(project, emit_warnings=False)
+
+    @pytest.mark.parametrize("generator", sorted(gen.GENERATORS))
+    def test_generated_projects(self, generator, tmp_path):
+        for seed in (1, 2):
+            for pair in gen.GENERATORS[generator](seed):
+                root = tmp_path / f"{seed}-{pair.name}"
+                for rel, text in pair.files.items():
+                    (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                    (root / rel).write_text(text, encoding="utf-8")
+                model = parse_project(root, emit_warnings=False)
+                assert len(model.classes) == pair.classes
+                assert model == parser_reference.parse_project(root, emit_warnings=False)
+
+    def test_random_sources(self):
+        rng = random.Random(6060)
+        makers = (token_soup, mutated_corpus_file, random_method_source)
+        compared = opaque = 0
+        with time_limit(60):
+            for k in range(600):
+                source = makers[k % 3](rng)
+                try:
+                    expected = _parse_source(parser_reference, source)
+                except RecursionError:
+                    continue  # nested too deeply for the reference itself
+                assert _parse_source(code_model, source) == expected, source
+                compared += 1
+                opaque += any("opaque" in d.message for d in expected[1])
+        assert compared >= 590 and opaque >= 100
+
+    @pytest.mark.parametrize("body", [
+        "s = a" + " + (a" * 40 + ")" * 40 + ";",
+        "if (a) x();" + " else if (a) x();" * 300,
+        "while (a) " * 100 + "x();",
+        "{ " * 100 + "x();" + " }" * 100,
+        "s = " + "!" * 120 + "a;",
+    ], ids=["parenthesised-sums-40", "else-if-300", "while-100", "blocks-100", "unary-120"])
+    def test_deep_inputs_the_reference_parses(self, body):
+        source = f"class C {{ void m(String a) {{ {body} }} }}"
+        assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
+
+
+class TestErrorRecovery:
+    """Stray closers and nesting beyond the parser's limit degrade to
+    diagnostics and opaque statements, promptly."""
+
+    @pytest.mark.parametrize("source, message", [
+        ("class C { ) }", "expected type, found ')'"),
+        ("class C { void m() { ) } }", "opaque statement (unexpected token ')' in expression)"),
+    ])
+    def test_stray_closer_terminates(self, source, message):
+        with time_limit(5):
+            classes, diagnostics = _parse_source(code_model, source)
+        assert [c.fqn for c in classes] == ["C"]
+        assert [d.message for d in diagnostics] == [message]
+
+    def test_hundred_deep_parentheses_parse(self):
+        deep = "(" * 100 + "a" + ")" * 100
+        classes, diagnostics = _parse_source(
+            code_model, f"class C {{ void m(String a) {{ String s = {deep}; }} }}")
+        flat, _ = _parse_source(code_model, "class C { void m(String a) { String s = (a); } }")
+        assert classes[0].methods == flat[0].methods and diagnostics == []
+
+    @pytest.mark.parametrize("nest", ["String s = " + "(" * 5000 + "a" + ")" * 5000 + ";",
+                                      "{" * 5000 + "}" * 5000],
+                             ids=["parentheses-5000", "blocks-5000"])
+    def test_too_deep_nesting_becomes_one_opaque_statement(self, nest):
+        source = (f"class C {{ void m(String a) {{ x(); {nest} y(); }} }}\n"
+                  "class D { void k() { } }")
+        with time_limit(5):
+            classes, diagnostics = _parse_source(code_model, source)
+        assert [c.fqn for c in classes] == ["C", "D"]
+        assert [st.kind for st in classes[0].methods[0].body] == ["Invocation", "Other", "Invocation"]
+        assert [d.message for d in diagnostics] == [
+            f"opaque statement (nesting deeper than {code_model._MAX_NESTING})"]
+
+    def test_limit_fits_default_recursion_limit(self):
+        # Nested calls, constructions and lambdas cost the most frames per
+        # level; at the limit they must still parse from a deep caller.
+        n = 5000
+        bodies = ["f(" * n + "a" + ")" * n + ";",
+                  "f(" + "new A(x -> " * n + "a" + ")" * n + ");",
+                  "try { " * n + "x();" + " } finally { }" * n]
+
+        def from_depth(frames: int, source: str):
+            if frames:
+                return from_depth(frames - 1, source)
+            return _parse_source(code_model, source)
+
+        assert sys.getrecursionlimit() >= 1000
+        for body in bodies:
+            _, diagnostics = from_depth(150, f"class C {{ void m() {{ {body} }} }}")
+            assert [d.message for d in diagnostics] == [
+                f"opaque statement (nesting deeper than {code_model._MAX_NESTING})"]
