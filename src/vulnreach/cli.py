@@ -50,7 +50,7 @@ from .testgen import (
     emit_tests,
     generate_tests,
 )
-from .vuln_report import load_report
+from .vuln_report import SchemaViolation, check_keys, load_report
 
 MODE_FULL = "Full"
 MODE_PATHS_ONLY = "PathsOnly"
@@ -198,13 +198,59 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Config file keys and their values: a type (float takes integers too, list
+# means a list of strings), the accepted strings, or a section. A key mapped
+# to None is ignored with a warning: LLM requests are sent one at a time.
+_CONFIG_SCHEMA = {
+    "project": str, "poc": str, "out": str, "report": str, "test_dir": str,
+    "mode": tuple(_MODE_BY_FLAG), "prompt_style": tuple(_STYLE_BY_FLAG),
+    "gen": tuple(_GEN_BY_FLAG), "max_depth": int, "max_paths": int,
+    "force": bool, "confirm": bool,
+    "exclude_annotations": list, "exclude_visibilities": list,
+    "llm": {"endpoint": str, "model_name": str, "api_key_env": str,
+            "timeout_s": float, "max_in_flight": None},
+    "toolchain": {"compile_cmd": str, "test_cmd": str, "timeout_s": float,
+                  "working_dir": str},
+    "allowlist": {"method_names": list, "qualified": list},
+}
+
+
+def _fits(value, want) -> bool:
+    if isinstance(want, tuple):
+        return value in want
+    if want is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return (isinstance(value, bool) == (want is bool)
+            and isinstance(value, (int, float) if want is float else want))
+
+
+def _checked_config(doc, schema: dict, where: str = "config") -> dict:
+    """doc without the keys schema ignores. Raises SchemaViolation naming the
+    first key that is unknown or holds a value of the wrong type."""
+    check_keys(doc, schema.keys(), where)
+    out = {}
+    for key, value in doc.items():
+        path, want = f"{where}.{key}", schema[key]
+        if want is None:
+            print(f"WARN {path} is ignored", file=sys.stderr)
+        elif isinstance(want, dict):
+            out[key] = _checked_config(value, want, path)
+        elif _fits(value, want):
+            out[key] = value
+        else:
+            expected = f"one of {', '.join(want)}" if isinstance(want, tuple) else want.__name__
+            raise SchemaViolation(path, f"expected {expected}, got {value!r}")
+    return out
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise VulnreachError(f"cannot read config file {path}: {e}") from e
+    return _checked_config(doc, _CONFIG_SCHEMA)
 
 
 def _merge(args: argparse.Namespace, doc: dict) -> RunConfig:
@@ -220,18 +266,22 @@ def _merge(args: argparse.Namespace, doc: dict) -> RunConfig:
         raise VulnreachError("--project, --poc and --out are required "
                              "(flags or config file)")
     filters = PathFilterConfig(
-        max_depth=int(pick(args.max_depth, "max_depth", 8)),
-        max_paths=int(pick(args.max_paths, "max_paths", 64)),
+        max_depth=pick(args.max_depth, "max_depth", 8),
+        max_paths=pick(args.max_paths, "max_paths", 64),
         exclude_annotations=frozenset(doc.get("exclude_annotations", ["Test"])),
         exclude_visibilities=frozenset(doc.get("exclude_visibilities", ["private"])),
     )
     llm = None
     if "llm" in doc:
-        llm = LlmClientConfig(**doc["llm"])
+        try:
+            llm = LlmClientConfig(**doc["llm"])
+        except TypeError as e:  # a required key is missing
+            raise VulnreachError(f"config.llm: {e}") from e
     toolchain = None
     if "toolchain" in doc:
         toolchain = ToolchainConfig(**doc["toolchain"])
-    allowlist = ConversionAllowlist.from_config(doc.get("allowlist", {}))
+    allowlist = ConversionAllowlist(**{k: frozenset(v)
+                                       for k, v in doc.get("allowlist", {}).items()})
     report = pick(args.report, "report")
     return RunConfig(
         project_root=Path(project),
@@ -243,8 +293,8 @@ def _merge(args: argparse.Namespace, doc: dict) -> RunConfig:
         filters=filters,
         llm=llm,
         toolchain=toolchain,
-        force_overwrite=bool(pick(args.force, "force", False)),
-        confirm=bool(pick(args.confirm, "confirm", False)),
+        force_overwrite=pick(args.force, "force", False),
+        confirm=pick(args.confirm, "confirm", False),
         report_path=Path(report) if report else None,
         test_dir=pick(args.test_dir, "test_dir", "src/test/java"),
         allowlist=allowlist,
@@ -258,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = _load_config_file(args.config)
         cfg = _merge(args, doc)
         report = run_pipeline(cfg)
-    except VulnreachError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (VulnreachError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     emitted, compiled, confirmed = report.totals

@@ -77,6 +77,18 @@ _KEYWORDS = _PRIMITIVES | _MODIFIERS | {
 }
 
 
+def erase_generics(type_text: str) -> str:
+    """Type text with its generic arguments cut off: everything from the
+    first '<' to the end of that line ("Map<K, V>[]" -> "Map")."""
+    return re.sub(r"<.*", "", type_text)
+
+
+def simple_type_name(type_text: str) -> str:
+    """Unqualified element type of a type text: generics and array
+    brackets dropped, last dotted segment kept ("java.util.List<T>[]" -> "List")."""
+    return erase_generics(type_text).replace("[]", "").strip().rsplit(".", 1)[-1]
+
+
 @dataclass(frozen=True)
 class Expr:
     """One expression node.
@@ -151,10 +163,9 @@ def _name_chain(expr: Expr) -> str | None:
         return expr.name
     if expr.kind == "Literal" and re.fullmatch(r"[A-Za-z_$][\w$]*(\.[A-Za-z_$][\w$]*)*", expr.name or ""):
         return expr.name
-    if expr.kind == "FieldAccess" and expr.receiver is not None:
-        base = _name_chain(expr.receiver)
-        if base is not None:
-            return f"{base}.{expr.name}"
+    if expr.kind == "FieldAccess" and expr.receiver_text is not None:
+        # field_access stored the receiver's chain, so a long chain is not re-walked.
+        return f"{expr.receiver_text}.{expr.name}"
     return None
 
 
@@ -236,6 +247,11 @@ class Statement:
         if self.rhs_expr is not None:
             yield from self.rhs_expr.calls()
 
+    def __hash__(self):
+        # Equality stays structural; hashing skips rhs_expr, whose generated
+        # hash recurses once per level of a deep expression.
+        return hash((self.kind, self.lhs, self.line, self.index))
+
 
 @dataclass(frozen=True)
 class Param:
@@ -263,6 +279,10 @@ class MethodDecl:
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
+
+    def __hash__(self):
+        # A subset of the fields equality compares; the body is left out.
+        return hash((self.owner, self.name, self.params, self.line))
 
     def declared_type_of(self, var: str) -> str | None:
         """Declared type of a parameter or local; newest local declaration wins."""
@@ -371,7 +391,7 @@ class CodeModel:
 
         Generic arguments and array suffixes are ignored for resolution.
         """
-        base = re.sub(r"<.*", "", name).replace("[]", "").strip()
+        base = erase_generics(name).replace("[]", "").strip()
         if not base or base in _PRIMITIVES:
             return None
         if base in self.index:
@@ -727,7 +747,7 @@ class _FileParser:
             while True:
                 sup = self._type_ref()
                 if keyword != "permits":
-                    supertypes.append(re.sub(r"<.*", "", sup))
+                    supertypes.append(erase_generics(sup))
                 if cur.at(","):
                     cur.next()
                     continue
@@ -1122,13 +1142,16 @@ class _BodyParser:
                 self._emit("Assignment", lhs, rhs, line)
             else:
                 cur.expect(";")
-                if e.kind == "BinaryOp" and e.name in ("++", "--") and e.args and e.args[0].kind == "VarRef":
-                    name = e.args[0].name
-                    self._emit("Assignment", name, binary_op(e.name[0], var_ref(name), literal("1")), line)
-                elif e.kind == "Call":
-                    self._emit("Invocation", None, e, line)
-                else:
-                    self._emit("Other", None, e, line)
+                if not self._step(e, line):
+                    self._emit("Invocation" if e.kind == "Call" else "Other", None, e, line)
+        return False
+
+    def _step(self, e: Expr, line: int) -> bool:
+        """Emit x++ or x-- as x = x + 1 or x - 1; False, emitting nothing, otherwise."""
+        if e.kind == "BinaryOp" and e.name in ("++", "--") and e.args and e.args[0].kind == "VarRef":
+            name = e.args[0].name
+            self._emit("Assignment", name, binary_op(e.name[0], var_ref(name), literal("1")), line)
+            return True
         return False
 
     def _condition(self, line: int):
@@ -1217,10 +1240,7 @@ class _BodyParser:
                         if op != "=":
                             rhs = binary_op(op[:-1], e, rhs)
                         self._emit("Assignment", lhs, rhs, line)
-                elif e.kind == "BinaryOp" and e.name in ("++", "--") and e.args and e.args[0].kind == "VarRef":
-                    name = e.args[0].name
-                    self._emit("Assignment", name, binary_op(e.name[0], var_ref(name), literal("1")), line)
-                else:
+                elif not self._step(e, line):
                     self._emit("Other", None, e, line)
                 if cur.at(","):
                     cur.next()
@@ -1417,7 +1437,7 @@ class _BodyParser:
             or nxt in ("(", "new", "!", "~")
         )
         if ok_follow:
-            base = re.sub(r"[<\[].*", "", declared)
+            base = erase_generics(declared)
             if base in _PRIMITIVES or "<" in declared or "[]" in declared \
                     or "." in base or base[:1].isupper():
                 cur.next()  # ')'
@@ -1541,7 +1561,7 @@ class _BodyParser:
                 args = self._call_args()
                 if cur.at("{"):
                     cur.skip_balanced("{", "}")
-                return new_object(re.sub(r"<.*", "", tp), *args)
+                return new_object(erase_generics(tp), *args)
             if cur.at("["):
                 sizes: list[Expr] = []
                 while cur.at("["):
@@ -1551,8 +1571,8 @@ class _BodyParser:
                     cur.expect("]")
                 if cur.at("{"):
                     sizes.append(opaque_expr(_idents(cur.skip_balanced("{", "}"))))
-                return new_object(re.sub(r"<.*", "", tp) + "[]", *sizes)
-            return new_object(re.sub(r"<.*", "", tp))
+                return new_object(erase_generics(tp) + "[]", *sizes)
+            return new_object(erase_generics(tp))
         if t == "(":
             cur.next()
             e = self._expr()
@@ -1624,42 +1644,26 @@ def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):
     owner = model.owner_of(context)
     text = expr.receiver_text
     if expr.receiver is None or (expr.receiver.kind == "Literal" and expr.receiver.name == "this"):
-        if owner is None:
-            return "unknown", None
-        return "internal", owner
-    if expr.receiver.kind in ("New", "Cast"):
+        resolved = owner
+    elif expr.receiver.kind in ("New", "Cast"):
         # Receiver type is named by the construction or the cast itself.
         resolved = model.resolve_type(expr.receiver.name, owner)
-        if isinstance(resolved, ClassDecl):
-            return "internal", resolved
-        if isinstance(resolved, str):
-            return "external", resolved
-        return "unknown", None
-    if text is not None:
+    elif text is not None:
         base = text.split(".", 1)[0]
         declared = context.declared_type_of(base)
         if declared is None and owner is not None:
-            for fld in owner.fields:
-                if fld.name == base:
-                    declared = fld.declared_type
-                    break
-        if declared is not None and "." not in text:
-            resolved = model.resolve_type(declared, owner)
-            if isinstance(resolved, ClassDecl):
-                return "internal", resolved
-            if isinstance(resolved, str):
-                return "external", resolved
-            return "unknown", None
-        # Not a variable: a type name, possibly qualified.
-        resolved = model.resolve_type(text, owner)
-        if isinstance(resolved, ClassDecl):
-            return "internal", resolved
-        if isinstance(resolved, str):
-            return "external", resolved
-        if "." in text:
-            return "external", text
-        return "unknown", None
-    # Receiver is a computed expression (call result etc.); type unknown.
+            declared = next((f.declared_type for f in owner.fields if f.name == base), None)
+        # A variable's declared type; else text is a type name, possibly
+        # qualified (a dotted name always resolves, at least as external).
+        resolved = model.resolve_type(
+            declared if declared is not None and "." not in text else text, owner)
+    else:
+        # Receiver is a computed expression (call result etc.); type unknown.
+        resolved = None
+    if isinstance(resolved, ClassDecl):
+        return "internal", resolved
+    if isinstance(resolved, str):
+        return "external", resolved
     return "unknown", None
 
 
@@ -1686,21 +1690,16 @@ def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr,
                 f"in {context.signature()}"))
         return set()
     assert isinstance(target, ClassDecl)
-    candidates: set[MethodDecl] = set()
-    search: list[ClassDecl] = [target] + model.subtypes_of(target.fqn)
-    for cls in search:
-        for m in cls.methods:
-            if m.name == expr.name and len(m.params) == arity and not m.is_abstract:
-                candidates.add(m)
+
+    def declared_in(classes) -> set[MethodDecl]:
+        return {m for cls in classes for m in cls.methods
+                if m.name == expr.name and len(m.params) == arity and not m.is_abstract}
+
+    candidates = declared_in([target] + model.subtypes_of(target.fqn))
     if not candidates:
         # Virtual dispatch may land on an inherited declaration.
-        for sup in model.supertype_chain(target):
-            cls = model.find_class(sup)
-            if cls is None:
-                continue
-            for m in cls.methods:
-                if m.name == expr.name and len(m.params) == arity and not m.is_abstract:
-                    candidates.add(m)
+        for cls in filter(None, map(model.find_class, model.supertype_chain(target))):
+            candidates = declared_in([cls])
             if candidates:
                 break
     return candidates

@@ -24,10 +24,6 @@ STATUS_RUN_FAILED = "RunFailed"
 STATUS_CONFIRMED = "Confirmed"
 
 
-class ToolchainUnavailable(VulnreachError):
-    pass
-
-
 class IoFailure(VulnreachError):
     pass
 
@@ -89,27 +85,22 @@ def _run(command: str, cwd: str, timeout_s: float) -> tuple[int, str]:
 
 
 def _confirm_one(artifact: TestArtifact, cfg: ToolchainConfig) -> TestRecord:
-    compile_cmd = cfg.compile_cmd.replace("{test_class}", artifact.class_name)
-    try:
-        code, output = _run(compile_cmd, cfg.working_dir, cfg.timeout_s)
-    except subprocess.TimeoutExpired:
-        return TestRecord(artifact.file_name, STATUS_COMPILE_ERROR, "compile timeout")
-    if code != 0:
-        return TestRecord(artifact.file_name, STATUS_COMPILE_ERROR, output[-2000:])
-    test_cmd = cfg.test_cmd.replace("{test_class}", artifact.class_name)
-    try:
-        code, output = _run(test_cmd, cfg.working_dir, cfg.timeout_s)
-    except subprocess.TimeoutExpired:
-        return TestRecord(artifact.file_name, STATUS_RUN_FAILED, "timeout")
-    if code == 0:
-        return TestRecord(artifact.file_name, STATUS_CONFIRMED, "")
-    return TestRecord(artifact.file_name, STATUS_RUN_FAILED, output[-2000:])
+    """Compile, then run; the first step that fails or times out decides."""
+    for command, failed, timed_out in ((cfg.compile_cmd, STATUS_COMPILE_ERROR, "compile timeout"),
+                                       (cfg.test_cmd, STATUS_RUN_FAILED, "timeout")):
+        try:
+            code, output = _run(command.replace("{test_class}", artifact.class_name),
+                                cfg.working_dir, cfg.timeout_s)
+        except subprocess.TimeoutExpired:
+            return TestRecord(artifact.file_name, failed, timed_out)
+        if code != 0:
+            return TestRecord(artifact.file_name, failed, output[-2000:])
+    return TestRecord(artifact.file_name, STATUS_CONFIRMED, "")
 
 
 def run_confirmation(artifacts: list[TestArtifact], cfg: ToolchainConfig,
                      project: str = "", cve_id: str = "",
-                     paths: tuple[PathRecord, ...] = (),
-                     parallel: bool = False) -> ConfirmationReport:
+                     paths: tuple[PathRecord, ...] = ()) -> ConfirmationReport:
     """Compile and execute each emitted test, recording the outcome.
 
     Compile failure records the captured output and excludes the test from
@@ -117,20 +108,12 @@ def run_confirmation(artifacts: list[TestArtifact], cfg: ToolchainConfig,
     hang-style vulnerabilities the timeout itself may be the signal, which
     is left to the operator to interpret).
 
-    Tests run sequentially by default because they share the project's build
-    state; parallel=True fans out per test class and must only be used with
-    a toolchain whose invocations are isolated. Results merge in artifact
-    order either way.
+    Tests run one at a time, in artifact order, because they share the
+    project's build state.
     """
-    tests: list[TestRecord] = []
     diagnostics: list[str] = []
     try:
-        if parallel and len(artifacts) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=min(4, len(artifacts))) as pool:
-                tests = list(pool.map(lambda a: _confirm_one(a, cfg), artifacts))
-        else:
-            tests = [_confirm_one(a, cfg) for a in artifacts]
+        tests = [_confirm_one(a, cfg) for a in artifacts]
     except FileNotFoundError as e:
         # Toolchain binary missing: everything stays Emitted.
         diagnostics.append(f"toolchain unavailable: {e}")

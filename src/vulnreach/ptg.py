@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .call_graph import MethodCallPath
-from .code_model import CodeModel, Expr, MethodDecl, Statement
+from .code_model import CodeModel, Expr, MethodDecl, Statement, erase_generics
 from .errors import VulnreachError
 from .vuln_report import VulnerabilityReport
 
@@ -67,7 +67,6 @@ class ConversionAllowlist:
          "doubleValue", "floatValue", "booleanValue", "charValue"})
     qualified: frozenset[str] = frozenset(
         {"String.valueOf"} | {f"{t}.valueOf" for t in _BOX_TYPES})
-    widen_to_object: bool = True
 
     def matches(self, call_expr: Expr) -> bool:
         if call_expr.name in self.method_names:
@@ -77,14 +76,6 @@ class ConversionAllowlist:
             if f"{simple}.{call_expr.name}" in self.qualified:
                 return True
         return False
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "ConversionAllowlist":
-        return cls(
-            method_names=frozenset(doc.get("method_names", cls().method_names)),
-            qualified=frozenset(doc.get("qualified", cls().qualified)),
-            widen_to_object=bool(doc.get("widen_to_object", True)),
-        )
 
 
 DEFAULT_ALLOWLIST = ConversionAllowlist()
@@ -235,8 +226,7 @@ def classify_expr(expr: Expr | None, upstream: frozenset[str],
     if expr.kind == "VarRef":
         if expr.name not in upstream:
             return NO_PROPAGATION
-        if allowlist.widen_to_object and declared_type is not None \
-                and declared_type.split("<")[0] == "Object":
+        if declared_type is not None and erase_generics(declared_type) == "Object":
             return TYPE_CONVERSION
         return DIRECT
     if expr.kind == "Cast":

@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import assets
-from .code_model import ClassDecl, CodeModel, MethodDecl
+from .code_model import ClassDecl, CodeModel, MethodDecl, erase_generics, simple_type_name
 from .errors import VulnreachError
 from .ptg import ReachabilityResult
 from .vuln_report import VulnerabilityReport
@@ -203,12 +202,7 @@ class LlmClientConfig:
     endpoint: str
     model_name: str
     api_key_env: str = "VULNREACH_API_KEY"
-    max_in_flight: int = 1
     timeout_s: float = 60.0
-
-    def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
 
 
 class LlmClient:
@@ -222,7 +216,6 @@ class LlmClient:
     def __init__(self, config: LlmClientConfig, transport=None):
         self.config = config
         self._transport = transport or self._http_transport
-        self._gate = threading.Semaphore(config.max_in_flight)
 
     def _http_transport(self, payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
@@ -244,8 +237,7 @@ class LlmClient:
             "model": self.config.model_name,
             "messages": [{"role": "user", "content": prompt}],
         }
-        with self._gate:
-            response = self._transport(payload)
+        response = self._transport(payload)
         try:
             return response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as e:
@@ -295,14 +287,10 @@ def _java_string(value: str) -> str:
 
 def _input_literal(semantic_type: str, value: str) -> tuple[str, str]:
     """(java type, java literal) for a trigger input."""
-    base = semantic_type.split("<")[0]
+    base = erase_generics(semantic_type)
     if base in _PRIMITIVE_DEFAULTS:
         return base, value
     return "String", _java_string(value)
-
-
-def _base_type(declared: str) -> str:
-    return re.sub(r"<.*", "", declared).replace("[]", "").strip().rsplit(".", 1)[-1]
 
 
 def _bind_entry_args(entry: MethodDecl, report: VulnerabilityReport,
@@ -320,19 +308,14 @@ def _bind_entry_args(entry: MethodDecl, report: VulnerabilityReport,
     aux_counter = 0
     owner = model.owner_of(entry) if model is not None else None
     for p in entry.params:
-        base = _base_type(p.declared_type)
-        chosen = None
-        for i, inp in enumerate(inputs):
-            if i not in used and inp.name == p.name:
-                chosen = i
-                break
+        base = simple_type_name(p.declared_type)
+        free = [i for i in range(len(inputs)) if i not in used]
+        chosen = next((i for i in free if inputs[i].name == p.name), None)
         if chosen is None:
-            for i, inp in enumerate(inputs):
-                if i not in used and _base_type(inp.semantic_type) == base:
-                    chosen = i
-                    break
+            chosen = next((i for i in free if simple_type_name(inputs[i].semantic_type) == base),
+                          None)
         if chosen is None and base == "String" and inputs and 0 not in used \
-                and _base_type(inputs[0].semantic_type) == "String":
+                and simple_type_name(inputs[0].semantic_type) == "String":
             chosen = 0
         if chosen is not None:
             used.add(chosen)

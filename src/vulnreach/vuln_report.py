@@ -9,11 +9,10 @@ typos surface immediately instead of silently weakening the analysis.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .code_model import ClassDecl, CodeModel, Expr, MethodDecl, receiver_binding
+from .code_model import ClassDecl, CodeModel, Expr, MethodDecl, receiver_binding, simple_type_name
 from .errors import VulnreachError
 
 VULNERABILITY_KINDS = (
@@ -131,7 +130,8 @@ def _require_str(obj, key: str, path: str, allow_empty: bool = False) -> str:
     return v
 
 
-def _check_keys(obj, allowed: set[str], path: str):
+def check_keys(obj, allowed, path: str):
+    """Raise SchemaViolation unless obj is a JSON object whose keys are all allowed."""
     if not isinstance(obj, dict):
         raise SchemaViolation(path, f"expected object, got {type(obj).__name__}")
     for key in obj:
@@ -141,13 +141,13 @@ def _check_keys(obj, allowed: set[str], path: str):
 
 def parse_report(doc) -> VulnerabilityReport:
     """Validate a decoded JSON document into a VulnerabilityReport."""
-    _check_keys(doc, _TOP_KEYS, "report")
+    check_keys(doc, _TOP_KEYS, "report")
     cve_id = _require_str(doc, "cve_id", "report")
 
     lib_doc = doc.get("library")
     if lib_doc is None:
         raise SchemaViolation("report.library", "missing required key")
-    _check_keys(lib_doc, _LIB_KEYS, "library")
+    check_keys(lib_doc, _LIB_KEYS, "library")
     library = LibraryRef(
         group=_require_str(lib_doc, "group", "library"),
         artifact=_require_str(lib_doc, "artifact", "library"),
@@ -157,7 +157,7 @@ def parse_report(doc) -> VulnerabilityReport:
     api_doc = doc.get("vulnerable_api")
     if api_doc is None:
         raise SchemaViolation("report.vulnerable_api", "missing required key")
-    _check_keys(api_doc, _API_KEYS, "vulnerable_api")
+    check_keys(api_doc, _API_KEYS, "vulnerable_api")
     class_fqn = _require_str(api_doc, "class_fqn", "vulnerable_api")
     if "." not in class_fqn:
         raise SchemaViolation("vulnerable_api.class_fqn", "must be fully qualified")
@@ -176,7 +176,7 @@ def parse_report(doc) -> VulnerabilityReport:
     trig_doc = doc.get("trigger")
     if trig_doc is None:
         raise SchemaViolation("report.trigger", "missing required key")
-    _check_keys(trig_doc, _TRIGGER_KEYS, "trigger")
+    check_keys(trig_doc, _TRIGGER_KEYS, "trigger")
     raw_inputs = trig_doc.get("inputs")
     if not isinstance(raw_inputs, list):
         raise SchemaViolation("trigger.inputs", "expected list")
@@ -184,7 +184,7 @@ def parse_report(doc) -> VulnerabilityReport:
         raise SchemaViolation("trigger.inputs", "must be non-empty")
     inputs = []
     for i, item in enumerate(raw_inputs):
-        _check_keys(item, _INPUT_KEYS, f"trigger.inputs[{i}]")
+        check_keys(item, _INPUT_KEYS, f"trigger.inputs[{i}]")
         inputs.append(TriggerInput(
             name=_require_str(item, "name", f"trigger.inputs[{i}]"),
             semantic_type=_require_str(item, "semantic_type", f"trigger.inputs[{i}]"),
@@ -196,7 +196,7 @@ def parse_report(doc) -> VulnerabilityReport:
     conditions = []
     input_names = {inp.name for inp in inputs}
     for i, item in enumerate(raw_conds):
-        _check_keys(item, _COND_KEYS, f"trigger.conditions[{i}]")
+        check_keys(item, _COND_KEYS, f"trigger.conditions[{i}]")
         param = _require_str(item, "param", f"trigger.conditions[{i}]")
         if param != "*" and param not in input_names:
             raise SchemaViolation(f"trigger.conditions[{i}].param",
@@ -272,10 +272,6 @@ def serialize(report: VulnerabilityReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _base_type(name: str) -> str:
-    return re.sub(r"<.*", "", name).replace("[]", "").strip().rsplit(".", 1)[-1]
-
-
 def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeModel,
                     context: MethodDecl | None = None) -> bool:
     """True when a call expression invokes the reported vulnerable API.
@@ -321,6 +317,6 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
                 got = arg.name
             elif arg.kind == "Literal" and arg.name.startswith('"'):
                 got = "String"
-            if got is not None and _base_type(got) != _base_type(want):
+            if got is not None and simple_type_name(got) != simple_type_name(want):
                 return False
     return True

@@ -53,6 +53,26 @@ class TestAnalyzeCommand:
         assert code == 2
         assert [p.reachable for p in read_report(out / "report.json").paths] == [True]
 
+    @pytest.mark.parametrize("line", [
+        "String s = " + " + ".join(["xml"] * 3000) + ";",
+        "String s = xml" + ".b" * 2000 + ";",
+    ], ids=["concatenation-3000", "field-chain-2000"])
+    def test_deep_line_on_the_analysed_path(self, scratch_project, tmp_path, line):
+        # The method holding the line is on the call path, so it is hashed,
+        # resolved and analysed, not only parsed.
+        root = scratch_project("lion_reachable")
+        util = root / "src/main/java/com/lion/util/XmlUtil.java"
+        util.write_text(util.read_text().replace(
+            "XStream xStream = new XStream();", f"{line}\n        XStream xStream = new XStream();"))
+        _, poc, _ = fixture_paths("lion_reachable")
+        out = tmp_path / "out"
+        code = main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(out)])
+        assert code == 2
+        assert [(p.signatures, p.reachable) for p in read_report(out / "report.json").paths] == [
+            (("com.lion.service.ConfigService#loadConfig(String)",
+              "com.lion.util.XmlUtil#xml2Obj(String,Class<T>)"), True)]
+
     @pytest.mark.parametrize("source", [
         "class C { ) }",
         "class C { void m() { ) } }",
@@ -190,6 +210,49 @@ class TestAnalyzeCommand:
                      "--out", str(tmp_path / "flag-wins")])
         assert code == 2
         assert (tmp_path / "flag-wins" / "report.json").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "config: expected object, got list"),
+        ({"llm": "x"}, "config.llm: expected object, got str"),
+        ({"llm": {"endpoint": "http://h", "model_name": "m", "bogus": 1}},
+         "config.llm.bogus: unknown key"),
+        ({"llm": {"endpoint": "http://h"}}, "config.llm: "),
+        ({"toolchain": {"nope": 2}}, "config.toolchain.nope: unknown key"),
+        ({"mode": "bogus"}, "config.mode: expected one of full, paths-only, got 'bogus'"),
+        ({"prompt_style": "x"}, "config.prompt_style: expected one of"),
+        ({"max_depth": [1]}, "config.max_depth: expected int, got [1]"),
+        ({"exclude_annotations": 5}, "config.exclude_annotations: expected list, got 5"),
+        ({"allowlist": {"method_names": 5}}, "config.allowlist.method_names: expected list"),
+        ({"allowlist": {"widen_to_object": False}}, "config.allowlist.widen_to_object: unknown key"),
+        ({"confirm": "yes"}, "config.confirm: expected bool, got 'yes'"),
+    ], ids=["list", "llm-string", "llm-unknown-key", "llm-missing-key", "toolchain-unknown-key",
+            "mode", "prompt-style", "max-depth-list", "annotations-int", "allowlist-names-int",
+            "allowlist-widen", "confirm-string"])
+    def test_malformed_config_is_one_error_line(self, scratch_project, tmp_path, capsys,
+                                                doc, message):
+        root = scratch_project("lion_reachable")
+        _, poc, _ = fixture_paths("lion_reachable")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code = main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_max_in_flight_is_ignored_with_one_warning(self, scratch_project, tmp_path, capsys):
+        root = scratch_project("lion_reachable")
+        _, poc, _ = fixture_paths("lion_reachable")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"llm": {"endpoint": "http://unused", "model_name": "m",
+                                              "max_in_flight": 4}}))
+        code = main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "WARN config.llm.max_in_flight is ignored\n"
+        assert (tmp_path / "out" / "report.json").exists()
 
     def test_max_paths_flag_truncates(self, scratch_project, tmp_path):
         root = scratch_project("diamond_paths")

@@ -240,10 +240,37 @@ class TestAgainstReference:
         "while (a) " * 100 + "x();",
         "{ " * 100 + "x();" + " }" * 100,
         "s = " + "!" * 120 + "a;",
-    ], ids=["parenthesised-sums-40", "else-if-300", "while-100", "blocks-100", "unary-120"])
+        "s = a" + ".b" * 100 + ";",
+    ], ids=["parenthesised-sums-40", "else-if-300", "while-100", "blocks-100", "unary-120",
+            "field-chain-100"])
     def test_deep_inputs_the_reference_parses(self, body):
         source = f"class C {{ void m(String a) {{ {body} }} }}"
         assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
+
+    @pytest.mark.parametrize("source", [
+        "class C<T> extends java.util.List<T> implements Map<K, V>, Q { }",
+        "class C { void m(String a) { Object o = new Foo<Bar>(a); Object p = new Foo<Bar>[3]; "
+        "Object q = new int[] { a }; Object r = new Foo<Bar>() { }; } }",
+        "class C { void m(Object a) { s = (List<T>) a; s = (x.Y) a; s = (byte[]) a; "
+        "s = (Foo) a; s = (foo) a; s = (int) a; } }",
+        "class C { void m(int a) { a++; --a; a.b++; for (a++, b = 1; ; a--, b += 2, c++, f()) { } "
+        "for (x[0] = 1; ; x.y = 2) { } } }",
+    ], ids=["supertypes", "constructions", "casts", "increments"])
+    def test_type_texts_and_increments_the_reference_parses(self, source):
+        assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
+
+
+class TestTypeNames:
+    @pytest.mark.parametrize("text, erased, simple", [
+        ("Map<K, V>[]", "Map", "Map"),
+        ("java.util.List<String>", "java.util.List", "List"),
+        ("Object[]", "Object[]", "Object"),
+        (" a.B [] ", " a.B [] ", "B"),
+        ("Map<A,\nB>", "Map\nB>", "Map\nB>"),  # the cut stops at a newline
+    ])
+    def test_type_name_helpers(self, text, erased, simple):
+        assert code_model.erase_generics(text) == erased
+        assert code_model.simple_type_name(text) == simple
 
 
 class TestErrorRecovery:

@@ -107,13 +107,6 @@ class TestRunConfirmation:
         assert report.tests[0].status == STATUS_RUN_FAILED
         assert "test failure output" in report.tests[0].detail
 
-    def test_parallel_matches_sequential(self, tmp_path, lion_result):
-        arts = _artifacts(lion_result, n=4)
-        cfg = _stub_config(tmp_path, {arts[1].class_name: "run-fail"})
-        sequential = run_confirmation(arts, cfg)
-        fanned = run_confirmation(arts, cfg, parallel=True)
-        assert fanned.tests == sequential.tests
-
 
 class TestReportSerialization:
     def _sample(self):

@@ -132,6 +132,10 @@ class TestClassifyStatement:
         stmts = self._stmts(tmp_path, "        Object o = s;")
         assert classify_statement(stmts[0], frozenset({"s"})).kind == TYPE_CONVERSION
 
+    def test_object_array_does_not_widen(self, tmp_path):
+        stmts = self._stmts(tmp_path, "        Object[] o = s;", params="String[] s")
+        assert classify_statement(stmts[0], frozenset({"s"})).kind == DIRECT
+
     def test_literal_is_no_propagation(self, tmp_path):
         stmts = self._stmts(tmp_path, "        String t = \"fixed\";")
         assert classify_statement(stmts[0], frozenset({"s"})).kind == NO_PROPAGATION

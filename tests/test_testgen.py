@@ -304,34 +304,6 @@ class TestGenerateTestsLlm:
         assert seen["payload"]["messages"] == [
             {"role": "user", "content": "PROMPT TEXT"}]
 
-    def test_max_in_flight_enforced(self):
-        import threading
-        import time as time_mod
-
-        active = []
-        peak = []
-        lock = threading.Lock()
-
-        def slow_transport(payload):
-            with lock:
-                active.append(1)
-                peak.append(len(active))
-            time_mod.sleep(0.02)
-            with lock:
-                active.pop()
-            return {"choices": [{"message": {"content": "x"}}]}
-
-        cfg = LlmClientConfig(endpoint="http://unused", model_name="m",
-                              max_in_flight=2)
-        client = LlmClient(cfg, transport=slow_transport)
-        threads = [threading.Thread(target=client.complete, args=("p",))
-                   for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert max(peak) <= 2
-
 
 class TestEmitTests:
     def _artifacts(self, lion):
