@@ -50,13 +50,9 @@ from .testgen import (
     emit_tests,
     generate_tests,
 )
-from .vuln_report import SchemaViolation, check_keys, load_report
+from .vuln_report import check_doc, load_report
 
-MODE_FULL = "Full"
-MODE_PATHS_ONLY = "PathsOnly"
-
-GEN_OFFLINE = "Offline"
-GEN_LLM = "Llm"
+MODE_PATHS_ONLY = "paths-only"
 
 
 @dataclass
@@ -64,9 +60,9 @@ class RunConfig:
     project_root: Path
     poc_file: Path
     out_dir: Path
-    mode: str = MODE_FULL
+    mode: str = "full"
     prompt_style: str = "FewShot"
-    gen_mode: str = GEN_OFFLINE
+    gen_mode: str = "offline"
     filters: PathFilterConfig = field(default_factory=PathFilterConfig)
     llm: LlmClientConfig | None = None
     toolchain: ToolchainConfig | None = None
@@ -77,14 +73,14 @@ class RunConfig:
     allowlist: ConversionAllowlist = field(default_factory=ConversionAllowlist)
 
     def __post_init__(self):
-        if self.gen_mode == GEN_LLM and self.llm is None:
-            raise ValueError("gen_mode=Llm requires an LLM client configuration")
+        if self.gen_mode == "llm" and self.llm is None:
+            raise ValueError("gen_mode=llm requires an LLM client configuration")
 
 
 def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
     """Parse, localize, extract paths, analyse, generate, emit, confirm,
-    and write the report. PathsOnly mode treats every extracted path as
-    reachable, skipping the parameter transfer analysis."""
+    and write the report. The paths-only mode treats every extracted path
+    as reachable, skipping the parameter transfer analysis."""
     model = parse_project(cfg.project_root, exclude_dirs=(cfg.test_dir,))
     report = load_report(cfg.poc_file)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -101,9 +97,7 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
         diagnostics.extend(f"path budget exceeded (max_paths={d.limit})"
                            for d in path_diags)
 
-        llm_client = None
-        if cfg.gen_mode == GEN_LLM and cfg.llm is not None:
-            llm_client = LlmClient(cfg.llm)
+        llm_client = LlmClient(cfg.llm) if cfg.gen_mode == "llm" else None
 
         prompts_dir = cfg.out_dir / "prompts"
         for number, path in enumerate(paths, start=1):
@@ -126,10 +120,8 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
                                                         encoding="utf-8")
             gen_diags: list = []
             artifacts.extend(generate_tests(
-                bundle, result, report,
-                mode="llm" if cfg.gen_mode == GEN_LLM else "offline",
-                llm=llm_client, model=model, path_number=number,
-                diagnostics=gen_diags))
+                bundle, result, report, mode=cfg.gen_mode, llm=llm_client,
+                model=model, path_number=number, diagnostics=gen_diags))
             diagnostics.extend(str(d) for d in gen_diags)
 
         if artifacts:
@@ -166,8 +158,21 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
 # ---------------------------------------------------------------------------
 
 _STYLE_BY_FLAG = {"default": "Default", "zero-shot": "ZeroShot", "few-shot": "FewShot"}
-_MODE_BY_FLAG = {"full": MODE_FULL, "paths-only": MODE_PATHS_ONLY}
-_GEN_BY_FLAG = {"offline": GEN_OFFLINE, "llm": GEN_LLM}
+
+# Config file keys and their values (see vuln_report.check_doc). A key mapped
+# to None is ignored with a warning: LLM requests are sent one at a time.
+_CONFIG_SCHEMA = {
+    "project": str, "poc": str, "out": str, "report": str, "test_dir": str,
+    "mode": ("full", MODE_PATHS_ONLY), "prompt_style": tuple(_STYLE_BY_FLAG),
+    "gen": ("offline", "llm"), "max_depth": int, "max_paths": int,
+    "force": bool, "confirm": bool,
+    "exclude_annotations": list, "exclude_visibilities": list,
+    "llm": {"endpoint": str, "model_name": str, "api_key_env": str,
+            "timeout_s": float, "max_in_flight": None},
+    "toolchain": {"compile_cmd": str, "test_cmd": str, "timeout_s": float,
+                  "working_dir": str},
+    "allowlist": {"method_names": list, "qualified": list},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,66 +186,19 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--project", help="client project root directory")
     an.add_argument("--poc", help="PoC descriptor file (JSON)")
     an.add_argument("--out", help="output directory for prompts and the report")
-    an.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default=None)
-    an.add_argument("--prompt-style", choices=sorted(_STYLE_BY_FLAG), default=None)
-    an.add_argument("--gen", choices=sorted(_GEN_BY_FLAG), default=None)
-    an.add_argument("--max-depth", type=int, default=None)
-    an.add_argument("--max-paths", type=int, default=None)
+    an.add_argument("--mode", choices=sorted(_CONFIG_SCHEMA["mode"]))
+    an.add_argument("--prompt-style", choices=sorted(_STYLE_BY_FLAG))
+    an.add_argument("--gen", choices=sorted(_CONFIG_SCHEMA["gen"]))
+    an.add_argument("--max-depth", type=int)
+    an.add_argument("--max-paths", type=int)
     an.add_argument("--force", action="store_true", default=None,
                     help="overwrite differing previously emitted files")
     an.add_argument("--confirm", action="store_true", default=None,
                     help="compile and execute emitted tests via the toolchain")
-    an.add_argument("--report", default=None, help="report file path override")
-    an.add_argument("--test-dir", default=None,
-                    help="test directory relative to the project root")
-    an.add_argument("--config", default=None,
-                    help="JSON config file mirroring the flags (flags win)")
+    an.add_argument("--report", help="report file path override")
+    an.add_argument("--test-dir", help="test directory relative to the project root")
+    an.add_argument("--config", help="JSON config file mirroring the flags (flags win)")
     return parser
-
-
-# Config file keys and their values: a type (float takes integers too, list
-# means a list of strings), the accepted strings, or a section. A key mapped
-# to None is ignored with a warning: LLM requests are sent one at a time.
-_CONFIG_SCHEMA = {
-    "project": str, "poc": str, "out": str, "report": str, "test_dir": str,
-    "mode": tuple(_MODE_BY_FLAG), "prompt_style": tuple(_STYLE_BY_FLAG),
-    "gen": tuple(_GEN_BY_FLAG), "max_depth": int, "max_paths": int,
-    "force": bool, "confirm": bool,
-    "exclude_annotations": list, "exclude_visibilities": list,
-    "llm": {"endpoint": str, "model_name": str, "api_key_env": str,
-            "timeout_s": float, "max_in_flight": None},
-    "toolchain": {"compile_cmd": str, "test_cmd": str, "timeout_s": float,
-                  "working_dir": str},
-    "allowlist": {"method_names": list, "qualified": list},
-}
-
-
-def _fits(value, want) -> bool:
-    if isinstance(want, tuple):
-        return value in want
-    if want is list:
-        return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    return (isinstance(value, bool) == (want is bool)
-            and isinstance(value, (int, float) if want is float else want))
-
-
-def _checked_config(doc, schema: dict, where: str = "config") -> dict:
-    """doc without the keys schema ignores. Raises SchemaViolation naming the
-    first key that is unknown or holds a value of the wrong type."""
-    check_keys(doc, schema.keys(), where)
-    out = {}
-    for key, value in doc.items():
-        path, want = f"{where}.{key}", schema[key]
-        if want is None:
-            print(f"WARN {path} is ignored", file=sys.stderr)
-        elif isinstance(want, dict):
-            out[key] = _checked_config(value, want, path)
-        elif _fits(value, want):
-            out[key] = value
-        else:
-            expected = f"one of {', '.join(want)}" if isinstance(want, tuple) else want.__name__
-            raise SchemaViolation(path, f"expected {expected}, got {value!r}")
-    return out
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -250,55 +208,44 @@ def _load_config_file(path: str | None) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise VulnreachError(f"cannot read config file {path}: {e}") from e
-    return _checked_config(doc, _CONFIG_SCHEMA)
+    return check_doc(doc, _CONFIG_SCHEMA, "config")
+
+
+# Config keys (and flags) whose value a RunConfig field takes as it is, and
+# that field's name.
+_FIELD_BY_KEY = {"mode": "mode", "gen": "gen_mode", "force": "force_overwrite",
+                 "confirm": "confirm", "test_dir": "test_dir"}
+_FILTER_KEYS = ("max_depth", "max_paths", "exclude_annotations", "exclude_visibilities")
 
 
 def _merge(args: argparse.Namespace, doc: dict) -> RunConfig:
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        return doc.get(key, default)
-
-    project = pick(args.project, "project")
-    poc = pick(args.poc, "poc")
-    out = pick(args.out, "out")
-    if not project or not poc or not out:
+    """The run the config document and the flags describe (flags win). A
+    setting that neither supplies keeps its dataclass default."""
+    given = {**doc, **{key: value for key, value in vars(args).items()
+                       if value is not None and key in _CONFIG_SCHEMA}}
+    if not all(given.get(key) for key in ("project", "poc", "out")):
         raise VulnreachError("--project, --poc and --out are required "
                              "(flags or config file)")
-    filters = PathFilterConfig(
-        max_depth=pick(args.max_depth, "max_depth", 8),
-        max_paths=pick(args.max_paths, "max_paths", 64),
-        exclude_annotations=frozenset(doc.get("exclude_annotations", ["Test"])),
-        exclude_visibilities=frozenset(doc.get("exclude_visibilities", ["private"])),
-    )
-    llm = None
-    if "llm" in doc:
+    run = {_FIELD_BY_KEY[key]: value for key, value in given.items() if key in _FIELD_BY_KEY}
+    if "prompt_style" in given:
+        run["prompt_style"] = _STYLE_BY_FLAG[given["prompt_style"]]
+    if given.get("report"):
+        run["report_path"] = Path(given["report"])
+    run["filters"] = PathFilterConfig(**{
+        key: frozenset(value) if isinstance(value, tuple) else value
+        for key, value in given.items() if key in _FILTER_KEYS})
+    if "llm" in given:
         try:
-            llm = LlmClientConfig(**doc["llm"])
+            run["llm"] = LlmClientConfig(**given["llm"])
         except TypeError as e:  # a required key is missing
             raise VulnreachError(f"config.llm: {e}") from e
-    toolchain = None
-    if "toolchain" in doc:
-        toolchain = ToolchainConfig(**doc["toolchain"])
-    allowlist = ConversionAllowlist(**{k: frozenset(v)
-                                       for k, v in doc.get("allowlist", {}).items()})
-    report = pick(args.report, "report")
-    return RunConfig(
-        project_root=Path(project),
-        poc_file=Path(poc),
-        out_dir=Path(out),
-        mode=_MODE_BY_FLAG[pick(args.mode, "mode", "full")],
-        prompt_style=_STYLE_BY_FLAG[pick(args.prompt_style, "prompt_style", "few-shot")],
-        gen_mode=_GEN_BY_FLAG[pick(args.gen, "gen", "offline")],
-        filters=filters,
-        llm=llm,
-        toolchain=toolchain,
-        force_overwrite=pick(args.force, "force", False),
-        confirm=pick(args.confirm, "confirm", False),
-        report_path=Path(report) if report else None,
-        test_dir=pick(args.test_dir, "test_dir", "src/test/java"),
-        allowlist=allowlist,
-    )
+    if "toolchain" in given:
+        run["toolchain"] = ToolchainConfig(**given["toolchain"])
+    if "allowlist" in given:
+        run["allowlist"] = ConversionAllowlist(**{key: frozenset(value)
+                                                  for key, value in given["allowlist"].items()})
+    return RunConfig(project_root=Path(given["project"]), poc_file=Path(given["poc"]),
+                     out_dir=Path(given["out"]), **run)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -476,6 +476,27 @@ _LEXEME_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+# The same without its block-comment branch.
+_NO_BLOCK_COMMENT_RE = re.compile(_LEXEME_RE.pattern.replace(r"|/\*.*?\*/", ""),
+                                  re.VERBOSE | re.DOTALL)
+
+
+def _lexemes(source: str) -> list[str]:
+    """_LEXEME_RE.findall(source), in time linear in the text. A "/*" at or
+    after rfind("*/") - 1 closes nowhere, and the block-comment branch would
+    rescan to the end at each one, so the matches from there on are taken
+    without that branch."""
+    cut = source.rfind("*/") - 1
+    if source.find("/*", max(cut, 0)) < 0:
+        return _LEXEME_RE.findall(source)
+    out = []
+    for m in _LEXEME_RE.finditer(source):
+        if m.start() >= cut:
+            break
+        out.append(m[1] or "")
+    return out + _NO_BLOCK_COMMENT_RE.findall(source, m.start())
+
+
 # A token's kind follows from its first character: identifiers (keywords
 # included) start with one of these, string and char literals with a quote,
 # numbers with a decimal digit, operators with anything else.
@@ -492,7 +513,7 @@ def _tokenize(source: str) -> tuple[list[str], list[int]]:
     texts: list[str] = []
     lines: list[int] = []
     line = 1
-    for s in _LEXEME_RE.findall(source):
+    for s in _lexemes(source):
         if s == "\n":
             line += 1
             continue
@@ -592,12 +613,13 @@ def _idents(texts: list[str]) -> str:
 # parser
 # ---------------------------------------------------------------------------
 
-# Deepest nesting the body parser follows. A nested statement, a
-# binary-operator operand, a prefix operator or cast, and a conditional arm
-# each count one level. A statement holding deeper input becomes one opaque
-# statement. A level costs at most six interpreter frames, so parsing stays
-# within Python's default recursion limit from any caller less than 200
-# frames deep.
+# Deepest nesting the parser follows. A nested statement, a binary-operator
+# operand, a prefix operator or cast, and a conditional arm each count one
+# level. A statement holding deeper input becomes one opaque statement. A
+# member type declaration counts one level for its members and their method
+# bodies; a deeper one is skipped whole. A level costs at most six
+# interpreter frames, so parsing stays within Python's default recursion
+# limit from any caller less than 200 frames deep.
 _MAX_NESTING = 128
 
 _COMPOUND_ASSIGN = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
@@ -624,6 +646,7 @@ class _FileParser:
         self.imports: list[tuple[str, str]] = []
         self.wildcards: list[str] = []
         self.classes: list[ClassDecl] = []
+        self.depth = 0  # member type declarations open, see _MAX_NESTING
 
     def warn(self, message: str, line: int | None = None):
         self.diagnostics.append(ParseDiagnostic(self.path, line or self.cur.line(), message))
@@ -848,7 +871,18 @@ class _FileParser:
         if t is None:
             return
         if t in ("class", "interface", "enum", "record"):
-            self._parse_type_decl(outer_fqn=owner_fqn)
+            if self.depth >= _MAX_NESTING:
+                line = cur.line()
+                while not cur.at("{"):
+                    cur.next()
+                cur.skip_balanced("{", "}")
+                self.warn(f"type declaration nested deeper than {_MAX_NESTING} skipped", line)
+                return
+            self.depth += 1
+            try:
+                self._parse_type_decl(outer_fqn=owner_fqn)
+            finally:
+                self.depth -= 1
             return
         if t == "{":
             cur.skip_balanced("{", "}")
@@ -898,6 +932,8 @@ class _FileParser:
             if t in ("(", "{", "["):
                 depth += 1
             elif t in (")", "}", "]"):
+                if depth == 0:
+                    return
                 depth -= 1
             cur.next()
 
@@ -982,7 +1018,7 @@ class _BodyParser:
         self.fp = file_parser
         self.cur = file_parser.cur
         self.stmts: list[Statement] = []
-        self.depth = 0  # nesting levels open, see _MAX_NESTING
+        self.depth = file_parser.depth  # nesting levels open, see _MAX_NESTING
 
     def parse_block(self) -> list[Statement]:
         self.cur.expect("{")

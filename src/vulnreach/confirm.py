@@ -9,6 +9,7 @@ unavailable build environment.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shlex
 import subprocess
@@ -128,26 +129,13 @@ def run_confirmation(artifacts: list[TestArtifact], cfg: ToolchainConfig,
 
 
 def report_to_doc(report: ConfirmationReport) -> dict:
+    doc = dataclasses.asdict(report)
     emitted, compiled, confirmed = report.totals
-    return {
-        "project": report.project,
-        "cve_id": report.cve_id,
-        "paths": [
-            {
-                "signatures": list(p.signatures),
-                "reachable": p.reachable,
-                "transfer_summary": list(p.transfer_summary),
-            }
-            for p in report.paths
-        ],
-        "tests": [
-            {"file": t.file, "status": t.status, "detail": t.detail}
-            for t in report.tests
-        ],
-        "totals": {"emitted": emitted, "compiled": compiled, "confirmed": confirmed},
-        "project_confirmed": report.project_confirmed,
-        "diagnostics": list(report.diagnostics),
-    }
+    diagnostics = doc.pop("diagnostics")
+    return {**doc,
+            "totals": {"emitted": emitted, "compiled": compiled, "confirmed": confirmed},
+            "project_confirmed": report.project_confirmed,
+            "diagnostics": diagnostics}
 
 
 def serialize_report(report: ConfirmationReport) -> str:

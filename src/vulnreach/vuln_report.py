@@ -8,8 +8,10 @@ typos surface immediately instead of silently weakening the analysis.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .code_model import ClassDecl, CodeModel, Expr, MethodDecl, receiver_binding, simple_type_name
@@ -45,7 +47,7 @@ class SchemaViolation(VulnreachError):
 
 class UnknownVulnerabilityKind(SchemaViolation):
     def __init__(self, value: str):
-        super().__init__("trigger.vulnerability_kind", f"unknown kind {value!r}")
+        super().__init__("report.trigger.vulnerability_kind", f"unknown kind {value!r}")
         self.value = value
 
 
@@ -59,14 +61,14 @@ class TriggerInput:
 @dataclass(frozen=True)
 class TriggerCondition:
     param: str
-    predicate: str
+    predicate: str = field(default="contains", kw_only=True)
     value: str
 
 
 @dataclass(frozen=True)
 class TriggerSpec:
     inputs: tuple[TriggerInput, ...]
-    conditions: tuple[TriggerCondition, ...]
+    conditions: tuple[TriggerCondition, ...] = field(default=(), kw_only=True)
     vulnerability_kind: str
 
     def wants_all_params(self) -> bool:
@@ -87,7 +89,7 @@ class LibraryRef:
 class VulnerableApi:
     class_fqn: str
     method_name: str
-    param_types: tuple[str, ...]
+    param_types: tuple[str, ...] = field(default=(), kw_only=True)
     snippet: str
 
     @property
@@ -111,117 +113,117 @@ class VulnerabilityReport:
 # schema validation
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"cve_id", "library", "vulnerable_api", "trigger", "notes"}
-_LIB_KEYS = {"group", "artifact", "affected_versions"}
-_API_KEYS = {"class_fqn", "method_name", "param_types", "snippet"}
-_TRIGGER_KEYS = {"inputs", "conditions", "vulnerability_kind"}
-_INPUT_KEYS = {"name", "semantic_type", "value"}
-_COND_KEYS = {"param", "predicate", "value"}
+
+@dataclass(frozen=True)
+class Required:
+    """Schema entry for a key that must be present."""
+    want: object
 
 
-def _require_str(obj, key: str, path: str, allow_empty: bool = False) -> str:
-    if key not in obj:
-        raise SchemaViolation(f"{path}.{key}", "missing required key")
-    v = obj[key]
-    if not isinstance(v, str):
-        raise SchemaViolation(f"{path}.{key}", f"expected string, got {type(v).__name__}")
-    if not allow_empty and not v:
-        raise SchemaViolation(f"{path}.{key}", "must be non-empty")
-    return v
+NON_EMPTY = "non-empty str"  # schema entry: a string other than ""
 
 
-def check_keys(obj, allowed, path: str):
-    """Raise SchemaViolation unless obj is a JSON object whose keys are all allowed."""
-    if not isinstance(obj, dict):
-        raise SchemaViolation(path, f"expected object, got {type(obj).__name__}")
-    for key in obj:
-        if key not in allowed:
-            raise SchemaViolation(f"{path}.{key}", "unknown key")
+def _fits(value, want) -> bool:
+    if isinstance(want, tuple):
+        return value in want
+    if isinstance(want, list):
+        return isinstance(value, list)
+    if want is NON_EMPTY:
+        return isinstance(value, str) and value != ""
+    if want is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return (isinstance(value, bool) == (want is bool)
+            and isinstance(value, (int, float) if want is float else want))
+
+
+def _expected(want) -> str:
+    if isinstance(want, tuple):
+        return f"one of {', '.join(want)}"
+    if isinstance(want, list):
+        return "list"
+    return want if want is NON_EMPTY else want.__name__
+
+
+def check_doc(doc, schema: dict, where: str) -> dict:
+    """doc checked against schema, without the keys schema ignores; JSON
+    lists come back as tuples. Raises SchemaViolation naming the first
+    object that is not one, or key that is unknown, missing while Required,
+    or holds a value of the wrong type.
+
+    A schema maps each key to what its value must be: a type (float takes
+    integers too; list means a list of strings), NON_EMPTY, a tuple of the
+    accepted values, a section (dict), a list of sections ([dict]), or None
+    for a key that is ignored with a warning. Required(...) wraps any of
+    them."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation(where, f"expected object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in schema:
+            raise SchemaViolation(f"{where}.{key}", "unknown key")
+    for key, want in schema.items():
+        if isinstance(want, Required) and key not in doc:
+            raise SchemaViolation(f"{where}.{key}", "missing required key")
+    out = {}
+    for key, value in doc.items():
+        path, want = f"{where}.{key}", schema[key]
+        if isinstance(want, Required):
+            want = want.want
+        if want is None:
+            print(f"WARN {path} is ignored", file=sys.stderr)
+        elif isinstance(want, dict):
+            out[key] = check_doc(value, want, path)
+        elif not _fits(value, want):
+            raise SchemaViolation(path, f"expected {_expected(want)}, got {value!r}")
+        elif isinstance(want, list):
+            out[key] = tuple(check_doc(item, want[0], f"{path}[{i}]")
+                             for i, item in enumerate(value))
+        else:
+            out[key] = tuple(value) if isinstance(value, list) else value
+    return out
+
+
+_DESCRIPTOR_SCHEMA = {
+    "cve_id": Required(NON_EMPTY),
+    "library": Required({"group": Required(NON_EMPTY), "artifact": Required(NON_EMPTY),
+                         "affected_versions": Required(str)}),
+    "vulnerable_api": Required({"class_fqn": Required(NON_EMPTY),
+                                "method_name": Required(NON_EMPTY),
+                                "param_types": list, "snippet": Required(str)}),
+    "trigger": Required({
+        "inputs": Required([{"name": Required(NON_EMPTY), "semantic_type": Required(NON_EMPTY),
+                             "value": Required(str)}]),
+        "conditions": [{"param": Required(NON_EMPTY), "predicate": PREDICATES,
+                        "value": Required(str)}],
+        "vulnerability_kind": Required(NON_EMPTY),
+    }),
+    "notes": str,
+}
 
 
 def parse_report(doc) -> VulnerabilityReport:
     """Validate a decoded JSON document into a VulnerabilityReport."""
-    check_keys(doc, _TOP_KEYS, "report")
-    cve_id = _require_str(doc, "cve_id", "report")
+    doc = check_doc(doc, _DESCRIPTOR_SCHEMA, "report")
+    api, trigger = doc["vulnerable_api"], doc["trigger"]
+    if "." not in api["class_fqn"]:
+        raise SchemaViolation("report.vulnerable_api.class_fqn", "must be fully qualified")
+    if "" in api.get("param_types", ()):
+        raise SchemaViolation("report.vulnerable_api.param_types", "contains empty string")
+    if not trigger["inputs"]:
+        raise SchemaViolation("report.trigger.inputs", "must be non-empty")
+    names = {i["name"] for i in trigger["inputs"]}
+    for i, cond in enumerate(trigger.get("conditions", ())):
+        if cond["param"] != "*" and cond["param"] not in names:
+            raise SchemaViolation(f"report.trigger.conditions[{i}].param",
+                                  f"{cond['param']!r} names no input (use '*' for any)")
+    if trigger["vulnerability_kind"] not in VULNERABILITY_KINDS:
+        raise UnknownVulnerabilityKind(trigger["vulnerability_kind"])
 
-    lib_doc = doc.get("library")
-    if lib_doc is None:
-        raise SchemaViolation("report.library", "missing required key")
-    check_keys(lib_doc, _LIB_KEYS, "library")
-    library = LibraryRef(
-        group=_require_str(lib_doc, "group", "library"),
-        artifact=_require_str(lib_doc, "artifact", "library"),
-        affected_versions=_require_str(lib_doc, "affected_versions", "library", allow_empty=True),
-    )
-
-    api_doc = doc.get("vulnerable_api")
-    if api_doc is None:
-        raise SchemaViolation("report.vulnerable_api", "missing required key")
-    check_keys(api_doc, _API_KEYS, "vulnerable_api")
-    class_fqn = _require_str(api_doc, "class_fqn", "vulnerable_api")
-    if "." not in class_fqn:
-        raise SchemaViolation("vulnerable_api.class_fqn", "must be fully qualified")
-    raw_types = api_doc.get("param_types", [])
-    if not isinstance(raw_types, list) or any(not isinstance(t, str) for t in raw_types):
-        raise SchemaViolation("vulnerable_api.param_types", "expected list of strings")
-    if any(t == "" for t in raw_types):
-        raise SchemaViolation("vulnerable_api.param_types", "contains empty string")
-    api = VulnerableApi(
-        class_fqn=class_fqn,
-        method_name=_require_str(api_doc, "method_name", "vulnerable_api"),
-        param_types=tuple(raw_types),
-        snippet=_require_str(api_doc, "snippet", "vulnerable_api", allow_empty=True),
-    )
-
-    trig_doc = doc.get("trigger")
-    if trig_doc is None:
-        raise SchemaViolation("report.trigger", "missing required key")
-    check_keys(trig_doc, _TRIGGER_KEYS, "trigger")
-    raw_inputs = trig_doc.get("inputs")
-    if not isinstance(raw_inputs, list):
-        raise SchemaViolation("trigger.inputs", "expected list")
-    if not raw_inputs:
-        raise SchemaViolation("trigger.inputs", "must be non-empty")
-    inputs = []
-    for i, item in enumerate(raw_inputs):
-        check_keys(item, _INPUT_KEYS, f"trigger.inputs[{i}]")
-        inputs.append(TriggerInput(
-            name=_require_str(item, "name", f"trigger.inputs[{i}]"),
-            semantic_type=_require_str(item, "semantic_type", f"trigger.inputs[{i}]"),
-            value=_require_str(item, "value", f"trigger.inputs[{i}]", allow_empty=True),
-        ))
-    raw_conds = trig_doc.get("conditions", [])
-    if not isinstance(raw_conds, list):
-        raise SchemaViolation("trigger.conditions", "expected list")
-    conditions = []
-    input_names = {inp.name for inp in inputs}
-    for i, item in enumerate(raw_conds):
-        check_keys(item, _COND_KEYS, f"trigger.conditions[{i}]")
-        param = _require_str(item, "param", f"trigger.conditions[{i}]")
-        if param != "*" and param not in input_names:
-            raise SchemaViolation(f"trigger.conditions[{i}].param",
-                                  f"{param!r} names no input (use '*' for any)")
-        predicate = item.get("predicate", "contains")
-        if predicate not in PREDICATES:
-            raise SchemaViolation(f"trigger.conditions[{i}].predicate",
-                                  f"must be one of {PREDICATES}")
-        conditions.append(TriggerCondition(
-            param=param,
-            predicate=predicate,
-            value=_require_str(item, "value", f"trigger.conditions[{i}]", allow_empty=True),
-        ))
-    kind = _require_str(trig_doc, "vulnerability_kind", "trigger")
-    if kind not in VULNERABILITY_KINDS:
-        raise UnknownVulnerabilityKind(kind)
-    trigger = TriggerSpec(inputs=tuple(inputs), conditions=tuple(conditions),
-                          vulnerability_kind=kind)
-
-    notes = doc.get("notes", "")
-    if not isinstance(notes, str):
-        raise SchemaViolation("report.notes", f"expected string, got {type(notes).__name__}")
-
-    return VulnerabilityReport(cve_id=cve_id, library=library, vulnerable_api=api,
-                               trigger=trigger, notes=notes)
+    trigger["inputs"] = tuple(TriggerInput(**i) for i in trigger["inputs"])
+    if "conditions" in trigger:
+        trigger["conditions"] = tuple(TriggerCondition(**c) for c in trigger["conditions"])
+    return VulnerabilityReport(**{**doc, "library": LibraryRef(**doc["library"]),
+                                  "vulnerable_api": VulnerableApi(**api),
+                                  "trigger": TriggerSpec(**trigger)})
 
 
 def load_report(path: str | Path) -> VulnerabilityReport:
@@ -238,33 +240,7 @@ def load_report(path: str | Path) -> VulnerabilityReport:
 
 def serialize(report: VulnerabilityReport) -> str:
     """Render a report back to its canonical descriptor text."""
-    doc = {
-        "cve_id": report.cve_id,
-        "library": {
-            "group": report.library.group,
-            "artifact": report.library.artifact,
-            "affected_versions": report.library.affected_versions,
-        },
-        "vulnerable_api": {
-            "class_fqn": report.vulnerable_api.class_fqn,
-            "method_name": report.vulnerable_api.method_name,
-            "param_types": list(report.vulnerable_api.param_types),
-            "snippet": report.vulnerable_api.snippet,
-        },
-        "trigger": {
-            "inputs": [
-                {"name": i.name, "semantic_type": i.semantic_type, "value": i.value}
-                for i in report.trigger.inputs
-            ],
-            "conditions": [
-                {"param": c.param, "predicate": c.predicate, "value": c.value}
-                for c in report.trigger.conditions
-            ],
-            "vulnerability_kind": report.trigger.vulnerability_kind,
-        },
-        "notes": report.notes,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(dataclasses.asdict(report), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

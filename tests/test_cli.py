@@ -9,13 +9,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vulnreach import cli
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
 from vulnreach.confirm import read_report
+from vulnreach.vuln_report import check_doc, parse_report
 
 from conftest import fixture_paths, time_limit
 from java_sources import VOCAB
 
 STUB = Path(__file__).parent / "stub_tool.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(scratch_project, name, out, extra=()):
@@ -91,6 +94,28 @@ class TestAnalyzeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "Hostile.java" in err and "parse failure" not in err
+        assert [p.reachable for p in read_report(out / "report.json").paths] == [True]
+
+    @pytest.mark.parametrize("hostile", [
+        "class Broken { int x = 1 }",
+        "class Deep { " + "class C { " * 5000 + "} " * 5000 + "}",
+    ], ids=["initializer-without-semicolon", "nested-classes-5000"])
+    def test_hostile_class_keeps_the_class_after_it(self, scratch_project, tmp_path, capsys,
+                                                    hostile):
+        # The hostile class comes first in the file that holds the
+        # vulnerable call, so the path exists only if the class after it
+        # survives.
+        root = scratch_project("lion_reachable")
+        util = root / "src/main/java/com/lion/util/XmlUtil.java"
+        util.write_text(util.read_text().replace("public class XmlUtil",
+                                                 f"{hostile}\n\npublic class XmlUtil"))
+        _, poc, _ = fixture_paths("lion_reachable")
+        out = tmp_path / "out"
+        with time_limit(5):
+            code = main(["analyze", "--project", str(root), "--poc", str(poc),
+                         "--out", str(out)])
+        assert code == 2
+        assert "parse failure" not in capsys.readouterr().err
         assert [p.reachable for p in read_report(out / "report.json").paths] == [True]
 
     def test_openolat_full_vs_paths_only(self, scratch_project, tmp_path):
@@ -241,6 +266,31 @@ class TestAnalyzeCommand:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc, code, message", [
+        ({"max_depth": True}, 1, "error: config.max_depth: expected int, got True\n"),
+        ({"llm": {"endpoint": "http://unused", "model_name": "m", "timeout_s": 60}}, 2, ""),
+        ({"toolchain": {"timeout_s": 60}}, 2, ""),
+        ({"report": ""}, 2, ""),
+    ], ids=["max-depth-bool", "llm-int-timeout", "toolchain-int-timeout", "empty-report"])
+    def test_config_edge_cases(self, scratch_project, tmp_path, capsys, doc, code, message):
+        # An empty report path falls back to <out>/report.json.
+        root = scratch_project("lion_reachable")
+        _, poc, _ = fixture_paths("lion_reachable")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(out), "--config", str(config)]) == code
+        assert capsys.readouterr().err == message
+        assert (out / "report.json").exists() == (code == 2)
+
+    def test_defaults_come_from_the_dataclasses(self):
+        # With no flag and no config key, a setting keeps its dataclass default.
+        args = cli._build_parser().parse_args(["analyze", "--project", "p", "--poc", "q",
+                                               "--out", "o"])
+        assert cli._merge(args, {}) == RunConfig(project_root=Path("p"), poc_file=Path("q"),
+                                                 out_dir=Path("o"))
+
     def test_max_in_flight_is_ignored_with_one_warning(self, scratch_project, tmp_path, capsys):
         root = scratch_project("lion_reachable")
         _, poc, _ = fixture_paths("lion_reachable")
@@ -280,6 +330,17 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--project", str(root), "--poc", str(poc),
                      "--out", str(tmp_path / "out"), "--gen", "llm"])
         assert code == 1
+
+
+def test_readme_examples_fit_the_schemas():
+    # README's first JSON block is a config file, its second a PoC descriptor.
+    text = README.read_text(encoding="utf-8")
+    config, descriptor = [json.loads(block.split("```", 1)[0])
+                          for block in text.split("```json\n")[1:]]
+    checked = check_doc(config, cli._CONFIG_SCHEMA, "config")
+    run = cli._merge(cli._build_parser().parse_args(["analyze"]), checked)
+    assert run.llm is not None and run.toolchain is not None
+    assert parse_report(descriptor).cve_id == "CVE-2017-7957"
 
 
 def test_run_pipeline_paths_only_marks_all_reachable(scratch_project, tmp_path):

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,26 @@ class TestTypeNames:
         assert code_model.simple_type_name(text) == simple
 
 
+class TestTokenizer:
+    def test_unterminated_block_comments_are_linear(self):
+        # Retrying the block-comment branch at each "/*" that no "*/"
+        # follows would rescan to the end of the text: quadratic.
+        start = time.perf_counter()
+        with time_limit(10):
+            texts, lines = code_model._tokenize("/* " * 20000)
+        assert time.perf_counter() - start < 1.0
+        assert texts == ["/", "*"] * 20000 and lines == [1] * 40000
+
+    def test_lexemes_match_one_findall(self):
+        # Splitting the scan at the last possible comment start changes no
+        # lexeme.
+        pieces = ["/*", "*/", "/", "*", "//", "/*/", " ", "\n", '"', "'", "\\", "a", "1", "{"]
+        rng = random.Random(8080)
+        for _ in range(3000):
+            source = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+            assert code_model._lexemes(source) == code_model._LEXEME_RE.findall(source), source
+
+
 class TestErrorRecovery:
     """Stray closers and nesting beyond the parser's limit degrade to
     diagnostics and opaque statements, promptly."""
@@ -286,6 +307,48 @@ class TestErrorRecovery:
             classes, diagnostics = _parse_source(code_model, source)
         assert [c.fqn for c in classes] == ["C"]
         assert [d.message for d in diagnostics] == [message]
+
+    def test_field_initializer_without_semicolon_stops_at_the_closer(self):
+        # Asserted on the model alone: the reference parser runs the
+        # initializer on to the end of the file and loses class B.
+        classes, diagnostics = _parse_source(
+            code_model, "class A { int x = 1 } class B { void m() {} }")
+        assert [c.fqn for c in classes] == ["A", "B"]
+        assert [f.name for f in classes[0].fields] == ["x"]
+        assert [m.name for m in classes[1].methods] == ["m"] and diagnostics == []
+
+    def test_too_deep_type_declarations_are_skipped(self):
+        n = 5000
+        source = ("class Before { void b() { } }\n"
+                  "class Outer { " + "class C { " * n + "} " * n + "void after() { } }\n"
+                  "class After { void a() { } }")
+        with time_limit(5):
+            classes, diagnostics = _parse_source(code_model, source)
+        names = [c.fqn for c in classes]
+        limit = code_model._MAX_NESTING
+        assert names[0] == "Before" and names[-2:] == ["Outer", "After"]
+        assert names[1] == "Outer" + ".C" * limit and len(names) == limit + 3
+        assert [m.name for m in classes[-2].methods] == ["after"]
+        assert [d.message for d in diagnostics] == [
+            f"type declaration nested deeper than {limit} skipped"]
+
+    def test_type_nesting_shares_the_limit_with_bodies(self):
+        # Member types and method bodies together stay within the default
+        # recursion limit from a deep caller.
+        n = 5000
+        body = "f(" * n + "a" + ")" * n + ";"
+        depth = code_model._MAX_NESTING - 1
+        source = "class C { " * depth + f"void m() {{ {body} }}" + " }" * depth
+
+        def from_depth(frames: int):
+            if frames:
+                return from_depth(frames - 1)
+            return _parse_source(code_model, source)
+
+        classes, diagnostics = from_depth(150)
+        assert len(classes) == depth
+        assert [d.message for d in diagnostics] == [
+            f"opaque statement (nesting deeper than {code_model._MAX_NESTING})"]
 
     def test_hundred_deep_parentheses_parse(self):
         deep = "(" * 100 + "a" + ")" * 100

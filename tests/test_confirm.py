@@ -158,6 +158,64 @@ class TestReportSerialization:
             write_report(report, "/nonexistent-dir-xyz/r.json")
 
 
+def test_serialize_report_text_is_pinned():
+    # Key order and layout of report.json: the derived totals and
+    # project_confirmed come before diagnostics.
+    report = ConfirmationReport(
+        project="p", cve_id="CVE-1",
+        paths=(PathRecord(("A#a(String)", "B#b(String)"), True, ("DirectPropagation",)),
+               PathRecord(("C#c()",), False)),
+        tests=(TestRecord("T1Test.java", STATUS_CONFIRMED),
+               TestRecord("T2Test.java", STATUS_RUN_FAILED, "boom")),
+        diagnostics=("d1",))
+    assert serialize_report(report) == """\
+{
+  "project": "p",
+  "cve_id": "CVE-1",
+  "paths": [
+    {
+      "signatures": [
+        "A#a(String)",
+        "B#b(String)"
+      ],
+      "reachable": true,
+      "transfer_summary": [
+        "DirectPropagation"
+      ]
+    },
+    {
+      "signatures": [
+        "C#c()"
+      ],
+      "reachable": false,
+      "transfer_summary": []
+    }
+  ],
+  "tests": [
+    {
+      "file": "T1Test.java",
+      "status": "Confirmed",
+      "detail": ""
+    },
+    {
+      "file": "T2Test.java",
+      "status": "RunFailed",
+      "detail": "boom"
+    }
+  ],
+  "totals": {
+    "emitted": 2,
+    "compiled": 2,
+    "confirmed": 1
+  },
+  "project_confirmed": true,
+  "diagnostics": [
+    "d1"
+  ]
+}
+"""
+
+
 def test_test_cmd_placeholder_required():
     with pytest.raises(ValueError):
         ToolchainConfig(test_cmd="mvn test")

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -75,6 +76,98 @@ class TestLoadReport:
         second = load_report(q)
         assert first == second
         assert serialize(second) == text1
+
+
+def _edited(edit):
+    doc = copy.deepcopy(VALID_DESCRIPTOR)
+    edit(doc)
+    return doc
+
+
+# Edge cases of the descriptor schema and their outcomes: None means
+# rejected, otherwise (accessor, expected value) on the parsed report.
+EDGE_CASES = [
+    ("empty_affected_versions", lambda d: d["library"].update(affected_versions=""),
+     (lambda r: r.library.affected_versions, "")),
+    ("empty_snippet", lambda d: d["vulnerable_api"].update(snippet=""),
+     (lambda r: r.vulnerable_api.snippet, "")),
+    ("empty_input_value", lambda d: d["trigger"]["inputs"][0].update(value=""),
+     (lambda r: r.trigger.inputs[0].value, "")),
+    ("empty_condition_value", lambda d: d["trigger"]["conditions"][0].update(value=""),
+     (lambda r: r.trigger.conditions[0].value, "")),
+    ("any_param_condition", lambda d: d["trigger"]["conditions"][0].update(param="*"),
+     (lambda r: r.trigger.wants_all_params(), True)),
+    ("empty_group", lambda d: d["library"].update(group=""), None),
+    ("empty_cve_id", lambda d: d.update(cve_id=""), None),
+    ("empty_kind", lambda d: d["trigger"].update(vulnerability_kind=""), None),
+    ("omitted_predicate", lambda d: d["trigger"]["conditions"][0].pop("predicate"),
+     (lambda r: r.trigger.conditions[0].predicate, "contains")),
+    ("omitted_conditions", lambda d: d["trigger"].pop("conditions"),
+     (lambda r: r.trigger.conditions, ())),
+    ("omitted_param_types", lambda d: d["vulnerable_api"].pop("param_types"),
+     (lambda r: r.vulnerable_api.param_types, ())),
+    ("omitted_notes", lambda d: d.pop("notes"), (lambda r: r.notes, "")),
+    ("null_notes", lambda d: d.update(notes=None), None),
+    ("null_param_types", lambda d: d["vulnerable_api"].update(param_types=None), None),
+    ("null_conditions", lambda d: d["trigger"].update(conditions=None), None),
+    ("null_predicate", lambda d: d["trigger"]["conditions"][0].update(predicate=None), None),
+    ("null_library", lambda d: d.update(library=None), None),
+    ("missing_input_value", lambda d: d["trigger"]["inputs"][0].pop("value"), None),
+    ("bool_cve_id", lambda d: d.update(cve_id=True), None),
+    ("condition_not_object", lambda d: d["trigger"].update(conditions=["xml"]), None),
+]
+
+
+@pytest.mark.parametrize("edit, outcome", [c[1:] for c in EDGE_CASES],
+                         ids=[c[0] for c in EDGE_CASES])
+def test_descriptor_edge_cases(edit, outcome):
+    doc = _edited(edit)
+    if outcome is None:
+        with pytest.raises(SchemaViolation):
+            parse_report(doc)
+    else:
+        read, expected = outcome
+        assert read(parse_report(doc)) == expected
+
+
+def test_serialize_text_is_pinned():
+    # Key order and layout of the canonical descriptor text.
+    assert serialize(parse_report(VALID_DESCRIPTOR)) == """\
+{
+  "cve_id": "CVE-2017-7957",
+  "library": {
+    "group": "com.thoughtworks.xstream",
+    "artifact": "xstream",
+    "affected_versions": "<=1.4.9"
+  },
+  "vulnerable_api": {
+    "class_fqn": "com.thoughtworks.xstream.XStream",
+    "method_name": "fromXML",
+    "param_types": [
+      "String"
+    ],
+    "snippet": "Object object = xStream.fromXML(xml);"
+  },
+  "trigger": {
+    "inputs": [
+      {
+        "name": "xml",
+        "semantic_type": "String",
+        "value": "<void>"
+      }
+    ],
+    "conditions": [
+      {
+        "param": "xml",
+        "predicate": "contains",
+        "value": "<void>"
+      }
+    ],
+    "vulnerability_kind": "UncaughtException"
+  },
+  "notes": ""
+}
+"""
 
 
 class TestMatchSignature:
