@@ -50,7 +50,7 @@ from .testgen import (
     emit_tests,
     generate_tests,
 )
-from .vuln_report import check_doc, load_report
+from .vuln_report import Required, check_doc, load_report
 
 MODE_PATHS_ONLY = "paths-only"
 
@@ -100,13 +100,14 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
         llm_client = LlmClient(cfg.llm) if cfg.gen_mode == "llm" else None
 
         prompts_dir = cfg.out_dir / "prompts"
+        memo: dict = {}  # the run's per-method and per-hop analyses (see analyse_path)
         for number, path in enumerate(paths, start=1):
             if cfg.mode == MODE_PATHS_ONLY:
                 result = ReachabilityResult(path=path, per_parameter={},
                                             path_reachable=True, analysis=None)
                 summary: tuple[str, ...] = ()
             else:
-                analysis = analyse_path(path, model, report, cfg.allowlist)
+                analysis = analyse_path(path, model, report, cfg.allowlist, memo)
                 result = decide_reachability(path, analysis, report)
                 summary = analysis.kinds()
             path_records.append(PathRecord(signatures=path.signatures(),
@@ -167,7 +168,7 @@ _CONFIG_SCHEMA = {
     "gen": ("offline", "llm"), "max_depth": int, "max_paths": int,
     "force": bool, "confirm": bool,
     "exclude_annotations": list, "exclude_visibilities": list,
-    "llm": {"endpoint": str, "model_name": str, "api_key_env": str,
+    "llm": {"endpoint": Required(str), "model_name": Required(str), "api_key_env": str,
             "timeout_s": float, "max_in_flight": None},
     "toolchain": {"compile_cmd": str, "test_cmd": str, "timeout_s": float,
                   "working_dir": str},
@@ -235,10 +236,7 @@ def _merge(args: argparse.Namespace, doc: dict) -> RunConfig:
         key: frozenset(value) if isinstance(value, tuple) else value
         for key, value in given.items() if key in _FILTER_KEYS})
     if "llm" in given:
-        try:
-            run["llm"] = LlmClientConfig(**given["llm"])
-        except TypeError as e:  # a required key is missing
-            raise VulnreachError(f"config.llm: {e}") from e
+        run["llm"] = LlmClientConfig(**given["llm"])
     if "toolchain" in given:
         run["toolchain"] = ToolchainConfig(**given["toolchain"])
     if "allowlist" in given:

@@ -85,18 +85,29 @@ def _run(command: str, cwd: str, timeout_s: float) -> tuple[int, str]:
     return proc.returncode, output
 
 
-def _confirm_one(artifact: TestArtifact, cfg: ToolchainConfig) -> TestRecord:
-    """Compile, then run; the first step that fails or times out decides."""
-    for command, failed, timed_out in ((cfg.compile_cmd, STATUS_COMPILE_ERROR, "compile timeout"),
-                                       (cfg.test_cmd, STATUS_RUN_FAILED, "timeout")):
-        try:
-            code, output = _run(command.replace("{test_class}", artifact.class_name),
-                                cfg.working_dir, cfg.timeout_s)
-        except subprocess.TimeoutExpired:
-            return TestRecord(artifact.file_name, failed, timed_out)
-        if code != 0:
-            return TestRecord(artifact.file_name, failed, output[-2000:])
-    return TestRecord(artifact.file_name, STATUS_CONFIRMED, "")
+def _step(command: str, cfg: ToolchainConfig, failed: str, timed_out: str
+          ) -> tuple[str, str] | None:
+    """None when command succeeds, else the (status, detail) it decides."""
+    try:
+        code, output = _run(command, cfg.working_dir, cfg.timeout_s)
+    except subprocess.TimeoutExpired:
+        return failed, timed_out
+    return (failed, output[-2000:]) if code != 0 else None
+
+
+def _compile(command: str, cfg: ToolchainConfig) -> tuple[str, str] | None:
+    return _step(command, cfg, STATUS_COMPILE_ERROR, "compile timeout")
+
+
+def _confirm_one(artifact: TestArtifact, cfg: ToolchainConfig, compiled: bool) -> TestRecord:
+    """Compile (unless the project-wide compile has run), then run; the
+    first step that fails or times out decides."""
+    def command(template: str) -> str:
+        return template.replace("{test_class}", artifact.class_name)
+    outcome = ((not compiled and _compile(command(cfg.compile_cmd), cfg))
+               or _step(command(cfg.test_cmd), cfg, STATUS_RUN_FAILED, "timeout")
+               or (STATUS_CONFIRMED, ""))
+    return TestRecord(artifact.file_name, *outcome)
 
 
 def run_confirmation(artifacts: list[TestArtifact], cfg: ToolchainConfig,
@@ -109,12 +120,22 @@ def run_confirmation(artifacts: list[TestArtifact], cfg: ToolchainConfig,
     hang-style vulnerabilities the timeout itself may be the signal, which
     is left to the operator to interpret).
 
+    A compile_cmd without a {test_class} placeholder compiles the whole
+    project, so it runs once per call, before the first test (none when
+    there is no test); its outcome holds for every test of this call, and
+    a failure marks each CompileError with the same detail and runs none.
+    A compile_cmd with the placeholder runs once per test. Nothing is kept
+    between calls.
+
     Tests run one at a time, in artifact order, because they share the
     project's build state.
     """
     diagnostics: list[str] = []
+    shared = "{test_class}" not in cfg.compile_cmd
     try:
-        tests = [_confirm_one(a, cfg) for a in artifacts]
+        failed = _compile(cfg.compile_cmd, cfg) if shared and artifacts else None
+        tests = [TestRecord(a.file_name, *failed) if failed else _confirm_one(a, cfg, shared)
+                 for a in artifacts]
     except FileNotFoundError as e:
         # Toolchain binary missing: everything stays Emitted.
         diagnostics.append(f"toolchain unavailable: {e}")

@@ -417,10 +417,13 @@ def build_ptg(method: MethodDecl, callee_params: list[str],
 
 def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,
                       fields: frozenset[str] = frozenset(),
-                      allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST) -> MethodTransfer:
-    """Analyse how values reach the arguments of one call site in a method."""
-    known = known_variables(method, fields)
-    upstream = upstream_closure(method, allowlist, fields)
+                      allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST,
+                      facts: tuple[frozenset[str], frozenset[str]] | None = None
+                      ) -> MethodTransfer:
+    """Analyse how values reach the arguments of one call site in a method.
+    facts, when given, are the method's known and upstream variables, as
+    _method_facts computes them once for all its call sites."""
+    known, upstream = facts or _method_facts(method, fields, allowlist)
     terminals = [ordered_vars(arg_expr, known) for arg_expr in call_expr.args]
     graph = DefUseGraph(method, [(v, call_stmt.index) for vs in terminals for v in vs],
                         known, upstream, allowlist)
@@ -429,6 +432,11 @@ def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,
         graph, TransferType(classify_expr(arg_expr, upstream, allowlist), call_stmt))
         for j, arg_expr in enumerate(call_expr.args))
     return MethodTransfer(method=method, call_stmt=call_stmt, args=args)
+
+
+def _method_facts(method: MethodDecl, fields: frozenset[str], allowlist: ConversionAllowlist
+                  ) -> tuple[frozenset[str], frozenset[str]]:
+    return known_variables(method, fields), upstream_closure(method, allowlist, fields)
 
 
 def _call_expr_at(stmt: Statement, callee: MethodDecl | None,
@@ -448,26 +456,44 @@ def _call_expr_at(stmt: Statement, callee: MethodDecl | None,
 
 def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
                  report: VulnerabilityReport | None = None,
-                 allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST) -> PathAnalysis:
+                 allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST,
+                 memo: dict | None = None) -> PathAnalysis:
     """Walk the call path from its end to its start, analysing at each method
     the call site that leads to the next hop (the vulnerable call in the last
-    method)."""
+    method).
+
+    memo keeps what the calls sharing it have computed: per method, its
+    known and upstream variables; per hop (method, call statement, callee,
+    with callee None on the last hop), its MethodTransfer. A hop already in
+    memo is not analysed again. run_pipeline passes one dict per run, so the
+    paths of one run share it and nothing outlives the run; every call
+    sharing a memo must pass the same model, report and allowlist. Without
+    one, the path gets a fresh dict."""
+    memo = {} if memo is None else memo
     per_method: list[MethodTransfer] = []
     k = len(path.methods)
     for i in range(k - 1, -1, -1):
         method, stmt = path.methods[i], path.call_sites[i]
         callee = path.methods[i + 1] if i + 1 < k else None
-        call_expr = _call_expr_at(stmt, callee,
-                                  report=report if i == k - 1 else None)
-        if call_expr is None:
-            # No resolvable call expression: record an empty transfer.
-            per_method.append(MethodTransfer(method=method, call_stmt=stmt, args=()))
-            continue
-        owner = model.owner_of(method) if model is not None else None
-        per_method.append(analyse_call_site(
-            method, stmt, call_expr, allowlist=allowlist,
-            fields=owner.field_names() if owner is not None else frozenset()))
+        key = (method, stmt, callee)
+        if key not in memo:
+            memo[key] = _analyse_hop(method, stmt, callee, model, report, allowlist, memo)
+        per_method.append(memo[key])
     return PathAnalysis(path=path, per_method=tuple(per_method))
+
+
+def _analyse_hop(method: MethodDecl, stmt: Statement, callee: MethodDecl | None,
+                 model: CodeModel | None, report: VulnerabilityReport | None,
+                 allowlist: ConversionAllowlist, memo: dict) -> MethodTransfer:
+    call_expr = _call_expr_at(stmt, callee, report=report if callee is None else None)
+    if call_expr is None:
+        # No resolvable call expression: record an empty transfer.
+        return MethodTransfer(method=method, call_stmt=stmt, args=())
+    if method not in memo:
+        owner = model.owner_of(method) if model is not None else None
+        memo[method] = _method_facts(
+            method, owner.field_names() if owner is not None else frozenset(), allowlist)
+    return analyse_call_site(method, stmt, call_expr, allowlist=allowlist, facts=memo[method])
 
 
 # ---------------------------------------------------------------------------

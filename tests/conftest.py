@@ -1,13 +1,16 @@
 import contextlib
+import importlib.util
 import json
 import shutil
 import signal
+import sys
 from pathlib import Path
 
 import pytest
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
+BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 # Criterion label -> passed, filled by the acceptance module's tests.
 ACCEPTANCE_RESULTS: dict[str, bool] = {}
@@ -55,6 +58,16 @@ def fixture_paths(name: str) -> tuple[Path, Path, dict]:
     base = CORPUS / name
     expected = json.loads((base / "expected.json").read_text(encoding="utf-8"))
     return base / "project", base / "poc.json", expected
+
+
+def bench_generators():
+    """The benchmark's workload generators (bench/gen.py), loaded by path
+    and only read: bench/ is not a package."""
+    if "bench_gen" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+        sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["bench_gen"])
+    return sys.modules["bench_gen"]
 
 
 def analyse_fixture(name: str):

@@ -1,9 +1,12 @@
 """Scripted stand-in for a build toolchain.
 
-Usage: stub_tool.py <behavior.json> <compile|run> <TestClassName>
+Usage: stub_tool.py <behavior.json> <compile|run> [<TestClassName>]
 
 behavior.json maps test class names to one of: pass, compile-fail,
-run-fail, hang. Unlisted classes pass.
+run-fail, hang. Unlisted classes pass. A compile without a class name
+(a project-wide compile) is decided by the "*" entry. Every call appends
+"<phase> <TestClassName>" (the name empty when absent) as one line to the
+log file next to behavior.json, named as it is with the suffix .log.
 """
 
 import json
@@ -13,11 +16,17 @@ import time
 
 
 def main() -> int:
-    behavior_file, phase, test_class = sys.argv[1:4]
-    table = json.loads(pathlib.Path(behavior_file).read_text())
-    spec = table.get(test_class, "pass")
+    behavior_file, phase, *rest = sys.argv[1:]
+    test_class = rest[0] if rest else "*"
+    behavior = pathlib.Path(behavior_file)
+    with behavior.with_suffix(".log").open("a") as log:
+        log.write(f"{phase} {''.join(rest)}\n")
+    spec = json.loads(behavior.read_text()).get(test_class, "pass")
     if phase == "compile":
-        return 1 if spec == "compile-fail" else 0
+        if spec == "compile-fail":
+            print("compile failure output")
+            return 1
+        return 0
     if spec == "run-fail":
         print("test failure output")
         return 1

@@ -241,7 +241,7 @@ class TestAnalyzeCommand:
         ({"llm": "x"}, "config.llm: expected object, got str"),
         ({"llm": {"endpoint": "http://h", "model_name": "m", "bogus": 1}},
          "config.llm.bogus: unknown key"),
-        ({"llm": {"endpoint": "http://h"}}, "config.llm: "),
+        ({"llm": {"endpoint": "http://h"}}, "config.llm.model_name: missing required key"),
         ({"toolchain": {"nope": 2}}, "config.toolchain.nope: unknown key"),
         ({"mode": "bogus"}, "config.mode: expected one of full, paths-only, got 'bogus'"),
         ({"prompt_style": "x"}, "config.prompt_style: expected one of"),

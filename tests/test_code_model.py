@@ -1,8 +1,6 @@
-import importlib.util
 import random
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -16,14 +14,10 @@ from vulnreach.code_model import (
 )
 
 import parser_reference
-from conftest import analyse_fixture, corpus_names, fixture_paths, time_limit
+from conftest import analyse_fixture, bench_generators, corpus_names, fixture_paths, time_limit
 from java_sources import mutated_corpus_file, random_method_source, token_soup
 
-# The benchmark's generators, loaded by path: bench/ is not a package.
-_GEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("bench_gen", _GEN_PATH)
-gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
+gen = bench_generators()
 
 
 def _method(model, fqn, name):

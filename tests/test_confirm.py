@@ -40,15 +40,21 @@ def _artifacts(lion_result, n=3):
             for i in range(1, n + 1)]
 
 
-def _stub_config(tmp_path, table, timeout_s=30.0):
+def _stub_config(tmp_path, table, timeout_s=30.0, compile_arg=" {test_class}"):
     behavior = tmp_path / "behavior.json"
     behavior.write_text(json.dumps(table))
     return ToolchainConfig(
-        compile_cmd=f"{sys.executable} {STUB} {behavior} compile {{test_class}}",
+        compile_cmd=f"{sys.executable} {STUB} {behavior} compile{compile_arg}",
         test_cmd=f"{sys.executable} {STUB} {behavior} run {{test_class}}",
         timeout_s=timeout_s,
         working_dir=str(tmp_path),
     )
+
+
+def _calls(tmp_path):
+    """The stub toolchain's calls, one "<phase> <class>" line each."""
+    log = tmp_path / "behavior.log"
+    return log.read_text().splitlines() if log.exists() else []
 
 
 class TestRunConfirmation:
@@ -106,6 +112,35 @@ class TestRunConfirmation:
         report = run_confirmation(arts, cfg)
         assert report.tests[0].status == STATUS_RUN_FAILED
         assert "test failure output" in report.tests[0].detail
+
+    def test_per_test_compile_keeps_one_compile_per_test(self, tmp_path, lion_result):
+        arts = _artifacts(lion_result)
+        run_confirmation(arts, _stub_config(tmp_path, {}))
+        assert _calls(tmp_path) == [f"{phase} {a.class_name}"
+                                    for a in arts for phase in ("compile", "run")]
+
+    def test_project_compile_runs_once(self, tmp_path, lion_result):
+        arts = _artifacts(lion_result)
+        cfg = _stub_config(tmp_path, {arts[1].class_name: "run-fail"}, compile_arg="")
+        report = run_confirmation(arts, cfg)
+        assert _calls(tmp_path) == ["compile "] + [f"run {a.class_name}" for a in arts]
+        assert [t.status for t in report.tests] == [
+            STATUS_CONFIRMED, STATUS_RUN_FAILED, STATUS_CONFIRMED]
+
+    def test_failed_project_compile_fails_every_test(self, tmp_path, lion_result):
+        arts = _artifacts(lion_result)
+        cfg = _stub_config(tmp_path, {"*": "compile-fail"}, compile_arg="")
+        report = run_confirmation(arts, cfg)
+        assert _calls(tmp_path) == ["compile "]
+        assert [(t.status, t.detail) for t in report.tests] == [
+            (STATUS_COMPILE_ERROR, "compile failure output")] * 3
+        assert report.totals == (3, 0, 0)
+
+    @pytest.mark.parametrize("compile_arg", ["", " {test_class}"])
+    def test_no_artifacts_no_toolchain_call(self, tmp_path, compile_arg):
+        report = run_confirmation([], _stub_config(tmp_path, {}, compile_arg=compile_arg))
+        assert _calls(tmp_path) == []
+        assert report.tests == () and not report.diagnostics
 
 
 class TestReportSerialization:

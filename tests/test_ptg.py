@@ -6,7 +6,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulnreach.call_graph import MethodCallPath
+from vulnreach import ptg
+from vulnreach.call_graph import (
+    MethodCallPath,
+    PathFilterConfig,
+    build_call_graph,
+    extract_call_paths,
+    localize_vulnerable_methods,
+)
 from vulnreach.code_model import (
     Statement,
     binary_op,
@@ -34,9 +41,10 @@ from vulnreach.ptg import (
     ordered_vars,
     upstream_closure,
 )
+from vulnreach.vuln_report import parse_report
 
 import ptg_reference
-from conftest import analyse_fixture, corpus_names
+from conftest import analyse_fixture, bench_generators, corpus_names
 from ptg_oracle import oracle_chains, random_method
 
 
@@ -367,6 +375,73 @@ class TestAgainstReference:
         assert time.perf_counter() - start < 1.0
         assert result.path_reachable
         assert kinds == (DIRECT, VALUE_CHANGE)
+
+
+def _deep_fanout_runs(tmp_path, seed=21):
+    """(model, report, kept paths) per pair of the benchmark's deep_fanout
+    workload for seed."""
+    gen = bench_generators()
+    for pair in gen.deep_fanout(seed):
+        root = tmp_path / f"{seed}-{pair.name}"
+        for rel, text in pair.files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text, encoding="utf-8")
+        model = parse_project(root, emit_warnings=False)
+        report = parse_report(pair.poc)
+        paths = extract_call_paths(build_call_graph(model), model,
+                                   localize_vulnerable_methods(model, report),
+                                   PathFilterConfig(max_paths=gen.MAX_PATHS))
+        assert [p.signatures() for p in paths] == [t.signatures for t in pair.paths]
+        yield model, report, paths
+
+
+def _hops(path):
+    """path's hops as analyse_path keys them: (method, call statement, callee)."""
+    return {(m, s, path.methods[i + 1] if i + 1 < len(path.methods) else None)
+            for i, (m, s) in enumerate(zip(path.methods, path.call_sites))}
+
+
+class TestSharedMemo:
+    """The paths of one run share one memo: each hop is analysed once, and
+    every path reads the same analysis as when analysed on its own."""
+
+    def test_shared_equals_fresh(self, tmp_path):
+        runs = [(model, report, [r.path for r in results])
+                for model, report, _, results, _ in map(analyse_fixture, corpus_names())]
+        runs += list(_deep_fanout_runs(tmp_path))
+        compared = 0
+        for model, report, paths in runs:
+            memo = {}
+            for path in paths:
+                shared = analyse_path(path, model, report, memo=memo)
+                fresh = analyse_path(path, model, report)
+                assert shared.kinds() == fresh.kinds()
+                new = decide_reachability(path, shared, report)
+                old = decide_reachability(path, fresh, report)
+                assert (new.path_reachable, new.per_parameter) == \
+                       (old.path_reachable, old.per_parameter)
+                compared += 1
+        assert compared >= 18 + 64 + 9
+
+    def test_each_hop_analysed_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = ptg.analyse_call_site
+
+        def counted(*args, **kwargs):
+            calls.append(args[:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ptg, "analyse_call_site", counted)
+        hops = visited = 0
+        for model, report, paths in _deep_fanout_runs(tmp_path):
+            memo = {}
+            for path in paths:
+                analyse_path(path, model, report, memo=memo)
+            hops += len(set().union(*map(_hops, paths)))
+            visited += sum(len(p.methods) for p in paths)
+        assert len(calls) == hops == 70
+        assert visited == 411
+
 
 # ---------------------------------------------------------------------------
 # properties
