@@ -3,7 +3,10 @@
 Localizes the client methods that invoke the reported vulnerable API, builds
 a class-hierarchy call graph over the parsed model, and extracts the filtered
 method call paths leading from user-accessible entry methods down to each
-vulnerable call site.
+vulnerable call site. The graph is demand-driven: a call site is resolved
+only when the path search asks for the callers of a method it may call, so
+the work grows with the backward cone of the vulnerable calls, not with the
+project.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .code_model import (
     CodeModel,
@@ -29,10 +33,48 @@ class CallEdge:
     site: Statement
 
 
-@dataclass(frozen=True)
 class CallGraph:
-    nodes: frozenset[str]
-    edges: frozenset[CallEdge]
+    """Class-hierarchy call graph over a model, resolved on demand.
+
+    The first incoming(callee) for a given method name and arity resolves
+    the model's calls with that name and arity, and no others: the targets
+    resolve_invocation returns always share the call's name and arity. The
+    edges found into every method of that name and arity are kept, so each
+    call site is resolved at most once. There is one edge per (caller,
+    callee, statement); external callees produce no edge. nodes and edges
+    are the full views, computed when first read.
+    """
+
+    def __init__(self, model: CodeModel):
+        self._model = model
+        self._incoming: dict[str, set[CallEdge]] = {}
+        self._resolved: set[tuple[str, int]] = set()
+
+    def incoming(self, callee: str) -> set[CallEdge]:
+        """The edges into the method with signature callee."""
+        method = self._model.method_by_signature(callee)
+        if method is None:
+            return set()
+        key = (method.name, len(method.params))
+        if key not in self._resolved:
+            self._resolved.add(key)
+            for caller, stmt, call_expr in self._model.call_sites(*key):
+                resolved = resolve_invocation(self._model, caller, call_expr)
+                if isinstance(resolved, ExternalCallee):
+                    continue
+                for target in resolved:
+                    sig = target.signature()
+                    self._incoming.setdefault(sig, set()).add(
+                        CallEdge(caller=caller.signature(), callee=sig, site=stmt))
+        return self._incoming.get(callee, set())
+
+    @cached_property
+    def nodes(self) -> frozenset[str]:
+        return frozenset(m.signature() for _, m in self._model.all_methods())
+
+    @cached_property
+    def edges(self) -> frozenset[CallEdge]:
+        return frozenset(e for callee in self.nodes for e in self.incoming(callee))
 
 
 @dataclass(frozen=True)
@@ -83,37 +125,23 @@ class PathBudgetExceeded:
 def localize_vulnerable_methods(model: CodeModel, report: VulnerabilityReport
                                 ) -> list[tuple[MethodDecl, Statement]]:
     """Every (client method, call-site statement) pair invoking the
-    vulnerable API. Empty when the project never uses the vulnerable code."""
+    vulnerable API. Empty when the project never uses the vulnerable code.
+    Only the calls with the API's name and arity are examined."""
+    api = report.vulnerable_api
     found: list[tuple[MethodDecl, Statement]] = []
-    for _, method in model.all_methods():
-        for stmt in method.body:
-            for call_expr in stmt.calls():
-                if match_signature(report, call_expr, model, method):
-                    found.append((method, stmt))
-                    break  # one entry per statement
+    for method, stmt, call_expr in model.call_sites(api.method_name, len(api.param_types)):
+        if found and found[-1][1] is stmt:
+            continue  # one entry per statement
+        if match_signature(report, call_expr, model, method):
+            found.append((method, stmt))
     return found
 
 
 def build_call_graph(model: CodeModel) -> CallGraph:
-    """Class-hierarchy call graph: one edge per resolvable invocation target.
-
-    External callees produce no edge.
-    """
-    nodes: set[str] = set()
-    edges: set[CallEdge] = set()
-    for _, method in model.all_methods():
-        nodes.add(method.signature())
-    for _, method in model.all_methods():
-        caller_sig = method.signature()
-        for stmt in method.body:
-            for call_expr in stmt.calls():
-                resolved = resolve_invocation(model, method, call_expr)
-                if isinstance(resolved, ExternalCallee):
-                    continue
-                for target in sorted(resolved, key=lambda m: m.signature()):
-                    edges.add(CallEdge(caller=caller_sig, callee=target.signature(),
-                                       site=stmt))
-    return CallGraph(nodes=frozenset(nodes), edges=frozenset(edges))
+    """Class-hierarchy call graph of the model. No call is resolved here:
+    the graph resolves the calls into a method when first asked for its
+    incoming edges (see CallGraph)."""
+    return CallGraph(model)
 
 
 def is_entry_eligible(method: MethodDecl, filters: PathFilterConfig) -> bool:
@@ -144,7 +172,9 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
     The budget bounds the search, not only its output. Per target, a backward
     breadth-first search gives every method's distance to the target within
     max_depth - 1 hops; only the calls to those methods are indexed, as no
-    other call can lie on a kept path. A depth-first search runs from each
+    other call can lie on a kept path. The search reads the graph only
+    through graph.incoming, so an on-demand graph resolves only the calls
+    into the methods the search visits. A depth-first search runs from each
     entry-eligible first method in signature order, over distinct callees in
     signature order. It skips a callee from which the path could not, within
     max_depth methods, still take in every caller of the first method and
@@ -158,9 +188,7 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
     if filters is None:
         filters = PathFilterConfig()
     max_depth = filters.max_depth
-    incoming: dict[str, list[CallEdge]] = {}
-    for e in graph.edges:
-        incoming.setdefault(e.callee, []).append(e)
+    incoming = graph.incoming
 
     def target_paths(target: MethodDecl, site: Statement):
         t = target.signature()
@@ -170,7 +198,7 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
         callees: dict[str, set[str]] = {}
         sites: dict[tuple[str, str], list[Statement]] = {}
         for v in dist:
-            for e in incoming.get(v, ()):
+            for e in incoming(v):
                 callees.setdefault(e.caller, set()).add(v)
                 sites.setdefault((e.caller, v), []).append(e.site)
         ordered_callees = {u: sorted(cs) for u, cs in callees.items()}
@@ -179,7 +207,7 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
         hops_to_caller: dict[str, dict[str, int]] = {}
         for head in sorted(dist):
             method = target if head == t else model.method_by_signature(head)
-            head_callers = {e.caller for e in incoming.get(head, ())}
+            head_callers = {e.caller for e in incoming(head)}
             if not is_entry_eligible(method, filters) or not head_callers <= dist.keys():
                 continue
             required = {}
@@ -209,17 +237,16 @@ def _site_key(site: Statement) -> tuple[int, int]:
     return site.line, site.index
 
 
-def _hops_to(start: str, incoming: dict[str, list[CallEdge]], max_hops: int,
-             keep) -> dict[str, int]:
-    """Backward breadth-first search: the number of calls from each method
-    that reaches start within max_hops calls, passing only methods that
-    satisfy keep."""
+def _hops_to(start: str, incoming, max_hops: int, keep) -> dict[str, int]:
+    """Backward breadth-first search over incoming(v), the edges into v: the
+    number of calls from each method that reaches start within max_hops
+    calls, passing only methods that satisfy keep."""
     hops = {start: 0}
     frontier = [start]
     for d in range(1, max_hops + 1):
         reached = []
         for v in frontier:
-            for e in incoming.get(v, ()):
+            for e in incoming(v):
                 if e.caller not in hops and keep(e.caller):
                     hops[e.caller] = d
                     reached.append(e.caller)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -176,7 +177,10 @@ _CONFIG_SCHEMA = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args only reads
+    it, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="vulnreach",
         description="Confirm third-party library vulnerability exploitability "

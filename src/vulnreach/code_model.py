@@ -369,8 +369,24 @@ class CodeModel:
                 out.setdefault(sup, []).append(c)
         return out
 
+    @cached_property
+    def _call_sites(self) -> dict[tuple[str, int], list[tuple[MethodDecl, Statement, Expr]]]:
+        out: dict[tuple[str, int], list[tuple[MethodDecl, Statement, Expr]]] = {}
+        for _, m in self.all_methods():
+            for stmt in m.body:
+                for call_expr in stmt.calls():
+                    out.setdefault((call_expr.name, len(call_expr.args)), []).append(
+                        (m, stmt, call_expr))
+        return out
+
     def classes_by_simple_name(self, simple: str) -> list[ClassDecl]:
         return list(self._classes_by_simple.get(simple, ()))
+
+    def call_sites(self, name: str, arity: int) -> list[tuple[MethodDecl, Statement, Expr]]:
+        """Every call of a method named name with arity arguments, as
+        (enclosing method, statement, call expression), in method, statement
+        and pre-order. All buckets are filled by one walk over the bodies."""
+        return self._call_sites.get((name, arity), [])
 
     def all_methods(self):
         for cls in self.classes:
@@ -1710,11 +1726,29 @@ def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr,
     Returns a set of MethodDecl using class-hierarchy dispatch over the
     statically named receiver type; an ExternalCallee marker when the
     receiver type is known but lives outside the model; or an empty set
-    (plus a diagnostic) when the receiver cannot be resolved.
+    (plus a diagnostic) when the receiver cannot be resolved. A super.m(...)
+    call binds statically to the nearest supertype declaring m. Every
+    target has the call's name and arity.
     """
     if expr.kind != "Call":
         raise ValueError("resolve_invocation requires a Call expression")
     arity = len(expr.args)
+
+    def declared_in(classes) -> set[MethodDecl]:
+        return {m for cls in classes for m in cls.methods
+                if m.name == expr.name and len(m.params) == arity and not m.is_abstract}
+
+    def inherited(cls: ClassDecl) -> set[MethodDecl]:
+        for sup in filter(None, map(model.find_class, model.supertype_chain(cls))):
+            candidates = declared_in([sup])
+            if candidates:
+                return candidates
+        return set()
+
+    if expr.receiver is not None and expr.receiver.kind == "Literal" \
+            and expr.receiver.name == "super":
+        owner = model.owner_of(context)
+        return inherited(owner) if owner is not None else set()
     kind, target = receiver_binding(model, context, expr)
     if kind == "external":
         return ExternalCallee(class_fqn=target, method_name=expr.name, arity=arity)
@@ -1726,16 +1760,5 @@ def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr,
                 f"in {context.signature()}"))
         return set()
     assert isinstance(target, ClassDecl)
-
-    def declared_in(classes) -> set[MethodDecl]:
-        return {m for cls in classes for m in cls.methods
-                if m.name == expr.name and len(m.params) == arity and not m.is_abstract}
-
-    candidates = declared_in([target] + model.subtypes_of(target.fqn))
-    if not candidates:
-        # Virtual dispatch may land on an inherited declaration.
-        for cls in filter(None, map(model.find_class, model.supertype_chain(target))):
-            candidates = declared_in([cls])
-            if candidates:
-                break
-    return candidates
+    # Virtual dispatch may also land on an inherited declaration.
+    return declared_in([target] + model.subtypes_of(target.fqn)) or inherited(target)

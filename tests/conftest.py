@@ -10,7 +10,7 @@ import pytest
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
-BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Criterion label -> passed, filled by the acceptance module's tests.
 ACCEPTANCE_RESULTS: dict[str, bool] = {}
@@ -60,14 +60,32 @@ def fixture_paths(name: str) -> tuple[Path, Path, dict]:
     return base / "project", base / "poc.json", expected
 
 
+def _bench_module(stem: str):
+    """bench/<stem>.py, loaded by path and only read: bench/ is not a package."""
+    name = f"bench_{stem}"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{stem}.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 def bench_generators():
-    """The benchmark's workload generators (bench/gen.py), loaded by path
-    and only read: bench/ is not a package."""
-    if "bench_gen" not in sys.modules:
-        spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
-        sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules["bench_gen"])
-    return sys.modules["bench_gen"]
+    """The benchmark's workload generators (bench/gen.py)."""
+    return _bench_module("gen")
+
+
+def bench_spans():
+    """The traced run's span recorder (bench/spans.py)."""
+    return _bench_module("spans")
+
+
+def write_pair(pair, root: Path) -> Path:
+    """Write a generated (project, PoC) pair's project files under root."""
+    for rel, text in pair.files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+    return root
 
 
 def analyse_fixture(name: str):

@@ -20,6 +20,8 @@ from vulnreach.call_graph import (
 )
 from vulnreach.code_model import ClassDecl, CodeModel, MethodDecl, Statement
 
+from call_graph_reference import EdgeListGraph
+
 
 def callers_of(graph: CallGraph, callee_sig: str) -> list[CallEdge]:
     found = [e for e in graph.edges if e.callee == callee_sig]
@@ -138,8 +140,8 @@ def random_graph(rng: random.Random):
                 k = rng.choice((1, 1, 1, 2, 3))
                 for stmt in rng.sample(caller.body, min(k, len(caller.body))):
                     edges.add(CallEdge(caller.signature(), callee.signature(), stmt))
-    graph = CallGraph(nodes=frozenset(m.signature() for m in methods),
-                      edges=frozenset(edges))
+    graph = EdgeListGraph(nodes=frozenset(m.signature() for m in methods),
+                          edges=frozenset(edges))
     targets = []
     for method in rng.sample(methods, rng.randint(1, min(2, n))):
         for stmt in rng.sample(method.body, rng.randint(1, min(2, len(method.body)))):
@@ -169,6 +171,6 @@ def layered_graph(layers: int, width: int, dispatcher: bool = False):
             for callee in lower:
                 edges.add(CallEdge(caller.signature(), callee.signature(), caller.body[0]))
     methods = [m for row in rows for m in row] + [target]
-    graph = CallGraph(nodes=frozenset(m.signature() for m in methods),
-                      edges=frozenset(edges))
+    graph = EdgeListGraph(nodes=frozenset(m.signature() for m in methods),
+                          edges=frozenset(edges))
     return graph, _model(methods), [(target, target.body[0])]

@@ -1,7 +1,9 @@
+import collections
 import random
 
 import pytest
 
+from vulnreach import call_graph
 from vulnreach.call_graph import (
     MethodCallPath,
     PathBudgetExceeded,
@@ -11,10 +13,12 @@ from vulnreach.call_graph import (
     is_entry_eligible,
     localize_vulnerable_methods,
 )
-from vulnreach.code_model import parse_project
-from vulnreach.vuln_report import load_report, match_signature
+from vulnreach.code_model import Statement, parse_project
+from vulnreach.vuln_report import load_report, match_signature, parse_report
 
-from conftest import analyse_fixture, fixture_paths
+import call_graph_reference
+from call_graph_reference import eager_call_graph
+from conftest import analyse_fixture, bench_generators, corpus_names, fixture_paths, write_pair
 from path_oracle import layered_graph, oracle_call_paths, random_graph
 
 
@@ -44,6 +48,18 @@ class TestLocalize:
         assert len(found) == 2
         assert len({stmt.index for _, stmt in found}) == 2
 
+    def test_one_entry_per_statement(self, tmp_path):
+        (tmp_path / "A.java").write_text(
+            "package g; import com.thoughtworks.xstream.XStream;\n"
+            "public class A { public Object m(XStream x, String a, String b) {\n"
+            "    Object o = pick(x.fromXML(a), x.fromXML(b));\n"
+            "    return x.fromXML(a); }\n"
+            "  Object pick(Object p, Object q) { return p; } }")
+        model = parse_project(tmp_path, emit_warnings=False)
+        _, poc, _ = fixture_paths("lion_reachable")
+        found = localize_vulnerable_methods(model, load_report(poc))
+        assert [(m.name, stmt.line) for m, stmt in found] == [("m", 3), ("m", 4)]
+
 
 class TestBuildCallGraph:
     def test_single_edge(self, tmp_path):
@@ -72,6 +88,40 @@ class TestBuildCallGraph:
         assert ("com.lion.service.ConfigService#loadConfig(String)",
                 "com.lion.util.XmlUtil#xml2Obj(String,Class<T>)") in {
             (e.caller, e.callee) for e in graph.edges}
+
+    def test_super_call_binds_to_nearest_declaring_supertype(self, tmp_path):
+        # B#run delegates to A#run; C declares no run(String), so D's super
+        # call skips it. Neither call dispatches down to an override.
+        for name, body in {
+            "A": "public class A { public void run(String s) { } }",
+            "B": "public class B extends A { public void run(String s) { super.run(s); } }",
+            "C": "public class C extends B { public void go() { } }",
+            "D": "public class D extends C { public void run(String s) { super.run(s); } }",
+            "E": "public class E extends D { public void run(String s) { } }",
+        }.items():
+            (tmp_path / f"{name}.java").write_text(f"package g; {body}")
+        model = parse_project(tmp_path, emit_warnings=False)
+        pairs = {(e.caller, e.callee) for e in build_call_graph(model).edges}
+        assert pairs == {("g.B#run(String)", "g.A#run(String)"),
+                         ("g.D#run(String)", "g.B#run(String)")}
+
+    def test_path_through_super_call(self, tmp_path):
+        (tmp_path / "Base.java").write_text(
+            "package g; import com.thoughtworks.xstream.XStream;\n"
+            "public class Base { public Object load(String xml) {\n"
+            "    return new XStream().fromXML(xml); } }")
+        (tmp_path / "Sub.java").write_text(
+            "package g; public class Sub extends Base {\n"
+            "    public Object load(String xml) { return super.load(xml); } }")
+        (tmp_path / "Api.java").write_text(
+            "package g; public class Api {\n"
+            "    public Object handle(String body) { return new Sub().load(body); } }")
+        model = parse_project(tmp_path, emit_warnings=False)
+        _, poc, _ = fixture_paths("lion_reachable")
+        targets = localize_vulnerable_methods(model, load_report(poc))
+        paths = extract_call_paths(build_call_graph(model), model, targets)
+        assert [p.signatures() for p in paths] == [
+            ("g.Api#handle(String)", "g.Sub#load(String)", "g.Base#load(String)")]
 
     def test_edge_endpoints_in_nodes(self):
         for name in ("lion_reachable", "diamond_paths", "interface_dispatch"):
@@ -203,6 +253,86 @@ class TestBudgetedSearch:
             first + (f"g.L6#m{a}()", f"g.L7#m{b}()", "g.T#sink()")
             for a in range(8) for b in range(8)]
         assert diags == [PathBudgetExceeded(limit=64)]
+
+
+def _generated_models(tmp_path, seeds=(1, 2)):
+    """(name, model, report) per pair of every benchmark workload generator."""
+    gen = bench_generators()
+    for generator in sorted(gen.GENERATORS):
+        for seed in seeds:
+            for pair in gen.GENERATORS[generator](seed):
+                root = write_pair(pair, tmp_path / f"{generator}-{seed}-{pair.name}")
+                yield root.name, parse_project(root, emit_warnings=False), parse_report(pair.poc)
+
+
+class TestOnDemandGraph:
+    """The on-demand graph equals the eager reference builder
+    (tests/call_graph_reference.py), and does only the work the search needs."""
+
+    FILTERS = (PathFilterConfig(), PathFilterConfig(max_paths=1),
+               PathFilterConfig(max_depth=2, max_paths=2))
+
+    def _check_equal(self, name, model, report) -> bool:
+        """Whether a budget truncated one of the compared searches."""
+        eager = eager_call_graph(model)
+        targets = localize_vulnerable_methods(model, report)
+        truncated = False
+        if targets:
+            for filters in self.FILTERS:
+                got_diags, want_diags = [], []
+                # A fresh graph per search, so the search alone drives resolution.
+                got = extract_call_paths(build_call_graph(model), model, targets,
+                                         filters, got_diags)
+                want = extract_call_paths(eager, model, targets, filters, want_diags)
+                assert got == want, (name, filters)
+                assert got_diags == want_diags, (name, filters)
+                truncated |= bool(want_diags)
+        graph = build_call_graph(model)
+        assert graph.edges == eager.edges, name
+        assert graph.nodes == eager.nodes, name
+        return truncated
+
+    def test_equals_eager_on_corpus(self):
+        truncated = sum(self._check_equal(name, *_setup(name)) for name in corpus_names())
+        assert truncated >= 3  # the budget diagnostics are compared too
+
+    def test_equals_eager_on_generated_projects(self, tmp_path):
+        for name, model, report in _generated_models(tmp_path):
+            self._check_equal(name, model, report)
+
+    def test_wide_project_resolves_only_the_cone(self, tmp_path, monkeypatch):
+        gen = bench_generators()
+        (pair,) = gen.wide_project(21)
+        model = parse_project(write_pair(pair, tmp_path / "wide"), emit_warnings=False)
+        report = parse_report(pair.poc)
+        resolved = collections.Counter()
+        walked = collections.Counter()
+        resolve, calls = call_graph.resolve_invocation, Statement.calls
+
+        def counting_resolve(model, context, expr, diagnostics=None):
+            resolved[context.signature(), id(expr)] += 1
+            return resolve(model, context, expr, diagnostics)
+
+        def counting_calls(stmt):
+            walked[id(stmt)] += 1
+            return calls(stmt)
+
+        monkeypatch.setattr(call_graph, "resolve_invocation", counting_resolve)
+        monkeypatch.setattr(Statement, "calls", counting_calls)
+        targets = localize_vulnerable_methods(model, report)
+        graph = build_call_graph(model)
+        paths = extract_call_paths(graph, model, targets, PathFilterConfig())
+        assert [p.signatures() for p in paths] == [t.signatures for t in pair.paths]
+        assert sum(resolved.values()) == 4
+        edges = graph.edges
+        assert max(resolved.values()) == 1  # not even when the full view is read
+        # One walk over the bodies fills the call-site index, read by all four.
+        statements = sum(len(m.body) for _, m in model.all_methods())
+        assert len(walked) == statements and max(walked.values()) == 1
+        resolved.clear()
+        monkeypatch.setattr(call_graph_reference, "resolve_invocation", counting_resolve)
+        assert edges == eager_call_graph(model).edges
+        assert sum(resolved.values()) == 4456  # every call site of the project
 
 
 def test_constructor_not_entry_eligible():

@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from vulnreach import cli
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
+from vulnreach.call_graph import PathBudgetExceeded
+from vulnreach.code_model import parse_project
 from vulnreach.confirm import read_report
 from vulnreach.vuln_report import check_doc, parse_report
 
-from conftest import fixture_paths, time_limit
+from call_graph_reference import eager_call_graph
+from conftest import bench_spans, fixture_paths, time_limit
 from java_sources import VOCAB
 
 STUB = Path(__file__).parent / "stub_tool.py"
@@ -341,6 +344,43 @@ def test_readme_examples_fit_the_schemas():
     run = cli._merge(cli._build_parser().parse_args(["analyze"]), checked)
     assert run.llm is not None and run.toolchain is not None
     assert parse_report(descriptor).cve_id == "CVE-2017-7957"
+
+
+class TestBenchContract:
+    """What the benchmark's traced run (bench/spans.py) relies on: it wraps
+    these names in vulnreach.cli and reads counts from their arguments and
+    results. A break here would crash `bench/run.py --trace 1`."""
+
+    def test_traced_names_exist(self):
+        for name in bench_spans().CALLS:
+            assert callable(getattr(cli, name)), name
+
+    def test_traced_run_reads_its_counts(self, scratch_project, tmp_path, monkeypatch):
+        calls = []
+        extract = cli.extract_call_paths
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "extract_call_paths", recording)
+        tracer = bench_spans().Tracer()
+        uninstall = tracer.install(cli)
+        try:
+            root, code = _run(scratch_project, "diamond_paths", tmp_path / "out",
+                              ["--max-paths", "1"])
+        finally:
+            uninstall()
+        assert code == 2
+        ((args, kwargs),) = calls
+        assert len(args) == 5 and not kwargs
+        assert args[4] == [PathBudgetExceeded(limit=1)]
+        counts = tracer.counts
+        assert counts["call_graph.paths_kept"] == 1
+        assert counts["call_graph.paths_truncated"] == 1
+        model = parse_project(root, emit_warnings=False, exclude_dirs=("src/test/java",))
+        assert counts["call_graph.edges"] == len(eager_call_graph(model).edges) > 0
+        assert tracer.batch_times(0)["call_graph.build_ms"] > 0
 
 
 def test_run_pipeline_paths_only_marks_all_reachable(scratch_project, tmp_path):

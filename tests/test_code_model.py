@@ -14,7 +14,8 @@ from vulnreach.code_model import (
 )
 
 import parser_reference
-from conftest import analyse_fixture, bench_generators, corpus_names, fixture_paths, time_limit
+from conftest import (analyse_fixture, bench_generators, corpus_names, fixture_paths,
+                      time_limit, write_pair)
 from java_sources import mutated_corpus_file, random_method_source, token_soup
 
 gen = bench_generators()
@@ -205,10 +206,7 @@ class TestAgainstReference:
     def test_generated_projects(self, generator, tmp_path):
         for seed in (1, 2):
             for pair in gen.GENERATORS[generator](seed):
-                root = tmp_path / f"{seed}-{pair.name}"
-                for rel, text in pair.files.items():
-                    (root / rel).parent.mkdir(parents=True, exist_ok=True)
-                    (root / rel).write_text(text, encoding="utf-8")
+                root = write_pair(pair, tmp_path / f"{seed}-{pair.name}")
                 model = parse_project(root, emit_warnings=False)
                 assert len(model.classes) == pair.classes
                 assert model == parser_reference.parse_project(root, emit_warnings=False)

@@ -44,7 +44,7 @@ from vulnreach.ptg import (
 from vulnreach.vuln_report import parse_report
 
 import ptg_reference
-from conftest import analyse_fixture, bench_generators, corpus_names
+from conftest import analyse_fixture, bench_generators, corpus_names, write_pair
 from ptg_oracle import oracle_chains, random_method
 
 
@@ -382,10 +382,7 @@ def _deep_fanout_runs(tmp_path, seed=21):
     workload for seed."""
     gen = bench_generators()
     for pair in gen.deep_fanout(seed):
-        root = tmp_path / f"{seed}-{pair.name}"
-        for rel, text in pair.files.items():
-            (root / rel).parent.mkdir(parents=True, exist_ok=True)
-            (root / rel).write_text(text, encoding="utf-8")
+        root = write_pair(pair, tmp_path / f"{seed}-{pair.name}")
         model = parse_project(root, emit_warnings=False)
         report = parse_report(pair.poc)
         paths = extract_call_paths(build_call_graph(model), model,
