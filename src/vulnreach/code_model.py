@@ -8,6 +8,13 @@ Control-flow bodies are flattened into the enclosing method's statement list;
 constructs outside the subset degrade to opaque statements that still expose
 the variable names they mention.
 
+Declarations are parsed eagerly. A method body is only scanned at first: one
+pass over its tokens finds its end and the names it may call. Its statements
+are parsed when MethodDecl.body is first read, so the analysis pays only for
+the bodies it reads; CodeModel.call_sites uses the names to parse only the
+bodies that may hold the calls asked for. A body whose scan finds a fault, or
+that the parser might end elsewhere than the scan, is parsed at once.
+
 The model is the substrate for call-graph construction and parameter-transfer
 analysis; it is not a general-purpose Java front end (no type inference, no
 annotation processing, no bytecode).
@@ -15,9 +22,10 @@ annotation processing, no bytecode).
 
 from __future__ import annotations
 
+import bisect
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -259,6 +267,18 @@ class Param:
     declared_type: str
 
 
+class _Body:
+    """MethodDecl.body while the method's body is deferred: the first read
+    parses it and stores the statements as the instance's own body, which
+    later reads find without calling this."""
+
+    def __get__(self, method, owner=None):
+        if method is None:
+            raise AttributeError("body")  # a required field: no default
+        body = method.__dict__["body"] = method.__dict__["deferred_body"].parse()
+        return body
+
+
 @dataclass(frozen=True)
 class MethodDecl:
     owner: str
@@ -268,10 +288,14 @@ class MethodDecl:
     visibility: str
     is_static: bool
     annotations: tuple[str, ...]
-    body: tuple[Statement, ...]
+    body: tuple[Statement, ...] = _Body()
     line: int = 0
     is_constructor: bool = False
     is_abstract: bool = False
+
+    def __post_init__(self):
+        if type(self.__dict__["body"]) is _DeferredBody:
+            self.__dict__["deferred_body"] = self.__dict__.pop("body")
 
     def signature(self) -> str:
         types = ",".join(p.declared_type for p in self.params)
@@ -338,11 +362,34 @@ class ExternalCallee:
     arity: int
 
 
+def _call_names(method: MethodDecl):
+    """Every name a call in the method's body can have: the body scan's
+    names, or for a body parsed at once, its calls' names."""
+    deferred = method.__dict__.get("deferred_body")
+    if deferred is not None:
+        return deferred.names
+    return {c.name for st in method.body for c in st.calls()}
+
+
 @dataclass(frozen=True)
 class CodeModel:
     classes: tuple[ClassDecl, ...]
     index: dict[str, ClassDecl]
-    diagnostics: tuple[ParseDiagnostic, ...] = ()
+    # The parse's diagnostics in source order, a deferred method body
+    # standing in for its own (see diagnostics).
+    parse_log: tuple[ParseDiagnostic | _DeferredBody, ...] = field(default=(), compare=False)
+
+    @property
+    def diagnostics(self) -> tuple[ParseDiagnostic, ...]:
+        """The declarations' diagnostics and those of every method body
+        parsed so far, in source order."""
+        out: list[ParseDiagnostic] = []
+        for entry in self.parse_log:
+            if type(entry) is _DeferredBody:
+                out.extend(entry.diagnostics)
+            else:
+                out.append(entry)
+        return tuple(out)
 
     def find_class(self, fqn: str) -> ClassDecl | None:
         return self.index.get(fqn)
@@ -370,14 +417,16 @@ class CodeModel:
         return out
 
     @cached_property
-    def _call_sites(self) -> dict[tuple[str, int], list[tuple[MethodDecl, Statement, Expr]]]:
-        out: dict[tuple[str, int], list[tuple[MethodDecl, Statement, Expr]]] = {}
+    def _callers_by_name(self) -> dict[str, list[MethodDecl]]:
+        out: dict[str, list[MethodDecl]] = {}
         for _, m in self.all_methods():
-            for stmt in m.body:
-                for call_expr in stmt.calls():
-                    out.setdefault((call_expr.name, len(call_expr.args)), []).append(
-                        (m, stmt, call_expr))
+            for name in _call_names(m):
+                out.setdefault(name, []).append(m)
         return out
+
+    @cached_property
+    def _call_sites(self) -> dict[tuple[str, int], list[tuple[MethodDecl, Statement, Expr]]]:
+        return {}
 
     def classes_by_simple_name(self, simple: str) -> list[ClassDecl]:
         return list(self._classes_by_simple.get(simple, ()))
@@ -385,8 +434,16 @@ class CodeModel:
     def call_sites(self, name: str, arity: int) -> list[tuple[MethodDecl, Statement, Expr]]:
         """Every call of a method named name with arity arguments, as
         (enclosing method, statement, call expression), in method, statement
-        and pre-order. All buckets are filled by one walk over the bodies."""
-        return self._call_sites.get((name, arity), [])
+        and pre-order. Built once per (name, arity), from only the bodies
+        whose call names hold name: no other body is parsed or walked."""
+        key = (name, arity)
+        sites = self._call_sites.get(key)
+        if sites is None:
+            sites = self._call_sites[key] = [
+                (m, stmt, call_expr) for m in self._callers_by_name.get(name, ())
+                for stmt in m.body for call_expr in stmt.calls()
+                if call_expr.name == name and len(call_expr.args) == arity]
+        return sites
 
     def all_methods(self):
         for cls in self.classes:
@@ -565,6 +622,12 @@ class _Cursor:
         self.lines = lines
         self.i = 0
 
+    def at_index(self, i: int) -> "_Cursor":
+        """A second cursor over the same tokens, at position i."""
+        other = _Cursor.__new__(_Cursor)
+        other.texts, other.lines, other.n, other.i = self.texts, self.lines, self.n, i
+        return other
+
     def peek(self, offset: int = 0) -> str | None:
         return self.texts[self.i + offset]
 
@@ -620,6 +683,37 @@ class _Cursor:
             if depth <= 0:
                 return
 
+    def dotted_name(self) -> str:
+        name = self.next()
+        while self.at(".") and self.at_ident(1):
+            name += "." + self.texts[self.i + 1]
+            self.i += 2
+        return name
+
+    def type_ref(self) -> str:
+        """Parse a type reference, returning its canonical source text."""
+        t = self.peek()
+        if t is None:
+            raise _ParseError("expected type", self.line())
+        if t in _PRIMITIVES:
+            self.next()
+            text = t
+        elif t[0] in _IDENT_START and t not in _KEYWORDS:
+            text = self.dotted_name()
+        else:
+            raise _ParseError(f"expected type, found '{t}'", self.line())
+        if self.at("<"):
+            start = self.i
+            try:
+                self.skip_generics()
+                text += "".join(self.texts[start:self.i])
+            except _ParseError:
+                self.i = start
+        while self.at("[") and self.at("]", 1):
+            self.i += 2
+            text += "[]"
+        return text
+
 
 def _idents(texts: list[str]) -> str:
     return " ".join(t for t in texts if t[0] in _IDENT_START)
@@ -640,6 +734,12 @@ _MAX_NESTING = 128
 
 _COMPOUND_ASSIGN = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
 
+# Tokens the body scan acts on; None is the end of the file.
+_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
+_CLOSERS = frozenset(_CLOSER_OF.values())
+_SCAN_STOPS = frozenset((*_CLOSER_OF, *_CLOSERS, None, "<", "for", "case", "default", ":", "->"))
+_ANGLES = frozenset(("<", ">", ">>", ">>>"))
+
 # Binary operators by precedence; instanceof parses as a relational operator
 # whose right-hand side is a type.
 _PRECEDENCE = {
@@ -653,7 +753,12 @@ _KEYWORD_PRIMARIES = frozenset(("true", "false", "null", "this", "super", "new")
 
 
 class _FileParser:
-    def __init__(self, path: str, source: str, diagnostics: list[ParseDiagnostic]):
+    """Parses one file's declarations. A method body is deferred when the
+    body scan accepts it (see _scan_body) and parsed now otherwise; in
+    diagnostics a deferred body stands in for its own diagnostics."""
+
+    def __init__(self, path: str, source: str,
+                 diagnostics: list[ParseDiagnostic | _DeferredBody]):
         self.path = path
         self.source = source
         self.cur = _Cursor(*_tokenize(source))
@@ -663,6 +768,7 @@ class _FileParser:
         self.wildcards: list[str] = []
         self.classes: list[ClassDecl] = []
         self.depth = 0  # member type declarations open, see _MAX_NESTING
+        self._generic_closes: dict[int, int] | None = None
 
     def warn(self, message: str, line: int | None = None):
         self.diagnostics.append(ParseDiagnostic(self.path, line or self.cur.line(), message))
@@ -678,14 +784,14 @@ class _FileParser:
                     self._skip_annotation()
                 elif t == "package":
                     cur.next()
-                    self.package = self._dotted_name()
+                    self.package = cur.dotted_name()
                     self._skip_to(";")
                 elif t == "import":
                     cur.next()
                     static = cur.at("static")
                     if static:
                         cur.next()
-                    name = self._dotted_name()
+                    name = cur.dotted_name()
                     if cur.at("."):
                         cur.next()
                         cur.expect("*")
@@ -717,48 +823,13 @@ class _FileParser:
             if cur.next() == text:
                 return
 
-    def _dotted_name(self) -> str:
-        cur = self.cur
-        name = cur.next()
-        while cur.at(".") and cur.at_ident(1):
-            name += "." + cur.texts[cur.i + 1]
-            cur.i += 2
-        return name
-
     def _skip_annotation(self) -> str:
         cur = self.cur
         cur.expect("@")
-        name = self._dotted_name().rsplit(".", 1)[-1]
+        name = cur.dotted_name().rsplit(".", 1)[-1]
         if cur.at("("):
             cur.skip_balanced("(", ")")
         return name
-
-    # -- types -------------------------------------------------------------
-
-    def _type_ref(self) -> str:
-        """Parse a type reference, returning its canonical source text."""
-        cur = self.cur
-        t = cur.peek()
-        if t is None:
-            raise _ParseError("expected type", cur.line())
-        if t in _PRIMITIVES:
-            cur.next()
-            text = t
-        elif t[0] in _IDENT_START and t not in _KEYWORDS:
-            text = self._dotted_name()
-        else:
-            raise _ParseError(f"expected type, found '{t}'", cur.line())
-        if cur.at("<"):
-            start = cur.i
-            try:
-                cur.skip_generics()
-                text += "".join(cur.texts[start:cur.i])
-            except _ParseError:
-                cur.i = start
-        while cur.at("[") and cur.at("]", 1):
-            cur.i += 2
-            text += "[]"
-        return text
 
     # -- class declarations --------------------------------------------------
 
@@ -784,7 +855,7 @@ class _FileParser:
         while cur.at("extends") or cur.at("implements") or cur.at("permits"):
             keyword = cur.next()
             while True:
-                sup = self._type_ref()
+                sup = cur.type_ref()
                 if keyword != "permits":
                     supertypes.append(erase_generics(sup))
                 if cur.at(","):
@@ -916,7 +987,7 @@ class _FileParser:
                                 in_interface, methods, constructor=True)
             return
         line = cur.line()
-        declared = self._type_ref()
+        declared = cur.type_ref()
         if not cur.at_ident():
             raise _ParseError("expected member name", line)
         name = cur.next()
@@ -962,15 +1033,15 @@ class _FileParser:
         if cur.at("throws"):
             cur.next()
             while True:
-                self._type_ref()
+                cur.type_ref()
                 if cur.at(","):
                     cur.next()
                     continue
                 break
-        body: tuple[Statement, ...] = ()
+        body: tuple[Statement, ...] | _DeferredBody = ()
         is_abstract = False
         if cur.at("{"):
-            body = tuple(_BodyParser(self).parse_block())
+            body = self._body()
         elif cur.at(";"):
             cur.next()
             is_abstract = True
@@ -1000,6 +1071,91 @@ class _FileParser:
             is_abstract=is_abstract,
         ))
 
+    def _body(self) -> tuple[Statement, ...] | _DeferredBody:
+        """The method body at the cursor: deferred when the scan accepts
+        it, else parsed now."""
+        cur = self.cur
+        scan = self._scan_body(cur.i)
+        if scan is None:
+            return tuple(_BodyParser(cur, self.depth, self.path, self.diagnostics).parse_block())
+        deferred = _DeferredBody(cur.at_index(cur.i), self.depth, self.path, scan[1])
+        self.diagnostics.append(deferred)
+        cur.i = scan[0]
+        return deferred
+
+    def _scan_body(self, start: int) -> tuple[int, set[str]] | None:
+        """One pass over the body whose '{' is token start, building no
+        Expr: the index just past its matching '}', and every name a Call
+        parsed from the body can have. None when the parser might end the
+        body elsewhere, or when it should meet the body's faults now:
+
+        - brackets that are not well nested, or nested deeper than
+          _MAX_NESTING, or no matching '}';
+        - a case or default label with a brace before its ':' or '->',
+          which the parser skips to without matching brackets;
+        - a skip of type arguments (_Cursor.skip_generics) that passes a
+          brace and that the parser might keep (_may_keep_generics).
+
+        Otherwise every brace the parser consumes is consumed with its
+        match, so its parse of the body ends where the scan ends. The
+        names are those right before '(', those right before type
+        arguments followed by '(' (x.m<T>(...)), and "iterate" when the
+        body has a for (an enhanced for is a call named so)."""
+        texts = self.cur.texts
+        stack: list[str] = []  # closers expected, innermost last
+        braces: list[int] = []
+        names: set[str] = set()
+        angles: list[int] = []  # '<' right after a name: skip_generics may start there
+        labelled = False  # in a case or default label
+        for i in range(start, len(texts)):
+            t = texts[i]
+            if t not in _SCAN_STOPS:
+                continue
+            closer = _CLOSER_OF.get(t)
+            if closer is not None:
+                if t == "(":
+                    before = texts[i - 1]
+                    if before[0] in _IDENT_START:
+                        names.add(before)
+                elif t == "{":
+                    if labelled:
+                        return None
+                    braces.append(i)
+                stack.append(closer)
+                if len(stack) > _MAX_NESTING:
+                    return None
+            elif t is None:
+                return None
+            elif t in _CLOSERS:
+                if stack.pop() != t:
+                    return None
+                if t == "}":
+                    if labelled:
+                        return None
+                    braces.append(i)
+                    if not stack:
+                        break
+            elif t == "<":
+                if texts[i - 1][0] in _IDENT_START:
+                    angles.append(i)
+            elif t == "for":
+                names.add("iterate")
+            else:
+                labelled = t == "case" or t == "default"
+        end = i + 1
+        if angles:
+            if self._generic_closes is None:
+                self._generic_closes = _generic_closes(texts)
+            for s in angles:
+                p = self._generic_closes.get(s)
+                if p is None:
+                    continue  # the skip runs off the end: every caller rewinds
+                if texts[s - 2] == "." and texts[p + 1] == "(":
+                    names.add(texts[s - 1])
+                if braces[bisect.bisect_right(braces, s)] < p and _may_keep_generics(texts, s, p):
+                    return None
+        return end, names
+
     def _parse_params(self) -> tuple[Param, ...]:
         cur = self.cur
         cur.expect("(")
@@ -1010,7 +1166,7 @@ class _FileParser:
                 self._skip_annotation()
             if cur.at("final"):
                 cur.next()
-            declared = self._type_ref()
+            declared = cur.type_ref()
             if cur.at("..."):
                 cur.next()
                 declared += "[]"
@@ -1027,14 +1183,82 @@ class _FileParser:
         return tuple(params)
 
 
-class _BodyParser:
-    """Parses one method body into a flat statement list."""
+def _generic_closes(texts: list[str | None]) -> dict[int, int]:
+    """For each '<' token, the '>' token at which _Cursor.skip_generics
+    started there stops; none when the skip runs off the end."""
+    closes: dict[int, int] = {}
+    pending: list[int] = []
+    for i in [i for i, t in enumerate(texts) if t in _ANGLES]:
+        t = texts[i]
+        if t == "<":
+            pending.append(i)
+        else:
+            for _ in range(len(t)):
+                if pending:
+                    closes[pending.pop()] = i
+    return closes
 
-    def __init__(self, file_parser: _FileParser):
-        self.fp = file_parser
-        self.cur = file_parser.cur
+
+def _may_keep_generics(texts: list[str | None], s: int, p: int) -> bool:
+    """Whether the parser might keep a skip of type arguments from the '<'
+    at s through the '>' at p, rather than rewind it: when the name before
+    s is read as a type where nothing rewinds (after new, instanceof,
+    final, '|', catch ( or for (), or when what follows p fits a call
+    x.m<T>(, a cast (T<U>) or a declaration T<U> name =."""
+    c = s - 1  # start of the dotted name that ends right before s
+    while texts[c - 1] == "." and texts[c - 2][0] in _IDENT_START:
+        c -= 2
+    before = texts[c - 1]
+    if before in ("new", "instanceof", "final", "|") or (
+            before == "(" and texts[c - 2] in ("catch", "for")):
+        return True
+    q = p + 1
+    if texts[s - 2] == "." and texts[q] == "(":
+        return True
+    while texts[q] == "[" and texts[q + 1] == "]":
+        q += 2
+    if before == "(" and texts[q] == ")":
+        return True
+    t = texts[q]
+    return t is not None and t[0] in _IDENT_START and texts[q + 1] in ("=", ";", ",")
+
+
+class _DeferredBody:
+    """A method body the scan accepted, parsed when first read: from its
+    '{' at cur, at class nesting depth. names holds every name a Call parsed
+    from it can have. Once it is parsed, diagnostics holds its diagnostics,
+    which are also written to stderr then if echo is set."""
+
+    __slots__ = ("cur", "depth", "path", "names", "diagnostics", "echo")
+
+    def __init__(self, cur: _Cursor, depth: int, path: str, names: set[str]):
+        self.cur = cur
+        self.depth = depth
+        self.path = path
+        self.names = names
+        self.diagnostics: list[ParseDiagnostic] = []
+        self.echo = False
+
+    def parse(self) -> tuple[Statement, ...]:
+        body = tuple(_BodyParser(self.cur, self.depth, self.path, self.diagnostics).parse_block())
+        self.cur = None  # the file's tokens can go once all its bodies are parsed
+        if self.echo:
+            for d in self.diagnostics:
+                print(d.format(), file=sys.stderr)
+        return body
+
+
+class _BodyParser:
+    """Parses one method body, from the '{' at the cursor, into a flat
+    statement list; diagnostics of the file at path go to diagnostics."""
+
+    def __init__(self, cur: _Cursor, depth: int, path: str,
+                 diagnostics: list[ParseDiagnostic]):
+        self.cur = cur
+        self.path = path
+        self.diagnostics = diagnostics
         self.stmts: list[Statement] = []
-        self.depth = file_parser.depth  # nesting levels open, see _MAX_NESTING
+        self.depth = depth  # nesting levels open, see _MAX_NESTING
 
     def parse_block(self) -> list[Statement]:
         self.cur.expect("{")
@@ -1085,7 +1309,7 @@ class _BodyParser:
         """Consume one unparseable statement, keeping its identifiers."""
         cur = self.cur
         line = cur.line()
-        self.fp.warn(f"opaque statement ({reason})", line)
+        self.diagnostics.append(ParseDiagnostic(self.path, line, f"opaque statement ({reason})"))
         start = cur.i
         depth = 0
         while not cur.eof():
@@ -1254,7 +1478,7 @@ class _BodyParser:
         if enhanced:
             if cur.at("final"):
                 cur.next()
-            declared = self.fp._type_ref()
+            declared = cur.type_ref()
             name = cur.next()
             cur.expect(":")
             iterable = self._expr()
@@ -1320,10 +1544,10 @@ class _BodyParser:
             line = cur.line()
             if cur.at("final"):
                 cur.next()
-            ex_type = self.fp._type_ref()
+            ex_type = cur.type_ref()
             while cur.at("|"):
                 cur.next()
-                self.fp._type_ref()
+                cur.type_ref()
             name = cur.next()
             cur.expect(")")
             # The exception object originates inside the runtime.
@@ -1361,7 +1585,7 @@ class _BodyParser:
             cur.i = start
             return False
         try:
-            declared = self.fp._type_ref()
+            declared = cur.type_ref()
         except _ParseError:
             cur.i = start
             return False
@@ -1429,7 +1653,7 @@ class _BodyParser:
                 break
             cur.i += 1
             if op == "instanceof":
-                self.fp._type_ref()
+                cur.type_ref()
                 if cur.at_ident():
                     cur.i += 1
                 left = binary_op("instanceof", left)
@@ -1476,7 +1700,7 @@ class _BodyParser:
         start = cur.i
         cur.expect("(")
         try:
-            declared = self.fp._type_ref()
+            declared = cur.type_ref()
         except _ParseError:
             cur.i = start
             return None
@@ -1515,7 +1739,7 @@ class _BodyParser:
                 if nxt == "new":
                     # Qualified inner-class creation: treat opaque.
                     cur.i += 2
-                    tp = self.fp._type_ref()
+                    tp = cur.type_ref()
                     args = self._call_args() if cur.at("(") else ()
                     e = new_object(tp, *args)
                     continue
@@ -1608,7 +1832,7 @@ class _BodyParser:
             return literal(t)
         if t == "new":
             cur.next()
-            tp = self.fp._type_ref()
+            tp = cur.type_ref()
             if cur.at("("):
                 args = self._call_args()
                 if cur.at("{"):
@@ -1638,7 +1862,7 @@ class _BodyParser:
 # ---------------------------------------------------------------------------
 
 
-def parse_file(path: Path, diagnostics: list[ParseDiagnostic]) -> list[ClassDecl]:
+def parse_file(path: Path, diagnostics: list[ParseDiagnostic | _DeferredBody]) -> list[ClassDecl]:
     try:
         source = path.read_text(encoding="utf-8", errors="replace")
     except OSError as e:
@@ -1656,10 +1880,13 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
                   exclude_dirs: tuple[str, ...] = ()) -> CodeModel:
     """Parse every .java file under root into an immutable CodeModel.
 
-    Files that fail to parse are recorded as diagnostics, never raised.
-    Diagnostics are also written to stderr as 'WARN <file>:<line> <message>'.
-    exclude_dirs are root-relative prefixes to skip (e.g. the test directory
-    the generator itself writes into).
+    Declarations are parsed now, and so is each method body that fails the
+    body scan (see _FileParser._scan_body); every other body is parsed when
+    first read. Files that fail to parse are recorded as diagnostics, never
+    raised. Diagnostics are also written to stderr as
+    'WARN <file>:<line> <message>': those found here at once, a deferred
+    body's when it is parsed. exclude_dirs are root-relative prefixes to
+    skip (e.g. the test directory the generator itself writes into).
     """
     root = Path(root)
     if not root.is_dir():
@@ -1672,21 +1899,27 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
                             for p in prefixes)]
     if not files:
         raise NoSourceFiles(f"no .java files under {root}")
-    diagnostics: list[ParseDiagnostic] = []
+    log: list[ParseDiagnostic | _DeferredBody] = []
     classes: list[ClassDecl] = []
     index: dict[str, ClassDecl] = {}
     for f in files:
-        for cls in parse_file(f, diagnostics):
+        for cls in parse_file(f, log):
             if cls.fqn in index:
-                diagnostics.append(ParseDiagnostic(
+                for m in cls.methods:
+                    m.body  # parsed now: nothing could read it later
+                log.append(ParseDiagnostic(
                     str(f), 1, f"duplicate class {cls.fqn}; keeping first"))
                 continue
             index[cls.fqn] = cls
             classes.append(cls)
+    model = CodeModel(classes=tuple(classes), index=index, parse_log=tuple(log))
     if emit_warnings:
-        for d in diagnostics:
+        for d in model.diagnostics:
             print(d.format(), file=sys.stderr)
-    return CodeModel(classes=tuple(classes), index=index, diagnostics=tuple(diagnostics))
+        for entry in log:
+            if type(entry) is _DeferredBody:
+                entry.echo = True
+    return model
 
 
 def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):

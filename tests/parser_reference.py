@@ -1238,4 +1238,4 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     if emit_warnings:
         for d in diagnostics:
             print(d.format(), file=sys.stderr)
-    return CodeModel(classes=tuple(classes), index=index, diagnostics=tuple(diagnostics))
+    return CodeModel(classes=tuple(classes), index=index, parse_log=tuple(diagnostics))

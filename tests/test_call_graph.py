@@ -324,11 +324,14 @@ class TestOnDemandGraph:
         paths = extract_call_paths(graph, model, targets, PathFilterConfig())
         assert [p.signatures() for p in paths] == [t.signatures for t in pair.paths]
         assert sum(resolved.values()) == 4
+        # The call-site buckets walked only the bodies that call the asked
+        # names: the four sinks and the four entries, each statement once.
+        cone = {m for p in paths for m in p.methods}
+        assert len(cone) == 8
+        assert set(walked) == {id(st) for m in cone for st in m.body}
+        assert max(walked.values()) == 1
         edges = graph.edges
         assert max(resolved.values()) == 1  # not even when the full view is read
-        # One walk over the bodies fills the call-site index, read by all four.
-        statements = sum(len(m.body) for _, m in model.all_methods())
-        assert len(walked) == statements and max(walked.values()) == 1
         resolved.clear()
         monkeypatch.setattr(call_graph_reference, "resolve_invocation", counting_resolve)
         assert edges == eager_call_graph(model).edges

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulnreach import cli
+from vulnreach import cli, code_model
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
 from vulnreach.call_graph import PathBudgetExceeded
 from vulnreach.code_model import parse_project
@@ -17,7 +18,7 @@ from vulnreach.confirm import read_report
 from vulnreach.vuln_report import check_doc, parse_report
 
 from call_graph_reference import eager_call_graph
-from conftest import bench_spans, fixture_paths, time_limit
+from conftest import bench_generators, bench_spans, fixture_paths, time_limit, write_pair
 from java_sources import VOCAB
 
 STUB = Path(__file__).parent / "stub_tool.py"
@@ -344,6 +345,85 @@ def test_readme_examples_fit_the_schemas():
     run = cli._merge(cli._build_parser().parse_args(["analyze"]), checked)
     assert run.llm is not None and run.toolchain is not None
     assert parse_report(descriptor).cve_id == "CVE-2017-7957"
+
+
+class TestBodiesOnDemand:
+    """analyze parses a method body only when the analysis reads it."""
+
+    XML2OBJ = "com.lion.util.XmlUtil#xml2Obj(String,Class<T>)"
+
+    @staticmethod
+    def _keep_models(monkeypatch) -> list:
+        """The models analyze parses, each with the signatures of the
+        methods whose bodies were deferred when parse_project returned."""
+        runs = []
+        parse = cli.parse_project
+
+        def keeping(*args, **kwargs):
+            model = parse(*args, **kwargs)
+            runs.append((model, {m.signature() for _, m in model.all_methods()
+                                 if "body" not in vars(m)}))
+            return model
+
+        monkeypatch.setattr(cli, "parse_project", keeping)
+        return runs
+
+    def test_only_the_backward_cone_is_parsed(self, tmp_path, monkeypatch):
+        # The project declares 1,328 methods: an eager front end parses all
+        # 1,300 bodies.
+        (pair,) = bench_generators().wide_project(21)
+        root = write_pair(pair, tmp_path / "wide")
+        (root / "src/test/java").mkdir(parents=True)
+        poc = tmp_path / "poc.json"
+        poc.write_text(json.dumps(pair.poc), encoding="utf-8")
+        parsed = collections.Counter()
+        parse_block = code_model._BodyParser.parse_block
+
+        def counting(parser):
+            parsed[parser.path, parser.cur.i] += 1
+            return parse_block(parser)
+
+        monkeypatch.setattr(code_model._BodyParser, "parse_block", counting)
+        runs = self._keep_models(monkeypatch)
+        assert main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(tmp_path / "out")]) == 2
+        ((model, deferred),) = runs
+        assert len(deferred) == 1300
+        report = read_report(tmp_path / "out" / "report.json")
+        on_paths = {model.method_by_signature(s) for p in report.paths for s in p.signatures}
+        assert len(report.paths) == 4 and len(on_paths) == 8
+        assert all("body" in vars(m) for m in on_paths)  # parsed
+        assert sum(parsed.values()) == 8 and max(parsed.values()) == 1
+
+    @pytest.mark.parametrize("line", [
+        "String deep = " + "f(" * 127 + "xml" + ")" * 127 + ";",
+        "if (a) " * 200 + "x();",
+    ], ids=["calls-127", "ifs-200"])
+    def test_deep_body_on_the_path_is_parsed_in_the_run(self, scratch_project, tmp_path,
+                                                         capsys, monkeypatch, line):
+        # The body nests as deep as the scan defers, and deeper than the
+        # parser follows: it is parsed inside the analysis, which writes its
+        # warning then.
+        root = scratch_project("lion_reachable")
+        util = root / "src/main/java/com/lion/util/XmlUtil.java"
+        util.write_text(util.read_text().replace(
+            "XStream xStream = new XStream();", f"{line}\n        XStream xStream = new XStream();"))
+        _, poc, _ = fixture_paths("lion_reachable")
+        runs = self._keep_models(monkeypatch)
+        assert main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        ((model, deferred),) = runs
+        method = model.method_by_signature(self.XML2OBJ)
+        assert self.XML2OBJ in deferred and "body" in vars(method)  # parsed in the run
+        expected = parse_project(root, emit_warnings=False, exclude_dirs=("src/test/java",))
+        assert method.body == expected.method_by_signature(self.XML2OBJ).body
+        for _, m in expected.all_methods():
+            m.body
+        line_no = util.read_text().splitlines().index("        " + line) + 1
+        assert err.splitlines() == [d.format() for d in expected.diagnostics] == [
+            f"WARN {util}:{line_no} opaque statement "
+            f"(nesting deeper than {code_model._MAX_NESTING})"]
 
 
 class TestBenchContract:

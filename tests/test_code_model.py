@@ -185,22 +185,36 @@ class TestResolveInvocation:
 
 
 def _parse_source(module, source: str):
-    """(classes, diagnostics) of one source text under a front end module."""
-    diagnostics: list = []
-    classes = module._FileParser("Src.java", source, diagnostics).parse()
-    return classes, diagnostics
+    """(classes, diagnostics) of one source text under a front end module,
+    with every method body parsed."""
+    log: list = []
+    classes = module._FileParser("Src.java", source, log).parse()
+    return classes, list(_all_bodies_parsed(code_model.CodeModel(tuple(classes), {}, tuple(log))))
+
+
+def _all_bodies_parsed(model):
+    """The model's diagnostics once every method body has been read."""
+    for _, m in model.all_methods():
+        m.body
+    return model.diagnostics
+
+
+def _assert_same_model(model, reference):
+    assert _all_bodies_parsed(model) == reference.diagnostics
+    assert model == reference  # classes and index; the bodies compare as statements
 
 
 class TestAgainstReference:
     """The one-call tokenizer and precedence-climbing parser build the same
     model as the front end they replaced (tests/parser_reference.py):
-    classes, statements and diagnostics alike."""
+    classes, statements and diagnostics alike, once every deferred body has
+    been parsed."""
 
     def test_corpus(self):
         for name in corpus_names():
             project, _, _ = fixture_paths(name)
-            assert parse_project(project, emit_warnings=False) == \
-                parser_reference.parse_project(project, emit_warnings=False)
+            _assert_same_model(parse_project(project, emit_warnings=False),
+                               parser_reference.parse_project(project, emit_warnings=False))
 
     @pytest.mark.parametrize("generator", sorted(gen.GENERATORS))
     def test_generated_projects(self, generator, tmp_path):
@@ -209,7 +223,8 @@ class TestAgainstReference:
                 root = write_pair(pair, tmp_path / f"{seed}-{pair.name}")
                 model = parse_project(root, emit_warnings=False)
                 assert len(model.classes) == pair.classes
-                assert model == parser_reference.parse_project(root, emit_warnings=False)
+                _assert_same_model(model,
+                                   parser_reference.parse_project(root, emit_warnings=False))
 
     def test_random_sources(self):
         rng = random.Random(6060)
@@ -251,6 +266,123 @@ class TestAgainstReference:
     ], ids=["supertypes", "constructions", "casts", "increments"])
     def test_type_texts_and_increments_the_reference_parses(self, source):
         assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
+
+
+def _scan_checked(source: str) -> list[str]:
+    """Names of the methods of source whose bodies the file parser deferred.
+    Parsing each deferred body where the file parser would have parsed it
+    ends where the body scan ended, and the scan's call names hold the name
+    of every Call in it."""
+    log: list = []
+    file_parser = code_model._FileParser("Src.java", source, log)
+    classes = file_parser.parse()
+    for entry in log:
+        if type(entry) is code_model._DeferredBody:
+            parser = code_model._BodyParser(entry.cur.at_index(entry.cur.i), entry.depth,
+                                            entry.path, [])
+            statements = parser.parse_block()
+            assert parser.cur.i == file_parser._scan_body(entry.cur.i)[0], source
+            assert {c.name for st in statements for c in st.calls()} <= entry.names, source
+    return [m.name for c in classes for m in c.methods
+            if "body" not in vars(m)]
+
+
+class TestBodyScan:
+    """The scan that defers a method body agrees with the parser on every
+    body it defers, and leaves to the parser at once every body that the
+    parser might end somewhere else."""
+
+    def test_corpus_and_generated_projects(self):
+        sources = [f.read_text(encoding="utf-8") for name in corpus_names()
+                   for f in sorted(fixture_paths(name)[0].rglob("*.java"))]
+        for generator in sorted(gen.GENERATORS):
+            for seed in (1, 2):
+                for pair in gen.GENERATORS[generator](seed):
+                    sources.extend(pair.files.values())
+        for source in sources:
+            bodies = sum(not m.is_abstract for c in _parse_source(code_model, source)[0]
+                         for m in c.methods)
+            assert len(_scan_checked(source)) == bodies  # every body deferred
+
+    def test_random_sources(self):
+        rng = random.Random(7070)
+        makers = (token_soup, mutated_corpus_file, random_method_source)
+        deferred = bodies = 0
+        with time_limit(60):
+            for k in range(600):
+                source = makers[k % 3](rng)
+                deferred += len(_scan_checked(source))
+                bodies += sum(not m.is_abstract for c in _parse_source(code_model, source)[0]
+                              for m in c.methods)
+        assert deferred >= 250 and bodies - deferred >= 100  # both kinds are checked
+
+    @pytest.mark.parametrize("source, calls", [
+        ("class C { C(String a) { this(a, a); super.m(a); } }", {"this", "m"}),
+        ("class C { void m(String a) { x.m<T>(a); y.<T>n(a); } }", {"m"}),
+        ("class C { void m(String a) { new T(a).m(); } }", {"m"}),
+        ("class C { void m(String a) { f(b -> g(b)); h((b, c) -> { k(b); }); } }", {"f", "h"}),
+        ("class C { void m(String a) { Object o = new T(a) { void r() { q(); } }; o.s(); } }",
+         {"s"}),
+        ("enum E { A { void f() { g(); } }, B; void h() { k(a); } }", {"k"}),
+        ("class C { void m(List<String> xs) { for (String s : xs) { p(s); } "
+         "for (int i = 0; i < xs.size(); i++) { q(i); } if (i > 2) r(); } }",
+         {"iterate", "p", "size", "q", "r"}),
+    ], ids=["this-super", "type-arguments", "new-then-call", "lambdas", "anonymous-class",
+            "enum-constant-body", "loops-and-comparisons"])
+    def test_targeted_bodies(self, source, calls):
+        classes, _ = _parse_source(code_model, source)
+        (method,) = classes[0].methods
+        assert {c.name for st in method.body for c in st.calls()} == calls
+        assert _scan_checked(source) == [method.name]
+
+    @pytest.mark.parametrize("source", [
+        "class C { void m() { if (a.b < c) { x(); } y = f(d > (e)); } void n() { z(); } }",
+        "class C { void m() { if (a.b < c) { } } void n() { f(d > (e)); } }",
+        "class C { void m() { y = (a < b); { } z = (c >) d; } void n() { g(); } }",
+        "class C { void m() { switch (x) { case A { f(); } } } void n() { g(); } }",
+        "class C { void m() { ) } void n() { g(); } }",
+    ], ids=["type-arguments-past-a-block", "type-arguments-past-the-body", "cast-past-a-block",
+            "case-label-past-a-brace", "stray-closer"])
+    def test_bodies_the_parser_might_end_elsewhere_are_parsed_at_once(self, source):
+        assert "m" not in _scan_checked(source)
+        assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
+
+    def test_bodies_nested_past_the_limit_are_parsed_at_once(self):
+        # The body's own brace counts: a body holds at most _MAX_NESTING - 1
+        # levels of brackets and is still deferred.
+        limit = code_model._MAX_NESTING
+        for levels, deferred in ((limit - 1, ["m"]), (limit, []), (5000, [])):
+            nest = "(" * levels + "a" + ")" * levels
+            assert _scan_checked(f"class C {{ void m() {{ x = {nest}; }} }}") == deferred
+            nest = "{" * levels + "}" * levels
+            assert _scan_checked(f"class C {{ void m() {{ {nest} }} }}") == deferred
+
+    def test_call_sites_read_deferred_and_parsed_bodies_alike(self, tmp_path):
+        (tmp_path / "C.java").write_text(
+            "class C {\n"
+            "  void a() { t(); ] }\n"  # parsed at once
+            "  void b() { x(); }\n"
+            "  void c(String s) { if (s.isEmpty()) { t(); } t(); }\n"
+            "  void t() { }\n"
+            "}\n")
+        model = parse_project(tmp_path, emit_warnings=False)
+        assert [("body" in vars(m)) for _, m in model.all_methods()] == [
+            True, False, False, False]
+        assert [(m.name, st.index) for m, st, _ in model.call_sites("t", 0)] == [
+            ("a", 0), ("c", 1), ("c", 2)]
+        assert [("body" in vars(m)) for _, m in model.all_methods()] == [
+            True, False, True, False]
+
+    def test_duplicate_class_keeps_its_body_diagnostics(self, tmp_path):
+        # The second C is dropped from the model, so nothing could read its
+        # bodies later: their diagnostics are reported with the parse.
+        (tmp_path / "A.java").write_text("class C { void m() { } }")
+        (tmp_path / "B.java").write_text("class C { void m() { x y z; } }")
+        model = parse_project(tmp_path, emit_warnings=False)
+        reference = parser_reference.parse_project(tmp_path, emit_warnings=False)
+        assert model.diagnostics == reference.diagnostics
+        assert [d.message for d in model.diagnostics] == [
+            "opaque statement (expected ';')", "duplicate class C; keeping first"]
 
 
 class TestTypeNames:
