@@ -12,8 +12,10 @@ Declarations are parsed eagerly. A method body is only scanned at first: one
 pass over its tokens finds its end and the names it may call. Its statements
 are parsed when MethodDecl.body is first read, so the analysis pays only for
 the bodies it reads; CodeModel.call_sites uses the names to parse only the
-bodies that may hold the calls asked for. A body whose scan finds a fault, or
-that the parser might end elsewhere than the scan, is parsed at once.
+bodies that may hold the calls asked for. A body whose brackets are unbalanced
+or nested too deeply is parsed at once. The parser consumes a brace only together with its
+match (type arguments end at '{', '}' or ';', a case label at a brace), so
+it ends every other body where the scan ends it.
 
 The model is the substrate for call-graph construction and parameter-transfer
 analysis; it is not a general-purpose Java front end (no type inference, no
@@ -22,7 +24,6 @@ annotation processing, no bytecode).
 
 from __future__ import annotations
 
-import bisect
 import re
 import sys
 from dataclasses import dataclass, field
@@ -609,6 +610,12 @@ class _ParseError(Exception):
         self.line = line
 
 
+# Brackets by opener, and the tokens no type argument holds.
+_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
+_CLOSERS = frozenset(_CLOSER_OF.values())
+_TYPE_ARGUMENT_ENDS = frozenset(("{", "}", ";"))
+
+
 class _Cursor:
     """Position i in a file's tokens: texts[j] is token j's text, lines[j] its
     line. Two None sentinels after the last token let peek, at and at_ident
@@ -672,9 +679,13 @@ class _Cursor:
         return self.texts[start:self.i]
 
     def skip_generics(self) -> None:
-        """Skip a balanced <...> group starting at the cursor."""
+        """Skip a balanced <...> group starting at the cursor. It fails at
+        a '{', '}' or ';', which it leaves unconsumed."""
         depth = 0
         while True:
+            if self.texts[self.i] in _TYPE_ARGUMENT_ENDS:
+                raise _ParseError(f"unexpected '{self.texts[self.i]}' in type arguments",
+                                  self.line())
             t = self.next()
             if t == "<":
                 depth += 1
@@ -682,6 +693,27 @@ class _Cursor:
                 depth -= len(t)
             if depth <= 0:
                 return
+
+    def skip_to(self, stops: tuple[str, ...]) -> str | None:
+        """Move to the next token in stops outside the brackets opened on
+        the way, or to a closer that none of them matches, and return it
+        unconsumed; None at the end."""
+        texts = self.texts
+        i = self.i
+        depth = 0
+        while True:
+            t = texts[i]
+            if t is None or (depth == 0 and t in stops):
+                break
+            if t in _CLOSER_OF:
+                depth += 1
+            elif t in _CLOSERS:
+                if depth == 0:
+                    break
+                depth -= 1
+            i += 1
+        self.i = i
+        return t
 
     def dotted_name(self) -> str:
         name = self.next()
@@ -735,10 +767,9 @@ _MAX_NESTING = 128
 _COMPOUND_ASSIGN = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
 
 # Tokens the body scan acts on; None is the end of the file.
-_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = frozenset(_CLOSER_OF.values())
-_SCAN_STOPS = frozenset((*_CLOSER_OF, *_CLOSERS, None, "<", "for", "case", "default", ":", "->"))
-_ANGLES = frozenset(("<", ">", ">>", ">>>"))
+_SCAN_STOPS = frozenset((*_CLOSER_OF, *_CLOSERS, None, "<", "for"))
+# Tokens that start, end or fail a type-argument skip.
+_GENERIC_TOKENS = frozenset(("<", ">", ">>", ">>>", *_TYPE_ARGUMENT_ENDS))
 
 # Binary operators by precedence; instanceof parses as a relational operator
 # whose right-hand side is a type.
@@ -875,10 +906,10 @@ class _FileParser:
                 self._parse_member(fqn, simple, kw == "interface", methods, fields)
             except _ParseError as e:
                 self.warn(str(e), e.line)
-                self._resync_member()
-                if cur.i == start:
-                    # Nothing consumed (a stray ')' or ']'): the next member
-                    # would fail at the same token again.
+                # Skip the member through its ';'. When nothing is consumed
+                # (a stray ')' or ']'), the next member would fail at the
+                # same token again: skip that token.
+                if cur.skip_to((";",)) == ";" or cur.i == start:
                     cur.next()
         if cur.at("}"):
             cur.next()
@@ -922,23 +953,6 @@ class _FileParser:
             if t in ("(", "{"):
                 depth += 1
             elif t in (")", "}"):
-                depth -= 1
-            cur.next()
-
-    def _resync_member(self):
-        cur = self.cur
-        depth = 0
-        while not cur.eof():
-            t = cur.peek()
-            if depth == 0 and t in (";", "}"):
-                if t == ";":
-                    cur.next()
-                return
-            if t in ("{", "(", "["):
-                depth += 1
-            elif t in ("}", ")", "]"):
-                if depth == 0:
-                    return
                 depth -= 1
             cur.next()
 
@@ -1000,28 +1014,13 @@ class _FileParser:
             fields.append(FieldDecl(name=name, declared_type=declared))
             if cur.at("="):
                 cur.next()
-                self._skip_initializer()
+                cur.skip_to((",", ";"))
             if cur.at(","):
                 cur.next()
                 name = cur.next()
                 continue
             break
         if cur.at(";"):
-            cur.next()
-
-    def _skip_initializer(self):
-        cur = self.cur
-        depth = 0
-        while not cur.eof():
-            t = cur.peek()
-            if depth == 0 and t in (",", ";"):
-                return
-            if t in ("(", "{", "["):
-                depth += 1
-            elif t in (")", "}", "]"):
-                if depth == 0:
-                    return
-                depth -= 1
             cur.next()
 
     def _finish_method(self, owner_fqn: str, name: str, return_type: str,
@@ -1086,27 +1085,20 @@ class _FileParser:
     def _scan_body(self, start: int) -> tuple[int, set[str]] | None:
         """One pass over the body whose '{' is token start, building no
         Expr: the index just past its matching '}', and every name a Call
-        parsed from the body can have. None when the parser might end the
-        body elsewhere, or when it should meet the body's faults now:
+        parsed from the body can have. None when the body's brackets are
+        not well nested, are nested deeper than _MAX_NESTING, or have no
+        matching '}': the parser meets those faults now.
 
-        - brackets that are not well nested, or nested deeper than
-          _MAX_NESTING, or no matching '}';
-        - a case or default label with a brace before its ':' or '->',
-          which the parser skips to without matching brackets;
-        - a skip of type arguments (_Cursor.skip_generics) that passes a
-          brace and that the parser might keep (_may_keep_generics).
-
-        Otherwise every brace the parser consumes is consumed with its
-        match, so its parse of the body ends where the scan ends. The
-        names are those right before '(', those right before type
-        arguments followed by '(' (x.m<T>(...)), and "iterate" when the
-        body has a for (an enhanced for is a call named so)."""
+        The parser consumes a brace only together with its match (type
+        arguments and case labels end at a brace), so its parse of any
+        other body ends where the scan ends. The names are those right
+        before '(', those right before type arguments followed by '('
+        (x.m<T>(...)), and "iterate" when the body has a for (an enhanced
+        for is a call named so)."""
         texts = self.cur.texts
         stack: list[str] = []  # closers expected, innermost last
-        braces: list[int] = []
         names: set[str] = set()
         angles: list[int] = []  # '<' right after a name: skip_generics may start there
-        labelled = False  # in a case or default label
         for i in range(start, len(texts)):
             t = texts[i]
             if t not in _SCAN_STOPS:
@@ -1117,10 +1109,6 @@ class _FileParser:
                     before = texts[i - 1]
                     if before[0] in _IDENT_START:
                         names.add(before)
-                elif t == "{":
-                    if labelled:
-                        return None
-                    braces.append(i)
                 stack.append(closer)
                 if len(stack) > _MAX_NESTING:
                     return None
@@ -1129,31 +1117,21 @@ class _FileParser:
             elif t in _CLOSERS:
                 if stack.pop() != t:
                     return None
-                if t == "}":
-                    if labelled:
-                        return None
-                    braces.append(i)
-                    if not stack:
-                        break
+                if not stack:
+                    break
             elif t == "<":
                 if texts[i - 1][0] in _IDENT_START:
                     angles.append(i)
-            elif t == "for":
-                names.add("iterate")
             else:
-                labelled = t == "case" or t == "default"
+                names.add("iterate")  # t is "for"
         end = i + 1
         if angles:
             if self._generic_closes is None:
                 self._generic_closes = _generic_closes(texts)
             for s in angles:
                 p = self._generic_closes.get(s)
-                if p is None:
-                    continue  # the skip runs off the end: every caller rewinds
-                if texts[s - 2] == "." and texts[p + 1] == "(":
+                if p is not None and texts[s - 2] == "." and texts[p + 1] == "(":
                     names.add(texts[s - 1])
-                if braces[bisect.bisect_right(braces, s)] < p and _may_keep_generics(texts, s, p):
-                    return None
         return end, names
 
     def _parse_params(self) -> tuple[Param, ...]:
@@ -1185,42 +1163,20 @@ class _FileParser:
 
 def _generic_closes(texts: list[str | None]) -> dict[int, int]:
     """For each '<' token, the '>' token at which _Cursor.skip_generics
-    started there stops; none when the skip runs off the end."""
+    started there stops; none when the skip fails."""
     closes: dict[int, int] = {}
     pending: list[int] = []
-    for i in [i for i, t in enumerate(texts) if t in _ANGLES]:
+    for i in [i for i, t in enumerate(texts) if t in _GENERIC_TOKENS]:
         t = texts[i]
         if t == "<":
             pending.append(i)
+        elif t in _TYPE_ARGUMENT_ENDS:
+            pending.clear()
         else:
             for _ in range(len(t)):
                 if pending:
                     closes[pending.pop()] = i
     return closes
-
-
-def _may_keep_generics(texts: list[str | None], s: int, p: int) -> bool:
-    """Whether the parser might keep a skip of type arguments from the '<'
-    at s through the '>' at p, rather than rewind it: when the name before
-    s is read as a type where nothing rewinds (after new, instanceof,
-    final, '|', catch ( or for (), or when what follows p fits a call
-    x.m<T>(, a cast (T<U>) or a declaration T<U> name =."""
-    c = s - 1  # start of the dotted name that ends right before s
-    while texts[c - 1] == "." and texts[c - 2][0] in _IDENT_START:
-        c -= 2
-    before = texts[c - 1]
-    if before in ("new", "instanceof", "final", "|") or (
-            before == "(" and texts[c - 2] in ("catch", "for")):
-        return True
-    q = p + 1
-    if texts[s - 2] == "." and texts[q] == "(":
-        return True
-    while texts[q] == "[" and texts[q + 1] == "]":
-        q += 2
-    if before == "(" and texts[q] == ")":
-        return True
-    t = texts[q]
-    return t is not None and t[0] in _IDENT_START and texts[q + 1] in ("=", ";", ",")
 
 
 class _DeferredBody:
@@ -1287,19 +1243,22 @@ class _BodyParser:
             self._statement()
 
     def _statement(self):
-        """Parse one statement; one that fails to parse is rewound and kept
-        as an opaque statement. A statement that ends in a nested statement
-        (an else branch, a loop or synchronized body) leaves that statement to
-        this loop, so an else-if chain does not deepen the stack."""
+        """Parse one statement; one that fails to parse is rewound, the
+        statements it emitted are dropped, and it is kept as an opaque
+        statement. A statement that ends in a nested statement (an else
+        branch, a loop or synchronized body) leaves that statement to this
+        loop, so an else-if chain does not deepen the stack."""
         cur = self.cur
         depth = self._nest()
         while not cur.eof():
             start = cur.i
+            emitted = len(self.stmts)
             try:
                 if not self._statement_inner():
                     break
             except _ParseError as e:
                 cur.i = start
+                del self.stmts[emitted:]
                 self.depth = depth + 1
                 self._opaque_statement(str(e))
                 break
@@ -1311,24 +1270,10 @@ class _BodyParser:
         line = cur.line()
         self.diagnostics.append(ParseDiagnostic(self.path, line, f"opaque statement ({reason})"))
         start = cur.i
-        depth = 0
-        while not cur.eof():
-            t = cur.peek()
-            if depth == 0 and t == ";":
-                cur.next()
-                break
-            if depth == 0 and t == "}":
-                break
-            if t in ("(", "[", "{"):
-                depth += 1
-            elif t in (")", "]", "}"):
-                depth -= 1
-                if depth < 0:
-                    if cur.i == start:
-                        # A stray ')' or ']': the enclosing statement loop
-                        # would otherwise stop here again and again.
-                        cur.next()
-                    break
+        stop = cur.skip_to((";",))
+        # A stray ')' or ']' is consumed: the enclosing statement loop would
+        # otherwise stop at it again and again.
+        if stop == ";" or (cur.i == start and stop in (")", "]")):
             cur.next()
         self._emit("Other", None, opaque_expr(_idents(cur.texts[start:cur.i])), line)
 
@@ -1403,24 +1348,27 @@ class _BodyParser:
             self._emit("Other", None, e, line)
         elif not self._try_declaration(line):
             # Assignment or expression statement.
-            lv_start = cur.i
             e = self._expr()
-            if cur.peek() in _COMPOUND_ASSIGN:
-                op = cur.next()
-                rhs = self._expr()
-                cur.expect(";")
-                lhs = self._lvalue_name(e)
-                if lhs is None:
-                    cur.i = lv_start
-                    raise _ParseError("unsupported assignment target", line)
-                if op != "=":
-                    rhs = binary_op(op[:-1], e, rhs)
-                self._emit("Assignment", lhs, rhs, line)
-            else:
-                cur.expect(";")
-                if not self._step(e, line):
-                    self._emit("Invocation" if e.kind == "Call" else "Other", None, e, line)
+            if not self._assignment(e, line) and not self._step(e, line):
+                self._emit("Invocation" if e.kind == "Call" else "Other", None, e, line)
+            cur.expect(";")
         return False
+
+    def _assignment(self, e: Expr, line: int) -> bool:
+        """After the target e, parse '= rhs' or a compound 'op= rhs' and
+        emit the Assignment e = rhs or e = e op rhs; False, consuming
+        nothing, when no assignment operator follows."""
+        cur = self.cur
+        op = cur.peek()
+        if op not in _COMPOUND_ASSIGN:
+            return False
+        cur.i += 1
+        rhs = self._expr()
+        lhs = self._lvalue_name(e)
+        if lhs is None:
+            raise _ParseError("unsupported assignment target", line)
+        self._emit("Assignment", lhs, rhs if op == "=" else binary_op(op[:-1], e, rhs), line)
+        return True
 
     def _step(self, e: Expr, line: int) -> bool:
         """Emit x++ or x-- as x = x + 1 or x - 1; False, emitting nothing, otherwise."""
@@ -1490,13 +1438,7 @@ class _BodyParser:
         if not cur.at(";"):
             if not self._try_declaration(line, terminator=";"):
                 e = self._expr()
-                if cur.at("="):
-                    cur.next()
-                    rhs = self._expr()
-                    lhs = self._lvalue_name(e)
-                    if lhs is not None:
-                        self._emit("Assignment", lhs, rhs, line)
-                else:
+                if not self._assignment(e, line):
                     self._emit("Other", None, e, line)
                 cur.expect(";")
         else:
@@ -1508,15 +1450,7 @@ class _BodyParser:
         if not cur.at(")"):
             while True:
                 e = self._expr()
-                if cur.peek() in ("=", "+=", "-=", "*=", "/="):
-                    op = cur.next()
-                    rhs = self._expr()
-                    lhs = self._lvalue_name(e)
-                    if lhs is not None:
-                        if op != "=":
-                            rhs = binary_op(op[:-1], e, rhs)
-                        self._emit("Assignment", lhs, rhs, line)
-                elif not self._step(e, line):
+                if not self._assignment(e, line) and not self._step(e, line):
                     self._emit("Other", None, e, line)
                 if cur.at(","):
                     cur.next()
@@ -1567,10 +1501,11 @@ class _BodyParser:
                 cur.next()
                 return
             if cur.at("case") or cur.at("default"):
-                while not cur.eof() and not cur.at(":") and not cur.at("->"):
-                    cur.next()
-                if not cur.eof():
-                    cur.next()
+                # A label ends at its ':' or '->'; it holds no brace.
+                while cur.peek() not in (":", "->", "{", "}", None):
+                    cur.i += 1
+                if cur.peek() in (":", "->"):
+                    cur.i += 1
                 continue
             self._statement()
 
@@ -1743,6 +1678,14 @@ class _BodyParser:
                     args = self._call_args() if cur.at("(") else ()
                     e = new_object(tp, *args)
                     continue
+                if nxt == "<":
+                    # Explicit type arguments: recv.<T>m(...).
+                    cur.i += 1
+                    cur.skip_generics()
+                    if not cur.at_ident():
+                        raise _ParseError("expected method name", cur.line())
+                    e = call(cur.next(), e, *self._call_args())
+                    continue
                 if nxt[0] not in _IDENT_START:
                     return e
                 cur.i += 2
@@ -1880,13 +1823,15 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
                   exclude_dirs: tuple[str, ...] = ()) -> CodeModel:
     """Parse every .java file under root into an immutable CodeModel.
 
-    Declarations are parsed now, and so is each method body that fails the
-    body scan (see _FileParser._scan_body); every other body is parsed when
-    first read. Files that fail to parse are recorded as diagnostics, never
-    raised. Diagnostics are also written to stderr as
-    'WARN <file>:<line> <message>': those found here at once, a deferred
-    body's when it is parsed. exclude_dirs are root-relative prefixes to
-    skip (e.g. the test directory the generator itself writes into).
+    Declarations are parsed now, and so is each method body whose brackets
+    are unbalanced or nested too deeply (see _FileParser._scan_body); every
+    other body is parsed when first read, and ends where the scan ends it:
+    type arguments end at '{', '}' or ';'. Files that fail to parse are
+    recorded as diagnostics, never raised. Diagnostics are also written to
+    stderr as 'WARN <file>:<line> <message>': those found here at once, a
+    deferred body's when it is parsed. exclude_dirs are root-relative
+    prefixes to skip (e.g. the test directory the generator itself writes
+    into).
     """
     root = Path(root)
     if not root.is_dir():

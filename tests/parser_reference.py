@@ -3,12 +3,26 @@ parser that `vulnreach.code_model`'s one-call tokenizer and
 precedence-climbing expression parser replaced, kept verbatim.
 
 `_tokenize` matches one lexeme at a time, whitespace included, and `_binary`
-recurses through all ten precedence levels for every operand. The only
-changes are two progress fixes, marked "progress fix", without which a stray
-`)` or `]` makes the error recovery loop forever: a class-body member that
-fails and resynchronises without consuming a token skips one token, and an
-opaque statement that starts at a stray closer consumes it. Neither changes
-the model of an input the original parser finished.
+recurses through all ten precedence levels for every operand. The changes
+are marked, each line by a comment naming its fix:
+
+- "progress fix": without these a stray `)` or `]` makes the error recovery
+  loop forever. A class-body member that fails and resynchronises without
+  consuming a token skips one token, and an opaque statement that starts at
+  a stray closer consumes it. Neither changes the model of an input the
+  original parser finished.
+- "body-bound fix": type arguments end at `{`, `}` or `;` (a skip that
+  meets one fails, leaving it unconsumed), and a `case` or `default` label
+  ends at a brace without consuming it. The original ran both past braces:
+  `class C { void m() { if (a.b < c) { } } void n() { f(d > (e)); } }`
+  lost method `n`.
+- "dropped-statements fix": a statement that fails keeps none of the
+  statements it emitted before it was rewound and made opaque.
+- "compound-assignment fix": a for header accepts the nine assignment
+  operators of a statement, rewrites `x op= e` as `x = x op e`, and fails
+  on a target that is not a variable, field or array element, as a
+  statement does; a statement checks its target before its `;`.
+- "type-argument call fix": `recv.<T>m(...)` is a call of `m`.
 
 `parse_project` serves only as the specification the new front end must
 reproduce: the same classes, statements and diagnostics. Input nested more
@@ -157,6 +171,9 @@ class _Cursor:
         """Skip a balanced <...> group starting at the cursor."""
         depth = 0
         while True:
+            if self.peek() is not None and self.peek().text in ("{", "}", ";"):  # body-bound fix
+                raise _ParseError(f"unexpected '{self.peek().text}' in type arguments",  # body-bound fix
+                                  self.line())  # body-bound fix
             t = self.next()
             if t.text == "<":
                 depth += 1
@@ -277,6 +294,9 @@ class _FileParser:
                 toks: list[str] = []
                 depth = 0
                 while True:
+                    if cur.peek() is not None and cur.peek().text in ("{", "}", ";"):  # body-bound fix
+                        raise _ParseError(f"unexpected '{cur.peek().text}' in type arguments",  # body-bound fix
+                                          cur.line())  # body-bound fix
                     tok = cur.next()
                     toks.append(tok.text)
                     if tok.text == "<":
@@ -584,10 +604,12 @@ class _BodyParser:
         if t is None:
             return
         start = cur.i
+        emitted = len(self.stmts)  # dropped-statements fix
         try:
             self._statement_inner(t)
         except _ParseError as e:
             cur.i = start
+            del self.stmts[emitted:]  # dropped-statements fix
             self._opaque_statement(str(e))
 
     def _opaque_statement(self, reason: str):
@@ -725,11 +747,11 @@ class _BodyParser:
         if nxt is not None and nxt.text in ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^="):
             op = cur.next().text
             rhs = self._expr()
-            cur.expect(";")
             lhs = self._lvalue_name(e)
             if lhs is None:
                 self.cur.i = lv_start
                 raise _ParseError("unsupported assignment target", line)
+            cur.expect(";")  # compound-assignment fix: after the target check
             if op != "=":
                 rhs = binary_op(op[:-1], e, rhs)
             self._emit("Assignment", lhs, rhs, line)
@@ -800,12 +822,15 @@ class _BodyParser:
             if not self._try_declaration(line, terminator=";"):
                 e = self._expr()
                 nxt = cur.peek()
-                if nxt is not None and nxt.text == "=":
-                    cur.next()
+                if nxt is not None and nxt.text in ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^="):  # compound-assignment fix
+                    op = cur.next().text  # compound-assignment fix
                     rhs = self._expr()
                     lhs = self._lvalue_name(e)
-                    if lhs is not None:
-                        self._emit("Assignment", lhs, rhs, line)
+                    if lhs is None:  # compound-assignment fix
+                        raise _ParseError("unsupported assignment target", line)  # compound-assignment fix
+                    if op != "=":  # compound-assignment fix
+                        rhs = binary_op(op[:-1], e, rhs)  # compound-assignment fix
+                    self._emit("Assignment", lhs, rhs, line)  # compound-assignment fix
                 else:
                     self._emit("Other", None, e, line)
                 cur.expect(";")
@@ -819,14 +844,15 @@ class _BodyParser:
             while True:
                 e = self._expr()
                 nxt = cur.peek()
-                if nxt is not None and nxt.text in ("=", "+=", "-=", "*=", "/="):
+                if nxt is not None and nxt.text in ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^="):  # compound-assignment fix
                     op = cur.next().text
                     rhs = self._expr()
                     lhs = self._lvalue_name(e)
-                    if lhs is not None:
-                        if op != "=":
-                            rhs = binary_op(op[:-1], e, rhs)
-                        self._emit("Assignment", lhs, rhs, line)
+                    if lhs is None:  # compound-assignment fix
+                        raise _ParseError("unsupported assignment target", line)  # compound-assignment fix
+                    if op != "=":  # compound-assignment fix
+                        rhs = binary_op(op[:-1], e, rhs)  # compound-assignment fix
+                    self._emit("Assignment", lhs, rhs, line)  # compound-assignment fix
                 elif e.kind == "BinaryOp" and e.name in ("++", "--") and e.args and e.args[0].kind == "VarRef":
                     name = e.args[0].name
                     self._emit("Assignment", name, binary_op(e.name[0], var_ref(name), literal("1")), line)
@@ -882,9 +908,10 @@ class _BodyParser:
                 cur.next()
                 return
             if cur.at("case") or cur.at("default"):
-                while not cur.eof() and not cur.at(":") and not cur.at("->"):
+                while (not cur.eof() and not cur.at(":") and not cur.at("->")  # body-bound fix
+                       and not cur.at("{") and not cur.at("}")):  # body-bound fix
                     cur.next()
-                if not cur.eof():
+                if not cur.eof() and not cur.at("{") and not cur.at("}"):  # body-bound fix
                     cur.next()
                 continue
             self._statement()
@@ -1050,6 +1077,14 @@ class _BodyParser:
                     args = self._call_args() if cur.at("(") else ()
                     e = new_object(tp, *args)
                     continue
+                if nxt.text == "<":  # type-argument call fix
+                    cur.next()  # type-argument call fix
+                    cur.skip_generics()  # type-argument call fix
+                    if not cur.at_ident():  # type-argument call fix
+                        raise _ParseError("expected method name", cur.line())  # type-argument call fix
+                    name = cur.next().text  # type-argument call fix
+                    e = call(name, e, *self._call_args())  # type-argument call fix
+                    continue  # type-argument call fix
                 if nxt.kind != "ident":
                     return e
                 cur.next()

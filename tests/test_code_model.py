@@ -131,6 +131,15 @@ class TestParseProject:
                     if st.lhs:
                         known.add(st.lhs)
 
+    def test_compound_assignments_in_for_headers(self):
+        # x op= e is x = x op e in a for header as in a statement.
+        classes, diagnostics = _parse_source(
+            code_model, "class C { void m(int k) { for (i += 2; i < 9; i %= 2, j ^= k, j++) { } } }")
+        assert [(st.kind, st.lhs, st.rhs_expr.name) for st in classes[0].methods[0].body] == [
+            ("Assignment", "i", "+"), ("Other", None, "<"), ("Assignment", "i", "%"),
+            ("Assignment", "j", "^"), ("Assignment", "j", "+")]
+        assert diagnostics == []
+
 
 class TestResolveInvocation:
     def test_static_call_resolves_to_declaration(self):
@@ -289,8 +298,8 @@ def _scan_checked(source: str) -> list[str]:
 
 class TestBodyScan:
     """The scan that defers a method body agrees with the parser on every
-    body it defers, and leaves to the parser at once every body that the
-    parser might end somewhere else."""
+    body it defers, and leaves to the parser at once every body whose
+    brackets are at fault."""
 
     def test_corpus_and_generated_projects(self):
         sources = [f.read_text(encoding="utf-8") for name in corpus_names()
@@ -318,7 +327,7 @@ class TestBodyScan:
 
     @pytest.mark.parametrize("source, calls", [
         ("class C { C(String a) { this(a, a); super.m(a); } }", {"this", "m"}),
-        ("class C { void m(String a) { x.m<T>(a); y.<T>n(a); } }", {"m"}),
+        ("class C { void m(String a) { x.m<T>(a); y.<T>n(a); } }", {"m", "n"}),
         ("class C { void m(String a) { new T(a).m(); } }", {"m"}),
         ("class C { void m(String a) { f(b -> g(b)); h((b, c) -> { k(b); }); } }", {"f", "h"}),
         ("class C { void m(String a) { Object o = new T(a) { void r() { q(); } }; o.s(); } }",
@@ -327,8 +336,10 @@ class TestBodyScan:
         ("class C { void m(List<String> xs) { for (String s : xs) { p(s); } "
          "for (int i = 0; i < xs.size(); i++) { q(i); } if (i > 2) r(); } }",
          {"iterate", "p", "size", "q", "r"}),
+        # A statement that fails keeps none of the statements it emitted.
+        ("class C { void m() { int a = f(x), 2; g(); } }", {"g"}),
     ], ids=["this-super", "type-arguments", "new-then-call", "lambdas", "anonymous-class",
-            "enum-constant-body", "loops-and-comparisons"])
+            "enum-constant-body", "loops-and-comparisons", "failed-declaration"])
     def test_targeted_bodies(self, source, calls):
         classes, _ = _parse_source(code_model, source)
         (method,) = classes[0].methods
@@ -336,16 +347,42 @@ class TestBodyScan:
         assert _scan_checked(source) == [method.name]
 
     @pytest.mark.parametrize("source", [
-        "class C { void m() { if (a.b < c) { x(); } y = f(d > (e)); } void n() { z(); } }",
-        "class C { void m() { if (a.b < c) { } } void n() { f(d > (e)); } }",
-        "class C { void m() { y = (a < b); { } z = (c >) d; } void n() { g(); } }",
-        "class C { void m() { switch (x) { case A { f(); } } } void n() { g(); } }",
         "class C { void m() { ) } void n() { g(); } }",
-    ], ids=["type-arguments-past-a-block", "type-arguments-past-the-body", "cast-past-a-block",
-            "case-label-past-a-brace", "stray-closer"])
+    ], ids=["stray-closer"])
     def test_bodies_the_parser_might_end_elsewhere_are_parsed_at_once(self, source):
         assert "m" not in _scan_checked(source)
         assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
+
+    @pytest.mark.parametrize("source, statements", [
+        ("class C { void m() { if (a.b < c) { x(); } y = f(d > (e)); } void n() { z(); } }",
+         {"m": [("Other", "<"), ("Invocation", "x"), ("Assignment", "f")],
+          "n": [("Invocation", "z")]}),
+        ("class C { void m() { if (a.b < c) { } } void n() { f(d > (e)); } }",
+         {"m": [("Other", "<")], "n": [("Invocation", "f")]}),
+        ("class C { void m() { y = (a < b); { } z = (c >) d; } void n() { g(); } }",
+         {"m": [("Assignment", "<"), ("Other", "<opaque>")], "n": [("Invocation", "g")]}),
+        ("class C { void m() { switch (x) { case A { f(); } } } void n() { g(); } }",
+         {"m": [("Other", "x"), ("Invocation", "f")], "n": [("Invocation", "g")]}),
+    ], ids=["type-arguments-past-a-block", "type-arguments-past-the-body", "cast-past-a-block",
+            "case-label-past-a-brace"])
+    def test_type_arguments_and_labels_end_at_a_brace(self, source, statements):
+        # Neither a '<' that no '>' closes before the brace nor a label
+        # without its ':' runs past the brace: both bodies are deferred, and
+        # the statements after the brace and method n are kept.
+        assert _scan_checked(source) == ["m", "n"]
+        classes, diagnostics = _parse_source(code_model, source)
+        assert {m.name: [(st.kind, st.rhs_expr.name) for st in m.body]
+                for m in classes[0].methods} == statements
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
+
+    def test_type_arguments_cut_by_a_semicolon_name_no_call(self):
+        # The skip from the '<' after x.m fails at the ';', so the '>('
+        # after it does not make m a call name of the body.
+        log: list = []
+        code_model._FileParser("Src.java", "class C { void m() { a = x.m < b; c = d > (e); } }",
+                               log).parse()
+        (body,) = log
+        assert "m" not in body.names
 
     def test_bodies_nested_past_the_limit_are_parsed_at_once(self):
         # The body's own brace counts: a body holds at most _MAX_NESTING - 1
@@ -473,6 +510,15 @@ class TestErrorRecovery:
         assert len(classes) == depth
         assert [d.message for d in diagnostics] == [
             f"opaque statement (nesting deeper than {code_model._MAX_NESTING})"]
+
+    def test_unclosed_type_arguments_are_linear(self):
+        # A '<' after a name may open type arguments; with no '>' to close
+        # it, the skip fails at the statement's ';', not at the end of the
+        # file, so the parse is not quadratic in the statements.
+        body = " ".join(["x = a.b < c;"] * 20000)
+        with time_limit(5):
+            classes, diagnostics = _parse_source(code_model, f"class C {{ void m() {{ {body} }} }}")
+        assert len(classes[0].methods[0].body) == 20000 and diagnostics == []
 
     def test_hundred_deep_parentheses_parse(self):
         deep = "(" * 100 + "a" + ")" * 100
