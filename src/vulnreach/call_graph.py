@@ -3,21 +3,23 @@
 Localizes the client methods that invoke the reported vulnerable API, builds
 a class-hierarchy call graph over the parsed model, and extracts the filtered
 method call paths leading from user-accessible entry methods down to each
-vulnerable call site. The graph is demand-driven: a call site is resolved
-only when the path search asks for the callers of a method it may call, so
-the work grows with the backward cone of the vulnerable calls, not with the
-project.
+vulnerable call site. Each path carries the calls it goes through, so no
+later stage chooses a call within a statement. The graph is demand-driven:
+a call site is resolved only when the path search asks for the callers of a
+method it may call, so the work grows with the backward cone of the
+vulnerable calls, not with the project.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .code_model import (
     CodeModel,
+    Expr,
     ExternalCallee,
     MethodDecl,
     Statement,
@@ -28,9 +30,13 @@ from .vuln_report import VulnerabilityReport, match_signature
 
 @dataclass(frozen=True)
 class CallEdge:
+    """caller calls callee in statement site. call is the site's first call,
+    in pre-order, that resolves to callee; it takes no part in equality."""
+
     caller: str
     callee: str
     site: Statement
+    call: Expr = field(compare=False)
 
 
 class CallGraph:
@@ -41,8 +47,9 @@ class CallGraph:
     resolve_invocation returns always share the call's name and arity. The
     edges found into every method of that name and arity are kept, so each
     call site is resolved at most once. There is one edge per (caller,
-    callee, statement); external callees produce no edge. nodes and edges
-    are the full views, computed when first read.
+    callee, statement), made from the statement's first call to callee in
+    pre-order; external callees produce no edge. nodes and edges are the
+    full views, computed when first read.
     """
 
     def __init__(self, model: CodeModel):
@@ -65,7 +72,7 @@ class CallGraph:
                 for target in resolved:
                     sig = target.signature()
                     self._incoming.setdefault(sig, set()).add(
-                        CallEdge(caller=caller.signature(), callee=sig, site=stmt))
+                        CallEdge(caller.signature(), sig, stmt, call_expr))
         return self._incoming.get(callee, set())
 
     @cached_property
@@ -97,11 +104,13 @@ class MethodCallPath:
     that contains the vulnerable call site.
 
     call_sites[i] is the statement in methods[i] performing the call to
-    methods[i+1]; the final element is the vulnerable call statement.
+    methods[i+1], and calls[i] that call; the final elements are the
+    vulnerable call statement and the vulnerable call.
     """
 
     methods: tuple[MethodDecl, ...]
     call_sites: tuple[Statement, ...]
+    calls: tuple[Expr, ...]
 
     @property
     def entry(self) -> MethodDecl:
@@ -123,17 +132,19 @@ class PathBudgetExceeded:
 
 
 def localize_vulnerable_methods(model: CodeModel, report: VulnerabilityReport
-                                ) -> list[tuple[MethodDecl, Statement]]:
-    """Every (client method, call-site statement) pair invoking the
-    vulnerable API. Empty when the project never uses the vulnerable code.
-    Only the calls with the API's name and arity are examined."""
+                                ) -> list[tuple[MethodDecl, Statement, Expr]]:
+    """Every (client method, call-site statement, call) invoking the
+    vulnerable API, one per statement: its first call, in pre-order, that
+    match_signature accepts. Empty when the project never uses the
+    vulnerable code. Only the calls with the API's name and arity are
+    examined."""
     api = report.vulnerable_api
-    found: list[tuple[MethodDecl, Statement]] = []
+    found: list[tuple[MethodDecl, Statement, Expr]] = []
     for method, stmt, call_expr in model.call_sites(api.method_name, len(api.param_types)):
         if found and found[-1][1] is stmt:
             continue  # one entry per statement
         if match_signature(report, call_expr, model, method):
-            found.append((method, stmt))
+            found.append((method, stmt, call_expr))
     return found
 
 
@@ -155,7 +166,7 @@ def is_entry_eligible(method: MethodDecl, filters: PathFilterConfig) -> bool:
 
 
 def extract_call_paths(graph: CallGraph, model: CodeModel,
-                       targets: list[tuple[MethodDecl, Statement]],
+                       targets: list[tuple[MethodDecl, Statement, Expr]],
                        filters: PathFilterConfig | None = None,
                        diagnostics: list | None = None) -> list[MethodCallPath]:
     """The first max_paths call paths, in order, from an entry method to each
@@ -167,7 +178,8 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
     filters, and every caller of that first method already lies on the path:
     it is a maximal acyclic caller chain. Paths are ordered lexicographically
     by signature sequence, then by call-site (line, index) sequence; one path
-    is produced per combination of call sites along its methods.
+    is produced per combination of call sites along its methods. Each hop
+    carries the call of its edge, and the last the target's call.
 
     The budget bounds the search, not only its output. Per target, a backward
     breadth-first search gives every method's distance to the target within
@@ -190,20 +202,20 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
     max_depth = filters.max_depth
     incoming = graph.incoming
 
-    def target_paths(target: MethodDecl, site: Statement):
+    def target_paths(target: MethodDecl, site: Statement, call: Expr):
         t = target.signature()
         dist = _hops_to(t, incoming, max_depth - 1,
                         lambda sig: model.method_by_signature(sig) is not None)
         # Only the methods in dist can lie on a kept path: index the calls to them.
         callees: dict[str, set[str]] = {}
-        sites: dict[tuple[str, str], list[Statement]] = {}
+        sites: dict[tuple[str, str], list[tuple[Statement, Expr]]] = {}
         for v in dist:
             for e in incoming(v):
                 callees.setdefault(e.caller, set()).add(v)
-                sites.setdefault((e.caller, v), []).append(e.site)
+                sites.setdefault((e.caller, v), []).append((e.site, e.call))
         ordered_callees = {u: sorted(cs) for u, cs in callees.items()}
         for hop_sites in sites.values():
-            hop_sites.sort(key=_site_key)
+            hop_sites.sort(key=lambda hop: _site_key(hop[0]))
         hops_to_caller: dict[str, dict[str, int]] = {}
         for head in sorted(dist):
             method = target if head == t else model.method_by_signature(head)
@@ -218,12 +230,13 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
                 required[m] = hops_to_caller[m]
             for sigs in _simple_paths(head, t, ordered_callees, dist, required, max_depth):
                 methods = tuple(model.method_by_signature(s) for s in sigs[:-1]) + (target,)
-                hops = [sites[pair] for pair in zip(sigs, sigs[1:])] + [[site]]
-                for call_sites in itertools.product(*hops):
+                hops = [sites[pair] for pair in zip(sigs, sigs[1:])] + [[(site, call)]]
+                for chosen in itertools.product(*hops):
+                    call_sites, calls = zip(*chosen)
                     key = (sigs, tuple(_site_key(s) for s in call_sites))
-                    yield key, MethodCallPath(methods=methods, call_sites=call_sites)
+                    yield key, MethodCallPath(methods, call_sites, calls)
 
-    merged = heapq.merge(*(target_paths(m, s) for m, s in targets),
+    merged = heapq.merge(*(target_paths(*target) for target in targets),
                          key=lambda item: item[0])
     results = [path for _, path in itertools.islice(merged, filters.max_paths + 1)]
     if len(results) > filters.max_paths:

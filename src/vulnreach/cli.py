@@ -108,8 +108,8 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
                                             path_reachable=True, analysis=None)
                 summary: tuple[str, ...] = ()
             else:
-                analysis = analyse_path(path, model, report, cfg.allowlist, memo)
-                result = decide_reachability(path, analysis, report)
+                analysis = analyse_path(path, model, cfg.allowlist, memo)
+                result = decide_reachability(analysis, report)
                 summary = analysis.kinds()
             path_records.append(PathRecord(signatures=path.signatures(),
                                            reachable=result.path_reachable,

@@ -1781,7 +1781,7 @@ class _BodyParser:
                 if cur.at("{"):
                     cur.skip_balanced("{", "}")
                 return new_object(erase_generics(tp), *args)
-            if cur.at("["):
+            if cur.at("[") or cur.at("{") and tp.endswith("]"):
                 sizes: list[Expr] = []
                 while cur.at("["):
                     cur.next()
@@ -1790,7 +1790,7 @@ class _BodyParser:
                     cur.expect("]")
                 if cur.at("{"):
                     sizes.append(opaque_expr(_idents(cur.skip_balanced("{", "}"))))
-                return new_object(erase_generics(tp) + "[]", *sizes)
+                return new_object(erase_generics(tp.split("[", 1)[0]) + "[]", *sizes)
             return new_object(erase_generics(tp))
         if t == "(":
             cur.next()
@@ -1897,16 +1897,15 @@ def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):
     return "unknown", None
 
 
-def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr,
-                       diagnostics: list[ParseDiagnostic] | None = None):
+def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr):
     """Resolve a call expression to its possible targets within the model.
 
     Returns a set of MethodDecl using class-hierarchy dispatch over the
     statically named receiver type; an ExternalCallee marker when the
     receiver type is known but lives outside the model; or an empty set
-    (plus a diagnostic) when the receiver cannot be resolved. A super.m(...)
-    call binds statically to the nearest supertype declaring m. Every
-    target has the call's name and arity.
+    when the receiver cannot be resolved. A super.m(...) call binds
+    statically to the nearest supertype declaring m. Every target has the
+    call's name and arity.
     """
     if expr.kind != "Call":
         raise ValueError("resolve_invocation requires a Call expression")
@@ -1931,11 +1930,6 @@ def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr,
     if kind == "external":
         return ExternalCallee(class_fqn=target, method_name=expr.name, arity=arity)
     if kind == "unknown":
-        if diagnostics is not None:
-            diagnostics.append(ParseDiagnostic(
-                "<resolve>", 0,
-                f"unresolvable receiver for call {expr.receiver_text or ''}.{expr.name} "
-                f"in {context.signature()}"))
         return set()
     assert isinstance(target, ClassDecl)
     # Virtual dispatch may also land on an inherited declaration.

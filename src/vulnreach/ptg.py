@@ -3,10 +3,11 @@
 For each method on a call path, builds the def-use graph behind its
 Parameter Transfer Graph (<SourceNode, TargetNode, Edge> tuples), classifies
 each definition once into one of four propagation kinds, and answers which
-origins reach each argument of the next call (ultimately the vulnerable
-call) through benign hops only, and which kinds lie on its slice. The
-verdict is a fixpoint over those origin sets (the summary edges of IFDS:
-Reps, Horwitz & Sagiv, POPL 1995); chains are expanded only when read.
+origins reach each argument of the call the path goes through (ultimately
+the vulnerable call) through benign hops only, and which kinds lie on its
+slice. The verdict is a fixpoint over those origin sets (the summary edges
+of IFDS: Reps, Horwitz & Sagiv, POPL 1995); chains are expanded only when
+read.
 
 Propagation kinds:
   DirectPropagation  value passed on unchanged
@@ -439,61 +440,37 @@ def _method_facts(method: MethodDecl, fields: frozenset[str], allowlist: Convers
     return known_variables(method, fields), upstream_closure(method, allowlist, fields)
 
 
-def _call_expr_at(stmt: Statement, callee: MethodDecl | None,
-                  report: VulnerabilityReport | None = None) -> Expr | None:
-    """The Call expression in stmt targeting callee (by name and arity), or
-    matching the reported vulnerable API."""
-    for c in stmt.calls():
-        if report is not None and c.name == report.vulnerable_api.method_name \
-                and len(c.args) == len(report.vulnerable_api.param_types):
-            return c
-        if callee is not None and c.name == callee.name and len(c.args) == len(callee.params):
-            return c
-    for c in stmt.calls():
-        return c
-    return None
-
-
 def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
-                 report: VulnerabilityReport | None = None,
                  allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST,
                  memo: dict | None = None) -> PathAnalysis:
     """Walk the call path from its end to its start, analysing at each method
-    the call site that leads to the next hop (the vulnerable call in the last
-    method).
+    the call that leads to the next hop (the vulnerable call in the last
+    method): path.calls[i] in path.call_sites[i].
 
     memo keeps what the calls sharing it have computed: per method, its
     known and upstream variables; per hop (method, call statement, callee,
     with callee None on the last hop), its MethodTransfer. A hop already in
     memo is not analysed again. run_pipeline passes one dict per run, so the
     paths of one run share it and nothing outlives the run; every call
-    sharing a memo must pass the same model, report and allowlist. Without
-    one, the path gets a fresh dict."""
+    sharing a memo must pass the same model and allowlist, and paths whose
+    hops each go through the call that the model's call graph gives them.
+    Without one, the path gets a fresh dict."""
     memo = {} if memo is None else memo
     per_method: list[MethodTransfer] = []
     k = len(path.methods)
     for i in range(k - 1, -1, -1):
         method, stmt = path.methods[i], path.call_sites[i]
-        callee = path.methods[i + 1] if i + 1 < k else None
-        key = (method, stmt, callee)
+        key = (method, stmt, path.methods[i + 1] if i + 1 < k else None)
         if key not in memo:
-            memo[key] = _analyse_hop(method, stmt, callee, model, report, allowlist, memo)
+            if method not in memo:
+                owner = model.owner_of(method) if model is not None else None
+                memo[method] = _method_facts(
+                    method, owner.field_names() if owner is not None else frozenset(),
+                    allowlist)
+            memo[key] = analyse_call_site(method, stmt, path.calls[i], allowlist=allowlist,
+                                          facts=memo[method])
         per_method.append(memo[key])
     return PathAnalysis(path=path, per_method=tuple(per_method))
-
-
-def _analyse_hop(method: MethodDecl, stmt: Statement, callee: MethodDecl | None,
-                 model: CodeModel | None, report: VulnerabilityReport | None,
-                 allowlist: ConversionAllowlist, memo: dict) -> MethodTransfer:
-    call_expr = _call_expr_at(stmt, callee, report=report if callee is None else None)
-    if call_expr is None:
-        # No resolvable call expression: record an empty transfer.
-        return MethodTransfer(method=method, call_stmt=stmt, args=())
-    if method not in memo:
-        owner = model.owner_of(method) if model is not None else None
-        memo[method] = _method_facts(
-            method, owner.field_names() if owner is not None else frozenset(), allowlist)
-    return analyse_call_site(method, stmt, call_expr, allowlist=allowlist, facts=memo[method])
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +491,9 @@ def _relevant_positions(last: MethodTransfer, report: VulnerabilityReport | None
     return matched if matched else positions
 
 
-def decide_reachability(path: MethodCallPath, analysis: PathAnalysis,
+def decide_reachability(analysis: PathAnalysis,
                         report: VulnerabilityReport | None = None) -> ReachabilityResult:
-    """Per-parameter and per-path verdict.
+    """Per-parameter and per-path verdict on analysis.path.
 
     A chain is benign when it contains only DirectPropagation/TypeConversion.
     An argument is reachable when at least one benign chain grounds out at an
@@ -553,6 +530,6 @@ def decide_reachability(path: MethodCallPath, analysis: PathAnalysis,
             if name in per_parameter:
                 name = f"{name}@{pos}"
             per_parameter[name] = (witness is not None, witness or arg.blocking_type())
-    return ReachabilityResult(path=path, per_parameter=per_parameter,
+    return ReachabilityResult(path=analysis.path, per_parameter=per_parameter,
                               path_reachable=all(ok for ok, _ in per_parameter.values()),
                               analysis=analysis)

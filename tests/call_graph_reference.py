@@ -26,9 +26,9 @@ class EdgeListGraph:
 
 
 def eager_call_graph(model: CodeModel) -> EdgeListGraph:
-    """Class-hierarchy call graph: one edge per resolvable invocation target.
-
-    External callees produce no edge.
+    """Class-hierarchy call graph: one edge per resolvable invocation target
+    and statement, made from the statement's first call to the target in
+    pre-order. External callees produce no edge.
     """
     nodes: set[str] = set()
     edges: set[CallEdge] = set()
@@ -43,5 +43,5 @@ def eager_call_graph(model: CodeModel) -> EdgeListGraph:
                     continue
                 for target in sorted(resolved, key=lambda m: m.signature()):
                     edges.add(CallEdge(caller=caller_sig, callee=target.signature(),
-                                       site=stmt))
+                                       site=stmt, call=call_expr))
     return EdgeListGraph(nodes=frozenset(nodes), edges=frozenset(edges))

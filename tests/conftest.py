@@ -109,8 +109,7 @@ def analyse_fixture(name: str):
         graph = build_call_graph(model)
         paths = extract_call_paths(graph, model, targets, PathFilterConfig())
         for path in paths:
-            analysis = analyse_path(path, model, report)
-            results.append(decide_reachability(path, analysis, report))
+            results.append(decide_reachability(analyse_path(path, model), report))
     return model, report, targets, results, expected
 
 

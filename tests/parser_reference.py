@@ -23,6 +23,9 @@ are marked, each line by a comment naming its fix:
   on a target that is not a variable, field or array element, as a
   statement does; a statement checks its target before its `;`.
 - "type-argument call fix": `recv.<T>m(...)` is a call of `m`.
+- "array-initializer fix": `new T[] { ... }`, whose `[]` the type already
+  took, reads its initializer as `new T[3] { ... }` does, giving a `New`
+  named `T[]`; the original left the `{` unread and the statement opaque.
 
 `parse_project` serves only as the specification the new front end must
 reproduce: the same classes, statements and diagnostics. Input nested more
@@ -1188,7 +1191,7 @@ class _BodyParser:
                 if cur.at("{"):
                     cur.skip_balanced("{", "}")
                 return new_object(re.sub(r"<.*", "", tp), *args)
-            if cur.at("["):
+            if cur.at("[") or cur.at("{") and tp.endswith("]"):  # array-initializer fix
                 sizes: list[Expr] = []
                 while cur.at("["):
                     cur.next()
@@ -1198,7 +1201,8 @@ class _BodyParser:
                 if cur.at("{"):
                     toks = cur.skip_balanced("{", "}")
                     sizes.append(opaque_expr(" ".join(x.text for x in toks if x.kind == "ident")))
-                return new_object(re.sub(r"<.*", "", tp) + "[]", *sizes)
+                elem = re.sub(r"<.*", "", tp.split("[", 1)[0])  # array-initializer fix
+                return new_object(elem + "[]", *sizes)  # array-initializer fix
             return new_object(re.sub(r"<.*", "", tp))
         if t.text == "(":
             cur.next()

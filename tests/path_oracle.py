@@ -18,7 +18,7 @@ from vulnreach.call_graph import (
     PathFilterConfig,
     is_entry_eligible,
 )
-from vulnreach.code_model import ClassDecl, CodeModel, MethodDecl, Statement
+from vulnreach.code_model import ClassDecl, CodeModel, Expr, MethodDecl, Statement, call
 
 from call_graph_reference import EdgeListGraph
 
@@ -30,7 +30,7 @@ def callers_of(graph: CallGraph, callee_sig: str) -> list[CallEdge]:
 
 
 def oracle_call_paths(graph: CallGraph, model: CodeModel,
-                      targets: list[tuple[MethodDecl, Statement]],
+                      targets: list[tuple[MethodDecl, Statement, Expr]],
                       filters: PathFilterConfig | None = None,
                       diagnostics: list | None = None) -> list[MethodCallPath]:
     """All maximal acyclic caller chains ending at each vulnerable call site.
@@ -48,11 +48,11 @@ def oracle_call_paths(graph: CallGraph, model: CodeModel,
     results: list[MethodCallPath] = []
     truncated = False
 
-    for target_method, site in targets:
-        # chain: list of (method, site-of-call-to-next) built backward.
-        def visit(chain: list[tuple[MethodDecl, Statement]], seen: set[str]):
+    for target_method, site, target_call in targets:
+        # chain: list of (method, site-of-call-to-next, call) built backward.
+        def visit(chain: list[tuple[MethodDecl, Statement, Expr]], seen: set[str]):
             nonlocal truncated
-            head, _ = chain[0]
+            head = chain[0][0]
             incoming = [e for e in callers_of(graph, head.signature())
                         if e.caller not in seen]
             if not incoming:
@@ -66,9 +66,9 @@ def oracle_call_paths(graph: CallGraph, model: CodeModel,
                 caller = model.method_by_signature(edge.caller)
                 if caller is None:
                     continue
-                visit([(caller, edge.site)] + chain, seen | {edge.caller})
+                visit([(caller, edge.site, edge.call)] + chain, seen | {edge.caller})
 
-        visit([(target_method, site)], {target_method.signature()})
+        visit([(target_method, site, target_call)], {target_method.signature()})
 
     results.sort(key=lambda p: (p.signatures(),
                                 tuple((s.line, s.index) for s in p.call_sites)))
@@ -80,10 +80,9 @@ def oracle_call_paths(graph: CallGraph, model: CodeModel,
     return results
 
 
-def _to_path(chain: list[tuple[MethodDecl, Statement]]) -> MethodCallPath:
-    methods = tuple(m for m, _ in chain)
-    sites = tuple(s for _, s in chain)
-    return MethodCallPath(methods=methods, call_sites=sites)
+def _to_path(chain: list[tuple[MethodDecl, Statement, Expr]]) -> MethodCallPath:
+    methods, sites, calls = zip(*chain)
+    return MethodCallPath(methods=methods, call_sites=sites, calls=calls)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +138,14 @@ def random_graph(rng: random.Random):
             if rng.random() < density:
                 k = rng.choice((1, 1, 1, 2, 3))
                 for stmt in rng.sample(caller.body, min(k, len(caller.body))):
-                    edges.add(CallEdge(caller.signature(), callee.signature(), stmt))
+                    edges.add(CallEdge(caller.signature(), callee.signature(), stmt,
+                                       call(callee.name, None)))
     graph = EdgeListGraph(nodes=frozenset(m.signature() for m in methods),
                           edges=frozenset(edges))
     targets = []
     for method in rng.sample(methods, rng.randint(1, min(2, n))):
         for stmt in rng.sample(method.body, rng.randint(1, min(2, len(method.body)))):
-            targets.append((method, stmt))
+            targets.append((method, stmt, call("sink", None)))
     rng.shuffle(targets)
     filters = PathFilterConfig(max_depth=rng.randint(1, 7), max_paths=rng.randint(1, 40))
     return graph, _model(methods), targets, filters
@@ -169,8 +169,9 @@ def layered_graph(layers: int, width: int, dispatcher: bool = False):
     for upper, lower in zip(rows, rows[1:] + [[target]]):
         for caller in upper:
             for callee in lower:
-                edges.add(CallEdge(caller.signature(), callee.signature(), caller.body[0]))
+                edges.add(CallEdge(caller.signature(), callee.signature(), caller.body[0],
+                                   call(callee.name, None)))
     methods = [m for row in rows for m in row] + [target]
     graph = EdgeListGraph(nodes=frozenset(m.signature() for m in methods),
                           edges=frozenset(edges))
-    return graph, _model(methods), [(target, target.body[0])]
+    return graph, _model(methods), [(target, target.body[0], call("use", None))]

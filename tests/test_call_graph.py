@@ -34,9 +34,10 @@ class TestLocalize:
         model, report = _setup("lion_reachable")
         found = localize_vulnerable_methods(model, report)
         assert len(found) == 1
-        method, stmt = found[0]
+        method, stmt, call = found[0]
         assert method.signature() == "com.lion.util.XmlUtil#xml2Obj(String,Class<T>)"
         assert stmt.line == 8
+        assert call is next(stmt.calls())
 
     def test_dependency_without_invocation(self):
         model, report = _setup("no_vulnerable_use")
@@ -46,7 +47,7 @@ class TestLocalize:
         model, report = _setup("two_call_sites")
         found = localize_vulnerable_methods(model, report)
         assert len(found) == 2
-        assert len({stmt.index for _, stmt in found}) == 2
+        assert len({stmt.index for _, stmt, _ in found}) == 2
 
     def test_one_entry_per_statement(self, tmp_path):
         (tmp_path / "A.java").write_text(
@@ -58,7 +59,23 @@ class TestLocalize:
         model = parse_project(tmp_path, emit_warnings=False)
         _, poc, _ = fixture_paths("lion_reachable")
         found = localize_vulnerable_methods(model, load_report(poc))
-        assert [(m.name, stmt.line) for m, stmt in found] == [("m", 3), ("m", 4)]
+        assert [(m.name, stmt.line) for m, stmt, _ in found] == [("m", 3), ("m", 4)]
+
+    def test_call_is_the_one_the_signature_matched(self, tmp_path):
+        # other.fromXML has the API's name and arity, but Other is a project
+        # class: the statement's vulnerable call is xs.fromXML(payload).
+        (tmp_path / "Other.java").write_text(
+            "package g; public class Other { public Object fromXML(String s) { return s; } }")
+        (tmp_path / "A.java").write_text(
+            "package g; import com.thoughtworks.xstream.XStream;\n"
+            "public class A { public void m(Other other, XStream xs, String payload) {\n"
+            "    keep(other.fromXML(\"k\"), xs.fromXML(payload)); }\n"
+            "  void keep(Object p, Object q) { } }")
+        model = parse_project(tmp_path, emit_warnings=False)
+        _, poc, _ = fixture_paths("lion_reachable")
+        ((_, stmt, call),) = localize_vulnerable_methods(model, load_report(poc))
+        _, _, xs_call = stmt.calls()
+        assert call is xs_call and xs_call.receiver_text == "xs"
 
 
 class TestBuildCallGraph:
@@ -122,6 +139,28 @@ class TestBuildCallGraph:
         paths = extract_call_paths(build_call_graph(model), model, targets)
         assert [p.signatures() for p in paths] == [
             ("g.Api#handle(String)", "g.Sub#load(String)", "g.Base#load(String)")]
+
+    def test_edge_call_is_the_first_call_to_its_callee(self, tmp_path):
+        # x.f(a) may dispatch to A#f or to B#f, y.f(b) only to B#f: both
+        # edges into f come from x.f(a), the first in pre-order.
+        (tmp_path / "A.java").write_text(
+            "package g; public class A { public String f(String s) { return s; } }")
+        (tmp_path / "B.java").write_text(
+            "package g; public class B extends A { public String f(String s) { return s; } }")
+        (tmp_path / "C.java").write_text(
+            "package g; public class C {\n"
+            "  public void run(A x, B y, String a, String b) { caller(x.f(a), y.f(b)); }\n"
+            "  void caller(String p, String q) { } }")
+        model = parse_project(tmp_path, emit_warnings=False)
+        graph = build_call_graph(model)
+        (stmt,) = model.method_by_signature("g.C#run(A,B,String,String)").body
+        outer, x_f, y_f = stmt.calls()
+        assert (x_f.receiver_text, y_f.receiver_text) == ("x", "y")
+        expected = {"g.C#caller(String,String)": outer, "g.A#f(String)": x_f,
+                    "g.B#f(String)": x_f}
+        assert {e.callee for e in graph.edges} == expected.keys()
+        for e in graph.edges:
+            assert e.site is stmt and e.call is expected[e.callee]
 
     def test_edge_endpoints_in_nodes(self):
         for name in ("lion_reachable", "diamond_paths", "interface_dispatch"):
@@ -285,10 +324,14 @@ class TestOnDemandGraph:
                                          filters, got_diags)
                 want = extract_call_paths(eager, model, targets, filters, want_diags)
                 assert got == want, (name, filters)
+                assert all(c is d for p, q in zip(got, want)
+                           for c, d in zip(p.calls, q.calls)), (name, filters)
                 assert got_diags == want_diags, (name, filters)
                 truncated |= bool(want_diags)
         graph = build_call_graph(model)
         assert graph.edges == eager.edges, name
+        eager_calls = {e: e.call for e in eager.edges}
+        assert all(e.call is eager_calls[e] for e in graph.edges), name
         assert graph.nodes == eager.nodes, name
         return truncated
 
@@ -309,9 +352,9 @@ class TestOnDemandGraph:
         walked = collections.Counter()
         resolve, calls = call_graph.resolve_invocation, Statement.calls
 
-        def counting_resolve(model, context, expr, diagnostics=None):
+        def counting_resolve(model, context, expr):
             resolved[context.signature(), id(expr)] += 1
-            return resolve(model, context, expr, diagnostics)
+            return resolve(model, context, expr)
 
         def counting_calls(stmt):
             walked[id(stmt)] += 1

@@ -45,6 +45,37 @@ class TestAnalyzeCommand:
         assert emitted == ["VulEUT_CVE_2017_7957_P1_T1Test.java",
                            "VulEUT_CVE_2017_7957_P1_T2Test.java"]
 
+    @pytest.mark.parametrize("sources", [
+        {"A": "public class A { public String f(String s) { return s; } }",
+         "B": "import com.thoughtworks.xstream.XStream;\n"
+              "public class B { public String f(String xml) {\n"
+              "    Object o = new XStream().fromXML(xml); return \"b\"; } }",
+         "E": "public class E { public void run(String in) {\n"
+              "    A a = new A(); B b = new B(); String r = a.f(\"const\") + b.f(in); } }"},
+        {"Other": "public class Other { public Object fromXML(String s) { return s; } }",
+         "D": "import com.thoughtworks.xstream.XStream;\n"
+              "public class D { public void handle(String payload) {\n"
+              "    Other other = new Other(); XStream xs = new XStream();\n"
+              "    keep(other.fromXML(\"k\"), xs.fromXML(payload)); }\n"
+              "  void keep(Object p, Object q) { } }"},
+    ], ids=["second-call-to-the-same-name", "second-call-with-the-api-name"])
+    def test_path_goes_through_the_call_it_resolved(self, tmp_path, sources):
+        # The statement's first call with the right name and arity is not
+        # the one on the path: a.f resolves to A#f, other.fromXML to a
+        # project method. The analysis reads the call the path goes through.
+        root = tmp_path / "project"
+        (root / "src/main/java/g").mkdir(parents=True)
+        (root / "src/test/java").mkdir(parents=True)
+        for name, text in sources.items():
+            (root / f"src/main/java/g/{name}.java").write_text(f"package g;\n{text}\n")
+        _, poc, _ = fixture_paths("lion_reachable")
+        out = tmp_path / "out"
+        code = main(["analyze", "--project", str(root), "--poc", str(poc), "--out", str(out)])
+        assert code == 2
+        report = read_report(out / "report.json")
+        assert [p.reachable for p in report.paths] == [True]
+        assert len(report.tests) == 2
+
     def test_deep_concatenation_degrades_cleanly(self, scratch_project, tmp_path):
         # A 3000-term concatenation parses to a BinaryOp chain 3000 deep.
         root = scratch_project("lion_reachable")
@@ -345,6 +376,21 @@ def test_readme_examples_fit_the_schemas():
     run = cli._merge(cli._build_parser().parse_args(["analyze"]), checked)
     assert run.llm is not None and run.toolchain is not None
     assert parse_report(descriptor).cve_id == "CVE-2017-7957"
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    # README's Python block, run on a copy of a corpus fixture laid out as
+    # it expects: the project in client/, the descriptor in poc.json.
+    (block,) = [b.split("```", 1)[0] for b in README.read_text(encoding="utf-8")
+                .split("```python\n")[1:]]
+    project, poc, _ = fixture_paths("lion_reachable")
+    shutil.copytree(project, tmp_path / "client")
+    shutil.copy(poc, tmp_path / "poc.json")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == (
+        "('com.lion.service.ConfigService#loadConfig(String)', "
+        "'com.lion.util.XmlUtil#xml2Obj(String,Class<T>)') True\n")
 
 
 class TestBodiesOnDemand:

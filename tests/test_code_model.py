@@ -272,9 +272,22 @@ class TestAgainstReference:
         "s = (Foo) a; s = (foo) a; s = (int) a; } }",
         "class C { void m(int a) { a++; --a; a.b++; for (a++, b = 1; ; a--, b += 2, c++, f()) { } "
         "for (x[0] = 1; ; x.y = 2) { } } }",
-    ], ids=["supertypes", "constructions", "casts", "increments"])
+        "class C { void m(String a) { String[] q = new String[] { f(a) }; "
+        "Object r = new java.util.List<String>[][] { }; } }",
+    ], ids=["supertypes", "constructions", "casts", "increments", "array-initializer"])
     def test_type_texts_and_increments_the_reference_parses(self, source):
         assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
+
+    def test_array_initializer_keeps_the_declaration(self):
+        # The type takes the '[]', so the initializer follows it directly.
+        # The calls inside the initializer stay uncaptured, as for
+        # 'String[] q = { f(a) };'.
+        classes, diagnostics = _parse_source(
+            code_model, "class C { void m(String a) { String[] q = new String[] { f(a) }; } }")
+        assert [(st.kind, st.lhs, st.rhs_expr.kind, st.rhs_expr.name, list(st.calls()))
+                for st in classes[0].methods[0].body] == [
+            ("Declaration", "q", "New", "String[]", [])]
+        assert diagnostics == []
 
 
 def _scan_checked(source: str) -> list[str]:

@@ -60,6 +60,12 @@ def _parse_method(tmp_path, body, params="String entity", name="m"):
     return next(m for _, m in model.all_methods() if m.name == name)
 
 
+def _sink_path(method):
+    """The one-method path to the first call of method's last statement."""
+    site = method.body[-1]
+    return MethodCallPath(methods=(method,), call_sites=(site,), calls=(next(site.calls()),))
+
+
 class TestBuildPtg:
     def test_tostring_tuple(self, tmp_path):
         method = _parse_method(tmp_path,
@@ -220,8 +226,7 @@ class TestDecideReachability:
     ], ids=["formal", "local-copy", "local"])
     def test_guarded_reassignment(self, tmp_path, body, reachable):
         method = _parse_method(tmp_path, "        " + body, params="String xml, boolean f")
-        path = MethodCallPath(methods=(method,), call_sites=(method.body[-1],))
-        assert decide_reachability(path, analyse_path(path)).path_reachable is reachable
+        assert decide_reachability(analyse_path(_sink_path(method))).path_reachable is reachable
 
     def test_pruning_soundness_on_corpus(self):
         for name in corpus_names():
@@ -310,7 +315,8 @@ def _random_path(rng):
             *[_random_arg(rng, names) for _ in range(n_args)]))
         methods[i] = dataclasses.replace(method, body=method.body[:-1] + (site,))
     path = MethodCallPath(methods=tuple(methods),
-                          call_sites=tuple(m.body[-1] for m in methods))
+                          call_sites=tuple(m.body[-1] for m in methods),
+                          calls=tuple(m.body[-1].rhs_expr for m in methods))
     return path, _FieldModel(fields)
 
 
@@ -320,13 +326,13 @@ class TestAgainstReference:
     distinct kinds of its flat types, and the lazily expanded paths."""
 
     def _assert_same(self, path, model=None, report=None):
-        analysis = analyse_path(path, model, report)
+        analysis = analyse_path(path, model)
         old_analysis = ptg_reference.analyse_path(path, model, report)
         assert [a.paths for mt in analysis.per_method for a in mt.args] == \
                [a.paths for mt in old_analysis.per_method for a in mt.args]
         old_kinds = {t.kind for t in old_analysis.flat_types()}
         assert analysis.kinds() == tuple(k for k in KINDS if k in old_kinds)
-        new = decide_reachability(path, analysis, report)
+        new = decide_reachability(analysis, report)
         old = ptg_reference.decide_reachability(path, old_analysis, report)
         assert (new.path_reachable, new.per_parameter) == \
                (old.path_reachable, old.per_parameter)
@@ -367,10 +373,10 @@ class TestAgainstReference:
         method = _parse_method(
             tmp_path, "        if (f) { xml = xml.trim(); }\n" * 64 + "        Sink.use(xml);",
             params="String xml, boolean f")
-        path = MethodCallPath(methods=(method,), call_sites=(method.body[-1],))
+        path = _sink_path(method)
         start = time.perf_counter()
         analysis = analyse_path(path)
-        result = decide_reachability(path, analysis)
+        result = decide_reachability(analysis)
         kinds = analysis.kinds()
         assert time.perf_counter() - start < 1.0
         assert result.path_reachable
@@ -410,11 +416,11 @@ class TestSharedMemo:
         for model, report, paths in runs:
             memo = {}
             for path in paths:
-                shared = analyse_path(path, model, report, memo=memo)
-                fresh = analyse_path(path, model, report)
+                shared = analyse_path(path, model, memo=memo)
+                fresh = analyse_path(path, model)
                 assert shared.kinds() == fresh.kinds()
-                new = decide_reachability(path, shared, report)
-                old = decide_reachability(path, fresh, report)
+                new = decide_reachability(shared, report)
+                old = decide_reachability(fresh, report)
                 assert (new.path_reachable, new.per_parameter) == \
                        (old.path_reachable, old.per_parameter)
                 compared += 1
@@ -433,7 +439,7 @@ class TestSharedMemo:
         for model, report, paths in _deep_fanout_runs(tmp_path):
             memo = {}
             for path in paths:
-                analyse_path(path, model, report, memo=memo)
+                analyse_path(path, model, memo=memo)
             hops += len(set().union(*map(_hops, paths)))
             visited += sum(len(p.methods) for p in paths)
         assert len(calls) == hops == 70

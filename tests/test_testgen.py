@@ -46,8 +46,7 @@ def _analyse_inline(tmp_path, java_sources, poc_doc=None):
     targets = localize_vulnerable_methods(model, report)
     graph = build_call_graph(model)
     paths = extract_call_paths(graph, model, targets, PathFilterConfig())
-    results = [decide_reachability(p, analyse_path(p, model, report), report)
-               for p in paths]
+    results = [decide_reachability(analyse_path(p, model), report) for p in paths]
     return model, report, results
 
 
