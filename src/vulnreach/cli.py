@@ -47,6 +47,7 @@ from .ptg import (
 from .testgen import (
     LlmClient,
     LlmClientConfig,
+    TemplateGap,
     assemble_prompt,
     emit_tests,
     generate_tests,
@@ -121,9 +122,14 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
             (prompts_dir / f"P{number}.txt").write_text(bundle.rendered,
                                                         encoding="utf-8")
             gen_diags: list = []
-            artifacts.extend(generate_tests(
-                bundle, result, report, mode=cfg.gen_mode, llm=llm_client,
-                model=model, path_number=number, diagnostics=gen_diags))
+            try:
+                artifacts.extend(generate_tests(
+                    bundle, result, report, mode=cfg.gen_mode, llm=llm_client,
+                    model=model, path_number=number, diagnostics=gen_diags))
+            except TemplateGap as gap:
+                # This path gets no tests; the other paths keep theirs.
+                gen_diags.append(f"path {number} ({path.entry.signature()}): {gap}; "
+                                 "no tests generated")
             diagnostics.extend(str(d) for d in gen_diags)
 
         if artifacts:

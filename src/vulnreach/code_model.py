@@ -8,14 +8,16 @@ Control-flow bodies are flattened into the enclosing method's statement list;
 constructs outside the subset degrade to opaque statements that still expose
 the variable names they mention.
 
-Declarations are parsed eagerly. A method body is only scanned at first: one
-pass over its tokens finds its end and the names it may call. Its statements
-are parsed when MethodDecl.body is first read, so the analysis pays only for
-the bodies it reads; CodeModel.call_sites uses the names to parse only the
-bodies that may hold the calls asked for. A body whose brackets are unbalanced
-or nested too deeply is parsed at once. The parser consumes a brace only together with its
-match (type arguments end at '{', '}' or ';', a case label at a brace), so
-it ends every other body where the scan ends it.
+Declarations are parsed eagerly. A method body is not even tokenized at
+first: one pass over the characters matches the braces and checks the
+brackets, and the file is tokenized without the interiors of well-nested
+blocks (see _FileCursor). A body is lexed and parsed when MethodDecl.body is
+first read, so the analysis pays only for the bodies it reads;
+CodeModel.call_sites lexes only the bodies whose text holds the name asked
+for, and parses only those that may call it. A body whose brackets are
+unbalanced or nested too deeply is parsed at once. The parser consumes a
+brace only together with its match (type arguments end at '{', '}' or ';',
+a case label at a brace), so it ends every other body where its '}' is.
 
 The model is the substrate for call-graph construction and parameter-transfer
 analysis; it is not a general-purpose Java front end (no type inference, no
@@ -26,8 +28,10 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import VulnreachError
@@ -363,15 +367,6 @@ class ExternalCallee:
     arity: int
 
 
-def _call_names(method: MethodDecl):
-    """Every name a call in the method's body can have: the body scan's
-    names, or for a body parsed at once, its calls' names."""
-    deferred = method.__dict__.get("deferred_body")
-    if deferred is not None:
-        return deferred.names
-    return {c.name for st in method.body for c in st.calls()}
-
-
 @dataclass(frozen=True)
 class CodeModel:
     classes: tuple[ClassDecl, ...]
@@ -418,14 +413,6 @@ class CodeModel:
         return out
 
     @cached_property
-    def _callers_by_name(self) -> dict[str, list[MethodDecl]]:
-        out: dict[str, list[MethodDecl]] = {}
-        for _, m in self.all_methods():
-            for name in _call_names(m):
-                out.setdefault(name, []).append(m)
-        return out
-
-    @cached_property
     def _call_sites(self) -> dict[tuple[str, int], list[tuple[MethodDecl, Statement, Expr]]]:
         return {}
 
@@ -436,15 +423,34 @@ class CodeModel:
         """Every call of a method named name with arity arguments, as
         (enclosing method, statement, call expression), in method, statement
         and pre-order. Built once per (name, arity), from only the bodies
-        whose call names hold name: no other body is parsed or walked."""
+        that may call name (see _callers): no other body is lexed, parsed
+        or walked."""
         key = (name, arity)
         sites = self._call_sites.get(key)
         if sites is None:
             sites = self._call_sites[key] = [
-                (m, stmt, call_expr) for m in self._callers_by_name.get(name, ())
+                (m, stmt, call_expr) for m in self._callers(name)
                 for stmt in m.body for call_expr in stmt.calls()
                 if call_expr.name == name and len(call_expr.args) == arity]
         return sites
+
+    def _callers(self, name: str):
+        """The methods, in file order, whose bodies may call name: every
+        parsed body in a file whose text holds name, and each deferred body
+        whose text holds it and whose call names hold it (those of a
+        parsed body are known without lexing it again). An enhanced for
+        is a call named iterate, so "for" stands in for that name too."""
+        alias = "for" if name == "iterate" else name
+        source = None
+        for cls in self.classes:
+            if cls.source_text is not source:  # a file's classes are adjacent
+                source = cls.source_text
+                in_file = name in source or alias is not name and alias in source
+            if in_file:
+                for m in cls.methods:
+                    deferred = m.__dict__.get("deferred_body")
+                    if deferred is None or deferred.may_call(name, alias):
+                        yield m
 
     def all_methods(self):
         for cls in self.classes:
@@ -582,12 +588,15 @@ def _is_literal(text: str) -> bool:
     return c == '"' or c == "'" or c.isdecimal()
 
 
-def _tokenize(source: str) -> tuple[list[str], list[int]]:
-    """Token texts of source, comments dropped, and each token's 1-based line."""
+def _tokenize(source: str, start: int = 0, end: int | None = None,
+              line: int = 1) -> tuple[list[str], list[int]]:
+    """Token texts of source[start:end], comments dropped, and each token's
+    1-based line, the slice starting on line line. A slice that starts and
+    ends between two tokens of source has the same tokens, on the same
+    lines, as the whole text has there."""
     texts: list[str] = []
     lines: list[int] = []
-    line = 1
-    for s in _lexemes(source):
+    for s in _lexemes(source[start:end]):
         if s == "\n":
             line += 1
             continue
@@ -602,6 +611,56 @@ def _tokenize(source: str) -> tuple[list[str], list[int]]:
         if c == '"' or c == "'":
             line += s.count("\n")
     return texts, lines
+
+
+# The lexemes inside which a bracket character is no token: comments, string
+# and char literals, as _LEXEME_RE matches them.
+_SKIPPED = rb"""//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*'"""
+_SKIPPED_RE = re.compile(_SKIPPED, re.DOTALL)
+_NO_BLOCK_SKIPPED_RE = re.compile(_SKIPPED.replace(rb"|/\*.*?\*/", b""), re.DOTALL)
+_NOT_BRACKETS = bytes(c for c in range(256) if c not in b"{}()[]")
+_BRACKET_PAIR_RE = re.compile(rb"\{\}|\(\)|\[\]")
+_TYPE_HEADER_RE = re.compile(rb"\b(?:class|interface|enum|record)\b")
+
+
+def _spaces(m: re.Match) -> bytes:
+    return b" " * (m.end() - m.start())
+
+
+def _blanked(source: str) -> bytes:
+    """source in ASCII, one byte per character (a '?' for any other), with
+    each comment and string or char literal replaced by as many spaces, so
+    that every bracket character left is a bracket token. Each '/', '"' and
+    "'" outside those lexemes starts a lexeme of its own, so a search for
+    them finds what the lexer finds. Linear in the text: as in _lexemes, no
+    '/*' is tried as a comment from the first lexeme at or after
+    rfind("*/") - 1 on."""
+    text = source.encode("ascii", "replace")
+    cut = source.rfind("*/") - 1
+    if source.find("/*", max(cut, 0)) < 0:
+        return _SKIPPED_RE.sub(_spaces, text)
+    split = next(m.start() for m in _LEXEME_RE.finditer(source) if m.start() >= cut)
+    return (_SKIPPED_RE.sub(_spaces, text[:split])
+            + _NO_BLOCK_SKIPPED_RE.sub(_spaces, text[split:]))
+
+
+def _may_name_type(code: bytes) -> bool:
+    """Whether code holds a word that can start a type declaration."""
+    return b"class" in code or b"interface" in code or b"enum" in code or b"record" in code
+
+
+def _well_nested(code: bytes) -> bool:
+    """Whether the brackets of code nest well, at most _MAX_NESTING deep.
+    Each round removes every innermost pair, so the brackets are gone
+    after as many rounds as they nest deep, or never."""
+    brackets = code.translate(None, _NOT_BRACKETS)
+    for _ in range(_MAX_NESTING):
+        if not brackets:
+            return True
+        brackets, pairs = _BRACKET_PAIR_RE.subn(b"", brackets)
+        if not pairs:
+            return False
+    return not brackets
 
 
 class _ParseError(Exception):
@@ -628,12 +687,6 @@ class _Cursor:
         self.texts: list[str | None] = [*texts, None, None]
         self.lines = lines
         self.i = 0
-
-    def at_index(self, i: int) -> "_Cursor":
-        """A second cursor over the same tokens, at position i."""
-        other = _Cursor.__new__(_Cursor)
-        other.texts, other.lines, other.n, other.i = self.texts, self.lines, self.n, i
-        return other
 
     def peek(self, offset: int = 0) -> str | None:
         return self.texts[self.i + offset]
@@ -666,17 +719,28 @@ class _Cursor:
         return self.i >= self.n
 
     def skip_balanced(self, open_: str, close: str) -> list[str]:
-        """Consume from the current open_ token through its matching close."""
-        start = self.i
-        self.expect(open_)
-        depth = 1
-        while depth > 0:
-            t = self.next()
+        """Consume from the current open_ token through its matching close.
+        Each token passes as it is: a block of a file's tokens whose
+        interior is left out stays so (see _FileCursor)."""
+        texts = self.texts
+        start = i = self.i
+        if texts[i] != open_:
+            raise _ParseError(f"expected '{open_}'", self.line())
+        depth = 0
+        while True:
+            t = texts[i]
+            if t is None:
+                self.i = i
+                raise _ParseError("unexpected end of file", self.line())
+            i += 1
             if t == open_:
                 depth += 1
             elif t == close:
                 depth -= 1
-        return self.texts[start:self.i]
+                if depth == 0:
+                    break
+        self.i = i
+        return texts[start:i]
 
     def skip_generics(self) -> None:
         """Skip a balanced <...> group starting at the cursor. It fails at
@@ -747,6 +811,162 @@ class _Cursor:
         return text
 
 
+def _offsets(code: bytes, byte: bytes) -> list[int]:
+    """The offsets of byte in code, in order."""
+    ends = accumulate(map(len, code.split(byte)))  # the end of each piece between two
+    return [end + k for k, end in enumerate(ends)][:-1]
+
+
+class _FileCursor(_Cursor):
+    """A cursor over one file's tokens that leaves out the interior of
+    well-nested blocks until the parser enters them.
+
+    One pass over the characters finds the braces: opens holds the offset
+    of every '{' in the source, in order, and close the offset of the '}'
+    that matches each '{' that one matches. The file is then tokenized with
+    the interior of each block inside a top-level block (a class body) left
+    out, but for member types' bodies, which the parser reads whole anyway.
+    This holds up to the first top-level block that has no '}' or whose
+    brackets nest badly or deeper than _MAX_NESTING; from that one on every
+    block is tokenized. A block left out is its '{' token followed by its
+    '}' token. braces runs beside texts: for a '{' token the offset of its
+    '{', else None.
+
+    A walk that counts brackets (skip_balanced, skip_to, the one over enum
+    constants) passes a well-nested block whole, so it ends at the same
+    token whether or not the interior is there. next and expect, which
+    consume a '{' alone, tokenize the block's interior in place first. So
+    the declaration parser reads what it would read in the whole file's
+    tokens, and a body parsed at once lies among tokenized blocks only."""
+
+    __slots__ = ("source", "code", "opens", "close", "left_out", "braces")
+
+    def __init__(self, source: str):
+        self.source = source
+        self.code = code = _blanked(source)
+        self.opens = opens = _offsets(code, b"{")
+        self.close: dict[int, int] = {}
+        stack: list[int] = []
+        k = 0
+        for end in _offsets(code, b"}"):
+            while k < len(opens) and opens[k] < end:
+                stack.append(opens[k])
+                k += 1
+            if stack:
+                self.close[stack.pop()] = end
+        self.left_out: set[int] = set()
+        texts, lines, self.braces = self._tokens(0, len(opens), 0, len(source), 1, False)
+        super().__init__(texts, lines)
+
+    def well_nested(self, start: int) -> bool:
+        """Whether the block whose '{' is at offset start has a '}' and its
+        brackets nest well, at most _MAX_NESTING deep."""
+        end = self.close.get(start)
+        return end is not None and _well_nested(self.code[start:end + 1])
+
+    def type_body(self, after: int, start: int) -> bool:
+        """Whether the block whose '{' is at offset start is a type's body:
+        its header, from offset after or the last '}' or ';' before it,
+        names class, interface, enum or record. A body taken for a type's
+        is only tokenized sooner."""
+        header = self.code[after:start]
+        if not _may_name_type(header):
+            return False
+        header = header[max(header.rfind(b"}"), header.rfind(b";")) + 1:]
+        return _TYPE_HEADER_RE.search(header) is not None
+
+    def _tokens(self, k: int, stop: int, start: int, end: int, line: int, nested: bool):
+        """The tokens of source[start:end], which starts on line line and
+        holds the blocks opened at opens[k:stop]. When nested, the text lies
+        in a well-nested block, and each block in it has its interior left
+        out. Else the text is the whole file, and each top-level block that
+        nests well is tokenized so, up to the first that does not; from that
+        one on every block is tokenized. A member type's body (see
+        type_body) is tokenized like the block around it rather than left
+        out, so a class with thousands of member types is not spliced
+        together one type at a time. The text is lexed in one piece with the
+        interiors cut out, and each token after an interior then moves down
+        by the interior's lines. Returns the token texts, their lines, and
+        beside them the offset of each '{' token's '{' (None for the other
+        tokens)."""
+        source, opens = self.source, self.opens
+        pieces: list[str] = []
+        opened: list[tuple[int, int]] = []  # each '{' token: offset, lines left out after it
+        pos = start
+        after = start  # just past the last brace met
+        within = end if nested else -1  # the blocks opened before this offset are left out
+        types = nested and _may_name_type(self.code[start:end])  # a member type may be there
+        tail = False
+        while k < stop:
+            brace = opens[k]
+            if brace < within:
+                if not (types and self.type_body(after, brace)):
+                    self.left_out.add(brace)
+                    close = self.close[brace]
+                    pieces.append(source[pos:brace + 1])
+                    opened.append((brace, source.count("\n", brace + 1, close)))
+                    pos = close
+                    after = close + 1
+                    k = bisect_left(opens, close, k)
+                    continue
+            elif not tail and self.well_nested(brace):
+                within = self.close[brace]
+                types = _may_name_type(self.code[brace:within])
+            else:
+                tail = True  # every block from here on is tokenized
+            opened.append((brace, 0))
+            after = brace + 1
+            k += 1
+        pieces.append(source[pos:end])
+        texts, lines = _tokenize("".join(pieces), line=line)
+        braces: list[int | None] = [None] * len(texts)
+        i = -1
+        shift = 0
+        for brace, newlines in opened:
+            j = texts.index("{", i + 1)
+            braces[j] = brace
+            if shift:
+                lines[i + 1:j + 1] = map(shift.__add__, lines[i + 1:j + 1])
+            shift += newlines
+            i = j
+        if shift:
+            lines[i + 1:] = map(shift.__add__, lines[i + 1:])
+        return texts, lines, braces
+
+    def _enter(self, i: int) -> None:
+        """Tokenize the interior of the block whose '{' is token i in place,
+        if it is left out."""
+        brace = self.braces[i]
+        if brace not in self.left_out:
+            return
+        self.left_out.remove(brace)
+        end = self.close[brace]
+        opens = self.opens
+        texts, lines, braces = self._tokens(bisect_right(opens, brace), bisect_left(opens, end),
+                                            brace + 1, end, self.lines[i], True)
+        j = i + 1
+        self.texts[j:j] = texts
+        self.lines[j:j] = lines
+        self.braces[j:j] = braces
+        self.n += len(texts)
+
+    def next(self) -> str:
+        i = self.i
+        if i >= self.n:
+            raise _ParseError("unexpected end of file", self.line())
+        self.i = i + 1
+        t = self.texts[i]
+        if t == "{":
+            self._enter(i)
+        return t
+
+    def expect(self, text: str) -> str:
+        _Cursor.expect(self, text)
+        if text == "{":
+            self._enter(self.i - 1)
+        return text
+
+
 def _idents(texts: list[str]) -> str:
     return " ".join(t for t in texts if t[0] in _IDENT_START)
 
@@ -766,10 +986,9 @@ _MAX_NESTING = 128
 
 _COMPOUND_ASSIGN = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
 
-# Tokens the body scan acts on; None is the end of the file.
-_SCAN_STOPS = frozenset((*_CLOSER_OF, *_CLOSERS, None, "<", "for"))
-# Tokens that start, end or fail a type-argument skip.
-_GENERIC_TOKENS = frozenset(("<", ">", ">>", ">>>", *_TYPE_ARGUMENT_ENDS))
+# Tokens _call_names acts on: '(', those that open, close or end type
+# arguments, and for.
+_NAME_STOPS = frozenset(("(", "<", ">", ">>", ">>>", *_TYPE_ARGUMENT_ENDS, "for"))
 
 # Binary operators by precedence; instanceof parses as a relational operator
 # whose right-hand side is a type.
@@ -784,22 +1003,21 @@ _KEYWORD_PRIMARIES = frozenset(("true", "false", "null", "this", "super", "new")
 
 
 class _FileParser:
-    """Parses one file's declarations. A method body is deferred when the
-    body scan accepts it (see _scan_body) and parsed now otherwise; in
-    diagnostics a deferred body stands in for its own diagnostics."""
+    """Parses one file's declarations. A method body is deferred when its
+    brackets nest well (see _body) and parsed now otherwise; in diagnostics
+    a deferred body stands in for its own diagnostics."""
 
     def __init__(self, path: str, source: str,
                  diagnostics: list[ParseDiagnostic | _DeferredBody]):
         self.path = path
         self.source = source
-        self.cur = _Cursor(*_tokenize(source))
+        self.cur = _FileCursor(source)
         self.diagnostics = diagnostics
         self.package = ""
         self.imports: list[tuple[str, str]] = []
         self.wildcards: list[str] = []
         self.classes: list[ClassDecl] = []
         self.depth = 0  # member type declarations open, see _MAX_NESTING
-        self._generic_closes: dict[int, int] | None = None
 
     def warn(self, message: str, line: int | None = None):
         self.diagnostics.append(ParseDiagnostic(self.path, line or self.cur.line(), message))
@@ -954,7 +1172,7 @@ class _FileParser:
                 depth += 1
             elif t in (")", "}"):
                 depth -= 1
-            cur.next()
+            cur.i += 1  # a block passes whole, left out or not
 
     def _parse_member(self, owner_fqn: str, owner_simple: str, in_interface: bool,
                       methods: list[MethodDecl], fields: list[FieldDecl]):
@@ -1071,68 +1289,23 @@ class _FileParser:
         ))
 
     def _body(self) -> tuple[Statement, ...] | _DeferredBody:
-        """The method body at the cursor: deferred when the scan accepts
-        it, else parsed now."""
+        """The method body at the cursor: deferred when it is a well-nested
+        block, else parsed now over the file's tokens, which are all there
+        from such a block on (see _FileCursor)."""
         cur = self.cur
-        scan = self._scan_body(cur.i)
-        if scan is None:
+        i = cur.i
+        brace = cur.braces[i]
+        left_out = brace in cur.left_out
+        if not (left_out or cur.well_nested(brace)):
             return tuple(_BodyParser(cur, self.depth, self.path, self.diagnostics).parse_block())
-        deferred = _DeferredBody(cur.at_index(cur.i), self.depth, self.path, scan[1])
+        deferred = _DeferredBody(self.source, brace, cur.close[brace] + 1, cur.lines[i],
+                                 self.depth, self.path)
         self.diagnostics.append(deferred)
-        cur.i = scan[0]
+        if left_out:
+            cur.i = i + 2
+        else:
+            cur.skip_balanced("{", "}")
         return deferred
-
-    def _scan_body(self, start: int) -> tuple[int, set[str]] | None:
-        """One pass over the body whose '{' is token start, building no
-        Expr: the index just past its matching '}', and every name a Call
-        parsed from the body can have. None when the body's brackets are
-        not well nested, are nested deeper than _MAX_NESTING, or have no
-        matching '}': the parser meets those faults now.
-
-        The parser consumes a brace only together with its match (type
-        arguments and case labels end at a brace), so its parse of any
-        other body ends where the scan ends. The names are those right
-        before '(', those right before type arguments followed by '('
-        (x.m<T>(...)), and "iterate" when the body has a for (an enhanced
-        for is a call named so)."""
-        texts = self.cur.texts
-        stack: list[str] = []  # closers expected, innermost last
-        names: set[str] = set()
-        angles: list[int] = []  # '<' right after a name: skip_generics may start there
-        for i in range(start, len(texts)):
-            t = texts[i]
-            if t not in _SCAN_STOPS:
-                continue
-            closer = _CLOSER_OF.get(t)
-            if closer is not None:
-                if t == "(":
-                    before = texts[i - 1]
-                    if before[0] in _IDENT_START:
-                        names.add(before)
-                stack.append(closer)
-                if len(stack) > _MAX_NESTING:
-                    return None
-            elif t is None:
-                return None
-            elif t in _CLOSERS:
-                if stack.pop() != t:
-                    return None
-                if not stack:
-                    break
-            elif t == "<":
-                if texts[i - 1][0] in _IDENT_START:
-                    angles.append(i)
-            else:
-                names.add("iterate")  # t is "for"
-        end = i + 1
-        if angles:
-            if self._generic_closes is None:
-                self._generic_closes = _generic_closes(texts)
-            for s in angles:
-                p = self._generic_closes.get(s)
-                if p is not None and texts[s - 2] == "." and texts[p + 1] == "(":
-                    names.add(texts[s - 1])
-        return end, names
 
     def _parse_params(self) -> tuple[Param, ...]:
         cur = self.cur
@@ -1161,43 +1334,85 @@ class _FileParser:
         return tuple(params)
 
 
-def _generic_closes(texts: list[str | None]) -> dict[int, int]:
-    """For each '<' token, the '>' token at which _Cursor.skip_generics
-    started there stops; none when the skip fails."""
-    closes: dict[int, int] = {}
-    pending: list[int] = []
-    for i in [i for i, t in enumerate(texts) if t in _GENERIC_TOKENS]:
-        t = texts[i]
-        if t == "<":
-            pending.append(i)
-        elif t in _TYPE_ARGUMENT_ENDS:
-            pending.clear()
-        else:
+def _call_names(texts: list[str]) -> set[str]:
+    """Every name a Call parsed from the method body with token texts texts
+    can have: the names right before '(' (so this and super too), the m of
+    x.m<T>( when the type arguments end where _Cursor.skip_generics ends
+    them, and "iterate" when the body has a for, because an enhanced for is
+    parsed as a call of that name."""
+    names: set[str] = set()
+    angles: list[int] = []  # '<' tokens no '>' has closed yet, innermost last
+    for i, t in enumerate(texts):
+        if t not in _NAME_STOPS:
+            continue
+        if t == "(":
+            before = texts[i - 1]
+            if before[0] in _IDENT_START:
+                names.add(before)
+        elif t == "<":
+            angles.append(i)
+        elif t[0] == ">":
             for _ in range(len(t)):
-                if pending:
-                    closes[pending.pop()] = i
-    return closes
+                if angles:
+                    s = angles.pop()
+                    if texts[s - 1][0] in _IDENT_START and texts[s - 2] == "." \
+                            and texts[i + 1] == "(":
+                        names.add(texts[s - 1])
+        elif t == "for":
+            names.add("iterate")
+        else:
+            angles.clear()  # a skip of type arguments fails at '{', '}' or ';'
+    return names
 
 
 class _DeferredBody:
-    """A method body the scan accepted, parsed when first read: from its
-    '{' at cur, at class nesting depth. names holds every name a Call parsed
-    from it can have. Once it is parsed, diagnostics holds its diagnostics,
-    which are also written to stderr then if echo is set."""
+    """A method body whose brackets nest well, lexed and parsed when first
+    read: source[start:end], from its '{' on line line, at class nesting
+    depth. Once it is parsed, diagnostics holds its diagnostics, which are
+    also written to stderr then if echo is set."""
 
-    __slots__ = ("cur", "depth", "path", "names", "diagnostics", "echo")
+    __slots__ = ("source", "start", "end", "line", "depth", "path", "tokens", "_names",
+                 "diagnostics", "echo")
 
-    def __init__(self, cur: _Cursor, depth: int, path: str, names: set[str]):
-        self.cur = cur
+    def __init__(self, source: str, start: int, end: int, line: int, depth: int, path: str):
+        self.source = source
+        self.start = start
+        self.end = end
+        self.line = line
         self.depth = depth
         self.path = path
-        self.names = names
+        self.tokens: tuple[list[str], list[int]] | None = None  # lexed, not yet parsed
+        self._names: set[str] | None = None
         self.diagnostics: list[ParseDiagnostic] = []
         self.echo = False
 
+    def lex(self) -> tuple[list[str], list[int]]:
+        """The body's token texts and lines."""
+        return _tokenize(self.source, self.start, self.end, self.line)
+
+    @property
+    def names(self) -> set[str]:
+        """Every name a Call parsed from the body can have (see _call_names)."""
+        if self._names is None:
+            self.tokens = self.lex()
+            self._names = _call_names(self.tokens[0])
+        return self._names
+
+    def may_call(self, name: str, alias: str) -> bool:
+        """Whether a Call parsed from the body can be named name. A body
+        whose text holds neither name nor alias is not lexed."""
+        if self._names is None and self.source.find(name, self.start, self.end) < 0 and (
+                alias is name or self.source.find(alias, self.start, self.end) < 0):
+            return False
+        return name in self.names
+
     def parse(self) -> tuple[Statement, ...]:
-        body = tuple(_BodyParser(self.cur, self.depth, self.path, self.diagnostics).parse_block())
-        self.cur = None  # the file's tokens can go once all its bodies are parsed
+        texts, lines = self.tokens or self.lex()
+        self.tokens = None
+        if self._names is None:
+            self._names = _call_names(texts)
+        body = tuple(_BodyParser(_Cursor(texts, lines), self.depth, self.path,
+                                 self.diagnostics).parse_block())
         if self.echo:
             for d in self.diagnostics:
                 print(d.format(), file=sys.stderr)
@@ -1824,9 +2039,9 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     """Parse every .java file under root into an immutable CodeModel.
 
     Declarations are parsed now, and so is each method body whose brackets
-    are unbalanced or nested too deeply (see _FileParser._scan_body); every
-    other body is parsed when first read, and ends where the scan ends it:
-    type arguments end at '{', '}' or ';'. Files that fail to parse are
+    are unbalanced or nested too deeply (see _FileCursor); every other body
+    is lexed and parsed when first read, and ends at its '}': type arguments
+    end at '{', '}' or ';'. Files that fail to parse are
     recorded as diagnostics, never raised. Diagnostics are also written to
     stderr as 'WARN <file>:<line> <message>': those found here at once, a
     deferred body's when it is parsed. exclude_dirs are root-relative

@@ -2,7 +2,9 @@ import collections
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -75,6 +77,30 @@ class TestAnalyzeCommand:
         report = read_report(out / "report.json")
         assert [p.reachable for p in report.paths] == [True]
         assert len(report.tests) == 2
+
+    def test_unbindable_entry_parameter_skips_only_that_paths_tests(self, tmp_path):
+        # The offline template cannot build the XStream argument of handle:
+        # that path gets no tests and one diagnostic, and the run still
+        # writes its report and the tests of the path through ok.
+        root = tmp_path / "project"
+        (root / "src/main/java/g").mkdir(parents=True)
+        (root / "src/test/java").mkdir(parents=True)
+        (root / "src/main/java/g/Api.java").write_text(
+            "package g;\nimport com.thoughtworks.xstream.XStream;\npublic class Api {\n"
+            "    public void handle(XStream xs, String payload) { xs.fromXML(payload); }\n"
+            "    public Object ok(String doc) { return new XStream().fromXML(doc); }\n}\n")
+        _, poc, _ = fixture_paths("lion_reachable")
+        out = tmp_path / "out"
+        code = main(["analyze", "--project", str(root), "--poc", str(poc), "--out", str(out)])
+        assert code == 2
+        report = read_report(out / "report.json")
+        assert [(p.signatures, p.reachable) for p in report.paths] == [
+            (("g.Api#handle(XStream,String)",), True), (("g.Api#ok(String)",), True)]
+        assert [t.file for t in report.tests] == [
+            "VulEUT_CVE_2017_7957_P2_T1Test.java", "VulEUT_CVE_2017_7957_P2_T2Test.java"]
+        assert report.diagnostics == (
+            "path 1 (g.Api#handle(XStream,String)): offline template cannot bind entry "
+            "parameter 'xs'; no tests generated",)
 
     def test_deep_concatenation_degrades_cleanly(self, scratch_project, tmp_path):
         # A 3000-term concatenation parses to a BinaryOp chain 3000 deep.
@@ -507,6 +533,20 @@ class TestBenchContract:
         model = parse_project(root, emit_warnings=False, exclude_dirs=("src/test/java",))
         assert counts["call_graph.edges"] == len(eager_call_graph(model).edges) > 0
         assert tracer.batch_times(0)["call_graph.build_ms"] > 0
+
+
+def test_python_m_runs_the_cli(scratch_project, tmp_path):
+    # `python -m vulnreach` from a checkout, with only src on the path.
+    root = scratch_project("lion_reachable")
+    _, poc, _ = fixture_paths("lion_reachable")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "vulnreach", "analyze", "--project", str(root), "--poc", str(poc),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, capture_output=True, text=True,
+        timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == "paths: 1 (1 reachable)  tests: 2 emitted, 0 compiled, 0 confirmed\n"
 
 
 def test_run_pipeline_paths_only_marks_all_reachable(scratch_project, tmp_path):

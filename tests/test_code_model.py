@@ -3,6 +3,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vulnreach import code_model
 from vulnreach.code_model import (
@@ -290,20 +291,28 @@ class TestAgainstReference:
         assert diagnostics == []
 
 
+def _token_index(source: str, offset: int) -> int:
+    """Index, among the tokens of the whole source, of the first token at
+    or after offset, an offset between two tokens."""
+    return len(code_model._tokenize(source, 0, offset)[0])
+
+
 def _scan_checked(source: str) -> list[str]:
     """Names of the methods of source whose bodies the file parser deferred.
-    Parsing each deferred body where the file parser would have parsed it
-    ends where the body scan ended, and the scan's call names hold the name
-    of every Call in it."""
+    Parsing each deferred body over the whole file's tokens, where the file
+    parser would have parsed it at once, ends where the character pass
+    ended the body, and the body's call names hold the name of every Call
+    in it."""
     log: list = []
-    file_parser = code_model._FileParser("Src.java", source, log)
-    classes = file_parser.parse()
+    classes = code_model._FileParser("Src.java", source, log).parse()
+    whole = code_model._tokenize(source)
     for entry in log:
         if type(entry) is code_model._DeferredBody:
-            parser = code_model._BodyParser(entry.cur.at_index(entry.cur.i), entry.depth,
+            parser = code_model._BodyParser(code_model._Cursor(*whole), entry.depth,
                                             entry.path, [])
+            parser.cur.i = _token_index(source, entry.start)
             statements = parser.parse_block()
-            assert parser.cur.i == file_parser._scan_body(entry.cur.i)[0], source
+            assert parser.cur.i == _token_index(source, entry.end), source
             assert {c.name for st in statements for c in st.calls()} <= entry.names, source
     return [m.name for c in classes for m in c.methods
             if "body" not in vars(m)]
@@ -435,6 +444,82 @@ class TestBodyScan:
             "opaque statement (expected ';')", "duplicate class C; keeping first"]
 
 
+def _filler_class(k: int) -> str:
+    """A class none of whose bodies calls fromXML; some of them hold the
+    name elsewhere, and braces hide in its literals and comments."""
+    mention = ("        String fromXMLish = \"fromXML(\" + '{';  // fromXML(x) }\n"
+               if k % 5 == 0 else "")
+    return (
+        f"package fill;\n\nimport java.util.List;\n\n/** Filler {k}: {{ }} */\n"
+        f"public class F{k} implements Runnable {{\n"
+        f"    private final List<String> items = null;\n"
+        f"    static {{ int s = {k}; }}\n"
+        f"    public void run() {{\n{mention}"
+        f"        for (String item : items) {{\n"
+        f"            if (item.isEmpty()) {{ log(\"}} {{\" + item); }}\n"
+        f"        }}\n    }}\n\n"
+        f"    private void log(String message) {{ /* {{ */ items.add(message); }}\n"
+        f"    static class Inner {{\n        <T> T pick(T a) {{\n            return a;\n"
+        f"        }}\n    }}\n}}\n")
+
+
+class TestLaziness:
+    def test_call_sites_lex_only_the_bodies_that_hold_the_name(self, tmp_path, monkeypatch):
+        for k in range(36):
+            (tmp_path / f"F{k}.java").write_text(_filler_class(k))
+        (tmp_path / "Caller.java").write_text(
+            "package fill;\n\nimport com.thoughtworks.xstream.XStream;\n\n"
+            "public class Caller {\n    public Object read(String xml) {\n"
+            "        XStream xs = new XStream();\n"
+            "        return xs.fromXML(xml);\n    }\n}\n")
+        lexed = []
+        tokenize = code_model._tokenize
+
+        def recording(source, start=0, end=None, line=1):
+            lexed.append((id(source), start, end))
+            return tokenize(source, start, end, line)
+
+        monkeypatch.setattr(code_model, "_tokenize", recording)
+        model = parse_project(tmp_path, emit_warnings=False)
+        # The parse lexes each file's declarations, member types included, in one piece.
+        assert lexed and all(span[1:] == (0, None) for span in lexed)
+        lexed.clear()
+        bodies = [entry for entry in model.parse_log if type(entry) is code_model._DeferredBody]
+        assert len(bodies) == 36 * 3 + 1  # every body is deferred
+        sites = model.call_sites("fromXML", 1)
+        assert [(m.signature(), st.line) for m, st, _ in sites] == [("fill.Caller#read(String)", 8)]
+        holding = {(id(b.source), b.start, b.end) for b in bodies
+                   if "fromXML" in b.source[b.start:b.end]}
+        assert len(holding) == 1 + len(range(0, 36, 5))
+        assert set(lexed) == holding and len(lexed) == len(holding)
+        assert [m.signature() for _, m in model.all_methods() if "body" in vars(m)] == [
+            "fill.Caller#read(String)"]
+
+        forced = parse_project(tmp_path, emit_warnings=False)
+        for (_, m), (_, f) in zip(model.all_methods(), forced.all_methods(), strict=True):
+            assert m.line == f.line
+            if "body" in vars(m):
+                assert [st.line for st in m.body] == [st.line for st in f.body] == [7, 8]
+        _assert_same_model(model, forced)
+
+
+    def test_member_types_are_tokenized_with_their_class(self):
+        # The parser reads a member type whole, so its body is not left out:
+        # a class with thousands of member types is tokenized at once, not
+        # spliced together one type at a time, and only method bodies wait.
+        n = 5000
+        source = "class Outer {\n" + "".join(
+            f"  static class C{k} {{ void m() {{ f(); }} }}\n" for k in range(n)) + "}\n"
+        log: list = []
+        with time_limit(10):
+            parser = code_model._FileParser("Src.java", source, log)
+            tokens = parser.cur.n
+            classes = parser.parse()
+        assert len(classes) == n + 1
+        assert parser.cur.n == tokens  # no block was tokenized on entering it
+        assert sum(type(entry) is code_model._DeferredBody for entry in log) == n
+
+
 class TestTypeNames:
     @pytest.mark.parametrize("text, erased, simple", [
         ("Map<K, V>[]", "Map", "Map"),
@@ -451,12 +536,30 @@ class TestTypeNames:
 class TestTokenizer:
     def test_unterminated_block_comments_are_linear(self):
         # Retrying the block-comment branch at each "/*" that no "*/"
-        # follows would rescan to the end of the text: quadratic.
+        # follows would rescan to the end of the text: quadratic. The
+        # character pass that matches the braces, and a file parse that
+        # leaves the body out and then lexes it, take the same care.
+        comments = "/* " * 20000
         start = time.perf_counter()
         with time_limit(10):
-            texts, lines = code_model._tokenize("/* " * 20000)
+            texts, lines = code_model._tokenize(comments)
         assert time.perf_counter() - start < 1.0
         assert texts == ["/", "*"] * 20000 and lines == [1] * 40000
+        start = time.perf_counter()
+        with time_limit(10):
+            code = code_model._blanked(comments)
+        assert time.perf_counter() - start < 1.0
+        assert code == comments.encode()
+        source = f"class C {{ void m() {{ {comments}}} }} /* {comments}"
+        start = time.perf_counter()
+        with time_limit(10):
+            classes, diagnostics = _parse_source(code_model, source)
+        assert time.perf_counter() - start < 1.0
+        assert [m.name for c in classes for m in c.methods] == ["m"]
+        assert [d.message for d in diagnostics] == [
+            "opaque statement (unexpected token '/' in expression)",
+            "skipping unexpected token '/'", "skipping unexpected token '*'"] + [
+            "skipping unexpected token '/'", "skipping unexpected token '*'"] * 20000
 
     def test_lexemes_match_one_findall(self):
         # Splitting the scan at the last possible comment start changes no
@@ -466,6 +569,57 @@ class TestTokenizer:
         for _ in range(3000):
             source = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
             assert code_model._lexemes(source) == code_model._LEXEME_RE.findall(source), source
+
+
+def _pieced_tokens(source: str) -> tuple[list[str], list[int]]:
+    """The file parser's tokens of source once it has parsed it, each
+    deferred body's place taken by the tokens the body lexes on demand, and
+    every other block still left out tokenized in place."""
+    log: list = []
+    parser = code_model._FileParser("Src.java", source, log)
+    parser.parse()
+    bodies = {entry.start: entry for entry in log if type(entry) is code_model._DeferredBody}
+    cur = parser.cur
+    texts: list[str] = []
+    lines: list[int] = []
+    i = 0
+    while i < cur.n:
+        brace = cur.braces[i]
+        if brace in bodies:
+            body_texts, body_lines = bodies[brace].lex()
+            texts += body_texts
+            lines += body_lines
+            cur.i = i
+            cur.skip_balanced("{", "}")  # the body's '}' token, or its whole tokens
+            i = cur.i
+            continue
+        if brace in cur.left_out:
+            cur.i = i
+            cur.next()  # tokenizes the block's interior in place
+        texts.append(cur.texts[i])
+        lines.append(cur.lines[i])
+        i += 1
+    return texts, lines
+
+
+# Pieces of text that make braces hard to find: braces and quotes inside
+# string and char literals and comments, unterminated literals and
+# comments, stray closers and brackets that do not nest, and member types.
+_LEXING_PIECES = ["{", "}", "(", ")", "[", "]", ";", " ", "\n", "a", "x = f(a);", "for (T t : ts)",
+                  "class C ", "void m() ", '"', "'", '"{"', "'}'", '"a\\"}"', "'\\''", "'{",
+                  "//", "/*", "*/", "/**/", "// }\n", "/* { */", "/", "*", "\\", "<", ">", "@A ",
+                  "static class D { ", "enum E { A { void f() { } } } ", "x = Foo.class;"]
+_PREFIXES = ["", "class C { void m() { ", "class C { int f = 1; static { g(); } void m() {\n"]
+
+
+@given(st.sampled_from(_PREFIXES), st.lists(st.sampled_from(_LEXING_PIECES), max_size=60))
+@settings(max_examples=400, deadline=None)
+def test_lexing_in_pieces_equals_lexing_the_whole(prefix, pieces):
+    # The declarations are tokenized without the blocks' interiors, and
+    # each body lexes its own text: merged in source order, they are the
+    # tokens of the whole file, texts and lines alike.
+    source = prefix + "".join(pieces)
+    assert _pieced_tokens(source) == code_model._tokenize(source), source
 
 
 class TestErrorRecovery:
