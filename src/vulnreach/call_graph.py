@@ -49,7 +49,8 @@ class CallGraph:
     call site is resolved at most once. There is one edge per (caller,
     callee, statement), made from the statement's first call to callee in
     pre-order; external callees produce no edge. nodes and edges are the
-    full views, computed when first read.
+    full views, computed when first read; edges first indexes every call
+    of the model in one walk (see CodeModel.index_calls).
     """
 
     def __init__(self, model: CodeModel):
@@ -81,6 +82,7 @@ class CallGraph:
 
     @cached_property
     def edges(self) -> frozenset[CallEdge]:
+        self._model.index_calls()  # one walk, not one text search per method name
         return frozenset(e for callee in self.nodes for e in self.incoming(callee))
 
 

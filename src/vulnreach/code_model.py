@@ -8,16 +8,22 @@ Control-flow bodies are flattened into the enclosing method's statement list;
 constructs outside the subset degrade to opaque statements that still expose
 the variable names they mention.
 
-Declarations are parsed eagerly. A method body is not even tokenized at
-first: one pass over the characters matches the braces and checks the
-brackets, and the file is tokenized without the interiors of well-nested
-blocks (see _FileCursor). A body is lexed and parsed when MethodDecl.body is
-first read, so the analysis pays only for the bodies it reads;
-CodeModel.call_sites lexes only the bodies whose text holds the name asked
-for, and parses only those that may call it. A body whose brackets are
-unbalanced or nested too deeply is parsed at once. The parser consumes a
-brace only together with its match (type arguments end at '{', '}' or ';',
-a case label at a brace), so it ends every other body where its '}' is.
+The package, the imports and each type's header (its supertypes and
+annotations) are parsed eagerly; the rest waits until it is read. One pass
+over the characters matches the braces and checks the brackets, and a file
+is tokenized only down to its type headers (see java_lexer.FileCursor). A
+class's members are lexed and parsed when ClassDecl.methods or
+ClassDecl.fields is first read, if its body reads as well-formed members
+and holds no member type; any other class's members, and every enum's and
+record's, are parsed at once. A method body is lexed and parsed when
+MethodDecl.body is first read, so the analysis pays only for the classes
+and bodies it reads: CodeModel.call_sites reads only the classes of the
+files whose text holds the name asked for, lexes only the bodies whose text
+holds it, and parses only those that may call it. A body whose brackets are
+unbalanced or nested too deeply is parsed with its class's members. The
+parser consumes a brace only together with its match (type arguments end
+at '{', '}' or ';', a case label at a brace), so it ends every other body
+where its '}' is.
 
 The model is the substrate for call-graph construction and parameter-transfer
 analysis; it is not a general-purpose Java front end (no type inference, no
@@ -28,13 +34,26 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left, bisect_right
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from pathlib import Path
 
+from . import java_lexer
 from .errors import VulnreachError
+from .java_lexer import (
+    IDENT_START,
+    KEYWORDS,
+    MAX_NESTING,
+    MODIFIERS,
+    PRIMITIVES,
+    TYPE_ARGUMENT_ENDS,
+    Cursor,
+    FileCursor,
+    ParseError,
+    is_literal,
+)
 
 # ---------------------------------------------------------------------------
 # errors / diagnostics
@@ -72,23 +91,6 @@ _JAVA_LANG = {
     "Exception", "RuntimeException", "Error", "Throwable", "Iterable",
     "Comparable", "Runnable",
 }
-
-_PRIMITIVES = {"int", "long", "short", "byte", "double", "float", "boolean", "char", "void", "var"}
-
-_MODIFIERS = {
-    "public", "protected", "private", "static", "final", "abstract",
-    "synchronized", "native", "strictfp", "transient", "volatile", "default",
-    "sealed",
-}
-
-_KEYWORDS = _PRIMITIVES | _MODIFIERS | {
-    "package", "import", "class", "interface", "enum", "record", "extends",
-    "implements", "throws", "if", "else", "for", "while", "do", "switch",
-    "case", "break", "continue", "return", "try", "catch", "finally", "throw",
-    "new", "this", "super", "instanceof", "null", "true", "false", "assert",
-    "yield", "permits",
-}
-
 
 def erase_generics(type_text: str) -> str:
     """Type text with its generic arguments cut off: everything from the
@@ -216,7 +218,7 @@ def call(name: str, receiver: Expr | None, *args: Expr) -> Expr:
 
 def opaque_expr(text: str) -> Expr:
     """Fallback node for unparsed source; variable names extracted textually."""
-    names = [t for t in re.findall(r"[A-Za-z_$][\w$]*", text) if t not in _KEYWORDS]
+    names = [t for t in re.findall(r"[A-Za-z_$][\w$]*", text) if t not in KEYWORDS]
     seen: list[str] = []
     for n in names:
         if n not in seen:
@@ -272,16 +274,30 @@ class Param:
     declared_type: str
 
 
-class _Body:
-    """MethodDecl.body while the method's body is deferred: the first read
-    parses it and stores the statements as the instance's own body, which
-    later reads find without calling this."""
+class _Lazy:
+    """A field parsed when first read, while the declaration holds a
+    _Deferred as "deferred" (see _defer): the first read of any such field
+    parses it and stores the values of all of them as the instance's own,
+    which later reads find without calling this."""
 
-    def __get__(self, method, owner=None):
-        if method is None:
-            raise AttributeError("body")  # a required field: no default
-        body = method.__dict__["body"] = method.__dict__["deferred_body"].parse()
-        return body
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, decl, owner=None):
+        if decl is None:
+            raise AttributeError(self.name)  # a required field: no default
+        decl.__dict__.update(decl.__dict__["deferred"].parse())
+        return decl.__dict__[self.name]
+
+
+def _defer(decl, names: tuple[str, ...]) -> None:
+    """When the declaration's fields names hold a _Deferred, keep it as
+    "deferred" instead, for those fields to be parsed when first read."""
+    fields = decl.__dict__
+    if isinstance(fields[names[0]], _Deferred):
+        fields["deferred"] = fields[names[0]]
+        for name in names:
+            del fields[name]
 
 
 @dataclass(frozen=True)
@@ -293,14 +309,13 @@ class MethodDecl:
     visibility: str
     is_static: bool
     annotations: tuple[str, ...]
-    body: tuple[Statement, ...] = _Body()
+    body: tuple[Statement, ...] = _Lazy()
     line: int = 0
     is_constructor: bool = False
     is_abstract: bool = False
 
     def __post_init__(self):
-        if type(self.__dict__["body"]) is _DeferredBody:
-            self.__dict__["deferred_body"] = self.__dict__.pop("body")
+        _defer(self, ("body",))
 
     def signature(self) -> str:
         types = ",".join(p.declared_type for p in self.params)
@@ -333,12 +348,17 @@ class FieldDecl:
     declared_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassDecl:
+    """One class, interface, enum or record. Its methods and fields are
+    parsed when either is first read if its members are deferred (see
+    _DeferredMembers); comparing or hashing two classes reads them only when
+    the classes agree in every other field."""
+
     fqn: str
     package: str
-    methods: tuple[MethodDecl, ...]
-    fields: tuple[FieldDecl, ...]
+    methods: tuple[MethodDecl, ...] = _Lazy()
+    fields: tuple[FieldDecl, ...] = _Lazy()
     supertypes: tuple[str, ...]
     annotations: tuple[str, ...]
     file: str = ""
@@ -346,6 +366,23 @@ class ClassDecl:
     wildcard_imports: tuple[str, ...] = ()      # package prefixes from a.b.*
     source_text: str = ""
     is_interface: bool = False
+
+    def __post_init__(self):
+        _defer(self, ("methods", "fields"))
+
+    def _header(self) -> tuple:
+        return (self.fqn, self.package, self.supertypes, self.annotations, self.file,
+                self.imports, self.wildcard_imports, self.source_text, self.is_interface)
+
+    def __eq__(self, other):
+        if type(other) is not ClassDecl:
+            return NotImplemented
+        return self is other or (self._header() == other._header() and
+                                 (self.methods, self.fields) == (other.methods, other.fields))
+
+    def __hash__(self):
+        # A subset of the fields equality compares; the members are left out.
+        return hash((self.fqn, self.file))
 
     @property
     def simple_name(self) -> str:
@@ -367,25 +404,29 @@ class ExternalCallee:
     arity: int
 
 
+def _logged(log):
+    """The diagnostics a parse log stands for, in source order (see
+    CodeModel.parse_log)."""
+    for entry in log:
+        if isinstance(entry, _Deferred):
+            yield from _logged(entry.log)
+        else:
+            yield entry
+
+
 @dataclass(frozen=True)
 class CodeModel:
     classes: tuple[ClassDecl, ...]
     index: dict[str, ClassDecl]
-    # The parse's diagnostics in source order, a deferred method body
-    # standing in for its own (see diagnostics).
-    parse_log: tuple[ParseDiagnostic | _DeferredBody, ...] = field(default=(), compare=False)
+    # The parse's diagnostics in source order, a deferred class or method
+    # body standing in for its own (see diagnostics).
+    parse_log: tuple[ParseDiagnostic | _Deferred, ...] = field(default=(), compare=False)
 
     @property
     def diagnostics(self) -> tuple[ParseDiagnostic, ...]:
-        """The declarations' diagnostics and those of every method body
-        parsed so far, in source order."""
-        out: list[ParseDiagnostic] = []
-        for entry in self.parse_log:
-            if type(entry) is _DeferredBody:
-                out.extend(entry.diagnostics)
-            else:
-                out.append(entry)
-        return tuple(out)
+        """The declarations' diagnostics and those of every class and
+        method body parsed so far, in source order."""
+        return tuple(_logged(self.parse_log))
 
     def find_class(self, fqn: str) -> ClassDecl | None:
         return self.index.get(fqn)
@@ -395,13 +436,6 @@ class CodeModel:
         out: dict[str, list[ClassDecl]] = {}
         for c in self.classes:
             out.setdefault(c.simple_name, []).append(c)
-        return out
-
-    @cached_property
-    def _methods_by_signature(self) -> dict[str, MethodDecl]:
-        out: dict[str, MethodDecl] = {}
-        for _, m in self.all_methods():
-            out.setdefault(m.signature(), m)  # first declaration in file order wins
         return out
 
     @cached_property
@@ -416,6 +450,10 @@ class CodeModel:
     def _call_sites(self) -> dict[tuple[str, int], list[tuple[MethodDecl, Statement, Expr]]]:
         return {}
 
+    @cached_property
+    def _signatures(self) -> dict[str, MethodDecl | None]:
+        return {}
+
     def classes_by_simple_name(self, simple: str) -> list[ClassDecl]:
         return list(self._classes_by_simple.get(simple, ()))
 
@@ -423,23 +461,42 @@ class CodeModel:
         """Every call of a method named name with arity arguments, as
         (enclosing method, statement, call expression), in method, statement
         and pre-order. Built once per (name, arity), from only the bodies
-        that may call name (see _callers): no other body is lexed, parsed
-        or walked."""
+        that may call name (see _callers): no other class or body is lexed,
+        parsed or walked. After index_calls, built from that walk."""
         key = (name, arity)
-        sites = self._call_sites.get(key)
-        if sites is None:
+        try:
+            return self._call_sites[key]
+        except KeyError:  # not built yet, and not every call indexed
             sites = self._call_sites[key] = [
                 (m, stmt, call_expr) for m in self._callers(name)
                 for stmt in m.body for call_expr in stmt.calls()
                 if call_expr.name == name and len(call_expr.args) == arity]
-        return sites
+            return sites
+
+    def index_calls(self) -> None:
+        """Build every call_sites list in one walk over all methods, in
+        file, statement and pre-order, which gives the lists call_sites
+        documents; a (name, arity) no call has gets an empty list. Every
+        class and body is parsed. For readers of every list, such as the
+        full call graph: asked name by name, each would search the
+        project's text."""
+        if type(self._call_sites) is defaultdict:
+            return
+        every: defaultdict[tuple[str, int], list] = defaultdict(list)
+        for _, m in self.all_methods():
+            for stmt in m.body:
+                for call_expr in stmt.calls():
+                    every[call_expr.name, len(call_expr.args)].append((m, stmt, call_expr))
+        every.update(self._call_sites)  # the lists built already stay
+        self.__dict__["_call_sites"] = every
 
     def _callers(self, name: str):
         """The methods, in file order, whose bodies may call name: every
         parsed body in a file whose text holds name, and each deferred body
         whose text holds it and whose call names hold it (those of a
-        parsed body are known without lexing it again). An enhanced for
-        is a call named iterate, so "for" stands in for that name too."""
+        parsed body are known without lexing it again). Only the classes
+        of those files are read. An enhanced for is a call named iterate,
+        so "for" stands in for that name too."""
         alias = "for" if name == "iterate" else name
         source = None
         for cls in self.classes:
@@ -448,7 +505,7 @@ class CodeModel:
                 in_file = name in source or alias is not name and alias in source
             if in_file:
                 for m in cls.methods:
-                    deferred = m.__dict__.get("deferred_body")
+                    deferred = m.__dict__.get("deferred")
                     if deferred is None or deferred.may_call(name, alias):
                         yield m
 
@@ -458,7 +515,16 @@ class CodeModel:
                 yield cls, m
 
     def method_by_signature(self, sig: str) -> MethodDecl | None:
-        return self._methods_by_signature.get(sig)
+        """The method with signature sig: the first in declaration order of
+        those its owner class, the part of sig before '#', declares with
+        that signature. No other class is read."""
+        method = self._signatures.get(sig, self)
+        if method is self:  # not asked before: read the owner's signatures
+            owner = self.index.get(sig.partition("#")[0])
+            for m in owner.methods if owner is not None else ():
+                self._signatures.setdefault(m.signature(), m)
+            method = self._signatures.setdefault(sig, None)
+        return method
 
     def owner_of(self, method: MethodDecl) -> ClassDecl | None:
         return self.index.get(method.owner)
@@ -472,7 +538,7 @@ class CodeModel:
         Generic arguments and array suffixes are ignored for resolution.
         """
         base = erase_generics(name).replace("[]", "").strip()
-        if not base or base in _PRIMITIVES:
+        if not base or base in PRIMITIVES:
             return None
         if base in self.index:
             return self.index[base]
@@ -527,468 +593,20 @@ class CodeModel:
         return out
 
 
-# ---------------------------------------------------------------------------
-# tokenizer
-# ---------------------------------------------------------------------------
-
-# One match per lexeme, in a single findall call. Whitespace other than "\n"
-# is skipped inside the match; "\n" is a lexeme of its own so that lines can
-# be counted. A character that starts no lexeme, and the end of the text,
-# match with an empty group: every match attempt succeeds, so the search
-# never rescans a run of whitespace.
-_LEXEME_RE = re.compile(
-    r"""
-    [^\S\n]*
-    (?:
-      (
-        \n
-      | //[^\n]*|/\*.*?\*/
-      | "(?:\\.|[^"\\])*"
-      | '(?:\\.|[^'\\])*'
-      | \d[\w]*(?:\.[\w]+)?
-      | [A-Za-z_$][\w$]*
-      | <<=|>>>=|>>=|>>>|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::|\.\.\.|[{}()\[\];,.<>=+\-*/%!&|^~?:@]
-      )
-    | \S
-    | \Z
-    )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-# The same without its block-comment branch.
-_NO_BLOCK_COMMENT_RE = re.compile(_LEXEME_RE.pattern.replace(r"|/\*.*?\*/", ""),
-                                  re.VERBOSE | re.DOTALL)
-
-
-def _lexemes(source: str) -> list[str]:
-    """_LEXEME_RE.findall(source), in time linear in the text. A "/*" at or
-    after rfind("*/") - 1 closes nowhere, and the block-comment branch would
-    rescan to the end at each one, so the matches from there on are taken
-    without that branch."""
-    cut = source.rfind("*/") - 1
-    if source.find("/*", max(cut, 0)) < 0:
-        return _LEXEME_RE.findall(source)
-    out = []
-    for m in _LEXEME_RE.finditer(source):
-        if m.start() >= cut:
-            break
-        out.append(m[1] or "")
-    return out + _NO_BLOCK_COMMENT_RE.findall(source, m.start())
-
-
-# A token's kind follows from its first character: identifiers (keywords
-# included) start with one of these, string and char literals with a quote,
-# numbers with a decimal digit, operators with anything else.
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
-
-
-def _is_literal(text: str) -> bool:
-    c = text[0]
-    return c == '"' or c == "'" or c.isdecimal()
-
-
-def _tokenize(source: str, start: int = 0, end: int | None = None,
-              line: int = 1) -> tuple[list[str], list[int]]:
-    """Token texts of source[start:end], comments dropped, and each token's
-    1-based line, the slice starting on line line. A slice that starts and
-    ends between two tokens of source has the same tokens, on the same
-    lines, as the whole text has there."""
-    texts: list[str] = []
-    lines: list[int] = []
-    for s in _lexemes(source[start:end]):
-        if s == "\n":
-            line += 1
-            continue
-        if not s:
-            continue
-        c = s[0]
-        if c == "/" and s[1:2] in ("/", "*"):
-            line += s.count("\n")
-            continue
-        texts.append(s)
-        lines.append(line)
-        if c == '"' or c == "'":
-            line += s.count("\n")
-    return texts, lines
-
-
-# The lexemes inside which a bracket character is no token: comments, string
-# and char literals, as _LEXEME_RE matches them.
-_SKIPPED = rb"""//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*'"""
-_SKIPPED_RE = re.compile(_SKIPPED, re.DOTALL)
-_NO_BLOCK_SKIPPED_RE = re.compile(_SKIPPED.replace(rb"|/\*.*?\*/", b""), re.DOTALL)
-_NOT_BRACKETS = bytes(c for c in range(256) if c not in b"{}()[]")
-_BRACKET_PAIR_RE = re.compile(rb"\{\}|\(\)|\[\]")
-_TYPE_HEADER_RE = re.compile(rb"\b(?:class|interface|enum|record)\b")
-
-
-def _spaces(m: re.Match) -> bytes:
-    return b" " * (m.end() - m.start())
-
-
-def _blanked(source: str) -> bytes:
-    """source in ASCII, one byte per character (a '?' for any other), with
-    each comment and string or char literal replaced by as many spaces, so
-    that every bracket character left is a bracket token. Each '/', '"' and
-    "'" outside those lexemes starts a lexeme of its own, so a search for
-    them finds what the lexer finds. Linear in the text: as in _lexemes, no
-    '/*' is tried as a comment from the first lexeme at or after
-    rfind("*/") - 1 on."""
-    text = source.encode("ascii", "replace")
-    cut = source.rfind("*/") - 1
-    if source.find("/*", max(cut, 0)) < 0:
-        return _SKIPPED_RE.sub(_spaces, text)
-    split = next(m.start() for m in _LEXEME_RE.finditer(source) if m.start() >= cut)
-    return (_SKIPPED_RE.sub(_spaces, text[:split])
-            + _NO_BLOCK_SKIPPED_RE.sub(_spaces, text[split:]))
-
-
-def _may_name_type(code: bytes) -> bool:
-    """Whether code holds a word that can start a type declaration."""
-    return b"class" in code or b"interface" in code or b"enum" in code or b"record" in code
-
-
-def _well_nested(code: bytes) -> bool:
-    """Whether the brackets of code nest well, at most _MAX_NESTING deep.
-    Each round removes every innermost pair, so the brackets are gone
-    after as many rounds as they nest deep, or never."""
-    brackets = code.translate(None, _NOT_BRACKETS)
-    for _ in range(_MAX_NESTING):
-        if not brackets:
-            return True
-        brackets, pairs = _BRACKET_PAIR_RE.subn(b"", brackets)
-        if not pairs:
-            return False
-    return not brackets
-
-
-class _ParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(message)
-        self.line = line
-
-
-# Brackets by opener, and the tokens no type argument holds.
-_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = frozenset(_CLOSER_OF.values())
-_TYPE_ARGUMENT_ENDS = frozenset(("{", "}", ";"))
-
-
-class _Cursor:
-    """Position i in a file's tokens: texts[j] is token j's text, lines[j] its
-    line. Two None sentinels after the last token let peek, at and at_ident
-    look one token past the end without a bounds check."""
-
-    __slots__ = ("texts", "lines", "n", "i")
-
-    def __init__(self, texts: list[str], lines: list[int]):
-        self.n = len(texts)
-        self.texts: list[str | None] = [*texts, None, None]
-        self.lines = lines
-        self.i = 0
-
-    def peek(self, offset: int = 0) -> str | None:
-        return self.texts[self.i + offset]
-
-    def at(self, text: str, offset: int = 0) -> bool:
-        return self.texts[self.i + offset] == text
-
-    def at_ident(self, offset: int = 0) -> bool:
-        t = self.texts[self.i + offset]
-        return t is not None and t[0] in _IDENT_START
-
-    def next(self) -> str:
-        i = self.i
-        if i >= self.n:
-            raise _ParseError("unexpected end of file", self.line())
-        self.i = i + 1
-        return self.texts[i]
-
-    def expect(self, text: str) -> str:
-        if self.texts[self.i] != text:
-            raise _ParseError(f"expected '{text}'", self.line())
-        self.i += 1
-        return text
-
-    def line(self) -> int:
-        """Line of the current token, or of the last one at the end."""
-        return self.lines[min(self.i, self.n - 1)] if self.n else 1
-
-    def eof(self) -> bool:
-        return self.i >= self.n
-
-    def skip_balanced(self, open_: str, close: str) -> list[str]:
-        """Consume from the current open_ token through its matching close.
-        Each token passes as it is: a block of a file's tokens whose
-        interior is left out stays so (see _FileCursor)."""
-        texts = self.texts
-        start = i = self.i
-        if texts[i] != open_:
-            raise _ParseError(f"expected '{open_}'", self.line())
-        depth = 0
-        while True:
-            t = texts[i]
-            if t is None:
-                self.i = i
-                raise _ParseError("unexpected end of file", self.line())
-            i += 1
-            if t == open_:
-                depth += 1
-            elif t == close:
-                depth -= 1
-                if depth == 0:
-                    break
-        self.i = i
-        return texts[start:i]
-
-    def skip_generics(self) -> None:
-        """Skip a balanced <...> group starting at the cursor. It fails at
-        a '{', '}' or ';', which it leaves unconsumed."""
-        depth = 0
-        while True:
-            if self.texts[self.i] in _TYPE_ARGUMENT_ENDS:
-                raise _ParseError(f"unexpected '{self.texts[self.i]}' in type arguments",
-                                  self.line())
-            t = self.next()
-            if t == "<":
-                depth += 1
-            elif t in (">", ">>", ">>>"):
-                depth -= len(t)
-            if depth <= 0:
-                return
-
-    def skip_to(self, stops: tuple[str, ...]) -> str | None:
-        """Move to the next token in stops outside the brackets opened on
-        the way, or to a closer that none of them matches, and return it
-        unconsumed; None at the end."""
-        texts = self.texts
-        i = self.i
-        depth = 0
-        while True:
-            t = texts[i]
-            if t is None or (depth == 0 and t in stops):
-                break
-            if t in _CLOSER_OF:
-                depth += 1
-            elif t in _CLOSERS:
-                if depth == 0:
-                    break
-                depth -= 1
-            i += 1
-        self.i = i
-        return t
-
-    def dotted_name(self) -> str:
-        name = self.next()
-        while self.at(".") and self.at_ident(1):
-            name += "." + self.texts[self.i + 1]
-            self.i += 2
-        return name
-
-    def type_ref(self) -> str:
-        """Parse a type reference, returning its canonical source text."""
-        t = self.peek()
-        if t is None:
-            raise _ParseError("expected type", self.line())
-        if t in _PRIMITIVES:
-            self.next()
-            text = t
-        elif t[0] in _IDENT_START and t not in _KEYWORDS:
-            text = self.dotted_name()
-        else:
-            raise _ParseError(f"expected type, found '{t}'", self.line())
-        if self.at("<"):
-            start = self.i
-            try:
-                self.skip_generics()
-                text += "".join(self.texts[start:self.i])
-            except _ParseError:
-                self.i = start
-        while self.at("[") and self.at("]", 1):
-            self.i += 2
-            text += "[]"
-        return text
-
-
-def _offsets(code: bytes, byte: bytes) -> list[int]:
-    """The offsets of byte in code, in order."""
-    ends = accumulate(map(len, code.split(byte)))  # the end of each piece between two
-    return [end + k for k, end in enumerate(ends)][:-1]
-
-
-class _FileCursor(_Cursor):
-    """A cursor over one file's tokens that leaves out the interior of
-    well-nested blocks until the parser enters them.
-
-    One pass over the characters finds the braces: opens holds the offset
-    of every '{' in the source, in order, and close the offset of the '}'
-    that matches each '{' that one matches. The file is then tokenized with
-    the interior of each block inside a top-level block (a class body) left
-    out, but for member types' bodies, which the parser reads whole anyway.
-    This holds up to the first top-level block that has no '}' or whose
-    brackets nest badly or deeper than _MAX_NESTING; from that one on every
-    block is tokenized. A block left out is its '{' token followed by its
-    '}' token. braces runs beside texts: for a '{' token the offset of its
-    '{', else None.
-
-    A walk that counts brackets (skip_balanced, skip_to, the one over enum
-    constants) passes a well-nested block whole, so it ends at the same
-    token whether or not the interior is there. next and expect, which
-    consume a '{' alone, tokenize the block's interior in place first. So
-    the declaration parser reads what it would read in the whole file's
-    tokens, and a body parsed at once lies among tokenized blocks only."""
-
-    __slots__ = ("source", "code", "opens", "close", "left_out", "braces")
-
-    def __init__(self, source: str):
-        self.source = source
-        self.code = code = _blanked(source)
-        self.opens = opens = _offsets(code, b"{")
-        self.close: dict[int, int] = {}
-        stack: list[int] = []
-        k = 0
-        for end in _offsets(code, b"}"):
-            while k < len(opens) and opens[k] < end:
-                stack.append(opens[k])
-                k += 1
-            if stack:
-                self.close[stack.pop()] = end
-        self.left_out: set[int] = set()
-        texts, lines, self.braces = self._tokens(0, len(opens), 0, len(source), 1, False)
-        super().__init__(texts, lines)
-
-    def well_nested(self, start: int) -> bool:
-        """Whether the block whose '{' is at offset start has a '}' and its
-        brackets nest well, at most _MAX_NESTING deep."""
-        end = self.close.get(start)
-        return end is not None and _well_nested(self.code[start:end + 1])
-
-    def type_body(self, after: int, start: int) -> bool:
-        """Whether the block whose '{' is at offset start is a type's body:
-        its header, from offset after or the last '}' or ';' before it,
-        names class, interface, enum or record. A body taken for a type's
-        is only tokenized sooner."""
-        header = self.code[after:start]
-        if not _may_name_type(header):
-            return False
-        header = header[max(header.rfind(b"}"), header.rfind(b";")) + 1:]
-        return _TYPE_HEADER_RE.search(header) is not None
-
-    def _tokens(self, k: int, stop: int, start: int, end: int, line: int, nested: bool):
-        """The tokens of source[start:end], which starts on line line and
-        holds the blocks opened at opens[k:stop]. When nested, the text lies
-        in a well-nested block, and each block in it has its interior left
-        out. Else the text is the whole file, and each top-level block that
-        nests well is tokenized so, up to the first that does not; from that
-        one on every block is tokenized. A member type's body (see
-        type_body) is tokenized like the block around it rather than left
-        out, so a class with thousands of member types is not spliced
-        together one type at a time. The text is lexed in one piece with the
-        interiors cut out, and each token after an interior then moves down
-        by the interior's lines. Returns the token texts, their lines, and
-        beside them the offset of each '{' token's '{' (None for the other
-        tokens)."""
-        source, opens = self.source, self.opens
-        pieces: list[str] = []
-        opened: list[tuple[int, int]] = []  # each '{' token: offset, lines left out after it
-        pos = start
-        after = start  # just past the last brace met
-        within = end if nested else -1  # the blocks opened before this offset are left out
-        types = nested and _may_name_type(self.code[start:end])  # a member type may be there
-        tail = False
-        while k < stop:
-            brace = opens[k]
-            if brace < within:
-                if not (types and self.type_body(after, brace)):
-                    self.left_out.add(brace)
-                    close = self.close[brace]
-                    pieces.append(source[pos:brace + 1])
-                    opened.append((brace, source.count("\n", brace + 1, close)))
-                    pos = close
-                    after = close + 1
-                    k = bisect_left(opens, close, k)
-                    continue
-            elif not tail and self.well_nested(brace):
-                within = self.close[brace]
-                types = _may_name_type(self.code[brace:within])
-            else:
-                tail = True  # every block from here on is tokenized
-            opened.append((brace, 0))
-            after = brace + 1
-            k += 1
-        pieces.append(source[pos:end])
-        texts, lines = _tokenize("".join(pieces), line=line)
-        braces: list[int | None] = [None] * len(texts)
-        i = -1
-        shift = 0
-        for brace, newlines in opened:
-            j = texts.index("{", i + 1)
-            braces[j] = brace
-            if shift:
-                lines[i + 1:j + 1] = map(shift.__add__, lines[i + 1:j + 1])
-            shift += newlines
-            i = j
-        if shift:
-            lines[i + 1:] = map(shift.__add__, lines[i + 1:])
-        return texts, lines, braces
-
-    def _enter(self, i: int) -> None:
-        """Tokenize the interior of the block whose '{' is token i in place,
-        if it is left out."""
-        brace = self.braces[i]
-        if brace not in self.left_out:
-            return
-        self.left_out.remove(brace)
-        end = self.close[brace]
-        opens = self.opens
-        texts, lines, braces = self._tokens(bisect_right(opens, brace), bisect_left(opens, end),
-                                            brace + 1, end, self.lines[i], True)
-        j = i + 1
-        self.texts[j:j] = texts
-        self.lines[j:j] = lines
-        self.braces[j:j] = braces
-        self.n += len(texts)
-
-    def next(self) -> str:
-        i = self.i
-        if i >= self.n:
-            raise _ParseError("unexpected end of file", self.line())
-        self.i = i + 1
-        t = self.texts[i]
-        if t == "{":
-            self._enter(i)
-        return t
-
-    def expect(self, text: str) -> str:
-        _Cursor.expect(self, text)
-        if text == "{":
-            self._enter(self.i - 1)
-        return text
-
-
 def _idents(texts: list[str]) -> str:
-    return " ".join(t for t in texts if t[0] in _IDENT_START)
+    return " ".join(t for t in texts if t[0] in IDENT_START)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-# Deepest nesting the parser follows. A nested statement, a binary-operator
-# operand, a prefix operator or cast, and a conditional arm each count one
-# level. A statement holding deeper input becomes one opaque statement. A
-# member type declaration counts one level for its members and their method
-# bodies; a deeper one is skipped whole. A level costs at most six
-# interpreter frames, so parsing stays within Python's default recursion
-# limit from any caller less than 200 frames deep.
-_MAX_NESTING = 128
 
 _COMPOUND_ASSIGN = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
 
 # Tokens _call_names acts on: '(', those that open, close or end type
 # arguments, and for.
-_NAME_STOPS = frozenset(("(", "<", ">", ">>", ">>>", *_TYPE_ARGUMENT_ENDS, "for"))
+_NAME_STOPS = frozenset(("(", "<", ">", ">>", ">>>", *TYPE_ARGUMENT_ENDS, "for"))
 
 # Binary operators by precedence; instanceof parses as a relational operator
 # whose right-hand side is a type.
@@ -1002,22 +620,30 @@ _PREFIX_OPS = frozenset(("!", "~", "+", "-", "++", "--"))
 _KEYWORD_PRIMARIES = frozenset(("true", "false", "null", "this", "super", "new"))
 
 
+_TYPE_KEYWORDS = ("class", "interface", "enum", "record")
+
+
 class _FileParser:
-    """Parses one file's declarations. A method body is deferred when its
-    brackets nest well (see _body) and parsed now otherwise; in diagnostics
-    a deferred body stands in for its own diagnostics."""
+    """Parses one file's declarations. A class's members are deferred when
+    its body reads as well-formed members and holds no member type (see
+    FileCursor.class_body), and parsed now otherwise. A method body is
+    deferred when its brackets nest well (see _body) and parsed now
+    otherwise. In diagnostics a deferred class or body stands in for its
+    own diagnostics. cur, when given, is a cursor over one class body's
+    tokens, for parsing its members (see _DeferredMembers)."""
 
     def __init__(self, path: str, source: str,
-                 diagnostics: list[ParseDiagnostic | _DeferredBody]):
+                 diagnostics: list[ParseDiagnostic | _Deferred],
+                 cur: FileCursor | None = None):
         self.path = path
         self.source = source
-        self.cur = _FileCursor(source)
+        self.cur = FileCursor(source) if cur is None else cur
         self.diagnostics = diagnostics
         self.package = ""
         self.imports: list[tuple[str, str]] = []
         self.wildcards: list[str] = []
         self.classes: list[ClassDecl] = []
-        self.depth = 0  # member type declarations open, see _MAX_NESTING
+        self.depth = 0  # member type declarations open, see MAX_NESTING
 
     def warn(self, message: str, line: int | None = None):
         self.diagnostics.append(ParseDiagnostic(self.path, line or self.cur.line(), message))
@@ -1029,7 +655,7 @@ class _FileParser:
         while not cur.eof():
             try:
                 t = cur.peek()
-                if t == "@":
+                if t == "@" and not cur.at("interface", 1):
                     self._skip_annotation()
                 elif t == "package":
                     cur.next()
@@ -1048,14 +674,14 @@ class _FileParser:
                     elif not static:
                         self.imports.append((name.rsplit(".", 1)[-1], name))
                     self._skip_to(";")
-                elif t in _MODIFIERS or t in ("class", "interface", "enum", "record"):
+                elif t in MODIFIERS or t in _TYPE_KEYWORDS or t == "@":
                     self._parse_type_decl()
                 elif t == ";":
                     cur.next()
                 else:
                     self.warn(f"skipping unexpected token '{t}'")
                     cur.next()
-            except _ParseError as e:
+            except ParseError as e:
                 self.warn(str(e), e.line)
                 self._resync()
         return self.classes
@@ -1080,25 +706,39 @@ class _FileParser:
             cur.skip_balanced("(", ")")
         return name
 
+    def _annotations(self, annotations: list[str]) -> None:
+        """Skip the annotations at the cursor, adding their names; the '@'
+        of an annotation type's '@interface' is left."""
+        cur = self.cur
+        while cur.at("@") and not cur.at("interface", 1):
+            annotations.append(self._skip_annotation())
+
     # -- class declarations --------------------------------------------------
 
     def _parse_type_decl(self, outer_fqn: str | None = None):
         cur = self.cur
         annotations: list[str] = []
-        while cur.at("@"):
-            annotations.append(self._skip_annotation())
-        while cur.peek() in _MODIFIERS:
+        self._annotations(annotations)
+        while cur.peek() in MODIFIERS:
             cur.next()
-            while cur.at("@"):
-                annotations.append(self._skip_annotation())
+            self._annotations(annotations)
         line = cur.line()
         kw = cur.next()
-        if kw not in ("class", "interface", "enum", "record"):
-            raise _ParseError(f"expected type declaration, found '{kw}'", line)
+        if kw == "@" and cur.at("interface"):  # an annotation type
+            kw = cur.next()
+        if kw not in _TYPE_KEYWORDS:
+            raise ParseError(f"expected type declaration, found '{kw}'", line)
         simple = cur.next()
         if cur.at("<"):
             cur.skip_generics()
+        components = None
         if kw == "record" and cur.at("("):
+            start = cur.i
+            try:
+                components = self._parse_params()
+            except ParseError:
+                components = ()
+            cur.i = start
             cur.skip_balanced("(", ")")
         supertypes: list[str] = []
         while cur.at("extends") or cur.at("implements") or cur.at("permits"):
@@ -1113,32 +753,28 @@ class _FileParser:
                 break
         fqn = f"{outer_fqn}.{simple}" if outer_fqn else (
             f"{self.package}.{simple}" if self.package else simple)
-        cur.expect("{")
-        methods: list[MethodDecl] = []
-        fields: list[FieldDecl] = []
-        if kw == "enum":
-            self._skip_enum_constants()
-        while not cur.eof() and not cur.at("}"):
-            start = cur.i
-            try:
-                self._parse_member(fqn, simple, kw == "interface", methods, fields)
-            except _ParseError as e:
-                self.warn(str(e), e.line)
-                # Skip the member through its ';'. When nothing is consumed
-                # (a stray ')' or ']'), the next member would fail at the
-                # same token again: skip that token.
-                if cur.skip_to((";",)) == ";" or cur.i == start:
-                    cur.next()
-        if cur.at("}"):
-            cur.next()
+        blocks = cur.class_body(simple) if kw in ("class", "interface") else None
+        if blocks is not None:
+            deferred = _DeferredMembers(self.source, blocks, cur.lines[cur.i], self.path, fqn,
+                                        simple, kw == "interface")
+            self.diagnostics.append(deferred)
+            methods = fields = deferred
+            cur.i += 2  # the body's '{' and '}' tokens
+        else:
+            cur.expect("{")
+            if kw == "enum":
+                self._skip_enum_constants()
+            methods, fields = self._members(fqn, simple, kw == "interface", components)
+            if cur.at("}"):
+                cur.next()
         resolved_supers = tuple(
             dict.fromkeys(self._resolve_supertype(s) for s in supertypes if s != simple)
         )
         self.classes.append(ClassDecl(
             fqn=fqn,
             package=self.package,
-            methods=tuple(methods),
-            fields=tuple(fields),
+            methods=methods,
+            fields=fields,
             supertypes=resolved_supers,
             annotations=tuple(annotations),
             file=self.path,
@@ -1147,6 +783,30 @@ class _FileParser:
             source_text=self.source,
             is_interface=kw == "interface",
         ))
+
+    def _members(self, fqn: str, simple: str, in_interface: bool,
+                 components: tuple[Param, ...] | None
+                 ) -> tuple[tuple[MethodDecl, ...], tuple[FieldDecl, ...]]:
+        """The methods and fields of the class fqn, named simple, from the
+        cursor up to the '}' that ends its body, which is left unconsumed.
+        A record's components (none when they do not parse as parameters)
+        are the parameters of its compact canonical constructor; components
+        is None for any other class."""
+        cur = self.cur
+        methods: list[MethodDecl] = []
+        fields: list[FieldDecl] = []
+        while not cur.eof() and not cur.at("}"):
+            start = cur.i
+            try:
+                self._parse_member(fqn, simple, in_interface, components, methods, fields)
+            except ParseError as e:
+                self.warn(str(e), e.line)
+                # Skip the member through its ';'. When nothing is consumed
+                # (a stray ')' or ']'), the next member would fail at the
+                # same token again: skip that token.
+                if cur.skip_to((";",)) == ";" or cur.i == start:
+                    cur.next()
+        return tuple(methods), tuple(fields)
 
     def _resolve_supertype(self, name: str) -> str:
         if "." in name:
@@ -1175,27 +835,28 @@ class _FileParser:
             cur.i += 1  # a block passes whole, left out or not
 
     def _parse_member(self, owner_fqn: str, owner_simple: str, in_interface: bool,
+                      components: tuple[Param, ...] | None,
                       methods: list[MethodDecl], fields: list[FieldDecl]):
         cur = self.cur
         annotations: list[str] = []
         mods: set[str] = set()
         while True:
             t = cur.peek()
-            if t == "@":
+            if t == "@" and not cur.at("interface", 1):
                 annotations.append(self._skip_annotation())
-            elif t in _MODIFIERS:
+            elif t in MODIFIERS:
                 mods.add(cur.next())
             else:
                 break
         if t is None:
             return
-        if t in ("class", "interface", "enum", "record"):
-            if self.depth >= _MAX_NESTING:
+        if t in _TYPE_KEYWORDS or t == "@":
+            if self.depth >= MAX_NESTING:
                 line = cur.line()
                 while not cur.at("{"):
                     cur.next()
                 cur.skip_balanced("{", "}")
-                self.warn(f"type declaration nested deeper than {_MAX_NESTING} skipped", line)
+                self.warn(f"type declaration nested deeper than {MAX_NESTING} skipped", line)
                 return
             self.depth += 1
             try:
@@ -1212,16 +873,18 @@ class _FileParser:
         if t == "<":
             cur.skip_generics()
             t = cur.peek()
-        # Constructor: simple name immediately followed by '('.
-        if t == owner_simple and cur.at("(", 1):
+        # Constructor: simple name immediately followed by '(', or in a
+        # record by '{' (the compact canonical constructor).
+        if t == owner_simple and (cur.at("(", 1) or components is not None and cur.at("{", 1)):
             name = cur.next()
             self._finish_method(owner_fqn, name, "void", mods, annotations,
-                                in_interface, methods, constructor=True)
+                                in_interface, methods, constructor=True,
+                                params=None if cur.at("(") else components)
             return
         line = cur.line()
         declared = cur.type_ref()
         if not cur.at_ident():
-            raise _ParseError("expected member name", line)
+            raise ParseError("expected member name", line)
         name = cur.next()
         if cur.at("("):
             self._finish_method(owner_fqn, name, declared, mods, annotations,
@@ -1243,10 +906,14 @@ class _FileParser:
 
     def _finish_method(self, owner_fqn: str, name: str, return_type: str,
                        mods: set[str], annotations: list[str], in_interface: bool,
-                       methods: list[MethodDecl], constructor: bool):
+                       methods: list[MethodDecl], constructor: bool,
+                       params: tuple[Param, ...] | None = None):
+        """The method whose parameters are at the cursor, or are params
+        when given (a compact constructor has no parameter list)."""
         cur = self.cur
         line = cur.line()
-        params = self._parse_params()
+        if params is None:
+            params = self._parse_params()
         if cur.at("throws"):
             cur.next()
             while True:
@@ -1262,8 +929,12 @@ class _FileParser:
         elif cur.at(";"):
             cur.next()
             is_abstract = True
+        elif in_interface and cur.at("default"):  # an annotation element's default value
+            if cur.skip_to((";",)) == ";":
+                cur.next()
+            is_abstract = True
         else:
-            raise _ParseError("expected method body", cur.line())
+            raise ParseError("expected method body", cur.line())
         if "public" in mods:
             visibility = "public"
         elif "protected" in mods:
@@ -1291,7 +962,7 @@ class _FileParser:
     def _body(self) -> tuple[Statement, ...] | _DeferredBody:
         """The method body at the cursor: deferred when it is a well-nested
         block, else parsed now over the file's tokens, which are all there
-        from such a block on (see _FileCursor)."""
+        from such a block on (see FileCursor)."""
         cur = self.cur
         i = cur.i
         brace = cur.braces[i]
@@ -1337,7 +1008,7 @@ class _FileParser:
 def _call_names(texts: list[str]) -> set[str]:
     """Every name a Call parsed from the method body with token texts texts
     can have: the names right before '(' (so this and super too), the m of
-    x.m<T>( when the type arguments end where _Cursor.skip_generics ends
+    x.m<T>( when the type arguments end where Cursor.skip_generics ends
     them, and "iterate" when the body has a for, because an enhanced for is
     parsed as a call of that name."""
     names: set[str] = set()
@@ -1347,7 +1018,7 @@ def _call_names(texts: list[str]) -> set[str]:
             continue
         if t == "(":
             before = texts[i - 1]
-            if before[0] in _IDENT_START:
+            if before[0] in IDENT_START:
                 names.add(before)
         elif t == "<":
             angles.append(i)
@@ -1355,7 +1026,7 @@ def _call_names(texts: list[str]) -> set[str]:
             for _ in range(len(t)):
                 if angles:
                     s = angles.pop()
-                    if texts[s - 1][0] in _IDENT_START and texts[s - 2] == "." \
+                    if texts[s - 1][0] in IDENT_START and texts[s - 2] == "." \
                             and texts[i + 1] == "(":
                         names.add(texts[s - 1])
         elif t == "for":
@@ -1365,30 +1036,48 @@ def _call_names(texts: list[str]) -> set[str]:
     return names
 
 
-class _DeferredBody:
-    """A method body whose brackets nest well, lexed and parsed when first
-    read: source[start:end], from its '{' on line line, at class nesting
-    depth. Once it is parsed, diagnostics holds its diagnostics, which are
-    also written to stderr then if echo is set."""
+class _Deferred:
+    """Part of a file parsed when first read: source[start:end] of the file
+    at path, starting on line line. Once it is parsed, log holds its
+    diagnostics, and a class's also the deferred bodies of its members, in
+    source order; if echo is set, the diagnostics are also written to
+    stderr then, and a deferred body's when it is parsed."""
 
-    __slots__ = ("source", "start", "end", "line", "depth", "path", "tokens", "_names",
-                 "diagnostics", "echo")
+    __slots__ = ("source", "start", "end", "line", "path", "log", "echo")
 
-    def __init__(self, source: str, start: int, end: int, line: int, depth: int, path: str):
+    def __init__(self, source: str, start: int, end: int, line: int, path: str):
         self.source = source
         self.start = start
         self.end = end
         self.line = line
-        self.depth = depth
         self.path = path
+        self.log: list[ParseDiagnostic | _Deferred] = []
+        self.echo = False
+
+    def _echo(self) -> None:
+        if self.echo:
+            for entry in self.log:
+                if isinstance(entry, _Deferred):
+                    entry.echo = True
+                else:
+                    print(entry.format(), file=sys.stderr)
+
+
+class _DeferredBody(_Deferred):
+    """A method body whose brackets nest well, from its '{' to its '}', at
+    class nesting depth."""
+
+    __slots__ = ("depth", "tokens", "_names")
+
+    def __init__(self, source: str, start: int, end: int, line: int, depth: int, path: str):
+        super().__init__(source, start, end, line, path)
+        self.depth = depth
         self.tokens: tuple[list[str], list[int]] | None = None  # lexed, not yet parsed
         self._names: set[str] | None = None
-        self.diagnostics: list[ParseDiagnostic] = []
-        self.echo = False
 
     def lex(self) -> tuple[list[str], list[int]]:
         """The body's token texts and lines."""
-        return _tokenize(self.source, self.start, self.end, self.line)
+        return java_lexer.tokenize(self.source, self.start, self.end, self.line)
 
     @property
     def names(self) -> set[str]:
@@ -1406,30 +1095,51 @@ class _DeferredBody:
             return False
         return name in self.names
 
-    def parse(self) -> tuple[Statement, ...]:
+    def parse(self) -> dict[str, tuple[Statement, ...]]:
         texts, lines = self.tokens or self.lex()
         self.tokens = None
         if self._names is None:
             self._names = _call_names(texts)
-        body = tuple(_BodyParser(_Cursor(texts, lines), self.depth, self.path,
-                                 self.diagnostics).parse_block())
-        if self.echo:
-            for d in self.diagnostics:
-                print(d.format(), file=sys.stderr)
-        return body
+        body = _BodyParser(Cursor(texts, lines), self.depth, self.path, self.log).parse_block()
+        self._echo()
+        return {"body": tuple(body)}
+
+
+class _DeferredMembers(_Deferred):
+    """The members of a class named simple, fqn in full, whose body reads
+    as well-formed members and holds no member type, from its '{' to its
+    '}': blocks holds their offsets and those of the blocks in the body,
+    as FileCursor.class_body gives them."""
+
+    __slots__ = ("blocks", "fqn", "simple", "is_interface")
+
+    def __init__(self, source: str, blocks: array, line: int, path: str, fqn: str, simple: str,
+                 is_interface: bool):
+        super().__init__(source, blocks[0], blocks[1] + 1, line, path)
+        self.blocks = blocks
+        self.fqn = fqn
+        self.simple = simple
+        self.is_interface = is_interface
+
+    def parse(self) -> dict[str, tuple]:
+        cur = FileCursor.members(self.source, self.blocks, self.line)
+        parser = _FileParser(self.path, self.source, self.log, cur)
+        methods, fields = parser._members(self.fqn, self.simple, self.is_interface, None)
+        self._echo()
+        return {"methods": methods, "fields": fields}
 
 
 class _BodyParser:
     """Parses one method body, from the '{' at the cursor, into a flat
     statement list; diagnostics of the file at path go to diagnostics."""
 
-    def __init__(self, cur: _Cursor, depth: int, path: str,
+    def __init__(self, cur: Cursor, depth: int, path: str,
                  diagnostics: list[ParseDiagnostic]):
         self.cur = cur
         self.path = path
         self.diagnostics = diagnostics
         self.stmts: list[Statement] = []
-        self.depth = depth  # nesting levels open, see _MAX_NESTING
+        self.depth = depth  # nesting levels open, see MAX_NESTING
 
     def parse_block(self) -> list[Statement]:
         self.cur.expect("{")
@@ -1444,8 +1154,8 @@ class _BodyParser:
     def _nest(self) -> int:
         """Open one nesting level and return the depth outside it."""
         depth = self.depth
-        if depth >= _MAX_NESTING:
-            raise _ParseError(f"nesting deeper than {_MAX_NESTING}", self.cur.line())
+        if depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", self.cur.line())
         self.depth = depth + 1
         return depth
 
@@ -1471,7 +1181,7 @@ class _BodyParser:
             try:
                 if not self._statement_inner():
                     break
-            except _ParseError as e:
+            except ParseError as e:
                 cur.i = start
                 del self.stmts[emitted:]
                 self.depth = depth + 1
@@ -1581,7 +1291,7 @@ class _BodyParser:
         rhs = self._expr()
         lhs = self._lvalue_name(e)
         if lhs is None:
-            raise _ParseError("unsupported assignment target", line)
+            raise ParseError("unsupported assignment target", line)
         self._emit("Assignment", lhs, rhs if op == "=" else binary_op(op[:-1], e, rhs), line)
         return True
 
@@ -1736,7 +1446,7 @@ class _BodyParser:
             return False
         try:
             declared = cur.type_ref()
-        except _ParseError:
+        except ParseError:
             cur.i = start
             return False
         if not cur.at_ident() or cur.peek(1) not in ("=", ";", ","):
@@ -1756,7 +1466,7 @@ class _BodyParser:
             if cur.at(","):
                 cur.next()
                 if not cur.at_ident():
-                    raise _ParseError("expected declarator", cur.line())
+                    raise ParseError("expected declarator", cur.line())
                 continue
             break
         if consume_terminator:
@@ -1826,7 +1536,7 @@ class _BodyParser:
         while True:
             t = cur.peek()
             if t is None:
-                raise _ParseError("expected expression", cur.line())
+                raise ParseError("expected expression", cur.line())
             if t in _PREFIX_OPS:
                 self._nest()
                 cur.i += 1
@@ -1851,7 +1561,7 @@ class _BodyParser:
         cur.expect("(")
         try:
             declared = cur.type_ref()
-        except _ParseError:
+        except ParseError:
             cur.i = start
             return None
         if not cur.at(")"):
@@ -1859,12 +1569,12 @@ class _BodyParser:
             return None
         nxt = cur.peek(1)
         ok_follow = nxt is not None and (
-            nxt[0] in _IDENT_START or _is_literal(nxt)
+            nxt[0] in IDENT_START or is_literal(nxt)
             or nxt in ("(", "new", "!", "~")
         )
         if ok_follow:
             base = erase_generics(declared)
-            if base in _PRIMITIVES or "<" in declared or "[]" in declared \
+            if base in PRIMITIVES or "<" in declared or "[]" in declared \
                     or "." in base or base[:1].isupper():
                 cur.next()  # ')'
                 return declared
@@ -1898,10 +1608,10 @@ class _BodyParser:
                     cur.i += 1
                     cur.skip_generics()
                     if not cur.at_ident():
-                        raise _ParseError("expected method name", cur.line())
+                        raise ParseError("expected method name", cur.line())
                     e = call(cur.next(), e, *self._call_args())
                     continue
-                if nxt[0] not in _IDENT_START:
+                if nxt[0] not in IDENT_START:
                     return e
                 cur.i += 2
                 if cur.at("<"):
@@ -1910,7 +1620,7 @@ class _BodyParser:
                         cur.skip_generics()
                         if not cur.at("("):
                             cur.i = start
-                    except _ParseError:
+                    except ParseError:
                         cur.i = start
                 if cur.at("("):
                     e = call(nxt, e, *self._call_args())
@@ -1974,13 +1684,13 @@ class _BodyParser:
         cur = self.cur
         t = cur.peek()
         if t is None:
-            raise _ParseError("expected expression", cur.line())
-        if t[0] in _IDENT_START and t not in _KEYWORD_PRIMARIES:
+            raise ParseError("expected expression", cur.line())
+        if t[0] in IDENT_START and t not in _KEYWORD_PRIMARIES:
             cur.next()
             if cur.at("("):
                 return call(t, None, *self._call_args())
             return var_ref(t)
-        if _is_literal(t) or t in ("true", "false", "null"):
+        if is_literal(t) or t in ("true", "false", "null"):
             cur.next()
             return literal(t)
         if t in ("this", "super"):
@@ -2012,7 +1722,7 @@ class _BodyParser:
             e = self._expr()
             cur.expect(")")
             return e
-        raise _ParseError(f"unexpected token '{t}' in expression", cur.line())
+        raise ParseError(f"unexpected token '{t}' in expression", cur.line())
 
 
 # ---------------------------------------------------------------------------
@@ -2020,7 +1730,8 @@ class _BodyParser:
 # ---------------------------------------------------------------------------
 
 
-def parse_file(path: Path, diagnostics: list[ParseDiagnostic | _DeferredBody]) -> list[ClassDecl]:
+def parse_file(path: Path, diagnostics: list[ParseDiagnostic | _Deferred]
+               ) -> list[ClassDecl]:
     try:
         source = path.read_text(encoding="utf-8", errors="replace")
     except OSError as e:
@@ -2038,13 +1749,19 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
                   exclude_dirs: tuple[str, ...] = ()) -> CodeModel:
     """Parse every .java file under root into an immutable CodeModel.
 
-    Declarations are parsed now, and so is each method body whose brackets
-    are unbalanced or nested too deeply (see _FileCursor); every other body
-    is lexed and parsed when first read, and ends at its '}': type arguments
-    end at '{', '}' or ';'. Files that fail to parse are
-    recorded as diagnostics, never raised. Diagnostics are also written to
-    stderr as 'WARN <file>:<line> <message>': those found here at once, a
-    deferred body's when it is parsed. exclude_dirs are root-relative
+    Each file is tokenized only down to its package, imports and type
+    headers, which are parsed now with each type's supertypes and
+    annotations. A class's members are lexed and parsed when
+    ClassDecl.methods or ClassDecl.fields is first read, if its body reads
+    as well-formed members and holds no member type; any other class's
+    members, and every enum's and record's, are parsed now (see
+    FileCursor). Each method body whose brackets are unbalanced or nested
+    too deeply is parsed with its class's members; every other body is
+    lexed and parsed when first read, and ends at its '}': type arguments
+    end at '{', '}' or ';'. Files that fail to parse are recorded as
+    diagnostics, never raised. Diagnostics are also written to stderr as
+    'WARN <file>:<line> <message>': those found here at once, a deferred
+    class's or body's when it is parsed. exclude_dirs are root-relative
     prefixes to skip (e.g. the test directory the generator itself writes
     into).
     """
@@ -2053,20 +1770,20 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
         raise RootNotFound(f"project root not found: {root}")
     files = sorted(root.rglob("*.java"))
     if exclude_dirs:
+        depth = len(root.parts)  # each file's parts start with root's
         prefixes = [Path(d).parts for d in exclude_dirs]
         files = [f for f in files
-                 if not any(f.relative_to(root).parts[:len(p)] == tuple(p)
-                            for p in prefixes)]
+                 if not any(f.parts[depth:depth + len(p)] == p for p in prefixes)]
     if not files:
         raise NoSourceFiles(f"no .java files under {root}")
-    log: list[ParseDiagnostic | _DeferredBody] = []
+    log: list[ParseDiagnostic | _Deferred] = []
     classes: list[ClassDecl] = []
     index: dict[str, ClassDecl] = {}
     for f in files:
         for cls in parse_file(f, log):
             if cls.fqn in index:
                 for m in cls.methods:
-                    m.body  # parsed now: nothing could read it later
+                    m.body  # parsed now, with the members: nothing could read them later
                 log.append(ParseDiagnostic(
                     str(f), 1, f"duplicate class {cls.fqn}; keeping first"))
                 continue
@@ -2077,7 +1794,7 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
         for d in model.diagnostics:
             print(d.format(), file=sys.stderr)
         for entry in log:
-            if type(entry) is _DeferredBody:
+            if isinstance(entry, _Deferred):
                 entry.echo = True
     return model
 

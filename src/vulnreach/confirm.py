@@ -10,6 +10,7 @@ unavailable build environment.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import shlex
 import subprocess
@@ -149,8 +150,30 @@ def run_confirmation(artifacts: list[TestArtifact], cfg: ToolchainConfig,
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...] | None:
+    """The names of a dataclass's fields in declaration order; None for
+    another type."""
+    if not dataclasses.is_dataclass(kind):
+        return None
+    return tuple(f.name for f in dataclasses.fields(kind))
+
+
+def _doc(value):
+    """value as JSON data: a dataclass as a dict of its fields, a tuple as
+    a list. What dataclasses.asdict gives, without its deep copy of every
+    leaf."""
+    kind = type(value)
+    if kind is tuple:
+        return [_doc(v) for v in value]
+    names = _field_names(kind)
+    if names is None:
+        return value
+    return {name: _doc(getattr(value, name)) for name in names}
+
+
 def report_to_doc(report: ConfirmationReport) -> dict:
-    doc = dataclasses.asdict(report)
+    doc = _doc(report)
     emitted, compiled, confirmed = report.totals
     diagnostics = doc.pop("diagnostics")
     return {**doc,

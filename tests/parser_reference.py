@@ -26,6 +26,14 @@ are marked, each line by a comment naming its fix:
 - "array-initializer fix": `new T[] { ... }`, whose `[]` the type already
   took, reads its initializer as `new T[3] { ... }` does, giving a `New`
   named `T[]`; the original left the `{` unread and the statement opaque.
+- "record fix": `Name {` in a record body is the compact canonical
+  constructor, whose parameters are the record's components (or none when
+  the components do not parse as a parameter list). The original failed
+  with `expected member name` and skipped every member after it.
+- "annotation-type fix": `@interface` declares an interface, at top level
+  and as a member type, and an element's `default` value is skipped through
+  its `;`, the element being an abstract method. The original read
+  `@interface` as an annotation and lost the declaration.
 
 `parse_project` serves only as the specification the new front end must
 reproduce: the same classes, statements and diagnostics. Input nested more
@@ -40,11 +48,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from vulnreach.java_lexer import KEYWORDS as _KEYWORDS
+from vulnreach.java_lexer import MODIFIERS as _MODIFIERS
+from vulnreach.java_lexer import PRIMITIVES as _PRIMITIVES
 from vulnreach.code_model import (
     _JAVA_LANG,
-    _KEYWORDS,
-    _MODIFIERS,
-    _PRIMITIVES,
     ClassDecl,
     CodeModel,
     Expr,
@@ -211,7 +219,7 @@ class _FileParser:
         cur = self.cur
         while not cur.eof():
             try:
-                if cur.at("@"):
+                if cur.at("@") and not cur.at("interface", 1):  # annotation-type fix
                     self._skip_annotation()
                     continue
                 t = cur.peek()
@@ -233,7 +241,7 @@ class _FileParser:
                     elif not static:
                         self.imports.append((name.rsplit(".", 1)[-1], name))
                     self._skip_to(";")
-                elif t.text in _MODIFIERS or t.text in ("class", "interface", "enum", "record"):
+                elif t.text in _MODIFIERS or t.text in ("class", "interface", "enum", "record", "@"):  # annotation-type fix
                     self._parse_type_decl()
                 elif t.text == ";":
                     cur.next()
@@ -322,20 +330,29 @@ class _FileParser:
     def _parse_type_decl(self, outer_fqn: str | None = None):
         cur = self.cur
         annotations: list[str] = []
-        while cur.at("@"):
+        while cur.at("@") and not cur.at("interface", 1):  # annotation-type fix
             annotations.append(self._skip_annotation())
         while not cur.eof() and cur.peek().text in _MODIFIERS:  # type: ignore[union-attr]
             cur.next()
-            while cur.at("@"):
+            while cur.at("@") and not cur.at("interface", 1):  # annotation-type fix
                 annotations.append(self._skip_annotation())
         kw = cur.next()
+        if kw.text == "@" and cur.at("interface"):  # annotation-type fix
+            kw = cur.next()  # annotation-type fix
         if kw.text not in ("class", "interface", "enum", "record"):
             raise _ParseError(f"expected type declaration, found '{kw.text}'", kw.line)
         name_tok = cur.next()
         simple = name_tok.text
         if cur.at("<"):
             cur.skip_generics()
+        components = None  # record fix
         if kw.text == "record" and cur.at("("):
+            start = cur.i  # record fix
+            try:  # record fix
+                components = self._parse_params()  # record fix
+            except _ParseError:  # record fix
+                components = ()  # record fix
+            cur.i = start  # record fix
             cur.skip_balanced("(", ")")
         supertypes: list[str] = []
         while cur.at("extends") or cur.at("implements") or cur.at("permits"):
@@ -358,7 +375,8 @@ class _FileParser:
         while not cur.eof() and not cur.at("}"):
             start = cur.i
             try:
-                self._parse_member(fqn, simple, kw.text == "interface", methods, fields)
+                self._parse_member(fqn, simple, kw.text == "interface", methods, fields,
+                                   components)  # record fix
             except _ParseError as e:
                 self.warn(str(e), e.line)
                 self._resync_member()
@@ -429,12 +447,13 @@ class _FileParser:
             cur.next()
 
     def _parse_member(self, owner_fqn: str, owner_simple: str, in_interface: bool,
-                      methods: list[MethodDecl], fields: list[FieldDecl]):
+                      methods: list[MethodDecl], fields: list[FieldDecl],
+                      components: tuple[Param, ...] | None):  # record fix
         cur = self.cur
         annotations: list[str] = []
         mods: set[str] = set()
         while True:
-            if cur.at("@"):
+            if cur.at("@") and not cur.at("interface", 1):  # annotation-type fix
                 annotations.append(self._skip_annotation())
                 continue
             t = cur.peek()
@@ -445,7 +464,7 @@ class _FileParser:
         t = cur.peek()
         if t is None:
             return
-        if t.text in ("class", "interface", "enum", "record"):
+        if t.text in ("class", "interface", "enum", "record", "@"):  # annotation-type fix
             self._parse_type_decl(outer_fqn=owner_fqn)
             return
         if t.text == "{":
@@ -463,6 +482,12 @@ class _FileParser:
             self._finish_method(owner_fqn, name, "void", mods, annotations,
                                 in_interface, methods, constructor=True)
             return
+        if t is not None and t.text == owner_simple and components is not None and cur.at("{", 1):  # record fix
+            name = cur.next().text  # record fix
+            self._finish_method(owner_fqn, name, "void", mods, annotations,  # record fix
+                                in_interface, methods, constructor=True,  # record fix
+                                params=components)  # record fix
+            return  # record fix
         line = cur.line()
         declared = self._type_ref()
         if not cur.at_ident():
@@ -502,10 +527,12 @@ class _FileParser:
 
     def _finish_method(self, owner_fqn: str, name: str, return_type: str,
                        mods: set[str], annotations: list[str], in_interface: bool,
-                       methods: list[MethodDecl], constructor: bool):
+                       methods: list[MethodDecl], constructor: bool,
+                       params: tuple[Param, ...] | None = None):  # record fix
         cur = self.cur
         line = cur.line()
-        params = self._parse_params()
+        if params is None:  # record fix
+            params = self._parse_params()
         if cur.at("throws"):
             cur.next()
             while True:
@@ -521,6 +548,9 @@ class _FileParser:
         elif cur.at(";"):
             cur.next()
             is_abstract = True
+        elif in_interface and cur.at("default"):  # annotation-type fix
+            self._resync_member()  # annotation-type fix: through the ';'
+            is_abstract = True  # annotation-type fix
         else:
             raise _ParseError("expected method body", cur.line())
         if "public" in mods:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulnreach import cli, code_model
+from vulnreach import cli, code_model, java_lexer
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
 from vulnreach.call_graph import PathBudgetExceeded
 from vulnreach.code_model import parse_project
@@ -420,7 +420,8 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
 
 
 class TestBodiesOnDemand:
-    """analyze parses a method body only when the analysis reads it."""
+    """analyze lexes and parses a class's members, and a method body, only
+    when the analysis reads them."""
 
     XML2OBJ = "com.lion.util.XmlUtil#xml2Obj(String,Class<T>)"
 
@@ -467,6 +468,43 @@ class TestBodiesOnDemand:
         assert all("body" in vars(m) for m in on_paths)  # parsed
         assert sum(parsed.values()) == 8 and max(parsed.values()) == 1
 
+    def test_only_the_classes_read_are_lexed(self, tmp_path, monkeypatch):
+        # Of the project's 200 classes, the run reads the 16 of the
+        # features' package: the four entries, the four interfaces and
+        # their eight implementations. No other class body is even lexed.
+        (pair,) = bench_generators().wide_project(21)
+        root = write_pair(pair, tmp_path / "wide")
+        (root / "src/test/java").mkdir(parents=True)
+        poc = tmp_path / "poc.json"
+        poc.write_text(json.dumps(pair.poc), encoding="utf-8")
+        lexed = collections.Counter()
+        members = java_lexer.FileCursor.members
+
+        def counting(source, blocks, line):
+            lexed[id(source), blocks[0]] += 1
+            return members(source, blocks, line)
+
+        models = []
+        parse = cli.parse_project
+
+        def keeping(*args, **kwargs):
+            models.append(parse(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(java_lexer.FileCursor, "members", staticmethod(counting))
+        monkeypatch.setattr(cli, "parse_project", keeping)
+        assert main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(tmp_path / "out")]) == 2
+        (model,) = models
+        read = [c for c in model.classes if "methods" in vars(c)]
+        assert len(model.classes) == 200 and len(read) == 16
+        assert sum(lexed.values()) == 16 and max(lexed.values()) == 1
+        report = read_report(tmp_path / "out" / "report.json")
+        features = {model.find_class(s.split("#")[0]).package
+                    for p in report.paths for s in p.signatures}
+        assert len(report.paths) == 4 and len(features) == 1
+        assert read == [c for c in model.classes if c.package in features]
+
     @pytest.mark.parametrize("line", [
         "String deep = " + "f(" * 127 + "xml" + ")" * 127 + ";",
         "if (a) " * 200 + "x();",
@@ -495,7 +533,7 @@ class TestBodiesOnDemand:
         line_no = util.read_text().splitlines().index("        " + line) + 1
         assert err.splitlines() == [d.format() for d in expected.diagnostics] == [
             f"WARN {util}:{line_no} opaque statement "
-            f"(nesting deeper than {code_model._MAX_NESTING})"]
+            f"(nesting deeper than {java_lexer.MAX_NESTING})"]
 
 
 class TestBenchContract:

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulnreach import code_model
+from vulnreach import code_model, java_lexer
 from vulnreach.code_model import (
     ExternalCallee,
     NoSourceFiles,
@@ -140,6 +140,34 @@ class TestParseProject:
             ("Assignment", "i", "+"), ("Other", None, "<"), ("Assignment", "i", "%"),
             ("Assignment", "j", "^"), ("Assignment", "j", "+")]
         assert diagnostics == []
+
+
+class TestTypeDeclarations:
+    def test_record_compact_constructor_keeps_the_members_after_it(self):
+        source = ("record R(String a, int n) { public R { java.util.Objects.requireNonNull(a); } "
+                  "public void run(String x) { sink(x); } }")
+        classes, diagnostics = _parse_source(code_model, source)
+        (record,) = classes
+        assert [(m.signature(), m.is_constructor, m.line) for m in record.methods] == [
+            ("R#R(String,int)", True, 1), ("R#run(String)", False, 1)]
+        assert [c.name for st in record.methods[1].body for c in st.calls()] == ["sink"]
+        assert diagnostics == []
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
+
+    @pytest.mark.parametrize("source, fqns, elements", [
+        ('public @interface Ann { String[] v() default {"a", "b"}; int n() default 1; }',
+         ["Ann"], [("v", "String[]"), ("n", "int")]),
+        ("class O { @Retention(RUNTIME) @interface In { int n() default 1; } void m() { } }",
+         ["O.In", "O"], [("n", "int")]),
+    ], ids=["top-level", "member-type"])
+    def test_annotation_types_are_interfaces(self, source, fqns, elements):
+        classes, diagnostics = _parse_source(code_model, source)
+        assert [c.fqn for c in classes] == fqns and diagnostics == []
+        annotation_type = classes[0]
+        assert annotation_type.is_interface
+        assert [(m.name, m.return_type) for m in annotation_type.methods] == elements
+        assert all(m.is_abstract and m.visibility == "public" for m in annotation_type.methods)
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
 
 
 class TestResolveInvocation:
@@ -294,7 +322,17 @@ class TestAgainstReference:
 def _token_index(source: str, offset: int) -> int:
     """Index, among the tokens of the whole source, of the first token at
     or after offset, an offset between two tokens."""
-    return len(code_model._tokenize(source, 0, offset)[0])
+    return len(java_lexer.tokenize(source, 0, offset)[0])
+
+
+def _logged_bodies(log):
+    """The deferred bodies of a parse log, those of each deferred class
+    parsed so far included, in source order."""
+    for entry in log:
+        if type(entry) is code_model._DeferredBody:
+            yield entry
+        elif type(entry) is code_model._DeferredMembers:
+            yield from _logged_bodies(entry.log)
 
 
 def _scan_checked(source: str) -> list[str]:
@@ -305,15 +343,15 @@ def _scan_checked(source: str) -> list[str]:
     in it."""
     log: list = []
     classes = code_model._FileParser("Src.java", source, log).parse()
-    whole = code_model._tokenize(source)
-    for entry in log:
-        if type(entry) is code_model._DeferredBody:
-            parser = code_model._BodyParser(code_model._Cursor(*whole), entry.depth,
-                                            entry.path, [])
-            parser.cur.i = _token_index(source, entry.start)
-            statements = parser.parse_block()
-            assert parser.cur.i == _token_index(source, entry.end), source
-            assert {c.name for st in statements for c in st.calls()} <= entry.names, source
+    for c in classes:
+        c.methods  # a deferred class's bodies are logged once it is parsed
+    whole = java_lexer.tokenize(source)
+    for entry in _logged_bodies(log):
+        parser = code_model._BodyParser(java_lexer.Cursor(*whole), entry.depth, entry.path, [])
+        parser.cur.i = _token_index(source, entry.start)
+        statements = parser.parse_block()
+        assert parser.cur.i == _token_index(source, entry.end), source
+        assert {c.name for st in statements for c in st.calls()} <= entry.names, source
     return [m.name for c in classes for m in c.methods
             if "body" not in vars(m)]
 
@@ -401,15 +439,16 @@ class TestBodyScan:
         # The skip from the '<' after x.m fails at the ';', so the '>('
         # after it does not make m a call name of the body.
         log: list = []
-        code_model._FileParser("Src.java", "class C { void m() { a = x.m < b; c = d > (e); } }",
-                               log).parse()
-        (body,) = log
+        (cls,) = code_model._FileParser(
+            "Src.java", "class C { void m() { a = x.m < b; c = d > (e); } }", log).parse()
+        cls.methods
+        (body,) = _logged_bodies(log)
         assert "m" not in body.names
 
     def test_bodies_nested_past_the_limit_are_parsed_at_once(self):
         # The body's own brace counts: a body holds at most _MAX_NESTING - 1
         # levels of brackets and is still deferred.
-        limit = code_model._MAX_NESTING
+        limit = java_lexer.MAX_NESTING
         for levels, deferred in ((limit - 1, ["m"]), (limit, []), (5000, [])):
             nest = "(" * levels + "a" + ")" * levels
             assert _scan_checked(f"class C {{ void m() {{ x = {nest}; }} }}") == deferred
@@ -444,11 +483,14 @@ class TestBodyScan:
             "opaque statement (expected ';')", "duplicate class C; keeping first"]
 
 
-def _filler_class(k: int) -> str:
+def _filler_class(k: int, member_type: bool = True) -> str:
     """A class none of whose bodies calls fromXML; some of them hold the
-    name elsewhere, and braces hide in its literals and comments."""
+    name elsewhere, and braces hide in its literals and comments. Without
+    its member type, the class's members are deferred."""
     mention = ("        String fromXMLish = \"fromXML(\" + '{';  // fromXML(x) }\n"
                if k % 5 == 0 else "")
+    inner = (f"    static class Inner {{\n        <T> T pick(T a) {{\n            return a;\n"
+             f"        }}\n    }}\n" if member_type else "")
     return (
         f"package fill;\n\nimport java.util.List;\n\n/** Filler {k}: {{ }} */\n"
         f"public class F{k} implements Runnable {{\n"
@@ -459,39 +501,76 @@ def _filler_class(k: int) -> str:
         f"            if (item.isEmpty()) {{ log(\"}} {{\" + item); }}\n"
         f"        }}\n    }}\n\n"
         f"    private void log(String message) {{ /* {{ */ items.add(message); }}\n"
-        f"    static class Inner {{\n        <T> T pick(T a) {{\n            return a;\n"
-        f"        }}\n    }}\n}}\n")
+        f"{inner}}}\n")
+
+
+_CALLER = ("package fill;\n\nimport com.thoughtworks.xstream.XStream;\n\n"
+           "public class Caller {\n    public Object read(String xml) {\n"
+           "        XStream xs = new XStream();\n"
+           "        return xs.fromXML(xml);\n    }\n}\n")
+
+
+def _record_lexing(monkeypatch) -> tuple[list, list]:
+    """Lists that record, from now on, each text code_model lexes, as
+    (id(source), start, end), and each class body it reads on demand, as
+    (id(source), '{' offset, '}' offset)."""
+    lexed: list = []
+    members: list = []
+    tokenize = java_lexer.tokenize
+    cursor = java_lexer.FileCursor.members
+
+    def recording(source, start=0, end=None, line=1):
+        lexed.append((id(source), start, end))
+        return tokenize(source, start, end, line)
+
+    def recording_members(source, blocks, line):
+        members.append((id(source), blocks[0], blocks[1] + 1))
+        return cursor(source, blocks, line)
+
+    monkeypatch.setattr(java_lexer, "tokenize", recording)
+    monkeypatch.setattr(java_lexer.FileCursor, "members", staticmethod(recording_members))
+    return lexed, members
+
+
+def _deferred_classes(model) -> list:
+    return [entry for entry in model.parse_log if type(entry) is code_model._DeferredMembers]
+
+
+# Pieces of class bodies: well-formed members and the tokens they are made
+# of, which the member grammar must tell apart.
+_MEMBER_PIECES = [
+    "int", "String", "List<String>", "Map<K, List<V>>", "x", "y", "f", "(", ")", ",", ";", "{ }",
+    "{ g(); }", "=", "1", '"s"', "'c'", "<", ">", ">>", "@A", "@B(x = 1)", "public", "static",
+    "final", "throws", "E", "...", "[", "]", "[]", "?", ".", "new", "Foo()", "->", "C", "int x;",
+    "void m() { }", "C(int a) { }", "<T>", "T", "a.b", "==", "+=", "this", "default", "/* c */",
+    "// c\n", "x = 1;", "void m(int a, String... b) throws E { }", "List<? extends T>[] q = { };"]
 
 
 class TestLaziness:
     def test_call_sites_lex_only_the_bodies_that_hold_the_name(self, tmp_path, monkeypatch):
         for k in range(36):
             (tmp_path / f"F{k}.java").write_text(_filler_class(k))
-        (tmp_path / "Caller.java").write_text(
-            "package fill;\n\nimport com.thoughtworks.xstream.XStream;\n\n"
-            "public class Caller {\n    public Object read(String xml) {\n"
-            "        XStream xs = new XStream();\n"
-            "        return xs.fromXML(xml);\n    }\n}\n")
-        lexed = []
-        tokenize = code_model._tokenize
-
-        def recording(source, start=0, end=None, line=1):
-            lexed.append((id(source), start, end))
-            return tokenize(source, start, end, line)
-
-        monkeypatch.setattr(code_model, "_tokenize", recording)
+        (tmp_path / "Caller.java").write_text(_CALLER)
+        lexed, members = _record_lexing(monkeypatch)
         model = parse_project(tmp_path, emit_warnings=False)
         # The parse lexes each file's declarations, member types included, in one piece.
-        assert lexed and all(span[1:] == (0, None) for span in lexed)
+        assert lexed and all(span[1:] == (0, None) for span in lexed) and not members
         lexed.clear()
-        bodies = [entry for entry in model.parse_log if type(entry) is code_model._DeferredBody]
-        assert len(bodies) == 36 * 3 + 1  # every body is deferred
         sites = model.call_sites("fromXML", 1)
         assert [(m.signature(), st.line) for m, st, _ in sites] == [("fill.Caller#read(String)", 8)]
+        # Only Caller's members were deferred, the fillers holding a member
+        # type: they are lexed once, in one piece with the body left out.
+        (caller,) = _deferred_classes(model)
+        assert caller.fqn == "fill.Caller"
+        assert members == [(id(caller.source), caller.start, caller.end)]
+        bodies = list(_logged_bodies(model.parse_log))
+        assert len(bodies) == 36 * 3 + 1  # every body is deferred
         holding = {(id(b.source), b.start, b.end) for b in bodies
                    if "fromXML" in b.source[b.start:b.end]}
         assert len(holding) == 1 + len(range(0, 36, 5))
-        assert set(lexed) == holding and len(lexed) == len(holding)
+        body_spans = [span for span in lexed if span[1:] != (0, None)]
+        assert set(body_spans) == holding and len(body_spans) == len(holding)
+        assert len(lexed) == len(holding) + 1  # and Caller's members, in one piece
         assert [m.signature() for _, m in model.all_methods() if "body" in vars(m)] == [
             "fill.Caller#read(String)"]
 
@@ -502,6 +581,137 @@ class TestLaziness:
                 assert [st.line for st in m.body] == [st.line for st in f.body] == [7, 8]
         _assert_same_model(model, forced)
 
+    def _plain_project(self, root, monkeypatch):
+        """36 fillers whose members are deferred and a caller, parsed while
+        lexing is recorded."""
+        for k in range(36):
+            (root / f"F{k}.java").write_text(_filler_class(k, member_type=False))
+        (root / "Caller.java").write_text(_CALLER)
+        lexed, members = _record_lexing(monkeypatch)
+        return parse_project(root, emit_warnings=False), lexed, members
+
+    def test_parse_lexes_no_class_body_and_no_method_body(self, tmp_path, monkeypatch):
+        model, lexed, members = self._plain_project(tmp_path, monkeypatch)
+        # One lexing per file, of the file's declarations down to its type header.
+        assert len(lexed) == 37 and all(span[1:] == (0, None) for span in lexed)
+        assert members == []
+        assert len(_deferred_classes(model)) == 37
+        assert not any("methods" in vars(c) or "fields" in vars(c) for c in model.classes)
+        assert [entry for entry in model.parse_log
+                if type(entry) is not code_model._DeferredMembers] == []
+
+    def test_call_sites_lex_the_class_bodies_of_the_files_that_hold_the_name(
+            self, tmp_path, monkeypatch):
+        model, lexed, members = self._plain_project(tmp_path, monkeypatch)
+        lexed.clear()
+        sites = model.call_sites("fromXML", 1)
+        assert [(m.signature(), st.line) for m, st, _ in sites] == [("fill.Caller#read(String)", 8)]
+        holding = [(id(c.source), c.start, c.end) for c in _deferred_classes(model)
+                   if "fromXML" in c.source]
+        assert len(holding) == 1 + len(range(0, 36, 5))
+        assert members == holding
+        assert [c.fqn for c in model.classes if "methods" in vars(c)] == [
+            "fill.Caller"] + [f"fill.F{k}" for k in sorted(range(0, 36, 5), key=str)]
+        # Each of those lexed once, and then only the bodies whose text holds the name.
+        assert sum(span[1:] == (0, None) for span in lexed) == len(holding)
+        assert len(lexed) == 2 * len(holding)
+
+    def test_method_by_signature_lexes_only_its_owner(self, tmp_path, monkeypatch):
+        model, lexed, members = self._plain_project(tmp_path, monkeypatch)
+        lexed.clear()
+        method = model.method_by_signature("fill.F3#log(String)")
+        assert (method.owner, method.name, method.line) == ("fill.F3", "log", 15)
+        (owner,) = [c for c in _deferred_classes(model) if c.fqn == "fill.F3"]
+        assert members == [(id(owner.source), owner.start, owner.end)]
+        assert len(lexed) == 1  # the owner's members; no body
+        assert model.method_by_signature("fill.F3#log(int)") is None
+        assert model.method_by_signature("fill.Nowhere#log(String)") is None
+        assert len(members) == 1 and len(lexed) == 1
+        assert [c.fqn for c in model.classes if "methods" in vars(c)] == ["fill.F3"]
+
+    def test_reading_in_any_order_equals_reading_at_once(self, tmp_path):
+        # Some classes hold a member type or a malformed member, so their
+        # members are parsed at once; some bodies hold a statement the
+        # parser cannot read.
+        for k in range(36):
+            source = _filler_class(k, member_type=k % 4 == 0)
+            if k % 3 == 0:
+                source = source.replace("items.add(message);", "items.add(message) x;")
+            if k % 7 == 0:
+                source = source.replace("    static {", "    int ;\n    static {")
+            (tmp_path / f"F{k}.java").write_text(source)
+        (tmp_path / "Caller.java").write_text(_CALLER)
+        lazy = parse_project(tmp_path, emit_warnings=False)
+        assert 0 < len(_deferred_classes(lazy)) < 37
+        for cls in reversed(lazy.classes):
+            for m in reversed(cls.methods):
+                m.body
+        at_once = parse_project(tmp_path, emit_warnings=False)
+        for cls in at_once.classes:
+            for m in cls.methods:
+                m.body
+        assert at_once.diagnostics and lazy.diagnostics == at_once.diagnostics
+        assert [(c.fqn, [(m.signature(), m.line, [(st.kind, st.line) for st in m.body])
+                         for m in c.methods], c.fields) for c in lazy.classes] == [
+            (c.fqn, [(m.signature(), m.line, [(st.kind, st.line) for st in m.body])
+                     for m in c.methods], c.fields) for c in at_once.classes]
+        _assert_same_model(lazy, at_once)
+
+    @pytest.mark.parametrize("source", [
+        "enum E { A, B; void f() { g(); } }",
+        "record R(String a) { void f() { g(); } }",
+        "class O { static class I { } void f() { g(); } }",
+        "class O { void f() { Object o = Foo.class; } }",
+        "class M { void f() { g(); } int x }",
+    ], ids=["enum", "record", "member-type", "type-word", "malformed-member"])
+    def test_classes_parsed_at_once(self, source):
+        log: list = []
+        classes = code_model._FileParser("Src.java", source, log).parse()
+        assert all("methods" in vars(c) for c in classes)
+        assert not any(type(entry) is code_model._DeferredMembers for entry in log)
+
+    def test_a_well_formed_class_is_deferred(self):
+        log: list = []
+        (cls,) = code_model._FileParser("Src.java", "class D { void f() { g(); } }", log).parse()
+        assert "methods" not in vars(cls)
+        (entry,) = log
+        assert type(entry) is code_model._DeferredMembers
+        assert [m.name for m in cls.methods] == ["f"] and "methods" in vars(cls)
+
+    def test_deferred_classes_parse_cleanly_and_as_the_reference_does(self):
+        # The member grammar defers a class only when its members parse
+        # without a diagnostic and end at the class's '}', so a malformed
+        # member is reported with the parse, and reading the members later
+        # gives what the reference parses at once.
+        rng = random.Random(9090)
+        deferred = 0
+        with time_limit(60):
+            for _ in range(6000):
+                sep = rng.choice([" ", ""])
+                source = "class C { " + sep.join(
+                    rng.choice(_MEMBER_PIECES) for _ in range(rng.randint(0, 12))) + " }"
+                log: list = []
+                classes = code_model._FileParser("Src.java", source, log).parse()
+                members = [entry for entry in log if type(entry) is code_model._DeferredMembers]
+                if not members:
+                    continue
+                deferred += 1
+                for cls in classes:
+                    cls.methods
+                assert not any(type(d) is code_model.ParseDiagnostic
+                               for entry in members for d in entry.log), source
+                assert _parse_source(code_model, source) == _parse_source(parser_reference,
+                                                                          source), source
+        assert deferred >= 500
+
+    def test_the_member_grammar_is_linear(self):
+        # A body the grammar rejects only at its end, and one it accepts.
+        for body, deferred in (("int x; " * 20000 + "??", False),
+                               ("void m(int a) throws E { f(); } " * 20000, True)):
+            log: list = []
+            with time_limit(5):
+                code_model._FileParser("Src.java", f"class C {{ {body} }}", log).parse()
+            assert any(type(e) is code_model._DeferredMembers for e in log) == deferred
 
     def test_member_types_are_tokenized_with_their_class(self):
         # The parser reads a member type whole, so its body is not left out:
@@ -542,12 +752,12 @@ class TestTokenizer:
         comments = "/* " * 20000
         start = time.perf_counter()
         with time_limit(10):
-            texts, lines = code_model._tokenize(comments)
+            texts, lines = java_lexer.tokenize(comments)
         assert time.perf_counter() - start < 1.0
         assert texts == ["/", "*"] * 20000 and lines == [1] * 40000
         start = time.perf_counter()
         with time_limit(10):
-            code = code_model._blanked(comments)
+            code = java_lexer.blanked(comments)
         assert time.perf_counter() - start < 1.0
         assert code == comments.encode()
         source = f"class C {{ void m() {{ {comments}}} }} /* {comments}"
@@ -568,32 +778,47 @@ class TestTokenizer:
         rng = random.Random(8080)
         for _ in range(3000):
             source = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
-            assert code_model._lexemes(source) == code_model._LEXEME_RE.findall(source), source
+            assert java_lexer.lexemes(source) == java_lexer.LEXEME_RE.findall(source), source
 
 
 def _pieced_tokens(source: str) -> tuple[list[str], list[int]]:
     """The file parser's tokens of source once it has parsed it, each
-    deferred body's place taken by the tokens the body lexes on demand, and
-    every other block still left out tokenized in place."""
+    deferred class's and body's place taken by the tokens it lexes on
+    demand, and every other block still left out tokenized in place."""
     log: list = []
     parser = code_model._FileParser("Src.java", source, log)
-    parser.parse()
-    bodies = {entry.start: entry for entry in log if type(entry) is code_model._DeferredBody}
-    cur = parser.cur
+    for cls in parser.parse():
+        cls.methods  # each deferred class logs its bodies
+    return _pieces(parser.cur, log)
+
+
+def _pieces(cur, log) -> tuple[list[str], list[int]]:
+    """cur's tokens, with the deferred classes and bodies of log lexed in
+    their places and every other block left out tokenized in place."""
+    deferred = {entry.start: entry for entry in log
+                if type(entry) in (code_model._DeferredBody, code_model._DeferredMembers)}
     texts: list[str] = []
     lines: list[int] = []
     i = 0
     while i < cur.n:
-        brace = cur.braces[i]
-        if brace in bodies:
-            body_texts, body_lines = bodies[brace].lex()
+        entry = deferred.get(cur.braces[i])
+        if type(entry) is code_model._DeferredBody:
+            body_texts, body_lines = entry.lex()
             texts += body_texts
             lines += body_lines
             cur.i = i
             cur.skip_balanced("{", "}")  # the body's '}' token, or its whole tokens
             i = cur.i
             continue
-        if brace in cur.left_out:
+        if type(entry) is code_model._DeferredMembers:
+            # The class body's '{', then what its members' cursor reads.
+            members = java_lexer.FileCursor.members(entry.source, entry.blocks, entry.line)
+            member_texts, member_lines = _pieces(members, entry.log)
+            texts += [cur.texts[i], *member_texts]
+            lines += [cur.lines[i], *member_lines]
+            i += 2  # the body's '{' and '}' tokens
+            continue
+        if cur.braces[i] in cur.left_out:
             cur.i = i
             cur.next()  # tokenizes the block's interior in place
         texts.append(cur.texts[i])
@@ -604,22 +829,26 @@ def _pieced_tokens(source: str) -> tuple[list[str], list[int]]:
 
 # Pieces of text that make braces hard to find: braces and quotes inside
 # string and char literals and comments, unterminated literals and
-# comments, stray closers and brackets that do not nest, and member types.
+# comments, stray closers and brackets that do not nest, member types, and
+# members that a deferred class body may hold.
 _LEXING_PIECES = ["{", "}", "(", ")", "[", "]", ";", " ", "\n", "a", "x = f(a);", "for (T t : ts)",
                   "class C ", "void m() ", '"', "'", '"{"', "'}'", '"a\\"}"', "'\\''", "'{",
                   "//", "/*", "*/", "/**/", "// }\n", "/* { */", "/", "*", "\\", "<", ">", "@A ",
-                  "static class D { ", "enum E { A { void f() { } } } ", "x = Foo.class;"]
-_PREFIXES = ["", "class C { void m() { ", "class C { int f = 1; static { g(); } void m() {\n"]
+                  "static class D { ", "enum E { A { void f() { } } } ", "x = Foo.class;",
+                  "void n() { g(\"}\"); }\n", "int f = '{';\n", "}\nclass K { "]
+_PREFIXES = ["", "class C { void m() { ", "class C { int f = 1; static { g(); } void m() {\n",
+             "class A {\n  int f = g('}'); /* } */\n  void m() { h(\"{\"); }\n}\nclass B { "]
 
 
 @given(st.sampled_from(_PREFIXES), st.lists(st.sampled_from(_LEXING_PIECES), max_size=60))
 @settings(max_examples=400, deadline=None)
 def test_lexing_in_pieces_equals_lexing_the_whole(prefix, pieces):
-    # The declarations are tokenized without the blocks' interiors, and
+    # The declarations are tokenized without the blocks' interiors, each
+    # deferred class lexes its body without the bodies' interiors, and
     # each body lexes its own text: merged in source order, they are the
     # tokens of the whole file, texts and lines alike.
     source = prefix + "".join(pieces)
-    assert _pieced_tokens(source) == code_model._tokenize(source), source
+    assert _pieced_tokens(source) == java_lexer.tokenize(source), source
 
 
 class TestErrorRecovery:
@@ -653,7 +882,7 @@ class TestErrorRecovery:
         with time_limit(5):
             classes, diagnostics = _parse_source(code_model, source)
         names = [c.fqn for c in classes]
-        limit = code_model._MAX_NESTING
+        limit = java_lexer.MAX_NESTING
         assert names[0] == "Before" and names[-2:] == ["Outer", "After"]
         assert names[1] == "Outer" + ".C" * limit and len(names) == limit + 3
         assert [m.name for m in classes[-2].methods] == ["after"]
@@ -665,7 +894,7 @@ class TestErrorRecovery:
         # recursion limit from a deep caller.
         n = 5000
         body = "f(" * n + "a" + ")" * n + ";"
-        depth = code_model._MAX_NESTING - 1
+        depth = java_lexer.MAX_NESTING - 1
         source = "class C { " * depth + f"void m() {{ {body} }}" + " }" * depth
 
         def from_depth(frames: int):
@@ -676,7 +905,7 @@ class TestErrorRecovery:
         classes, diagnostics = from_depth(150)
         assert len(classes) == depth
         assert [d.message for d in diagnostics] == [
-            f"opaque statement (nesting deeper than {code_model._MAX_NESTING})"]
+            f"opaque statement (nesting deeper than {java_lexer.MAX_NESTING})"]
 
     def test_unclosed_type_arguments_are_linear(self):
         # A '<' after a name may open type arguments; with no '>' to close
@@ -705,7 +934,7 @@ class TestErrorRecovery:
         assert [c.fqn for c in classes] == ["C", "D"]
         assert [st.kind for st in classes[0].methods[0].body] == ["Invocation", "Other", "Invocation"]
         assert [d.message for d in diagnostics] == [
-            f"opaque statement (nesting deeper than {code_model._MAX_NESTING})"]
+            f"opaque statement (nesting deeper than {java_lexer.MAX_NESTING})"]
 
     def test_limit_fits_default_recursion_limit(self):
         # Nested calls, constructions and lambdas cost the most frames per
@@ -724,4 +953,4 @@ class TestErrorRecovery:
         for body in bodies:
             _, diagnostics = from_depth(150, f"class C {{ void m() {{ {body} }} }}")
             assert [d.message for d in diagnostics] == [
-                f"opaque statement (nesting deeper than {code_model._MAX_NESTING})"]
+                f"opaque statement (nesting deeper than {java_lexer.MAX_NESTING})"]
