@@ -11,19 +11,22 @@ the variable names they mention.
 The package, the imports and each type's header (its supertypes and
 annotations) are parsed eagerly; the rest waits until it is read. One pass
 over the characters matches the braces and checks the brackets, and a file
-is tokenized only down to its type headers (see java_lexer.FileCursor). A
-class's members are lexed and parsed when ClassDecl.methods or
-ClassDecl.fields is first read, if its body reads as well-formed members
-and holds no member type; any other class's members, and every enum's and
-record's, are parsed at once. A method body is lexed and parsed when
-MethodDecl.body is first read, so the analysis pays only for the classes
-and bodies it reads: CodeModel.call_sites reads only the classes of the
-files whose text holds the name asked for, lexes only the bodies whose text
-holds it, and parses only those that may call it. A body whose brackets are
-unbalanced or nested too deeply is parsed with its class's members. The
-parser consumes a brace only together with its match (type arguments end
-at '{', '}' or ';', a case label at a brace), so it ends every other body
-where its '}' is.
+is tokenized only down to its type headers (see java_lexer.FileCursor). The
+members of a top-level class or interface are lexed and parsed when
+ClassDecl.methods or ClassDecl.fields is first read, if the member grammar
+reads its body as well-formed members, which no member type is; any other
+class's members, and every enum's and record's, are parsed at once, each
+type body through a cursor of its own. A method body is lexed and parsed
+when MethodDecl.body is first read, so the analysis pays only for the
+classes and bodies it reads: CodeModel.call_sites reads only the classes of
+the files whose text holds the name asked for, lexes only the bodies whose
+text holds it, and parses only those that may call it. A body whose
+brackets are unbalanced or nested too deeply is parsed with its class's
+members. The parsers consume a brace only together with its match: a name
+must be an identifier, the recovery at file level passes a block whole,
+type arguments end at '{', '}' or ';', and a case label at a brace. So a
+malformed member stays inside its class, and every other body ends where
+its '}' is.
 
 The model is the substrate for call-graph construction and parameter-transfer
 analysis; it is not a general-purpose Java front end (no type inference, no
@@ -240,23 +243,6 @@ class Statement:
     line: int
     index: int
     declared_type: str | None = None
-
-    def edge_label(self) -> str:
-        """Short rendering of the statement for PTG tuple display."""
-        e = self.rhs_expr
-        if e is None:
-            return "<stmt>"
-        if e.kind == "Call":
-            return f"{e.receiver_text}.{e.name}" if e.receiver_text else e.name
-        if e.kind == "Cast":
-            return f"({e.name})"
-        if e.kind == "New":
-            return f"new {e.name}"
-        if e.kind == "BinaryOp":
-            return e.name
-        if e.kind == "VarRef":
-            return "="
-        return e.kind
 
     def calls(self):
         if self.rhs_expr is not None:
@@ -624,8 +610,8 @@ _TYPE_KEYWORDS = ("class", "interface", "enum", "record")
 
 
 class _FileParser:
-    """Parses one file's declarations. A class's members are deferred when
-    its body reads as well-formed members and holds no member type (see
+    """Parses one file's declarations. A top-level class's members are
+    deferred when its body reads as well-formed members (see
     FileCursor.class_body), and parsed now otherwise. A method body is
     deferred when its brackets nest well (see _body) and parsed now
     otherwise. In diagnostics a deferred class or body stands in for its
@@ -680,22 +666,39 @@ class _FileParser:
                     cur.next()
                 else:
                     self.warn(f"skipping unexpected token '{t}'")
-                    cur.next()
+                    self._pass()
             except ParseError as e:
                 self.warn(str(e), e.line)
                 self._resync()
         return self.classes
 
+    def _pass(self) -> str:
+        """Consume the token at the cursor, a '{' with its block through its
+        '}' (to the end of the file when it has none), and return the last
+        token consumed."""
+        cur = self.cur
+        t = cur.next()
+        depth = 1 if t == "{" else 0
+        while depth and not cur.eof():
+            t = cur.next()
+            if t == "{":
+                depth += 1
+            elif t == "}":
+                depth -= 1
+        return t
+
     def _resync(self):
+        """Skip through the next ';' or '}', a block passing whole."""
         cur = self.cur
         while not cur.eof():
-            if cur.next() in (";", "}"):
+            if self._pass() in (";", "}"):
                 return
 
     def _skip_to(self, text: str):
+        """Skip through the next text, a block passing whole."""
         cur = self.cur
         while not cur.eof():
-            if cur.next() == text:
+            if self._pass() == text:
                 return
 
     def _skip_annotation(self) -> str:
@@ -723,11 +726,15 @@ class _FileParser:
             cur.next()
             self._annotations(annotations)
         line = cur.line()
+        if cur.at("{"):  # left for the recovery, which passes the block whole
+            raise ParseError("expected type declaration, found '{'", line)
         kw = cur.next()
         if kw == "@" and cur.at("interface"):  # an annotation type
             kw = cur.next()
         if kw not in _TYPE_KEYWORDS:
             raise ParseError(f"expected type declaration, found '{kw}'", line)
+        if not cur.at_ident():
+            raise ParseError("expected type name", cur.line())
         simple = cur.next()
         if cur.at("<"):
             cur.skip_generics()
@@ -753,7 +760,10 @@ class _FileParser:
                 break
         fqn = f"{outer_fqn}.{simple}" if outer_fqn else (
             f"{self.package}.{simple}" if self.package else simple)
-        blocks = cur.class_body(simple) if kw in ("class", "interface") else None
+        # Only a top-level class is deferred: a member type's bodies would
+        # be parsed later at depth 0.
+        blocks = cur.class_body(simple) \
+            if outer_fqn is None and kw in ("class", "interface") else None
         if blocks is not None:
             deferred = _DeferredMembers(self.source, blocks, cur.lines[cur.i], self.path, fqn,
                                         simple, kw == "interface")
@@ -762,11 +772,17 @@ class _FileParser:
             cur.i += 2  # the body's '{' and '}' tokens
         else:
             cur.expect("{")
-            if kw == "enum":
-                self._skip_enum_constants()
-            methods, fields = self._members(fqn, simple, kw == "interface", components)
-            if cur.at("}"):
-                cur.next()
+            if cur.braces[cur.i - 1] in cur.left_out:  # read through a cursor of its own
+                self.cur = cur.block(cur.i - 1)
+                cur.i += 1  # the body's '}' token
+            try:
+                if kw == "enum":
+                    self._skip_enum_constants()
+                methods, fields = self._members(fqn, simple, kw == "interface", components)
+                if self.cur.at("}"):
+                    self.cur.next()
+            finally:
+                self.cur = cur
         resolved_supers = tuple(
             dict.fromkeys(self._resolve_supertype(s) for s in supertypes if s != simple)
         )
@@ -898,6 +914,8 @@ class _FileParser:
                 cur.skip_to((",", ";"))
             if cur.at(","):
                 cur.next()
+                if not cur.at_ident():
+                    raise ParseError("expected field name", cur.line())
                 name = cur.next()
                 continue
             break
@@ -992,6 +1010,8 @@ class _FileParser:
             if cur.at("..."):
                 cur.next()
                 declared += "[]"
+            if not cur.at_ident():
+                raise ParseError("expected parameter name", cur.line())
             pname = cur.next()
             while cur.at("[") and cur.at("]", 1):
                 cur.i += 2
@@ -1106,10 +1126,10 @@ class _DeferredBody(_Deferred):
 
 
 class _DeferredMembers(_Deferred):
-    """The members of a class named simple, fqn in full, whose body reads
-    as well-formed members and holds no member type, from its '{' to its
-    '}': blocks holds their offsets and those of the blocks in the body,
-    as FileCursor.class_body gives them."""
+    """The members of a top-level class named simple, fqn in full, whose
+    body reads as well-formed members, from its '{' to its '}': blocks
+    holds their offsets and those of the blocks in the body, as
+    FileCursor.class_body gives them."""
 
     __slots__ = ("blocks", "fqn", "simple", "is_interface")
 
@@ -1751,14 +1771,15 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
 
     Each file is tokenized only down to its package, imports and type
     headers, which are parsed now with each type's supertypes and
-    annotations. A class's members are lexed and parsed when
+    annotations. A top-level class's members are lexed and parsed when
     ClassDecl.methods or ClassDecl.fields is first read, if its body reads
-    as well-formed members and holds no member type; any other class's
-    members, and every enum's and record's, are parsed now (see
-    FileCursor). Each method body whose brackets are unbalanced or nested
-    too deeply is parsed with its class's members; every other body is
-    lexed and parsed when first read, and ends at its '}': type arguments
-    end at '{', '}' or ';'. Files that fail to parse are recorded as
+    as well-formed members (see FileCursor.class_body); any other class's
+    members, and every enum's and record's, are parsed now. Each method
+    body whose brackets are unbalanced or nested too deeply is parsed with
+    its class's members; every other body is lexed and parsed when first
+    read, and ends at its '}': type arguments end at '{', '}' or ';'. A
+    malformed member is skipped with a diagnostic and the recovery stays
+    inside its class. Files that fail to parse are recorded as
     diagnostics, never raised. Diagnostics are also written to stderr as
     'WARN <file>:<line> <message>': those found here at once, a deferred
     class's or body's when it is parsed. exclude_dirs are root-relative

@@ -5,8 +5,9 @@ characters, with comments and literals blanked, that matches the braces and
 checks the brackets without tokenizing; the member grammar that tells
 whether a class body's members can be left for later; and the cursors
 through which the parsers in code_model read tokens. A FileCursor tokenizes
-a file down to its type headers and leaves the interior of each well-nested
-block out until the parser enters it.
+a file down to its type headers, leaving out the interior of each top-level
+block that nests well, and a block left out is read through a cursor of its
+own: no cursor's tokens change once it is made.
 """
 
 from __future__ import annotations
@@ -135,7 +136,6 @@ _SKIPPED_RE = re.compile(_SKIPPED, re.DOTALL)
 _NO_BLOCK_SKIPPED_RE = re.compile(_SKIPPED.replace(rb"|/\*.*?\*/", b""), re.DOTALL)
 _NOT_BRACKETS = bytes(c for c in range(256) if c not in b"{}()[]")
 _BRACKET_PAIR_RE = re.compile(rb"\{\}|\(\)|\[\]")
-_TYPE_HEADER_RE = re.compile(rb"\b(?:class|interface|enum|record)\b")
 
 
 def _words(words) -> bytes:
@@ -226,13 +226,6 @@ def blanked(source: str) -> bytes:
             + _NO_BLOCK_SKIPPED_RE.sub(_spaces, text[split:]))
 
 
-def _may_name_type(code: bytes, start: int = 0, end: int | None = None) -> bool:
-    """Whether code[start:end] holds a word that can start a type
-    declaration."""
-    return (code.find(b"class", start, end) >= 0 or code.find(b"interface", start, end) >= 0
-            or code.find(b"enum", start, end) >= 0 or code.find(b"record", start, end) >= 0)
-
-
 def _well_nested(code: bytes) -> bool:
     """Whether the brackets of code nest well, at most MAX_NESTING deep.
     Each round removes every innermost pair, so the brackets are gone
@@ -304,8 +297,7 @@ class Cursor:
 
     def skip_balanced(self, open_: str, close: str) -> list[str]:
         """Consume from the current open_ token through its matching close.
-        Each token passes as it is: a block of a file's tokens whose
-        interior is left out stays so (see FileCursor)."""
+        A block left out (see FileCursor) passes as its two tokens."""
         texts = self.texts
         start = i = self.i
         if texts[i] != open_:
@@ -364,6 +356,9 @@ class Cursor:
         return t
 
     def dotted_name(self) -> str:
+        """A name and its dotted parts; the first must be an identifier."""
+        if not self.at_ident():
+            raise ParseError("expected name", self.line())
         name = self.next()
         while self.at(".") and self.at_ident(1):
             name += "." + self.texts[self.i + 1]
@@ -402,33 +397,27 @@ def _offsets(code: bytes, byte: bytes) -> list[int]:
 
 
 class FileCursor(Cursor):
-    """A cursor over one file's tokens that leaves out the interior of
-    well-nested blocks until the parser enters them.
+    """A cursor over the tokens of one file, or of one block in it, that
+    leaves out the interior of the blocks in it.
 
-    One pass over the characters finds the braces: opens holds the offset
-    of every '{' in the source, in order, and close the offset of the '}'
-    that matches each '{' that one matches. The file is then tokenized down
-    to its type headers: a top-level block (a type's body) that nests well
-    and holds no word that starts a type declaration is left out whole, and
-    its offset goes into class_bodies. Of any other top-level block, the
-    interior is tokenized with the interior of each block in it left out,
-    but for member types' bodies, which the parser reads whole anyway. This
-    holds up to the first top-level block that has no '}' or whose brackets
-    nest badly or deeper than MAX_NESTING; from that one on every block is
-    tokenized. A block left out is its '{' token followed by its '}' token.
-    braces runs beside texts: for a '{' token the offset of its '{', else
-    None.
+    One pass over the file's characters finds the braces: opens holds the
+    offset of every '{' in the source, in order, and close the offset of the
+    '}' that matches each '{' that one matches. Of a whole file, each
+    top-level block is left out, up to the first that has no '}' or whose
+    brackets nest badly or deeper than MAX_NESTING; from that one on every
+    block is tokenized. A cursor over a block holds the tokens after its '{'
+    through its '}', with every block in it left out (see block and
+    members). A block left out is its '{' token followed by its '}' token,
+    and its offset is in left_out; braces runs beside texts: for a '{'
+    token the offset of its '{', else None.
 
-    A walk that counts brackets (skip_balanced, skip_to, the one over enum
-    constants) passes a well-nested block whole, so it ends at the same
-    token whether or not the interior is there. next and expect, which
-    consume a '{' alone, tokenize the block's interior in place first. So
-    the declaration parser reads what it would read in the whole file's
-    tokens, and a body parsed at once lies among tokenized blocks only. A
-    class body in class_bodies may instead be read later, by a cursor of
-    its own (see class_body and members)."""
+    The tokens never change once the cursor is made. The parsers pass a
+    block left out whole, as every walk that counts brackets does
+    (skip_balanced, skip_to), read it through a cursor of its own (block),
+    or leave it for later, a class's members (class_body) or a method
+    body."""
 
-    __slots__ = ("source", "code", "opens", "close", "left_out", "class_bodies", "braces")
+    __slots__ = ("source", "code", "opens", "close", "left_out", "braces")
 
     def __init__(self, source: str):
         self.source = source
@@ -444,9 +433,27 @@ class FileCursor(Cursor):
             if stack:
                 self.close[stack.pop()] = end
         self.left_out: set[int] = set()
-        self.class_bodies: set[int] = set()
-        texts, lines, self.braces = self._tokens(0, len(opens), 0, len(source), 1, -1, False)
+        texts, lines, self.braces = self._tokens(0, len(opens), 0, len(source), 1, True)
         super().__init__(texts, lines)
+
+    @staticmethod
+    def _block(source: str, opens: list[int], close: dict[int, int], brace: int,
+               line: int) -> FileCursor:
+        """A cursor over the tokens of source after the '{' at offset brace,
+        on line line, through its '}', every block in it left out: opens
+        and close hold at least the offsets of those blocks. code is empty,
+        since every block in it nests well."""
+        cur = FileCursor.__new__(FileCursor)
+        cur.source = source
+        cur.code = b""
+        cur.opens = opens
+        cur.close = close
+        cur.left_out = set()
+        end = close[brace]
+        texts, lines, cur.braces = cur._tokens(bisect_right(opens, brace), bisect_left(opens, end),
+                                               brace + 1, end + 1, line, False)
+        Cursor.__init__(cur, texts, lines)
+        return cur
 
     @staticmethod
     def members(source: str, blocks: array, line: int) -> FileCursor:
@@ -454,20 +461,16 @@ class FileCursor(Cursor):
         from its '{' on line line: those after the '{', each block in it
         left out, through the '}'. blocks gives the offsets that the file's
         character pass found (see class_body), so no character is read
-        again: code is empty, and a block entered is tokenized whole, its
-        own blocks unknown."""
-        cur = FileCursor.__new__(FileCursor)
-        cur.source = source
-        cur.code = b""
-        cur.opens = blocks[::2].tolist()
-        cur.close = dict(zip(cur.opens, blocks[1::2]))
-        cur.left_out = set()
-        cur.class_bodies = set()
-        start, end = blocks[0], blocks[1]
-        texts, lines, cur.braces = cur._tokens(1, len(cur.opens), start + 1, end + 1, line,
-                                               end + 1, False)
-        Cursor.__init__(cur, texts, lines)
-        return cur
+        again; a block in it is known only as a whole."""
+        opens = blocks[::2].tolist()
+        return FileCursor._block(source, opens, dict(zip(opens, blocks[1::2])), opens[0], line)
+
+    def block(self, i: int) -> FileCursor:
+        """A cursor over the tokens of the block left out whose '{' is token
+        i: those after the '{', each block in it left out, through the
+        '}'."""
+        return FileCursor._block(self.source, self.opens, self.close, self.braces[i],
+                                 self.lines[i])
 
     def well_nested(self, start: int) -> bool:
         """Whether the block whose '{' is at offset start has a '}' and its
@@ -475,27 +478,16 @@ class FileCursor(Cursor):
         end = self.close.get(start)
         return end is not None and _well_nested(self.code[start:end + 1])
 
-    def type_body(self, after: int, start: int) -> bool:
-        """Whether the block whose '{' is at offset start is a type's body:
-        its header, from offset after or the last '}' or ';' before it,
-        names class, interface, enum or record. A body taken for a type's
-        is only tokenized sooner."""
-        header = self.code[after:start]
-        if not _may_name_type(header):
-            return False
-        header = header[max(header.rfind(b"}"), header.rfind(b";")) + 1:]
-        return _TYPE_HEADER_RE.search(header) is not None
-
     def class_body(self, simple: str) -> array | None:
-        """When the '{' at the cursor opens a block of class_bodies, still
-        left out, that reads as the members of a class named simple (see
-        _MEMBERS_RE): the offsets of its '{' and '}', then those of each
-        block in it, in one array. Else None."""
+        """When the '{' at the cursor opens a top-level block left out that
+        reads as the members of a class named simple (see _MEMBERS_RE): the
+        offsets of its '{' and '}', then those of each block in it, in one
+        array. Else None."""
         i = self.i
         if self.texts[i] != "{":
             return None
         brace = self.braces[i]
-        if brace not in self.class_bodies or brace not in self.left_out:
+        if brace not in self.left_out:
             return None
         code, opens, close = self.code, self.opens, self.close
         end = close[brace]
@@ -512,56 +504,31 @@ class FileCursor(Cursor):
         skeleton.append(code[pos:end])
         return blocks if _MEMBERS_RE.fullmatch(b"".join(skeleton)) else None
 
-    def _tokens(self, k: int, stop: int, start: int, end: int, line: int, within: int,
-                types: bool):
+    def _tokens(self, k: int, stop: int, start: int, end: int, line: int, checked: bool):
         """The tokens of source[start:end], which starts on line line and
-        holds the blocks opened at opens[k:stop]. Each block opened before
-        offset within has its interior left out, but a member type's body
-        (see type_body) when types says that one may be there: the parser
-        reads it whole anyway, and a class with thousands of member types
-        is not spliced together one type at a time. Past within lies the
-        rest of the file (within is -1 for a whole file): each top-level
-        block that nests well is left out whole when no word in it starts a
-        type declaration (a class body, see class_bodies), and is tokenized
-        with the blocks in it left out otherwise, up to the first that does
-        not nest well; from that one on every block is tokenized. The text
-        is lexed in one piece with the interiors cut out, and each token
-        after an interior then moves down by the interior's lines. Returns
-        the token texts, their lines, and beside them the offset of each '{'
-        token's '{' (None for the other tokens)."""
-        source, opens, code = self.source, self.opens, self.code
+        holds the blocks opened at opens[k:stop]. Each block at the text's
+        top level has its interior left out; if checked, only up to the
+        first that does not nest well (see well_nested), and every block
+        from that one on is tokenized. The text is lexed in one piece with
+        the interiors cut out, and each token after an interior then moves
+        down by the interior's lines. Returns the token texts, their lines,
+        and beside them the offset of each '{' token's '{' (None for the
+        other tokens)."""
+        source, opens = self.source, self.opens
         pieces: list[str] = []
         opened: list[tuple[int, int]] = []  # each '{' token: offset, lines left out after it
         pos = start
-        after = start  # just past the last brace met
-        tail = False
         while k < stop:
             brace = opens[k]
-            if brace < within:
-                leave = not (types and self.type_body(after, brace))
-            elif not tail and self.well_nested(brace):
-                within = self.close[brace]
-                # The substring search first: the word search is much slower.
-                types = _may_name_type(code, brace, within) and \
-                    _TYPE_HEADER_RE.search(code, brace, within) is not None
-                leave = not types
-                if leave:
-                    self.class_bodies.add(brace)
-            else:
-                tail = True  # every block from here on is tokenized
-                leave = False
-            if leave:
-                self.left_out.add(brace)
-                close = self.close[brace]
-                pieces.append(source[pos:brace + 1])
-                opened.append((brace, source.count("\n", brace + 1, close)))
-                pos = close
-                after = close + 1
-                k = bisect_left(opens, close, k)
-                continue
-            opened.append((brace, 0))
-            after = brace + 1
-            k += 1
+            if checked and not self.well_nested(brace):
+                opened += [(brace, 0) for brace in opens[k:stop]]
+                break
+            close = self.close[brace]
+            self.left_out.add(brace)
+            pieces.append(source[pos:brace + 1])
+            opened.append((brace, source.count("\n", brace + 1, close)))
+            pos = close
+            k = bisect_left(opens, close, k)
         pieces.append(source[pos:end])
         texts, lines = tokenize("".join(pieces), line=line)
         braces: list[int | None] = [None] * len(texts)
@@ -577,37 +544,3 @@ class FileCursor(Cursor):
         if shift:
             lines[i + 1:] = map(shift.__add__, lines[i + 1:])
         return texts, lines, braces
-
-    def _enter(self, i: int) -> None:
-        """Tokenize the interior of the block whose '{' is token i in place,
-        if it is left out."""
-        brace = self.braces[i]
-        if brace not in self.left_out:
-            return
-        self.left_out.remove(brace)
-        end = self.close[brace]
-        opens = self.opens
-        texts, lines, braces = self._tokens(
-            bisect_right(opens, brace), bisect_left(opens, end), brace + 1, end, self.lines[i],
-            end, _may_name_type(self.code, brace + 1, end))
-        j = i + 1
-        self.texts[j:j] = texts
-        self.lines[j:j] = lines
-        self.braces[j:j] = braces
-        self.n += len(texts)
-
-    def next(self) -> str:
-        i = self.i
-        if i >= self.n:
-            raise ParseError("unexpected end of file", self.line())
-        self.i = i + 1
-        t = self.texts[i]
-        if t == "{":
-            self._enter(i)
-        return t
-
-    def expect(self, text: str) -> str:
-        Cursor.expect(self, text)
-        if text == "{":
-            self._enter(self.i - 1)
-        return text

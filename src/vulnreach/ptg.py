@@ -102,9 +102,6 @@ class PtgTuple:
     target: str
     edge: Statement
 
-    def __str__(self) -> str:
-        return f"<{self.source or '-'}, {self.target}, {self.edge.edge_label()}>"
-
 
 @dataclass(frozen=True)
 class ParameterPath:

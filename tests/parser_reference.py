@@ -34,6 +34,15 @@ are marked, each line by a comment naming its fix:
   and as a member type, and an element's `default` value is skipped through
   its `;`, the element being an abstract method. The original read
   `@interface` as an annotation and lost the declaration.
+- "class-bound fix": no declaration consumes a `{` alone. A type's name, a
+  field declarator's name, a parameter's name and the first part of a
+  dotted name must be identifiers; a `{` where a type keyword is expected
+  is left unconsumed; and the recovery at file level (after an error, in a
+  package or import, and at an unexpected token) passes a block whole,
+  through its `}` or to the end of the file. The original took any token
+  as a name, so a malformed member could consume its class's `}`:
+  `class A { int a, } class B { void n() { } }` read `B` as a member type
+  of `A`, without a diagnostic.
 
 `parse_project` serves only as the specification the new front end must
 reproduce: the same classes, statements and diagnostics. Input nested more
@@ -247,29 +256,42 @@ class _FileParser:
                     cur.next()
                 else:
                     self.warn(f"skipping unexpected token '{t.text}'")
-                    cur.next()
+                    self._pass()  # class-bound fix
             except _ParseError as e:
                 self.warn(str(e), e.line)
                 self._resync()
         return self.classes
 
+    def _pass(self) -> str:  # class-bound fix
+        """Consume one token, or a '{' with its whole block; return the last."""  # class-bound fix
+        cur = self.cur  # class-bound fix
+        t = cur.next().text  # class-bound fix
+        depth = 1 if t == "{" else 0  # class-bound fix
+        while depth and not cur.eof():  # class-bound fix
+            t = cur.next().text  # class-bound fix
+            if t == "{":  # class-bound fix
+                depth += 1  # class-bound fix
+            elif t == "}":  # class-bound fix
+                depth -= 1  # class-bound fix
+        return t  # class-bound fix
+
     def _resync(self):
         cur = self.cur
         while not cur.eof():
-            t = cur.next()
-            if t.text in (";", "}"):
+            t = self._pass()  # class-bound fix
+            if t in (";", "}"):  # class-bound fix
                 return
 
     def _skip_to(self, text: str):
         cur = self.cur
         while not cur.eof():
-            if cur.at(text):
-                cur.next()
+            if self._pass() == text:  # class-bound fix
                 return
-            cur.next()
 
     def _dotted_name(self) -> str:
         cur = self.cur
+        if not cur.at_ident():  # class-bound fix
+            raise _ParseError("expected name", cur.line())  # class-bound fix
         parts = [cur.next().text]
         while cur.at(".") and cur.at_ident(1):
             cur.next()
@@ -336,11 +358,15 @@ class _FileParser:
             cur.next()
             while cur.at("@") and not cur.at("interface", 1):  # annotation-type fix
                 annotations.append(self._skip_annotation())
+        if cur.at("{"):  # class-bound fix
+            raise _ParseError("expected type declaration, found '{'", cur.line())  # class-bound fix
         kw = cur.next()
         if kw.text == "@" and cur.at("interface"):  # annotation-type fix
             kw = cur.next()  # annotation-type fix
         if kw.text not in ("class", "interface", "enum", "record"):
             raise _ParseError(f"expected type declaration, found '{kw.text}'", kw.line)
+        if not cur.at_ident():  # class-bound fix
+            raise _ParseError("expected type name", cur.line())  # class-bound fix
         name_tok = cur.next()
         simple = name_tok.text
         if cur.at("<"):
@@ -505,6 +531,8 @@ class _FileParser:
                 self._skip_initializer()
             if cur.at(","):
                 cur.next()
+                if not cur.at_ident():  # class-bound fix
+                    raise _ParseError("expected field name", cur.line())  # class-bound fix
                 name = cur.next().text
                 continue
             break
@@ -591,6 +619,8 @@ class _FileParser:
             if cur.at("..."):
                 cur.next()
                 declared += "[]"
+            if not cur.at_ident():  # class-bound fix
+                raise _ParseError("expected parameter name", cur.line())  # class-bound fix
             pname = cur.next().text
             while cur.at("[") and cur.at("]", 1):
                 cur.next()

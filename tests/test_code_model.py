@@ -553,7 +553,8 @@ class TestLaziness:
         (tmp_path / "Caller.java").write_text(_CALLER)
         lexed, members = _record_lexing(monkeypatch)
         model = parse_project(tmp_path, emit_warnings=False)
-        # The parse lexes each file's declarations, member types included, in one piece.
+        # The parse lexes each file's declarations, and the body of each class
+        # parsed at once and of its member type, each in one piece.
         assert lexed and all(span[1:] == (0, None) for span in lexed) and not members
         lexed.clear()
         sites = model.call_sites("fromXML", 1)
@@ -661,9 +662,11 @@ class TestLaziness:
         "enum E { A, B; void f() { g(); } }",
         "record R(String a) { void f() { g(); } }",
         "class O { static class I { } void f() { g(); } }",
-        "class O { void f() { Object o = Foo.class; } }",
+        "class O { record R(int a) {} void f() { g(); } }",
+        "class O { @interface A { int v() default 1; } void f() { g(); } }",
         "class M { void f() { g(); } int x }",
-    ], ids=["enum", "record", "member-type", "type-word", "malformed-member"])
+    ], ids=["enum", "record", "member-type", "member-record", "member-annotation-type",
+            "malformed-member"])
     def test_classes_parsed_at_once(self, source):
         log: list = []
         classes = code_model._FileParser("Src.java", source, log).parse()
@@ -677,6 +680,18 @@ class TestLaziness:
         (entry,) = log
         assert type(entry) is code_model._DeferredMembers
         assert [m.name for m in cls.methods] == ["f"] and "methods" in vars(cls)
+
+    @pytest.mark.parametrize("source", [
+        "class O { void f() { Object o = Foo.class; } }",
+        "class O { void f(int a) { int record = a; g(record); } }",
+    ], ids=["type-word", "record-local"])
+    def test_type_words_in_method_bodies_leave_the_class_deferred(self, source):
+        # The member grammar alone decides: a body is one '{}' to it.
+        log: list = []
+        (cls,) = code_model._FileParser("Src.java", source, log).parse()
+        assert "methods" not in vars(cls)
+        assert [type(entry) for entry in log] == [code_model._DeferredMembers]
+        assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
 
     def test_deferred_classes_parse_cleanly_and_as_the_reference_does(self):
         # The member grammar defers a class only when its members parse
@@ -713,21 +728,29 @@ class TestLaziness:
                 code_model._FileParser("Src.java", f"class C {{ {body} }}", log).parse()
             assert any(type(e) is code_model._DeferredMembers for e in log) == deferred
 
-    def test_member_types_are_tokenized_with_their_class(self):
-        # The parser reads a member type whole, so its body is not left out:
-        # a class with thousands of member types is tokenized at once, not
-        # spliced together one type at a time, and only method bodies wait.
+    def test_member_types_are_read_through_cursors_of_their_own(self):
+        # An eager class's body, and each member type's body in it, is read
+        # through a cursor of its own, so the file's tokens never change, a
+        # class with thousands of member types is read in linear time, a
+        # malformed member stays inside its class, and only method bodies
+        # wait.
         n = 5000
-        source = "class Outer {\n" + "".join(
-            f"  static class C{k} {{ void m() {{ f(); }} }}\n" for k in range(n)) + "}\n"
+        source = "class Outer {\n  int a, ;\n" + "".join(
+            f"  static class C{k} {{ void m() {{ f(); }} }}\n" for k in range(n)) + (
+            "  class Bad { void k(int) { } int b, }\n}\nclass After { void n() { } }\n")
         log: list = []
         with time_limit(10):
             parser = code_model._FileParser("Src.java", source, log)
-            tokens = parser.cur.n
+            tokens = list(parser.cur.texts)
             classes = parser.parse()
-        assert len(classes) == n + 1
-        assert parser.cur.n == tokens  # no block was tokenized on entering it
+        assert parser.cur.texts == tokens
+        assert [c.fqn for c in classes[-3:]] == ["Outer.Bad", "Outer", "After"]
+        assert len(classes) == n + 3
+        assert [d.message for d in log if type(d) is code_model.ParseDiagnostic] == [
+            "expected field name", "expected parameter name", "expected type, found ')'",
+            "expected field name"]
         assert sum(type(entry) is code_model._DeferredBody for entry in log) == n
+        assert [type(entry) for entry in log[-1:]] == [code_model._DeferredMembers]  # After
 
 
 class TestTypeNames:
@@ -784,7 +807,8 @@ class TestTokenizer:
 def _pieced_tokens(source: str) -> tuple[list[str], list[int]]:
     """The file parser's tokens of source once it has parsed it, each
     deferred class's and body's place taken by the tokens it lexes on
-    demand, and every other block still left out tokenized in place."""
+    demand, and every other block left out by those of a cursor of its
+    own."""
     log: list = []
     parser = code_model._FileParser("Src.java", source, log)
     for cls in parser.parse():
@@ -794,14 +818,16 @@ def _pieced_tokens(source: str) -> tuple[list[str], list[int]]:
 
 def _pieces(cur, log) -> tuple[list[str], list[int]]:
     """cur's tokens, with the deferred classes and bodies of log lexed in
-    their places and every other block left out tokenized in place."""
+    their places and every other block left out expanded through
+    FileCursor.block."""
     deferred = {entry.start: entry for entry in log
                 if type(entry) in (code_model._DeferredBody, code_model._DeferredMembers)}
     texts: list[str] = []
     lines: list[int] = []
     i = 0
     while i < cur.n:
-        entry = deferred.get(cur.braces[i])
+        brace = cur.braces[i]
+        entry = deferred.get(brace)
         if type(entry) is code_model._DeferredBody:
             body_texts, body_lines = entry.lex()
             texts += body_texts
@@ -810,20 +836,19 @@ def _pieces(cur, log) -> tuple[list[str], list[int]]:
             cur.skip_balanced("{", "}")  # the body's '}' token, or its whole tokens
             i = cur.i
             continue
-        if type(entry) is code_model._DeferredMembers:
-            # The class body's '{', then what its members' cursor reads.
-            members = java_lexer.FileCursor.members(entry.source, entry.blocks, entry.line)
-            member_texts, member_lines = _pieces(members, entry.log)
-            texts += [cur.texts[i], *member_texts]
-            lines += [cur.lines[i], *member_lines]
-            i += 2  # the body's '{' and '}' tokens
-            continue
-        if cur.braces[i] in cur.left_out:
-            cur.i = i
-            cur.next()  # tokenizes the block's interior in place
         texts.append(cur.texts[i])
         lines.append(cur.lines[i])
         i += 1
+        if brace in cur.left_out:
+            # The block's '{', then what a cursor of its own reads, through its '}'.
+            if type(entry) is code_model._DeferredMembers:
+                inner = _pieces(java_lexer.FileCursor.members(entry.source, entry.blocks,
+                                                              entry.line), entry.log)
+            else:
+                inner = _pieces(cur.block(i - 1), log)
+            texts += inner[0]
+            lines += inner[1]
+            i += 1  # the block's '}' token
     return texts, lines
 
 
@@ -851,6 +876,42 @@ def test_lexing_in_pieces_equals_lexing_the_whole(prefix, pieces):
     assert _pieced_tokens(source) == java_lexer.tokenize(source), source
 
 
+# Whole tokens, without brackets, of runs to insert into a class body:
+# names, keywords that start declarations, operators, and literals that
+# hold brackets.
+_RUN_TOKENS = ["int", "x", "B", "class", "interface", "enum", "record", "@", "static", "void",
+               "throws", "extends", "new", ",", ";", "=", ".", "...", "<", ">", "?", "->", "1",
+               '"}"', "'{'", '"{ ("']
+_runs = st.recursive(
+    st.sampled_from(_RUN_TOKENS),
+    lambda runs: st.tuples(st.sampled_from(["()", "[]", "{}"]), st.lists(runs, max_size=5)).map(
+        lambda group: " ".join([group[0][0], *group[1], group[0][1]])),
+    max_leaves=30)
+_ISOLATED = ("class Z {\n  int z;\n  void z(String s) { g(s); }\n}\n"
+             "class A { %s int f; %s void m() { g(); } %s }\n"
+             "class B extends Z {\n  int b, c = 1;\n  void n(String s) { z(s); }\n"
+             "  B(int a) { }\n  abstract String k();\n}\n")
+
+
+def _shapes(source: str) -> dict:
+    """fqn -> (methods as (signature, line), fields) of source's classes
+    other than A and its member types."""
+    classes = code_model._FileParser("Src.java", source, []).parse()
+    return {c.fqn: ([(m.signature(), m.line) for m in c.methods], c.fields)
+            for c in classes if c.fqn.split(".")[0] != "A"}
+
+
+@given(st.lists(_runs, min_size=1, max_size=3).map(" ".join))
+@settings(max_examples=400, deadline=None)
+def test_a_run_inserted_into_a_class_body_leaves_the_other_classes_alone(run):
+    # Whatever well-nested run of tokens a class body holds, at its start,
+    # between its members or at its end, the classes before and after it
+    # keep their names, members, lines and fields.
+    expected = _shapes(_ISOLATED % ("", "", ""))
+    for places in ((run, "", ""), ("", run, ""), ("", "", run)):
+        assert _shapes(_ISOLATED % places) == expected, places
+
+
 class TestErrorRecovery:
     """Stray closers and nesting beyond the parser's limit degrade to
     diagnostics and opaque statements, promptly."""
@@ -873,6 +934,43 @@ class TestErrorRecovery:
         assert [c.fqn for c in classes] == ["A", "B"]
         assert [f.name for f in classes[0].fields] == ["x"]
         assert [m.name for m in classes[1].methods] == ["m"] and diagnostics == []
+
+    @pytest.mark.parametrize("source, messages", [
+        ("class A { int a, } class B { void n() { } }", ["expected field name"]),
+        ("class A { void m(int a, int) x } class B { void n() { } }",
+         ["expected parameter name", "expected type, found ')'", "expected member name"]),
+    ], ids=["field-declarator", "parameter"])
+    def test_a_malformed_member_stays_inside_its_class(self, source, messages):
+        # A name must be an identifier, so the member cannot take the
+        # class's '}' for one and read on into the next class.
+        for module in (code_model, parser_reference):
+            classes, diagnostics = _parse_source(module, source)
+            assert [c.fqn for c in classes] == ["A", "B"], module
+            assert [m.name for m in classes[1].methods] == ["n"]
+            assert [d.message for d in diagnostics] == messages
+
+    @pytest.mark.parametrize("source, fqns, messages", [
+        ("class A { } { class X { } } class B { }", ["A", "B"],
+         ["skipping unexpected token '{'"]),
+        ("public { class X { } } class B { }", ["B"], ["expected type declaration, found '{'"]),
+        ("class { class X { } } class B { }", ["B"], ["expected type name"]),
+        ("import a.b { class X { } }; class B { }", ["B"], []),
+        ("class A extends { class X { } } class B { }", ["B"], ["expected type, found '{'"]),
+        ("class A { } @ { class X { } class B { }", ["A"], ["expected name"]),
+        ("class A { } { class X { } class B { }", ["A"], ["skipping unexpected token '{'"]),
+    ], ids=["stray-block", "modifier-block", "nameless-type", "import", "supertype",
+            "unclosed-after-an-error", "unclosed-stray-block"])
+    def test_file_level_recovery_passes_a_block_whole(self, source, fqns, messages):
+        # A block the declarations cannot use passes as one piece, never
+        # read as declarations; an unclosed one runs to the end of the file.
+        for module in (code_model, parser_reference):
+            classes, diagnostics = _parse_source(module, source)
+            assert [c.fqn for c in classes] == fqns, module
+            assert [d.message for d in diagnostics] == messages
+        parser = code_model._FileParser("Src.java", source, [])
+        tokens = list(parser.cur.texts)
+        parser.parse()
+        assert parser.cur.texts == tokens
 
     def test_too_deep_type_declarations_are_skipped(self):
         n = 5000

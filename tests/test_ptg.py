@@ -75,7 +75,8 @@ class TestBuildPtg:
         assert len(edges) == 1
         t = edges[0]
         assert (t.source, t.target) == ("entity", "xml")
-        assert str(t) == "<entity, xml, EntityUtils.toString>"
+        assert (t.edge.rhs_expr.receiver_text, t.edge.rhs_expr.name) == (
+            "EntityUtils", "toString")
 
     def test_identity_passthrough_empty_graph(self, tmp_path):
         method = _parse_method(tmp_path, "        Sink.use(entity);")
