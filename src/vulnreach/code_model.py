@@ -19,14 +19,15 @@ class's members, and every enum's and record's, are parsed at once, each
 type body through a cursor of its own. A method body is lexed and parsed
 when MethodDecl.body is first read, so the analysis pays only for the
 classes and bodies it reads: CodeModel.call_sites reads only the classes of
-the files whose text holds the name asked for, lexes only the bodies whose
-text holds it, and parses only those that may call it. A body whose
-brackets are unbalanced or nested too deeply is parsed with its class's
-members. The parsers consume a brace only together with its match: a name
-must be an identifier, the recovery at file level passes a block whole,
-type arguments end at '{', '}' or ';', and a case label at a brace. So a
-malformed member stays inside its class, and every other body ends where
-its '}' is.
+the files whose text holds the name asked for, and lexes and parses only
+the bodies that hold it as a whole word outside their comments and
+literals (see java_lexer.blanked). A body whose brackets are unbalanced or
+nested too deeply is parsed with its class's members. The parsers consume
+a brace only together with its match: a name must be an identifier, the
+recovery at file level passes a block whole, type arguments end at '{',
+'}' or ';', a case label at a brace, and enum constants at a closer no
+opener matches. So a malformed member stays inside its class, and every
+other body ends where its '}' is.
 
 The model is the substrate for call-graph construction and parameter-transfer
 analysis; it is not a general-purpose Java front end (no type inference, no
@@ -51,7 +52,6 @@ from .java_lexer import (
     MAX_NESTING,
     MODIFIERS,
     PRIMITIVES,
-    TYPE_ARGUMENT_ENDS,
     Cursor,
     FileCursor,
     ParseError,
@@ -447,8 +447,10 @@ class CodeModel:
         """Every call of a method named name with arity arguments, as
         (enclosing method, statement, call expression), in method, statement
         and pre-order. Built once per (name, arity), from only the bodies
-        that may call name (see _callers): no other class or body is lexed,
-        parsed or walked. After index_calls, built from that walk."""
+        that may call name: those that hold it as a whole word outside
+        their comments and literals (see _callers). No other class or body
+        is lexed, parsed or walked. After index_calls, built from that
+        walk."""
         key = (name, arity)
         try:
             return self._call_sites[key]
@@ -479,20 +481,18 @@ class CodeModel:
     def _callers(self, name: str):
         """The methods, in file order, whose bodies may call name: every
         parsed body in a file whose text holds name, and each deferred body
-        whose text holds it and whose call names hold it (those of a
-        parsed body are known without lexing it again). Only the classes
-        of those files are read. An enhanced for is a call named iterate,
-        so "for" stands in for that name too."""
-        alias = "for" if name == "iterate" else name
+        that holds name as a whole word outside its comments and literals
+        (see _DeferredBody.may_call). Only the classes of those files are
+        read."""
         source = None
         for cls in self.classes:
             if cls.source_text is not source:  # a file's classes are adjacent
                 source = cls.source_text
-                in_file = name in source or alias is not name and alias in source
+                in_file = name in source
             if in_file:
                 for m in cls.methods:
                     deferred = m.__dict__.get("deferred")
-                    if deferred is None or deferred.may_call(name, alias):
+                    if deferred is None or deferred.may_call(name):
                         yield m
 
     def all_methods(self):
@@ -589,10 +589,6 @@ def _idents(texts: list[str]) -> str:
 
 
 _COMPOUND_ASSIGN = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
-
-# Tokens _call_names acts on: '(', those that open, close or end type
-# arguments, and for.
-_NAME_STOPS = frozenset(("(", "<", ">", ">>", ">>>", *TYPE_ARGUMENT_ENDS, "for"))
 
 # Binary operators by precedence; instanceof parses as a relational operator
 # whose right-hand side is a type.
@@ -776,8 +772,10 @@ class _FileParser:
                 self.cur = cur.block(cur.i - 1)
                 cur.i += 1  # the body's '}' token
             try:
-                if kw == "enum":
-                    self._skip_enum_constants()
+                # The enum constants end at their ';', or at the closer that
+                # ends the body or that no opener matches.
+                if kw == "enum" and self.cur.skip_to((";",)) == ";":
+                    self.cur.next()
                 methods, fields = self._members(fqn, simple, kw == "interface", components)
                 if self.cur.at("}"):
                     self.cur.next()
@@ -833,22 +831,6 @@ class _FileParser:
         if name in _JAVA_LANG:
             return f"java.lang.{name}"
         return f"{self.package}.{name}" if self.package else name
-
-    def _skip_enum_constants(self):
-        cur = self.cur
-        depth = 0
-        while not cur.eof():
-            t = cur.peek()
-            if depth == 0 and t == ";":
-                cur.next()
-                return
-            if depth == 0 and t == "}":
-                return
-            if t in ("(", "{"):
-                depth += 1
-            elif t in (")", "}"):
-                depth -= 1
-            cur.i += 1  # a block passes whole, left out or not
 
     def _parse_member(self, owner_fqn: str, owner_simple: str, in_interface: bool,
                       components: tuple[Param, ...] | None,
@@ -1025,37 +1007,6 @@ class _FileParser:
         return tuple(params)
 
 
-def _call_names(texts: list[str]) -> set[str]:
-    """Every name a Call parsed from the method body with token texts texts
-    can have: the names right before '(' (so this and super too), the m of
-    x.m<T>( when the type arguments end where Cursor.skip_generics ends
-    them, and "iterate" when the body has a for, because an enhanced for is
-    parsed as a call of that name."""
-    names: set[str] = set()
-    angles: list[int] = []  # '<' tokens no '>' has closed yet, innermost last
-    for i, t in enumerate(texts):
-        if t not in _NAME_STOPS:
-            continue
-        if t == "(":
-            before = texts[i - 1]
-            if before[0] in IDENT_START:
-                names.add(before)
-        elif t == "<":
-            angles.append(i)
-        elif t[0] == ">":
-            for _ in range(len(t)):
-                if angles:
-                    s = angles.pop()
-                    if texts[s - 1][0] in IDENT_START and texts[s - 2] == "." \
-                            and texts[i + 1] == "(":
-                        names.add(texts[s - 1])
-        elif t == "for":
-            names.add("iterate")
-        else:
-            angles.clear()  # a skip of type arguments fails at '{', '}' or ';'
-    return names
-
-
 class _Deferred:
     """Part of a file parsed when first read: source[start:end] of the file
     at path, starting on line line. Once it is parsed, log holds its
@@ -1087,40 +1038,25 @@ class _DeferredBody(_Deferred):
     """A method body whose brackets nest well, from its '{' to its '}', at
     class nesting depth."""
 
-    __slots__ = ("depth", "tokens", "_names")
+    __slots__ = ("depth",)
 
     def __init__(self, source: str, start: int, end: int, line: int, depth: int, path: str):
         super().__init__(source, start, end, line, path)
         self.depth = depth
-        self.tokens: tuple[list[str], list[int]] | None = None  # lexed, not yet parsed
-        self._names: set[str] | None = None
 
-    def lex(self) -> tuple[list[str], list[int]]:
-        """The body's token texts and lines."""
-        return java_lexer.tokenize(self.source, self.start, self.end, self.line)
-
-    @property
-    def names(self) -> set[str]:
-        """Every name a Call parsed from the body can have (see _call_names)."""
-        if self._names is None:
-            self.tokens = self.lex()
-            self._names = _call_names(self.tokens[0])
-        return self._names
-
-    def may_call(self, name: str, alias: str) -> bool:
-        """Whether a Call parsed from the body can be named name. A body
-        whose text holds neither name nor alias is not lexed."""
-        if self._names is None and self.source.find(name, self.start, self.end) < 0 and (
-                alias is name or self.source.find(alias, self.start, self.end) < 0):
+    def may_call(self, name: str) -> bool:
+        """Whether a Call parsed from the body can be named name: whether
+        name is a whole word of the body's text, its comments and literals
+        blanked, with no identifier character on either side. Only a body
+        whose text holds name is blanked."""
+        if self.source.find(name, self.start, self.end) < 0:
             return False
-        return name in self.names
+        word = rb"(?<![\w$])%s(?![\w$])" % re.escape(name.encode("ascii", "replace"))
+        return re.search(word, java_lexer.blanked(self.source[self.start:self.end])) is not None
 
     def parse(self) -> dict[str, tuple[Statement, ...]]:
-        texts, lines = self.tokens or self.lex()
-        self.tokens = None
-        if self._names is None:
-            self._names = _call_names(texts)
-        body = _BodyParser(Cursor(texts, lines), self.depth, self.path, self.log).parse_block()
+        cur = Cursor(*java_lexer.tokenize(self.source, self.start, self.end, self.line))
+        body = _BodyParser(cur, self.depth, self.path, self.log).parse_block()
         self._echo()
         return {"body": tuple(body)}
 
@@ -1377,7 +1313,7 @@ class _BodyParser:
             iterable = self._expr()
             cur.expect(")")
             # Loop variable holds elements extracted from the iterable.
-            self._emit("Declaration", name, call("iterate", None, iterable), line,
+            self._emit("Declaration", name, binary_op("for", iterable), line,
                        declared_type=declared)
             return
         if not cur.at(";"):
@@ -1777,14 +1713,16 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     members, and every enum's and record's, are parsed now. Each method
     body whose brackets are unbalanced or nested too deeply is parsed with
     its class's members; every other body is lexed and parsed when first
-    read, and ends at its '}': type arguments end at '{', '}' or ';'. A
-    malformed member is skipped with a diagnostic and the recovery stays
-    inside its class. Files that fail to parse are recorded as
-    diagnostics, never raised. Diagnostics are also written to stderr as
-    'WARN <file>:<line> <message>': those found here at once, a deferred
-    class's or body's when it is parsed. exclude_dirs are root-relative
-    prefixes to skip (e.g. the test directory the generator itself writes
-    into).
+    read, and ends at its '}': type arguments end at '{', '}' or ';'.
+    CodeModel.call_sites lexes and parses only the bodies that hold the
+    name asked for as a whole word once their comments and literals are
+    blanked (see java_lexer.blanked). A malformed member is skipped with a
+    diagnostic and the recovery stays inside its class. Files that fail to
+    parse are recorded as diagnostics, never raised. Diagnostics are also
+    written to stderr as 'WARN <file>:<line> <message>': those found here
+    at once, a deferred class's or body's when it is parsed. exclude_dirs
+    are root-relative prefixes to skip (e.g. the test directory the
+    generator itself writes into).
     """
     root = Path(root)
     if not root.is_dir():

@@ -287,7 +287,8 @@ class DefUseGraph:
     of the variable (flattened branches cannot prove a kill) and, when none
     is a declaration, to its entry value (a formal or a field): the chain's
     origin. A definition links to its sources, or ends the chain with origin
-    None. edges holds the hops, keyed (source, target, index). In index order
+    None. sources holds, by statement index, the known variables each
+    definition on the slices reads, in order. In index order
     each definition is classified once and stores running unions over its
     variable's definitions so far (a prefix of them all) of the origins
     reaching them through benign hops only and of the kinds on their slices."""
@@ -300,9 +301,8 @@ class DefUseGraph:
             if st.lhs and st.kind in ("Declaration", "Assignment"):
                 defs.setdefault(st.lhs, []).append(st)
         self.sources: dict[int, tuple[str, ...]] = {}
-        self.edges: dict[tuple, PtgTuple] = {}
         todo = list(roots)
-        while todo:  # a hop's key fixes the state it leads to
+        while todo:
             var, before = todo.pop()
             for d in defs.get(var, ()):
                 if d.index >= before:
@@ -310,11 +310,7 @@ class DefUseGraph:
                 if d.index not in self.sources:
                     self.sources[d.index] = (ordered_vars(d.rhs_expr, known)
                                              if d.rhs_expr is not None else ())
-                for src in self.sources[d.index] or (None,):
-                    if (src, var, d.index) not in self.edges:
-                        self.edges[src, var, d.index] = PtgTuple(src, var, d)
-                        if src is not None:
-                            todo.append((src, d.index))
+                    todo.extend((src, d.index) for src in self.sources[d.index])
         self.types: dict[int, TransferType] = {}
         # var -> (index, statement, origins, kinds, declared so far) per definition
         self._sums: dict[str, list[tuple]] = {}
@@ -409,8 +405,9 @@ def build_ptg(method: MethodDecl, callee_params: list[str],
         raise UnknownVariable(unknown[0])
     graph = DefUseGraph(method, [(cp, use_index) for cp in callee_params], known,
                         upstream_closure(method, fields=fields))
-    return tuple(sorted(graph.edges.values(),
-                        key=lambda t: (t.edge.index, t.target, t.source or "")))
+    hops = (PtgTuple(src, st.lhs, st) for st in method.body if st.index in graph.sources
+            for src in graph.sources[st.index] or (None,))
+    return tuple(sorted(hops, key=lambda t: (t.edge.index, t.target, t.source or "")))
 
 
 def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,

@@ -43,6 +43,15 @@ are marked, each line by a comment naming its fix:
   as a name, so a malformed member could consume its class's `}`:
   `class A { int a, } class B { void n() { } }` read `B` as a member type
   of `A`, without a diagnostic.
+- "for-element fix": the element variable of an enhanced `for` is declared
+  from a `BinaryOp` named `for` over the iterable. The original made it a
+  call of `iterate`, which the call graph then linked to any project method
+  named `iterate` with one parameter.
+- "enum-bound fix": an enum's constants end at their `;`, or unconsumed at
+  the closer that ends the body or that no opener matches, as a member's
+  recovery does (the original `_skip_enum_constants` is gone). The original
+  let its bracket depth go below zero at a stray `)`:
+  `enum E { A ) } class B { void n() { } }` lost class `B`.
 
 `parse_project` serves only as the specification the new front end must
 reproduce: the same classes, statements and diagnostics. Input nested more
@@ -397,7 +406,7 @@ class _FileParser:
         methods: list[MethodDecl] = []
         fields: list[FieldDecl] = []
         if kw.text == "enum":
-            self._skip_enum_constants()
+            self._resync_member()  # enum-bound fix
         while not cur.eof() and not cur.at("}"):
             start = cur.i
             try:
@@ -436,23 +445,6 @@ class _FileParser:
         if name in _JAVA_LANG:
             return f"java.lang.{name}"
         return f"{self.package}.{name}" if self.package else name
-
-    def _skip_enum_constants(self):
-        cur = self.cur
-        depth = 0
-        while not cur.eof():
-            t = cur.peek()
-            assert t is not None
-            if depth == 0 and t.text == ";":
-                cur.next()
-                return
-            if depth == 0 and t.text == "}":
-                return
-            if t.text in ("(", "{"):
-                depth += 1
-            elif t.text in (")", "}"):
-                depth -= 1
-            cur.next()
 
     def _resync_member(self):
         cur = self.cur
@@ -877,7 +869,7 @@ class _BodyParser:
             iterable = self._expr()
             cur.expect(")")
             # Loop variable holds elements extracted from the iterable.
-            self._emit("Declaration", name, call("iterate", None, iterable), line,
+            self._emit("Declaration", name, binary_op("for", iterable), line,  # for-element fix
                        declared_type=declared)
             self._statement()
             return

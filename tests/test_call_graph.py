@@ -378,7 +378,8 @@ class TestOnDemandGraph:
         resolved.clear()
         monkeypatch.setattr(call_graph_reference, "resolve_invocation", counting_resolve)
         assert edges == eager_call_graph(model).edges
-        assert sum(resolved.values()) == 4456  # every call site of the project
+        # Every call site of the project; an enhanced for is none.
+        assert sum(resolved.values()) == 4327
 
 
 def test_constructor_not_entry_eligible():

@@ -78,6 +78,26 @@ class TestAnalyzeCommand:
         assert [p.reachable for p in report.paths] == [True]
         assert len(report.tests) == 2
 
+    def test_enhanced_for_is_no_call_of_a_project_method(self, tmp_path):
+        # handle loops over docs and never calls iterate, so iterate, which
+        # holds the vulnerable call, is an entry method with no caller.
+        root = tmp_path / "project"
+        (root / "src/main/java/a").mkdir(parents=True)
+        (root / "src/test/java").mkdir(parents=True)
+        (root / "src/main/java/a/Api.java").write_text(
+            "package a;\nimport java.util.List;\nimport com.thoughtworks.xstream.XStream;\n"
+            "public class Api {\n"
+            "  public void handle(List<String> docs) {\n"
+            "    for (String d : docs) { System.out.println(d); }\n  }\n"
+            "  public Object iterate(String doc) { return new XStream().fromXML(doc); }\n}\n")
+        _, poc, _ = fixture_paths("lion_reachable")
+        out = tmp_path / "out"
+        code = main(["analyze", "--project", str(root), "--poc", str(poc), "--out", str(out)])
+        assert code == 2
+        report = read_report(out / "report.json")
+        assert [list(p.signatures) for p in report.paths] == [["a.Api#iterate(String)"]]
+        assert len(report.tests) == 2
+
     def test_unbindable_entry_parameter_skips_only_that_paths_tests(self, tmp_path):
         # The offline template cannot build the XStream argument of handle:
         # that path gets no tests and one diagnostic, and the run still

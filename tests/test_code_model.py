@@ -339,8 +339,8 @@ def _scan_checked(source: str) -> list[str]:
     """Names of the methods of source whose bodies the file parser deferred.
     Parsing each deferred body over the whole file's tokens, where the file
     parser would have parsed it at once, ends where the character pass
-    ended the body, and the body's call names hold the name of every Call
-    in it."""
+    ended the body, and the body may call, by may_call, every name a Call
+    in it has."""
     log: list = []
     classes = code_model._FileParser("Src.java", source, log).parse()
     for c in classes:
@@ -351,7 +351,7 @@ def _scan_checked(source: str) -> list[str]:
         parser.cur.i = _token_index(source, entry.start)
         statements = parser.parse_block()
         assert parser.cur.i == _token_index(source, entry.end), source
-        assert {c.name for st in statements for c in st.calls()} <= entry.names, source
+        assert all(entry.may_call(c.name) for st in statements for c in st.calls()), source
     return [m.name for c in classes for m in c.methods
             if "body" not in vars(m)]
 
@@ -395,11 +395,13 @@ class TestBodyScan:
         ("enum E { A { void f() { g(); } }, B; void h() { k(a); } }", {"k"}),
         ("class C { void m(List<String> xs) { for (String s : xs) { p(s); } "
          "for (int i = 0; i < xs.size(); i++) { q(i); } if (i > 2) r(); } }",
-         {"iterate", "p", "size", "q", "r"}),
+         {"p", "size", "q", "r"}),
         # A statement that fails keeps none of the statements it emitted.
         ("class C { void m() { int a = f(x), 2; g(); } }", {"g"}),
+        ("class C { void m(String a) { größe(a); /* größe */ } }", {"größe"}),
     ], ids=["this-super", "type-arguments", "new-then-call", "lambdas", "anonymous-class",
-            "enum-constant-body", "loops-and-comparisons", "failed-declaration"])
+            "enum-constant-body", "loops-and-comparisons", "failed-declaration",
+            "non-ascii-name"])
     def test_targeted_bodies(self, source, calls):
         classes, _ = _parse_source(code_model, source)
         (method,) = classes[0].methods
@@ -437,13 +439,12 @@ class TestBodyScan:
 
     def test_type_arguments_cut_by_a_semicolon_name_no_call(self):
         # The skip from the '<' after x.m fails at the ';', so the '>('
-        # after it does not make m a call name of the body.
-        log: list = []
-        (cls,) = code_model._FileParser(
-            "Src.java", "class C { void m() { a = x.m < b; c = d > (e); } }", log).parse()
-        cls.methods
-        (body,) = _logged_bodies(log)
-        assert "m" not in body.names
+        # after it does not make x.m a call.
+        source = "class C { void m() { a = x.m < b; c = d > (e); } }"
+        assert _scan_checked(source) == ["m"]
+        classes, diagnostics = _parse_source(code_model, source)
+        assert [c.name for st in classes[0].methods[0].body for c in st.calls()] == []
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
 
     def test_bodies_nested_past_the_limit_are_parsed_at_once(self):
         # The body's own brace counts: a body holds at most _MAX_NESTING - 1
@@ -566,12 +567,14 @@ class TestLaziness:
         assert members == [(id(caller.source), caller.start, caller.end)]
         bodies = list(_logged_bodies(model.parse_log))
         assert len(bodies) == 36 * 3 + 1  # every body is deferred
-        holding = {(id(b.source), b.start, b.end) for b in bodies
-                   if "fromXML" in b.source[b.start:b.end]}
+        holding = [b for b in bodies if "fromXML" in b.source[b.start:b.end]]
         assert len(holding) == 1 + len(range(0, 36, 5))
+        # The fillers hold the name only in a comment, a literal and a
+        # longer word, so only Caller's body is lexed.
+        (read,) = [b for b in holding if "xs.fromXML" in b.source[b.start:b.end]]
         body_spans = [span for span in lexed if span[1:] != (0, None)]
-        assert set(body_spans) == holding and len(body_spans) == len(holding)
-        assert len(lexed) == len(holding) + 1  # and Caller's members, in one piece
+        assert body_spans == [(id(read.source), read.start, read.end)]
+        assert len(lexed) == 2  # and Caller's members, in one piece
         assert [m.signature() for _, m in model.all_methods() if "body" in vars(m)] == [
             "fill.Caller#read(String)"]
 
@@ -613,9 +616,13 @@ class TestLaziness:
         assert members == holding
         assert [c.fqn for c in model.classes if "methods" in vars(c)] == [
             "fill.Caller"] + [f"fill.F{k}" for k in sorted(range(0, 36, 5), key=str)]
-        # Each of those lexed once, and then only the bodies whose text holds the name.
+        # Each of those lexed once, and then only the body that holds the
+        # name as a whole word outside comments and literals: Caller's.
         assert sum(span[1:] == (0, None) for span in lexed) == len(holding)
-        assert len(lexed) == 2 * len(holding)
+        (read,) = [b for b in _logged_bodies(model.parse_log)
+                   if "xs.fromXML" in b.source[b.start:b.end]]
+        assert [span for span in lexed if span[1:] != (0, None)] == [
+            (id(read.source), read.start, read.end)]
 
     def test_method_by_signature_lexes_only_its_owner(self, tmp_path, monkeypatch):
         model, lexed, members = self._plain_project(tmp_path, monkeypatch)
@@ -829,7 +836,8 @@ def _pieces(cur, log) -> tuple[list[str], list[int]]:
         brace = cur.braces[i]
         entry = deferred.get(brace)
         if type(entry) is code_model._DeferredBody:
-            body_texts, body_lines = entry.lex()
+            body_texts, body_lines = java_lexer.tokenize(entry.source, entry.start, entry.end,
+                                                         entry.line)
             texts += body_texts
             lines += body_lines
             cur.i = i
@@ -948,6 +956,21 @@ class TestErrorRecovery:
             assert [c.fqn for c in classes] == ["A", "B"], module
             assert [m.name for m in classes[1].methods] == ["n"]
             assert [d.message for d in diagnostics] == messages
+
+    @pytest.mark.parametrize("source, messages", [
+        ("enum E { A ) } class B { void n() { } }", ["expected type, found ')'"]),
+        ("enum E { A(x)), B } class B { void n() { } }", ["expected type, found ')'",
+                                                          "expected type, found ','"]),
+    ], ids=["stray-paren", "stray-paren-after-arguments"])
+    def test_enum_constants_stop_at_a_stray_closer(self, source, messages):
+        # The constants end at a closer no opener matches, so the enum's '}'
+        # ends its body and B stays a top-level class.
+        for module in (code_model, parser_reference):
+            with time_limit(5):
+                classes, diagnostics = _parse_source(module, source)
+            assert [c.fqn for c in classes] == ["E", "B"], module
+            assert [m.name for m in classes[1].methods] == ["n"]
+            assert [d.message for d in diagnostics] == messages, module
 
     @pytest.mark.parametrize("source, fqns, messages", [
         ("class A { } { class X { } } class B { }", ["A", "B"],
