@@ -13,20 +13,20 @@ annotations) are parsed eagerly; the rest waits until it is read. One pass
 over the characters matches the braces and checks the brackets, and a file
 is tokenized only down to its type headers (see java_lexer.FileCursor). The
 members of a top-level class or interface are lexed and parsed when
-ClassDecl.methods or ClassDecl.fields is first read, if the member grammar
-reads its body as well-formed members, which no member type is; any other
+ClassDecl.methods or ClassDecl.fields is first read, unless its body
+declares a member type (see java_lexer.FileCursor.class_body); any other
 class's members, and every enum's and record's, are parsed at once, each
 type body through a cursor of its own. A method body is lexed and parsed
 when MethodDecl.body is first read, so the analysis pays only for the
-classes and bodies it reads: CodeModel.call_sites reads only the classes of
-the files whose text holds the name asked for, and lexes and parses only
-the bodies that hold it as a whole word outside their comments and
-literals (see java_lexer.blanked). A body whose brackets are unbalanced or
-nested too deeply is parsed with its class's members. The parsers consume
-a brace only together with its match: a name must be an identifier, the
-recovery at file level passes a block whole, type arguments end at '{',
-'}' or ';', a case label at a brace, and enum constants at a closer no
-opener matches. So a malformed member stays inside its class, and every
+classes and bodies it reads: CodeModel.call_sites reads only the classes
+and lexes and parses only the bodies that hold the name asked for as a
+whole word outside their comments and literals (see java_lexer.blanked).
+A body whose brackets are unbalanced or nested too deeply is parsed with
+its class's members. A deferred class or body reports its diagnostics when
+it is parsed. The parsers consume a brace only together with its match: a
+name must be an identifier, the recovery at file level passes a block
+whole, type arguments end at '{', '}' or ';', a case label at a brace, and
+enum constants at a closer no opener matches. So a malformed member stays inside its class, and every
 other body ends where its '}' is.
 
 The model is the substrate for call-graph construction and parameter-transfer
@@ -221,13 +221,9 @@ def call(name: str, receiver: Expr | None, *args: Expr) -> Expr:
 
 def opaque_expr(text: str) -> Expr:
     """Fallback node for unparsed source; variable names extracted textually."""
-    names = [t for t in re.findall(r"[A-Za-z_$][\w$]*", text) if t not in KEYWORDS]
-    seen: list[str] = []
-    for n in names:
-        if n not in seen:
-            seen.append(n)
-    return Expr("BinaryOp", name="<opaque>", args=tuple(var_ref(n) for n in seen),
-                operand_vars=frozenset(seen))
+    names = dict.fromkeys(t for t in re.findall(r"[A-Za-z_$][\w$]*", text) if t not in KEYWORDS)
+    return Expr("BinaryOp", name="<opaque>", args=tuple(var_ref(n) for n in names),
+                operand_vars=frozenset(names))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +334,9 @@ class FieldDecl:
 class ClassDecl:
     """One class, interface, enum or record. Its methods and fields are
     parsed when either is first read if its members are deferred (see
-    _DeferredMembers); comparing or hashing two classes reads them only when
-    the classes agree in every other field."""
+    _DeferredMembers), their diagnostics with them; comparing or hashing
+    two classes reads them only when the classes agree in every other
+    field."""
 
     fqn: str
     package: str
@@ -482,14 +479,15 @@ class CodeModel:
         """The methods, in file order, whose bodies may call name: every
         parsed body in a file whose text holds name, and each deferred body
         that holds name as a whole word outside its comments and literals
-        (see _DeferredBody.may_call). Only the classes of those files are
-        read."""
+        (see _Deferred.may_call). Only the classes of those files are read,
+        and of a deferred class only one whose body holds name so."""
         source = None
         for cls in self.classes:
             if cls.source_text is not source:  # a file's classes are adjacent
                 source = cls.source_text
                 in_file = name in source
-            if in_file:
+            members = cls.__dict__.get("deferred")
+            if in_file and (members is None or members.may_call(name)):
                 for m in cls.methods:
                     deferred = m.__dict__.get("deferred")
                     if deferred is None or deferred.may_call(name):
@@ -606,8 +604,8 @@ _TYPE_KEYWORDS = ("class", "interface", "enum", "record")
 
 
 class _FileParser:
-    """Parses one file's declarations. A top-level class's members are
-    deferred when its body reads as well-formed members (see
+    """Parses one file's declarations. A top-level class's or interface's
+    members are deferred unless its body declares a member type (see
     FileCursor.class_body), and parsed now otherwise. A method body is
     deferred when its brackets nest well (see _body) and parsed now
     otherwise. In diagnostics a deferred class or body stands in for its
@@ -758,7 +756,7 @@ class _FileParser:
             f"{self.package}.{simple}" if self.package else simple)
         # Only a top-level class is deferred: a member type's bodies would
         # be parsed later at depth 0.
-        blocks = cur.class_body(simple) \
+        blocks = cur.class_body() \
             if outer_fqn is None and kw in ("class", "interface") else None
         if blocks is not None:
             deferred = _DeferredMembers(self.source, blocks, cur.lines[cur.i], self.path, fqn,
@@ -1025,6 +1023,16 @@ class _Deferred:
         self.log: list[ParseDiagnostic | _Deferred] = []
         self.echo = False
 
+    def may_call(self, name: str) -> bool:
+        """Whether a Call parsed from this part can be named name: whether
+        name is a whole word of its text, its comments and literals
+        blanked, with no identifier character on either side. Only a part
+        whose text holds name is blanked."""
+        if self.source.find(name, self.start, self.end) < 0:
+            return False
+        word = rb"(?<![\w$])%s(?![\w$])" % re.escape(name.encode("ascii", "replace"))
+        return re.search(word, java_lexer.blanked(self.source[self.start:self.end])) is not None
+
     def _echo(self) -> None:
         if self.echo:
             for entry in self.log:
@@ -1044,16 +1052,6 @@ class _DeferredBody(_Deferred):
         super().__init__(source, start, end, line, path)
         self.depth = depth
 
-    def may_call(self, name: str) -> bool:
-        """Whether a Call parsed from the body can be named name: whether
-        name is a whole word of the body's text, its comments and literals
-        blanked, with no identifier character on either side. Only a body
-        whose text holds name is blanked."""
-        if self.source.find(name, self.start, self.end) < 0:
-            return False
-        word = rb"(?<![\w$])%s(?![\w$])" % re.escape(name.encode("ascii", "replace"))
-        return re.search(word, java_lexer.blanked(self.source[self.start:self.end])) is not None
-
     def parse(self) -> dict[str, tuple[Statement, ...]]:
         cur = Cursor(*java_lexer.tokenize(self.source, self.start, self.end, self.line))
         body = _BodyParser(cur, self.depth, self.path, self.log).parse_block()
@@ -1062,10 +1060,11 @@ class _DeferredBody(_Deferred):
 
 
 class _DeferredMembers(_Deferred):
-    """The members of a top-level class named simple, fqn in full, whose
-    body reads as well-formed members, from its '{' to its '}': blocks
-    holds their offsets and those of the blocks in the body, as
-    FileCursor.class_body gives them."""
+    """The members of a top-level class or interface named simple, fqn in
+    full, whose body declares no member type, from its '{' to its '}':
+    blocks holds their offsets and those of the blocks in the body, as
+    FileCursor.class_body gives them. A malformed member is reported when
+    they are parsed."""
 
     __slots__ = ("blocks", "fqn", "simple", "is_interface")
 
@@ -1707,17 +1706,19 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
 
     Each file is tokenized only down to its package, imports and type
     headers, which are parsed now with each type's supertypes and
-    annotations. A top-level class's members are lexed and parsed when
-    ClassDecl.methods or ClassDecl.fields is first read, if its body reads
-    as well-formed members (see FileCursor.class_body); any other class's
-    members, and every enum's and record's, are parsed now. Each method
-    body whose brackets are unbalanced or nested too deeply is parsed with
-    its class's members; every other body is lexed and parsed when first
-    read, and ends at its '}': type arguments end at '{', '}' or ';'.
-    CodeModel.call_sites lexes and parses only the bodies that hold the
-    name asked for as a whole word once their comments and literals are
-    blanked (see java_lexer.blanked). A malformed member is skipped with a
-    diagnostic and the recovery stays inside its class. Files that fail to
+    annotations. A top-level class's or interface's members are lexed and
+    parsed when ClassDecl.methods or ClassDecl.fields is first read, unless
+    its body declares a member type (see FileCursor.class_body); any other
+    class's members, and every enum's and record's, are parsed now. Each
+    method body whose brackets are unbalanced or nested too deeply is
+    parsed with its class's members; every other body is lexed and parsed
+    when first read, and ends at its '}': type arguments end at '{', '}'
+    or ';'.
+    CodeModel.call_sites reads only the classes, and lexes and parses only
+    the bodies, that hold the name asked for as a whole word once their
+    comments and literals are blanked (see java_lexer.blanked). A malformed
+    member is skipped with a diagnostic, when its class's members are
+    parsed, and the recovery stays inside its class. Files that fail to
     parse are recorded as diagnostics, never raised. Diagnostics are also
     written to stderr as 'WARN <file>:<line> <message>': those found here
     at once, a deferred class's or body's when it is parsed. exclude_dirs

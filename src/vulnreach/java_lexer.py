@@ -2,12 +2,13 @@
 
 Java's reserved words; the lexemes and tokens of a text; one pass over the
 characters, with comments and literals blanked, that matches the braces and
-checks the brackets without tokenizing; the member grammar that tells
-whether a class body's members can be left for later; and the cursors
-through which the parsers in code_model read tokens. A FileCursor tokenizes
-a file down to its type headers, leaving out the interior of each top-level
-block that nests well, and a block left out is read through a cursor of its
-own: no cursor's tokens change once it is made.
+checks the brackets without tokenizing; the word test that tells whether a
+class body declares a member type, which keeps its members from being left
+for later; and the cursors through which the parsers in code_model read
+tokens. A FileCursor tokenizes a file down to its type headers, leaving out
+the interior of each top-level block that nests well, and a block left out
+is read through a cursor of its own: no cursor's tokens change once it is
+made.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, count
+from itertools import accumulate
 
 PRIMITIVES = {"int", "long", "short", "byte", "double", "float", "boolean", "char", "void", "var"}
 
@@ -136,69 +137,9 @@ _SKIPPED_RE = re.compile(_SKIPPED, re.DOTALL)
 _NO_BLOCK_SKIPPED_RE = re.compile(_SKIPPED.replace(rb"|/\*.*?\*/", b""), re.DOTALL)
 _NOT_BRACKETS = bytes(c for c in range(256) if c not in b"{}()[]")
 _BRACKET_PAIR_RE = re.compile(rb"\{\}|\(\)|\[\]")
-
-
-def _words(words) -> bytes:
-    return rb"(?:%s)(?![\w$])" % b"|".join(sorted(w.encode() for w in words))
-
-
-def _nested(inner: bytes, open_: bytes, close: bytes, levels: int) -> bytes:
-    """A group open_ ... close whose content matches inner or such a group,
-    at most levels deep."""
-    group = rb"%s%s*%s" % (open_, inner, close)
-    for _ in range(levels - 1):
-        group = rb"%s(?:%s|%s)*%s" % (open_, inner, group, close)
-    return group
-
-
-_groups = count()
-
-
-def _many(pattern: bytes) -> bytes:
-    """As many matches of pattern as there are, kept once made: an atomic
-    group, which re has as a lookahead whose match a backreference then
-    consumes."""
-    name = b"g%d" % next(_groups)
-    return rb"(?=(?P<%s>(?:%s)*))(?P=%s)" % (name, pattern, name)
-
-
-# The member grammar of a class body, as blanked renders it with each
-# block's interior left out (a block is "{}"), preceded by the class's
-# simple name and a space. code_model's member parser reads a body this
-# matches without a diagnostic and stops at the body's '}': it reads each
-# member as the grammar does, and meets a brace only as a whole block. Type
-# arguments hold no token but '<', '>', '>>' and '>>>' that contains one of
-# those characters, so they close where the parser's skip closes them; an
-# initializer ends at its first ',' or ';' outside brackets. Anything else,
-# such as a field without its ';', does not match. Brackets nest at most
-# three deep here.
-_ID = rb"[A-Za-z_$][\w$]*(?![\w$])"
-_TYPE_ARGS = _nested(rb"[\w$\s.,?&\[\]]", rb"<(?![<=])", rb">(?!=)", 3)
-
-
-def _dotted() -> bytes:
-    return _ID + _many(rb"\s*\.\s*" + _ID)
-
-
-def _type() -> bytes:
-    return rb"(?:%s|(?!%s)%s)(?:\s*%s)?(?:\s*\[\s*\])*" % (
-        _words(PRIMITIVES), _words(KEYWORDS), _dotted(), _TYPE_ARGS)
-
-
-def _annotation() -> bytes:
-    return rb"@\s*%s(?:\s*%s)?\s*" % (_dotted(), _nested(rb"[^()]", rb"\(", rb"\)", 3))
-
-
-# A parameter is followed by ',' and another parameter, or by the list's end.
-_PARAMS = rb"\(\s*(?:%s(?:final(?![\w$])\s*)?%s\s*(?:\.\.\.\s*)?%s(?:\s*\[\s*\])*\s*(?:,\s*(?!\))|(?=\))))*\)" % (
-    _many(_annotation()), _type(), _ID)
-_THROWS = rb"throws(?![\w$])\s*(?:%s\s*(?:,\s*(?![{;])|(?=[{;])))+" % _type()
-_INIT = rb"=(?!=)(?:[^;,()\[\]]|%s)*" % _nested(rb"[^()\[\]]", rb"[(\[]", rb"[)\]]", 3)
-_MEMBER = (rb"%s(?:;|\{\}|(?:%s\s*)?(?:(?P=cls)\s*(?=\()|%s\s*%s\s*)"
-           rb"(?:%s\s*(?:%s)?(?:\{\}|;)|(?:(?:,\s*%s\s*)?(?:%s)?)*;))\s*" % (
-               _many(rb"%s\s*|%s" % (_words(MODIFIERS), _annotation())), _TYPE_ARGS, _type(), _ID,
-               _PARAMS, _THROWS, _ID, _INIT))
-_MEMBERS_RE = re.compile(rb"(?P<cls>%s) \s*%s" % (_ID, _many(_MEMBER)))
+# A word that may declare a member type: no '.' before it, as in Foo.class.
+# A field or method named record matches too, and keeps its class eager.
+_TYPE_WORD_RE = re.compile(rb"(?<![\w$.])(?:class|interface|enum|record)(?![\w$])")
 
 
 def _spaces(m: re.Match) -> bytes:
@@ -478,11 +419,11 @@ class FileCursor(Cursor):
         end = self.close.get(start)
         return end is not None and _well_nested(self.code[start:end + 1])
 
-    def class_body(self, simple: str) -> array | None:
-        """When the '{' at the cursor opens a top-level block left out that
-        reads as the members of a class named simple (see _MEMBERS_RE): the
-        offsets of its '{' and '}', then those of each block in it, in one
-        array. Else None."""
+    def class_body(self) -> array | None:
+        """When the '{' at the cursor opens a top-level block left out
+        whose text outside the blocks in it declares no member type (see
+        _TYPE_WORD_RE): the offsets of its '{' and '}', then those of each
+        block in it, in one array. Else None."""
         i = self.i
         if self.texts[i] != "{":
             return None
@@ -492,7 +433,7 @@ class FileCursor(Cursor):
         code, opens, close = self.code, self.opens, self.close
         end = close[brace]
         blocks = array("q", (brace, end))
-        skeleton = [simple.encode("ascii", "replace"), b" "]
+        skeleton = []
         pos = brace + 1
         k = bisect_right(opens, brace)
         while k < len(opens) and opens[k] < end:
@@ -502,7 +443,7 @@ class FileCursor(Cursor):
             pos = close[opens[k]]
             k = bisect_left(opens, pos, k)
         skeleton.append(code[pos:end])
-        return blocks if _MEMBERS_RE.fullmatch(b"".join(skeleton)) else None
+        return None if _TYPE_WORD_RE.search(b"".join(skeleton)) else blocks
 
     def _tokens(self, k: int, stop: int, start: int, end: int, line: int, checked: bool):
         """The tokens of source[start:end], which starts on line line and

@@ -103,11 +103,12 @@ class TestParseProject:
         (tmp_path / "Good.java").write_text("public class Good { void ok() {} }")
         model = parse_project(tmp_path, emit_warnings=False)
         assert model.find_class("Good") is not None
+        model.find_class("Bad").methods  # its member diagnostics come with its members
         assert model.diagnostics
 
     def test_warning_format_on_stderr(self, tmp_path, capsys):
         (tmp_path / "Bad.java").write_text("public class Bad { ?? }")
-        parse_project(tmp_path)
+        parse_project(tmp_path).find_class("Bad").methods
         err = capsys.readouterr().err
         assert err.startswith("WARN ")
         first = err.splitlines()[0]
@@ -537,14 +538,20 @@ def _deferred_classes(model) -> list:
     return [entry for entry in model.parse_log if type(entry) is code_model._DeferredMembers]
 
 
-# Pieces of class bodies: well-formed members and the tokens they are made
-# of, which the member grammar must tell apart.
+# Pieces of class bodies: well-formed members, the tokens they are made of,
+# and member types and the words that declare them.
 _MEMBER_PIECES = [
     "int", "String", "List<String>", "Map<K, List<V>>", "x", "y", "f", "(", ")", ",", ";", "{ }",
     "{ g(); }", "=", "1", '"s"', "'c'", "<", ">", ">>", "@A", "@B(x = 1)", "public", "static",
     "final", "throws", "E", "...", "[", "]", "[]", "?", ".", "new", "Foo()", "->", "C", "int x;",
     "void m() { }", "C(int a) { }", "<T>", "T", "a.b", "==", "+=", "this", "default", "/* c */",
-    "// c\n", "x = 1;", "void m(int a, String... b) throws E { }", "List<? extends T>[] q = { };"]
+    "// c\n", "x = 1;", "void m(int a, String... b) throws E { }", "List<? extends T>[] q = { };",
+    "class D { }", "record P(int a) { }", "enum E { A }", "interface I { }", "@interface N { }",
+    "Foo.class", "record"]
+# The pieces that can make a class body nest badly or declare a member
+# type; a body made of the others alone waits.
+_EAGER_PIECES = frozenset(("(", ")", "[", "]", "class D { }", "record P(int a) { }",
+                           "enum E { A }", "interface I { }", "@interface N { }", "record"))
 
 
 class TestLaziness:
@@ -610,15 +617,16 @@ class TestLaziness:
         lexed.clear()
         sites = model.call_sites("fromXML", 1)
         assert [(m.signature(), st.line) for m, st, _ in sites] == [("fill.Caller#read(String)", 8)]
-        holding = [(id(c.source), c.start, c.end) for c in _deferred_classes(model)
-                   if "fromXML" in c.source]
+        holding = [c for c in _deferred_classes(model) if "fromXML" in c.source]
         assert len(holding) == 1 + len(range(0, 36, 5))
-        assert members == holding
-        assert [c.fqn for c in model.classes if "methods" in vars(c)] == [
-            "fill.Caller"] + [f"fill.F{k}" for k in sorted(range(0, 36, 5), key=str)]
-        # Each of those lexed once, and then only the body that holds the
-        # name as a whole word outside comments and literals: Caller's.
-        assert sum(span[1:] == (0, None) for span in lexed) == len(holding)
+        # Of the classes in those files, only Caller holds the name as a
+        # whole word outside comments and literals, the fillers holding it
+        # in a comment, a literal and a longer word: only Caller's members
+        # are lexed, once, and then only the body that holds the name so.
+        (caller,) = [c for c in holding if c.fqn == "fill.Caller"]
+        assert members == [(id(caller.source), caller.start, caller.end)]
+        assert [c.fqn for c in model.classes if "methods" in vars(c)] == ["fill.Caller"]
+        assert sum(span[1:] == (0, None) for span in lexed) == 1
         (read,) = [b for b in _logged_bodies(model.parse_log)
                    if "xs.fromXML" in b.source[b.start:b.end]]
         assert [span for span in lexed if span[1:] != (0, None)] == [
@@ -638,9 +646,9 @@ class TestLaziness:
         assert [c.fqn for c in model.classes if "methods" in vars(c)] == ["fill.F3"]
 
     def test_reading_in_any_order_equals_reading_at_once(self, tmp_path):
-        # Some classes hold a member type or a malformed member, so their
-        # members are parsed at once; some bodies hold a statement the
-        # parser cannot read.
+        # Some classes hold a member type, so their members are parsed at
+        # once, and some a malformed member; some bodies hold a statement
+        # the parser cannot read.
         for k in range(36):
             source = _filler_class(k, member_type=k % 4 == 0)
             if k % 3 == 0:
@@ -671,14 +679,34 @@ class TestLaziness:
         "class O { static class I { } void f() { g(); } }",
         "class O { record R(int a) {} void f() { g(); } }",
         "class O { @interface A { int v() default 1; } void f() { g(); } }",
-        "class M { void f() { g(); } int x }",
+        "class O { int record; void f() { g(); } }",
     ], ids=["enum", "record", "member-type", "member-record", "member-annotation-type",
-            "malformed-member"])
+            "record-field"])
     def test_classes_parsed_at_once(self, source):
         log: list = []
         classes = code_model._FileParser("Src.java", source, log).parse()
         assert all("methods" in vars(c) for c in classes)
         assert not any(type(entry) is code_model._DeferredMembers for entry in log)
+        assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
+
+    @pytest.mark.parametrize("source, messages", [
+        ("class O { Object o = Foo.class; void f() { g(); } }", []),
+        ("public @interface A { int v() default 1; String w(); }", []),
+        ("class M { void f() { g(); } int x }", []),
+        ("class M { void f() { g(); } void k(int) { } int b, }",
+         ["expected parameter name", "expected type, found ')'", "expected field name"]),
+    ], ids=["class-literal", "annotation-type", "malformed-member", "malformed-members"])
+    def test_classes_deferred_until_read(self, source, messages):
+        # No member type is declared, so the members wait, malformed ones
+        # included, whose diagnostics come when the members are read.
+        log: list = []
+        (cls,) = code_model._FileParser("Src.java", source, log).parse()
+        assert "methods" not in vars(cls)
+        (entry,) = log
+        assert type(entry) is code_model._DeferredMembers and entry.log == []
+        cls.methods
+        assert [d.message for d in code_model._logged(log)] == messages
+        assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
 
     def test_a_well_formed_class_is_deferred(self):
         log: list = []
@@ -693,7 +721,7 @@ class TestLaziness:
         "class O { void f(int a) { int record = a; g(record); } }",
     ], ids=["type-word", "record-local"])
     def test_type_words_in_method_bodies_leave_the_class_deferred(self, source):
-        # The member grammar alone decides: a body is one '{}' to it.
+        # Only the words outside the class body's blocks decide.
         log: list = []
         (cls,) = code_model._FileParser("Src.java", source, log).parse()
         assert "methods" not in vars(cls)
@@ -701,34 +729,44 @@ class TestLaziness:
         assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
 
     def test_deferred_classes_parse_cleanly_and_as_the_reference_does(self):
-        # The member grammar defers a class only when its members parse
-        # without a diagnostic and end at the class's '}', so a malformed
-        # member is reported with the parse, and reading the members later
-        # gives what the reference parses at once.
+        # A class waits unless its body declares a member type, malformed
+        # members and all. Read later, its members end at the class's '}', so
+        # a class after it is read whole, and they and their diagnostics are
+        # what the reference parses at once; a member type that waited would
+        # be missing from the classes.
         rng = random.Random(9090)
-        deferred = 0
+        deferred = malformed = 0
+        after = " class After { void n() { } }"
         with time_limit(60):
             for _ in range(6000):
                 sep = rng.choice([" ", ""])
-                source = "class C { " + sep.join(
-                    rng.choice(_MEMBER_PIECES) for _ in range(rng.randint(0, 12))) + " }"
+                pieces = [rng.choice(_MEMBER_PIECES) for _ in range(rng.randint(0, 12))]
+                source = "class C { " + sep.join(pieces) + " }"
                 log: list = []
-                classes = code_model._FileParser("Src.java", source, log).parse()
-                members = [entry for entry in log if type(entry) is code_model._DeferredMembers]
-                if not members:
+                code_model._FileParser("Src.java", source, log).parse()
+                waits = any(type(entry) is code_model._DeferredMembers for entry in log)
+                assert waits or not _EAGER_PIECES.isdisjoint(pieces), source
+                if not waits:
                     continue
                 deferred += 1
-                for cls in classes:
-                    cls.methods
-                assert not any(type(d) is code_model.ParseDiagnostic
-                               for entry in members for d in entry.log), source
-                assert _parse_source(code_model, source) == _parse_source(parser_reference,
-                                                                          source), source
-        assert deferred >= 500
+                classes, diagnostics = _parse_source(code_model, source)
+                malformed += bool(diagnostics)
+                assert (classes, diagnostics) == _parse_source(parser_reference, source), source
+                followed, followed_diagnostics = _parse_source(code_model, source + after)
+                assert [(c.fqn, c.methods, c.fields) for c in followed] == [
+                    (c.fqn, c.methods, c.fields) for c in classes] + [
+                    ("After", followed[-1].methods, ())], source
+                assert [m.name for m in followed[-1].methods] == ["n"]
+                assert followed_diagnostics == diagnostics, source
+        # A body of n pieces holds no eager one with chance (49/59)**n (10 of
+        # the 59 pieces are eager); over n = 0..12 that is about 41% of the
+        # bodies, and each of them waits.
+        assert deferred >= 6000 // 3 and malformed > 0
 
-    def test_the_member_grammar_is_linear(self):
-        # A body the grammar rejects only at its end, and one it accepts.
-        for body, deferred in (("int x; " * 20000 + "??", False),
+    def test_the_type_word_check_is_linear(self):
+        # A type word after 20,000 members keeps the class eager; 20,000
+        # methods and no type word defer it.
+        for body, deferred in (("int x; " * 20000 + "class D { }", False),
                                ("void m(int a) throws E { f(); } " * 20000, True)):
             log: list = []
             with time_limit(5):
@@ -1036,6 +1074,17 @@ class TestErrorRecovery:
         with time_limit(5):
             classes, diagnostics = _parse_source(code_model, f"class C {{ void m() {{ {body} }} }}")
         assert len(classes[0].methods[0].body) == 20000 and diagnostics == []
+
+    def test_a_long_array_initializer_is_linear(self):
+        # The initializer becomes one opaque expression holding each name
+        # once, in the order first seen, in time linear in the names.
+        names = [f"v{k}" for k in range(20000)]
+        body = "String[] a = { " + ", ".join(names + names[:3]) + " };"
+        with time_limit(1):
+            classes, diagnostics = _parse_source(code_model, f"class C {{ void m() {{ {body} }} }}")
+        (st,) = classes[0].methods[0].body
+        assert (st.kind, st.lhs, st.rhs_expr.name) == ("Declaration", "a", "<opaque>")
+        assert [arg.name for arg in st.rhs_expr.args] == names and diagnostics == []
 
     def test_hundred_deep_parentheses_parse(self):
         deep = "(" * 100 + "a" + ")" * 100
