@@ -11,23 +11,25 @@ the variable names they mention.
 The package, the imports and each type's header (its supertypes and
 annotations) are parsed eagerly; the rest waits until it is read. One pass
 over the characters matches the braces and checks the brackets, and a file
-is tokenized only down to its type headers (see java_lexer.FileCursor). The
-members of a top-level class or interface are lexed and parsed when
-ClassDecl.methods or ClassDecl.fields is first read, unless its body
-declares a member type (see java_lexer.FileCursor.class_body); any other
-class's members, and every enum's and record's, are parsed at once, each
-type body through a cursor of its own. A method body is lexed and parsed
-when MethodDecl.body is first read, so the analysis pays only for the
-classes and bodies it reads: CodeModel.call_sites reads only the classes
-and lexes and parses only the bodies that hold the name asked for as a
-whole word outside their comments and literals (see java_lexer.blanked).
-A body whose brackets are unbalanced or nested too deeply is parsed with
-its class's members. A deferred class or body reports its diagnostics when
-it is parsed. The parsers consume a brace only together with its match: a
-name must be an identifier, the recovery at file level passes a block
-whole, type arguments end at '{', '}' or ';', a case label at a brace, and
-enum constants at a closer no opener matches. So a malformed member stays inside its class, and every
-other body ends where its '}' is.
+is tokenized only down to its type headers (see java_lexer.FileCursor).
+Every class body and method body is read over its own tokens, through its
+'}' (a '{' that no '}' closes ends with the file), so a bracket fault in a
+block stays inside it. The members of a top-level class or interface are
+lexed and parsed when ClassDecl.methods or ClassDecl.fields is first read,
+if its brackets nest well and its body declares no member type (see
+java_lexer.FileCursor.class_body); any other class's members, and every
+enum's and record's, are parsed at once. A method body is lexed and parsed
+when MethodDecl.body is first read, or at once if its brackets are
+unbalanced or nested too deeply, so the analysis pays only for the classes
+and bodies it reads: CodeModel.call_sites reads only the classes and lexes
+and parses only the bodies that hold the name asked for as a whole word
+outside their comments and literals (see java_lexer.blanked). A deferred
+class or body reports its diagnostics when it is parsed. Within a block,
+the parsers consume a brace only together with its match: a name must be
+an identifier, the recovery at file level passes a block whole, type
+arguments end at '{', '}' or ';', a case label at a brace, and enum
+constants at a closer no opener matches. So a malformed member stays
+inside its class, and a malformed statement inside its block.
 
 The model is the substrate for call-graph construction and parameter-transfer
 analysis; it is not a general-purpose Java front end (no type inference, no
@@ -604,11 +606,13 @@ _TYPE_KEYWORDS = ("class", "interface", "enum", "record")
 
 
 class _FileParser:
-    """Parses one file's declarations. A top-level class's or interface's
-    members are deferred unless its body declares a member type (see
-    FileCursor.class_body), and parsed now otherwise. A method body is
-    deferred when its brackets nest well (see _body) and parsed now
-    otherwise. In diagnostics a deferred class or body stands in for its
+    """Parses one file's declarations, each class body through a cursor of
+    its own (FileCursor.block) and each method body over its own tokens
+    (_DeferredBody). A top-level class's or interface's members are
+    deferred when its brackets nest well and its body declares no member
+    type (see FileCursor.class_body), and parsed now otherwise. A method
+    body is deferred when its brackets nest well and parsed now otherwise
+    (see _body). In diagnostics a deferred class or body stands in for its
     own diagnostics. cur, when given, is a cursor over one class body's
     tokens, for parsing its members (see _DeferredMembers)."""
 
@@ -667,18 +671,12 @@ class _FileParser:
         return self.classes
 
     def _pass(self) -> str:
-        """Consume the token at the cursor, a '{' with its block through its
-        '}' (to the end of the file when it has none), and return the last
-        token consumed."""
+        """Consume the token at the cursor, a '{' with its '}' token (see
+        FileCursor), and return the last token consumed."""
         cur = self.cur
         t = cur.next()
-        depth = 1 if t == "{" else 0
-        while depth and not cur.eof():
+        if t == "{" and not cur.eof():
             t = cur.next()
-            if t == "{":
-                depth += 1
-            elif t == "}":
-                depth -= 1
         return t
 
     def _resync(self):
@@ -754,31 +752,29 @@ class _FileParser:
                 break
         fqn = f"{outer_fqn}.{simple}" if outer_fqn else (
             f"{self.package}.{simple}" if self.package else simple)
+        if not cur.at("{"):
+            raise ParseError("expected '{'", cur.line())
+        nested = cur.well_nested(cur.i)
         # Only a top-level class is deferred: a member type's bodies would
         # be parsed later at depth 0.
         blocks = cur.class_body() \
-            if outer_fqn is None and kw in ("class", "interface") else None
+            if nested and outer_fqn is None and kw in ("class", "interface") else None
         if blocks is not None:
             deferred = _DeferredMembers(self.source, blocks, cur.lines[cur.i], self.path, fqn,
                                         simple, kw == "interface")
             self.diagnostics.append(deferred)
             methods = fields = deferred
-            cur.i += 2  # the body's '{' and '}' tokens
         else:
-            cur.expect("{")
-            if cur.braces[cur.i - 1] in cur.left_out:  # read through a cursor of its own
-                self.cur = cur.block(cur.i - 1)
-                cur.i += 1  # the body's '}' token
+            self.cur = cur.block(cur.i, nested)
             try:
                 # The enum constants end at their ';', or at the closer that
                 # ends the body or that no opener matches.
                 if kw == "enum" and self.cur.skip_to((";",)) == ";":
                     self.cur.next()
                 methods, fields = self._members(fqn, simple, kw == "interface", components)
-                if self.cur.at("}"):
-                    self.cur.next()
             finally:
                 self.cur = cur
+        cur.pass_block()
         resolved_supers = tuple(
             dict.fromkeys(self._resolve_supertype(s) for s in supertypes if s != simple)
         )
@@ -851,7 +847,7 @@ class _FileParser:
                 line = cur.line()
                 while not cur.at("{"):
                     cur.next()
-                cur.skip_balanced("{", "}")
+                cur.pass_block()
                 self.warn(f"type declaration nested deeper than {MAX_NESTING} skipped", line)
                 return
             self.depth += 1
@@ -899,8 +895,7 @@ class _FileParser:
                 name = cur.next()
                 continue
             break
-        if cur.at(";"):
-            cur.next()
+        cur.expect(";")
 
     def _finish_method(self, owner_fqn: str, name: str, return_type: str,
                        mods: set[str], annotations: list[str], in_interface: bool,
@@ -958,23 +953,16 @@ class _FileParser:
         ))
 
     def _body(self) -> tuple[Statement, ...] | _DeferredBody:
-        """The method body at the cursor: deferred when it is a well-nested
-        block, else parsed now over the file's tokens, which are all there
-        from such a block on (see FileCursor)."""
+        """The method body at the cursor, read over its own tokens: deferred
+        when its brackets nest well, else parsed now."""
         cur = self.cur
         i = cur.i
         brace = cur.braces[i]
-        left_out = brace in cur.left_out
-        if not (left_out or cur.well_nested(brace)):
-            return tuple(_BodyParser(cur, self.depth, self.path, self.diagnostics).parse_block())
-        deferred = _DeferredBody(self.source, brace, cur.close[brace] + 1, cur.lines[i],
-                                 self.depth, self.path)
-        self.diagnostics.append(deferred)
-        if left_out:
-            cur.i = i + 2
-        else:
-            cur.skip_balanced("{", "}")
-        return deferred
+        body = _DeferredBody(self.source, brace, cur.close[brace] + 1, cur.lines[i],
+                             self.depth, self.path)
+        self.diagnostics.append(body)
+        cur.pass_block()
+        return body if cur.well_nested(i) else body.parse()["body"]
 
     def _parse_params(self) -> tuple[Param, ...]:
         cur = self.cur
@@ -1043,8 +1031,9 @@ class _Deferred:
 
 
 class _DeferredBody(_Deferred):
-    """A method body whose brackets nest well, from its '{' to its '}', at
-    class nesting depth."""
+    """A method body, from its '{' to its '}' or to the end of the file, at
+    class nesting depth: parsed when first read if its brackets nest well,
+    else at once."""
 
     __slots__ = ("depth",)
 
@@ -1707,23 +1696,23 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     Each file is tokenized only down to its package, imports and type
     headers, which are parsed now with each type's supertypes and
     annotations. A top-level class's or interface's members are lexed and
-    parsed when ClassDecl.methods or ClassDecl.fields is first read, unless
-    its body declares a member type (see FileCursor.class_body); any other
-    class's members, and every enum's and record's, are parsed now. Each
-    method body whose brackets are unbalanced or nested too deeply is
-    parsed with its class's members; every other body is lexed and parsed
-    when first read, and ends at its '}': type arguments end at '{', '}'
-    or ';'.
-    CodeModel.call_sites reads only the classes, and lexes and parses only
-    the bodies, that hold the name asked for as a whole word once their
-    comments and literals are blanked (see java_lexer.blanked). A malformed
-    member is skipped with a diagnostic, when its class's members are
-    parsed, and the recovery stays inside its class. Files that fail to
-    parse are recorded as diagnostics, never raised. Diagnostics are also
-    written to stderr as 'WARN <file>:<line> <message>': those found here
-    at once, a deferred class's or body's when it is parsed. exclude_dirs
-    are root-relative prefixes to skip (e.g. the test directory the
-    generator itself writes into).
+    parsed when ClassDecl.methods or ClassDecl.fields is first read, if its
+    brackets nest well and its body declares no member type (see
+    FileCursor.class_body); any other class's members, and every enum's and
+    record's, are parsed now. A method body is lexed and parsed when first
+    read, or now if its brackets are unbalanced or nested too deeply. Each
+    class body and method body is read over its own tokens and ends at its
+    '}', so a bracket fault in one costs no other block its members or
+    statements. CodeModel.call_sites reads only the classes, and lexes and
+    parses only the bodies, that hold the name asked for as a whole word
+    once their comments and literals are blanked (see java_lexer.blanked).
+    A malformed member is skipped with a diagnostic, when its class's
+    members are parsed, and the recovery stays inside its class. Files that
+    fail to parse are recorded as diagnostics, never raised. Diagnostics
+    are also written to stderr as 'WARN <file>:<line> <message>': those
+    found here at once, a deferred class's or body's when it is parsed.
+    exclude_dirs are root-relative prefixes to skip (e.g. the test
+    directory the generator itself writes into).
     """
     root = Path(root)
     if not root.is_dir():

@@ -6,9 +6,9 @@ checks the brackets without tokenizing; the word test that tells whether a
 class body declares a member type, which keeps its members from being left
 for later; and the cursors through which the parsers in code_model read
 tokens. A FileCursor tokenizes a file down to its type headers, leaving out
-the interior of each top-level block that nests well, and a block left out
-is read through a cursor of its own: no cursor's tokens change once it is
-made.
+the interior of every block, a '{' that no '}' closes ending with the file,
+and each block is read through a cursor of its own: no cursor's tokens
+change once it is made, and no parse of a block reads past its '}'.
 """
 
 from __future__ import annotations
@@ -339,26 +339,24 @@ def _offsets(code: bytes, byte: bytes) -> list[int]:
 
 class FileCursor(Cursor):
     """A cursor over the tokens of one file, or of one block in it, that
-    leaves out the interior of the blocks in it.
+    leaves out the interior of every block in it.
 
     One pass over the file's characters finds the braces: opens holds the
     offset of every '{' in the source, in order, and close the offset of the
-    '}' that matches each '{' that one matches. Of a whole file, each
-    top-level block is left out, up to the first that has no '}' or whose
-    brackets nest badly or deeper than MAX_NESTING; from that one on every
-    block is tokenized. A cursor over a block holds the tokens after its '{'
-    through its '}', with every block in it left out (see block and
-    members). A block left out is its '{' token followed by its '}' token,
-    and its offset is in left_out; braces runs beside texts: for a '{'
-    token the offset of its '{', else None.
+    '}' that matches each '{', or the length of the source for a '{' that
+    no '}' closes: that block ends with the file. A block left out is its
+    '{' token followed by its '}' token, when it has one; braces runs beside
+    texts: for a '{' token the offset of its '{', else None. code is the
+    file's text as blanked gives it, for well_nested, or empty in a cursor
+    over a block whose brackets nest well, since every block in it does too.
 
     The tokens never change once the cursor is made. The parsers pass a
     block left out whole, as every walk that counts brackets does
-    (skip_balanced, skip_to), read it through a cursor of its own (block),
-    or leave it for later, a class's members (class_body) or a method
-    body."""
+    (skip_balanced, skip_to, pass_block), read it through a cursor of its
+    own (block), or leave it for later, a class's members (class_body) or a
+    method body."""
 
-    __slots__ = ("source", "code", "opens", "close", "left_out", "braces")
+    __slots__ = ("source", "code", "opens", "close", "braces")
 
     def __init__(self, source: str):
         self.source = source
@@ -373,26 +371,24 @@ class FileCursor(Cursor):
                 k += 1
             if stack:
                 self.close[stack.pop()] = end
-        self.left_out: set[int] = set()
-        texts, lines, self.braces = self._tokens(0, len(opens), 0, len(source), 1, True)
+        self.close.update(dict.fromkeys(stack + opens[k:], len(source)))
+        texts, lines, self.braces = self._tokens(0, len(opens), 0, len(source), 1)
         super().__init__(texts, lines)
 
     @staticmethod
-    def _block(source: str, opens: list[int], close: dict[int, int], brace: int,
+    def _block(source: str, code: bytes, opens: list[int], close: dict[int, int], brace: int,
                line: int) -> FileCursor:
         """A cursor over the tokens of source after the '{' at offset brace,
         on line line, through its '}', every block in it left out: opens
-        and close hold at least the offsets of those blocks. code is empty,
-        since every block in it nests well."""
+        and close hold at least the offsets of those blocks."""
         cur = FileCursor.__new__(FileCursor)
         cur.source = source
-        cur.code = b""
+        cur.code = code
         cur.opens = opens
         cur.close = close
-        cur.left_out = set()
         end = close[brace]
         texts, lines, cur.braces = cur._tokens(bisect_right(opens, brace), bisect_left(opens, end),
-                                               brace + 1, end + 1, line, False)
+                                               brace + 1, end + 1, line)
         Cursor.__init__(cur, texts, lines)
         return cur
 
@@ -404,33 +400,37 @@ class FileCursor(Cursor):
         character pass found (see class_body), so no character is read
         again; a block in it is known only as a whole."""
         opens = blocks[::2].tolist()
-        return FileCursor._block(source, opens, dict(zip(opens, blocks[1::2])), opens[0], line)
+        return FileCursor._block(source, b"", opens, dict(zip(opens, blocks[1::2])), opens[0],
+                                 line)
 
-    def block(self, i: int) -> FileCursor:
-        """A cursor over the tokens of the block left out whose '{' is token
-        i: those after the '{', each block in it left out, through the
-        '}'."""
-        return FileCursor._block(self.source, self.opens, self.close, self.braces[i],
-                                 self.lines[i])
+    def block(self, i: int, nested: bool) -> FileCursor:
+        """A cursor over the tokens of the block whose '{' is token i:
+        those after the '{', each block in it left out, through the '}' or
+        to the end of the file. nested tells whether its brackets nest well
+        (see well_nested)."""
+        return FileCursor._block(self.source, b"" if nested else self.code, self.opens,
+                                 self.close, self.braces[i], self.lines[i])
 
-    def well_nested(self, start: int) -> bool:
-        """Whether the block whose '{' is at offset start has a '}' and its
-        brackets nest well, at most MAX_NESTING deep."""
-        end = self.close.get(start)
-        return end is not None and _well_nested(self.code[start:end + 1])
+    def pass_block(self) -> None:
+        """Move past the '{' token at the cursor and its '}' token, or to
+        the end when no '}' closes the block."""
+        self.i = min(self.i + 2, self.n)
+
+    def well_nested(self, i: int) -> bool:
+        """Whether the block whose '{' is token i has a '}' and its brackets
+        nest well, at most MAX_NESTING deep; always so when code is empty."""
+        if not self.code:
+            return True
+        start = self.braces[i]
+        return _well_nested(self.code[start:self.close[start] + 1])
 
     def class_body(self) -> array | None:
-        """When the '{' at the cursor opens a top-level block left out
-        whose text outside the blocks in it declares no member type (see
-        _TYPE_WORD_RE): the offsets of its '{' and '}', then those of each
-        block in it, in one array. Else None."""
-        i = self.i
-        if self.texts[i] != "{":
-            return None
-        brace = self.braces[i]
-        if brace not in self.left_out:
-            return None
+        """When the text of the block whose '{' is at the cursor, a block
+        that nests well, declares no member type outside the blocks in it
+        (see _TYPE_WORD_RE): the offsets of its '{' and '}', then those of
+        each block in it, in one array. Else None."""
         code, opens, close = self.code, self.opens, self.close
+        brace = self.braces[self.i]
         end = close[brace]
         blocks = array("q", (brace, end))
         skeleton = []
@@ -445,31 +445,24 @@ class FileCursor(Cursor):
         skeleton.append(code[pos:end])
         return None if _TYPE_WORD_RE.search(b"".join(skeleton)) else blocks
 
-    def _tokens(self, k: int, stop: int, start: int, end: int, line: int, checked: bool):
+    def _tokens(self, k: int, stop: int, start: int, end: int, line: int):
         """The tokens of source[start:end], which starts on line line and
-        holds the blocks opened at opens[k:stop]. Each block at the text's
-        top level has its interior left out; if checked, only up to the
-        first that does not nest well (see well_nested), and every block
-        from that one on is tokenized. The text is lexed in one piece with
-        the interiors cut out, and each token after an interior then moves
-        down by the interior's lines. Returns the token texts, their lines,
-        and beside them the offset of each '{' token's '{' (None for the
-        other tokens)."""
-        source, opens = self.source, self.opens
+        holds the blocks opened at opens[k:stop], each block at the text's
+        top level with its interior left out. The text is lexed in one
+        piece with the interiors cut out, and each token after an interior
+        then moves down by the interior's lines. Returns the token texts,
+        their lines, and beside them the offset of each '{' token's '{'
+        (None for the other tokens)."""
+        source, opens, close = self.source, self.opens, self.close
         pieces: list[str] = []
         opened: list[tuple[int, int]] = []  # each '{' token: offset, lines left out after it
         pos = start
         while k < stop:
             brace = opens[k]
-            if checked and not self.well_nested(brace):
-                opened += [(brace, 0) for brace in opens[k:stop]]
-                break
-            close = self.close[brace]
-            self.left_out.add(brace)
             pieces.append(source[pos:brace + 1])
-            opened.append((brace, source.count("\n", brace + 1, close)))
-            pos = close
-            k = bisect_left(opens, close, k)
+            pos = close[brace]
+            opened.append((brace, source.count("\n", brace + 1, pos)))
+            k = bisect_left(opens, pos, k)
         pieces.append(source[pos:end])
         texts, lines = tokenize("".join(pieces), line=line)
         braces: list[int | None] = [None] * len(texts)

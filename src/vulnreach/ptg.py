@@ -30,7 +30,6 @@ from functools import cached_property
 
 from .call_graph import MethodCallPath
 from .code_model import CodeModel, Expr, MethodDecl, Statement, erase_generics
-from .errors import VulnreachError
 from .vuln_report import VulnerabilityReport
 
 DIRECT = "DirectPropagation"
@@ -40,12 +39,6 @@ NO_PROPAGATION = "NoPropagation"
 
 KINDS = (DIRECT, TYPE_CONVERSION, VALUE_CHANGE, NO_PROPAGATION)
 BENIGN = (DIRECT, TYPE_CONVERSION)
-
-
-class UnknownVariable(VulnreachError):
-    def __init__(self, name: str):
-        super().__init__(f"callee parameter {name!r} does not occur in the method body")
-        self.name = name
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +382,6 @@ class DefUseGraph:
                 break
             var, before = srcs[0], d.index
         return tuple(reversed(hops))
-
-
-def build_ptg(method: MethodDecl, callee_params: list[str],
-              fields: frozenset[str] = frozenset(),
-              use_index: int | None = None) -> tuple[PtgTuple, ...]:
-    """Parameter Transfer Graph restricted to the chains that end at the
-    given callee parameters: their backward slices' tuples, ordered by
-    statement. Raises UnknownVariable for a name absent from the body."""
-    if use_index is None:
-        use_index = (method.body[-1].index + 1) if method.body else 0
-    known = known_variables(method, fields)
-    mentioned = known.union(*(st.rhs_expr.operand_vars for st in method.body if st.rhs_expr))
-    if unknown := [cp for cp in callee_params if cp not in mentioned]:
-        raise UnknownVariable(unknown[0])
-    graph = DefUseGraph(method, [(cp, use_index) for cp in callee_params], known,
-                        upstream_closure(method, fields=fields))
-    hops = (PtgTuple(src, st.lhs, st) for st in method.body if st.index in graph.sources
-            for src in graph.sources[st.index] or (None,))
-    return tuple(sorted(hops, key=lambda t: (t.edge.index, t.target, t.source or "")))
 
 
 def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,

@@ -52,6 +52,17 @@ are marked, each line by a comment naming its fix:
   recovery does (the original `_skip_enum_constants` is gone). The original
   let its bracket depth go below zero at a stray `)`:
   `enum E { A ) } class B { void n() { } }` lost class `B`.
+- "block-bound fix": the file and each class body are read with each block
+  in them as just its `{` and `}` tokens, a `{` that no `}` closes taking
+  the rest of the file, and each class body and method body is read over
+  its own tokens, through its `}`. The original parsed every block over the
+  file's tokens, where a bracket that does not nest let the recovery run
+  past the `}`: `class A { int x = f(; } class B { void n() { } }` lost
+  class `B`, without a diagnostic.
+- "field-end fix": a field declaration ends at its `;`, or fails with
+  `expected ';'`. The original accepted a field with no `;`:
+  `class M { void f() { g(); } int x }` read field `x` without a
+  diagnostic.
 
 `parse_project` serves only as the specification the new front end must
 reproduce: the same classes, statements and diagnostics. Input nested more
@@ -115,6 +126,33 @@ class _Token:
     kind: str
     text: str
     line: int
+
+
+@dataclass(frozen=True)  # block-bound fix
+class _Block(_Token):  # block-bound fix
+    inner: tuple[_Token, ...] = ()  # block-bound fix: the tokens after the '{' through its '}'
+
+
+def _left_out(tokens: list[_Token]) -> list[_Token]:  # block-bound fix
+    """tokens, each block in them as a _Block and its '}' token."""  # block-bound fix
+    out: list[_Token] = []  # block-bound fix
+    i = 0  # block-bound fix
+    while i < len(tokens):  # block-bound fix
+        t = tokens[i]  # block-bound fix
+        if t.text != "{":  # block-bound fix
+            out.append(t)  # block-bound fix
+            i += 1  # block-bound fix
+            continue  # block-bound fix
+        j, depth = i, 0  # block-bound fix
+        while j < len(tokens):  # block-bound fix
+            depth += {"{": 1, "}": -1}.get(tokens[j].text, 0)  # block-bound fix
+            if depth == 0:  # block-bound fix
+                break  # block-bound fix
+            j += 1  # block-bound fix
+        out.append(_Block(t.kind, t.text, t.line, tuple(tokens[i + 1:j + 1])))  # block-bound fix
+        out.extend(tokens[j:j + 1])  # block-bound fix: the '}', if any
+        i = j + 1  # block-bound fix
+    return out  # block-bound fix
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -221,7 +259,7 @@ class _FileParser:
     def __init__(self, path: str, source: str, diagnostics: list[ParseDiagnostic]):
         self.path = path
         self.source = source
-        self.cur = _Cursor(_tokenize(source))
+        self.cur = _Cursor(_left_out(_tokenize(source)))  # block-bound fix
         self.diagnostics = diagnostics
         self.package = ""
         self.imports: list[tuple[str, str]] = []
@@ -402,7 +440,11 @@ class _FileParser:
                 break
         fqn = f"{outer_fqn}.{simple}" if outer_fqn else (
             f"{self.package}.{simple}" if self.package else simple)
-        cur.expect("{")
+        block = cur.expect("{")  # block-bound fix
+        if cur.at("}"):  # block-bound fix: the block's '}' token
+            cur.next()  # block-bound fix
+        outer, self.cur = cur, _Cursor(_left_out(list(block.inner)))  # block-bound fix
+        cur = self.cur  # block-bound fix
         methods: list[MethodDecl] = []
         fields: list[FieldDecl] = []
         if kw.text == "enum":
@@ -419,6 +461,7 @@ class _FileParser:
                     cur.next()  # progress fix
         if cur.at("}"):
             cur.next()
+        self.cur = outer  # block-bound fix
         resolved_supers = tuple(
             dict.fromkeys(self._resolve_supertype(s) for s in supertypes if s != simple)
         )
@@ -528,8 +571,7 @@ class _FileParser:
                 name = cur.next().text
                 continue
             break
-        if cur.at(";"):
-            cur.next()
+        cur.expect(";")  # field-end fix
 
     def _skip_initializer(self):
         cur = self.cur
@@ -564,7 +606,12 @@ class _FileParser:
         body: tuple[Statement, ...] = ()
         is_abstract = False
         if cur.at("{"):
+            block = cur.next()  # block-bound fix
+            if cur.at("}"):  # block-bound fix: the block's '}' token
+                cur.next()  # block-bound fix
+            self.cur = _Cursor([block, *block.inner])  # block-bound fix
             body = tuple(_BodyParser(self).parse_block())
+            self.cur = cur  # block-bound fix
         elif cur.at(";"):
             cur.next()
             is_abstract = True

@@ -7,6 +7,10 @@ chains for the first benign one whose origin is attacker-suppliable. Both
 are exponential and serve only as the specification the summary-based
 analysis must reproduce: the same verdicts, the same witness chains and
 the same blocking transfer types.
+
+`build_ptg` lists a method's Parameter Transfer Graph tuples on the backward
+slices of given variables, from `DefUseGraph.sources`, for tests that check
+the slices edge by edge.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from dataclasses import dataclass
 
 from vulnreach.call_graph import MethodCallPath
 from vulnreach.code_model import CodeModel, Expr, MethodDecl, Statement
+from vulnreach.errors import VulnreachError
 from vulnreach.ptg import (
     BENIGN,
     DEFAULT_ALLOWLIST,
     NO_PROPAGATION,
     ConversionAllowlist,
+    DefUseGraph,
     ParameterPath,
     PtgTuple,
     ReachabilityResult,
@@ -31,6 +37,31 @@ from vulnreach.ptg import (
     upstream_closure,
 )
 from vulnreach.vuln_report import VulnerabilityReport
+
+
+class UnknownVariable(VulnreachError):
+    def __init__(self, name: str):
+        super().__init__(f"callee parameter {name!r} does not occur in the method body")
+        self.name = name
+
+
+def build_ptg(method: MethodDecl, callee_params: list[str],
+              fields: frozenset[str] = frozenset(),
+              use_index: int | None = None) -> tuple[PtgTuple, ...]:
+    """Parameter Transfer Graph restricted to the chains that end at the
+    given callee parameters: their backward slices' tuples, ordered by
+    statement. Raises UnknownVariable for a name absent from the body."""
+    if use_index is None:
+        use_index = (method.body[-1].index + 1) if method.body else 0
+    known = known_variables(method, fields)
+    mentioned = known.union(*(st.rhs_expr.operand_vars for st in method.body if st.rhs_expr))
+    if unknown := [cp for cp in callee_params if cp not in mentioned]:
+        raise UnknownVariable(unknown[0])
+    graph = DefUseGraph(method, [(cp, use_index) for cp in callee_params], known,
+                        upstream_closure(method, fields=fields))
+    hops = (PtgTuple(src, st.lhs, st) for st in method.body if st.index in graph.sources
+            for src in graph.sources[st.index] or (None,))
+    return tuple(sorted(hops, key=lambda t: (t.edge.index, t.target, t.source or "")))
 
 
 @dataclass(frozen=True)

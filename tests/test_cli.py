@@ -20,7 +20,8 @@ from vulnreach.confirm import read_report
 from vulnreach.vuln_report import check_doc, parse_report
 
 from call_graph_reference import eager_call_graph
-from conftest import bench_generators, bench_spans, fixture_paths, time_limit, write_pair
+from conftest import (bench_generators, bench_spans, corpus_names, fixture_paths, time_limit,
+                      write_pair)
 from java_sources import VOCAB
 
 STUB = Path(__file__).parent / "stub_tool.py"
@@ -179,8 +180,9 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("hostile", [
         "class Broken { int x = 1 }",
+        "class Broken { int x = f(; }",
         "class Deep { " + "class C { " * 5000 + "} " * 5000 + "}",
-    ], ids=["initializer-without-semicolon", "nested-classes-5000"])
+    ], ids=["initializer-without-semicolon", "unclosed-parenthesis", "nested-classes-5000"])
     def test_hostile_class_keeps_the_class_after_it(self, scratch_project, tmp_path, capsys,
                                                     hostile):
         # The hostile class comes first in the file that holds the
@@ -524,6 +526,57 @@ class TestBodiesOnDemand:
                     for p in report.paths for s in p.signatures}
         assert len(report.paths) == 4 and len(features) == 1
         assert read == [c for c in model.classes if c.package in features]
+
+    # Deferred classes whose members were read, deferred bodies parsed and
+    # bracket nesting checks made, summed over each workload's full runs.
+    FRONT_END_WORK = {
+        "fixtures": (21, 30, 22),
+        "deep_fanout": (135, 114, 135),
+        "sanitizer_chains": (30, 30, 30),
+        "wide_project": (48, 24, 600),
+    }
+
+    def test_the_front_end_work_on_the_traffic(self, scratch_project, tmp_path, monkeypatch):
+        # Full runs on the 18 fixtures and on each generator at seeds 1-3
+        # read only the classes and bodies their questions need, and check
+        # the brackets of each top-level block once.
+        work = collections.Counter()
+        for kind in (code_model._DeferredMembers, code_model._DeferredBody):
+            def counting(deferred, parse=kind.parse, kind=kind):
+                work[kind] += 1
+                return parse(deferred)
+
+            monkeypatch.setattr(kind, "parse", counting)
+        well_nested = java_lexer._well_nested
+
+        def checking(code):
+            work["checks"] += 1
+            return well_nested(code)
+
+        monkeypatch.setattr(java_lexer, "_well_nested", checking)
+
+        def counted() -> tuple[int, int, int]:
+            done = (work[code_model._DeferredMembers], work[code_model._DeferredBody],
+                    work["checks"])
+            work.clear()
+            return done
+
+        got = {}
+        for name in corpus_names():
+            assert _run(scratch_project, name, tmp_path / "out" / name)[1] == 2
+        got["fixtures"] = counted()
+        gen = bench_generators()
+        for generator in sorted(gen.GENERATORS):
+            for seed in (1, 2, 3):
+                for pair in gen.GENERATORS[generator](seed):
+                    base = tmp_path / generator / f"{seed}-{pair.name}"
+                    root = write_pair(pair, base / "project")
+                    (root / "src/test/java").mkdir(parents=True)
+                    (base / "poc.json").write_text(json.dumps(pair.poc), encoding="utf-8")
+                    assert main(["analyze", "--project", str(root), "--poc",
+                                 str(base / "poc.json"), "--out", str(base / "out")]) == 2
+            got[generator] = counted()
+        assert got == self.FRONT_END_WORK
 
     @pytest.mark.parametrize("line", [
         "String deep = " + "f(" * 127 + "xml" + ")" * 127 + ";",

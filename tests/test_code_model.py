@@ -1,6 +1,8 @@
 import random
+import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +322,16 @@ class TestAgainstReference:
         assert diagnostics == []
 
 
+def test_every_fix_of_the_reference_is_documented_and_marked():
+    # Each '# <name> fix' comment in the reference names an entry of its
+    # docstring, and each entry marks at least one line.
+    documented = re.findall(r'^- "(.+) fix":', parser_reference.__doc__, re.M)
+    marked = set(re.findall(r"# (\S[^#\n]*?) fix(?::|$)",
+                            Path(parser_reference.__file__).read_text(encoding="utf-8"), re.M))
+    assert documented and len(set(documented)) == len(documented)
+    assert marked == set(documented)
+
+
 def _token_index(source: str, offset: int) -> int:
     """Index, among the tokens of the whole source, of the first token at
     or after offset, an offset between two tokens."""
@@ -338,23 +350,20 @@ def _logged_bodies(log):
 
 def _scan_checked(source: str) -> list[str]:
     """Names of the methods of source whose bodies the file parser deferred.
-    Parsing each deferred body over the whole file's tokens, where the file
-    parser would have parsed it at once, ends where the character pass
-    ended the body, and the body may call, by may_call, every name a Call
-    in it has."""
-    log: list = []
-    classes = code_model._FileParser("Src.java", source, log).parse()
-    for c in classes:
-        c.methods  # a deferred class's bodies are logged once it is parsed
+    Parsing each body still deferred over the whole file's tokens ends where
+    the character pass ended the body, and the body may call, by may_call,
+    every name a Call in it has."""
+    classes = code_model._FileParser("Src.java", source, []).parse()
+    deferred = [(m.name, vars(m)["deferred"]) for c in classes for m in c.methods
+                if "body" not in vars(m)]
     whole = java_lexer.tokenize(source)
-    for entry in _logged_bodies(log):
+    for _, entry in deferred:
         parser = code_model._BodyParser(java_lexer.Cursor(*whole), entry.depth, entry.path, [])
         parser.cur.i = _token_index(source, entry.start)
         statements = parser.parse_block()
         assert parser.cur.i == _token_index(source, entry.end), source
         assert all(entry.may_call(c.name) for st in statements for c in st.calls()), source
-    return [m.name for c in classes for m in c.methods
-            if "body" not in vars(m)]
+    return [name for name, _ in deferred]
 
 
 class TestBodyScan:
@@ -692,7 +701,7 @@ class TestLaziness:
     @pytest.mark.parametrize("source, messages", [
         ("class O { Object o = Foo.class; void f() { g(); } }", []),
         ("public @interface A { int v() default 1; String w(); }", []),
-        ("class M { void f() { g(); } int x }", []),
+        ("class M { void f() { g(); } int x }", ["expected ';'"]),
         ("class M { void f() { g(); } void k(int) { } int b, }",
          ["expected parameter name", "expected type, found ')'", "expected field name"]),
     ], ids=["class-literal", "annotation-type", "malformed-member", "malformed-members"])
@@ -863,8 +872,7 @@ def _pieced_tokens(source: str) -> tuple[list[str], list[int]]:
 
 def _pieces(cur, log) -> tuple[list[str], list[int]]:
     """cur's tokens, with the deferred classes and bodies of log lexed in
-    their places and every other block left out expanded through
-    FileCursor.block."""
+    their places and every other block expanded through FileCursor.block."""
     deferred = {entry.start: entry for entry in log
                 if type(entry) in (code_model._DeferredBody, code_model._DeferredMembers)}
     texts: list[str] = []
@@ -878,20 +886,18 @@ def _pieces(cur, log) -> tuple[list[str], list[int]]:
                                                          entry.line)
             texts += body_texts
             lines += body_lines
-            cur.i = i
-            cur.skip_balanced("{", "}")  # the body's '}' token, or its whole tokens
-            i = cur.i
+            i += 2  # the body's '{' and '}' tokens
             continue
         texts.append(cur.texts[i])
         lines.append(cur.lines[i])
         i += 1
-        if brace in cur.left_out:
+        if brace is not None:
             # The block's '{', then what a cursor of its own reads, through its '}'.
             if type(entry) is code_model._DeferredMembers:
                 inner = _pieces(java_lexer.FileCursor.members(entry.source, entry.blocks,
                                                               entry.line), entry.log)
             else:
-                inner = _pieces(cur.block(i - 1), log)
+                inner = _pieces(cur.block(i - 1, False), log)
             texts += inner[0]
             lines += inner[1]
             i += 1  # the block's '}' token
@@ -922,19 +928,20 @@ def test_lexing_in_pieces_equals_lexing_the_whole(prefix, pieces):
     assert _pieced_tokens(source) == java_lexer.tokenize(source), source
 
 
-# Whole tokens, without brackets, of runs to insert into a class body:
-# names, keywords that start declarations, operators, and literals that
-# hold brackets.
+# Whole tokens of runs to insert into a class body or a method body: names,
+# keywords that start declarations, operators, literals that hold brackets,
+# and brackets other than braces, which need not nest. A brace that no other
+# matches would change which '}' closes the class, so braces come in pairs.
 _RUN_TOKENS = ["int", "x", "B", "class", "interface", "enum", "record", "@", "static", "void",
                "throws", "extends", "new", ",", ";", "=", ".", "...", "<", ">", "?", "->", "1",
-               '"}"', "'{'", '"{ ("']
+               '"}"', "'{'", '"{ ("', "(", ")", "[", "]"]
 _runs = st.recursive(
     st.sampled_from(_RUN_TOKENS),
     lambda runs: st.tuples(st.sampled_from(["()", "[]", "{}"]), st.lists(runs, max_size=5)).map(
         lambda group: " ".join([group[0][0], *group[1], group[0][1]])),
     max_leaves=30)
 _ISOLATED = ("class Z {\n  int z;\n  void z(String s) { g(s); }\n}\n"
-             "class A { %s int f; %s void m() { g(); } %s }\n"
+             "class A { %s int f; %s void m() { g(); %s } %s }\n"
              "class B extends Z {\n  int b, c = 1;\n  void n(String s) { z(s); }\n"
              "  B(int a) { }\n  abstract String k();\n}\n")
 
@@ -950,12 +957,15 @@ def _shapes(source: str) -> dict:
 @given(st.lists(_runs, min_size=1, max_size=3).map(" ".join))
 @settings(max_examples=400, deadline=None)
 def test_a_run_inserted_into_a_class_body_leaves_the_other_classes_alone(run):
-    # Whatever well-nested run of tokens a class body holds, at its start,
-    # between its members or at its end, the classes before and after it
-    # keep their names, members, lines and fields.
-    expected = _shapes(_ISOLATED % ("", "", ""))
-    for places in ((run, "", ""), ("", run, ""), ("", "", run)):
-        assert _shapes(_ISOLATED % places) == expected, places
+    # Whatever run of tokens a class body holds, its brackets nesting or
+    # not, at its start, between its members, in a method body or at its
+    # end, the classes before and after it keep their names, members, lines
+    # and fields.
+    expected = _shapes(_ISOLATED % ("", "", "", ""))
+    for k in range(4):
+        places = ["", "", "", ""]
+        places[k] = run
+        assert _shapes(_ISOLATED % tuple(places)) == expected, places
 
 
 class TestErrorRecovery:
@@ -973,13 +983,15 @@ class TestErrorRecovery:
         assert [d.message for d in diagnostics] == [message]
 
     def test_field_initializer_without_semicolon_stops_at_the_closer(self):
-        # Asserted on the model alone: the reference parser runs the
-        # initializer on to the end of the file and loses class B.
-        classes, diagnostics = _parse_source(
-            code_model, "class A { int x = 1 } class B { void m() {} }")
+        # The initializer ends at the class's '}', where the field's ';' is
+        # missing, and class B is read whole.
+        source = "class A { int x = 1 } class B { void m() {} }"
+        classes, diagnostics = _parse_source(code_model, source)
         assert [c.fqn for c in classes] == ["A", "B"]
         assert [f.name for f in classes[0].fields] == ["x"]
-        assert [m.name for m in classes[1].methods] == ["m"] and diagnostics == []
+        assert [m.name for m in classes[1].methods] == ["m"]
+        assert [d.message for d in diagnostics] == ["expected ';'"]
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
 
     @pytest.mark.parametrize("source, messages", [
         ("class A { int a, } class B { void n() { } }", ["expected field name"]),

@@ -29,11 +29,9 @@ from vulnreach.ptg import (
     KINDS,
     NO_PROPAGATION,
     TYPE_CONVERSION,
-    UnknownVariable,
     VALUE_CHANGE,
     analyse_call_site,
     analyse_path,
-    build_ptg,
     classify_expr,
     classify_statement,
     decide_reachability,
@@ -44,6 +42,7 @@ from vulnreach.ptg import (
 from vulnreach.vuln_report import parse_report
 
 import ptg_reference
+from ptg_reference import UnknownVariable, build_ptg
 from conftest import analyse_fixture, bench_generators, corpus_names, write_pair
 from ptg_oracle import oracle_chains, random_method
 
