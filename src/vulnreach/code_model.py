@@ -10,14 +10,16 @@ the variable names they mention.
 
 The package, the imports and each type's header (its supertypes and
 annotations) are parsed eagerly; the rest waits until it is read. One pass
-over the characters matches the braces and checks the brackets, and a file
-is tokenized only down to its type headers (see java_lexer.FileCursor).
-Every class body and method body is read over its own tokens, through its
-'}' (a '{' that no '}' closes ends with the file), so a bracket fault in a
-block stays inside it. The members of a top-level class or interface are
-lexed and parsed when ClassDecl.methods or ClassDecl.fields is first read,
-if its brackets nest well and its body declares no member type (see
-java_lexer.FileCursor.class_body); any other class's members, and every
+over a file's characters makes its block table, where each '{' and its '}'
+are, and a file is tokenized only down to its type headers (see
+java_lexer.FileCursor). Every class body and method body is read over its
+own tokens, through its '}' (a '{' that no '}' closes ends with the file),
+so a bracket fault in a block stays inside it; the cursor gives each
+block's span, and this module does no arithmetic on offsets. The members
+of a top-level class or interface are lexed and parsed when
+ClassDecl.methods or ClassDecl.fields is first read, if its brackets nest
+well and its body declares no member type (see
+java_lexer.FileCursor.declares_type); any other class's members, and every
 enum's and record's, are parsed at once. A method body is lexed and parsed
 when MethodDecl.body is first read, or at once if its brackets are
 unbalanced or nested too deeply, so the analysis pays only for the classes
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import re
 import sys
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -610,7 +611,7 @@ class _FileParser:
     its own (FileCursor.block) and each method body over its own tokens
     (_DeferredBody). A top-level class's or interface's members are
     deferred when its brackets nest well and its body declares no member
-    type (see FileCursor.class_body), and parsed now otherwise. A method
+    type (see FileCursor.declares_type), and parsed now otherwise. A method
     body is deferred when its brackets nest well and parsed now otherwise
     (see _body). In diagnostics a deferred class or body stands in for its
     own diagnostics. cur, when given, is a cursor over one class body's
@@ -757,11 +758,9 @@ class _FileParser:
         nested = cur.well_nested(cur.i)
         # Only a top-level class is deferred: a member type's bodies would
         # be parsed later at depth 0.
-        blocks = cur.class_body() \
-            if nested and outer_fqn is None and kw in ("class", "interface") else None
-        if blocks is not None:
-            deferred = _DeferredMembers(self.source, blocks, cur.lines[cur.i], self.path, fqn,
-                                        simple, kw == "interface")
+        if nested and outer_fqn is None and kw in ("class", "interface") \
+                and not cur.declares_type():
+            deferred = _DeferredMembers(cur, self.path, fqn, simple, kw == "interface")
             self.diagnostics.append(deferred)
             methods = fields = deferred
         else:
@@ -957,9 +956,7 @@ class _FileParser:
         when its brackets nest well, else parsed now."""
         cur = self.cur
         i = cur.i
-        brace = cur.braces[i]
-        body = _DeferredBody(self.source, brace, cur.close[brace] + 1, cur.lines[i],
-                             self.depth, self.path)
+        body = _DeferredBody(self.source, *cur.span(i), cur.lines[i], self.depth, self.path)
         self.diagnostics.append(body)
         cur.pass_block()
         return body if cur.well_nested(i) else body.parse()["body"]
@@ -1050,23 +1047,25 @@ class _DeferredBody(_Deferred):
 
 class _DeferredMembers(_Deferred):
     """The members of a top-level class or interface named simple, fqn in
-    full, whose body declares no member type, from its '{' to its '}':
-    blocks holds their offsets and those of the blocks in the body, as
-    FileCursor.class_body gives them. A malformed member is reported when
-    they are parsed."""
+    full, whose body declares no member type (see
+    FileCursor.declares_type). The body is block k in its file's block
+    table, opens and closes, so that its braces are not matched again when
+    the members are parsed. A malformed member is reported then."""
 
-    __slots__ = ("blocks", "fqn", "simple", "is_interface")
+    __slots__ = ("opens", "closes", "k", "fqn", "simple", "is_interface")
 
-    def __init__(self, source: str, blocks: array, line: int, path: str, fqn: str, simple: str,
-                 is_interface: bool):
-        super().__init__(source, blocks[0], blocks[1] + 1, line, path)
-        self.blocks = blocks
+    def __init__(self, cur: FileCursor, path: str, fqn: str, simple: str, is_interface: bool):
+        """The members of the class whose body's '{' is at cur."""
+        super().__init__(cur.source, *cur.span(cur.i), cur.lines[cur.i], path)
+        self.opens = cur.opens
+        self.closes = cur.closes
+        self.k = cur.braces[cur.i]
         self.fqn = fqn
         self.simple = simple
         self.is_interface = is_interface
 
     def parse(self) -> dict[str, tuple]:
-        cur = FileCursor.members(self.source, self.blocks, self.line)
+        cur = FileCursor.over(self.source, self.opens, self.closes, self.k, self.line)
         parser = _FileParser(self.path, self.source, self.log, cur)
         methods, fields = parser._members(self.fqn, self.simple, self.is_interface, None)
         self._echo()
@@ -1695,17 +1694,19 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
 
     Each file is tokenized only down to its package, imports and type
     headers, which are parsed now with each type's supertypes and
-    annotations. A top-level class's or interface's members are lexed and
-    parsed when ClassDecl.methods or ClassDecl.fields is first read, if its
-    brackets nest well and its body declares no member type (see
-    FileCursor.class_body); any other class's members, and every enum's and
-    record's, are parsed now. A method body is lexed and parsed when first
-    read, or now if its brackets are unbalanced or nested too deeply. Each
-    class body and method body is read over its own tokens and ends at its
-    '}', so a bracket fault in one costs no other block its members or
-    statements. CodeModel.call_sites reads only the classes, and lexes and
-    parses only the bodies, that hold the name asked for as a whole word
-    once their comments and literals are blanked (see java_lexer.blanked).
+    annotations; one pass over its characters makes its block table (see
+    java_lexer.FileCursor). A top-level class's or interface's members are
+    lexed and parsed when ClassDecl.methods or ClassDecl.fields is first
+    read, through its file's table, if its brackets nest well and its body
+    declares no member type (see FileCursor.declares_type); any other
+    class's members, and every enum's and record's, are parsed now. A
+    method body is lexed and parsed when first read, or now if its brackets
+    are unbalanced or nested too deeply. Each class body and method body is
+    read over its own tokens and ends at its '}', so a bracket fault in one
+    costs no other block its members or statements. CodeModel.call_sites
+    reads only the classes, and lexes and parses only the bodies, that hold
+    the name asked for as a whole word once their comments and literals are
+    blanked (see java_lexer.blanked).
     A malformed member is skipped with a diagnostic, when its class's
     members are parsed, and the recovery stays inside its class. Files that
     fail to parse are recorded as diagnostics, never raised. Diagnostics

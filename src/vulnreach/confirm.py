@@ -81,7 +81,7 @@ class ConfirmationReport:
 
 def _run(command: str, cwd: str, timeout_s: float) -> tuple[int, str]:
     proc = subprocess.run(shlex.split(command), cwd=cwd, timeout=timeout_s,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, errors="replace")
     output = (proc.stdout + proc.stderr).strip()
     return proc.returncode, output
 

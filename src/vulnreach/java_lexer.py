@@ -1,21 +1,24 @@
 """Lexing of Java source for the code model.
 
-Java's reserved words; the lexemes and tokens of a text; one pass over the
-characters, with comments and literals blanked, that matches the braces and
-checks the brackets without tokenizing; the word test that tells whether a
-class body declares a member type, which keeps its members from being left
-for later; and the cursors through which the parsers in code_model read
-tokens. A FileCursor tokenizes a file down to its type headers, leaving out
-the interior of every block, a '{' that no '}' closes ending with the file,
-and each block is read through a cursor of its own: no cursor's tokens
-change once it is made, and no parse of a block reads past its '}'.
+Java's reserved words; the lexemes and tokens of a text; one pass over a
+file's characters, with comments and literals blanked, that makes the
+file's block table without tokenizing: the offsets of its k-th '{' and of
+the '}' that closes it, the only record of where a block is, and the bracket
+check of a block; the word test that tells whether a class body declares a
+member type, which keeps its members from being left for later; and the
+cursors through which the parsers in code_model read tokens. A FileCursor
+tokenizes a file down to its type headers, leaving out the interior of
+every block, a '{' that no '}' closes ending with the file, and each block
+is read through a cursor of its own, named by its number in the table: no
+cursor's tokens change once it is made, and no parse of a block reads past
+its '}'.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate
 
 PRIMITIVES = {"int", "long", "short", "byte", "double", "float", "boolean", "char", "void", "var"}
@@ -337,79 +340,113 @@ def _offsets(code: bytes, byte: bytes) -> list[int]:
     return [end + k for k, end in enumerate(ends)][:-1]
 
 
+def _cut(text, opens: array, closes: array, k: int, start: int, end: int
+         ) -> tuple[list, list[int]]:
+    """text[start:end] in pieces, the interior of each block at its top
+    level cut out, the blocks being those opened at opens[k] and after:
+    each piece but the last ends with a block's '{', and the next one
+    starts with its '}'. Returns the pieces and those blocks' numbers."""
+    pieces = []
+    blocks = []
+    while k < len(opens) and opens[k] < end:
+        pieces.append(text[start:opens[k] + 1])
+        blocks.append(k)
+        start = closes[k]
+        k = bisect_left(opens, start, k)
+    pieces.append(text[start:end])
+    return pieces, blocks
+
+
 class FileCursor(Cursor):
     """A cursor over the tokens of one file, or of one block in it, that
     leaves out the interior of every block in it.
 
-    One pass over the file's characters finds the braces: opens holds the
-    offset of every '{' in the source, in order, and close the offset of the
-    '}' that matches each '{', or the length of the source for a '{' that
-    no '}' closes: that block ends with the file. A block left out is its
-    '{' token followed by its '}' token, when it has one; braces runs beside
-    texts: for a '{' token the offset of its '{', else None. code is the
-    file's text as blanked gives it, for well_nested, or empty in a cursor
-    over a block whose brackets nest well, since every block in it does too.
+    One pass over the file's characters makes its block table, the only
+    record of where a block is: opens[k] is the offset of the file's k-th
+    '{', and closes[k] the offset of the '}' that matches it, or the length
+    of the source when no '}' closes it: that block ends with the file. A
+    block left out is its '{' token followed by its '}' token, when it has
+    one; braces runs beside texts: for a '{' token its block's number k,
+    else None. code is the file's text as blanked gives it, for
+    well_nested and declares_type, or empty in a cursor over a block whose
+    brackets nest well, since every block in it does too.
 
     The tokens never change once the cursor is made. The parsers pass a
     block left out whole, as every walk that counts brackets does
     (skip_balanced, skip_to, pass_block), read it through a cursor of its
-    own (block), or leave it for later, a class's members (class_body) or a
-    method body."""
+    own (block), or leave it for later: a method body keeps its span, and
+    a class's members keep the file's table and their block's number, for
+    over."""
 
-    __slots__ = ("source", "code", "opens", "close", "braces")
+    __slots__ = ("source", "code", "opens", "closes", "braces")
 
     def __init__(self, source: str):
-        self.source = source
-        self.code = code = blanked(source)
-        self.opens = opens = _offsets(code, b"{")
-        self.close: dict[int, int] = {}
+        """A cursor over the file source."""
+        code = blanked(source)
+        opens = _offsets(code, b"{")
+        closes = [len(source)] * len(opens)
         stack: list[int] = []
         k = 0
         for end in _offsets(code, b"}"):
             while k < len(opens) and opens[k] < end:
-                stack.append(opens[k])
+                stack.append(k)
                 k += 1
             if stack:
-                self.close[stack.pop()] = end
-        self.close.update(dict.fromkeys(stack + opens[k:], len(source)))
-        texts, lines, self.braces = self._tokens(0, len(opens), 0, len(source), 1)
-        super().__init__(texts, lines)
+                closes[stack.pop()] = end
+        self._read(source, code, array("q", opens), array("q", closes), 0, 0, len(source), 1)
 
     @staticmethod
-    def _block(source: str, code: bytes, opens: list[int], close: dict[int, int], brace: int,
-               line: int) -> FileCursor:
-        """A cursor over the tokens of source after the '{' at offset brace,
-        on line line, through its '}', every block in it left out: opens
-        and close hold at least the offsets of those blocks."""
+    def over(source: str, opens: array, closes: array, k: int, line: int,
+             code: bytes = b"") -> FileCursor:
+        """A cursor over the tokens of block k of the file source, whose
+        block table is opens and closes, from its '{' on line line: those
+        after the '{', each block in it left out, through the '}' or to the
+        end of the file. code is the file's blanked text, or empty when the
+        block's brackets nest well; no character outside the block is read."""
         cur = FileCursor.__new__(FileCursor)
-        cur.source = source
-        cur.code = code
-        cur.opens = opens
-        cur.close = close
-        end = close[brace]
-        texts, lines, cur.braces = cur._tokens(bisect_right(opens, brace), bisect_left(opens, end),
-                                               brace + 1, end + 1, line)
-        Cursor.__init__(cur, texts, lines)
+        cur._read(source, code, opens, closes, k + 1, opens[k] + 1, closes[k] + 1, line)
         return cur
 
-    @staticmethod
-    def members(source: str, blocks: array, line: int) -> FileCursor:
-        """A cursor over the tokens of a class body that class_body accepted,
-        from its '{' on line line: those after the '{', each block in it
-        left out, through the '}'. blocks gives the offsets that the file's
-        character pass found (see class_body), so no character is read
-        again; a block in it is known only as a whole."""
-        opens = blocks[::2].tolist()
-        return FileCursor._block(source, b"", opens, dict(zip(opens, blocks[1::2])), opens[0],
-                                 line)
+    def _read(self, source: str, code: bytes, opens: array, closes: array, k: int,
+              start: int, end: int, line: int) -> None:
+        """Make this a cursor over the tokens of source[start:end], which
+        starts on line line and holds the blocks opened at opens[k] and
+        after, each block at the text's top level with its interior left
+        out. The text is lexed in one piece with the interiors cut out, and
+        each token after an interior then moves down by the interior's
+        lines."""
+        self.source = source
+        self.code = code
+        self.opens = opens
+        self.closes = closes
+        pieces, blocks = _cut(source, opens, closes, k, start, end)
+        texts, lines = tokenize("".join(pieces), line=line)
+        braces: list[int | None] = [None] * len(texts)
+        i = -1
+        shift = 0
+        for k in blocks:
+            j = texts.index("{", i + 1)
+            braces[j] = k
+            if shift:
+                lines[i + 1:j + 1] = map(shift.__add__, lines[i + 1:j + 1])
+            shift += source.count("\n", opens[k] + 1, closes[k])
+            i = j
+        if shift:
+            lines[i + 1:] = map(shift.__add__, lines[i + 1:])
+        self.braces = braces
+        Cursor.__init__(self, texts, lines)
 
     def block(self, i: int, nested: bool) -> FileCursor:
-        """A cursor over the tokens of the block whose '{' is token i:
-        those after the '{', each block in it left out, through the '}' or
-        to the end of the file. nested tells whether its brackets nest well
-        (see well_nested)."""
-        return FileCursor._block(self.source, b"" if nested else self.code, self.opens,
-                                 self.close, self.braces[i], self.lines[i])
+        """A cursor over the block whose '{' is token i (see over). nested
+        tells whether its brackets nest well (see well_nested)."""
+        return FileCursor.over(self.source, self.opens, self.closes, self.braces[i],
+                               self.lines[i], b"" if nested else self.code)
+
+    def span(self, i: int) -> tuple[int, int]:
+        """The offsets of the '{' that is token i and just past its '}', or
+        past the end of the file when no '}' closes the block."""
+        k = self.braces[i]
+        return self.opens[k], self.closes[k] + 1
 
     def pass_block(self) -> None:
         """Move past the '{' token at the cursor and its '}' token, or to
@@ -421,60 +458,13 @@ class FileCursor(Cursor):
         nest well, at most MAX_NESTING deep; always so when code is empty."""
         if not self.code:
             return True
-        start = self.braces[i]
-        return _well_nested(self.code[start:self.close[start] + 1])
+        start, end = self.span(i)
+        return _well_nested(self.code[start:end])
 
-    def class_body(self) -> array | None:
-        """When the text of the block whose '{' is at the cursor, a block
-        that nests well, declares no member type outside the blocks in it
-        (see _TYPE_WORD_RE): the offsets of its '{' and '}', then those of
-        each block in it, in one array. Else None."""
-        code, opens, close = self.code, self.opens, self.close
-        brace = self.braces[self.i]
-        end = close[brace]
-        blocks = array("q", (brace, end))
-        skeleton = []
-        pos = brace + 1
-        k = bisect_right(opens, brace)
-        while k < len(opens) and opens[k] < end:
-            blocks.append(opens[k])
-            blocks.append(close[opens[k]])
-            skeleton.append(code[pos:opens[k] + 1])
-            pos = close[opens[k]]
-            k = bisect_left(opens, pos, k)
-        skeleton.append(code[pos:end])
-        return None if _TYPE_WORD_RE.search(b"".join(skeleton)) else blocks
-
-    def _tokens(self, k: int, stop: int, start: int, end: int, line: int):
-        """The tokens of source[start:end], which starts on line line and
-        holds the blocks opened at opens[k:stop], each block at the text's
-        top level with its interior left out. The text is lexed in one
-        piece with the interiors cut out, and each token after an interior
-        then moves down by the interior's lines. Returns the token texts,
-        their lines, and beside them the offset of each '{' token's '{'
-        (None for the other tokens)."""
-        source, opens, close = self.source, self.opens, self.close
-        pieces: list[str] = []
-        opened: list[tuple[int, int]] = []  # each '{' token: offset, lines left out after it
-        pos = start
-        while k < stop:
-            brace = opens[k]
-            pieces.append(source[pos:brace + 1])
-            pos = close[brace]
-            opened.append((brace, source.count("\n", brace + 1, pos)))
-            k = bisect_left(opens, pos, k)
-        pieces.append(source[pos:end])
-        texts, lines = tokenize("".join(pieces), line=line)
-        braces: list[int | None] = [None] * len(texts)
-        i = -1
-        shift = 0
-        for brace, newlines in opened:
-            j = texts.index("{", i + 1)
-            braces[j] = brace
-            if shift:
-                lines[i + 1:j + 1] = map(shift.__add__, lines[i + 1:j + 1])
-            shift += newlines
-            i = j
-        if shift:
-            lines[i + 1:] = map(shift.__add__, lines[i + 1:])
-        return texts, lines, braces
+    def declares_type(self) -> bool:
+        """Whether the text of the block whose '{' is at the cursor, outside
+        the blocks in it, may declare a member type (see _TYPE_WORD_RE)."""
+        k = self.braces[self.i]
+        pieces, _ = _cut(self.code, self.opens, self.closes, k + 1, self.opens[k] + 1,
+                         self.closes[k])
+        return _TYPE_WORD_RE.search(b"".join(pieces)) is not None

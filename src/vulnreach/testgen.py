@@ -314,9 +314,6 @@ def _bind_entry_args(entry: MethodDecl, report: VulnerabilityReport,
         if chosen is None:
             chosen = next((i for i in free if simple_type_name(inputs[i].semantic_type) == base),
                           None)
-        if chosen is None and base == "String" and inputs and 0 not in used \
-                and simple_type_name(inputs[0].semantic_type) == "String":
-            chosen = 0
         if chosen is not None:
             used.add(chosen)
             args.append(inputs[chosen].name)

@@ -3,7 +3,8 @@
 Usage: stub_tool.py <behavior.json> <compile|run> [<TestClassName>]
 
 behavior.json maps test class names to one of: pass, compile-fail,
-run-fail, hang. Unlisted classes pass. A compile without a class name
+compile-fail-bytes (which prints a byte that is not UTF-8), run-fail,
+hang. Unlisted classes pass. A compile without a class name
 (a project-wide compile) is decided by the "*" entry. Every call appends
 "<phase> <TestClassName>" (the name empty when absent) as one line to the
 log file next to behavior.json, named as it is with the suffix .log.
@@ -25,6 +26,9 @@ def main() -> int:
     if phase == "compile":
         if spec == "compile-fail":
             print("compile failure output")
+            return 1
+        if spec == "compile-fail-bytes":
+            sys.stdout.buffer.write(b"compile failure \xff output\n")
             return 1
         return 0
     if spec == "run-fail":

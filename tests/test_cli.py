@@ -23,6 +23,7 @@ from call_graph_reference import eager_call_graph
 from conftest import (bench_generators, bench_spans, corpus_names, fixture_paths, time_limit,
                       write_pair)
 from java_sources import VOCAB
+import output_digest
 
 STUB = Path(__file__).parent / "stub_tool.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -299,6 +300,32 @@ class TestAnalyzeCommand:
         assert report.project_confirmed
         assert report.totals == (2, 2, 2)
 
+    def test_toolchain_output_that_is_not_utf8_keeps_the_report(self, scratch_project,
+                                                                 tmp_path):
+        # A compile that prints a byte that is not UTF-8 fails its tests;
+        # the run still writes its report.
+        root = scratch_project("lion_reachable")
+        _, poc, _ = fixture_paths("lion_reachable")
+        behavior = tmp_path / "behavior.json"
+        behavior.write_text(json.dumps({"*": "compile-fail-bytes"}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "toolchain": {
+                "compile_cmd": f"{sys.executable} {STUB} {behavior} compile",
+                "test_cmd": f"{sys.executable} {STUB} {behavior} run {{test_class}}",
+                "timeout_s": 30.0,
+                "working_dir": str(root),
+            },
+        }))
+        out = tmp_path / "out"
+        code = main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(out), "--confirm", "--config", str(config)])
+        assert code == 2
+        report = read_report(out / "report.json")
+        assert [t.status for t in report.tests] == ["CompileError"] * 2
+        assert {t.detail for t in report.tests} == {"compile failure \ufffd output"}
+        assert report.totals == (2, 0, 0)
+
     def test_config_file_supplies_defaults_flags_win(self, scratch_project, tmp_path):
         root = scratch_project("lion_reachable")
         _, poc, _ = fixture_paths("lion_reachable")
@@ -500,11 +527,11 @@ class TestBodiesOnDemand:
         poc = tmp_path / "poc.json"
         poc.write_text(json.dumps(pair.poc), encoding="utf-8")
         lexed = collections.Counter()
-        members = java_lexer.FileCursor.members
+        over = java_lexer.FileCursor.over
 
-        def counting(source, blocks, line):
-            lexed[id(source), blocks[0]] += 1
-            return members(source, blocks, line)
+        def counting(source, opens, closes, k, line, code=b""):
+            lexed[id(source), k] += 1
+            return over(source, opens, closes, k, line, code)
 
         models = []
         parse = cli.parse_project
@@ -513,7 +540,7 @@ class TestBodiesOnDemand:
             models.append(parse(*args, **kwargs))
             return models[-1]
 
-        monkeypatch.setattr(java_lexer.FileCursor, "members", staticmethod(counting))
+        monkeypatch.setattr(java_lexer.FileCursor, "over", staticmethod(counting))
         monkeypatch.setattr(cli, "parse_project", keeping)
         assert main(["analyze", "--project", str(root), "--poc", str(poc),
                      "--out", str(tmp_path / "out")]) == 2
@@ -607,6 +634,17 @@ class TestBodiesOnDemand:
         assert err.splitlines() == [d.format() for d in expected.diagnostics] == [
             f"WARN {util}:{line_no} opaque statement "
             f"(nesting deeper than {java_lexer.MAX_NESTING})"]
+
+
+class TestOutputDigest:
+    def test_two_digests_of_one_fixture_are_equal(self):
+        # The byte-identity check between two checkouts (tests/output_digest.py)
+        # hashes what each run writes, so two runs of one tree agree.
+        first = output_digest.digests(("fixture/lion_reachable",))
+        assert [run[:2] for run in first] == [
+            ("fixture/lion_reachable", mode) for mode in ("full", "paths-only", "confirm")]
+        assert len({digest for _, _, digest in first}) == 3
+        assert output_digest.digests(("fixture/lion_reachable",)) == first
 
 
 class TestBenchContract:

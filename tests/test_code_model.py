@@ -2,6 +2,7 @@ import random
 import re
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -524,27 +525,50 @@ _CALLER = ("package fill;\n\nimport com.thoughtworks.xstream.XStream;\n\n"
 def _record_lexing(monkeypatch) -> tuple[list, list]:
     """Lists that record, from now on, each text code_model lexes, as
     (id(source), start, end), and each class body it reads on demand, as
-    (id(source), '{' offset, '}' offset)."""
+    (id(source), '{' offset, '}' offset + 1): each cursor over a block made
+    while a deferred class's members are parsed."""
     lexed: list = []
     members: list = []
+    parsing: list = []  # the deferred classes whose members are being parsed
     tokenize = java_lexer.tokenize
-    cursor = java_lexer.FileCursor.members
+    over = java_lexer.FileCursor.over
+    parse = code_model._DeferredMembers.parse
 
     def recording(source, start=0, end=None, line=1):
         lexed.append((id(source), start, end))
         return tokenize(source, start, end, line)
 
-    def recording_members(source, blocks, line):
-        members.append((id(source), blocks[0], blocks[1] + 1))
-        return cursor(source, blocks, line)
+    def recording_over(source, opens, closes, k, line, code=b""):
+        if parsing:
+            members.append((id(source), opens[k], closes[k] + 1))
+        return over(source, opens, closes, k, line, code)
+
+    def reading(deferred):
+        parsing.append(deferred)
+        try:
+            return parse(deferred)
+        finally:
+            parsing.pop()
 
     monkeypatch.setattr(java_lexer, "tokenize", recording)
-    monkeypatch.setattr(java_lexer.FileCursor, "members", staticmethod(recording_members))
+    monkeypatch.setattr(java_lexer.FileCursor, "over", staticmethod(recording_over))
+    monkeypatch.setattr(code_model._DeferredMembers, "parse", reading)
     return lexed, members
 
 
 def _deferred_classes(model) -> list:
     return [entry for entry in model.parse_log if type(entry) is code_model._DeferredMembers]
+
+
+def _offset_holders(entry):
+    """(name, value) of each slot of a deferred part that holds integers in
+    a container: an array, list, tuple or dict."""
+    for kind in type(entry).__mro__:
+        for name in getattr(kind, "__slots__", ()):
+            value = getattr(entry, name)
+            if isinstance(value, (array, list, tuple, dict)) and any(
+                    isinstance(v, int) for v in value):
+                yield name, value
 
 
 # Pieces of class bodies: well-formed members, the tokens they are made of,
@@ -640,6 +664,30 @@ class TestLaziness:
                    if "xs.fromXML" in b.source[b.start:b.end]]
         assert [span for span in lexed if span[1:] != (0, None)] == [
             (id(read.source), read.start, read.end)]
+
+    def test_the_deferred_classes_of_a_file_share_its_block_table(self):
+        # Each deferred class names its body by number in its file's one
+        # block table; no deferred class or body holds offsets of its own
+        # beyond its span.
+        source = ("class A { void m() { if (a) { b(); } } }\n"
+                  "interface B { default int f() { return 1; } }\n"
+                  "class C { static class D { void n() { x(); } } }\n")
+        log: list = []
+        parser = code_model._FileParser("Src.java", source, log)
+        classes = parser.parse()
+        for cls in classes:
+            cls.methods
+        table = parser.cur.opens, parser.cur.closes
+        deferred = [entry for entry in log if type(entry) is code_model._DeferredMembers]
+        assert [d.fqn for d in deferred] == ["A", "B"]
+        for d in deferred:
+            assert d.opens is table[0] and d.closes is table[1]
+            assert (d.opens[d.k], d.closes[d.k] + 1) == (d.start, d.end)
+            assert source[d.start] == "{" and source[d.end - 1] == "}"
+            assert [name for name, _ in _offset_holders(d)] == ["opens", "closes"]
+        bodies = list(_logged_bodies(log))
+        assert len(bodies) == 3
+        assert all(list(_offset_holders(b)) == [] for b in bodies)
 
     def test_method_by_signature_lexes_only_its_owner(self, tmp_path, monkeypatch):
         model, lexed, members = self._plain_project(tmp_path, monkeypatch)
@@ -880,7 +928,7 @@ def _pieces(cur, log) -> tuple[list[str], list[int]]:
     i = 0
     while i < cur.n:
         brace = cur.braces[i]
-        entry = deferred.get(brace)
+        entry = None if brace is None else deferred.get(cur.span(i)[0])
         if type(entry) is code_model._DeferredBody:
             body_texts, body_lines = java_lexer.tokenize(entry.source, entry.start, entry.end,
                                                          entry.line)
@@ -894,8 +942,9 @@ def _pieces(cur, log) -> tuple[list[str], list[int]]:
         if brace is not None:
             # The block's '{', then what a cursor of its own reads, through its '}'.
             if type(entry) is code_model._DeferredMembers:
-                inner = _pieces(java_lexer.FileCursor.members(entry.source, entry.blocks,
-                                                              entry.line), entry.log)
+                inner = _pieces(java_lexer.FileCursor.over(entry.source, entry.opens,
+                                                           entry.closes, entry.k, entry.line),
+                                entry.log)
             else:
                 inner = _pieces(cur.block(i - 1, False), log)
             texts += inner[0]
