@@ -9,17 +9,21 @@ constructs outside the subset degrade to opaque statements that still expose
 the variable names they mention.
 
 The package, the imports and each type's header (its supertypes and
-annotations) are parsed eagerly; the rest waits until it is read. One pass
-over a file's characters makes its block table, where each '{' and its '}'
-are, and a file is tokenized only down to its type headers (see
-java_lexer.FileCursor). Every class body and method body is read over its
+annotations) are read eagerly; the rest waits until it is read. One pass
+over a file's characters blanks its comments and literals and makes its
+block table, where each '{' and its '}' are. One scan of that blanked
+text, each block's interior cut out, reads a header in its plainest form
+(see java_lexer.scan_header); a file whose header the scan cannot read is
+tokenized down to its type headers (see java_lexer.FileCursor) and parsed,
+over the same blanked text and table, and either way gives the same
+classes and diagnostics. Every class body and method body is read over its
 own tokens, through its '}' (a '{' that no '}' closes ends with the file),
-so a bracket fault in a block stays inside it; the cursor gives each
-block's span, and this module does no arithmetic on offsets. The members
+so a bracket fault in a block stays inside it; a block is named by its
+number in the file's block table, which gives its span. The members
 of a top-level class or interface are lexed and parsed when
 ClassDecl.methods or ClassDecl.fields is first read, if its brackets nest
 well and its body declares no member type (see
-java_lexer.FileCursor.declares_type); any other class's members, and every
+java_lexer.declares_type); any other class's members, and every
 enum's and record's, are parsed at once. A method body is lexed and parsed
 when MethodDecl.body is first read, or at once if its brackets are
 unbalanced or nested too deeply, so the analysis pays only for the classes
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,14 +55,13 @@ from pathlib import Path
 from . import java_lexer
 from .errors import VulnreachError
 from .java_lexer import (
-    IDENT_START,
     KEYWORDS,
     MAX_NESTING,
-    MODIFIERS,
     PRIMITIVES,
     Cursor,
     FileCursor,
     ParseError,
+    is_ident,
     is_literal,
 )
 
@@ -178,11 +182,17 @@ def new_object(type_name: str, *args: Expr) -> Expr:
     return Expr("New", name=type_name, args=tuple(args), operand_vars=_union_vars(tuple(args)))
 
 
+# An identifier, and identifiers joined by '.'; an identifier starts with a
+# letter, '_' or '$' (see java_lexer.is_ident).
+_IDENT = r"(?:[^\W\d]|\$)[\w$]*"
+_NAME_CHAIN = rf"{_IDENT}(?:\.{_IDENT})*"
+
+
 def _name_chain(expr: Expr) -> str | None:
     """Dotted text when expr is a pure name chain (a, a.b, A.B.c), else None."""
     if expr.kind == "VarRef":
         return expr.name
-    if expr.kind == "Literal" and re.fullmatch(r"[A-Za-z_$][\w$]*(\.[A-Za-z_$][\w$]*)*", expr.name or ""):
+    if expr.kind == "Literal" and re.fullmatch(_NAME_CHAIN, expr.name or ""):
         return expr.name
     if expr.kind == "FieldAccess" and expr.receiver_text is not None:
         # field_access stored the receiver's chain, so a long chain is not re-walked.
@@ -224,7 +234,7 @@ def call(name: str, receiver: Expr | None, *args: Expr) -> Expr:
 
 def opaque_expr(text: str) -> Expr:
     """Fallback node for unparsed source; variable names extracted textually."""
-    names = dict.fromkeys(t for t in re.findall(r"[A-Za-z_$][\w$]*", text) if t not in KEYWORDS)
+    names = dict.fromkeys(t for t in re.findall(_IDENT, text) if t not in KEYWORDS)
     return Expr("BinaryOp", name="<opaque>", args=tuple(var_ref(n) for n in names),
                 operand_vars=frozenset(names))
 
@@ -581,7 +591,7 @@ class CodeModel:
 
 
 def _idents(texts: list[str]) -> str:
-    return " ".join(t for t in texts if t[0] in IDENT_START)
+    return " ".join(t for t in texts if is_ident(t))
 
 
 # ---------------------------------------------------------------------------
@@ -608,21 +618,23 @@ _TYPE_KEYWORDS = ("class", "interface", "enum", "record")
 
 class _FileParser:
     """Parses one file's declarations, each class body through a cursor of
-    its own (FileCursor.block) and each method body over its own tokens
-    (_DeferredBody). A top-level class's or interface's members are
-    deferred when its brackets nest well and its body declares no member
-    type (see FileCursor.declares_type), and parsed now otherwise. A method
-    body is deferred when its brackets nest well and parsed now otherwise
-    (see _body). In diagnostics a deferred class or body stands in for its
-    own diagnostics. cur, when given, is a cursor over one class body's
-    tokens, for parsing its members (see _DeferredMembers)."""
+    its own (FileCursor.over) and each method body over its own tokens
+    (_DeferredBody). The file's header is read by one scan of its blanked
+    text (java_lexer.scan_header), or from its tokens when the scan cannot
+    read it. A top-level class's or interface's members are deferred when
+    its brackets nest well and its body declares no member type (see
+    java_lexer.declares_type), and parsed now otherwise. A method body is
+    deferred when its brackets nest well and parsed now otherwise (see
+    _body). In diagnostics a deferred class or body stands in for its own
+    diagnostics. cur, when given, is a cursor over one class body's tokens,
+    for parsing its members (see _DeferredMembers)."""
 
     def __init__(self, path: str, source: str,
                  diagnostics: list[ParseDiagnostic | _Deferred],
                  cur: FileCursor | None = None):
         self.path = path
         self.source = source
-        self.cur = FileCursor(source) if cur is None else cur
+        self.cur = cur
         self.diagnostics = diagnostics
         self.package = ""
         self.imports: list[tuple[str, str]] = []
@@ -636,6 +648,29 @@ class _FileParser:
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> list[ClassDecl]:
+        """The classes of the file, its header scanned when it can be (see
+        java_lexer.scan_header) and parsed from its tokens otherwise; each
+        way gives the same classes and diagnostics."""
+        source = self.source
+        code = java_lexer.blanked(source)
+        opens, closes = java_lexer.block_table(code)
+        header = java_lexer.scan_header(code, opens, closes)
+        if header is None:
+            self.cur = FileCursor(source, code, opens, closes)
+            return self._parse_tokens()
+        self.package = header.package
+        for static, name, wildcard in header.imports:
+            self._import(name, static, wildcard)
+        line = 1
+        start = 0
+        for t in header.types:
+            line += source.count("\n", start, opens[t.k])
+            start = opens[t.k]
+            self._declare(t.keyword, None, t.name, t.supertypes, t.annotations, None,
+                          code, opens, closes, t.k, line)
+        return self.classes
+
+    def _parse_tokens(self) -> list[ClassDecl]:
         cur = self.cur
         while not cur.eof():
             try:
@@ -652,14 +687,13 @@ class _FileParser:
                     if static:
                         cur.next()
                     name = cur.dotted_name()
-                    if cur.at("."):
+                    wildcard = cur.at(".")
+                    if wildcard:
                         cur.next()
                         cur.expect("*")
-                        self.wildcards.append(name)
-                    elif not static:
-                        self.imports.append((name.rsplit(".", 1)[-1], name))
+                    self._import(name, static, wildcard)
                     self._skip_to(";")
-                elif t in MODIFIERS or t in _TYPE_KEYWORDS or t == "@":
+                elif t in _TYPE_KEYWORDS or t == "@" or cur.at_modifier():
                     self._parse_type_decl()
                 elif t == ";":
                     cur.next()
@@ -670,6 +704,14 @@ class _FileParser:
                 self.warn(str(e), e.line)
                 self._resync()
         return self.classes
+
+    def _import(self, name: str, static: bool, wildcard: bool) -> None:
+        """Record the import of name, or of every name in it when wildcard
+        is set; a static import of one member names no type."""
+        if wildcard:
+            self.wildcards.append(name)
+        elif not static:
+            self.imports.append((name.rsplit(".", 1)[-1], name))
 
     def _pass(self) -> str:
         """Consume the token at the cursor, a '{' with its '}' token (see
@@ -715,8 +757,8 @@ class _FileParser:
         cur = self.cur
         annotations: list[str] = []
         self._annotations(annotations)
-        while cur.peek() in MODIFIERS:
-            cur.next()
+        while n := cur.at_modifier():
+            cur.i += n
             self._annotations(annotations)
         line = cur.line()
         if cur.at("{"):  # left for the recovery, which passes the block whole
@@ -751,20 +793,40 @@ class _FileParser:
                     cur.next()
                     continue
                 break
-        fqn = f"{outer_fqn}.{simple}" if outer_fqn else (
-            f"{self.package}.{simple}" if self.package else simple)
         if not cur.at("{"):
             raise ParseError("expected '{'", cur.line())
-        nested = cur.well_nested(cur.i)
+        i = cur.i
+        self._declare(kw, outer_fqn, simple, supertypes, annotations, components,
+                      cur.code, cur.opens, cur.closes, cur.braces[i], cur.lines[i])
+        cur.pass_block()
+
+    def _declare(self, kw: str, outer_fqn: str | None, simple: str, supertypes: list[str],
+                 annotations: list[str], components: tuple[Param, ...] | None,
+                 code: bytes, opens: array, closes: array, k: int, line: int) -> None:
+        """Add the type named simple, declared by kw, a member of the type
+        outer_fqn or, when it is None, of the file's package, with the
+        supertypes and annotations its header names (see _members for
+        components). Its body is block k of the file, from its '{' on line
+        line, in the block table opens and closes; code is the file's
+        blanked text, or empty when the type is declared in a block whose
+        brackets nest well (see java_lexer.nests_well). A top-level class's
+        or interface's members are deferred when its body's brackets nest
+        well and it declares no member type (see java_lexer.declares_type),
+        and parsed now otherwise."""
+        fqn = f"{outer_fqn}.{simple}" if outer_fqn else (
+            f"{self.package}.{simple}" if self.package else simple)
+        nested = java_lexer.nests_well(code, opens, closes, k)
         # Only a top-level class is deferred: a member type's bodies would
         # be parsed later at depth 0.
         if nested and outer_fqn is None and kw in ("class", "interface") \
-                and not cur.declares_type():
-            deferred = _DeferredMembers(cur, self.path, fqn, simple, kw == "interface")
+                and not java_lexer.declares_type(code, opens, closes, k):
+            deferred = _DeferredMembers(self.source, opens, closes, k, line, self.path, fqn,
+                                        simple, kw == "interface")
             self.diagnostics.append(deferred)
             methods = fields = deferred
         else:
-            self.cur = cur.block(cur.i, nested)
+            outer, self.cur = self.cur, FileCursor.over(self.source, opens, closes, k, line,
+                                                        b"" if nested else code)
             try:
                 # The enum constants end at their ';', or at the closer that
                 # ends the body or that no opener matches.
@@ -772,8 +834,7 @@ class _FileParser:
                     self.cur.next()
                 methods, fields = self._members(fqn, simple, kw == "interface", components)
             finally:
-                self.cur = cur
-        cur.pass_block()
+                self.cur = outer
         resolved_supers = tuple(
             dict.fromkeys(self._resolve_supertype(s) for s in supertypes if s != simple)
         )
@@ -835,8 +896,9 @@ class _FileParser:
             t = cur.peek()
             if t == "@" and not cur.at("interface", 1):
                 annotations.append(self._skip_annotation())
-            elif t in MODIFIERS:
-                mods.add(cur.next())
+            elif n := cur.at_modifier():
+                mods.add(t if n == 1 else "non-sealed")
+                cur.i += n
             else:
                 break
         if t is None:
@@ -1048,18 +1110,20 @@ class _DeferredBody(_Deferred):
 class _DeferredMembers(_Deferred):
     """The members of a top-level class or interface named simple, fqn in
     full, whose body declares no member type (see
-    FileCursor.declares_type). The body is block k in its file's block
+    java_lexer.declares_type). The body is block k in its file's block
     table, opens and closes, so that its braces are not matched again when
     the members are parsed. A malformed member is reported then."""
 
     __slots__ = ("opens", "closes", "k", "fqn", "simple", "is_interface")
 
-    def __init__(self, cur: FileCursor, path: str, fqn: str, simple: str, is_interface: bool):
-        """The members of the class whose body's '{' is at cur."""
-        super().__init__(cur.source, *cur.span(cur.i), cur.lines[cur.i], path)
-        self.opens = cur.opens
-        self.closes = cur.closes
-        self.k = cur.braces[cur.i]
+    def __init__(self, source: str, opens: array, closes: array, k: int, line: int, path: str,
+                 fqn: str, simple: str, is_interface: bool):
+        """The members of the class whose body is block k, from its '{' on
+        line line."""
+        super().__init__(source, opens[k], closes[k] + 1, line, path)
+        self.opens = opens
+        self.closes = closes
+        self.k = k
         self.fqn = fqn
         self.simple = simple
         self.is_interface = is_interface
@@ -1512,7 +1576,7 @@ class _BodyParser:
             return None
         nxt = cur.peek(1)
         ok_follow = nxt is not None and (
-            nxt[0] in IDENT_START or is_literal(nxt)
+            is_ident(nxt) or is_literal(nxt)
             or nxt in ("(", "new", "!", "~")
         )
         if ok_follow:
@@ -1554,7 +1618,7 @@ class _BodyParser:
                         raise ParseError("expected method name", cur.line())
                     e = call(cur.next(), e, *self._call_args())
                     continue
-                if nxt[0] not in IDENT_START:
+                if not is_ident(nxt):
                     return e
                 cur.i += 2
                 if cur.at("<"):
@@ -1628,7 +1692,7 @@ class _BodyParser:
         t = cur.peek()
         if t is None:
             raise ParseError("expected expression", cur.line())
-        if t[0] in IDENT_START and t not in _KEYWORD_PRIMARIES:
+        if is_ident(t) and t not in _KEYWORD_PRIMARIES:
             cur.next()
             if cur.at("("):
                 return call(t, None, *self._call_args())
@@ -1673,10 +1737,19 @@ class _BodyParser:
 # ---------------------------------------------------------------------------
 
 
+def read_source(path: Path) -> str:
+    """The text of the file at path as path.read_text(encoding="utf-8",
+    errors="replace") reads it, universal newlines included, in less time."""
+    text = path.read_bytes().decode("utf-8", "replace")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def parse_file(path: Path, diagnostics: list[ParseDiagnostic | _Deferred]
                ) -> list[ClassDecl]:
     try:
-        source = path.read_text(encoding="utf-8", errors="replace")
+        source = read_source(path)
     except OSError as e:
         diagnostics.append(ParseDiagnostic(str(path), 1, f"unreadable: {e}"))
         return []
@@ -1692,13 +1765,18 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
                   exclude_dirs: tuple[str, ...] = ()) -> CodeModel:
     """Parse every .java file under root into an immutable CodeModel.
 
-    Each file is tokenized only down to its package, imports and type
-    headers, which are parsed now with each type's supertypes and
-    annotations; one pass over its characters makes its block table (see
-    java_lexer.FileCursor). A top-level class's or interface's members are
-    lexed and parsed when ClassDecl.methods or ClassDecl.fields is first
-    read, through its file's table, if its brackets nest well and its body
-    declares no member type (see FileCursor.declares_type); any other
+    Each file's package, imports and type headers are read now, with each
+    type's supertypes and annotations: one pass over its characters blanks
+    its comments and literals and makes its block table, one scan of the
+    blanked text outside its blocks reads a header in its plainest form
+    (see java_lexer.scan_header), and a file whose header the scan cannot
+    read is tokenized down to its type headers and parsed (see
+    java_lexer.FileCursor), with the same result. A file is read as
+    Path.read_text reads it (see read_source). A top-level class's or
+    interface's members are lexed and parsed when ClassDecl.methods or
+    ClassDecl.fields is first read, through its file's table, if its
+    brackets nest well and its body
+    declares no member type (see java_lexer.declares_type); any other
     class's members, and every enum's and record's, are parsed now. A
     method body is lexed and parsed when first read, or now if its brackets
     are unbalanced or nested too deeply. Each class body and method body is
@@ -1718,7 +1796,8 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     root = Path(root)
     if not root.is_dir():
         raise RootNotFound(f"project root not found: {root}")
-    files = sorted(root.rglob("*.java"))
+    # Ordered as sorted(paths) orders them on POSIX, without PurePath's comparison.
+    files = sorted(root.rglob("*.java"), key=lambda f: f.parts)
     if exclude_dirs:
         depth = len(root.parts)  # each file's parts start with root's
         prefixes = [Path(d).parts for d in exclude_dirs]

@@ -1,17 +1,20 @@
 """Lexing of Java source for the code model.
 
 Java's reserved words; the lexemes and tokens of a text; one pass over a
-file's characters, with comments and literals blanked, that makes the
-file's block table without tokenizing: the offsets of its k-th '{' and of
-the '}' that closes it, the only record of where a block is, and the bracket
-check of a block; the word test that tells whether a class body declares a
-member type, which keeps its members from being left for later; and the
-cursors through which the parsers in code_model read tokens. A FileCursor
-tokenizes a file down to its type headers, leaving out the interior of
-every block, a '{' that no '}' closes ending with the file, and each block
-is read through a cursor of its own, named by its number in the table: no
-cursor's tokens change once it is made, and no parse of a block reads past
-its '}'.
+file's characters, with comments and literals blanked (blanked), that
+makes the file's block table without tokenizing (block_table): the offsets
+of its k-th '{' and of the '}' that closes it, the only record of where a
+block is; the bracket check of a block; the word test that tells whether a
+class body declares a member type, which keeps its members from being left
+for later; the scan that reads a file's header in its plainest form from
+the blanked text outside its blocks, with no token made (scan_header); and
+the cursors through which the parsers in code_model read tokens. A file
+whose header the scan cannot read is tokenized down to its type headers by
+a FileCursor over the same blanked text and block table, leaving out the
+interior of every block, a '{' that no '}' closes ending with the file.
+Each block is read through a cursor of its own, named by its number in the
+table: no cursor's tokens change once it is made, and no parse of a block
+reads past its '}'.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import re
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
+from typing import NamedTuple
 
 PRIMITIVES = {"int", "long", "short", "byte", "double", "float", "boolean", "char", "void", "var"}
 
@@ -56,6 +60,9 @@ MAX_NESTING = 128
 # be counted. A character that starts no lexeme, and the end of the text,
 # match with an empty group: every match attempt succeeds, so the search
 # never rescans a run of whitespace.
+# An identifier starts with a letter, '_' or '$'; one that starts with a
+# letter outside ASCII is the last branch, so that ASCII text is matched
+# as fast as without it.
 LEXEME_RE = re.compile(
     r"""
     [^\S\n]*
@@ -68,6 +75,7 @@ LEXEME_RE = re.compile(
       | \d[\w]*(?:\.[\w]+)?
       | [A-Za-z_$][\w$]*
       | <<=|>>>=|>>=|>>>|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::|\.\.\.|[{}()\[\];,.<>=+\-*/%!&|^~?:@]
+      | [^\W\d][\w$]*
       )
     | \S
     | \Z
@@ -98,9 +106,16 @@ def lexemes(source: str) -> list[str]:
 
 
 # A token's kind follows from its first character: identifiers (keywords
-# included) start with one of these, string and char literals with a quote,
-# numbers with a decimal digit, operators with anything else.
-IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+# included) start with a letter, '_' or '$', string and char literals with
+# a quote, numbers with a decimal digit, operators with anything else.
+_ASCII_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+
+
+def is_ident(text: str) -> bool:
+    """Whether a token is an identifier (keywords included). A token that
+    starts outside ASCII is a number or an identifier (see LEXEME_RE)."""
+    c = text[0]
+    return c in _ASCII_IDENT_START or c > "\x7f" and not c.isdecimal()
 
 
 def is_literal(text: str) -> bool:
@@ -217,7 +232,18 @@ class Cursor:
 
     def at_ident(self, offset: int = 0) -> bool:
         t = self.texts[self.i + offset]
-        return t is not None and t[0] in IDENT_START
+        return t is not None and is_ident(t)
+
+    def at_modifier(self) -> int:
+        """How many tokens the modifier at the cursor has: 1 for a word of
+        MODIFIERS, 3 for non-sealed (the run 'non' '-' 'sealed'), 0 at any
+        other token."""
+        texts = self.texts
+        i = self.i
+        if texts[i] in MODIFIERS:
+            return 1
+        non_sealed = texts[i] == "non" and texts[i + 1] == "-" and texts[i + 2] == "sealed"
+        return 3 if non_sealed else 0
 
     def next(self) -> str:
         i = self.i
@@ -317,7 +343,7 @@ class Cursor:
         if t in PRIMITIVES:
             self.next()
             text = t
-        elif t[0] in IDENT_START and t not in KEYWORDS:
+        elif is_ident(t) and t not in KEYWORDS:
             text = self.dotted_name()
         else:
             raise ParseError(f"expected type, found '{t}'", self.line())
@@ -357,43 +383,156 @@ def _cut(text, opens: array, closes: array, k: int, start: int, end: int
     return pieces, blocks
 
 
+def block_table(code: bytes) -> tuple[array, array]:
+    """The block table of a file whose text blanked gives as code: opens[k]
+    is the offset of its k-th '{', and closes[k] that of the '}' that
+    matches it, or the length of the text when no '}' closes it."""
+    opens = _offsets(code, b"{")
+    closes = [len(code)] * len(opens)
+    stack: list[int] = []
+    k = 0
+    for end in _offsets(code, b"}"):
+        while k < len(opens) and opens[k] < end:
+            stack.append(k)
+            k += 1
+        if stack:
+            closes[stack.pop()] = end
+    return array("q", opens), array("q", closes)
+
+
+def nests_well(code: bytes, opens: array, closes: array, k: int) -> bool:
+    """Whether block k of the file whose blanked text is code and whose
+    block table is opens and closes has a '}' and its brackets nest well,
+    at most MAX_NESTING deep; always so when code is empty, as it is for a
+    block inside one whose brackets nest well."""
+    return not code or _well_nested(code[opens[k]:closes[k] + 1])
+
+
+def declares_type(code: bytes, opens: array, closes: array, k: int) -> bool:
+    """Whether the text of block k, outside the blocks in it, may declare a
+    member type (see _TYPE_WORD_RE)."""
+    pieces, _ = _cut(code, opens, closes, k + 1, opens[k] + 1, closes[k])
+    return _TYPE_WORD_RE.search(b"".join(pieces)) is not None
+
+
+# The header of a file in its plainest form, over its blanked text with the
+# interior of each block cut out (see scan_header): a package, imports, then
+# classes and interfaces whose names are dotted names without spaces, with
+# the commonest modifiers and annotations without arguments. re has no
+# possessive quantifier or atomic group before Python 3.11, so the patterns
+# are written so that no part of a match can be given back and matched
+# another way: a name ends only where no name character follows, a
+# 'static' after 'import' is the import's modifier, and each other piece
+# is followed by a character it cannot hold. So a match, or its failure,
+# takes time linear in the text.
+_NAME = r"[A-Za-z_$][\w$]*(?![\w$])"
+_DOTTED = rf"{_NAME}(?:\.{_NAME})*"
+_PRELUDE_RE = re.compile(
+    rf"\s*(?:package\s+({_DOTTED})\s*;\s*)?"
+    rf"((?:import\s+(?:static(?![\w$])\s*|(?!static(?![\w$]))){_DOTTED}(?:\.\*)?\s*;\s*)*)",
+    re.ASCII)
+_TYPE_RE = re.compile(
+    rf"((?:@(?!interface(?![\w$])){_DOTTED}\s*"
+    r"|(?:public|protected|private|abstract|static|final|sealed|non-sealed|strictfp)\s+)*)"
+    rf"(class|interface)\s+({_NAME})\s*"
+    rf"((?:(?:extends\s|implements\s|,)\s*{_DOTTED}\s*)*)\{{\}}\s*", re.ASCII)
+
+
+class TypeHeader(NamedTuple):
+    """The header of a top-level class or interface as scan_header reads
+    it: the last parts of the names of the annotations after its first
+    modifier, which are the ones the parser keeps; its keyword, class or
+    interface; its name; the names after extends and implements, none of
+    them starting with a keyword, which type_ref rejects; and the number of
+    its body's block."""
+    annotations: list[str]
+    keyword: str
+    name: str
+    supertypes: list[str]
+    k: int
+
+
+class Header(NamedTuple):
+    """A file's header as scan_header reads it: its package's name, or ""
+    when there is none; for each import a (static, name, wildcard) triple,
+    the name without its '.*' and the flags telling whether the import is
+    static and whether it ends with '.*'; and its top-level types in order."""
+    package: str
+    imports: list[tuple[bool, str, bool]]
+    types: list[TypeHeader]
+
+
+def scan_header(code: bytes, opens: array, closes: array) -> Header | None:
+    """The header of a file whose blanked text is code and whose block
+    table is opens and closes, read by one scan of the text outside its
+    blocks when it is in its plainest form (see _TYPE_RE), else None, for
+    the parser to read. What is read here is read as the parser reads it;
+    a name outside ASCII is blanked to one with a '?', which the scan does
+    not read."""
+    pieces, blocks = _cut(code, opens, closes, 0, 0, len(code))
+    text = b"".join(pieces).decode()
+    if "<" in text or "(" in text:  # type parameters, annotation arguments
+        return None  # which no pattern matches
+    prelude = _PRELUDE_RE.match(text)
+    end = prelude.end()
+    types = []
+    for k in blocks:
+        m = _TYPE_RE.match(text, end)
+        if m is None:
+            return None
+        prefix, keyword, name, clause = m.groups()
+        words = clause.replace(",", " , ").split()  # markers and names in turn
+        supertypes = words[1::2]
+        if words[:1] == [","] or any(s.partition(".")[0] in KEYWORDS for s in supertypes):
+            return None
+        annotations = []
+        kept = not prefix.startswith("@")  # after a modifier
+        for part in prefix.split("@")[1:]:
+            annotation, *modifiers = part.split()
+            if kept:
+                annotations.append(annotation.rpartition(".")[2])
+            kept = kept or bool(modifiers)
+        types.append(TypeHeader(annotations, keyword, name, supertypes, k))
+        end = m.end()
+    if end < len(text):
+        return None
+    imports = []
+    for statement in prelude[2].split(";")[:-1]:
+        *words, name = statement.split()  # import, static when the import is, the name
+        imports.append((len(words) == 2, name.removesuffix(".*"), name.endswith(".*")))
+    return Header(prelude[1] or "", imports, types)
+
+
 class FileCursor(Cursor):
     """A cursor over the tokens of one file, or of one block in it, that
     leaves out the interior of every block in it.
 
-    One pass over the file's characters makes its block table, the only
-    record of where a block is: opens[k] is the offset of the file's k-th
-    '{', and closes[k] the offset of the '}' that matches it, or the length
-    of the source when no '}' closes it: that block ends with the file. A
-    block left out is its '{' token followed by its '}' token, when it has
-    one; braces runs beside texts: for a '{' token its block's number k,
-    else None. code is the file's text as blanked gives it, for
-    well_nested and declares_type, or empty in a cursor over a block whose
-    brackets nest well, since every block in it does too.
+    One pass over the file's characters makes its block table (see
+    block_table), the only record of where a block is: opens[k] is the
+    offset of the file's k-th '{', and closes[k] the offset of the '}' that
+    matches it, or the length of the source when no '}' closes it: that
+    block ends with the file. A file's cursor takes the blanked text and
+    table that the header scan made (see scan_header), and a block's
+    cursor its file's table. A block left out is its '{' token followed by
+    its '}' token, when it has one; braces runs beside texts: for a '{'
+    token its block's number k, else None. code is the file's text as
+    blanked gives it, for the bracket checks (see nests_well), or empty in a
+    cursor over a block whose brackets nest well, since every block in it
+    does too.
 
     The tokens never change once the cursor is made. The parsers pass a
     block left out whole, as every walk that counts brackets does
     (skip_balanced, skip_to, pass_block), read it through a cursor of its
-    own (block), or leave it for later: a method body keeps its span, and
-    a class's members keep the file's table and their block's number, for
+    own (over), or leave it for later: a method body keeps its span, and a
+    class's members keep the file's table and their block's number, for
     over."""
 
     __slots__ = ("source", "code", "opens", "closes", "braces")
 
-    def __init__(self, source: str):
-        """A cursor over the file source."""
-        code = blanked(source)
-        opens = _offsets(code, b"{")
-        closes = [len(source)] * len(opens)
-        stack: list[int] = []
-        k = 0
-        for end in _offsets(code, b"}"):
-            while k < len(opens) and opens[k] < end:
-                stack.append(k)
-                k += 1
-            if stack:
-                closes[stack.pop()] = end
-        self._read(source, code, array("q", opens), array("q", closes), 0, 0, len(source), 1)
+    def __init__(self, source: str, code: bytes, opens: array, closes: array):
+        """A cursor over the file source, whose blanked text is code and
+        whose block table is opens and closes (see block_table)."""
+        self._read(source, code, opens, closes, 0, 0, len(source), 1)
 
     @staticmethod
     def over(source: str, opens: array, closes: array, k: int, line: int,
@@ -436,12 +575,6 @@ class FileCursor(Cursor):
         self.braces = braces
         Cursor.__init__(self, texts, lines)
 
-    def block(self, i: int, nested: bool) -> FileCursor:
-        """A cursor over the block whose '{' is token i (see over). nested
-        tells whether its brackets nest well (see well_nested)."""
-        return FileCursor.over(self.source, self.opens, self.closes, self.braces[i],
-                               self.lines[i], b"" if nested else self.code)
-
     def span(self, i: int) -> tuple[int, int]:
         """The offsets of the '{' that is token i and just past its '}', or
         past the end of the file when no '}' closes the block."""
@@ -455,16 +588,5 @@ class FileCursor(Cursor):
 
     def well_nested(self, i: int) -> bool:
         """Whether the block whose '{' is token i has a '}' and its brackets
-        nest well, at most MAX_NESTING deep; always so when code is empty."""
-        if not self.code:
-            return True
-        start, end = self.span(i)
-        return _well_nested(self.code[start:end])
-
-    def declares_type(self) -> bool:
-        """Whether the text of the block whose '{' is at the cursor, outside
-        the blocks in it, may declare a member type (see _TYPE_WORD_RE)."""
-        k = self.braces[self.i]
-        pieces, _ = _cut(self.code, self.opens, self.closes, k + 1, self.opens[k] + 1,
-                         self.closes[k])
-        return _TYPE_WORD_RE.search(b"".join(pieces)) is not None
+        nest well (see nests_well)."""
+        return nests_well(self.code, self.opens, self.closes, self.braces[i])

@@ -1,6 +1,7 @@
 """One hash per `vulnreach analyze` run, to compare two checkouts' outputs.
 
     python tests/output_digest.py [NAME ...]
+    python tests/output_digest.py --against FILE [NAME ...]
 
 Runs `python -m vulnreach analyze`, from this checkout's src/, on the 18
 fixtures (named fixture/<fixture>) and on each bench/gen.py pair at seeds
@@ -14,6 +15,12 @@ emitted tests, toolchain log, stdout, stderr and exit code.
 Every run works in a directory of its own under a fresh temporary
 directory, with relative paths, so the hashes of two checkouts are equal
 exactly when their outputs are byte for byte.
+
+With --against, FILE holds the lines printed by another checkout, and the
+command prints only the lines that differ: "- <line>" for FILE's line and
+"+ <line>" for this checkout's, for each run whose hash differs or that
+only one of them has. Given NAMEs, only the runs whose names start with
+one of them are compared. It exits 1 when any line is printed, else 0.
 """
 
 from __future__ import annotations
@@ -97,7 +104,32 @@ def digests(prefixes: tuple[str, ...] = ()) -> list[tuple[str, str, str]]:
     return out
 
 
+def against(saved: list[str], prefixes: tuple[str, ...] = ()) -> list[str]:
+    """The lines that differ between saved, the lines another checkout
+    printed, and this checkout's, for the runs whose names start with one
+    of prefixes, or for every run when none is given."""
+    theirs = {tuple(line.split()[:2]): line.strip() for line in saved
+              if line.strip() and (not prefixes or line.startswith(prefixes))}
+    ours = {(name, mode): f"{name} {mode} {digest}"
+            for name, mode, digest in digests(prefixes)}
+    differ = []
+    for key in dict.fromkeys([*ours, *theirs]):
+        if ours.get(key) != theirs.get(key):
+            differ += [f"{sign} {line}" for sign, line in (("-", theirs.get(key)),
+                                                          ("+", ours.get(key))) if line]
+    return differ
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--against"]:
+        if len(argv) < 2:
+            print("usage: output_digest.py --against FILE [NAME ...]", file=sys.stderr)
+            return 2
+        saved = Path(argv[1]).read_text(encoding="utf-8").splitlines()
+        differ = against(saved, tuple(argv[2:]))
+        for line in differ:
+            print(line, flush=True)
+        return 1 if differ else 0
     for name, mode, digest in digests(tuple(argv)):
         print(name, mode, digest, flush=True)
     return 0

@@ -63,6 +63,15 @@ are marked, each line by a comment naming its fix:
   `expected ';'`. The original accepted a field with no `;`:
   `class M { void f() { g(); } int x }` read field `x` without a
   diagnostic.
+- "non-sealed fix": the run `non` `-` `sealed` is a modifier of a type
+  and of a member, as Java 17's `non-sealed` is. The original read
+  `public non-sealed class A extends B { }` as no class, with only
+  `expected type declaration, found 'non'`, and lost every member of a
+  class after a `non-sealed` member type, with `expected member name`.
+- "unicode-identifier fix": an identifier starts with any letter, `_` or
+  `$`. The original started one at an ASCII letter only and dropped a
+  leading letter outside ASCII: `class Ärger { }` declared `rger`, without
+  a diagnostic, and a method named `加载` lost its class every method.
 
 `parse_project` serves only as the specification the new front end must
 reproduce: the same classes, statements and diagnostics. Input nested more
@@ -114,7 +123,7 @@ _TOKEN_RE = re.compile(
     | (?P<string>"(?:\\.|[^"\\])*")
     | (?P<char>'(?:\\.|[^'\\])*')
     | (?P<number>\d[\w]*(?:\.[\w]+)?)
-    | (?P<ident>[A-Za-z_$][\w$]*)
+    | (?P<ident>(?:[^\W\d]|\$)[\w$]*)  # unicode-identifier fix
     | (?P<op><<=|>>>=|>>=|>>>|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::|\.\.\.|[{}()\[\];,.<>=+\-*/%!&|^~?:@])
     """,
     re.VERBOSE | re.DOTALL,
@@ -297,7 +306,8 @@ class _FileParser:
                     elif not static:
                         self.imports.append((name.rsplit(".", 1)[-1], name))
                     self._skip_to(";")
-                elif t.text in _MODIFIERS or t.text in ("class", "interface", "enum", "record", "@"):  # annotation-type fix
+                elif (t.text in _MODIFIERS or t.text in ("class", "interface", "enum", "record", "@")  # annotation-type fix
+                      or self._at_non_sealed()):  # non-sealed fix
                     self._parse_type_decl()
                 elif t.text == ";":
                     cur.next()
@@ -334,6 +344,10 @@ class _FileParser:
         while not cur.eof():
             if self._pass() == text:  # class-bound fix
                 return
+
+    def _at_non_sealed(self) -> bool:  # non-sealed fix
+        cur = self.cur  # non-sealed fix
+        return cur.at("non") and cur.at("-", 1) and cur.at("sealed", 2)  # non-sealed fix
 
     def _dotted_name(self) -> str:
         cur = self.cur
@@ -401,8 +415,10 @@ class _FileParser:
         annotations: list[str] = []
         while cur.at("@") and not cur.at("interface", 1):  # annotation-type fix
             annotations.append(self._skip_annotation())
-        while not cur.eof() and cur.peek().text in _MODIFIERS:  # type: ignore[union-attr]
-            cur.next()
+        while not cur.eof() and (cur.peek().text in _MODIFIERS  # type: ignore[union-attr]
+                                 or self._at_non_sealed()):  # non-sealed fix
+            for _ in range(3 if self._at_non_sealed() else 1):  # non-sealed fix
+                cur.next()
             while cur.at("@") and not cur.at("interface", 1):  # annotation-type fix
                 annotations.append(self._skip_annotation())
         if cur.at("{"):  # class-bound fix
@@ -521,6 +537,10 @@ class _FileParser:
             if t is not None and t.text in _MODIFIERS:
                 mods.add(cur.next().text)
                 continue
+            if self._at_non_sealed():  # non-sealed fix
+                for _ in range(3):  # non-sealed fix
+                    cur.next()  # non-sealed fix
+                continue  # non-sealed fix
             break
         t = cur.peek()
         if t is None:

@@ -646,6 +646,19 @@ class TestOutputDigest:
         assert len({digest for _, _, digest in first}) == 3
         assert output_digest.digests(("fixture/lion_reachable",)) == first
 
+    def test_against_prints_only_the_lines_that_differ(self, tmp_path, capsys):
+        lines = [" ".join(run) for run in output_digest.digests(("fixture/lion_reachable",))]
+        other = "fixture/rule_direct full " + "0" * 64  # outside the names compared
+        saved = tmp_path / "saved.txt"
+        saved.write_text("\n".join([*lines, other]) + "\n", encoding="utf-8")
+        assert output_digest.main(["--against", str(saved), "fixture/lion_reachable"]) == 0
+        assert capsys.readouterr().out == ""
+        changed = lines[1].rsplit(" ", 1)[0] + " " + "f" * 64
+        saved.write_text("\n".join([lines[0], changed]) + "\n", encoding="utf-8")
+        assert output_digest.main(["--against", str(saved), "fixture/lion_reachable"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"- {changed}", f"+ {lines[1]}", f"+ {lines[2]}"]
+
 
 class TestBenchContract:
     """What the benchmark's traced run (bench/spans.py) relies on: it wraps

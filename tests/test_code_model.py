@@ -101,6 +101,24 @@ class TestParseProject:
                     for st in m.body:
                         assert 1 <= st.line <= total
 
+    def test_files_read_as_read_text_reads_them(self, tmp_path):
+        # Line ends CRLF and lone CR, and bytes that are not UTF-8.
+        path = tmp_path / "Mixed.java"
+        path.write_bytes(b"class A {\r\n  int x; \xff\xfe\r  int y;\r\r\n\n}\r"
+                         + "/* é */".encode() + b"\xc3")
+        assert code_model.read_source(path) == path.read_text(encoding="utf-8",
+                                                              errors="replace")
+        assert "\r" not in code_model.read_source(path)
+
+    def test_unreadable_file_is_a_diagnostic(self, tmp_path):
+        (tmp_path / "Good.java").write_text("class Good { }")
+        (tmp_path / "Dir.java").mkdir()
+        model = parse_project(tmp_path, emit_warnings=False)
+        assert [c.fqn for c in model.classes] == ["Good"]
+        ((file, line, message),) = [(d.file, d.line, d.message) for d in model.diagnostics]
+        assert (file, line) == (str(tmp_path / "Dir.java"), 1)
+        assert message.startswith("unreadable: ")
+
     def test_parse_error_degrades_to_diagnostic(self, tmp_path):
         (tmp_path / "Bad.java").write_text("public class Bad { this is not java }")
         (tmp_path / "Good.java").write_text("public class Good { void ok() {} }")
@@ -171,6 +189,35 @@ class TestTypeDeclarations:
         assert annotation_type.is_interface
         assert [(m.name, m.return_type) for m in annotation_type.methods] == elements
         assert all(m.is_abstract and m.visibility == "public" for m in annotation_type.methods)
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
+
+    @pytest.mark.parametrize("source, shapes", [
+        ("package p; public non-sealed class A extends B { void m() {} }",
+         [("p.A", ("p.B",), ["m"])]),
+        ("class Outer { non-sealed class In extends Outer {} void m() {} }",
+         [("Outer.In", ("Outer",), []), ("Outer", (), ["m"])]),
+    ], ids=["top-level", "member-type"])
+    def test_non_sealed_is_a_modifier(self, source, shapes, monkeypatch):
+        for scan in (True, False):
+            with monkeypatch.context() as patch:
+                if not scan:
+                    _without_scan(patch)
+                classes, diagnostics = _parse_source(code_model, source)
+            assert [(c.fqn, c.supertypes, [m.name for m in c.methods]) for c in classes] == shapes
+            assert diagnostics == []
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
+
+    def test_identifiers_start_at_any_letter(self):
+        source = ("package p;\nclass Ärger extends Öl {\n"
+                  "  public void 加载(String s) { f(s); }\n"
+                  "  public void ok(String é) { Object o = é; ß.g(ü); } }")
+        classes, diagnostics = _parse_source(code_model, source)
+        (cls,) = classes
+        assert (cls.fqn, cls.supertypes) == ("p.Ärger", ("p.Öl",)) and diagnostics == []
+        assert [m.signature() for m in cls.methods] == [
+            "p.Ärger#加载(String)", "p.Ärger#ok(String)"]
+        assert [(st.lhs, sorted(st.rhs_expr.operand_vars)) for st in cls.methods[1].body] == [
+            ("o", ["é"]), (None, ["ß", "ü"])]
         assert (classes, diagnostics) == _parse_source(parser_reference, source)
 
 
@@ -522,6 +569,18 @@ _CALLER = ("package fill;\n\nimport com.thoughtworks.xstream.XStream;\n\n"
            "        return xs.fromXML(xml);\n    }\n}\n")
 
 
+def _file_cursor(source: str) -> java_lexer.FileCursor:
+    """A cursor over the tokens of the file source, down to its headers."""
+    code = java_lexer.blanked(source)
+    return java_lexer.FileCursor(source, code, *java_lexer.block_table(code))
+
+
+def _without_scan(monkeypatch) -> None:
+    """Have every file's header read from its tokens from now on: the scan
+    (java_lexer.scan_header) reads none."""
+    monkeypatch.setattr(java_lexer, "scan_header", lambda code, opens, closes: None)
+
+
 def _record_lexing(monkeypatch) -> tuple[list, list]:
     """Lists that record, from now on, each text code_model lexes, as
     (id(source), start, end), and each class body it reads on demand, as
@@ -636,13 +695,17 @@ class TestLaziness:
 
     def test_parse_lexes_no_class_body_and_no_method_body(self, tmp_path, monkeypatch):
         model, lexed, members = self._plain_project(tmp_path, monkeypatch)
-        # One lexing per file, of the file's declarations down to its type header.
-        assert len(lexed) == 37 and all(span[1:] == (0, None) for span in lexed)
-        assert members == []
+        # The scan reads every file's header: nothing is lexed.
+        assert lexed == [] and members == []
         assert len(_deferred_classes(model)) == 37
         assert not any("methods" in vars(c) or "fields" in vars(c) for c in model.classes)
         assert [entry for entry in model.parse_log
                 if type(entry) is not code_model._DeferredMembers] == []
+        # Read from the tokens, each file is lexed once, down to its type header.
+        _without_scan(monkeypatch)
+        parse_project(tmp_path, emit_warnings=False)
+        assert len(lexed) == 37 and all(span[1:] == (0, None) for span in lexed)
+        assert members == []
 
     def test_call_sites_lex_the_class_bodies_of_the_files_that_hold_the_name(
             self, tmp_path, monkeypatch):
@@ -673,13 +736,14 @@ class TestLaziness:
                   "interface B { default int f() { return 1; } }\n"
                   "class C { static class D { void n() { x(); } } }\n")
         log: list = []
-        parser = code_model._FileParser("Src.java", source, log)
-        classes = parser.parse()
+        classes = code_model._FileParser("Src.java", source, log).parse()
         for cls in classes:
             cls.methods
-        table = parser.cur.opens, parser.cur.closes
         deferred = [entry for entry in log if type(entry) is code_model._DeferredMembers]
         assert [d.fqn for d in deferred] == ["A", "B"]
+        table = deferred[0].opens, deferred[0].closes
+        assert list(map(list, table)) == list(map(list, java_lexer.block_table(
+            java_lexer.blanked(source))))
         for d in deferred:
             assert d.opens is table[0] and d.closes is table[1]
             assert (d.opens[d.k], d.closes[d.k] + 1) == (d.start, d.end)
@@ -830,29 +894,179 @@ class TestLaziness:
                 code_model._FileParser("Src.java", f"class C {{ {body} }}", log).parse()
             assert any(type(e) is code_model._DeferredMembers for e in log) == deferred
 
-    def test_member_types_are_read_through_cursors_of_their_own(self):
+    def test_member_types_are_read_through_cursors_of_their_own(self, monkeypatch):
         # An eager class's body, and each member type's body in it, is read
         # through a cursor of its own, so the file's tokens never change, a
         # class with thousands of member types is read in linear time, a
         # malformed member stays inside its class, and only method bodies
-        # wait.
+        # wait; alike whether the scan or the tokens give the header.
         n = 5000
         source = "class Outer {\n  int a, ;\n" + "".join(
             f"  static class C{k} {{ void m() {{ f(); }} }}\n" for k in range(n)) + (
             "  class Bad { void k(int) { } int b, }\n}\nclass After { void n() { } }\n")
-        log: list = []
-        with time_limit(10):
-            parser = code_model._FileParser("Src.java", source, log)
-            tokens = list(parser.cur.texts)
-            classes = parser.parse()
-        assert parser.cur.texts == tokens
-        assert [c.fqn for c in classes[-3:]] == ["Outer.Bad", "Outer", "After"]
-        assert len(classes) == n + 3
-        assert [d.message for d in log if type(d) is code_model.ParseDiagnostic] == [
-            "expected field name", "expected parameter name", "expected type, found ')'",
-            "expected field name"]
-        assert sum(type(entry) is code_model._DeferredBody for entry in log) == n
-        assert [type(entry) for entry in log[-1:]] == [code_model._DeferredMembers]  # After
+        for scanned in (True, False):
+            log: list = []
+            with monkeypatch.context() as patch:
+                if not scanned:
+                    _without_scan(patch)
+                with time_limit(10):
+                    parser = code_model._FileParser("Src.java", source, log)
+                    classes = parser.parse()
+            if scanned:
+                assert parser.cur is None  # no token of the file's own was made
+            else:
+                assert parser.cur.texts == _file_cursor(source).texts
+            assert [c.fqn for c in classes[-3:]] == ["Outer.Bad", "Outer", "After"]
+            assert len(classes) == n + 3
+            assert [d.message for d in log if type(d) is code_model.ParseDiagnostic] == [
+                "expected field name", "expected parameter name", "expected type, found ')'",
+                "expected field name"]
+            assert sum(type(entry) is code_model._DeferredBody for entry in log) == n
+            assert [type(entry) for entry in log[-1:]] == [code_model._DeferredMembers]  # After
+
+
+def _record_scans(monkeypatch) -> list[bool]:
+    """A list that records, from now on, whether the scan read each header
+    it was given (see java_lexer.scan_header)."""
+    scanned: list[bool] = []
+    scan = java_lexer.scan_header
+
+    def recording(code, opens, closes):
+        header = scan(code, opens, closes)
+        scanned.append(header is not None)
+        return header
+
+    monkeypatch.setattr(java_lexer, "scan_header", recording)
+    return scanned
+
+
+def _traffic(tmp_path):
+    """(workload, project root) of the 18 fixtures and of each generator's
+    pairs at seeds 1-3, written under tmp_path."""
+    for name in corpus_names():
+        yield "fixtures", fixture_paths(name)[0]
+    for generator in sorted(gen.GENERATORS):
+        for seed in (1, 2, 3):
+            for pair in gen.GENERATORS[generator](seed):
+                yield generator, write_pair(pair, tmp_path / generator / f"{seed}-{pair.name}")
+
+
+def _read_whole(model) -> tuple:
+    """The model's classes and its diagnostics once every class and body
+    has been read."""
+    return model.classes, _all_bodies_parsed(model)
+
+
+class TestHeaderScan:
+    """The scan of a file's blanked text (java_lexer.scan_header) reads a
+    header as the parser reads it from the file's tokens, or leaves it to
+    the parser: the classes and diagnostics are the same either way."""
+
+    @pytest.mark.parametrize("source, scanned", [
+        ("package p;\n@A public @b.B final @C class C extends D { void m() { f(); } }", True),
+        ("@A @B public @C class C { } @D @E class D { }", True),
+        ('package p;\n@A(x = 1) public @B("s") class C { void m() { } }', False),
+        ("class C<T extends Comparable<T>> implements I<T> { }", False),
+        ("class C implements I, J extends D implements K { }\ninterface I extends A, B { }", True),
+        ("sealed interface S permits A, B { }", False),
+        ("class C extends int { }", False),
+        ("class C extends A, implements { }", False),
+        ("class C extends new.B { }", False),
+        ("class C extends a.class { } class extends extends B { }", True),
+        ("package a /* x */ . b;\nimport c . /* y */ D;\nclass C extends c . D { }", False),
+        ("/* c */ package a.b; // d\nimport c.D; /** e */ public class C /* { */ extends D { }",
+         True),
+        ("package p; import static a.B.c; import static a.B.*; import a.*; import a.B;\n"
+         "import static; class C extends B { }", False),
+        ("import static.a.B; import static  static; class C { }", False),
+        ("import static a.B; import staticx.Y; @Apublic class C extends Dimplements { }", True),
+        ("@Ainterface X { }", False),
+        ("class Aextends B { }", False),
+        ("class C extends Dimplements E { }", False),
+        ("package p; import static a.B.c; import static a.B.*; import a.*; import a.B;\n"
+         "class C extends B, c { }", True),
+        ("class A { void f() { } }\ninterface B extends A { void f(); }", True),
+        ("package p;; class A { };", False),
+        ("class A { void m() { }", False),
+        ("class A { } } class B { }", False),
+        ("class A { int x = f(; } class B extends A { void n() { } }", True),
+        ("class O { static class I { } void f() { g(); } }", True),
+        ("class A { } import a.B; class C extends B { }", False),
+        ("package p;\r\nimport a.B;\r\n\r\npublic class C\r\n  extends B {\r\n"
+         "  void m() { f(); }\r\n}\r\n", True),
+        ("package p;\nclass Ärger extends Base { void 加载(String s) { f(s); } void ok() { } }",
+         False),
+        ("package p;\npublic non-sealed class A extends B { void m() { } }", True),
+        ("enum E { A, B; void f() { } }", False),
+        ("record R(int a) { }", False),
+        ("@interface N { int v() default 1; }", False),
+        ("", True),
+        ("package p; import a.B;", True),
+    ], ids=["annotations", "leading-annotations", "annotation-arguments", "type-parameters",
+            "extends-implements", "permits", "primitive-supertype", "keyword-supertype", "keyword-dotted-supertype",
+            "keyword-parts", "comments-in-names", "comments", "bad-import", "static-import-words",
+            "run-on-words", "run-on-annotation", "run-on-name", "run-on-supertype", "imports",
+            "two-types", "stray-semicolon", "unclosed-brace", "stray-closer", "bad-brackets",
+            "member-type", "import-after-a-type", "crlf", "non-ascii", "non-sealed", "enum",
+            "record", "annotation-type", "empty", "no-type"])
+    def test_the_scan_and_the_tokens_read_a_header_alike(self, source, scanned, monkeypatch):
+        with monkeypatch.context() as patch:
+            scans = _record_scans(patch)
+            classes, diagnostics = _parse_source(code_model, source)
+        assert scans == [scanned]
+        with monkeypatch.context() as patch:
+            _without_scan(patch)
+            assert (classes, diagnostics) == _parse_source(code_model, source)
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
+
+    def test_the_patterns_compile_before_python_3_11(self):
+        # The package supports Python 3.10 (pyproject.toml), whose re has
+        # no possessive quantifier and no atomic group.
+        patterns = [value.pattern for module in (java_lexer, code_model)
+                    for value in vars(module).values() if isinstance(value, re.Pattern)]
+        assert java_lexer._TYPE_RE.pattern in patterns
+        for pattern in patterns:
+            text = pattern.decode("latin-1") if isinstance(pattern, bytes) else pattern
+            assert not re.search(r"[*+?}]\+|\(\?>", text), text
+
+    def test_the_scan_and_the_tokens_read_the_traffic_alike(self, tmp_path, monkeypatch):
+        for _, root in _traffic(tmp_path):
+            scanned = _read_whole(parse_project(root, emit_warnings=False))
+            with monkeypatch.context() as patch:
+                _without_scan(patch)
+                assert _read_whole(parse_project(root, emit_warnings=False)) == scanned, root
+
+    def test_the_scan_reads_every_header_of_the_traffic(self, tmp_path, monkeypatch):
+        scans = _record_scans(monkeypatch)
+        read: dict = {}
+        for workload, root in _traffic(tmp_path):
+            parse_project(root, emit_warnings=False)
+            read[workload] = [a + b for a, b in zip(read.get(workload, (0, 0)),
+                                                    (sum(scans), scans.count(False)))]
+            scans.clear()
+        # (headers scanned, headers left to the parser) per workload
+        assert read == {"fixtures": [22, 0], "deep_fanout": [135, 0],
+                        "sanitizer_chains": [30, 0], "wide_project": [600, 0]}
+
+    @pytest.mark.parametrize("source, scanned, classes", [
+        ("package " + ".".join(["a"] * 16000) + ";\nimport " + ".".join(["b"] * 16000)
+         + ";\nclass C extends " + ".".join(["c"] * 16000) + " { }", True, 1),
+        ("package p;\n" + "import a.B;\n" * 16000, True, 0),
+        ("import static a.B.*;\n" * 16000 + "class C<T> { }", False, 1),
+        ("@A " * 16000 + "public " + "@b.C " * 16000 + "class C { }", True, 1),
+        ("public " + "@A " * 16000 + "class C { } <", False, 1),
+        ("class " + "A" * 160000 + " { }", True, 1),
+        ("class C extends " + "A" * 160000 + "? { }", False, 0),
+    ], ids=["dotted-names-16000", "imports-16000", "imports-16000-unscanned",
+            "annotations-16000", "annotations-16000-unscanned", "identifier-160kB",
+            "identifier-160kB-unscanned"])
+    def test_hostile_headers_take_bounded_time(self, source, scanned, classes, monkeypatch):
+        scans = _record_scans(monkeypatch)
+        start = time.perf_counter()
+        with time_limit(5):
+            parsed = code_model._FileParser("Src.java", source, []).parse()
+        assert time.perf_counter() - start < 0.5
+        assert scans == [scanned] and len(parsed) == classes
 
 
 class TestTypeNames:
@@ -896,6 +1110,14 @@ class TestTokenizer:
             "skipping unexpected token '/'", "skipping unexpected token '*'"] + [
             "skipping unexpected token '/'", "skipping unexpected token '*'"] * 20000
 
+    def test_identifiers_start_at_any_letter(self):
+        # A number may start with a digit outside ASCII; an identifier with
+        # any other letter.
+        texts, _ = java_lexer.tokenize("Ärger 加载 _a $b a٣ ٣a ²x © 9")
+        assert texts == ["Ärger", "加载", "_a", "$b", "a٣", "٣a", "²x", "9"]
+        assert [java_lexer.is_ident(t) for t in texts] == [True] * 5 + [False, True, False]
+        assert code_model.opaque_expr("加载 + x.é").operand_vars == {"加载", "x", "é"}
+
     def test_lexemes_match_one_findall(self):
         # Splitting the scan at the last possible comment start changes no
         # lexeme.
@@ -912,15 +1134,15 @@ def _pieced_tokens(source: str) -> tuple[list[str], list[int]]:
     demand, and every other block left out by those of a cursor of its
     own."""
     log: list = []
-    parser = code_model._FileParser("Src.java", source, log)
-    for cls in parser.parse():
+    for cls in code_model._FileParser("Src.java", source, log).parse():
         cls.methods  # each deferred class logs its bodies
-    return _pieces(parser.cur, log)
+    return _pieces(_file_cursor(source), log)
 
 
 def _pieces(cur, log) -> tuple[list[str], list[int]]:
     """cur's tokens, with the deferred classes and bodies of log lexed in
-    their places and every other block expanded through FileCursor.block."""
+    their places and every other block expanded through a cursor of its
+    own."""
     deferred = {entry.start: entry for entry in log
                 if type(entry) in (code_model._DeferredBody, code_model._DeferredMembers)}
     texts: list[str] = []
@@ -946,7 +1168,8 @@ def _pieces(cur, log) -> tuple[list[str], list[int]]:
                                                            entry.closes, entry.k, entry.line),
                                 entry.log)
             else:
-                inner = _pieces(cur.block(i - 1, False), log)
+                inner = _pieces(java_lexer.FileCursor.over(
+                    cur.source, cur.opens, cur.closes, brace, cur.lines[i - 1], cur.code), log)
             texts += inner[0]
             lines += inner[1]
             i += 1  # the block's '}' token
@@ -1090,9 +1313,8 @@ class TestErrorRecovery:
             assert [c.fqn for c in classes] == fqns, module
             assert [d.message for d in diagnostics] == messages
         parser = code_model._FileParser("Src.java", source, [])
-        tokens = list(parser.cur.texts)
-        parser.parse()
-        assert parser.cur.texts == tokens
+        parser.parse()  # from the file's tokens, which it leaves as they were made
+        assert parser.cur.texts == _file_cursor(source).texts
 
     def test_too_deep_type_declarations_are_skipped(self):
         n = 5000
