@@ -2,9 +2,14 @@
 emitted tests and produce the machine-readable confirmation report.
 
 Commands are externally configured templates (the default targets a standard
-Maven single-test invocation); a missing toolchain degrades to a report in
-which every test stays Emitted, so analysis results are never lost to an
-unavailable build environment.
+Maven single-test invocation); a toolchain that cannot start degrades to a
+report in which every test stays Emitted, so analysis results are never lost
+to an unavailable build environment.
+
+Each template is split into words once, when its ToolchainConfig is made,
+and {test_class} is replaced in the words. shlex is imported where a
+template is split and subprocess where a command runs, so a run without a
+toolchain loads neither.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import shlex
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +33,15 @@ class IoFailure(VulnreachError):
     pass
 
 
+@functools.lru_cache(maxsize=64)
+def _words(template: str) -> tuple[str, ...]:
+    """A command template split shell-style into words: once per template,
+    when its config is made, and not again for each command run."""
+    import shlex
+
+    return tuple(shlex.split(template))
+
+
 @dataclass(frozen=True)
 class ToolchainConfig:
     compile_cmd: str = "mvn -q test-compile"
@@ -40,6 +52,13 @@ class ToolchainConfig:
     def __post_init__(self):
         if "{test_class}" not in self.test_cmd:
             raise ValueError("test_cmd must contain a {test_class} placeholder")
+        for name in ("compile_cmd", "test_cmd"):
+            try:
+                words = _words(getattr(self, name))
+            except ValueError as e:  # an unclosed quote
+                raise ValueError(f"{name}: {e}") from None
+            if not words:
+                raise ValueError(f"{name} must name a command")
 
 
 @dataclass(frozen=True)
@@ -79,32 +98,32 @@ class ConfirmationReport:
         return any(t.status == STATUS_CONFIRMED for t in self.tests)
 
 
-def _run(command: str, cwd: str, timeout_s: float) -> tuple[int, str]:
-    proc = subprocess.run(shlex.split(command), cwd=cwd, timeout=timeout_s,
-                          capture_output=True, text=True, errors="replace")
-    output = (proc.stdout + proc.stderr).strip()
-    return proc.returncode, output
-
-
-def _step(command: str, cfg: ToolchainConfig, failed: str, timed_out: str
+def _step(command: tuple[str, ...], cfg: ToolchainConfig, failed: str, timed_out: str
           ) -> tuple[str, str] | None:
     """None when command succeeds, else the (status, detail) it decides."""
+    import subprocess
+
     try:
-        code, output = _run(command, cfg.working_dir, cfg.timeout_s)
+        proc = subprocess.run(command, cwd=cfg.working_dir,
+                              timeout=cfg.timeout_s, capture_output=True,
+                              text=True, errors="replace")
     except subprocess.TimeoutExpired:
         return failed, timed_out
-    return (failed, output[-2000:]) if code != 0 else None
+    if proc.returncode == 0:
+        return None
+    return failed, (proc.stdout + proc.stderr).strip()[-2000:]
 
 
-def _compile(command: str, cfg: ToolchainConfig) -> tuple[str, str] | None:
+def _compile(command: tuple[str, ...], cfg: ToolchainConfig) -> tuple[str, str] | None:
     return _step(command, cfg, STATUS_COMPILE_ERROR, "compile timeout")
 
 
 def _confirm_one(artifact: TestArtifact, cfg: ToolchainConfig, compiled: bool) -> TestRecord:
     """Compile (unless the project-wide compile has run), then run; the
     first step that fails or times out decides."""
-    def command(template: str) -> str:
-        return template.replace("{test_class}", artifact.class_name)
+    def command(template: str) -> tuple[str, ...]:
+        return tuple(word.replace("{test_class}", artifact.class_name)
+                     for word in _words(template))
     outcome = ((not compiled and _compile(command(cfg.compile_cmd), cfg))
                or _step(command(cfg.test_cmd), cfg, STATUS_RUN_FAILED, "timeout")
                or (STATUS_CONFIRMED, ""))
@@ -134,11 +153,12 @@ def run_confirmation(artifacts: list[TestArtifact], cfg: ToolchainConfig,
     diagnostics: list[str] = []
     shared = "{test_class}" not in cfg.compile_cmd
     try:
-        failed = _compile(cfg.compile_cmd, cfg) if shared and artifacts else None
+        failed = _compile(_words(cfg.compile_cmd), cfg) if shared and artifacts else None
         tests = [TestRecord(a.file_name, *failed) if failed else _confirm_one(a, cfg, shared)
                  for a in artifacts]
-    except FileNotFoundError as e:
-        # Toolchain binary missing: everything stays Emitted.
+    except OSError as e:
+        # Toolchain binary missing or not executable, or no working
+        # directory: everything stays Emitted.
         diagnostics.append(f"toolchain unavailable: {e}")
         tests = [TestRecord(a.file_name, STATUS_EMITTED, "") for a in artifacts]
     return ConfirmationReport(project=project, cve_id=cve_id, paths=paths,

@@ -4,6 +4,9 @@ Assembles the generation prompt (Default, ZeroShot or FewShot variant),
 obtains two test sources per reachable path from either a pluggable LLM
 client or the deterministic offline generator, and emits the test files plus
 the interceptor scaffold into the target project's test directory.
+
+The LLM client's HTTP transport imports urllib.request at its first
+request, so an offline run never loads the HTTP and TLS stack.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,6 +219,12 @@ class LlmClient:
         self._transport = transport or self._http_transport
 
     def _http_transport(self, payload: dict) -> dict:
+        # Imported here, so that only a run that sends a request loads the
+        # HTTP and TLS stack.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env, "")
@@ -229,7 +236,9 @@ class LlmClient:
                 return json.loads(resp.read().decode("utf-8"))
         except urllib.error.HTTPError as e:
             raise LlmTransport(e.code) from e
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, http.client.HTTPException) as e:
+            # No connection, a reply that is not HTTP, or a body that is not
+            # UTF-8 JSON.
             raise LlmTransport(str(e)) from e
 
     def complete(self, prompt: str) -> str:

@@ -326,6 +326,26 @@ class TestAnalyzeCommand:
         assert {t.detail for t in report.tests} == {"compile failure \ufffd output"}
         assert report.totals == (2, 0, 0)
 
+    def test_toolchain_that_cannot_start_keeps_the_report(self, scratch_project, tmp_path):
+        # A compile_cmd naming a file that is not executable: the tests stay
+        # Emitted and the run still writes its report.
+        root = scratch_project("lion_reachable")
+        _, poc, _ = fixture_paths("lion_reachable")
+        tool = tmp_path / "tool.sh"
+        tool.write_text("#!/bin/sh\n")
+        tool.chmod(0o644)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"toolchain": {
+            "compile_cmd": str(tool), "test_cmd": f"{tool} {{test_class}}",
+            "working_dir": str(root)}}))
+        out = tmp_path / "out"
+        code = main(["analyze", "--project", str(root), "--poc", str(poc),
+                     "--out", str(out), "--confirm", "--config", str(config)])
+        assert code == 2
+        report = read_report(out / "report.json")
+        assert [t.status for t in report.tests] == ["Emitted"] * 2
+        assert report.diagnostics[-1].startswith("toolchain unavailable: [Errno 13]")
+
     def test_config_file_supplies_defaults_flags_win(self, scratch_project, tmp_path):
         root = scratch_project("lion_reachable")
         _, poc, _ = fixture_paths("lion_reachable")
@@ -360,9 +380,13 @@ class TestAnalyzeCommand:
         ({"allowlist": {"method_names": 5}}, "config.allowlist.method_names: expected list"),
         ({"allowlist": {"widen_to_object": False}}, "config.allowlist.widen_to_object: unknown key"),
         ({"confirm": "yes"}, "config.confirm: expected bool, got 'yes'"),
+        ({"toolchain": {"compile_cmd": ""}}, "compile_cmd must name a command"),
+        ({"toolchain": {"test_cmd": "mvn '-Dtest={test_class} test"}},
+         "test_cmd: No closing quotation"),
     ], ids=["list", "llm-string", "llm-unknown-key", "llm-missing-key", "toolchain-unknown-key",
             "mode", "prompt-style", "max-depth-list", "annotations-int", "allowlist-names-int",
-            "allowlist-widen", "confirm-string"])
+            "allowlist-widen", "confirm-string", "toolchain-empty-command",
+            "toolchain-unclosed-quote"])
     def test_malformed_config_is_one_error_line(self, scratch_project, tmp_path, capsys,
                                                 doc, message):
         root = scratch_project("lion_reachable")
@@ -709,6 +733,36 @@ def test_python_m_runs_the_cli(scratch_project, tmp_path):
         timeout=60)
     assert run.returncode == 2, run.stderr
     assert run.stdout == "paths: 1 (1 reachable)  tests: 2 emitted, 0 compiled, 0 confirmed\n"
+
+
+class TestColdStart:
+    """An offline run without --confirm, the CLI's default, loads neither the
+    LLM's HTTP client nor the toolchain's subprocess support: a cold process
+    would pay their import, and part of its peak memory, for nothing."""
+
+    UNUSED = ("urllib.request", "http.client", "ssl", "email.message", "socket",
+              "subprocess", "shlex")
+    SCRIPT = ("import sys\n"
+              "from vulnreach.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(sorted(m for m in {unused!r} if m in sys.modules))\n"
+              "sys.exit(code)\n")
+
+    def test_offline_analyze_loads_no_http_client_or_subprocess(self, scratch_project,
+                                                                tmp_path):
+        root = scratch_project("lion_reachable")
+        _, poc, _ = fixture_paths("lion_reachable")
+        src = Path(__file__).resolve().parents[1] / "src"
+        # -S: no site module, so only what the import and the run load.
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", self.SCRIPT.format(unused=self.UNUSED),
+             "analyze", "--project", str(root), "--poc", str(poc),
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, capture_output=True,
+            text=True, timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert run.stdout.splitlines() == [
+            "paths: 1 (1 reachable)  tests: 2 emitted, 0 compiled, 0 confirmed", "[]"]
 
 
 def test_run_pipeline_paths_only_marks_all_reachable(scratch_project, tmp_path):

@@ -1,3 +1,4 @@
+import errno
 import json
 import sys
 from pathlib import Path
@@ -82,15 +83,26 @@ class TestRunConfirmation:
         assert report.project_confirmed
 
     def test_toolchain_missing(self, tmp_path, lion_result):
+        # Whatever keeps the toolchain from starting, the tests stay Emitted:
+        # a missing binary, one that is not executable, or a working
+        # directory that is a file.
         arts = _artifacts(lion_result)
-        cfg = ToolchainConfig(
-            compile_cmd="vulnreach-no-such-binary compile",
-            test_cmd="vulnreach-no-such-binary run {test_class}",
-            working_dir=str(tmp_path))
-        report = run_confirmation(arts, cfg)
-        assert [t.status for t in report.tests] == [STATUS_EMITTED] * 3
-        assert not report.project_confirmed
-        assert report.diagnostics
+        script = tmp_path / "tool.sh"
+        script.write_text("#!/bin/sh\n")
+        script.chmod(0o644)
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        for tool, working_dir, code in [("vulnreach-no-such-binary", tmp_path, errno.ENOENT),
+                                        (script, tmp_path, errno.EACCES),
+                                        (sys.executable, a_file, errno.ENOTDIR)]:
+            cfg = ToolchainConfig(compile_cmd=f"{tool} compile",
+                                  test_cmd=f"{tool} run {{test_class}}",
+                                  working_dir=str(working_dir))
+            report = run_confirmation(arts, cfg)
+            assert [t.status for t in report.tests] == [STATUS_EMITTED] * 3
+            assert not report.project_confirmed
+            (diagnostic,) = report.diagnostics
+            assert diagnostic.startswith(f"toolchain unavailable: [Errno {code}] ")
 
     def test_run_timeout_recorded(self, tmp_path, lion_result):
         arts = _artifacts(lion_result, n=1)
@@ -254,3 +266,16 @@ def test_serialize_report_text_is_pinned():
 def test_test_cmd_placeholder_required():
     with pytest.raises(ValueError):
         ToolchainConfig(test_cmd="mvn test")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"compile_cmd": ""}, "compile_cmd must name a command"),
+    ({"compile_cmd": "  "}, "compile_cmd must name a command"),
+    ({"compile_cmd": "mvn '-q test-compile"}, "compile_cmd: No closing quotation"),
+    ({"test_cmd": 'mvn -Dtest="{test_class} test'}, "test_cmd: No closing quotation"),
+], ids=["empty", "blank", "unclosed-quote", "unclosed-quote-in-test-cmd"])
+def test_toolchain_commands_split_into_words(fields, message):
+    # Checked when the config is made, before any test is emitted.
+    with pytest.raises(ValueError) as raised:
+        ToolchainConfig(**fields)
+    assert str(raised.value) == message

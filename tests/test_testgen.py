@@ -1,4 +1,8 @@
+import contextlib
+import http.server
 import json
+import socket
+import threading
 
 import pytest
 
@@ -266,42 +270,76 @@ class TestGenerateTestsLlm:
         assert extract_code_blocks(text) == ["ONE\n", "TWO\n"]
 
     def test_http_transport_wire_contract(self, monkeypatch):
-        import http.server
-        import threading
-
         seen = {}
 
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers["Content-Length"])
-                seen["payload"] = json.loads(self.rfile.read(length))
-                seen["auth"] = self.headers.get("Authorization")
-                body = json.dumps({"choices": [{"message": {"content": "ok"}}]})
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.end_headers()
-                self.wfile.write(body.encode())
+        def respond(handler):
+            length = int(handler.headers["Content-Length"])
+            seen["payload"] = json.loads(handler.rfile.read(length))
+            seen["auth"] = handler.headers.get("Authorization")
+            _reply(handler, 200, json.dumps(
+                {"choices": [{"message": {"content": "ok"}}]}).encode())
 
-            def log_message(self, *args):
-                pass
-
-        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            monkeypatch.setenv("VULNREACH_TEST_KEY", "sk-secret")
-            cfg = LlmClientConfig(
-                endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat",
-                model_name="model-x", api_key_env="VULNREACH_TEST_KEY",
-                timeout_s=5.0)
-            client = LlmClient(cfg)
-            assert client.complete("PROMPT TEXT") == "ok"
-        finally:
-            server.shutdown()
+        monkeypatch.setenv("VULNREACH_TEST_KEY", "sk-secret")
+        with _local_server(respond) as endpoint:
+            cfg = LlmClientConfig(endpoint=endpoint, model_name="model-x",
+                                  api_key_env="VULNREACH_TEST_KEY", timeout_s=5.0)
+            assert LlmClient(cfg).complete("PROMPT TEXT") == "ok"
         assert seen["auth"] == "Bearer sk-secret"
         assert seen["payload"]["model"] == "model-x"
         assert seen["payload"]["messages"] == [
             {"role": "user", "content": "PROMPT TEXT"}]
+
+    @pytest.mark.parametrize("respond, status", [
+        (lambda handler: handler.send_error(503), 503),
+        (lambda handler: _reply(handler, 200, b"not json"), None),
+        (lambda handler: _reply(handler, 200, b"\xff\xfe"), None),
+        (lambda handler: handler.wfile.write(b"not http\r\n\r\n"), None),
+    ], ids=["status-503", "body-not-json", "body-not-utf8", "reply-not-http"])
+    def test_http_transport_failure(self, respond, status):
+        with _local_server(respond) as endpoint:
+            cfg = LlmClientConfig(endpoint=endpoint, model_name="m", timeout_s=5.0)
+            with pytest.raises(LlmTransport) as raised:
+                LlmClient(cfg).complete("PROMPT")
+        if status is not None:
+            assert raised.value.status == status
+
+    def test_http_transport_no_listener(self):
+        with socket.socket() as s:  # a port that was free a moment ago
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        cfg = LlmClientConfig(endpoint=f"http://127.0.0.1:{port}/v1/chat", model_name="m",
+                              timeout_s=5.0)
+        with pytest.raises(LlmTransport):
+            LlmClient(cfg).complete("PROMPT")
+
+
+def _reply(handler, code: int, body: bytes) -> None:
+    handler.send_response(code)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(body)))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+@contextlib.contextmanager
+def _local_server(respond):
+    """An HTTP server on 127.0.0.1 that answers each POST with
+    respond(handler); yields its endpoint URL."""
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            respond(self)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 class TestEmitTests:
