@@ -88,8 +88,6 @@ class CallGraph:
 
 @dataclass(frozen=True)
 class PathFilterConfig:
-    exclude_annotations: frozenset[str] = frozenset({"Test"})
-    exclude_visibilities: frozenset[str] = frozenset({"private"})
     max_depth: int = 8
     max_paths: int = 64
 
@@ -126,13 +124,6 @@ class MethodCallPath:
         return tuple(m.signature() for m in self.methods)
 
 
-@dataclass
-class PathBudgetExceeded:
-    """Diagnostic: max_paths truncated the enumeration (results still valid)."""
-
-    limit: int
-
-
 def localize_vulnerable_methods(model: CodeModel, report: VulnerabilityReport
                                 ) -> list[tuple[MethodDecl, Statement, Expr]]:
     """Every (client method, call-site statement, call) invoking the
@@ -157,27 +148,24 @@ def build_call_graph(model: CodeModel) -> CallGraph:
     return CallGraph(model)
 
 
-def is_entry_eligible(method: MethodDecl, filters: PathFilterConfig) -> bool:
-    if method.is_constructor:
-        return False
-    if method.visibility in filters.exclude_visibilities:
-        return False
-    if any(a in filters.exclude_annotations for a in method.annotations):
-        return False
-    return True
+def is_entry_eligible(method: MethodDecl) -> bool:
+    """Whether a path may start at method: a user-accessible entry is no
+    constructor, not private and not a @Test method."""
+    return not (method.is_constructor or method.visibility == "private"
+                or "Test" in method.annotations)
 
 
 def extract_call_paths(graph: CallGraph, model: CodeModel,
                        targets: list[tuple[MethodDecl, Statement, Expr]],
                        filters: PathFilterConfig | None = None,
-                       diagnostics: list | None = None) -> list[MethodCallPath]:
+                       diagnostics: list[str] | None = None) -> list[MethodCallPath]:
     """The first max_paths call paths, in order, from an entry method to each
     vulnerable call site.
 
     A path is a chain of distinct methods, entry first, in which each method
     calls the next and the last one holds the vulnerable call. It is kept when
-    it has at most max_depth methods, its first method passes the entry
-    filters, and every caller of that first method already lies on the path:
+    it has at most max_depth methods, its first method is entry-eligible,
+    and every caller of that first method already lies on the path:
     it is a maximal acyclic caller chain. Paths are ordered lexicographically
     by signature sequence, then by call-site (line, index) sequence; one path
     is produced per combination of call sites along its methods. Each hop
@@ -195,7 +183,7 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
     then reach the target. It thus yields the target's paths lazily in the
     documented order. The per-target streams are merged and only
     max_paths + 1 paths are drawn; the extra one only signals truncation,
-    which appends PathBudgetExceeded to diagnostics.
+    which appends "path budget exceeded (max_paths=N)" to diagnostics.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
@@ -222,7 +210,7 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
         for head in sorted(dist):
             method = target if head == t else model.method_by_signature(head)
             head_callers = {e.caller for e in incoming(head)}
-            if not is_entry_eligible(method, filters) or not head_callers <= dist.keys():
+            if not is_entry_eligible(method) or not head_callers <= dist.keys():
                 continue
             required = {}
             for m in head_callers - {head, t}:
@@ -244,7 +232,7 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
     if len(results) > filters.max_paths:
         del results[filters.max_paths:]
         if diagnostics is not None:
-            diagnostics.append(PathBudgetExceeded(limit=filters.max_paths))
+            diagnostics.append(f"path budget exceeded (max_paths={filters.max_paths})")
     return results
 
 

@@ -38,15 +38,12 @@ from .confirm import (
     write_report,
 )
 from .errors import VulnreachError
-from .ptg import (
-    ConversionAllowlist,
-    ReachabilityResult,
-    analyse_path,
-    decide_reachability,
-)
+from .ptg import ReachabilityResult, analyse_path, decide_reachability
 from .testgen import (
     LlmClient,
     LlmClientConfig,
+    LlmNoCodeBlock,
+    LlmTransport,
     TemplateGap,
     assemble_prompt,
     emit_tests,
@@ -72,7 +69,6 @@ class RunConfig:
     confirm: bool = False
     report_path: Path | None = None
     test_dir: str = "src/test/java"
-    allowlist: ConversionAllowlist = field(default_factory=ConversionAllowlist)
 
     def __post_init__(self):
         if self.gen_mode == "llm" and self.llm is None:
@@ -94,10 +90,9 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
 
     if targets:
         graph = build_call_graph(model)
-        path_diags: list = []
+        path_diags: list[str] = []
         paths = extract_call_paths(graph, model, targets, cfg.filters, path_diags)
-        diagnostics.extend(f"path budget exceeded (max_paths={d.limit})"
-                           for d in path_diags)
+        diagnostics.extend(path_diags)
 
         llm_client = LlmClient(cfg.llm) if cfg.gen_mode == "llm" else None
 
@@ -109,7 +104,7 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
                                             path_reachable=True, analysis=None)
                 summary: tuple[str, ...] = ()
             else:
-                analysis = analyse_path(path, model, cfg.allowlist, memo)
+                analysis = analyse_path(path, model, memo)
                 result = decide_reachability(analysis, report)
                 summary = analysis.kinds()
             path_records.append(PathRecord(signatures=path.signatures(),
@@ -126,9 +121,9 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
                 artifacts.extend(generate_tests(
                     bundle, result, report, mode=cfg.gen_mode, llm=llm_client,
                     model=model, path_number=number, diagnostics=gen_diags))
-            except TemplateGap as gap:
+            except (TemplateGap, LlmTransport, LlmNoCodeBlock) as e:
                 # This path gets no tests; the other paths keep theirs.
-                gen_diags.append(f"path {number} ({path.entry.signature()}): {gap}; "
+                gen_diags.append(f"path {number} ({path.entry.signature()}): {e}; "
                                  "no tests generated")
             diagnostics.extend(str(d) for d in gen_diags)
 
@@ -167,19 +162,17 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
 
 _STYLE_BY_FLAG = {"default": "Default", "zero-shot": "ZeroShot", "few-shot": "FewShot"}
 
-# Config file keys and their values (see vuln_report.check_doc). A key mapped
-# to None is ignored with a warning: LLM requests are sent one at a time.
+# Config file keys and their values (see vuln_report.check_doc). Every key
+# sets a RunConfig field; any other key is an error.
 _CONFIG_SCHEMA = {
     "project": str, "poc": str, "out": str, "report": str, "test_dir": str,
     "mode": ("full", MODE_PATHS_ONLY), "prompt_style": tuple(_STYLE_BY_FLAG),
     "gen": ("offline", "llm"), "max_depth": int, "max_paths": int,
     "force": bool, "confirm": bool,
-    "exclude_annotations": list, "exclude_visibilities": list,
     "llm": {"endpoint": Required(str), "model_name": Required(str), "api_key_env": str,
-            "timeout_s": float, "max_in_flight": None},
+            "timeout_s": float},
     "toolchain": {"compile_cmd": str, "test_cmd": str, "timeout_s": float,
                   "working_dir": str},
-    "allowlist": {"method_names": list, "qualified": list},
 }
 
 
@@ -226,7 +219,7 @@ def _load_config_file(path: str | None) -> dict:
 # that field's name.
 _FIELD_BY_KEY = {"mode": "mode", "gen": "gen_mode", "force": "force_overwrite",
                  "confirm": "confirm", "test_dir": "test_dir"}
-_FILTER_KEYS = ("max_depth", "max_paths", "exclude_annotations", "exclude_visibilities")
+_FILTER_KEYS = ("max_depth", "max_paths")
 
 
 def _merge(args: argparse.Namespace, doc: dict) -> RunConfig:
@@ -242,16 +235,12 @@ def _merge(args: argparse.Namespace, doc: dict) -> RunConfig:
         run["prompt_style"] = _STYLE_BY_FLAG[given["prompt_style"]]
     if given.get("report"):
         run["report_path"] = Path(given["report"])
-    run["filters"] = PathFilterConfig(**{
-        key: frozenset(value) if isinstance(value, tuple) else value
-        for key, value in given.items() if key in _FILTER_KEYS})
+    run["filters"] = PathFilterConfig(**{key: given[key] for key in _FILTER_KEYS
+                                         if key in given})
     if "llm" in given:
         run["llm"] = LlmClientConfig(**given["llm"])
     if "toolchain" in given:
         run["toolchain"] = ToolchainConfig(**given["toolchain"])
-    if "allowlist" in given:
-        run["allowlist"] = ConversionAllowlist(**{key: frozenset(value)
-                                                  for key, value in given["allowlist"].items()})
     return RunConfig(project_root=Path(given["project"]), poc_file=Path(given["poc"]),
                      out_dir=Path(given["out"]), **run)
 

@@ -9,10 +9,11 @@ slice. The verdict is a fixpoint over those origin sets (the summary edges
 of IFDS: Reps, Horwitz & Sagiv, POPL 1995); chains are expanded only when
 read.
 
-Propagation kinds:
+Propagation kinds, the paper's four, by rules that no setting changes:
   DirectPropagation  value passed on unchanged
-  TypeConversion     type changes, value preserved (casts, valueOf, toString...)
-  ValueChange        value altered (operators, concatenation, arbitrary calls)
+  TypeConversion     type changes, value preserved (casts, widening to
+                     Object, the calls in CONVERSIONS: valueOf, toString...)
+  ValueChange        value altered (operators, concatenation, other calls)
   NoPropagation      value originates internally, not from the method's inputs
 
 A variable counts as input-carrying ("upstream") when it is a formal
@@ -42,37 +43,25 @@ BENIGN = (DIRECT, TYPE_CONVERSION)
 
 
 # ---------------------------------------------------------------------------
-# conversion allowlist
+# type conversions
 # ---------------------------------------------------------------------------
 
 _BOX_TYPES = ("Integer", "Long", "Short", "Byte", "Double", "Float", "Boolean", "Character")
 
-
-@dataclass(frozen=True)
-class ConversionAllowlist:
-    """Calls treated as value-preserving type conversions.
-
-    method_names match on the bare method name regardless of receiver;
-    qualified entries match '<ReceiverSimpleName>.<method>'.
-    """
-
-    method_names: frozenset[str] = frozenset(
-        {"toString", "intValue", "longValue", "shortValue", "byteValue",
-         "doubleValue", "floatValue", "booleanValue", "charValue"})
-    qualified: frozenset[str] = frozenset(
-        {"String.valueOf"} | {f"{t}.valueOf" for t in _BOX_TYPES})
-
-    def matches(self, call_expr: Expr) -> bool:
-        if call_expr.name in self.method_names:
-            return True
-        if call_expr.receiver_text:
-            simple = call_expr.receiver_text.rsplit(".", 1)[-1]
-            if f"{simple}.{call_expr.name}" in self.qualified:
-                return True
-        return False
+# Calls that change a value's type but not its value: a bare method name
+# matches on any receiver, '<ReceiverSimpleName>.<method>' on that receiver.
+CONVERSIONS = frozenset(
+    {"toString", "intValue", "longValue", "shortValue", "byteValue", "doubleValue",
+     "floatValue", "booleanValue", "charValue", "String.valueOf"}
+    | {f"{t}.valueOf" for t in _BOX_TYPES})
 
 
-DEFAULT_ALLOWLIST = ConversionAllowlist()
+def is_conversion(call: Expr) -> bool:
+    """Whether call is one of CONVERSIONS."""
+    if call.name in CONVERSIONS:
+        return True
+    receiver = call.receiver_text
+    return bool(receiver) and f"{receiver.rsplit('.', 1)[-1]}.{call.name}" in CONVERSIONS
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +197,6 @@ def ordered_vars(expr: Expr, known: frozenset[str]) -> tuple[str, ...]:
 
 
 def classify_expr(expr: Expr | None, upstream: frozenset[str],
-                  allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST,
                   declared_type: str | None = None) -> str:
     """Classify a right-hand side (or argument expression) against the set of
     input-carrying variables."""
@@ -221,9 +209,9 @@ def classify_expr(expr: Expr | None, upstream: frozenset[str],
             return TYPE_CONVERSION
         return DIRECT
     if expr.kind == "Cast":
-        inner = classify_expr(expr.args[0], upstream, allowlist)
+        inner = classify_expr(expr.args[0], upstream)
         return TYPE_CONVERSION if inner == DIRECT else inner
-    if expr.kind == "Call" and allowlist.matches(expr):
+    if expr.kind == "Call" and is_conversion(expr):
         data = [e for e in (expr.receiver, *expr.args) if e is not None and e.operand_vars]
         if len(data) == 1 and data[0].kind == "VarRef":
             return TYPE_CONVERSION if data[0].name in upstream else NO_PROPAGATION
@@ -231,14 +219,13 @@ def classify_expr(expr: Expr | None, upstream: frozenset[str],
     return VALUE_CHANGE if expr.operand_vars & upstream else NO_PROPAGATION
 
 
-def classify_statement(stmt: Statement, upstream_vars: frozenset[str],
-                       allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST) -> TransferType:
+def classify_statement(stmt: Statement, upstream_vars: frozenset[str]) -> TransferType:
     """Classify one statement participating in a PTG chain. Statements
     outside the parsed subset (kind Other) classify as ValueChange."""
     if stmt.kind == "Other":
         return TransferType(VALUE_CHANGE, stmt)
     declared = stmt.declared_type if stmt.kind == "Declaration" else None
-    kind = classify_expr(stmt.rhs_expr, upstream_vars, allowlist, declared_type=declared)
+    kind = classify_expr(stmt.rhs_expr, upstream_vars, declared_type=declared)
     return TransferType(kind, stmt)
 
 
@@ -247,8 +234,7 @@ def known_variables(method: MethodDecl, fields: frozenset[str] = frozenset()) ->
                      | {st.lhs for st in method.body if st.lhs})
 
 
-def upstream_closure(method: MethodDecl, allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST,
-                     fields: frozenset[str] = frozenset()) -> frozenset[str]:
+def upstream_closure(method: MethodDecl) -> frozenset[str]:
     """Variables carrying the method's input: the formal parameters plus
     everything derived from them through benign hops only. Order-insensitive
     so a field assigned from a formal anywhere in the body counts."""
@@ -260,7 +246,7 @@ def upstream_closure(method: MethodDecl, allowlist: ConversionAllowlist = DEFAUL
             if st.kind in ("Declaration", "Assignment") and st.lhs and st.lhs not in upstream \
                     and st.rhs_expr is not None \
                     and not upstream.isdisjoint(st.rhs_expr.operand_vars) \
-                    and classify_statement(st, upstream, allowlist).kind in BENIGN:
+                    and classify_statement(st, upstream).kind in BENIGN:
                 upstream.add(st.lhs)
                 changed = True
     return frozenset(upstream)
@@ -287,8 +273,7 @@ class DefUseGraph:
     reaching them through benign hops only and of the kinds on their slices."""
 
     def __init__(self, method: MethodDecl, roots: list[tuple[str, int]],
-                 known: frozenset[str], upstream: frozenset[str],
-                 allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST):
+                 known: frozenset[str], upstream: frozenset[str]):
         defs: dict[str, list[Statement]] = {}
         for st in method.body:
             if st.lhs and st.kind in ("Declaration", "Assignment"):
@@ -308,7 +293,7 @@ class DefUseGraph:
         # var -> (index, statement, origins, kinds, declared so far) per definition
         self._sums: dict[str, list[tuple]] = {}
         for st in (st for st in method.body if st.index in self.sources):
-            t = self.types[st.index] = classify_statement(st, upstream, allowlist)
+            t = self.types[st.index] = classify_statement(st, upstream)
             origins, kinds = (set() if self.sources[st.index] else {None}), {t.kind}
             for v in self.sources[st.index]:
                 _, _, o, k, declared = self._last(v, st.index)
@@ -385,31 +370,23 @@ class DefUseGraph:
 
 
 def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,
-                      fields: frozenset[str] = frozenset(),
-                      allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST,
                       facts: tuple[frozenset[str], frozenset[str]] | None = None
                       ) -> MethodTransfer:
     """Analyse how values reach the arguments of one call site in a method.
     facts, when given, are the method's known and upstream variables, as
-    _method_facts computes them once for all its call sites."""
-    known, upstream = facts or _method_facts(method, fields, allowlist)
+    analyse_path computes them once for all its call sites."""
+    known, upstream = facts or (known_variables(method), upstream_closure(method))
     terminals = [ordered_vars(arg_expr, known) for arg_expr in call_expr.args]
     graph = DefUseGraph(method, [(v, call_stmt.index) for vs in terminals for v in vs],
-                        known, upstream, allowlist)
+                        known, upstream)
     args = tuple(ArgAnalysis(
         j, arg_expr, arg_expr.name if arg_expr.kind == "VarRef" else f"arg{j}", terminals[j],
-        graph, TransferType(classify_expr(arg_expr, upstream, allowlist), call_stmt))
+        graph, TransferType(classify_expr(arg_expr, upstream), call_stmt))
         for j, arg_expr in enumerate(call_expr.args))
     return MethodTransfer(method=method, call_stmt=call_stmt, args=args)
 
 
-def _method_facts(method: MethodDecl, fields: frozenset[str], allowlist: ConversionAllowlist
-                  ) -> tuple[frozenset[str], frozenset[str]]:
-    return known_variables(method, fields), upstream_closure(method, allowlist, fields)
-
-
 def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
-                 allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST,
                  memo: dict | None = None) -> PathAnalysis:
     """Walk the call path from its end to its start, analysing at each method
     the call that leads to the next hop (the vulnerable call in the last
@@ -420,9 +397,9 @@ def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
     with callee None on the last hop), its MethodTransfer. A hop already in
     memo is not analysed again. run_pipeline passes one dict per run, so the
     paths of one run share it and nothing outlives the run; every call
-    sharing a memo must pass the same model and allowlist, and paths whose
-    hops each go through the call that the model's call graph gives them.
-    Without one, the path gets a fresh dict."""
+    sharing a memo must pass the same model, and paths whose hops each go
+    through the call that the model's call graph gives them. Without one,
+    the path gets a fresh dict."""
     memo = {} if memo is None else memo
     per_method: list[MethodTransfer] = []
     k = len(path.methods)
@@ -432,11 +409,9 @@ def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
         if key not in memo:
             if method not in memo:
                 owner = model.owner_of(method) if model is not None else None
-                memo[method] = _method_facts(
-                    method, owner.field_names() if owner is not None else frozenset(),
-                    allowlist)
-            memo[key] = analyse_call_site(method, stmt, path.calls[i], allowlist=allowlist,
-                                          facts=memo[method])
+                fields = owner.field_names() if owner is not None else frozenset()
+                memo[method] = known_variables(method, fields), upstream_closure(method)
+            memo[key] = analyse_call_site(method, stmt, path.calls[i], facts=memo[method])
         per_method.append(memo[key])
     return PathAnalysis(path=path, per_method=tuple(per_method))
 

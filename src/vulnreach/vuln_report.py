@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,16 +144,14 @@ def _expected(want) -> str:
 
 
 def check_doc(doc, schema: dict, where: str) -> dict:
-    """doc checked against schema, without the keys schema ignores; JSON
-    lists come back as tuples. Raises SchemaViolation naming the first
-    object that is not one, or key that is unknown, missing while Required,
-    or holds a value of the wrong type.
+    """doc checked against schema; JSON lists come back as tuples. Raises
+    SchemaViolation naming the first object that is not one, or key that is
+    unknown, missing while Required, or holds a value of the wrong type.
 
     A schema maps each key to what its value must be: a type (float takes
     integers too; list means a list of strings), NON_EMPTY, a tuple of the
-    accepted values, a section (dict), a list of sections ([dict]), or None
-    for a key that is ignored with a warning. Required(...) wraps any of
-    them."""
+    accepted values, a section (dict) or a list of sections ([dict]).
+    Required(...) wraps any of them."""
     if not isinstance(doc, dict):
         raise SchemaViolation(where, f"expected object, got {type(doc).__name__}")
     for key in doc:
@@ -168,9 +165,7 @@ def check_doc(doc, schema: dict, where: str) -> dict:
         path, want = f"{where}.{key}", schema[key]
         if isinstance(want, Required):
             want = want.want
-        if want is None:
-            print(f"WARN {path} is ignored", file=sys.stderr)
-        elif isinstance(want, dict):
+        if isinstance(want, dict):
             out[key] = check_doc(value, want, path)
         elif not _fits(value, want):
             raise SchemaViolation(path, f"expected {_expected(want)}, got {value!r}")

@@ -14,7 +14,6 @@ from vulnreach.call_graph import (
     CallEdge,
     CallGraph,
     MethodCallPath,
-    PathBudgetExceeded,
     PathFilterConfig,
     is_entry_eligible,
 )
@@ -38,7 +37,7 @@ def oracle_call_paths(graph: CallGraph, model: CodeModel,
     Backward traversal from each target method; a chain is emitted when it
     cannot be extended by any unvisited caller (or max_depth is reached, in
     which case the still-extensible chain is dropped as incomplete) and its
-    first method passes the entry filters. Ordering is deterministic:
+    first method is entry-eligible. Ordering is deterministic:
     lexicographic by signature sequence, then by call-site position.
     """
     if not targets:
@@ -56,7 +55,7 @@ def oracle_call_paths(graph: CallGraph, model: CodeModel,
             incoming = [e for e in callers_of(graph, head.signature())
                         if e.caller not in seen]
             if not incoming:
-                if is_entry_eligible(head, filters):
+                if is_entry_eligible(head):
                     results.append(_to_path(chain))
                 return
             if len(chain) >= filters.max_depth:
@@ -76,7 +75,7 @@ def oracle_call_paths(graph: CallGraph, model: CodeModel,
         truncated = True
         results = results[: filters.max_paths]
     if truncated and diagnostics is not None:
-        diagnostics.append(PathBudgetExceeded(limit=filters.max_paths))
+        diagnostics.append(f"path budget exceeded (max_paths={filters.max_paths})")
     return results
 
 

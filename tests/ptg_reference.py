@@ -22,9 +22,7 @@ from vulnreach.code_model import CodeModel, Expr, MethodDecl, Statement
 from vulnreach.errors import VulnreachError
 from vulnreach.ptg import (
     BENIGN,
-    DEFAULT_ALLOWLIST,
     NO_PROPAGATION,
-    ConversionAllowlist,
     DefUseGraph,
     ParameterPath,
     PtgTuple,
@@ -58,7 +56,7 @@ def build_ptg(method: MethodDecl, callee_params: list[str],
     if unknown := [cp for cp in callee_params if cp not in mentioned]:
         raise UnknownVariable(unknown[0])
     graph = DefUseGraph(method, [(cp, use_index) for cp in callee_params], known,
-                        upstream_closure(method, fields=fields))
+                        upstream_closure(method))
     hops = (PtgTuple(src, st.lhs, st) for st in method.body if st.index in graph.sources
             for src in graph.sources[st.index] or (None,))
     return tuple(sorted(hops, key=lambda t: (t.edge.index, t.target, t.source or "")))
@@ -147,15 +145,14 @@ def _enumerate_chains(method: MethodDecl, var: str, before_index: int,
 
 def _paths_for_var(method: MethodDecl, var: str, call_stmt: Statement,
                    arg_expr: Expr, known: frozenset[str],
-                   upstream: frozenset[str],
-                   allowlist: ConversionAllowlist) -> list[ParameterPath]:
+                   upstream: frozenset[str]) -> list[ParameterPath]:
     """ParameterPaths for one callee variable: each def-use chain plus the
     final argument-pass hop at the call site."""
     pass_hop = PtgTuple(source=var, target=var, edge=call_stmt)
-    pass_type = TransferType(classify_expr(arg_expr, upstream, allowlist), call_stmt)
+    pass_type = TransferType(classify_expr(arg_expr, upstream), call_stmt)
     out: list[ParameterPath] = []
     for chain in _enumerate_chains(method, var, call_stmt.index, known):
-        types = tuple(classify_statement(h.edge, upstream, allowlist) for h in chain.hops)
+        types = tuple(classify_statement(h.edge, upstream) for h in chain.hops)
         out.append(ParameterPath(
             parameter=var,
             hops=chain.hops + (pass_hop,),
@@ -172,18 +169,17 @@ def _display_name(expr: Expr, position: int) -> str:
 
 
 def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,
-                      fields: frozenset[str] = frozenset(),
-                      allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST) -> MethodTransfer:
+                      fields: frozenset[str] = frozenset()) -> MethodTransfer:
     """Analyse how values reach the arguments of one call site in a method."""
     known = known_variables(method, fields)
-    upstream = upstream_closure(method, allowlist, fields)
+    upstream = upstream_closure(method)
     args: list[ArgAnalysis] = []
     for j, arg_expr in enumerate(call_expr.args):
         terminal = ordered_vars(arg_expr, known)
         paths: list[ParameterPath] = []
         for var in terminal:
             paths.extend(_paths_for_var(method, var, call_stmt, arg_expr, known,
-                                        upstream, allowlist))
+                                        upstream))
         args.append(ArgAnalysis(
             position=j,
             expr=arg_expr,
@@ -218,8 +214,7 @@ def _owner_fields(model: CodeModel | None, method: MethodDecl) -> frozenset[str]
 
 
 def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
-                 report: VulnerabilityReport | None = None,
-                 allowlist: ConversionAllowlist = DEFAULT_ALLOWLIST) -> PathAnalysis:
+                 report: VulnerabilityReport | None = None) -> PathAnalysis:
     """Walk the call path from its end to its start, analysing at each method
     the call site that leads to the next hop (the vulnerable call in the last
     method).
@@ -238,8 +233,7 @@ def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
                                              args=(), upstream=frozenset()))
             continue
         per_method.append(analyse_call_site(
-            method, stmt, call_expr, fields=_owner_fields(model, method),
-            allowlist=allowlist))
+            method, stmt, call_expr, fields=_owner_fields(model, method)))
     return PathAnalysis(path=path, per_method=tuple(per_method))
 
 

@@ -6,7 +6,6 @@ import pytest
 from vulnreach import call_graph
 from vulnreach.call_graph import (
     MethodCallPath,
-    PathBudgetExceeded,
     PathFilterConfig,
     build_call_graph,
     extract_call_paths,
@@ -232,17 +231,18 @@ class TestExtractCallPaths:
         shallow = extract_call_paths(graph, model, targets, PathFilterConfig(max_depth=2))
         assert {p.signatures() for p in shallow} <= {p.signatures() for p in deep}
 
-    def test_shrinking_exclusions_never_removes(self):
+    def test_test_rooted_path_is_never_drawn(self):
+        # checkDecode -> decode is the only caller chain, and its entry is a
+        # @Test method: no filter setting draws it.
         model, report = _setup("test_annotation_entry")
         targets = localize_vulnerable_methods(model, report)
         graph = build_call_graph(model)
-        strict = extract_call_paths(graph, model, targets, PathFilterConfig())
-        lax = extract_call_paths(
-            graph, model, targets,
-            PathFilterConfig(exclude_annotations=frozenset()))
-        assert {p.signatures() for p in strict} <= {p.signatures() for p in lax}
-        # The @Test-rooted path appears once the exclusion is lifted.
-        assert len(lax) == 1
+        entry = model.method_by_signature(next(iter(graph.incoming(
+            targets[0][0].signature()))).caller)
+        assert entry.name == "checkDecode" and "Test" in entry.annotations
+        assert not is_entry_eligible(entry)
+        for filters in (PathFilterConfig(), PathFilterConfig(max_depth=64, max_paths=64)):
+            assert extract_call_paths(graph, model, targets, filters) == []
 
     def test_max_paths_budget(self):
         model, report = _setup("diamond_paths")
@@ -252,7 +252,7 @@ class TestExtractCallPaths:
         capped = extract_call_paths(graph, model, targets,
                                     PathFilterConfig(max_paths=1), diags)
         assert len(capped) == 1
-        assert diags and diags[0].limit == 1
+        assert diags == ["path budget exceeded (max_paths=1)"]
 
     def test_byte_stable_output(self):
         a = self._paths("diamond_paths")[2]
@@ -291,7 +291,7 @@ class TestBudgetedSearch:
         assert [p.signatures() for p in paths] == [
             first + (f"g.L6#m{a}()", f"g.L7#m{b}()", "g.T#sink()")
             for a in range(8) for b in range(8)]
-        assert diags == [PathBudgetExceeded(limit=64)]
+        assert diags == ["path budget exceeded (max_paths=64)"]
 
 
 def _generated_models(tmp_path, seeds=(1, 2)):
@@ -385,4 +385,4 @@ class TestOnDemandGraph:
 def test_constructor_not_entry_eligible():
     model, _ = _setup("interface_dispatch")
     ctor = next(m for _, m in model.all_methods() if m.is_constructor)
-    assert not is_entry_eligible(ctor, PathFilterConfig())
+    assert not is_entry_eligible(ctor)

@@ -14,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from vulnreach import cli, code_model, java_lexer
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
-from vulnreach.call_graph import PathBudgetExceeded
 from vulnreach.code_model import parse_project
 from vulnreach.confirm import read_report
-from vulnreach.vuln_report import check_doc, parse_report
+from vulnreach.vuln_report import Required, check_doc, parse_report
 
 from call_graph_reference import eager_call_graph
 from conftest import (bench_generators, bench_spans, corpus_names, fixture_paths, time_limit,
@@ -376,16 +375,21 @@ class TestAnalyzeCommand:
         ({"mode": "bogus"}, "config.mode: expected one of full, paths-only, got 'bogus'"),
         ({"prompt_style": "x"}, "config.prompt_style: expected one of"),
         ({"max_depth": [1]}, "config.max_depth: expected int, got [1]"),
-        ({"exclude_annotations": 5}, "config.exclude_annotations: expected list, got 5"),
-        ({"allowlist": {"method_names": 5}}, "config.allowlist.method_names: expected list"),
-        ({"allowlist": {"widen_to_object": False}}, "config.allowlist.widen_to_object: unknown key"),
+        # Keys of earlier versions that no run read.
+        ({"exclude_annotations": 5}, "config.exclude_annotations: unknown key"),
+        ({"exclude_visibilities": ["private"]}, "config.exclude_visibilities: unknown key"),
+        ({"allowlist": {"method_names": 5}}, "config.allowlist: unknown key"),
+        ({"allowlist": {"widen_to_object": False}}, "config.allowlist: unknown key"),
+        ({"llm": {"endpoint": "http://h", "model_name": "m", "max_in_flight": 4}},
+         "config.llm.max_in_flight: unknown key"),
         ({"confirm": "yes"}, "config.confirm: expected bool, got 'yes'"),
         ({"toolchain": {"compile_cmd": ""}}, "compile_cmd must name a command"),
         ({"toolchain": {"test_cmd": "mvn '-Dtest={test_class} test"}},
          "test_cmd: No closing quotation"),
     ], ids=["list", "llm-string", "llm-unknown-key", "llm-missing-key", "toolchain-unknown-key",
-            "mode", "prompt-style", "max-depth-list", "annotations-int", "allowlist-names-int",
-            "allowlist-widen", "confirm-string", "toolchain-empty-command",
+            "mode", "prompt-style", "max-depth-list", "annotations-int", "exclude-visibilities",
+            "allowlist-names-int", "allowlist-widen", "max-in-flight", "confirm-string",
+            "toolchain-empty-command",
             "toolchain-unclosed-quote"])
     def test_malformed_config_is_one_error_line(self, scratch_project, tmp_path, capsys,
                                                 doc, message):
@@ -405,9 +409,13 @@ class TestAnalyzeCommand:
         ({"llm": {"endpoint": "http://unused", "model_name": "m", "timeout_s": 60}}, 2, ""),
         ({"toolchain": {"timeout_s": 60}}, 2, ""),
         ({"report": ""}, 2, ""),
-    ], ids=["max-depth-bool", "llm-int-timeout", "toolchain-int-timeout", "empty-report"])
+        ({"gen": "llm", "llm": {"endpoint": "localhost:9/v1/chat", "model_name": "m"}}, 2, ""),
+    ], ids=["max-depth-bool", "llm-int-timeout", "toolchain-int-timeout", "empty-report",
+            "llm-unreachable"])
     def test_config_edge_cases(self, scratch_project, tmp_path, capsys, doc, code, message):
-        # An empty report path falls back to <out>/report.json.
+        # An empty report path falls back to <out>/report.json. An endpoint
+        # with no URL scheme fails before any connection is opened; that
+        # costs the path its tests, not the run its report.
         root = scratch_project("lion_reachable")
         _, poc, _ = fixture_paths("lion_reachable")
         config = tmp_path / "config.json"
@@ -425,18 +433,36 @@ class TestAnalyzeCommand:
         assert cli._merge(args, {}) == RunConfig(project_root=Path("p"), poc_file=Path("q"),
                                                  out_dir=Path("o"))
 
-    def test_max_in_flight_is_ignored_with_one_warning(self, scratch_project, tmp_path, capsys):
-        root = scratch_project("lion_reachable")
-        _, poc, _ = fixture_paths("lion_reachable")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"llm": {"endpoint": "http://unused", "model_name": "m",
-                                              "max_in_flight": 4}}))
-        code = main(["analyze", "--project", str(root), "--poc", str(poc),
-                     "--out", str(tmp_path / "out"), "--config", str(config)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "WARN config.llm.max_in_flight is ignored\n"
-        assert (tmp_path / "out" / "report.json").exists()
+    def test_every_config_key_reaches_the_run(self):
+        # Two values of each leaf key give two different runs, so no key is
+        # accepted and then ignored. Every str key takes both samples
+        # (test_cmd needs the placeholder).
+        samples = {str: ("a {test_class}", "b {test_class}"), int: (1, 2),
+                   float: (0.5, 2.0), bool: (False, True)}
+
+        def leaves(schema, where=()):
+            for key, want in schema.items():
+                want = want.want if isinstance(want, Required) else want
+                if isinstance(want, dict):
+                    yield from leaves(want, where + (key,))
+                else:
+                    yield where + (key,), want
+
+        args = cli._build_parser().parse_args(["analyze"])
+        unread = []
+        for path, want in leaves(cli._CONFIG_SCHEMA):
+            runs = []
+            for value in want if isinstance(want, tuple) else samples[want]:
+                doc = {"project": "p", "poc": "q", "out": "o",
+                       "llm": {"endpoint": "http://e", "model_name": "m"}}
+                section = doc
+                for key in path[:-1]:
+                    section = section.setdefault(key, {})
+                section[path[-1]] = value
+                runs.append(cli._merge(args, check_doc(doc, cli._CONFIG_SCHEMA, "config")))
+            if any(a == b for i, a in enumerate(runs) for b in runs[i + 1:]):
+                unread.append(".".join(path))
+        assert unread == []
 
     def test_max_paths_flag_truncates(self, scratch_project, tmp_path):
         root = scratch_project("diamond_paths")
@@ -712,7 +738,7 @@ class TestBenchContract:
         assert code == 2
         ((args, kwargs),) = calls
         assert len(args) == 5 and not kwargs
-        assert args[4] == [PathBudgetExceeded(limit=1)]
+        assert args[4] == ["path budget exceeded (max_paths=1)"]
         counts = tracer.counts
         assert counts["call_graph.paths_kept"] == 1
         assert counts["call_graph.paths_truncated"] == 1

@@ -163,7 +163,7 @@ class TestClassifyStatement:
             model, *_ = analyse_fixture(name)
             for cls in model.classes:
                 for m in cls.methods:
-                    upstream = upstream_closure(m, fields=cls.field_names())
+                    upstream = upstream_closure(m)
                     for stmt in m.body:
                         assert classify_statement(stmt, upstream).kind in KINDS
 
