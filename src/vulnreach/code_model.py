@@ -8,8 +8,8 @@ Control-flow bodies are flattened into the enclosing method's statement list;
 constructs outside the subset degrade to opaque statements that still expose
 the variable names they mention.
 
-The package, the imports and each type's header (its supertypes and
-annotations) are read eagerly; the rest waits until it is read. One pass
+The package, the imports and each type's header (its name and
+supertypes) are read eagerly; the rest waits until it is read. One pass
 over a file's characters blanks its comments and literals and makes its
 block table, where each '{' and its '}' are. One scan of that blanked
 text, each block's interior cut out, reads a header in its plainest form
@@ -61,6 +61,7 @@ from .java_lexer import (
     Cursor,
     FileCursor,
     ParseError,
+    TypeHeader,
     is_ident,
     is_literal,
 )
@@ -343,42 +344,24 @@ class FieldDecl:
     declared_type: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassDecl:
     """One class, interface, enum or record. Its methods and fields are
     parsed when either is first read if its members are deferred (see
-    _DeferredMembers), their diagnostics with them; comparing or hashing
-    two classes reads them only when the classes agree in every other
-    field."""
+    _DeferredMembers), their diagnostics with them."""
 
     fqn: str
     package: str
     methods: tuple[MethodDecl, ...] = _Lazy()
     fields: tuple[FieldDecl, ...] = _Lazy()
     supertypes: tuple[str, ...]
-    annotations: tuple[str, ...]
     file: str = ""
     imports: tuple[tuple[str, str], ...] = ()   # (simple name, fqn)
     wildcard_imports: tuple[str, ...] = ()      # package prefixes from a.b.*
     source_text: str = ""
-    is_interface: bool = False
 
     def __post_init__(self):
         _defer(self, ("methods", "fields"))
-
-    def _header(self) -> tuple:
-        return (self.fqn, self.package, self.supertypes, self.annotations, self.file,
-                self.imports, self.wildcard_imports, self.source_text, self.is_interface)
-
-    def __eq__(self, other):
-        if type(other) is not ClassDecl:
-            return NotImplemented
-        return self is other or (self._header() == other._header() and
-                                 (self.methods, self.fields) == (other.methods, other.fields))
-
-    def __hash__(self):
-        # A subset of the fields equality compares; the members are left out.
-        return hash((self.fqn, self.file))
 
     @property
     def simple_name(self) -> str:
@@ -397,7 +380,6 @@ class ExternalCallee:
 
     class_fqn: str
     method_name: str
-    arity: int
 
 
 def _logged(log):
@@ -666,8 +648,7 @@ class _FileParser:
         for t in header.types:
             line += source.count("\n", start, opens[t.k])
             start = opens[t.k]
-            self._declare(t.keyword, None, t.name, t.supertypes, t.annotations, None,
-                          code, opens, closes, t.k, line)
+            self._declare(t, None, None, code, opens, closes, line)
         return self.classes
 
     def _parse_tokens(self) -> list[ClassDecl]:
@@ -744,22 +725,21 @@ class _FileParser:
             cur.skip_balanced("(", ")")
         return name
 
-    def _annotations(self, annotations: list[str]) -> None:
-        """Skip the annotations at the cursor, adding their names; the '@'
-        of an annotation type's '@interface' is left."""
+    def _skip_annotations(self) -> None:
+        """Skip the annotations at the cursor; the '@' of an annotation
+        type's '@interface' is left."""
         cur = self.cur
         while cur.at("@") and not cur.at("interface", 1):
-            annotations.append(self._skip_annotation())
+            self._skip_annotation()
 
     # -- class declarations --------------------------------------------------
 
     def _parse_type_decl(self, outer_fqn: str | None = None):
         cur = self.cur
-        annotations: list[str] = []
-        self._annotations(annotations)
+        self._skip_annotations()
         while n := cur.at_modifier():
             cur.i += n
-            self._annotations(annotations)
+            self._skip_annotations()
         line = cur.line()
         if cur.at("{"):  # left for the recovery, which passes the block whole
             raise ParseError("expected type declaration, found '{'", line)
@@ -796,23 +776,23 @@ class _FileParser:
         if not cur.at("{"):
             raise ParseError("expected '{'", cur.line())
         i = cur.i
-        self._declare(kw, outer_fqn, simple, supertypes, annotations, components,
-                      cur.code, cur.opens, cur.closes, cur.braces[i], cur.lines[i])
+        self._declare(TypeHeader(kw, simple, supertypes, cur.braces[i]), outer_fqn, components,
+                      cur.code, cur.opens, cur.closes, cur.lines[i])
         cur.pass_block()
 
-    def _declare(self, kw: str, outer_fqn: str | None, simple: str, supertypes: list[str],
-                 annotations: list[str], components: tuple[Param, ...] | None,
-                 code: bytes, opens: array, closes: array, k: int, line: int) -> None:
-        """Add the type named simple, declared by kw, a member of the type
-        outer_fqn or, when it is None, of the file's package, with the
-        supertypes and annotations its header names (see _members for
-        components). Its body is block k of the file, from its '{' on line
-        line, in the block table opens and closes; code is the file's
+    def _declare(self, header: TypeHeader, outer_fqn: str | None,
+                 components: tuple[Param, ...] | None,
+                 code: bytes, opens: array, closes: array, line: int) -> None:
+        """Add the type that header declares, a member of the type outer_fqn
+        or, when it is None, of the file's package (see _members for
+        components). Its body is block header.k of the file, from its '{' on
+        line line, in the block table opens and closes; code is the file's
         blanked text, or empty when the type is declared in a block whose
         brackets nest well (see java_lexer.nests_well). A top-level class's
         or interface's members are deferred when its body's brackets nest
         well and it declares no member type (see java_lexer.declares_type),
         and parsed now otherwise."""
+        kw, simple, supertypes, k = header
         fqn = f"{outer_fqn}.{simple}" if outer_fqn else (
             f"{self.package}.{simple}" if self.package else simple)
         nested = java_lexer.nests_well(code, opens, closes, k)
@@ -844,12 +824,10 @@ class _FileParser:
             methods=methods,
             fields=fields,
             supertypes=resolved_supers,
-            annotations=tuple(annotations),
             file=self.path,
             imports=tuple(self.imports),
             wildcard_imports=tuple(self.wildcards),
             source_text=self.source,
-            is_interface=kw == "interface",
         ))
 
     def _members(self, fqn: str, simple: str, in_interface: bool,
@@ -1766,7 +1744,7 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     """Parse every .java file under root into an immutable CodeModel.
 
     Each file's package, imports and type headers are read now, with each
-    type's supertypes and annotations: one pass over its characters blanks
+    type's name and supertypes: one pass over its characters blanks
     its comments and literals and makes its block table, one scan of the
     blanked text outside its blocks reads a header in its plainest form
     (see java_lexer.scan_header), and a file whose header the scan cannot
@@ -1889,7 +1867,7 @@ def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr):
         return inherited(owner) if owner is not None else set()
     kind, target = receiver_binding(model, context, expr)
     if kind == "external":
-        return ExternalCallee(class_fqn=target, method_name=expr.name, arity=arity)
+        return ExternalCallee(class_fqn=target, method_name=expr.name)
     if kind == "unknown":
         return set()
     assert isinstance(target, ClassDecl)

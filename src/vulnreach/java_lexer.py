@@ -89,20 +89,25 @@ _NO_BLOCK_COMMENT_RE = re.compile(LEXEME_RE.pattern.replace(r"|/\*.*?\*/", ""),
                                   re.VERBOSE | re.DOTALL)
 
 
-def lexemes(source: str) -> list[str]:
-    """LEXEME_RE.findall(source), in time linear in the text. A "/*" at or
-    after rfind("*/") - 1 closes nowhere, and the block-comment branch would
-    rescan to the end at each one, so the matches from there on are taken
-    without that branch."""
+def _unclosed(source: str) -> int | None:
+    """Where the first lexeme at or after rfind("*/") - 1 starts, when a
+    "/*" follows that offset, else None. Such a "/*" closes nowhere, and
+    the block-comment branch would rescan to the end at each one, so from
+    there on the text is read without that branch."""
     cut = source.rfind("*/") - 1
     if source.find("/*", max(cut, 0)) < 0:
+        return None
+    return next(m.start() for m in LEXEME_RE.finditer(source) if m.start() >= cut)
+
+
+def lexemes(source: str) -> list[str]:
+    """LEXEME_RE.findall(source), in time linear in the text (see
+    _unclosed)."""
+    split = _unclosed(source)
+    if split is None:
         return LEXEME_RE.findall(source)
-    out = []
-    for m in LEXEME_RE.finditer(source):
-        if m.start() >= cut:
-            break
-        out.append(m[1] or "")
-    return out + _NO_BLOCK_COMMENT_RE.findall(source, m.start())
+    # The last match before split is the empty one at the end of the slice.
+    return LEXEME_RE.findall(source, 0, split)[:-1] + _NO_BLOCK_COMMENT_RE.findall(source, split)
 
 
 # A token's kind follows from its first character: identifiers (keywords
@@ -174,13 +179,12 @@ def blanked(source: str) -> bytes:
     literal by its quote and as many spaces as the rest, so that every
     bracket character left is a bracket token. Each '/' outside those
     lexemes starts a lexeme of its own, so a search for one finds what the
-    lexer finds. Linear in the text: as in lexemes, no '/*' is tried as a
-    comment from the first lexeme at or after rfind("*/") - 1 on."""
+    lexer finds. Linear in the text: as in lexemes, no '/*' that closes
+    nowhere is tried as a comment (see _unclosed)."""
     text = source.encode("ascii", "replace")
-    cut = source.rfind("*/") - 1
-    if source.find("/*", max(cut, 0)) < 0:
+    split = _unclosed(source)
+    if split is None:
         return _SKIPPED_RE.sub(_spaces, text)
-    split = next(m.start() for m in LEXEME_RE.finditer(source) if m.start() >= cut)
     return (_SKIPPED_RE.sub(_spaces, text[:split])
             + _NO_BLOCK_SKIPPED_RE.sub(_spaces, text[split:]))
 
@@ -418,13 +422,13 @@ def declares_type(code: bytes, opens: array, closes: array, k: int) -> bool:
 # The header of a file in its plainest form, over its blanked text with the
 # interior of each block cut out (see scan_header): a package, imports, then
 # classes and interfaces whose names are dotted names without spaces, with
-# the commonest modifiers and annotations without arguments. re has no
-# possessive quantifier or atomic group before Python 3.11, so the patterns
-# are written so that no part of a match can be given back and matched
-# another way: a name ends only where no name character follows, a
-# 'static' after 'import' is the import's modifier, and each other piece
-# is followed by a character it cannot hold. So a match, or its failure,
-# takes time linear in the text.
+# the commonest modifiers and annotations without arguments, which are
+# skipped. re has no possessive quantifier or atomic group before Python
+# 3.11, so the patterns are written so that no part of a match can be
+# given back and matched another way: a name ends only where no name
+# character follows, a 'static' after 'import' is the import's modifier,
+# and each other piece is followed by a character it cannot hold. So a
+# match, or its failure, takes time linear in the text.
 _NAME = r"[A-Za-z_$][\w$]*(?![\w$])"
 _DOTTED = rf"{_NAME}(?:\.{_NAME})*"
 _PRELUDE_RE = re.compile(
@@ -432,20 +436,18 @@ _PRELUDE_RE = re.compile(
     rf"((?:import\s+(?:static(?![\w$])\s*|(?!static(?![\w$]))){_DOTTED}(?:\.\*)?\s*;\s*)*)",
     re.ASCII)
 _TYPE_RE = re.compile(
-    rf"((?:@(?!interface(?![\w$])){_DOTTED}\s*"
-    r"|(?:public|protected|private|abstract|static|final|sealed|non-sealed|strictfp)\s+)*)"
+    rf"(?:@(?!interface(?![\w$])){_DOTTED}\s*"
+    r"|(?:public|protected|private|abstract|static|final|sealed|non-sealed|strictfp)\s+)*"
     rf"(class|interface)\s+({_NAME})\s*"
     rf"((?:(?:extends\s|implements\s|,)\s*{_DOTTED}\s*)*)\{{\}}\s*", re.ASCII)
 
 
 class TypeHeader(NamedTuple):
-    """The header of a top-level class or interface as scan_header reads
-    it: the last parts of the names of the annotations after its first
-    modifier, which are the ones the parser keeps; its keyword, class or
-    interface; its name; the names after extends and implements, none of
-    them starting with a keyword, which type_ref rejects; and the number of
-    its body's block."""
-    annotations: list[str]
+    """The header of a type declaration: its keyword; its name; the names
+    after extends and implements, none of them starting with a keyword,
+    which type_ref rejects; and the number of its body's block. scan_header
+    reads those of top-level classes and interfaces, skipping their
+    modifiers and annotations."""
     keyword: str
     name: str
     supertypes: list[str]
@@ -466,9 +468,10 @@ def scan_header(code: bytes, opens: array, closes: array) -> Header | None:
     """The header of a file whose blanked text is code and whose block
     table is opens and closes, read by one scan of the text outside its
     blocks when it is in its plainest form (see _TYPE_RE), else None, for
-    the parser to read. What is read here is read as the parser reads it;
-    a name outside ASCII is blanked to one with a '?', which the scan does
-    not read."""
+    the parser to read: the package, the imports, and each type's keyword,
+    name, supertypes and block. What is read here is read as the parser
+    reads it; a name outside ASCII is blanked to one with a '?', which the
+    scan does not read."""
     pieces, blocks = _cut(code, opens, closes, 0, 0, len(code))
     text = b"".join(pieces).decode()
     if "<" in text or "(" in text:  # type parameters, annotation arguments
@@ -480,19 +483,12 @@ def scan_header(code: bytes, opens: array, closes: array) -> Header | None:
         m = _TYPE_RE.match(text, end)
         if m is None:
             return None
-        prefix, keyword, name, clause = m.groups()
+        keyword, name, clause = m.groups()
         words = clause.replace(",", " , ").split()  # markers and names in turn
         supertypes = words[1::2]
         if words[:1] == [","] or any(s.partition(".")[0] in KEYWORDS for s in supertypes):
             return None
-        annotations = []
-        kept = not prefix.startswith("@")  # after a modifier
-        for part in prefix.split("@")[1:]:
-            annotation, *modifiers = part.split()
-            if kept:
-                annotations.append(annotation.rpartition(".")[2])
-            kept = kept or bool(modifiers)
-        types.append(TypeHeader(annotations, keyword, name, supertypes, k))
+        types.append(TypeHeader(keyword, name, supertypes, k))
         end = m.end()
     if end < len(text):
         return None

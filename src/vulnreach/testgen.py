@@ -86,7 +86,6 @@ COMPONENT_FEW_SHOT = "FewShotExamples"
 
 @dataclass(frozen=True)
 class PromptBundle:
-    style: str
     sections: tuple[tuple[str, str], ...]
 
     @property
@@ -113,9 +112,7 @@ def _kind_display(kind: str) -> str:
     return re.sub(r"(?<=[a-z])(?=[A-Z])", " ", kind)
 
 
-def _reference_param_sources(entry: MethodDecl, model: CodeModel | None) -> str:
-    if model is None:
-        return ""
+def _reference_param_sources(entry: MethodDecl, model: CodeModel) -> str:
     owner = model.owner_of(entry)
     out = []
     for p in entry.params:
@@ -127,7 +124,7 @@ def _reference_param_sources(entry: MethodDecl, model: CodeModel | None) -> str:
 
 
 def assemble_prompt(result: ReachabilityResult, report: VulnerabilityReport,
-                    style: str, model: CodeModel | None = None) -> PromptBundle:
+                    style: str, model: CodeModel) -> PromptBundle:
     """Build the generation prompt for one reachable path.
 
     Default style carries only the hint, focal method and test input; the
@@ -190,7 +187,7 @@ def assemble_prompt(result: ReachabilityResult, report: VulnerabilityReport,
         for i, ex in enumerate(assets.FEW_SHOT_EXAMPLES, start=1):
             examples += f"Example {i}:\n{ex}\n"
         sections.append((COMPONENT_FEW_SHOT, examples))
-    return PromptBundle(style=style, sections=tuple(sections))
+    return PromptBundle(sections=tuple(sections))
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def serialize(report: VulnerabilityReport) -> str:
 
 
 def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeModel,
-                    context: MethodDecl | None = None) -> bool:
+                    context: MethodDecl) -> bool:
     """True when a call expression invokes the reported vulnerable API.
 
     The receiver's statically declared type must equal the vulnerable class
@@ -260,15 +260,14 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
     if len(call_expr.args) != len(api.param_types):
         return False
 
+    kind, target = receiver_binding(model, context, call_expr)
     cls_match = False
-    if context is not None:
-        kind, target = receiver_binding(model, context, call_expr)
-        if kind == "external":
-            cls_match = target == api.class_fqn
-        elif kind == "internal":
-            assert isinstance(target, ClassDecl)
-            cls_match = (target.fqn == api.class_fqn
-                         or api.class_fqn in model.supertype_chain(target))
+    if kind == "external":
+        cls_match = target == api.class_fqn
+    elif kind == "internal":
+        assert isinstance(target, ClassDecl)
+        cls_match = (target.fqn == api.class_fqn
+                     or api.class_fqn in model.supertype_chain(target))
     if not cls_match:
         # Fall back to the raw receiver text (e.g. fully qualified call).
         text = call_expr.receiver_text
@@ -279,15 +278,14 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
         return False
 
     # Type-level refinement where declared types are visible.
-    if context is not None and api.param_types:
-        for arg, want in zip(call_expr.args, api.param_types):
-            got: str | None = None
-            if arg.kind == "VarRef":
-                got = context.declared_type_of(arg.name)
-            elif arg.kind == "Cast":
-                got = arg.name
-            elif arg.kind == "Literal" and arg.name.startswith('"'):
-                got = "String"
-            if got is not None and simple_type_name(got) != simple_type_name(want):
-                return False
+    for arg, want in zip(call_expr.args, api.param_types):
+        got: str | None = None
+        if arg.kind == "VarRef":
+            got = context.declared_type_of(arg.name)
+        elif arg.kind == "Cast":
+            got = arg.name
+        elif arg.kind == "Literal" and arg.name.startswith('"'):
+            got = "String"
+        if got is not None and simple_type_name(got) != simple_type_name(want):
+            return False
     return True

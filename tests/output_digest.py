@@ -21,6 +21,9 @@ command prints only the lines that differ: "- <line>" for FILE's line and
 "+ <line>" for this checkout's, for each run whose hash differs or that
 only one of them has. Given NAMEs, only the runs whose names start with
 one of them are compared. It exits 1 when any line is printed, else 0.
+
+A NAME that starts no run's name is named on stderr, and the command exits
+2 before it runs anything.
 """
 
 from __future__ import annotations
@@ -121,12 +124,21 @@ def against(saved: list[str], prefixes: tuple[str, ...] = ()) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
+    saved = None
     if argv[:1] == ["--against"]:
         if len(argv) < 2:
             print("usage: output_digest.py --against FILE [NAME ...]", file=sys.stderr)
             return 2
         saved = Path(argv[1]).read_text(encoding="utf-8").splitlines()
-        differ = against(saved, tuple(argv[2:]))
+        argv = argv[2:]
+    names = [name for name, _ in pairs()]
+    unmatched = [prefix for prefix in argv if not any(n.startswith(prefix) for n in names)]
+    for prefix in unmatched:
+        print(f"output_digest.py: no run's name starts with {prefix!r}", file=sys.stderr)
+    if unmatched:
+        return 2
+    if saved is not None:
+        differ = against(saved, tuple(argv))
         for line in differ:
             print(line, flush=True)
         return 1 if differ else 0

@@ -487,12 +487,10 @@ class _FileParser:
             methods=tuple(methods),
             fields=tuple(fields),
             supertypes=resolved_supers,
-            annotations=tuple(annotations),
             file=self.path,
             imports=tuple(self.imports),
             wildcard_imports=tuple(self.wildcards),
             source_text=self.source,
-            is_interface=kw.text == "interface",
         ))
 
     def _resolve_supertype(self, name: str) -> str:

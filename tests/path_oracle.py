@@ -106,7 +106,7 @@ def _model(methods: list[MethodDecl]) -> CodeModel:
         classes.append(ClassDecl(
             fqn=owner, package=owner.rsplit(".", 1)[0],
             methods=tuple(m for m in methods if m.owner == owner),
-            fields=(), supertypes=(), annotations=()))
+            fields=(), supertypes=()))
     return CodeModel(classes=tuple(classes), index={c.fqn: c for c in classes})
 
 

@@ -709,6 +709,24 @@ class TestOutputDigest:
         assert capsys.readouterr().out.splitlines() == [
             f"- {changed}", f"+ {lines[1]}", f"+ {lines[2]}"]
 
+    @pytest.mark.parametrize("names, unmatched", [
+        (["lion_reachable"], ["lion_reachable"]),
+        (["fixture/lion", "nothing"], ["nothing"]),
+        (["lion", "fixture/rule_direct", "deep_fanout/9"], ["lion", "deep_fanout/9"]),
+    ], ids=["bare-fixture-name", "one-of-two", "two-of-three"])
+    @pytest.mark.parametrize("against", [False, True], ids=["print", "against"])
+    def test_a_name_no_run_has_is_an_error(self, names, unmatched, against, tmp_path,
+                                           capsys, monkeypatch):
+        # The runs are named fixture/<name>: a NAME that starts none would
+        # otherwise compare nothing and pass.
+        monkeypatch.setattr(output_digest, "_digest", None)  # nothing may run
+        saved = tmp_path / "saved.txt"
+        saved.write_text("", encoding="utf-8")
+        argv = ["--against", str(saved), *names] if against else names
+        assert output_digest.main(argv) == 2
+        assert capsys.readouterr() == ("", "".join(
+            f"output_digest.py: no run's name starts with {name!r}\n" for name in unmatched))
+
 
 class TestBenchContract:
     """What the benchmark's traced run (bench/spans.py) relies on: it wraps

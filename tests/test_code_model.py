@@ -186,7 +186,6 @@ class TestTypeDeclarations:
         classes, diagnostics = _parse_source(code_model, source)
         assert [c.fqn for c in classes] == fqns and diagnostics == []
         annotation_type = classes[0]
-        assert annotation_type.is_interface
         assert [(m.name, m.return_type) for m in annotation_type.methods] == elements
         assert all(m.is_abstract and m.visibility == "public" for m in annotation_type.methods)
         assert (classes, diagnostics) == _parse_source(parser_reference, source)
@@ -219,6 +218,41 @@ class TestTypeDeclarations:
         assert [(st.lhs, sorted(st.rhs_expr.operand_vars)) for st in cls.methods[1].body] == [
             ("o", ["é"]), (None, ["ß", "ü"])]
         assert (classes, diagnostics) == _parse_source(parser_reference, source)
+
+
+class TestResolveType:
+    """CodeModel.resolve_type's rules for a name that no import of the
+    context names and that its own package does not declare."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("resolve")
+        for path, text in {
+            "p/Ctx.java": "package p; import q.*; import w.*; class Ctx { }",
+            "p/Bare.java": "package p; class Bare { }",
+            "q/B.java": "package q; public class B { }",
+            "r/B.java": "package r; public class B { }",
+            "r/Helper.java": "package r; public class Helper { }",
+        }.items():
+            (root / path).parent.mkdir(exist_ok=True)
+            (root / path).write_text(text)
+        return parse_project(root, emit_warnings=False)
+
+    @pytest.mark.parametrize("context, name, resolved", [
+        ("p.Ctx", "r.Helper", "r.Helper"),
+        ("p.Ctx", "java.util.List<String>[]", "java.util.List"),
+        ("p.Ctx", "B", "q.B"),
+        ("p.Ctx", "Helper", "r.Helper"),
+        ("p.Ctx", "Missing", "q.Missing"),
+        ("p.Bare", "Missing", None),
+    ], ids=["dotted-in-index", "dotted-outside-index", "wildcard-import",
+            "unique-simple-name", "first-wildcard-guess", "no-wildcard-no-guess"])
+    def test_rule(self, model, context, name, resolved):
+        got = model.resolve_type(name, model.find_class(context))
+        if resolved in model.index:  # a class of the model, not only its name
+            assert got is model.index[resolved]
+        else:
+            assert got == resolved
 
 
 class TestResolveInvocation:
@@ -412,6 +446,40 @@ def _scan_checked(source: str) -> list[str]:
         assert parser.cur.i == _token_index(source, entry.end), source
         assert all(entry.may_call(c.name) for st in statements for c in st.calls()), source
     return [name for name, _ in deferred]
+
+
+class TestBodyForms:
+    """Statement forms that the traffic does not hold, read alike by the
+    parser and the front end it replaced: each form's statements as (kind,
+    lhs, line), the form starting on line 3."""
+
+    @pytest.mark.parametrize("body, statements", [
+        ("try (Reader r = open(p); Writer w = wrap(r)) {\n    use(r, w);\n"
+         "} catch (IOException e) {\n    log(e);\n} finally {\n    close();\n}",
+         [("Declaration", "r", 3), ("Declaration", "w", 3), ("Invocation", None, 4),
+          ("Declaration", "e", 5), ("Invocation", None, 6), ("Invocation", None, 8)]),
+        ("try {\n    read(p);\n} catch (final IOException | RuntimeException e) {\n"
+         "    log(e);\n}",
+         [("Invocation", None, 4), ("Declaration", "e", 5), ("Invocation", None, 6)]),
+        ("synchronized (lock) {\n    held = p;\n}",
+         [("Other", None, 3), ("Assignment", "held", 4)]),
+        ("throw new IllegalStateException(p);", [("Other", None, 3)]),
+        ('assert p != null : "bad " + p;', [("Other", None, 3)]),
+        ("obj.f = p;\na[i] = p;", [("Assignment", "obj", 3), ("Assignment", "a", 4)]),
+        ("for (final Map.Entry<String, List<Integer>> e : table.entrySet()) {\n"
+         "    use(e);\n}",
+         [("Declaration", "e", 3), ("Invocation", None, 4)]),
+        ("for (int i = a < b ? lo : hi, j = 0; i < n; i++, j += 2) {\n    use(i);\n}",
+         [("Declaration", "i", 3), ("Declaration", "j", 3), ("Other", None, 3),
+          ("Assignment", "i", 3), ("Assignment", "j", 3), ("Invocation", None, 4)]),
+    ], ids=["try-with-resources", "multi-catch", "synchronized", "throw", "assert",
+            "field-and-element-targets", "for-each-final-generic", "for-init-less-than-ternary"])
+    def test_form(self, body, statements):
+        source = "class C {\n  void m(String p) {\n" + body + "\n  }\n}\n"
+        classes, diagnostics = _parse_source(code_model, source)
+        assert diagnostics == []
+        assert [(st.kind, st.lhs, st.line) for st in classes[0].methods[0].body] == statements
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
 
 
 class TestBodyScan:
