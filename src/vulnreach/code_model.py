@@ -657,7 +657,7 @@ class _FileParser:
             try:
                 t = cur.peek()
                 if t == "@" and not cur.at("interface", 1):
-                    self._skip_annotation()
+                    cur.annotation()
                 elif t == "package":
                     cur.next()
                     self.package = cur.dotted_name()
@@ -717,20 +717,12 @@ class _FileParser:
             if self._pass() == text:
                 return
 
-    def _skip_annotation(self) -> str:
-        cur = self.cur
-        cur.expect("@")
-        name = cur.dotted_name().rsplit(".", 1)[-1]
-        if cur.at("("):
-            cur.skip_balanced("(", ")")
-        return name
-
     def _skip_annotations(self) -> None:
         """Skip the annotations at the cursor; the '@' of an annotation
         type's '@interface' is left."""
         cur = self.cur
         while cur.at("@") and not cur.at("interface", 1):
-            self._skip_annotation()
+            cur.annotation()
 
     # -- class declarations --------------------------------------------------
 
@@ -873,7 +865,7 @@ class _FileParser:
         while True:
             t = cur.peek()
             if t == "@" and not cur.at("interface", 1):
-                annotations.append(self._skip_annotation())
+                annotations.append(cur.annotation())
             elif n := cur.at_modifier():
                 mods.add(t if n == 1 else "non-sealed")
                 cur.i += n
@@ -1007,11 +999,7 @@ class _FileParser:
         params: list[Param] = []
         seen: set[str] = set()
         while not cur.at(")"):
-            while cur.at("@"):
-                self._skip_annotation()
-            if cur.at("final"):
-                cur.next()
-            declared = cur.type_ref()
+            declared = cur.variable_type()
             if cur.at("..."):
                 cur.next()
                 declared += "[]"
@@ -1314,37 +1302,22 @@ class _BodyParser:
         cur = self.cur
         cur.expect("for")
         cur.expect("(")
-        # Enhanced for: "Type name : expr" — scan ahead without consuming.
-        enhanced = False
-        depth = 0
-        texts = cur.texts
-        for j in range(cur.i, cur.n):
-            tok = texts[j]
-            if tok in ("(", "[", "<"):
-                depth += 1
-            elif tok in (")", "]"):
-                if depth == 0:
-                    break
-                depth -= 1
-            elif tok in (">", ">>"):
-                depth -= len(tok) if depth > 0 else 0
-            elif tok == ";" and depth == 0:
-                break
-            elif tok == ":" and depth == 0:
-                enhanced = True
-                break
+        start = cur.i
+        try:  # the enhanced for: 'Type name : expr'
+            declared = cur.variable_type()
+            enhanced = cur.at_ident() and cur.at(":", 1)
+        except ParseError:
+            enhanced = False
         if enhanced:
-            if cur.at("final"):
-                cur.next()
-            declared = cur.type_ref()
             name = cur.next()
-            cur.expect(":")
+            cur.i += 1
             iterable = self._expr()
             cur.expect(")")
             # Loop variable holds elements extracted from the iterable.
             self._emit("Declaration", name, binary_op("for", iterable), line,
                        declared_type=declared)
             return
+        cur.i = start
         if not cur.at(";"):
             if not self._try_declaration(line, terminator=";"):
                 e = self._expr()
@@ -1386,9 +1359,7 @@ class _BodyParser:
             cur.next()
             cur.expect("(")
             line = cur.line()
-            if cur.at("final"):
-                cur.next()
-            ex_type = cur.type_ref()
+            ex_type = cur.variable_type()
             while cur.at("|"):
                 cur.next()
                 cur.type_ref()
@@ -1424,13 +1395,10 @@ class _BodyParser:
         """Attempt to parse 'Type name (= expr)? (, name (= expr)?)* ;'."""
         cur = self.cur
         start = cur.i
-        if cur.at("final"):
-            cur.next()
-        if not cur.at_ident():
-            cur.i = start
+        if not cur.at_ident() and not cur.at("@"):
             return False
         try:
-            declared = cur.type_ref()
+            declared = cur.variable_type()
         except ParseError:
             cur.i = start
             return False

@@ -363,6 +363,28 @@ class Cursor:
             text += "[]"
         return text
 
+    def annotation(self) -> str:
+        """Consume the annotation at the cursor, '@' Name and its
+        parenthesised arguments if any, and return its simple name."""
+        self.expect("@")
+        name = self.dotted_name().rsplit(".", 1)[-1]
+        if self.at("("):
+            self.skip_balanced("(", ")")
+        return name
+
+    def variable_type(self) -> str:
+        """The type of the variable declared at the cursor: a local, a loop,
+        catch or method parameter, or a record component. The 'final' and
+        the annotations before it, in any order, are skipped."""
+        while True:
+            t = self.texts[self.i]
+            if t == "final":
+                self.i += 1
+            elif t == "@":
+                self.annotation()
+            else:
+                return self.type_ref()
+
 
 def _offsets(code: bytes, byte: bytes) -> list[int]:
     """The offsets of byte in code, in order."""

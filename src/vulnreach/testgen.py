@@ -300,7 +300,7 @@ def _input_literal(semantic_type: str, value: str) -> tuple[str, str]:
 
 
 def _bind_entry_args(entry: MethodDecl, report: VulnerabilityReport,
-                     model: CodeModel | None, variation: int) -> tuple[list[str], list[str]]:
+                     model: CodeModel, variation: int) -> tuple[list[str], list[str]]:
     """Expressions for the focal call arguments plus any extra imports.
 
     Trigger inputs bind by name first, then by type; leftover String
@@ -312,7 +312,7 @@ def _bind_entry_args(entry: MethodDecl, report: VulnerabilityReport,
     args: list[str] = []
     imports: list[str] = []
     aux_counter = 0
-    owner = model.owner_of(entry) if model is not None else None
+    owner = model.owner_of(entry)
     for p in entry.params:
         base = simple_type_name(p.declared_type)
         free = [i for i in range(len(inputs)) if i not in used]
@@ -336,7 +336,7 @@ def _bind_entry_args(entry: MethodDecl, report: VulnerabilityReport,
         if p.declared_type in _PRIMITIVE_DEFAULTS:
             args.append(_PRIMITIVE_DEFAULTS[p.declared_type])
             continue
-        resolved = model.resolve_type(p.declared_type, owner) if model is not None else None
+        resolved = model.resolve_type(p.declared_type, owner)
         if isinstance(resolved, ClassDecl):
             imports.append(resolved.fqn)
             args.append(f"new {resolved.simple_name}()")
@@ -346,7 +346,7 @@ def _bind_entry_args(entry: MethodDecl, report: VulnerabilityReport,
 
 
 def _offline_source(result: ReachabilityResult, report: VulnerabilityReport,
-                    class_name: str, model: CodeModel | None, variation: int) -> str:
+                    class_name: str, model: CodeModel, variation: int) -> str:
     entry = result.path.entry
     owner_fqn = entry.owner
     owner_simple = owner_fqn.rsplit(".", 1)[-1]
@@ -406,9 +406,8 @@ def validate_artifact(source_text: str, report: VulnerabilityReport) -> str | No
 
 
 def generate_tests(bundle: PromptBundle, result: ReachabilityResult,
-                   report: VulnerabilityReport, mode: str = "offline",
-                   llm: LlmClient | None = None, model: CodeModel | None = None,
-                   path_number: int = 1,
+                   report: VulnerabilityReport, model: CodeModel, mode: str = "offline",
+                   llm: LlmClient | None = None, path_number: int = 1,
                    diagnostics: list | None = None) -> list[TestArtifact]:
     """Two test artifacts for one reachable path.
 

@@ -72,6 +72,18 @@ are marked, each line by a comment naming its fix:
   `$`. The original started one at an ASCII letter only and dropped a
   leading letter outside ASCII: `class Ärger { }` declared `rger`, without
   a diagnostic, and a method named `加载` lost its class every method.
+- "variable-type fix": a local, try resource, enhanced-`for` variable,
+  catch parameter, method parameter and record component may carry
+  `final` and annotations in any order before its type, and an enhanced
+  `for` is a header that reads as a type, a name and `:`, else the header
+  is read again as a basic `for`. The original skipped only a leading
+  `final` on a local, loop variable or catch parameter, and only
+  annotations before `final` on a method parameter, so
+  `@SuppressWarnings("x") String s = doc;` became an opaque statement and
+  `m(final @A T p)` lost its method. It took a header for an enhanced
+  `for` when a `:` followed at bracket depth 0, counting `>` and `>>` but
+  not `>>>`: `for (int i = b ? 1 : 2; ; )` and
+  `for (Map.Entry<K, List<Set<V>>> e : m)` became opaque statements.
 
 `parse_project` serves only as the specification the new front end must
 reproduce: the same classes, statements and diagnostics. Input nested more
@@ -408,6 +420,15 @@ class _FileParser:
             text += "[]"
         return text
 
+    def _variable_type(self) -> str:  # variable-type fix
+        cur = self.cur  # variable-type fix
+        while cur.at("final") or cur.at("@"):  # variable-type fix
+            if cur.at("final"):  # variable-type fix
+                cur.next()  # variable-type fix
+            else:  # variable-type fix
+                self._skip_annotation()  # variable-type fix
+        return self._type_ref()  # variable-type fix
+
     # -- class declarations --------------------------------------------------
 
     def _parse_type_decl(self, outer_fqn: str | None = None):
@@ -668,11 +689,7 @@ class _FileParser:
         params: list[Param] = []
         seen: set[str] = set()
         while not cur.at(")"):
-            while cur.at("@"):
-                self._skip_annotation()
-            if cur.at("final"):
-                cur.next()
-            declared = self._type_ref()
+            declared = self._variable_type()  # variable-type fix
             if cur.at("..."):
                 cur.next()
                 declared += "[]"
@@ -905,30 +922,13 @@ class _BodyParser:
         cur = self.cur
         cur.expect("for")
         cur.expect("(")
-        # Enhanced for: "Type name : expr" — scan ahead without consuming.
-        enhanced = False
-        depth = 0
-        j = cur.i
-        while j < len(cur.tokens):
-            tok = cur.tokens[j]
-            if tok.text in ("(", "[", "<"):
-                depth += 1
-            elif tok.text in (")", "]"):
-                if depth == 0:
-                    break
-                depth -= 1
-            elif tok.text in (">", ">>"):
-                depth -= len(tok.text) if depth > 0 else 0
-            elif tok.text == ";" and depth == 0:
-                break
-            elif tok.text == ":" and depth == 0:
-                enhanced = True
-                break
-            j += 1
+        start = cur.i  # variable-type fix
+        try:  # variable-type fix
+            declared = self.fp._variable_type()  # variable-type fix
+            enhanced = cur.at_ident() and cur.at(":", 1)  # variable-type fix
+        except _ParseError:  # variable-type fix
+            enhanced = False  # variable-type fix
         if enhanced:
-            if cur.at("final"):
-                cur.next()
-            declared = self.fp._type_ref()
             name = cur.next().text
             cur.expect(":")
             iterable = self._expr()
@@ -938,6 +938,7 @@ class _BodyParser:
                        declared_type=declared)
             self._statement()
             return
+        cur.i = start  # variable-type fix
         if not cur.at(";"):
             if not self._try_declaration(line, terminator=";"):
                 e = self._expr()
@@ -1003,9 +1004,7 @@ class _BodyParser:
             cur.next()
             cur.expect("(")
             line = cur.line()
-            if cur.at("final"):
-                cur.next()
-            ex_type = self.fp._type_ref()
+            ex_type = self.fp._variable_type()  # variable-type fix
             while cur.at("|"):
                 cur.next()
                 self.fp._type_ref()
@@ -1042,16 +1041,10 @@ class _BodyParser:
         cur = self.cur
         start = cur.i
         t = cur.peek()
-        if t is None:
-            return False
-        if t.text == "final":
-            cur.next()
-            t = cur.peek()
-        if t is None or (t.kind != "ident" and t.text not in _PRIMITIVES):
-            cur.i = start
+        if t is None or (t.kind != "ident" and t.text != "@"):  # variable-type fix
             return False
         try:
-            declared = self.fp._type_ref()
+            declared = self.fp._variable_type()  # variable-type fix
         except _ParseError:
             cur.i = start
             return False

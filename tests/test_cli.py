@@ -99,6 +99,31 @@ class TestAnalyzeCommand:
         assert [list(p.signatures) for p in report.paths] == [["a.Api#iterate(String)"]]
         assert len(report.tests) == 2
 
+    def test_final_and_annotations_keep_the_path(self, tmp_path):
+        # An annotated local and a 'final @A' parameter mean what their bare
+        # twins mean: the input reaches fromXML through all three entries.
+        root = tmp_path / "project"
+        (root / "src/main/java/g").mkdir(parents=True)
+        (root / "src/test/java").mkdir(parents=True)
+        (root / "src/main/java/g/Api.java").write_text(
+            "package g;\nimport com.thoughtworks.xstream.XStream;\npublic class Api {\n"
+            "  public Object annotated(String doc) {\n"
+            '    @SuppressWarnings("unchecked") String s = doc;\n'
+            "    return new XStream().fromXML(s);\n  }\n"
+            "  public Object bare(String doc) {\n"
+            "    String s = doc;\n    return new XStream().fromXML(s);\n  }\n"
+            "  public Object param(final @Deprecated String doc) {\n"
+            "    return new XStream().fromXML(doc);\n  }\n}\n")
+        _, poc, _ = fixture_paths("lion_reachable")
+        out = tmp_path / "out"
+        code = main(["analyze", "--project", str(root), "--poc", str(poc), "--out", str(out)])
+        assert code == 2
+        report = read_report(out / "report.json")
+        assert [(p.signatures, p.reachable, p.transfer_summary) for p in report.paths] == [
+            (("g.Api#annotated(String)",), True, ("DirectPropagation",)),
+            (("g.Api#bare(String)",), True, ("DirectPropagation",)),
+            (("g.Api#param(String)",), True, ("DirectPropagation",))]
+
     def test_unbindable_entry_parameter_skips_only_that_paths_tests(self, tmp_path):
         # The offline template cannot build the XStream argument of handle:
         # that path gets no tests and one diagnostic, and the run still
@@ -425,6 +450,28 @@ class TestAnalyzeCommand:
                      "--out", str(out), "--config", str(config)]) == code
         assert capsys.readouterr().err == message
         assert (out / "report.json").exists() == (code == 2)
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+    def test_unreadable_config_file_is_one_error_line(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        out = tmp_path / "out"
+        assert main(["analyze", "--project", "p", "--poc", "q", "--out", str(out),
+                     "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {config}: ")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_project_poc_and_out_are_required(self, tmp_path, capsys):
+        # The config file may supply what the flags leave out, but not all
+        # three may be missing from both.
+        _, poc, _ = fixture_paths("lion_reachable")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"poc": str(poc)}))
+        assert main(["analyze", "--project", str(tmp_path), "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --project, --poc and --out are required (flags or config file)\n")
 
     def test_defaults_come_from_the_dataclasses(self):
         # With no flag and no config key, a setting keeps its dataclass default.

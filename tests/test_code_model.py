@@ -206,6 +206,17 @@ class TestTypeDeclarations:
             assert diagnostics == []
         assert (classes, diagnostics) == _parse_source(parser_reference, source)
 
+    def test_parameters_take_final_and_annotations_in_any_order(self):
+        source = ("record R(@A final String a, final @B int n) { R { } }\n"
+                  "class C { public Object m(final @Deprecated String doc, @A final int[] k, "
+                  "final @B(x = 1) String... rest) { return f(doc); } }")
+        classes, diagnostics = _parse_source(code_model, source)
+        assert diagnostics == []
+        assert [(m.signature(), [p.name for p in m.params]) for c in classes
+                for m in c.methods] == [("R#R(String,int)", ["a", "n"]),
+                                        ("C#m(String,int[],String[])", ["doc", "k", "rest"])]
+        assert (classes, diagnostics) == _parse_source(parser_reference, source)
+
     def test_identifiers_start_at_any_letter(self):
         source = ("package p;\nclass Ärger extends Öl {\n"
                   "  public void 加载(String s) { f(s); }\n"
@@ -472,8 +483,28 @@ class TestBodyForms:
         ("for (int i = a < b ? lo : hi, j = 0; i < n; i++, j += 2) {\n    use(i);\n}",
          [("Declaration", "i", 3), ("Declaration", "j", 3), ("Other", None, 3),
           ("Assignment", "i", 3), ("Assignment", "j", 3), ("Invocation", None, 4)]),
+        # A variable's 'final' and annotations, in any order, and for
+        # headers that a look-ahead for ':' misread.
+        ('@SuppressWarnings("unchecked") String s = p;\nuse(s);',
+         [("Declaration", "s", 3), ("Invocation", None, 4)]),
+        ("final @Deprecated String s = p, t;\n@A final @B(1) int n = 0;",
+         [("Declaration", "s", 3), ("Declaration", "t", 3), ("Declaration", "n", 4)]),
+        ("for (@Nullable String x : xs) {\n    use(x);\n}",
+         [("Declaration", "x", 3), ("Invocation", None, 4)]),
+        ("try {\n    read(p);\n} catch (final @Ann IOException e) {\n    log(e);\n}",
+         [("Invocation", None, 4), ("Declaration", "e", 5), ("Invocation", None, 6)]),
+        ("try (@Cleanup final Reader r = open(p)) {\n    use(r);\n}",
+         [("Declaration", "r", 3), ("Invocation", None, 4)]),
+        ("for (int i = b ? 1 : 2; i < n; i++) {\n    use(i);\n}",
+         [("Declaration", "i", 3), ("Other", None, 3), ("Assignment", "i", 3),
+          ("Invocation", None, 4)]),
+        ("for (Map.Entry<K, List<Set<V>>> e : t.entrySet()) {\n    use(e);\n}",
+         [("Declaration", "e", 3), ("Invocation", None, 4)]),
     ], ids=["try-with-resources", "multi-catch", "synchronized", "throw", "assert",
-            "field-and-element-targets", "for-each-final-generic", "for-init-less-than-ternary"])
+            "field-and-element-targets", "for-each-final-generic", "for-init-less-than-ternary",
+            "annotated-local", "final-then-annotated-locals", "for-each-annotated",
+            "catch-final-annotated", "resource-annotated-final", "for-init-ternary",
+            "for-each-triple-closer"])
     def test_form(self, body, statements):
         source = "class C {\n  void m(String p) {\n" + body + "\n  }\n}\n"
         classes, diagnostics = _parse_source(code_model, source)

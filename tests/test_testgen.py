@@ -28,6 +28,7 @@ from vulnreach.testgen import (
     emit_tests,
     extract_code_blocks,
     generate_tests,
+    validate_artifact,
 )
 from vulnreach.vuln_report import load_report, parse_report
 from vulnreach import assets
@@ -192,6 +193,27 @@ class TestGenerateTestsOffline:
         assert t1.source_text.replace('"UTF-8"', '"ISO-8859-1"') \
             .replace("T1Test", "T2Test") == t2.source_text
 
+    def test_class_and_model_type_parameters_are_constructed(self, tmp_path):
+        # A Class parameter gets Object.class; a parameter whose type the
+        # model declares gets a default-constructed instance and its import.
+        sources = {
+            "Options.java": "package app.opt;\npublic class Options { }\n",
+            "Api.java": (
+                "package app;\n"
+                "import app.opt.Options;\n"
+                "import com.thoughtworks.xstream.XStream;\n"
+                "public class Api {\n"
+                "    public Object read(String xml, Class<?> type, Options opts) {\n"
+                "        return new XStream().fromXML(xml);\n"
+                "    }\n"
+                "}\n"),
+        }
+        model, report, results = _analyse_inline(tmp_path, sources)
+        bundle = assemble_prompt(results[0], report, "ZeroShot", model)
+        for a in generate_tests(bundle, results[0], report, mode="offline", model=model):
+            assert "import app.opt.Options;\n" in a.source_text
+            assert "new Api().read(xml, Object.class, new Options());" in a.source_text
+
     def test_template_gap_for_unknown_reference(self, tmp_path):
         sources = {
             "Api.java": (
@@ -209,6 +231,20 @@ class TestGenerateTestsOffline:
         assert exc.value.parameter == "opts"
 
 
+@pytest.mark.parametrize("kind, text, problem", [
+    ("UncaughtException", f"{ASSERT_TRIGGERED}\n{FAIL_LINE}\n",
+     f"expected exactly one {ASSERT_CONDITION!r}"),
+    ("UncaughtException", f"{ASSERT_TRIGGERED}\n{ASSERT_CONDITION}\n",
+     "missing expected-exception fail line"),
+    ("UncaughtException", f"{ASSERT_TRIGGERED}\n{ASSERT_CONDITION}\n{FAIL_LINE}\n", None),
+    ("DenialOfService", f"{ASSERT_TRIGGERED}\n{ASSERT_CONDITION}\n", None),
+], ids=["no-condition-assert", "no-fail-line", "valid", "valid-without-exception"])
+def test_validate_artifact_reasons(kind, text, problem):
+    doc = json.loads(json.dumps(VALID_DESCRIPTOR))
+    doc["trigger"]["vulnerability_kind"] = kind
+    assert validate_artifact(text, parse_report(doc)) == problem
+
+
 class TestGenerateTestsLlm:
     def _client(self, reply):
         cfg = LlmClientConfig(endpoint="http://localhost/none", model_name="stub")
@@ -219,50 +255,50 @@ class TestGenerateTestsLlm:
         model, report, result = lion
         bundle = assemble_prompt(result, report, "FewShot", model)
         a, b = generate_tests(bundle, result, report, mode="offline", model=model)
-        return bundle, result, report, (
+        return bundle, result, report, model, (
             f"Here you go:\n```java\n{a.source_text}```\nand\n```java\n{b.source_text}```")
 
     def test_two_blocks_passthrough(self, lion):
-        bundle, result, report, reply = self._two_valid_blocks(lion)
-        artifacts = generate_tests(bundle, result, report, mode="llm",
+        bundle, result, report, model, reply = self._two_valid_blocks(lion)
+        artifacts = generate_tests(bundle, result, report, mode="llm", model=model,
                                    llm=self._client(reply))
         assert len(artifacts) == 2
         assert all(a.origin == "LLM" for a in artifacts)
 
     def test_single_block_duplicated_with_diagnostic(self, lion):
-        bundle, result, report, reply = self._two_valid_blocks(lion)
+        bundle, result, report, model, reply = self._two_valid_blocks(lion)
         single = reply.split("and")[0]
         diags = []
-        artifacts = generate_tests(bundle, result, report, mode="llm",
+        artifacts = generate_tests(bundle, result, report, mode="llm", model=model,
                                    llm=self._client(single), diagnostics=diags)
         assert len(artifacts) == 2
         assert artifacts[0].source_text == artifacts[1].source_text
         assert diags
 
     def test_no_block_raises(self, lion):
-        bundle, result, report, _ = self._two_valid_blocks(lion)
+        bundle, result, report, model, _ = self._two_valid_blocks(lion)
         with pytest.raises(LlmNoCodeBlock):
-            generate_tests(bundle, result, report, mode="llm",
+            generate_tests(bundle, result, report, mode="llm", model=model,
                            llm=self._client("no code here"))
 
     def test_invalid_artifact_rejected(self, lion):
-        bundle, result, report, _ = self._two_valid_blocks(lion)
+        bundle, result, report, model, _ = self._two_valid_blocks(lion)
         reply = "```java\npublic class X { }\n```\n```java\npublic class Y { }\n```"
         diags = []
-        artifacts = generate_tests(bundle, result, report, mode="llm",
+        artifacts = generate_tests(bundle, result, report, mode="llm", model=model,
                                    llm=self._client(reply), diagnostics=diags)
         assert artifacts == []
         assert len(diags) == 2
 
     def test_transport_error(self, lion):
-        bundle, result, report, _ = self._two_valid_blocks(lion)
+        bundle, result, report, model, _ = self._two_valid_blocks(lion)
         cfg = LlmClientConfig(endpoint="http://localhost/none", model_name="stub")
 
         def boom(payload):
             raise LlmTransport(503)
 
         with pytest.raises(LlmTransport):
-            generate_tests(bundle, result, report, mode="llm",
+            generate_tests(bundle, result, report, mode="llm", model=model,
                            llm=LlmClient(cfg, transport=boom))
 
     def test_extract_code_blocks(self):

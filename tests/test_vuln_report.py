@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -231,3 +232,32 @@ class TestMatchSignature:
         model, report, method = lion
         c = self._call(method, "fromXML")
         assert all(match_signature(report, c, model, method) for _ in range(3))
+
+    def test_receiver_text_names_the_class(self, lion, tmp_path):
+        # With no import, XStream resolves to app.XStream; the call still
+        # matches because its receiver text is the class's simple name.
+        _, report, _ = lion
+        (tmp_path / "G.java").write_text(
+            "package app;\n"
+            "public class G { void go(String xml) {\n"
+            "  XStream.fromXML(xml); Other.fromXML(xml); } }")
+        m2 = parse_project(tmp_path, emit_warnings=False)
+        method = next(m for _, m in m2.all_methods())
+        calls = [c for st in method.body for c in st.calls()]
+        assert [(c.receiver_text, match_signature(report, c, m2, method)) for c in calls] == [
+            ("XStream", True), ("Other", False)]
+
+    def test_string_literal_argument_is_a_string(self, lion, tmp_path):
+        _, report, _ = lion
+        api = dataclasses.replace(report.vulnerable_api, param_types=("java.io.Reader",))
+        on_reader = dataclasses.replace(report, vulnerable_api=api)
+        (tmp_path / "H.java").write_text(
+            "import com.thoughtworks.xstream.XStream;\n"
+            "public class H { void go(java.io.Reader r) {\n"
+            "  XStream xs = new XStream(); xs.fromXML(\"<a/>\"); xs.fromXML(r); } }")
+        m2 = parse_project(tmp_path, emit_warnings=False)
+        method = next(m for _, m in m2.all_methods())
+        literal, variable = [c for st in method.body for c in st.calls()]
+        assert match_signature(report, literal, m2, method)
+        assert not match_signature(on_reader, literal, m2, method)
+        assert match_signature(on_reader, variable, m2, method)
