@@ -324,19 +324,6 @@ class MethodDecl:
         # A subset of the fields equality compares; the body is left out.
         return hash((self.owner, self.name, self.params, self.line))
 
-    def declared_type_of(self, var: str) -> str | None:
-        """Declared type of a parameter or local; newest local declaration wins."""
-        found = None
-        for st in self.body:
-            if st.kind == "Declaration" and st.lhs == var and st.declared_type:
-                found = st.declared_type
-        if found:
-            return found
-        for p in self.params:
-            if p.name == var:
-                return p.declared_type
-        return None
-
 
 @dataclass(frozen=True)
 class FieldDecl:
@@ -354,7 +341,7 @@ class ClassDecl:
     package: str
     methods: tuple[MethodDecl, ...] = _Lazy()
     fields: tuple[FieldDecl, ...] = _Lazy()
-    supertypes: tuple[str, ...]
+    supertypes: tuple[str, ...]  # as written, generics erased; see CodeModel.supertypes_of
     file: str = ""
     imports: tuple[tuple[str, str], ...] = ()   # (simple name, fqn)
     wildcard_imports: tuple[str, ...] = ()      # package prefixes from a.b.*
@@ -420,7 +407,7 @@ class CodeModel:
     def _direct_subtypes(self) -> dict[str, list[ClassDecl]]:
         out: dict[str, list[ClassDecl]] = {}
         for c in self.classes:
-            for sup in c.supertypes:
+            for sup in self.supertypes_of(c):
                 out.setdefault(sup, []).append(c)
         return out
 
@@ -511,10 +498,15 @@ class CodeModel:
     # -- type resolution helpers -------------------------------------------
 
     def resolve_type(self, name: str, context: ClassDecl | None):
-        """Resolve a declared type name to a ClassDecl (internal), an fqn
-        string (known external), or None (unresolvable).
+        """Resolve a type name, as written in the class context, to a
+        ClassDecl (internal) or an fqn string (external); None for a
+        primitive. Generic arguments and array suffixes are ignored.
 
-        Generic arguments and array suffixes are ignored for resolution.
+        A dotted name is its own fqn. A simple name is looked up in this
+        order: the context's single-type imports, its own package, its
+        wildcard imports, the one model class of that name, and java.lang;
+        else it is guessed to be in the context's first wildcard-imported
+        package, or else in its own package (None when context is None).
         """
         base = erase_generics(name).replace("[]", "").strip()
         if not base or base in PRIMITIVES:
@@ -540,10 +532,18 @@ class CodeModel:
             return matches[0]
         if base in _JAVA_LANG:
             return f"java.lang.{base}"
-        # A wildcard import may cover the name even though we cannot prove it.
-        if context is not None and context.wildcard_imports:
-            return f"{context.wildcard_imports[0]}.{base}"
-        return None
+        if context is None:
+            return None
+        # A wildcard import may cover the name even though we cannot prove
+        # it; otherwise Java leaves only the context's own package.
+        package = next(iter(context.wildcard_imports), context.package)
+        return f"{package}.{base}" if package else base
+
+    def supertypes_of(self, cls: ClassDecl) -> list[str]:
+        """The fqns of cls's direct supertypes, each name resolved in cls
+        (see resolve_type)."""
+        resolved = (self.resolve_type(name, cls) for name in cls.supertypes)
+        return [r.fqn if isinstance(r, ClassDecl) else r for r in resolved if r is not None]
 
     def subtypes_of(self, fqn: str) -> list[ClassDecl]:
         """All model classes transitively declaring fqn among their supertypes."""
@@ -560,7 +560,7 @@ class CodeModel:
 
     def supertype_chain(self, cls: ClassDecl) -> list[str]:
         out: list[str] = []
-        pending = list(cls.supertypes)
+        pending = self.supertypes_of(cls)
         while pending:
             cur = pending.pop(0)
             if cur in out:
@@ -568,7 +568,7 @@ class CodeModel:
             out.append(cur)
             parent = self.index.get(cur)
             if parent is not None:
-                pending.extend(parent.supertypes)
+                pending.extend(self.supertypes_of(parent))
         return out
 
 
@@ -688,8 +688,8 @@ class _FileParser:
 
     def _import(self, name: str, static: bool, wildcard: bool) -> None:
         """Record the import of name, or of every name in it when wildcard
-        is set; a static import of one member names no type."""
-        if wildcard:
+        is set; a static import, which imports members, is not recorded."""
+        if wildcard and not static:
             self.wildcards.append(name)
         elif not static:
             self.imports.append((name.rsplit(".", 1)[-1], name))
@@ -807,15 +807,12 @@ class _FileParser:
                 methods, fields = self._members(fqn, simple, kw == "interface", components)
             finally:
                 self.cur = outer
-        resolved_supers = tuple(
-            dict.fromkeys(self._resolve_supertype(s) for s in supertypes if s != simple)
-        )
         self.classes.append(ClassDecl(
             fqn=fqn,
             package=self.package,
             methods=methods,
             fields=fields,
-            supertypes=resolved_supers,
+            supertypes=tuple(dict.fromkeys(s for s in supertypes if s != simple)),
             file=self.path,
             imports=tuple(self.imports),
             wildcard_imports=tuple(self.wildcards),
@@ -845,16 +842,6 @@ class _FileParser:
                 if cur.skip_to((";",)) == ";" or cur.i == start:
                     cur.next()
         return tuple(methods), tuple(fields)
-
-    def _resolve_supertype(self, name: str) -> str:
-        if "." in name:
-            return name
-        for simple, fqn in self.imports:
-            if simple == name:
-                return fqn
-        if name in _JAVA_LANG:
-            return f"java.lang.{name}"
-        return f"{self.package}.{name}" if self.package else name
 
     def _parse_member(self, owner_fqn: str, owner_simple: str, in_interface: bool,
                       components: tuple[Param, ...] | None,
@@ -1774,6 +1761,18 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     return model
 
 
+def declared_type(model: CodeModel, method: MethodDecl, var: str) -> str | None:
+    """The declared type of the variable var in method: its newest local
+    declaration, else the parameter var, else the field var of the method's
+    class; None when none of them declares var."""
+    for st in reversed(method.body):
+        if st.kind == "Declaration" and st.lhs == var and st.declared_type:
+            return st.declared_type
+    owner = model.owner_of(method)
+    fields = owner.fields if owner is not None else ()
+    return next((v.declared_type for v in (*method.params, *fields) if v.name == var), None)
+
+
 def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):
     """Resolve the receiver of a call to ('internal', ClassDecl),
     ('external', fqn) or ('unknown', None).
@@ -1786,10 +1785,7 @@ def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):
         # Receiver type is named by the construction or the cast itself.
         resolved = model.resolve_type(expr.receiver.name, owner)
     elif text is not None:
-        base = text.split(".", 1)[0]
-        declared = context.declared_type_of(base)
-        if declared is None and owner is not None:
-            declared = next((f.declared_type for f in owner.fields if f.name == base), None)
+        declared = declared_type(model, context, text.split(".", 1)[0])
         # A variable's declared type; else text is a type name, possibly
         # qualified (a dotted name always resolves, at least as external).
         resolved = model.resolve_type(

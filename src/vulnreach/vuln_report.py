@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .code_model import ClassDecl, CodeModel, Expr, MethodDecl, receiver_binding, simple_type_name
+from .code_model import (ClassDecl, CodeModel, Expr, MethodDecl, declared_type, receiver_binding,
+                         simple_type_name)
 from .errors import VulnreachError
 
 VULNERABILITY_KINDS = (
@@ -249,8 +250,10 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
 
     The receiver's statically declared type must equal the vulnerable class
     (or be one of its subtypes in the model), the method name must match,
-    and the arity must equal the reported parameter list. When argument
-    types are resolvable a simple-name type check is applied as well.
+    and the arity must equal the reported parameter list. Where an
+    argument's type is derivable (a variable's declared type, see
+    code_model.declared_type; the type a cast or construction names; String
+    for a string literal) its simple name must match as well.
     """
     if call_expr.kind != "Call":
         return False
@@ -268,21 +271,16 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
         assert isinstance(target, ClassDecl)
         cls_match = (target.fqn == api.class_fqn
                      or api.class_fqn in model.supertype_chain(target))
-    if not cls_match:
-        # Fall back to the raw receiver text (e.g. fully qualified call).
-        text = call_expr.receiver_text
-        if text is not None and (text == api.class_fqn
-                                 or text == api.class_simple_name):
-            cls_match = True
-    if not cls_match:
+    if not cls_match and call_expr.receiver_text != api.class_simple_name:
+        # Nor is the raw receiver text the class's simple name.
         return False
 
     # Type-level refinement where declared types are visible.
     for arg, want in zip(call_expr.args, api.param_types):
         got: str | None = None
         if arg.kind == "VarRef":
-            got = context.declared_type_of(arg.name)
-        elif arg.kind == "Cast":
+            got = declared_type(model, context, arg.name)
+        elif arg.kind in ("Cast", "New"):
             got = arg.name
         elif arg.kind == "Literal" and arg.name.startswith('"'):
             got = "String"

@@ -84,6 +84,14 @@ are marked, each line by a comment naming its fix:
   `for` when a `:` followed at bracket depth 0, counting `>` and `>>` but
   not `>>>`: `for (int i = b ? 1 : 2; ; )` and
   `for (Map.Entry<K, List<Set<V>>> e : m)` became opaque statements.
+- "supertype-name fix": a class keeps its supertypes' names as written, for
+  `CodeModel.supertypes_of` to resolve by the model's one rule. The
+  original resolved each by a rule of its own that read no wildcard
+  import, so `import a.*; class M extends X { }` took `X` from its own
+  package.
+- "static-import fix": a static import, which imports members, is not
+  recorded. The original took `import static java.util.Objects.*;` for
+  the wildcard package `java.util.Objects`.
 
 `parse_project` serves only as the specification the new front end must
 reproduce: the same classes, statements and diagnostics. Input nested more
@@ -102,7 +110,6 @@ from vulnreach.java_lexer import KEYWORDS as _KEYWORDS
 from vulnreach.java_lexer import MODIFIERS as _MODIFIERS
 from vulnreach.java_lexer import PRIMITIVES as _PRIMITIVES
 from vulnreach.code_model import (
-    _JAVA_LANG,
     ClassDecl,
     CodeModel,
     Expr,
@@ -314,7 +321,8 @@ class _FileParser:
                     if cur.at("."):
                         cur.next()
                         cur.expect("*")
-                        self.wildcards.append(name)
+                        if not static:  # static-import fix
+                            self.wildcards.append(name)
                     elif not static:
                         self.imports.append((name.rsplit(".", 1)[-1], name))
                     self._skip_to(";")
@@ -499,30 +507,17 @@ class _FileParser:
         if cur.at("}"):
             cur.next()
         self.cur = outer  # block-bound fix
-        resolved_supers = tuple(
-            dict.fromkeys(self._resolve_supertype(s) for s in supertypes if s != simple)
-        )
         self.classes.append(ClassDecl(
             fqn=fqn,
             package=self.package,
             methods=tuple(methods),
             fields=tuple(fields),
-            supertypes=resolved_supers,
+            supertypes=tuple(dict.fromkeys(s for s in supertypes if s != simple)),  # supertype-name fix
             file=self.path,
             imports=tuple(self.imports),
             wildcard_imports=tuple(self.wildcards),
             source_text=self.source,
         ))
-
-    def _resolve_supertype(self, name: str) -> str:
-        if "." in name:
-            return name
-        for simple, fqn in self.imports:
-            if simple == name:
-                return fqn
-        if name in _JAVA_LANG:
-            return f"java.lang.{name}"
-        return f"{self.package}.{name}" if self.package else name
 
     def _resync_member(self):
         cur = self.cur

@@ -124,6 +124,65 @@ class TestAnalyzeCommand:
             (("g.Api#bare(String)",), True, ("DirectPropagation",)),
             (("g.Api#param(String)",), True, ("DirectPropagation",))]
 
+    @pytest.mark.parametrize("files, paths", [
+        ({"app/MyX.java": "package app;\nimport com.thoughtworks.xstream.*;\n"
+                          "public class MyX extends XStream { }\n",
+          "app/Api.java": "package app;\npublic class Api {\n"
+                          "  public Object go(String doc) { return new MyX().fromXML(doc); }\n}\n"},
+         [(("app.Api#go(String)",), True)]),
+        ({"app/MyX.java": "package app;\nimport static java.util.Objects.*;\n"
+                          "import com.thoughtworks.xstream.*;\n"
+                          "public class MyX extends XStream { }\n",
+          "app/Api.java": "package app;\npublic class Api {\n"
+                          "  public Object go(String doc) { return new MyX().fromXML(doc); }\n}\n"},
+         [(("app.Api#go(String)",), True)]),
+        ({"com/thoughtworks/xstream/MyX.java": "package com.thoughtworks.xstream;\n"
+                                               "class MyX extends XStream { }\n",
+          "app/Api.java": "package app;\nimport com.thoughtworks.xstream.MyX;\n"
+                          "public class Api {\n"
+                          "  public Object go(String doc) { return new MyX().fromXML(doc); }\n}\n"},
+         [(("app.Api#go(String)",), True)]),
+        ({"app/A.java": "package app;\npublic class A extends B { }\n",
+          "app/B.java": "package app;\nimport com.thoughtworks.xstream.XStream;\n"
+                        "public class B extends XStream { }\n",
+          "app/Api.java": "package app;\npublic class Api {\n"
+                          "  public Object go(String doc) { return new A().fromXML(doc); }\n}\n"},
+         [(("app.Api#go(String)",), True)]),
+        ({"app/Api.java": "package app;\nimport com.thoughtworks.xstream.XStream;\n"
+                          "import java.io.File;\npublic class Api {\n  private File file;\n"
+                          "  public Object go(String doc) { XStream xs = new XStream();\n"
+                          "    return xs.fromXML(file); }\n}\n"},
+         []),
+        ({"app/Api.java": "package app;\nimport com.thoughtworks.xstream.XStream;\n"
+                          "import java.io.File;\npublic class Api {\n"
+                          "  public Object go(String p) {\n"
+                          "    return new XStream().fromXML(new File(p)); }\n}\n"},
+         []),
+        ({"app/Api.java": "package app;\nimport com.thoughtworks.xstream.XStream;\n"
+                          "public class Api {\n  private String xml;\n"
+                          "  public Object go(String doc) { xml = doc;\n"
+                          "    return new XStream().fromXML(xml); }\n}\n"},
+         [(("app.Api#go(String)",), True)]),
+    ], ids=["wildcard-import-supertype", "static-wildcard-first", "own-package-supertype",
+            "supertype-in-a-later-file", "file-field-argument", "constructed-file-argument",
+            "string-field-argument"])
+    def test_which_calls_are_the_vulnerable_api(self, tmp_path, files, paths):
+        # A supertype's name resolves by CodeModel.resolve_type's one rule,
+        # and an argument's type is read from a local, parameter or field,
+        # or from the class it constructs, as a receiver's type is.
+        root = tmp_path / "project"
+        for name, text in files.items():
+            (root / "src/main/java" / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / "src/main/java" / name).write_text(text)
+        (root / "src/test/java").mkdir(parents=True)
+        _, poc, _ = fixture_paths("lion_reachable")
+        out = tmp_path / "out"
+        code = main(["analyze", "--project", str(root), "--poc", str(poc), "--out", str(out),
+                     "--mode", "paths-only"])
+        assert code == 2  # nothing is confirmed in this mode
+        report = read_report(out / "report.json")
+        assert [(p.signatures, p.reachable) for p in report.paths] == paths
+
     def test_unbindable_entry_parameter_skips_only_that_paths_tests(self, tmp_path):
         # The offline template cannot build the XStream argument of handle:
         # that path gets no tests and one diagnostic, and the run still

@@ -69,8 +69,10 @@ class TestParseProject:
             "package h; public class Leaf extends Mid { public void go(String s) {} }")
         model = parse_project(tmp_path, emit_warnings=False)
         assert len(model.index) == 3
-        assert model.find_class("h.Leaf").supertypes == ("h.Mid",)
-        assert model.find_class("h.Mid").supertypes == ("h.Base",)
+        leaf, mid = model.find_class("h.Leaf"), model.find_class("h.Mid")
+        assert (leaf.supertypes, mid.supertypes) == (("Mid",), ("Base",))
+        assert (model.supertypes_of(leaf), model.supertypes_of(mid)) == (["h.Mid"], ["h.Base"])
+        assert model.supertype_chain(leaf) == ["h.Mid", "h.Base"]
         assert {c.fqn for c in model.subtypes_of("h.Base")} == {"h.Mid", "h.Leaf"}
         assert model.subtypes_of("h.Leaf") == []
         assert [c.fqn for c in model.classes_by_simple_name("Mid")] == ["h.Mid"]
@@ -202,7 +204,8 @@ class TestTypeDeclarations:
                 if not scan:
                     _without_scan(patch)
                 classes, diagnostics = _parse_source(code_model, source)
-            assert [(c.fqn, c.supertypes, [m.name for m in c.methods]) for c in classes] == shapes
+            assert [(c.fqn, sups, [m.name for m in c.methods])
+                    for c, sups in zip(classes, _resolved_supertypes(classes))] == shapes
             assert diagnostics == []
         assert (classes, diagnostics) == _parse_source(parser_reference, source)
 
@@ -223,7 +226,8 @@ class TestTypeDeclarations:
                   "  public void ok(String é) { Object o = é; ß.g(ü); } }")
         classes, diagnostics = _parse_source(code_model, source)
         (cls,) = classes
-        assert (cls.fqn, cls.supertypes) == ("p.Ärger", ("p.Öl",)) and diagnostics == []
+        assert (cls.fqn, cls.supertypes) == ("p.Ärger", ("Öl",)) and diagnostics == []
+        assert _resolved_supertypes(classes) == [("p.Öl",)]
         assert [m.signature() for m in cls.methods] == [
             "p.Ärger#加载(String)", "p.Ärger#ok(String)"]
         assert [(st.lhs, sorted(st.rhs_expr.operand_vars)) for st in cls.methods[1].body] == [
@@ -255,9 +259,11 @@ class TestResolveType:
         ("p.Ctx", "B", "q.B"),
         ("p.Ctx", "Helper", "r.Helper"),
         ("p.Ctx", "Missing", "q.Missing"),
-        ("p.Bare", "Missing", None),
+        ("p.Bare", "Missing", "p.Missing"),
+        (None, "Missing", None),
     ], ids=["dotted-in-index", "dotted-outside-index", "wildcard-import",
-            "unique-simple-name", "first-wildcard-guess", "no-wildcard-no-guess"])
+            "unique-simple-name", "first-wildcard-guess", "own-package-guess",
+            "no-context-no-guess"])
     def test_rule(self, model, context, name, resolved):
         got = model.resolve_type(name, model.find_class(context))
         if resolved in model.index:  # a class of the model, not only its name
@@ -324,6 +330,13 @@ def _parse_source(module, source: str):
     log: list = []
     classes = module._FileParser("Src.java", source, log).parse()
     return classes, list(_all_bodies_parsed(code_model.CodeModel(tuple(classes), {}, tuple(log))))
+
+
+def _resolved_supertypes(classes):
+    """Each class's supertypes resolved in a model of only these classes
+    (see CodeModel.supertypes_of), as tuples."""
+    model = code_model.CodeModel(tuple(classes), {c.fqn: c for c in classes})
+    return [tuple(model.supertypes_of(c)) for c in classes]
 
 
 def _all_bodies_parsed(model):

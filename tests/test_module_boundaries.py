@@ -1,6 +1,8 @@
 """The package's modules use only each other's public names: no module under
 src/vulnreach imports another module's _private name or reads one through
-an imported module. A name shared between modules gets a public home."""
+an imported module. A name shared between modules gets a public home. And
+one rule turns a type's name into a class: only CodeModel.resolve_type
+reads the java.lang names and a class's imports."""
 
 import ast
 from pathlib import Path
@@ -57,3 +59,41 @@ def test_guard_sees_imports_and_reads():
               "import vulnreach.ptg as p\n"
               "x = assets._HIDDEN + p._helper(self._own)\n")
     assert private_crossings(source) == ["1: _name_chain", "4: assets._HIDDEN", "4: p._helper"]
+
+
+_TYPE_NAME_INPUTS = ("_JAVA_LANG", "import_map", "wildcard_imports")
+
+
+def type_name_reads(source: str) -> list[str]:
+    """'line: name' for each read of _JAVA_LANG, import_map or
+    wildcard_imports in source outside CodeModel.resolve_type, the one rule
+    that turns a type's name into a class."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "CodeModel"
+              for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "resolve_type"
+              for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in _TYPE_NAME_INPUTS and isinstance(node.ctx, ast.Load) \
+                and id(node) not in inside:
+            found.append((node.lineno, node.col_offset, name))
+    return [f"{line}: {name}" for line, _, name in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_resolve_type_reads_a_type_names_inputs(module):
+    assert type_name_reads((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_type_name_guard_sees_reads_outside_resolve_type():
+    source = ("_JAVA_LANG = {'String'}\n"
+              "class CodeModel:\n"
+              "    def resolve_type(self, name, context):\n"
+              "        return name in _JAVA_LANG or context.import_map() or context.wildcard_imports\n"
+              "    def other(self, cls):\n"
+              "        return cls.import_map(), cls.wildcard_imports\n"
+              "def resolve_type(name):\n"
+              "    return name in _JAVA_LANG\n")
+    assert type_name_reads(source) == ["6: import_map", "6: wildcard_imports", "8: _JAVA_LANG"]

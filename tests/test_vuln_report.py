@@ -247,6 +247,20 @@ class TestMatchSignature:
         assert [(c.receiver_text, match_signature(report, c, m2, method)) for c in calls] == [
             ("XStream", True), ("Other", False)]
 
+    def test_qualified_receiver_text_is_its_own_type(self, lion, tmp_path):
+        # A dotted receiver resolves to itself (CodeModel.resolve_type), so
+        # no receiver-text fallback is needed for a fully qualified call.
+        _, report, _ = lion
+        (tmp_path / "Q.java").write_text(
+            "package app;\n"
+            "public class Q { void go(String xml) {\n"
+            "  com.thoughtworks.xstream.XStream.fromXML(xml); org.Other.fromXML(xml); } }")
+        m2 = parse_project(tmp_path, emit_warnings=False)
+        method = next(m for _, m in m2.all_methods())
+        calls = [c for st in method.body for c in st.calls()]
+        assert [(c.receiver_text, match_signature(report, c, m2, method)) for c in calls] == [
+            ("com.thoughtworks.xstream.XStream", True), ("org.Other", False)]
+
     def test_string_literal_argument_is_a_string(self, lion, tmp_path):
         _, report, _ = lion
         api = dataclasses.replace(report.vulnerable_api, param_types=("java.io.Reader",))
