@@ -503,10 +503,12 @@ class CodeModel:
         primitive. Generic arguments and array suffixes are ignored.
 
         A dotted name is its own fqn. A simple name is looked up in this
-        order: the context's single-type imports, its own package, its
-        wildcard imports, the one model class of that name, and java.lang;
-        else it is guessed to be in the context's first wildcard-imported
-        package, or else in its own package (None when context is None).
+        order: the member types of the context and of the classes enclosing
+        it, the context's single-type imports, its own package, its
+        wildcard imports, java.lang, and (a heuristic) the one model class
+        of that name; else it is guessed to be in the context's first
+        wildcard-imported package, or else in its own package (None when
+        context is None).
         """
         base = erase_generics(name).replace("[]", "").strip()
         if not base or base in PRIMITIVES:
@@ -517,6 +519,12 @@ class CodeModel:
             # Dotted name: internal if indexed, else assumed external.
             return base
         if context is not None:
+            scope = context.fqn
+            while scope and scope != context.package:
+                # A member type of the context or of a class enclosing it.
+                if f"{scope}.{base}" in self.index:
+                    return self.index[f"{scope}.{base}"]
+                scope = scope.rpartition(".")[0]
             imp = context.import_map().get(base)
             if imp is not None:
                 return self.index.get(imp, imp)
@@ -527,11 +535,13 @@ class CodeModel:
                 wc = f"{pkg}.{base}"
                 if wc in self.index:
                     return self.index[wc]
+        if base in _JAVA_LANG:
+            return f"java.lang.{base}"
+        # Heuristic: Java sees no other class by its simple name alone, but
+        # the import naming it may be one this parser did not read.
         matches = self.classes_by_simple_name(base)
         if len(matches) == 1:
             return matches[0]
-        if base in _JAVA_LANG:
-            return f"java.lang.{base}"
         if context is None:
             return None
         # A wildcard import may cover the name even though we cannot prove

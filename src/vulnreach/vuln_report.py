@@ -16,6 +16,7 @@ from pathlib import Path
 from .code_model import (ClassDecl, CodeModel, Expr, MethodDecl, declared_type, receiver_binding,
                          simple_type_name)
 from .errors import VulnreachError
+from .java_lexer import PRIMITIVES
 
 VULNERABILITY_KINDS = (
     "UncaughtException",
@@ -253,7 +254,8 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
     and the arity must equal the reported parameter list. Where an
     argument's type is derivable (a variable's declared type, see
     code_model.declared_type; the type a cast or construction names; String
-    for a string literal) its simple name must match as well.
+    for a string literal) it must be one that may be passed for the
+    parameter (see _may_pass).
     """
     if call_expr.kind != "Call":
         return False
@@ -284,6 +286,32 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
             got = arg.name
         elif arg.kind == "Literal" and arg.name.startswith('"'):
             got = "String"
-        if got is not None and simple_type_name(got) != simple_type_name(want):
+        if got is not None and not _may_pass(model, context, got, want):
             return False
     return True
+
+
+# Final JDK types, each with its supertypes: no other type is one of them.
+_BOXED = ("Object", "Comparable", "Serializable", "Constable")
+_FINAL_TYPES = {"String": (*_BOXED, "CharSequence", "ConstantDesc"), "Boolean": _BOXED,
+                "Character": _BOXED, **dict.fromkeys(("Byte", "Short"), (*_BOXED, "Number")),
+                **dict.fromkeys(("Integer", "Long", "Float", "Double"),
+                                (*_BOXED, "Number", "ConstantDesc"))}
+
+
+def _may_pass(model: CodeModel, context: MethodDecl, got: str, want: str) -> bool:
+    """False only when an argument declared as type got provably cannot be
+    passed for a parameter of type want, compared by simple name. A final
+    JDK type has no subtype; a primitive or an array must have want's
+    element type; a model class's supertypes are known up to the first one
+    outside the model."""
+    g, w = simple_type_name(got), simple_type_name(want)
+    if g == w or w == "Object":
+        return True
+    if g in _FINAL_TYPES:
+        return w in _FINAL_TYPES[g]
+    if w in _FINAL_TYPES or g in PRIMITIVES or "[" in got:
+        return False
+    cls = model.resolve_type(got, model.owner_of(context))
+    return not isinstance(cls, ClassDecl) or any(
+        simple_type_name(s) == w or s not in model.index for s in model.supertype_chain(cls))

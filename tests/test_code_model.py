@@ -248,6 +248,8 @@ class TestResolveType:
             "q/B.java": "package q; public class B { }",
             "r/B.java": "package r; public class B { }",
             "r/Helper.java": "package r; public class Helper { }",
+            "r/Exception.java": "package r; public class Exception { }",
+            "p/Outer.java": "package p; class Outer { static class Error { } class In { } }",
         }.items():
             (root / path).parent.mkdir(exist_ok=True)
             (root / path).write_text(text)
@@ -261,9 +263,13 @@ class TestResolveType:
         ("p.Ctx", "Missing", "q.Missing"),
         ("p.Bare", "Missing", "p.Missing"),
         (None, "Missing", None),
+        ("p.Bare", "Exception", "java.lang.Exception"),
+        ("p.Outer", "Error", "p.Outer.Error"),
+        ("p.Outer.In", "Error", "p.Outer.Error"),
     ], ids=["dotted-in-index", "dotted-outside-index", "wildcard-import",
             "unique-simple-name", "first-wildcard-guess", "own-package-guess",
-            "no-context-no-guess"])
+            "no-context-no-guess", "java-lang-before-unique-simple-name", "member-type",
+            "enclosing-class-member-type"])
     def test_rule(self, model, context, name, resolved):
         got = model.resolve_type(name, model.find_class(context))
         if resolved in model.index:  # a class of the model, not only its name

@@ -275,3 +275,40 @@ class TestMatchSignature:
         assert match_signature(report, literal, m2, method)
         assert not match_signature(on_reader, literal, m2, method)
         assert match_signature(on_reader, variable, m2, method)
+
+    @pytest.mark.parametrize("param, arg, matches", [
+        ("java.io.InputStream", "new ByteArrayInputStream(b)", True),
+        ("java.io.InputStream", "in", True),
+        ("java.io.InputStream", "new Doc()", False),
+        ("java.io.InputStream", "new DocStream()", True),
+        ("java.io.Reader", "new StringReader(xml)", True),
+        ("java.io.Reader", "xml", False),
+        ("Object", "new Doc()", True),
+        ("CharSequence", "xml", True),
+        ("String", "new File(xml)", False),
+        ("String", "doc", False),
+        ("java.io.InputStream", "b", False),
+        ("java.io.InputStream", "n", False),
+        ("Object", "b", True),
+    ], ids=["constructed-subtype", "subtype-field", "unrelated-model-class",
+            "model-class-beyond-the-model", "constructed-reader", "string-for-reader",
+            "anything-for-object", "string-for-its-interface", "constructed-file-for-string",
+            "model-class-for-string", "array-for-stream", "primitive-for-stream",
+            "array-for-object"])
+    def test_argument_must_possibly_have_the_parameter_type(self, lion, tmp_path, param, arg,
+                                                            matches):
+        # An argument is rejected only when its type provably cannot be the
+        # parameter's: a constructed or field argument usually has a subtype.
+        _, report, _ = lion
+        api = dataclasses.replace(report.vulnerable_api, param_types=(param,))
+        on_param = dataclasses.replace(report, vulnerable_api=api)
+        (tmp_path / "Doc.java").write_text("package app;\npublic class Doc { }\n")
+        (tmp_path / "DocStream.java").write_text(
+            "package app;\npublic class DocStream extends java.io.FilterInputStream { }\n")
+        (tmp_path / "U.java").write_text(
+            "package app;\nimport com.thoughtworks.xstream.XStream;\nimport java.io.*;\n"
+            "public class U { private FileInputStream in;\n"
+            f"  Object go(String xml, byte[] b, int n, Doc doc) {{ return new XStream().fromXML({arg}); }} }}")
+        m2 = parse_project(tmp_path, emit_warnings=False)
+        method = next(m for _, m in m2.all_methods() if m.name == "go")
+        assert match_signature(on_param, self._call(method, "fromXML"), m2, method) is matches
