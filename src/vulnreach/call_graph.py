@@ -17,14 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .code_model import (
-    CodeModel,
-    Expr,
-    ExternalCallee,
-    MethodDecl,
-    Statement,
-    resolve_invocation,
-)
+from .code_model import CodeModel, ExternalCallee, MethodDecl, resolve_invocation
+from .java_body import Expr, Statement
 from .vuln_report import VulnerabilityReport, match_signature
 
 
@@ -115,10 +109,6 @@ class MethodCallPath:
     @property
     def entry(self) -> MethodDecl:
         return self.methods[0]
-
-    @property
-    def vulnerable_site(self) -> Statement:
-        return self.call_sites[-1]
 
     def signatures(self) -> tuple[str, ...]:
         return tuple(m.signature() for m in self.methods)

@@ -7,8 +7,10 @@ of its k-th '{' and of the '}' that closes it, the only record of where a
 block is; the bracket check of a block; the word test that tells whether a
 class body declares a member type, which keeps its members from being left
 for later; the scan that reads a file's header in its plainest form from
-the blanked text outside its blocks, with no token made (scan_header); and
-the cursors through which the parsers in code_model read tokens. A file
+the blanked text outside its blocks, with no token made (scan_header); the
+cursors through which the parsers in code_model and java_body read tokens,
+the errors and diagnostics they raise and report, and the type-name
+helpers both use (erase_generics, simple_type_name). A file
 whose header the scan cannot read is tokenized down to its type headers by
 a FileCursor over the same blanked text and block table, leaving out the
 interior of every block, a '{' that no '}' closes ending with the file.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -209,10 +212,34 @@ class ParseError(Exception):
         self.line = line
 
 
+@dataclass(frozen=True)
+class ParseDiagnostic:
+    """A non-fatal problem met while parsing one file."""
+
+    file: str
+    line: int
+    message: str
+
+    def format(self) -> str:
+        return f"WARN {self.file}:{self.line} {self.message}"
+
+
 # Brackets by opener, and the tokens no type argument holds.
 _CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = frozenset(_CLOSER_OF.values())
 TYPE_ARGUMENT_ENDS = frozenset(("{", "}", ";"))
+
+
+def erase_generics(type_text: str) -> str:
+    """Type text with its generic arguments cut off: everything from the
+    first '<' to the end of that line ("Map<K, V>[]" -> "Map")."""
+    return re.sub(r"<.*", "", type_text)
+
+
+def simple_type_name(type_text: str) -> str:
+    """Unqualified element type of a type text: generics and array
+    brackets dropped, last dotted segment kept ("java.util.List<T>[]" -> "List")."""
+    return erase_generics(type_text).replace("[]", "").strip().rsplit(".", 1)[-1]
 
 
 class Cursor:

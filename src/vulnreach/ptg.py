@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .call_graph import MethodCallPath
-from .code_model import CodeModel, Expr, MethodDecl, Statement, erase_generics
+from .code_model import CodeModel, MethodDecl
+from .java_body import Expr, Statement
+from .java_lexer import erase_generics
 from .vuln_report import VulnerabilityReport
 
 DIRECT = "DirectPropagation"
@@ -102,9 +104,6 @@ class ParameterPath:
 
     def kinds(self) -> tuple[str, ...]:
         return tuple(t.kind for t in self.transfer_types)
-
-    def is_benign(self) -> bool:
-        return all(k in BENIGN for k in self.kinds())
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import assets
-from .code_model import ClassDecl, CodeModel, MethodDecl, erase_generics, simple_type_name
+from .code_model import ClassDecl, CodeModel, MethodDecl
 from .errors import VulnreachError
+from .java_lexer import erase_generics, simple_type_name
 from .ptg import ReachabilityResult
 from .vuln_report import VulnerabilityReport
 

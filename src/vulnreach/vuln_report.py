@@ -13,10 +13,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .code_model import (ClassDecl, CodeModel, Expr, MethodDecl, declared_type, receiver_binding,
-                         simple_type_name)
+from .code_model import ClassDecl, CodeModel, MethodDecl, declared_type, receiver_binding
 from .errors import VulnreachError
-from .java_lexer import PRIMITIVES
+from .java_body import Expr
+from .java_lexer import PRIMITIVES, simple_type_name
 
 VULNERABILITY_KINDS = (
     "UncaughtException",

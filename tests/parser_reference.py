@@ -109,16 +109,18 @@ from pathlib import Path
 from vulnreach.java_lexer import KEYWORDS as _KEYWORDS
 from vulnreach.java_lexer import MODIFIERS as _MODIFIERS
 from vulnreach.java_lexer import PRIMITIVES as _PRIMITIVES
+from vulnreach.java_lexer import ParseDiagnostic
 from vulnreach.code_model import (
     ClassDecl,
     CodeModel,
-    Expr,
     FieldDecl,
     MethodDecl,
     NoSourceFiles,
     Param,
-    ParseDiagnostic,
     RootNotFound,
+)
+from vulnreach.java_body import (
+    Expr,
     Statement,
     _name_chain,
     binary_op,

@@ -17,7 +17,8 @@ from vulnreach.call_graph import (
     PathFilterConfig,
     is_entry_eligible,
 )
-from vulnreach.code_model import ClassDecl, CodeModel, Expr, MethodDecl, Statement, call
+from vulnreach.code_model import ClassDecl, CodeModel, MethodDecl
+from vulnreach.java_body import Expr, Statement, call
 
 from call_graph_reference import EdgeListGraph
 

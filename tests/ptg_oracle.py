@@ -13,10 +13,9 @@ It shares no code with the production enumeration.
 
 import random
 
-from vulnreach.code_model import (
+from vulnreach.code_model import MethodDecl, Param
+from vulnreach.java_body import (
     Expr,
-    MethodDecl,
-    Param,
     Statement,
     binary_op,
     call,

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from vulnreach.call_graph import MethodCallPath
-from vulnreach.code_model import CodeModel, Expr, MethodDecl, Statement
+from vulnreach.code_model import CodeModel, MethodDecl
+from vulnreach.java_body import Expr, Statement
 from vulnreach.errors import VulnreachError
 from vulnreach.ptg import (
     BENIGN,
@@ -73,7 +74,7 @@ class ArgAnalysis:
     paths: tuple[ParameterPath, ...]
 
     def benign_paths(self) -> tuple[ParameterPath, ...]:
-        return tuple(p for p in self.paths if p.is_benign())
+        return tuple(p for p in self.paths if all(k in BENIGN for k in p.kinds()))
 
 
 @dataclass(frozen=True)

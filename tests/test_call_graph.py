@@ -12,7 +12,8 @@ from vulnreach.call_graph import (
     is_entry_eligible,
     localize_vulnerable_methods,
 )
-from vulnreach.code_model import Statement, parse_project
+from vulnreach.code_model import parse_project
+from vulnreach.java_body import Statement
 from vulnreach.vuln_report import load_report, match_signature, parse_report
 
 import call_graph_reference
@@ -220,7 +221,7 @@ class TestExtractCallPaths:
                 # Last method contains a statement matching the report.
                 matched = any(
                     match_signature(report, c, model, p.methods[-1])
-                    for c in p.vulnerable_site.calls())
+                    for c in p.call_sites[-1].calls())
                 assert matched
 
     def test_shrinking_depth_never_adds(self):

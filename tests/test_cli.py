@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulnreach import cli, code_model, java_lexer
+from vulnreach import cli, code_model, java_body, java_lexer
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
 from vulnreach.code_model import parse_project
 from vulnreach.confirm import read_report
@@ -136,6 +136,10 @@ class TestAnalyzeCommand:
           "app/Api.java": "package app;\npublic class Api {\n"
                           "  public Object go(String doc) { return new MyX().fromXML(doc); }\n}\n"},
          [(("app.Api#go(String)",), True)]),
+        ({"app/MyX.java": "package app;\nimport java.util.*;\nimport com.thoughtworks.xstream.*;\n"
+                          "public class MyX extends XStream {\n  public Object go(String doc) "
+                          "{ return new MyX().fromXML(doc); }\n}\n"},
+         [(("app.MyX#go(String)",), True)]),
         ({"com/thoughtworks/xstream/MyX.java": "package com.thoughtworks.xstream;\n"
                                                "class MyX extends XStream { }\n",
           "app/Api.java": "package app;\nimport com.thoughtworks.xstream.MyX;\n"
@@ -163,7 +167,8 @@ class TestAnalyzeCommand:
                           "  public Object go(String doc) { xml = doc;\n"
                           "    return new XStream().fromXML(xml); }\n}\n"},
          [(("app.Api#go(String)",), True)]),
-    ], ids=["wildcard-import-supertype", "static-wildcard-first", "own-package-supertype",
+    ], ids=["wildcard-import-supertype", "static-wildcard-first", "jdk-wildcard-first",
+            "own-package-supertype",
             "supertype-in-a-later-file", "file-field-argument", "constructed-file-argument",
             "string-field-argument"])
     def test_which_calls_are_the_vulnerable_api(self, tmp_path, files, paths):
@@ -655,13 +660,13 @@ class TestBodiesOnDemand:
         poc = tmp_path / "poc.json"
         poc.write_text(json.dumps(pair.poc), encoding="utf-8")
         parsed = collections.Counter()
-        parse_block = code_model._BodyParser.parse_block
+        parse_block = java_body.parse_block
 
-        def counting(parser):
-            parsed[parser.path, parser.cur.i] += 1
-            return parse_block(parser)
+        def counting(cur, depth, path, log):
+            parsed[path, cur.i] += 1
+            return parse_block(cur, depth, path, log)
 
-        monkeypatch.setattr(code_model._BodyParser, "parse_block", counting)
+        monkeypatch.setattr(java_body, "parse_block", counting)
         runs = self._keep_models(monkeypatch)
         assert main(["analyze", "--project", str(root), "--poc", str(poc),
                      "--out", str(tmp_path / "out")]) == 2
@@ -705,7 +710,7 @@ class TestBodiesOnDemand:
         assert len(model.classes) == 200 and len(read) == 16
         assert sum(lexed.values()) == 16 and max(lexed.values()) == 1
         report = read_report(tmp_path / "out" / "report.json")
-        features = {model.find_class(s.split("#")[0]).package
+        features = {model.index[s.split("#")[0]].package
                     for p in report.paths for s in p.signatures}
         assert len(report.paths) == 4 and len(features) == 1
         assert read == [c for c in model.classes if c.package in features]

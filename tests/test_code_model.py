@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulnreach import code_model, java_lexer
+from vulnreach import code_model, java_body, java_lexer
 from vulnreach.code_model import (
     ExternalCallee,
     NoSourceFiles,
@@ -26,7 +26,7 @@ gen = bench_generators()
 
 
 def _method(model, fqn, name):
-    cls = model.find_class(fqn)
+    cls = model.index.get(fqn)
     assert cls is not None, f"{fqn} not in model"
     for m in cls.methods:
         if m.name == name:
@@ -69,13 +69,13 @@ class TestParseProject:
             "package h; public class Leaf extends Mid { public void go(String s) {} }")
         model = parse_project(tmp_path, emit_warnings=False)
         assert len(model.index) == 3
-        leaf, mid = model.find_class("h.Leaf"), model.find_class("h.Mid")
+        leaf, mid = model.index["h.Leaf"], model.index["h.Mid"]
         assert (leaf.supertypes, mid.supertypes) == (("Mid",), ("Base",))
         assert (model.supertypes_of(leaf), model.supertypes_of(mid)) == (["h.Mid"], ["h.Base"])
         assert model.supertype_chain(leaf) == ["h.Mid", "h.Base"]
         assert {c.fqn for c in model.subtypes_of("h.Base")} == {"h.Mid", "h.Leaf"}
         assert model.subtypes_of("h.Leaf") == []
-        assert [c.fqn for c in model.classes_by_simple_name("Mid")] == ["h.Mid"]
+        assert model.resolve_type("Mid", None) is mid  # the one class of that simple name
         assert model.method_by_signature("h.Leaf#go(String)").owner == "h.Leaf"
         assert model.method_by_signature("h.Mid#go(String)") is None
 
@@ -125,13 +125,13 @@ class TestParseProject:
         (tmp_path / "Bad.java").write_text("public class Bad { this is not java }")
         (tmp_path / "Good.java").write_text("public class Good { void ok() {} }")
         model = parse_project(tmp_path, emit_warnings=False)
-        assert model.find_class("Good") is not None
-        model.find_class("Bad").methods  # its member diagnostics come with its members
+        assert "Good" in model.index
+        model.index["Bad"].methods  # its member diagnostics come with its members
         assert model.diagnostics
 
     def test_warning_format_on_stderr(self, tmp_path, capsys):
         (tmp_path / "Bad.java").write_text("public class Bad { ?? }")
-        parse_project(tmp_path).find_class("Bad").methods
+        parse_project(tmp_path).index["Bad"].methods
         err = capsys.readouterr().err
         assert err.startswith("WARN ")
         first = err.splitlines()[0]
@@ -245,6 +245,10 @@ class TestResolveType:
         for path, text in {
             "p/Ctx.java": "package p; import q.*; import w.*; class Ctx { }",
             "p/Bare.java": "package p; class Bare { }",
+            "p/Jdk.java": "package p; import java.util.*; import javax.swing.*; import q.*; "
+                          "class Jdk { }",
+            "p/JdkOnly.java": "package p; import javax.swing.*; import java.util.*; "
+                              "class JdkOnly { }",
             "q/B.java": "package q; public class B { }",
             "r/B.java": "package r; public class B { }",
             "r/Helper.java": "package r; public class Helper { }",
@@ -262,16 +266,19 @@ class TestResolveType:
         ("p.Ctx", "Helper", "r.Helper"),
         ("p.Ctx", "Missing", "q.Missing"),
         ("p.Bare", "Missing", "p.Missing"),
+        ("p.Jdk", "Missing", "q.Missing"),
+        ("p.JdkOnly", "Missing", "javax.swing.Missing"),
         (None, "Missing", None),
         ("p.Bare", "Exception", "java.lang.Exception"),
         ("p.Outer", "Error", "p.Outer.Error"),
         ("p.Outer.In", "Error", "p.Outer.Error"),
     ], ids=["dotted-in-index", "dotted-outside-index", "wildcard-import",
             "unique-simple-name", "first-wildcard-guess", "own-package-guess",
+            "first-wildcard-outside-the-jdk-guess", "first-jdk-wildcard-guess",
             "no-context-no-guess", "java-lang-before-unique-simple-name", "member-type",
             "enclosing-class-member-type"])
     def test_rule(self, model, context, name, resolved):
-        got = model.resolve_type(name, model.find_class(context))
+        got = model.resolve_type(name, model.index.get(context))
         if resolved in model.index:  # a class of the model, not only its name
             assert got is model.index[resolved]
         else:
@@ -470,10 +477,10 @@ def _scan_checked(source: str) -> list[str]:
                 if "body" not in vars(m)]
     whole = java_lexer.tokenize(source)
     for _, entry in deferred:
-        parser = code_model._BodyParser(java_lexer.Cursor(*whole), entry.depth, entry.path, [])
-        parser.cur.i = _token_index(source, entry.start)
-        statements = parser.parse_block()
-        assert parser.cur.i == _token_index(source, entry.end), source
+        cur = java_lexer.Cursor(*whole)
+        cur.i = _token_index(source, entry.start)
+        statements = java_body.parse_block(cur, entry.depth, entry.path, [])
+        assert cur.i == _token_index(source, entry.end), source
         assert all(entry.may_call(c.name) for st in statements for c in st.calls()), source
     return [name for name, _ in deferred]
 
@@ -1036,7 +1043,7 @@ class TestLaziness:
                 assert parser.cur.texts == _file_cursor(source).texts
             assert [c.fqn for c in classes[-3:]] == ["Outer.Bad", "Outer", "After"]
             assert len(classes) == n + 3
-            assert [d.message for d in log if type(d) is code_model.ParseDiagnostic] == [
+            assert [d.message for d in log if type(d) is java_lexer.ParseDiagnostic] == [
                 "expected field name", "expected parameter name", "expected type, found ')'",
                 "expected field name"]
             assert sum(type(entry) is code_model._DeferredBody for entry in log) == n
@@ -1196,8 +1203,8 @@ class TestTypeNames:
         ("Map<A,\nB>", "Map\nB>", "Map\nB>"),  # the cut stops at a newline
     ])
     def test_type_name_helpers(self, text, erased, simple):
-        assert code_model.erase_generics(text) == erased
-        assert code_model.simple_type_name(text) == simple
+        assert java_lexer.erase_generics(text) == erased
+        assert java_lexer.simple_type_name(text) == simple
 
 
 class TestTokenizer:
@@ -1234,7 +1241,7 @@ class TestTokenizer:
         texts, _ = java_lexer.tokenize("Ärger 加载 _a $b a٣ ٣a ²x © 9")
         assert texts == ["Ärger", "加载", "_a", "$b", "a٣", "٣a", "²x", "9"]
         assert [java_lexer.is_ident(t) for t in texts] == [True] * 5 + [False, True, False]
-        assert code_model.opaque_expr("加载 + x.é").operand_vars == {"加载", "x", "é"}
+        assert java_body.opaque_expr("加载 + x.é").operand_vars == {"加载", "x", "é"}
 
     def test_lexemes_match_one_findall(self):
         # Splitting the scan at the last possible comment start changes no
