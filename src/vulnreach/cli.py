@@ -38,8 +38,10 @@ from .confirm import (
     write_report,
 )
 from .errors import VulnreachError
-from .ptg import ReachabilityResult, analyse_path, decide_reachability
+from .ptg import analyse_path, decide_reachability
 from .testgen import (
+    PROMPT_STYLES,
+    STYLE_FEW_SHOT,
     LlmClient,
     LlmClientConfig,
     LlmNoCodeBlock,
@@ -60,7 +62,7 @@ class RunConfig:
     poc_file: Path
     out_dir: Path
     mode: str = "full"
-    prompt_style: str = "FewShot"
+    prompt_style: str = STYLE_FEW_SHOT
     gen_mode: str = "offline"
     filters: PathFilterConfig = field(default_factory=PathFilterConfig)
     llm: LlmClientConfig | None = None
@@ -100,32 +102,27 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
         memo: dict = {}  # the run's per-method and per-hop analyses (see analyse_path)
         for number, path in enumerate(paths, start=1):
             if cfg.mode == MODE_PATHS_ONLY:
-                result = ReachabilityResult(path=path, per_parameter={},
-                                            path_reachable=True, analysis=None)
-                summary: tuple[str, ...] = ()
+                reachable, summary = True, ()
             else:
                 analysis = analyse_path(path, model, memo)
-                result = decide_reachability(analysis, report)
+                reachable = decide_reachability(analysis, report).path_reachable
                 summary = analysis.kinds()
             path_records.append(PathRecord(signatures=path.signatures(),
-                                           reachable=result.path_reachable,
-                                           transfer_summary=summary))
-            if not result.path_reachable:
+                                           reachable=reachable, transfer_summary=summary))
+            if not reachable:
                 continue
-            bundle = assemble_prompt(result, report, cfg.prompt_style, model)
+            bundle = assemble_prompt(path.entry, report, cfg.prompt_style, model)
             prompts_dir.mkdir(parents=True, exist_ok=True)
             (prompts_dir / f"P{number}.txt").write_text(bundle.rendered,
                                                         encoding="utf-8")
-            gen_diags: list = []
             try:
                 artifacts.extend(generate_tests(
-                    bundle, result, report, mode=cfg.gen_mode, llm=llm_client,
-                    model=model, path_number=number, diagnostics=gen_diags))
+                    bundle, path.entry, report, model, diagnostics=diagnostics,
+                    llm=llm_client, path_number=number))
             except (TemplateGap, LlmTransport, LlmNoCodeBlock) as e:
                 # This path gets no tests; the other paths keep theirs.
-                gen_diags.append(f"path {number} ({path.entry.signature()}): {e}; "
-                                 "no tests generated")
-            diagnostics.extend(str(d) for d in gen_diags)
+                diagnostics.append(f"path {number} ({path.entry.signature()}): {e}; "
+                                   "no tests generated")
 
         if artifacts:
             emit_tests(artifacts, cfg.project_root, cfg.test_dir,
@@ -134,9 +131,7 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
         diagnostics.append("project does not invoke the vulnerable API")
 
     if cfg.confirm and artifacts:
-        toolchain = cfg.toolchain or ToolchainConfig(
-            working_dir=str(cfg.project_root))
-        confirmation = run_confirmation(artifacts, toolchain,
+        confirmation = run_confirmation(artifacts, cfg.toolchain or ToolchainConfig(),
                                         project=str(cfg.project_root),
                                         cve_id=report.cve_id,
                                         paths=tuple(path_records))
@@ -160,13 +155,11 @@ def run_pipeline(cfg: RunConfig) -> ConfirmationReport:
 # argument handling
 # ---------------------------------------------------------------------------
 
-_STYLE_BY_FLAG = {"default": "Default", "zero-shot": "ZeroShot", "few-shot": "FewShot"}
-
 # Config file keys and their values (see vuln_report.check_doc). Every key
 # sets a RunConfig field; any other key is an error.
 _CONFIG_SCHEMA = {
     "project": str, "poc": str, "out": str, "report": str, "test_dir": str,
-    "mode": ("full", MODE_PATHS_ONLY), "prompt_style": tuple(_STYLE_BY_FLAG),
+    "mode": ("full", MODE_PATHS_ONLY), "prompt_style": PROMPT_STYLES,
     "gen": ("offline", "llm"), "max_depth": int, "max_paths": int,
     "force": bool, "confirm": bool,
     "llm": {"endpoint": Required(str), "model_name": Required(str), "api_key_env": str,
@@ -191,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--poc", help="PoC descriptor file (JSON)")
     an.add_argument("--out", help="output directory for prompts and the report")
     an.add_argument("--mode", choices=sorted(_CONFIG_SCHEMA["mode"]))
-    an.add_argument("--prompt-style", choices=sorted(_STYLE_BY_FLAG))
+    an.add_argument("--prompt-style", choices=sorted(PROMPT_STYLES))
     an.add_argument("--gen", choices=sorted(_CONFIG_SCHEMA["gen"]))
     an.add_argument("--max-depth", type=int)
     an.add_argument("--max-paths", type=int)
@@ -217,8 +210,8 @@ def _load_config_file(path: str | None) -> dict:
 
 # Config keys (and flags) whose value a RunConfig field takes as it is, and
 # that field's name.
-_FIELD_BY_KEY = {"mode": "mode", "gen": "gen_mode", "force": "force_overwrite",
-                 "confirm": "confirm", "test_dir": "test_dir"}
+_FIELD_BY_KEY = {"mode": "mode", "prompt_style": "prompt_style", "gen": "gen_mode",
+                 "force": "force_overwrite", "confirm": "confirm", "test_dir": "test_dir"}
 _FILTER_KEYS = ("max_depth", "max_paths")
 
 
@@ -231,8 +224,6 @@ def _merge(args: argparse.Namespace, doc: dict) -> RunConfig:
         raise VulnreachError("--project, --poc and --out are required "
                              "(flags or config file)")
     run = {_FIELD_BY_KEY[key]: value for key, value in given.items() if key in _FIELD_BY_KEY}
-    if "prompt_style" in given:
-        run["prompt_style"] = _STYLE_BY_FLAG[given["prompt_style"]]
     if given.get("report"):
         run["report_path"] = Path(given["report"])
     run["filters"] = PathFilterConfig(**{key: given[key] for key in _FILTER_KEYS

@@ -47,7 +47,7 @@ class ToolchainConfig:
     compile_cmd: str = "mvn -q test-compile"
     test_cmd: str = "mvn -q -Dtest={test_class} test"
     timeout_s: float = 120.0
-    working_dir: str = "."
+    working_dir: str | None = None  # None: the project root
 
     def __post_init__(self):
         if "{test_class}" not in self.test_cmd:
@@ -148,8 +148,11 @@ def run_confirmation(artifacts: list[TestArtifact], cfg: ToolchainConfig,
     between calls.
 
     Tests run one at a time, in artifact order, because they share the
-    project's build state.
+    project's build state. Commands run in cfg.working_dir; when that is
+    None, in project, the project root.
     """
+    if cfg.working_dir is None:
+        cfg = dataclasses.replace(cfg, working_dir=project)
     diagnostics: list[str] = []
     shared = "{test_class}" not in cfg.compile_cmd
     try:

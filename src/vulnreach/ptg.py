@@ -181,7 +181,7 @@ class ReachabilityResult:
     path: MethodCallPath
     per_parameter: dict[str, tuple[bool, object]]
     path_reachable: bool
-    analysis: PathAnalysis | None = None
+    analysis: PathAnalysis
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,7 @@ def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,
     return MethodTransfer(method=method, call_stmt=call_stmt, args=args)
 
 
-def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
+def analyse_path(path: MethodCallPath, model: CodeModel,
                  memo: dict | None = None) -> PathAnalysis:
     """Walk the call path from its end to its start, analysing at each method
     the call that leads to the next hop (the vulnerable call in the last
@@ -407,7 +407,7 @@ def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
         key = (method, stmt, path.methods[i + 1] if i + 1 < k else None)
         if key not in memo:
             if method not in memo:
-                owner = model.owner_of(method) if model is not None else None
+                owner = model.owner_of(method)
                 fields = owner.field_names() if owner is not None else frozenset()
                 memo[method] = known_variables(method, fields), upstream_closure(method)
             memo[key] = analyse_call_site(method, stmt, path.calls[i], facts=memo[method])
@@ -420,10 +420,9 @@ def analyse_path(path: MethodCallPath, model: CodeModel | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _relevant_positions(last: MethodTransfer, report: VulnerabilityReport | None
-                        ) -> list[int]:
+def _relevant_positions(last: MethodTransfer, report: VulnerabilityReport) -> list[int]:
     positions = list(range(len(last.args)))
-    if report is None or report.trigger.wants_all_params():
+    if report.trigger.wants_all_params():
         return positions
     wanted = set(report.trigger.input_names())
     wanted |= {c.param for c in report.trigger.conditions if c.param != "*"}
@@ -434,7 +433,7 @@ def _relevant_positions(last: MethodTransfer, report: VulnerabilityReport | None
 
 
 def decide_reachability(analysis: PathAnalysis,
-                        report: VulnerabilityReport | None = None) -> ReachabilityResult:
+                        report: VulnerabilityReport) -> ReachabilityResult:
     """Per-parameter and per-path verdict on analysis.path.
 
     A chain is benign when it contains only DirectPropagation/TypeConversion.

@@ -1,9 +1,10 @@
 """Exploit unit-test generation.
 
-Assembles the generation prompt (Default, ZeroShot or FewShot variant),
-obtains two test sources per reachable path from either a pluggable LLM
-client or the deterministic offline generator, and emits the test files plus
-the interceptor scaffold into the target project's test directory.
+Assembles the generation prompt for a reachable path's entry method (in
+the default, zero-shot or few-shot style), obtains two test sources for it
+from either a pluggable LLM client or the deterministic offline generator,
+and emits the test files plus the interceptor scaffold into the target
+project's test directory.
 
 The LLM client's HTTP transport imports urllib.request at its first
 request, so an offline run never loads the HTTP and TLS stack.
@@ -21,7 +22,6 @@ from . import assets
 from .code_model import ClassDecl, CodeModel, MethodDecl
 from .errors import VulnreachError
 from .java_lexer import erase_generics, simple_type_name
-from .ptg import ReachabilityResult
 from .vuln_report import VulnerabilityReport
 
 ROLE_LINE = "I want you to act like a Java tester."
@@ -29,9 +29,9 @@ ASSERT_TRIGGERED = "assertTrue(MethodCallInterceptor.isTriggered());"
 ASSERT_CONDITION = "assertTrue(MethodCallInterceptor.isConditionMet());"
 FAIL_LINE = 'fail("Expected Exception");'
 
-STYLE_DEFAULT = "Default"
-STYLE_ZERO_SHOT = "ZeroShot"
-STYLE_FEW_SHOT = "FewShot"
+STYLE_DEFAULT = "default"
+STYLE_ZERO_SHOT = "zero-shot"
+STYLE_FEW_SHOT = "few-shot"
 PROMPT_STYLES = (STYLE_DEFAULT, STYLE_ZERO_SHOT, STYLE_FEW_SHOT)
 
 # Auxiliary parameter values for the second generated test.
@@ -41,10 +41,6 @@ _PRIMITIVE_DEFAULTS = {
     "int": "0", "long": "0L", "short": "(short) 0", "byte": "(byte) 0",
     "double": "0.0", "float": "0.0f", "boolean": "false", "char": "'a'",
 }
-
-
-class UnreachablePath(VulnreachError):
-    pass
 
 
 class LlmTransport(VulnreachError):
@@ -124,20 +120,18 @@ def _reference_param_sources(entry: MethodDecl, model: CodeModel) -> str:
     return "".join(out)
 
 
-def assemble_prompt(result: ReachabilityResult, report: VulnerabilityReport,
+def assemble_prompt(entry: MethodDecl, report: VulnerabilityReport,
                     style: str, model: CodeModel) -> PromptBundle:
-    """Build the generation prompt for one reachable path.
+    """Build the generation prompt for a reachable path whose entry (focal)
+    method is entry.
 
-    Default style carries only the hint, focal method and test input; the
-    template styles add the oracle and vulnerable-method sections, and
-    FewShot appends the five bundled examples.
+    The default style carries only the hint, focal method and test input;
+    the template styles add the oracle and vulnerable-method sections, and
+    few-shot appends the five bundled examples.
     """
-    if not result.path_reachable:
-        raise UnreachablePath("prompt assembly requires a reachable path")
     if style not in PROMPT_STYLES:
         raise ValueError(f"unknown prompt style {style!r}")
 
-    entry = result.path.entry
     owner_simple = entry.owner.rsplit(".", 1)[-1]
     api = report.vulnerable_api
 
@@ -267,11 +261,8 @@ def extract_code_blocks(text: str) -> list[str]:
 class TestArtifact:
     __test__ = False  # not a pytest class
 
-    path: ReachabilityResult
-    index: int
     source_text: str
     file_name: str
-    origin: str  # "LLM" | "Offline"
 
     @property
     def class_name(self) -> str:
@@ -346,9 +337,8 @@ def _bind_entry_args(entry: MethodDecl, report: VulnerabilityReport,
     return args, imports
 
 
-def _offline_source(result: ReachabilityResult, report: VulnerabilityReport,
+def _offline_source(entry: MethodDecl, report: VulnerabilityReport,
                     class_name: str, model: CodeModel, variation: int) -> str:
-    entry = result.path.entry
     owner_fqn = entry.owner
     owner_simple = owner_fqn.rsplit(".", 1)[-1]
     args, extra_imports = _bind_entry_args(entry, report, model, variation)
@@ -406,52 +396,42 @@ def validate_artifact(source_text: str, report: VulnerabilityReport) -> str | No
     return None
 
 
-def generate_tests(bundle: PromptBundle, result: ReachabilityResult,
-                   report: VulnerabilityReport, model: CodeModel, mode: str = "offline",
-                   llm: LlmClient | None = None, path_number: int = 1,
-                   diagnostics: list | None = None) -> list[TestArtifact]:
-    """Two test artifacts for one reachable path.
+def generate_tests(bundle: PromptBundle, entry: MethodDecl, report: VulnerabilityReport,
+                   model: CodeModel, *, diagnostics: list, llm: LlmClient | None = None,
+                   path_number: int = 1) -> list[TestArtifact]:
+    """Two test artifacts for the reachable path whose entry method is entry.
 
-    Offline mode instantiates the bundled template twice, the second time
-    permuting encoding-like auxiliary parameters through a fixed variation
-    table; LLM mode sends the rendered prompt and takes the first two fenced
-    code blocks of the reply.
+    Without a client, the offline generator instantiates the bundled
+    template twice, the second time permuting encoding-like auxiliary
+    parameters through a fixed variation table; with one, the rendered
+    prompt goes to the LLM and the first two fenced code blocks of the reply
+    are taken. What the reply lacks is noted in diagnostics.
     """
     cve = report.cve_id
-    if mode == "offline":
+    if llm is None:
         artifacts = []
         for test_number in (1, 2):
             file_name = artifact_file_name(cve, path_number, test_number)
-            source = _offline_source(result, report, file_name.rsplit(".", 1)[0],
+            source = _offline_source(entry, report, file_name.rsplit(".", 1)[0],
                                      model, variation=test_number - 1)
-            artifacts.append(TestArtifact(path=result, index=test_number,
-                                          source_text=source, file_name=file_name,
-                                          origin="Offline"))
+            artifacts.append(TestArtifact(source_text=source, file_name=file_name))
         return artifacts
-    if mode == "llm":
-        if llm is None:
-            raise ValueError("llm mode requires a client")
-        reply = llm.complete(bundle.rendered)
-        blocks = extract_code_blocks(reply)
-        if not blocks:
-            raise LlmNoCodeBlock("response carried no fenced code block")
-        if len(blocks) < 2:
-            if diagnostics is not None:
-                diagnostics.append("LLM returned one code block; duplicating it")
-            blocks.append(blocks[0])
-        artifacts = []
-        for test_number, block in enumerate(blocks[:2], start=1):
-            problem = validate_artifact(block, report)
-            if problem is not None:
-                if diagnostics is not None:
-                    diagnostics.append(f"rejected LLM artifact {test_number}: {problem}")
-                continue
-            artifacts.append(TestArtifact(
-                path=result, index=test_number, source_text=block,
-                file_name=artifact_file_name(cve, path_number, test_number),
-                origin="LLM"))
-        return artifacts
-    raise ValueError(f"unknown generation mode {mode!r}")
+    reply = llm.complete(bundle.rendered)
+    blocks = extract_code_blocks(reply)
+    if not blocks:
+        raise LlmNoCodeBlock("response carried no fenced code block")
+    if len(blocks) < 2:
+        diagnostics.append("LLM returned one code block; duplicating it")
+        blocks.append(blocks[0])
+    artifacts = []
+    for test_number, block in enumerate(blocks[:2], start=1):
+        problem = validate_artifact(block, report)
+        if problem is not None:
+            diagnostics.append(f"rejected LLM artifact {test_number}: {problem}")
+            continue
+        artifacts.append(TestArtifact(
+            source_text=block, file_name=artifact_file_name(cve, path_number, test_number)))
+    return artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +440,7 @@ def generate_tests(bundle: PromptBundle, result: ReachabilityResult,
 
 
 def emit_tests(artifacts: list[TestArtifact], project_root: str | Path,
-               test_dir: str = "src/test/java", force: bool = False) -> list[Path]:
+               test_dir: str, force: bool = False) -> list[Path]:
     """Write artifacts plus the interceptor scaffold into the project's test
     directory. Identical existing files are left untouched; differing ones
     raise WouldOverwrite unless force is set, before any file is written.

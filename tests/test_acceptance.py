@@ -189,9 +189,9 @@ def test_ptg_oracle_200():
 @criterion("4: Lion prompt golden files (FewShot and Default)")
 def test_prompt_goldens():
     model, report, _, results, _ = analyse_fixture("lion_reachable")
-    result = results[0]
+    entry = results[0].path.entry
 
-    few = assemble_prompt(result, report, "FewShot", model).rendered
+    few = assemble_prompt(entry, report, "few-shot", model).rendered
     golden_few = (GOLDEN / "lion_prompt_fewshot.txt").read_text(encoding="utf-8")
     assert few == golden_few
 
@@ -201,10 +201,10 @@ def test_prompt_goldens():
     assert golden_few.count("Example ") == 5
     for component in ("PromptHint", "FocalMethod", "TestInput", "TestOracle",
                       "VulnerableMethod"):
-        bundle = assemble_prompt(result, report, "FewShot", model)
+        bundle = assemble_prompt(entry, report, "few-shot", model)
         assert bundle.section(component) is not None
 
-    default = assemble_prompt(result, report, "Default", model).rendered
+    default = assemble_prompt(entry, report, "default", model).rendered
     golden_default = (GOLDEN / "lion_prompt_default.txt").read_text(encoding="utf-8")
     assert default == golden_default
     assert ASSERT_TRIGGERED not in golden_default
@@ -229,11 +229,11 @@ def test_emission_contract(tmp_path):
         (root / "src/test/java").mkdir(parents=True)
         all_artifacts = []
         for number, r in enumerate(reachable, start=1):
-            bundle = assemble_prompt(r, report, "FewShot", model)
-            artifacts = generate_tests(bundle, r, report, mode="offline",
-                                       model=model, path_number=number)
-            assert len(artifacts) == 2
             entry = r.path.entry
+            bundle = assemble_prompt(entry, report, "few-shot", model)
+            artifacts = generate_tests(bundle, entry, report, model, diagnostics=[],
+                                       path_number=number)
+            assert len(artifacts) == 2
             for a in artifacts:
                 text = a.source_text
                 assert text.count(ASSERT_TRIGGERED) == 1
@@ -246,9 +246,9 @@ def test_emission_contract(tmp_path):
                 else:
                     assert FAIL_LINE not in text
             all_artifacts.extend(artifacts)
-        written = emit_tests(all_artifacts, root)
+        written = emit_tests(all_artifacts, root, "src/test/java")
         assert len(written) == len(all_artifacts) + 1  # + interceptor
-        rewritten = emit_tests(all_artifacts, root)
+        rewritten = emit_tests(all_artifacts, root, "src/test/java")
         assert rewritten == []
 
 
@@ -259,10 +259,7 @@ def test_emission_contract(tmp_path):
 
 @criterion("6: confirmation determinism over scripted toolchain outcomes")
 def test_confirmation_determinism(tmp_path):
-    result = analyse_fixture("lion_reachable")[3][0]
-    artifacts = [TestArtifact(path=result, index=1, source_text="//\n",
-                              file_name=f"VulEUT_A_P{i}_T1Test.java",
-                              origin="Offline")
+    artifacts = [TestArtifact(source_text="//\n", file_name=f"VulEUT_A_P{i}_T1Test.java")
                  for i in (1, 2, 3)]
     behavior = tmp_path / "behavior.json"
     behavior.write_text(json.dumps({

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulnreach import cli, code_model, java_body, java_lexer
+from vulnreach import cli, code_model, java_body, java_lexer, testgen
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
 from vulnreach.code_model import parse_project
 from vulnreach.confirm import read_report
+from vulnreach.testgen import ASSERT_CONDITION, ASSERT_TRIGGERED, FAIL_LINE
 from vulnreach.vuln_report import Required, check_doc, parse_report
 
 from call_graph_reference import eager_call_graph
@@ -433,6 +434,47 @@ class TestAnalyzeCommand:
         report = read_report(out / "report.json")
         assert [t.status for t in report.tests] == ["Emitted"] * 2
         assert report.diagnostics[-1].startswith("toolchain unavailable: [Errno 13]")
+
+    def test_toolchain_runs_in_the_project_root(self, scratch_project, tmp_path, monkeypatch):
+        # A toolchain section without working_dir: the commands run in the
+        # project root, not in the directory the command was started from.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"toolchain": {
+            "compile_cmd": "sh -c 'pwd > where.txt'", "test_cmd": "true {test_class}"}}))
+        started_in = tmp_path / "elsewhere"
+        started_in.mkdir()
+        monkeypatch.chdir(started_in)
+        root, code = _run(scratch_project, "lion_reachable", tmp_path / "out",
+                          ["--confirm", "--config", str(config)])
+        assert code == 0
+        assert Path((root / "where.txt").read_text().strip()).resolve() == root.resolve()
+        assert list(started_in.iterdir()) == []
+
+    def test_llm_generation_writes_the_replys_two_tests(self, scratch_project, tmp_path,
+                                                        monkeypatch):
+        # --gen llm with a stand-in for the HTTP transport: the two fenced
+        # blocks of the reply become the path's two tests, as they are.
+        sources = [f"public class VulEUT_CVE_2017_7957_P1_T{n}Test {{\n    {ASSERT_TRIGGERED}\n"
+                   f"    {ASSERT_CONDITION}\n    {FAIL_LINE}\n}}\n" for n in (1, 2)]
+        prompts = []
+
+        def transport(client, payload):
+            prompts.append(payload["messages"][0]["content"])
+            reply = "".join(f"Test {n}:\n```java\n{text}```\n"
+                            for n, text in enumerate(sources, start=1))
+            return {"choices": [{"message": {"content": reply}}]}
+
+        monkeypatch.setattr(testgen.LlmClient, "_http_transport", transport)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"llm": {"endpoint": "http://unused", "model_name": "m"}}))
+        out = tmp_path / "out"
+        root, code = _run(scratch_project, "lion_reachable", out,
+                          ["--gen", "llm", "--config", str(config)])
+        assert code == 2
+        assert {f.name: f.read_text() for f in (root / "src/test/java").glob("VulEUT_*")} == {
+            "VulEUT_CVE_2017_7957_P1_T1Test.java": sources[0],
+            "VulEUT_CVE_2017_7957_P1_T2Test.java": sources[1]}
+        assert prompts == [(out / "prompts" / "P1.txt").read_text()]
 
     def test_config_file_supplies_defaults_flags_win(self, scratch_project, tmp_path):
         root = scratch_project("lion_reachable")

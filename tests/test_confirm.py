@@ -24,20 +24,11 @@ from vulnreach.confirm import (
 )
 from vulnreach.testgen import TestArtifact
 
-from conftest import analyse_fixture
-
 STUB = Path(__file__).parent / "stub_tool.py"
 
 
-@pytest.fixture(scope="module")
-def lion_result():
-    return analyse_fixture("lion_reachable")[3][0]
-
-
-def _artifacts(lion_result, n=3):
-    return [TestArtifact(path=lion_result, index=i % 2 + 1,
-                         source_text="// test\n",
-                         file_name=f"VulEUT_X_P{i}_T1Test.java", origin="Offline")
+def _artifacts(n=3):
+    return [TestArtifact(source_text="// test\n", file_name=f"VulEUT_X_P{i}_T1Test.java")
             for i in range(1, n + 1)]
 
 
@@ -59,8 +50,8 @@ def _calls(tmp_path):
 
 
 class TestRunConfirmation:
-    def test_scripted_pass_compilefail_runfail(self, tmp_path, lion_result):
-        arts = _artifacts(lion_result)
+    def test_scripted_pass_compilefail_runfail(self, tmp_path):
+        arts = _artifacts()
         cfg = _stub_config(tmp_path, {
             arts[0].class_name: "pass",
             arts[1].class_name: "compile-fail",
@@ -75,18 +66,18 @@ class TestRunConfirmation:
         again = run_confirmation(arts, cfg, project="p", cve_id="CVE-1")
         assert serialize_report(report) == serialize_report(again)
 
-    def test_all_pass(self, tmp_path, lion_result):
-        arts = _artifacts(lion_result, n=2)
+    def test_all_pass(self, tmp_path):
+        arts = _artifacts(n=2)
         cfg = _stub_config(tmp_path, {})
         report = run_confirmation(arts, cfg)
         assert report.totals == (2, 2, 2)
         assert report.project_confirmed
 
-    def test_toolchain_missing(self, tmp_path, lion_result):
+    def test_toolchain_missing(self, tmp_path):
         # Whatever keeps the toolchain from starting, the tests stay Emitted:
         # a missing binary, one that is not executable, or a working
         # directory that is a file.
-        arts = _artifacts(lion_result)
+        arts = _artifacts()
         script = tmp_path / "tool.sh"
         script.write_text("#!/bin/sh\n")
         script.chmod(0o644)
@@ -104,43 +95,43 @@ class TestRunConfirmation:
             (diagnostic,) = report.diagnostics
             assert diagnostic.startswith(f"toolchain unavailable: [Errno {code}] ")
 
-    def test_run_timeout_recorded(self, tmp_path, lion_result):
-        arts = _artifacts(lion_result, n=1)
+    def test_run_timeout_recorded(self, tmp_path):
+        arts = _artifacts(n=1)
         cfg = _stub_config(tmp_path, {arts[0].class_name: "hang"}, timeout_s=0.8)
         report = run_confirmation(arts, cfg)
         assert report.tests[0].status == STATUS_RUN_FAILED
         assert "timeout" in report.tests[0].detail
 
-    def test_confirmed_requires_compile(self, tmp_path, lion_result):
-        arts = _artifacts(lion_result, n=1)
+    def test_confirmed_requires_compile(self, tmp_path):
+        arts = _artifacts(n=1)
         cfg = _stub_config(tmp_path, {arts[0].class_name: "compile-fail"})
         report = run_confirmation(arts, cfg)
         assert report.tests[0].status == STATUS_COMPILE_ERROR
         assert report.totals[2] == 0
 
-    def test_compile_failure_captures_output(self, tmp_path, lion_result):
-        arts = _artifacts(lion_result, n=1)
+    def test_compile_failure_captures_output(self, tmp_path):
+        arts = _artifacts(n=1)
         cfg = _stub_config(tmp_path, {arts[0].class_name: "run-fail"})
         report = run_confirmation(arts, cfg)
         assert report.tests[0].status == STATUS_RUN_FAILED
         assert "test failure output" in report.tests[0].detail
 
-    def test_per_test_compile_keeps_one_compile_per_test(self, tmp_path, lion_result):
-        arts = _artifacts(lion_result)
+    def test_per_test_compile_keeps_one_compile_per_test(self, tmp_path):
+        arts = _artifacts()
         run_confirmation(arts, _stub_config(tmp_path, {}))
         assert _calls(tmp_path) == [f"{phase} {a.class_name}"
                                     for a in arts for phase in ("compile", "run")]
 
-    def test_project_compile_runs_once(self, tmp_path, lion_result):
-        arts = _artifacts(lion_result)
+    def test_project_compile_runs_once(self, tmp_path):
+        arts = _artifacts()
         cfg = _stub_config(tmp_path, {arts[1].class_name: "run-fail"}, compile_arg="")
         report = run_confirmation(arts, cfg)
         assert _calls(tmp_path) == ["compile "] + [f"run {a.class_name}" for a in arts]
         assert [t.status for t in report.tests] == [
             STATUS_CONFIRMED, STATUS_RUN_FAILED, STATUS_CONFIRMED]
 
-    def test_failed_project_compile_fails_every_test(self, tmp_path, lion_result):
-        arts = _artifacts(lion_result)
+    def test_failed_project_compile_fails_every_test(self, tmp_path):
+        arts = _artifacts()
         cfg = _stub_config(tmp_path, {"*": "compile-fail"}, compile_arg="")
         report = run_confirmation(arts, cfg)
         assert _calls(tmp_path) == ["compile "]

@@ -43,11 +43,13 @@ from vulnreach.vuln_report import parse_report
 
 import ptg_reference
 from ptg_reference import UnknownVariable, build_ptg
+from descriptor_cases import VALID_DESCRIPTOR
 from conftest import analyse_fixture, bench_generators, corpus_names, write_pair
 from ptg_oracle import oracle_chains, random_method
 
 
-def _parse_method(tmp_path, body, params="String entity", name="m"):
+def _parse(tmp_path, body, params="String entity", name="m"):
+    """The model of one class T holding method name, and that method."""
     src = ("import org.apache.http.util.EntityUtils;\n"
            "public class T {\n"
            f"    void {name}({params}) {{\n"
@@ -56,7 +58,17 @@ def _parse_method(tmp_path, body, params="String entity", name="m"):
            "}\n")
     (tmp_path / "T.java").write_text(src)
     model = parse_project(tmp_path, emit_warnings=False)
-    return next(m for _, m in model.all_methods() if m.name == name)
+    return model, next(m for _, m in model.all_methods() if m.name == name)
+
+
+def _parse_method(tmp_path, body, params="String entity", name="m"):
+    return _parse(tmp_path, body, params, name)[1]
+
+
+# A descriptor under which every argument of the vulnerable call is relevant.
+ANY_ARGUMENT = parse_report({**VALID_DESCRIPTOR, "trigger": {
+    **VALID_DESCRIPTOR["trigger"],
+    "conditions": [{"param": "*", "predicate": "contains", "value": "<void>"}]}})
 
 
 def _sink_path(method):
@@ -225,8 +237,9 @@ class TestDecideReachability:
          False),
     ], ids=["formal", "local-copy", "local"])
     def test_guarded_reassignment(self, tmp_path, body, reachable):
-        method = _parse_method(tmp_path, "        " + body, params="String xml, boolean f")
-        assert decide_reachability(analyse_path(_sink_path(method))).path_reachable is reachable
+        model, method = _parse(tmp_path, "        " + body, params="String xml, boolean f")
+        analysis = analyse_path(_sink_path(method), model)
+        assert decide_reachability(analysis, ANY_ARGUMENT).path_reachable is reachable
 
     def test_pruning_soundness_on_corpus(self):
         for name in corpus_names():
@@ -325,7 +338,7 @@ class TestAgainstReference:
     (tests/ptg_reference.py): verdicts, witnesses, blocking types, the
     distinct kinds of its flat types, and the lazily expanded paths."""
 
-    def _assert_same(self, path, model=None, report=None):
+    def _assert_same(self, path, model, report=ANY_ARGUMENT):
         analysis = analyse_path(path, model)
         old_analysis = ptg_reference.analyse_path(path, model, report)
         assert [a.paths for mt in analysis.per_method for a in mt.args] == \
@@ -370,13 +383,13 @@ class TestAgainstReference:
 
     def test_sixty_four_guarded_reassignments(self, tmp_path):
         # 2^64 chains: the reference enumerator would never finish.
-        method = _parse_method(
+        model, method = _parse(
             tmp_path, "        if (f) { xml = xml.trim(); }\n" * 64 + "        Sink.use(xml);",
             params="String xml, boolean f")
         path = _sink_path(method)
         start = time.perf_counter()
-        analysis = analyse_path(path)
-        result = decide_reachability(analysis)
+        analysis = analyse_path(path, model)
+        result = decide_reachability(analysis, ANY_ARGUMENT)
         kinds = analysis.kinds()
         assert time.perf_counter() - start < 1.0
         assert result.path_reachable

@@ -8,7 +8,6 @@ import pytest
 
 from vulnreach.code_model import parse_project
 from vulnreach.call_graph import PathFilterConfig, build_call_graph, extract_call_paths, localize_vulnerable_methods
-from vulnreach.ptg import analyse_path, decide_reachability
 from vulnreach.testgen import (
     ASSERT_CONDITION,
     ASSERT_TRIGGERED,
@@ -21,7 +20,6 @@ from vulnreach.testgen import (
     ROLE_LINE,
     TemplateGap,
     TestDirMissing as TestDirMissingError,
-    UnreachablePath,
     WouldOverwrite,
     artifact_file_name,
     assemble_prompt,
@@ -39,11 +37,14 @@ from descriptor_cases import VALID_DESCRIPTOR
 
 @pytest.fixture(scope="module")
 def lion():
+    """The lion fixture's model, report and its one reachable path's entry."""
     model, report, _, results, _ = analyse_fixture("lion_reachable")
-    return model, report, results[0]
+    assert results[0].path_reachable
+    return model, report, results[0].path.entry
 
 
 def _analyse_inline(tmp_path, java_sources, poc_doc=None):
+    """The model, report and each call path's entry method for the sources."""
     for name, src in java_sources.items():
         (tmp_path / name).write_text(src)
     model = parse_project(tmp_path, emit_warnings=False)
@@ -51,14 +52,13 @@ def _analyse_inline(tmp_path, java_sources, poc_doc=None):
     targets = localize_vulnerable_methods(model, report)
     graph = build_call_graph(model)
     paths = extract_call_paths(graph, model, targets, PathFilterConfig())
-    results = [decide_reachability(analyse_path(p, model), report) for p in paths]
-    return model, report, results
+    return model, report, [p.entry for p in paths]
 
 
 class TestAssemblePrompt:
     def test_fewshot_sections_and_content(self, lion):
-        model, report, result = lion
-        bundle = assemble_prompt(result, report, "FewShot", model)
+        model, report, entry = lion
+        bundle = assemble_prompt(entry, report, "few-shot", model)
         names = [n for n, _ in bundle.sections]
         assert names == ["PromptHint", "FocalMethod", "TestInput", "TestOracle",
                          "VulnerableMethod", "FewShotExamples"]
@@ -71,31 +71,31 @@ class TestAssemblePrompt:
         assert bundle.section("FewShotExamples").count("Example ") == 5
 
     def test_default_lacks_oracle_and_vulnerable(self, lion):
-        model, report, result = lion
-        bundle = assemble_prompt(result, report, "Default", model)
+        model, report, entry = lion
+        bundle = assemble_prompt(entry, report, "default", model)
         assert [n for n, _ in bundle.sections] == ["PromptHint", "FocalMethod", "TestInput"]
         assert ASSERT_TRIGGERED not in bundle.rendered
         assert "vulnerable" not in bundle.rendered.lower()
 
     def test_zeroshot_has_five_components(self, lion):
-        model, report, result = lion
-        bundle = assemble_prompt(result, report, "ZeroShot", model)
+        model, report, entry = lion
+        bundle = assemble_prompt(entry, report, "zero-shot", model)
         assert [n for n, _ in bundle.sections] == [
             "PromptHint", "FocalMethod", "TestInput", "TestOracle", "VulnerableMethod"]
 
     def test_rendered_is_concatenation(self, lion):
-        model, report, result = lion
-        bundle = assemble_prompt(result, report, "FewShot", model)
+        model, report, entry = lion
+        bundle = assemble_prompt(entry, report, "few-shot", model)
         assert bundle.rendered == "".join(t for _, t in bundle.sections)
 
     def test_pure_function(self, lion):
-        model, report, result = lion
-        a = assemble_prompt(result, report, "FewShot", model)
-        b = assemble_prompt(result, report, "FewShot", model)
+        model, report, entry = lion
+        a = assemble_prompt(entry, report, "few-shot", model)
+        b = assemble_prompt(entry, report, "few-shot", model)
         assert a.rendered == b.rendered
 
     def test_three_inputs_listed_in_order(self, lion):
-        model, _, result = lion
+        model, _, entry = lion
         doc = json.loads(json.dumps(VALID_DESCRIPTOR))
         doc["trigger"]["inputs"] = [
             {"name": "first", "semantic_type": "String", "value": "1"},
@@ -104,15 +104,10 @@ class TestAssemblePrompt:
         ]
         doc["trigger"]["conditions"] = []
         report = parse_report(doc)
-        bundle = assemble_prompt(result, report, "ZeroShot", model)
+        bundle = assemble_prompt(entry, report, "zero-shot", model)
         section = bundle.section("TestInput")
         assert section.count("The input variable name") == 3
         assert section.index("first") < section.index("second") < section.index("third")
-
-    def test_unreachable_rejected(self):
-        model, report, _, results, _ = analyse_fixture("openolat_unreachable")
-        with pytest.raises(UnreachablePath):
-            assemble_prompt(results[0], report, "FewShot", model)
 
     def test_reference_param_source_appended(self, tmp_path):
         sources = {
@@ -126,8 +121,8 @@ class TestAssemblePrompt:
                 "    }\n"
                 "}\n"),
         }
-        model, report, results = _analyse_inline(tmp_path, sources)
-        bundle = assemble_prompt(results[0], report, "ZeroShot", model)
+        model, report, entries = _analyse_inline(tmp_path, sources)
+        bundle = assemble_prompt(entries[0], report, "zero-shot", model)
         focal = bundle.section("FocalMethod")
         assert "The source code of Options is:" in focal
         assert "public class Options" in focal
@@ -135,13 +130,11 @@ class TestAssemblePrompt:
 
 class TestGenerateTestsOffline:
     def test_two_artifacts_with_contract(self, lion):
-        model, report, result = lion
-        bundle = assemble_prompt(result, report, "FewShot", model)
-        artifacts = generate_tests(bundle, result, report, mode="offline",
-                                   model=model, path_number=1)
-        assert [a.index for a in artifacts] == [1, 2]
+        model, report, entry = lion
+        bundle = assemble_prompt(entry, report, "few-shot", model)
+        artifacts = generate_tests(bundle, entry, report, model, diagnostics=[],
+                                   path_number=1)
         for a in artifacts:
-            assert a.origin == "Offline"
             assert a.source_text.count(ASSERT_TRIGGERED) == 1
             assert a.source_text.count(ASSERT_CONDITION) == 1
             assert "try {" in a.source_text and "} catch (" in a.source_text
@@ -161,18 +154,18 @@ class TestGenerateTestsOffline:
         }
         doc = json.loads(json.dumps(VALID_DESCRIPTOR))
         doc["trigger"]["vulnerability_kind"] = "DenialOfService"
-        model, report, results = _analyse_inline(tmp_path, sources, doc)
-        bundle = assemble_prompt(results[0], report, "FewShot", model)
-        artifacts = generate_tests(bundle, results[0], report, mode="offline", model=model)
+        model, report, entries = _analyse_inline(tmp_path, sources, doc)
+        bundle = assemble_prompt(entries[0], report, "few-shot", model)
+        artifacts = generate_tests(bundle, entries[0], report, model, diagnostics=[])
         for a in artifacts:
             assert FAIL_LINE not in a.source_text
             assert "try {" in a.source_text
 
     def test_deterministic(self, lion):
-        model, report, result = lion
-        bundle = assemble_prompt(result, report, "FewShot", model)
-        a = generate_tests(bundle, result, report, mode="offline", model=model)
-        b = generate_tests(bundle, result, report, mode="offline", model=model)
+        model, report, entry = lion
+        bundle = assemble_prompt(entry, report, "few-shot", model)
+        a = generate_tests(bundle, entry, report, model, diagnostics=[])
+        b = generate_tests(bundle, entry, report, model, diagnostics=[])
         assert [x.source_text for x in a] == [x.source_text for x in b]
 
     def test_second_test_varies_encoding(self, tmp_path):
@@ -185,9 +178,9 @@ class TestGenerateTestsOffline:
                 "    }\n"
                 "}\n"),
         }
-        model, report, results = _analyse_inline(tmp_path, sources)
-        bundle = assemble_prompt(results[0], report, "FewShot", model)
-        t1, t2 = generate_tests(bundle, results[0], report, mode="offline", model=model)
+        model, report, entries = _analyse_inline(tmp_path, sources)
+        bundle = assemble_prompt(entries[0], report, "few-shot", model)
+        t1, t2 = generate_tests(bundle, entries[0], report, model, diagnostics=[])
         assert '"UTF-8"' in t1.source_text
         assert '"ISO-8859-1"' in t2.source_text
         assert t1.source_text.replace('"UTF-8"', '"ISO-8859-1"') \
@@ -208,9 +201,9 @@ class TestGenerateTestsOffline:
                 "    }\n"
                 "}\n"),
         }
-        model, report, results = _analyse_inline(tmp_path, sources)
-        bundle = assemble_prompt(results[0], report, "ZeroShot", model)
-        for a in generate_tests(bundle, results[0], report, mode="offline", model=model):
+        model, report, entries = _analyse_inline(tmp_path, sources)
+        bundle = assemble_prompt(entries[0], report, "zero-shot", model)
+        for a in generate_tests(bundle, entries[0], report, model, diagnostics=[]):
             assert "import app.opt.Options;\n" in a.source_text
             assert "new Api().read(xml, Object.class, new Options());" in a.source_text
 
@@ -224,10 +217,10 @@ class TestGenerateTestsOffline:
                 "    }\n"
                 "}\n"),
         }
-        model, report, results = _analyse_inline(tmp_path, sources)
-        bundle = assemble_prompt(results[0], report, "ZeroShot", model)
+        model, report, entries = _analyse_inline(tmp_path, sources)
+        bundle = assemble_prompt(entries[0], report, "zero-shot", model)
         with pytest.raises(TemplateGap) as exc:
-            generate_tests(bundle, results[0], report, mode="offline", model=model)
+            generate_tests(bundle, entries[0], report, model, diagnostics=[])
         assert exc.value.parameter == "opts"
 
 
@@ -252,53 +245,56 @@ class TestGenerateTestsLlm:
             "choices": [{"message": {"content": reply}}]})
 
     def _two_valid_blocks(self, lion):
-        model, report, result = lion
-        bundle = assemble_prompt(result, report, "FewShot", model)
-        a, b = generate_tests(bundle, result, report, mode="offline", model=model)
-        return bundle, result, report, model, (
-            f"Here you go:\n```java\n{a.source_text}```\nand\n```java\n{b.source_text}```")
+        """The lion path's prompt, and two valid tests that the offline
+        generator does not write."""
+        model, report, entry = lion
+        bundle = assemble_prompt(entry, report, "few-shot", model)
+        blocks = [f"// written by the model\n{a.source_text}"
+                  for a in generate_tests(bundle, entry, report, model, diagnostics=[])]
+        return bundle, entry, report, model, blocks
 
     def test_two_blocks_passthrough(self, lion):
-        bundle, result, report, model, reply = self._two_valid_blocks(lion)
-        artifacts = generate_tests(bundle, result, report, mode="llm", model=model,
-                                   llm=self._client(reply))
-        assert len(artifacts) == 2
-        assert all(a.origin == "LLM" for a in artifacts)
+        bundle, entry, report, model, blocks = self._two_valid_blocks(lion)
+        diags = []
+        artifacts = generate_tests(bundle, entry, report, model, diagnostics=diags,
+                                   llm=self._client(_fenced(*blocks)))
+        assert [a.source_text for a in artifacts] == blocks
+        assert [a.file_name for a in artifacts] == [
+            "VulEUT_CVE_2017_7957_P1_T1Test.java", "VulEUT_CVE_2017_7957_P1_T2Test.java"]
+        assert diags == []
 
     def test_single_block_duplicated_with_diagnostic(self, lion):
-        bundle, result, report, model, reply = self._two_valid_blocks(lion)
-        single = reply.split("and")[0]
+        bundle, entry, report, model, blocks = self._two_valid_blocks(lion)
         diags = []
-        artifacts = generate_tests(bundle, result, report, mode="llm", model=model,
-                                   llm=self._client(single), diagnostics=diags)
-        assert len(artifacts) == 2
-        assert artifacts[0].source_text == artifacts[1].source_text
-        assert diags
+        artifacts = generate_tests(bundle, entry, report, model, diagnostics=diags,
+                                   llm=self._client(_fenced(blocks[0])))
+        assert [a.source_text for a in artifacts] == [blocks[0], blocks[0]]
+        assert diags == ["LLM returned one code block; duplicating it"]
 
     def test_no_block_raises(self, lion):
-        bundle, result, report, model, _ = self._two_valid_blocks(lion)
+        bundle, entry, report, model, _ = self._two_valid_blocks(lion)
         with pytest.raises(LlmNoCodeBlock):
-            generate_tests(bundle, result, report, mode="llm", model=model,
+            generate_tests(bundle, entry, report, model, diagnostics=[],
                            llm=self._client("no code here"))
 
     def test_invalid_artifact_rejected(self, lion):
-        bundle, result, report, model, _ = self._two_valid_blocks(lion)
-        reply = "```java\npublic class X { }\n```\n```java\npublic class Y { }\n```"
+        bundle, entry, report, model, _ = self._two_valid_blocks(lion)
         diags = []
-        artifacts = generate_tests(bundle, result, report, mode="llm", model=model,
-                                   llm=self._client(reply), diagnostics=diags)
+        artifacts = generate_tests(bundle, entry, report, model, diagnostics=diags,
+                                   llm=self._client(_fenced("public class X { }\n",
+                                                            "public class Y { }\n")))
         assert artifacts == []
         assert len(diags) == 2
 
     def test_transport_error(self, lion):
-        bundle, result, report, model, _ = self._two_valid_blocks(lion)
+        bundle, entry, report, model, _ = self._two_valid_blocks(lion)
         cfg = LlmClientConfig(endpoint="http://localhost/none", model_name="stub")
 
         def boom(payload):
             raise LlmTransport(503)
 
         with pytest.raises(LlmTransport):
-            generate_tests(bundle, result, report, mode="llm", model=model,
+            generate_tests(bundle, entry, report, model, diagnostics=[],
                            llm=LlmClient(cfg, transport=boom))
 
     def test_extract_code_blocks(self):
@@ -349,6 +345,11 @@ class TestGenerateTestsLlm:
             LlmClient(cfg).complete("PROMPT")
 
 
+def _fenced(*sources: str) -> str:
+    """A model reply carrying each source as a fenced code block."""
+    return "Here you go:\n" + "and\n".join(f"```java\n{text}```\n" for text in sources)
+
+
 def _reply(handler, code: int, body: bytes) -> None:
     handler.send_response(code)
     handler.send_header("Content-Type", "application/json")
@@ -380,13 +381,13 @@ def _local_server(respond):
 
 class TestEmitTests:
     def _artifacts(self, lion):
-        model, report, result = lion
-        bundle = assemble_prompt(result, report, "FewShot", model)
-        return generate_tests(bundle, result, report, mode="offline", model=model)
+        model, report, entry = lion
+        bundle = assemble_prompt(entry, report, "few-shot", model)
+        return generate_tests(bundle, entry, report, model, diagnostics=[])
 
     def test_naming_and_interceptor(self, lion, scratch_project):
         root = scratch_project("lion_reachable")
-        written = emit_tests(self._artifacts(lion), root)
+        written = emit_tests(self._artifacts(lion), root, "src/test/java")
         names = sorted(p.name for p in written)
         assert names == ["MethodCallInterceptor.java",
                          "VulEUT_CVE_2017_7957_P1_T1Test.java",
@@ -397,10 +398,10 @@ class TestEmitTests:
     def test_rerun_identical_zero_rewrites(self, lion, scratch_project):
         root = scratch_project("lion_reachable")
         artifacts = self._artifacts(lion)
-        first = emit_tests(artifacts, root)
+        first = emit_tests(artifacts, root, "src/test/java")
         assert len(first) == 3
         hashes = {p: p.read_bytes() for p in first}
-        second = emit_tests(artifacts, root)
+        second = emit_tests(artifacts, root, "src/test/java")
         assert second == []
         assert {p: p.read_bytes() for p in hashes} == hashes
 
@@ -408,12 +409,12 @@ class TestEmitTests:
         import dataclasses
         root = scratch_project("lion_reachable")
         artifacts = self._artifacts(lion)
-        emit_tests(artifacts, root)
+        emit_tests(artifacts, root, "src/test/java")
         changed = [dataclasses.replace(artifacts[0],
                                        source_text=artifacts[0].source_text + "// x\n")]
         with pytest.raises(WouldOverwrite):
-            emit_tests(changed, root)
-        written = emit_tests(changed, root, force=True)
+            emit_tests(changed, root, "src/test/java")
+        written = emit_tests(changed, root, "src/test/java", force=True)
         assert [p.name for p in written] == [artifacts[0].file_name]
 
     def test_refused_emission_writes_nothing(self, lion, scratch_project):
@@ -423,12 +424,12 @@ class TestEmitTests:
         (tree / assets.INTERCEPTOR_FILE_NAME).write_text("// edited by hand\n")
         before = {p: p.read_bytes() for p in tree.rglob("*")}
         with pytest.raises(WouldOverwrite):
-            emit_tests(self._artifacts(lion), root)
+            emit_tests(self._artifacts(lion), root, "src/test/java")
         assert {p: p.read_bytes() for p in tree.rglob("*")} == before
 
     def test_missing_test_dir(self, lion, tmp_path):
         with pytest.raises(TestDirMissingError):
-            emit_tests(self._artifacts(lion), tmp_path)
+            emit_tests(self._artifacts(lion), tmp_path, "src/test/java")
 
 
 def test_file_name_convention():
