@@ -73,6 +73,11 @@ class RunConfig:
     test_dir: str = "src/test/java"
 
     def __post_init__(self):
+        for key, name in _FIELD_BY_KEY.items():
+            values = _CONFIG_SCHEMA[key]
+            if isinstance(values, tuple) and getattr(self, name) not in values:
+                raise ValueError(f"{name} must be one of {', '.join(values)}, "
+                                 f"not {getattr(self, name)!r}")
         if self.gen_mode == "llm" and self.llm is None:
             raise ValueError("gen_mode=llm requires an LLM client configuration")
 

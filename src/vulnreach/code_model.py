@@ -5,16 +5,19 @@ java_body.
 
 The package, the imports and each type's header (its name and
 supertypes) are read eagerly; the rest waits until it is read. One pass
-over a file's characters blanks its comments and literals and makes its
-block table, where each '{' and its '}' are. One scan of that blanked
-text, each block's interior cut out, reads a header in its plainest form
-(see java_lexer.scan_header); a file whose header the scan cannot read is
-tokenized down to its type headers (see java_lexer.FileCursor) and parsed,
-over the same blanked text and table, and either way gives the same
-classes and diagnostics. Every class body and method body is read over its
-own tokens, through its '}' (a '{' that no '}' closes ends with the file),
-so a bracket fault in a block stays inside it; a block is named by its
-number in the file's block table, which gives its span. The members
+over a file's characters blanks its comments and literals and finds its
+blocks: a file's one top-level block with the check that its brackets
+nest (see java_lexer.sole_block), or else the file's block table, where
+each '{' and its '}' are, which a cursor needs to read a block. One scan
+of that blanked text, each block's interior cut out, reads a header in its
+plainest form (see java_lexer.scan_header); a file whose header the scan
+cannot read is tokenized down to its type headers (see
+java_lexer.FileCursor) and parsed, over the same blanked text and the
+file's table, and either way gives the same classes and diagnostics.
+Every class body and method body is read over its own tokens, through its
+'}' (a '{' that no '}' closes ends with the file), so a bracket fault in a
+block stays inside it; a block is named by its number in the file's block
+table, which gives its span. The members
 of a top-level class or interface are lexed and parsed when
 ClassDecl.methods or ClassDecl.fields is first read, if its brackets nest
 well and its body declares no member type (see
@@ -38,6 +41,7 @@ annotation processing, no bytecode).
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from array import array
@@ -50,7 +54,7 @@ from . import java_body, java_lexer
 from .errors import VulnreachError
 from .java_body import Expr, Statement
 from .java_lexer import (MAX_NESTING, PRIMITIVES, Cursor, FileCursor, ParseDiagnostic, ParseError,
-                         TypeHeader, erase_generics)
+                         TypeHeader, erase_generics, simple_type_name)
 
 # ---------------------------------------------------------------------------
 # errors / diagnostics
@@ -215,12 +219,19 @@ class CodeModel:
         return out
 
     @cached_property
-    def _direct_subtypes(self) -> dict[str, list[ClassDecl]]:
+    def _naming_supertype(self) -> dict[str, list[ClassDecl]]:
+        """The classes, in model order, by the simple name of each
+        supertype they name, which is that of the fqn it resolves to (see
+        resolve_type)."""
         out: dict[str, list[ClassDecl]] = {}
         for c in self.classes:
-            for sup in self.supertypes_of(c):
-                out.setdefault(sup, []).append(c)
+            for name in dict.fromkeys(map(simple_type_name, c.supertypes)):
+                out.setdefault(name, []).append(c)
         return out
+
+    @cached_property
+    def _direct_subtypes(self) -> dict[str, list[ClassDecl]]:
+        return {}  # by supertype fqn, filled as subtypes_of asks
 
     @cached_property
     def _call_sites(self) -> dict[tuple[str, int], list[tuple[MethodDecl, Statement, Expr]]]:
@@ -368,12 +379,20 @@ class CodeModel:
         return [r.fqn if isinstance(r, ClassDecl) else r for r in resolved if r is not None]
 
     def subtypes_of(self, fqn: str) -> list[ClassDecl]:
-        """All model classes transitively declaring fqn among their supertypes."""
+        """All model classes transitively declaring fqn among their
+        supertypes. For each fqn on the way, only the classes that name a
+        supertype by its simple name have their supertypes resolved, once."""
         out: list[ClassDecl] = []
         done = {fqn}
         pending = [fqn]
         while pending:
-            for cls in self._direct_subtypes.get(pending.pop(), ()):
+            sup = pending.pop()
+            direct = self._direct_subtypes.get(sup)
+            if direct is None:
+                direct = self._direct_subtypes[sup] = [
+                    c for c in self._naming_supertype.get(sup.rpartition(".")[2], ())
+                    if sup in self.supertypes_of(c)]
+            for cls in direct:
                 if cls.fqn not in done:
                     done.add(cls.fqn)
                     out.append(cls)
@@ -427,6 +446,9 @@ class _FileParser:
         self.wildcards: list[str] = []
         self.classes: list[ClassDecl] = []
         self.depth = 0  # member type declarations open, see MAX_NESTING
+        self.code = b""  # the file's blanked text, while its declarations are read
+        # The file's block table, made when a cursor first needs it.
+        self.table = None if cur is None else (cur.opens, cur.closes)
 
     def warn(self, message: str, line: int | None = None):
         self.diagnostics.append(ParseDiagnostic(self.path, line or self.cur.line(), message))
@@ -436,13 +458,17 @@ class _FileParser:
     def parse(self) -> list[ClassDecl]:
         """The classes of the file, its header scanned when it can be (see
         java_lexer.scan_header) and parsed from its tokens otherwise; each
-        way gives the same classes and diagnostics."""
+        way gives the same classes and diagnostics. Of a file whose one
+        top-level block nests well, the blocks in it are looked for only
+        when a cursor reads them (see java_lexer.sole_block)."""
         source = self.source
-        code = java_lexer.blanked(source)
-        opens, closes = java_lexer.block_table(code)
+        code = self.code = java_lexer.blanked(source)
+        table = java_lexer.sole_block(code)
+        checked = b"" if table else code  # the text a top-level block's bracket check reads
+        opens, closes = table or self._table()
         header = java_lexer.scan_header(code, opens, closes)
         if header is None:
-            self.cur = FileCursor(source, code, opens, closes)
+            self.cur = FileCursor(source, checked, *self._table())
             return self._parse_tokens()
         self.package = header.package
         for static, name, wildcard in header.imports:
@@ -452,8 +478,14 @@ class _FileParser:
         for t in header.types:
             line += source.count("\n", start, opens[t.k])
             start = opens[t.k]
-            self._declare(t, None, None, code, opens, closes, line)
+            self._declare(t, None, None, checked, opens, closes, line)
         return self.classes
+
+    def _table(self) -> tuple[array, array]:
+        """The file's block table (see java_lexer.block_table)."""
+        if self.table is None:
+            self.table = java_lexer.block_table(self.code)
+        return self.table
 
     def _parse_tokens(self) -> list[ClassDecl]:
         cur = self.cur
@@ -575,26 +607,27 @@ class _FileParser:
         """Add the type that header declares, a member of the type outer_fqn
         or, when it is None, of the file's package (see _members for
         components). Its body is block header.k of the file, from its '{' on
-        line line, in the block table opens and closes; code is the file's
-        blanked text, or empty when the type is declared in a block whose
-        brackets nest well (see java_lexer.nests_well). A top-level class's
-        or interface's members are deferred when its body's brackets nest
+        line line, whose entry opens and closes hold; code is the file's
+        blanked text, or empty when the body's brackets are known to nest
+        well (see java_lexer.nests_well). A top-level class's or
+        interface's members are deferred when its body's brackets nest
         well and it declares no member type (see java_lexer.declares_type),
-        and parsed now otherwise."""
+        and parsed now otherwise, through the file's block table."""
         kw, simple, supertypes, k = header
         fqn = f"{outer_fqn}.{simple}" if outer_fqn else (
             f"{self.package}.{simple}" if self.package else simple)
+        start, end = opens[k], closes[k]
         nested = java_lexer.nests_well(code, opens, closes, k)
         # Only a top-level class is deferred: a member type's bodies would
         # be parsed later at depth 0.
         if nested and outer_fqn is None and kw in ("class", "interface") \
-                and not java_lexer.declares_type(code, opens, closes, k):
-            deferred = _DeferredMembers(self.source, opens, closes, k, line, self.path, fqn,
+                and not java_lexer.declares_type(self.code, start + 1, end):
+            deferred = _DeferredMembers(self.source, start, end + 1, k, line, self.path, fqn,
                                         simple, kw == "interface")
             self.diagnostics.append(deferred)
             methods = fields = deferred
         else:
-            outer, self.cur = self.cur, FileCursor.over(self.source, opens, closes, k, line,
+            outer, self.cur = self.cur, FileCursor.over(self.source, *self._table(), k, line,
                                                         b"" if nested else code)
             try:
                 # The enum constants end at their ';', or at the closer that
@@ -861,26 +894,29 @@ class _DeferredMembers(_Deferred):
     """The members of a top-level class or interface named simple, fqn in
     full, whose body declares no member type (see
     java_lexer.declares_type). The body is block k in its file's block
-    table, opens and closes, so that its braces are not matched again when
-    the members are parsed. A malformed member is reported then."""
+    table, which is made again from the file's text when the members are
+    parsed, so that no table is kept meanwhile. A malformed member is
+    reported then."""
 
-    __slots__ = ("opens", "closes", "k", "fqn", "simple", "is_interface")
+    __slots__ = ("k", "fqn", "simple", "is_interface")
 
-    def __init__(self, source: str, opens: array, closes: array, k: int, line: int, path: str,
+    def __init__(self, source: str, start: int, end: int, k: int, line: int, path: str,
                  fqn: str, simple: str, is_interface: bool):
-        """The members of the class whose body is block k, from its '{' on
-        line line."""
-        super().__init__(source, opens[k], closes[k] + 1, line, path)
-        self.opens = opens
-        self.closes = closes
+        """The members of the class whose body, source[start:end], is block
+        k, from its '{' on line line."""
+        super().__init__(source, start, end, line, path)
         self.k = k
         self.fqn = fqn
         self.simple = simple
         self.is_interface = is_interface
 
+    def cursor(self) -> FileCursor:
+        """A cursor over the tokens of the class body (see FileCursor.over)."""
+        table = java_lexer.block_table(java_lexer.blanked(self.source))
+        return FileCursor.over(self.source, *table, self.k, self.line)
+
     def parse(self) -> dict[str, tuple]:
-        cur = FileCursor.over(self.source, self.opens, self.closes, self.k, self.line)
-        parser = _FileParser(self.path, self.source, self.log, cur)
+        parser = _FileParser(self.path, self.source, self.log, self.cursor())
         methods, fields = parser._members(self.fqn, self.simple, self.is_interface, None)
         self._echo()
         return {"methods": methods, "fields": fields}
@@ -891,16 +927,17 @@ class _DeferredMembers(_Deferred):
 # ---------------------------------------------------------------------------
 
 
-def read_source(path: Path) -> str:
-    """The text of the file at path as path.read_text(encoding="utf-8",
+def read_source(path: str | Path) -> str:
+    """The text of the file at path as Path.read_text(encoding="utf-8",
     errors="replace") reads it, universal newlines included, in less time."""
-    text = path.read_bytes().decode("utf-8", "replace")
+    with open(path, "rb") as f:
+        text = f.read().decode("utf-8", "replace")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
 
 
-def parse_file(path: Path, diagnostics: list[ParseDiagnostic | _Deferred]
+def parse_file(path: str | Path, diagnostics: list[ParseDiagnostic | _Deferred]
                ) -> list[ClassDecl]:
     try:
         source = read_source(path)
@@ -915,30 +952,64 @@ def parse_file(path: Path, diagnostics: list[ParseDiagnostic | _Deferred]
         return []
 
 
+def _java_files(root: Path, excluded: set[tuple[str, ...]]) -> list[str]:
+    """The paths that root.rglob("*.java") finds, as str gives them, in the
+    order sorted(paths) gives on POSIX: every entry whose name ends in
+    '.java', a directory too, in root and in each directory below it that
+    is reached without following a symlink; none at or under a path whose
+    parts relative to root are in excluded. Each directory is listed once,
+    its entries in name order, and each is visited before what is under it."""
+    found: list[str] = []
+
+    def walk(directory: str, parts: tuple[str, ...]) -> None:
+        try:
+            with os.scandir(directory or ".") as listing:
+                entries = sorted(listing, key=lambda entry: entry.name)
+        except PermissionError:
+            return
+        for entry in entries:
+            name = entry.name
+            if excluded and parts + (name,) in excluded:
+                continue
+            path = os.path.join(directory, name)
+            if name.endswith(".java"):
+                found.append(path)
+            if entry.is_dir(follow_symlinks=False):
+                walk(path, parts + (name,))
+
+    if () not in excluded:
+        walk(str(root) if root.parts else "", ())  # Path(".") writes its children bare
+    return found
+
+
 def parse_project(root: str | Path, emit_warnings: bool = True,
                   exclude_dirs: tuple[str, ...] = ()) -> CodeModel:
     """Parse every .java file under root into an immutable CodeModel.
 
-    Each file's package, imports and type headers are read now, with each
-    type's name and supertypes: one pass over its characters blanks
-    its comments and literals and makes its block table, one scan of the
-    blanked text outside its blocks reads a header in its plainest form
-    (see java_lexer.scan_header), and a file whose header the scan cannot
-    read is tokenized down to its type headers and parsed (see
+    The files are those root.rglob("*.java") finds, in sorted order, listed
+    by one walk over the directories (see _java_files). Each file's
+    package, imports and type headers are read now, with each type's name
+    and supertypes: one pass over its characters blanks its comments and
+    literals and finds its blocks, a file's one top-level block with a
+    single bracket check, any other file's through its block table (see
+    java_lexer.sole_block and block_table); one scan of the blanked text
+    outside its blocks reads a header in its plainest form (see
+    java_lexer.scan_header), and a file whose header the scan cannot read
+    is tokenized down to its type headers and parsed (see
     java_lexer.FileCursor), with the same result. A file is read as
     Path.read_text reads it (see read_source). A top-level class's or
     interface's members are lexed and parsed when ClassDecl.methods or
-    ClassDecl.fields is first read, through its file's table, if its
-    brackets nest well and its body
-    declares no member type (see java_lexer.declares_type); any other
+    ClassDecl.fields is first read, through its file's block table, made
+    again then from the file's text, if its brackets nest well and its
+    body declares no member type (see java_lexer.declares_type); any other
     class's members, and every enum's and record's, are parsed now. A
-    method body is lexed and parsed when first read, or now if its brackets
-    are unbalanced or nested too deeply. Each class body and method body is
-    read over its own tokens and ends at its '}', so a bracket fault in one
-    costs no other block its members or statements. CodeModel.call_sites
-    reads only the classes, and lexes and parses only the bodies, that hold
-    the name asked for as a whole word once their comments and literals are
-    blanked (see java_lexer.blanked).
+    method body is lexed and parsed when first read, or now if its
+    brackets are unbalanced or nested too deeply. Each class body and
+    method body is read over its own tokens and ends at its '}', so a
+    bracket fault in one costs no other block its members or statements.
+    CodeModel.call_sites reads only the classes, and lexes and parses only
+    the bodies, that hold the name asked for as a whole word once their
+    comments and literals are blanked (see java_lexer.blanked).
     A malformed member is skipped with a diagnostic, when its class's
     members are parsed, and the recovery stays inside its class. Files that
     fail to parse are recorded as diagnostics, never raised. Diagnostics
@@ -950,13 +1021,7 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     root = Path(root)
     if not root.is_dir():
         raise RootNotFound(f"project root not found: {root}")
-    # Ordered as sorted(paths) orders them on POSIX, without PurePath's comparison.
-    files = sorted(root.rglob("*.java"), key=lambda f: f.parts)
-    if exclude_dirs:
-        depth = len(root.parts)  # each file's parts start with root's
-        prefixes = [Path(d).parts for d in exclude_dirs]
-        files = [f for f in files
-                 if not any(f.parts[depth:depth + len(p)] == p for p in prefixes)]
+    files = _java_files(root, {Path(d).parts for d in exclude_dirs})
     if not files:
         raise NoSourceFiles(f"no .java files under {root}")
     log: list[ParseDiagnostic | _Deferred] = []

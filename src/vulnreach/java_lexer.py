@@ -1,31 +1,36 @@
 """Lexing of Java source for the code model.
 
-Java's reserved words; the lexemes and tokens of a text; one pass over a
-file's characters, with comments and literals blanked (blanked), that
-makes the file's block table without tokenizing (block_table): the offsets
-of its k-th '{' and of the '}' that closes it, the only record of where a
-block is; the bracket check of a block; the word test that tells whether a
-class body declares a member type, which keeps its members from being left
-for later; the scan that reads a file's header in its plainest form from
-the blanked text outside its blocks, with no token made (scan_header); the
-cursors through which the parsers in code_model and java_body read tokens,
-the errors and diagnostics they raise and report, and the type-name
-helpers both use (erase_generics, simple_type_name). A file
-whose header the scan cannot read is tokenized down to its type headers by
-a FileCursor over the same blanked text and block table, leaving out the
-interior of every block, a '{' that no '}' closes ending with the file.
-Each block is read through a cursor of its own, named by its number in the
-table: no cursor's tokens change once it is made, and no parse of a block
-reads past its '}'.
+Java's reserved words; the lexemes and tokens of a text; and the pass over
+a file's characters that reading its declarations needs, which makes no
+token. It blanks comments and literals (blanked), searching from one
+character that may open one to the next. It finds where the blocks are:
+in a file whose one top-level block runs from its first '{' to its last
+'}', one bracket check finds that block and shows that its brackets nest
+(sole_block); otherwise, and when a cursor reads a block, one walk from
+brace to brace makes the file's block table (block_table), the offsets of
+its k-th '{' and of the '}' that closes it, the only record of where a
+block is. Then the bracket check of a block; the word test that tells
+whether a class body declares a member type, which keeps its members from
+being left for later (declares_type); the scan that reads a file's header
+in its plainest form from the blanked text outside its blocks, with no
+token made (scan_header); the cursors through which the parsers in
+code_model and java_body read tokens, the errors and diagnostics they
+raise and report, and the type-name helpers both use (erase_generics,
+simple_type_name). A file whose header the scan cannot read is tokenized
+down to its type headers by a FileCursor over the same blanked text and
+its block table, leaving out the interior of every block, a '{' that no
+'}' closes ending with the file. Each block is read through a cursor of
+its own, named by its number in the table: no cursor's tokens change once
+it is made, and no parse of a block reads past its '}'.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 PRIMITIVES = {"int", "long", "short", "byte", "double", "float", "boolean", "char", "void", "var"}
@@ -58,6 +63,16 @@ MAX_NESTING = 128
 # tokenizer
 # ---------------------------------------------------------------------------
 
+# The lexemes that may close nowhere, by the character that opens them: a
+# block comment, a string literal and a char literal. A literal is written
+# unrolled, as runs of plain characters between escapes, so that the regex
+# engine takes each plain character in one step of a single-character repeat.
+_OPENED = {
+    "/": r"/\*.*?\*/",
+    '"': r'"[^"\\]*(?:\\.[^"\\]*)*"',
+    "'": r"'[^'\\]*(?:\\.[^'\\]*)*'",
+}
+
 # One match per lexeme, in a single findall call. Whitespace other than "\n"
 # is skipped inside the match; "\n" is a lexeme of its own so that lines can
 # be counted. A character that starts no lexeme, and the end of the text,
@@ -72,9 +87,8 @@ LEXEME_RE = re.compile(
     (?:
       (
         \n
-      | //[^\n]*|/\*.*?\*/
-      | "(?:\\.|[^"\\])*"
-      | '(?:\\.|[^'\\])*'
+      | //[^\n]*"""
+    + "".join("|" + branch for branch in _OPENED.values()) + r"""
       | \d[\w]*(?:\.[\w]+)?
       | [A-Za-z_$][\w$]*
       | <<=|>>>=|>>=|>>>|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::|\.\.\.|[{}()\[\];,.<>=+\-*/%!&|^~?:@]
@@ -87,30 +101,72 @@ LEXEME_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# The same without its block-comment branch.
-_NO_BLOCK_COMMENT_RE = re.compile(LEXEME_RE.pattern.replace(r"|/\*.*?\*/", ""),
-                                  re.VERBOSE | re.DOTALL)
+
+@functools.cache
+def _lexeme_re(opened: str) -> re.Pattern[str]:
+    """LEXEME_RE with only those branches of _OPENED whose opening
+    characters are in opened."""
+    pattern = LEXEME_RE.pattern
+    for opener, branch in _OPENED.items():
+        if opener not in opened:
+            pattern = pattern.replace("|" + branch, "")
+    return re.compile(pattern, re.VERBOSE | re.DOTALL)
 
 
-def _unclosed(source: str) -> int | None:
-    """Where the first lexeme at or after rfind("*/") - 1 starts, when a
-    "/*" follows that offset, else None. Such a "/*" closes nowhere, and
-    the block-comment branch would rescan to the end at each one, so from
-    there on the text is read without that branch."""
-    cut = source.rfind("*/") - 1
-    if source.find("/*", max(cut, 0)) < 0:
-        return None
-    return next(m.start() for m in LEXEME_RE.finditer(source) if m.start() >= cut)
+def _last_closer(source: str, quote: str) -> int:
+    """The offset of the last quote in source that ends the literal of any
+    quote opened before it, or -1: one after an even run of backslashes. A
+    quote after an odd run ends none, wherever the literal opened, since a
+    literal reads each backslash with the character after it. So a literal
+    opened at or after this offset closes nowhere, and one opened before it
+    closes."""
+    end = len(source)
+    while (quote_at := source.rfind(quote, 0, end)) >= 0:
+        end = quote_at
+        while end and source[end - 1] == "\\":
+            end -= 1
+        if (quote_at - end) % 2 == 0:
+            return quote_at
+    return -1
+
+
+def _segments(source: str) -> list[tuple[int, str]]:
+    """source cut into segments, each as its start and the characters that
+    open a lexeme of _OPENED that can close there. A lexeme that closes
+    nowhere would rescan to the end of the text at each later opener, so
+    from the first lexeme that starts at or after the offset past which no
+    such lexeme closes, the text is read without its branch. Both readings
+    give the same lexemes, since none opened there closes, and this one
+    takes time linear in the text."""
+    cuts = []
+    cut = source.rfind("*/") - 1  # a "/*" from here on shares its '*' with the "*/"
+    if source.find("/*", max(cut, 0)) >= 0:
+        cuts.append((cut, "/"))
+    for quote in "\"'":
+        cut = _last_closer(source, quote)
+        if source.find(quote, cut + 1) >= 0:  # a quote that no closer ends
+            cuts.append((cut + 1, quote))
+    segments = [(0, "/\"'")]
+    for cut, opener in sorted(cuts):
+        start, opened = segments[-1]
+        split = next(m.start() for m in _lexeme_re(opened).finditer(source, start)
+                     if m.start() >= cut)
+        segments.append((split, opened.replace(opener, "")))
+    return segments
 
 
 def lexemes(source: str) -> list[str]:
     """LEXEME_RE.findall(source), in time linear in the text (see
-    _unclosed)."""
-    split = _unclosed(source)
-    if split is None:
+    _segments)."""
+    segments = _segments(source)
+    if len(segments) == 1:
         return LEXEME_RE.findall(source)
-    # The last match before split is the empty one at the end of the slice.
-    return LEXEME_RE.findall(source, 0, split)[:-1] + _NO_BLOCK_COMMENT_RE.findall(source, split)
+    out = []
+    for (start, opened), (end, _) in zip(segments, segments[1:]):
+        # The last match before end is the empty one at the end of the slice.
+        out += _lexeme_re(opened).findall(source, start, end)[:-1]
+    start, opened = segments[-1]
+    return out + _lexeme_re(opened).findall(source, start)
 
 
 # A token's kind follows from its first character: identifiers (keywords
@@ -156,24 +212,13 @@ def tokenize(source: str, start: int = 0, end: int | None = None,
     return texts, lines
 
 
-# The lexemes inside which a bracket character is no token: comments, string
-# and char literals, as LEXEME_RE matches them.
-_SKIPPED = rb"""//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*'"""
-_SKIPPED_RE = re.compile(_SKIPPED, re.DOTALL)
-_NO_BLOCK_SKIPPED_RE = re.compile(_SKIPPED.replace(rb"|/\*.*?\*/", b""), re.DOTALL)
+# A string or char literal by its quote, as LEXEME_RE matches it.
+_LITERAL_RE = {ord(quote): re.compile(_OPENED[quote].encode(), re.DOTALL) for quote in "\"'"}
 _NOT_BRACKETS = bytes(c for c in range(256) if c not in b"{}()[]")
-_BRACKET_PAIR_RE = re.compile(rb"\{\}|\(\)|\[\]")
 # A word that may declare a member type: no '.' before it, as in Foo.class.
 # A field or method named record matches too, and keeps its class eager.
-_TYPE_WORD_RE = re.compile(rb"(?<![\w$.])(?:class|interface|enum|record)(?![\w$])")
-
-
-def _spaces(m: re.Match) -> bytes:
-    """A comment as spaces; a literal as its quote and spaces."""
-    text = m[0]
-    if text[0] == 0x2F:  # '/'
-        return b" " * len(text)
-    return text[:1] + b" " * (len(text) - 1)
+_TYPE_WORDS = (b"class", b"interface", b"enum", b"record")
+_TYPE_WORD_RE = re.compile(rb"(?<![\w$.])(?:%s)(?![\w$])" % b"|".join(_TYPE_WORDS))
 
 
 def blanked(source: str) -> bytes:
@@ -182,27 +227,65 @@ def blanked(source: str) -> bytes:
     literal by its quote and as many spaces as the rest, so that every
     bracket character left is a bracket token. Each '/' outside those
     lexemes starts a lexeme of its own, so a search for one finds what the
-    lexer finds. Linear in the text: as in lexemes, no '/*' that closes
-    nowhere is tried as a comment (see _unclosed)."""
+    lexer finds.
+
+    The text is read from one character that may open a comment or literal
+    to the next, each found by a search for that character, and only the
+    lexemes it opens are matched. An opener that closes nowhere leaves
+    every later one of its kind closing nowhere too (see _last_closer; a
+    "/*" that no "*/" follows), so none of them is tried: linear in the
+    text."""
     text = source.encode("ascii", "replace")
-    split = _unclosed(source)
-    if split is None:
-        return _SKIPPED_RE.sub(_spaces, text)
-    return (_SKIPPED_RE.sub(_spaces, text[:split])
-            + _NO_BLOCK_SKIPPED_RE.sub(_spaces, text[split:]))
+    n = len(text)
+    find = text.find
+    at = {c: find(c) % (n + 1) for c in b"/\"'"}  # the next of each; find's -1 is n
+    comments = True  # whether a "/*" may still close
+    pieces = []
+    done = 0
+    while (i := min(at.values())) < n:
+        c = text[i]
+        end = -1
+        if c != 0x2F:  # a quote
+            m = _LITERAL_RE[c].match(text, i)
+            if m is None:  # nor does any later quote of its kind close
+                at[c] = n
+                continue
+            end = m.end()
+        elif text[i + 1:i + 2] == b"/":
+            end = find(b"\n", i) % (n + 1)
+        elif comments and text[i + 1:i + 2] == b"*":
+            end = find(b"*/", i + 2)
+            comments = end >= 0
+            end += 2 if comments else 0
+        if end < 0:  # no comment opens here
+            at[c] = find(c, i + 1) % (n + 1)
+            continue
+        kept = 0 if c == 0x2F else 1  # a literal keeps its quote
+        pieces += (text[done:i + kept], b" " * (end - i - kept))
+        done = end
+        for opener, j in at.items():
+            if j < end:
+                at[opener] = find(opener, end) % (n + 1)
+    if not pieces:
+        return text
+    pieces.append(text[done:])
+    return b"".join(pieces)
 
 
-def _well_nested(code: bytes) -> bool:
-    """Whether the brackets of code nest well, at most MAX_NESTING deep.
-    Each round removes every innermost pair, so the brackets are gone
-    after as many rounds as they nest deep, or never."""
+def _well_nested(code: bytes, depth: int = MAX_NESTING) -> bool:
+    """Whether the brackets of code nest well, at most depth deep. Each
+    round removes every innermost pair, each marked before any is removed,
+    so that a pair it uncovers waits for the next round: the brackets are
+    gone after as many rounds as they nest deep, or never."""
     brackets = code.translate(None, _NOT_BRACKETS)
-    for _ in range(MAX_NESTING):
+    for _ in range(depth):
         if not brackets:
             return True
-        brackets, pairs = _BRACKET_PAIR_RE.subn(b"", brackets)
-        if not pairs:
+        marked = brackets.replace(b"()", b"..").replace(b"[]", b"..").replace(b"{}", b"..")
+        rest = marked.replace(b".", b"")
+        if len(rest) == len(brackets):
             return False
+        brackets = rest
     return not brackets
 
 
@@ -413,12 +496,6 @@ class Cursor:
                 return self.type_ref()
 
 
-def _offsets(code: bytes, byte: bytes) -> list[int]:
-    """The offsets of byte in code, in order."""
-    ends = accumulate(map(len, code.split(byte)))  # the end of each piece between two
-    return [end + k for k, end in enumerate(ends)][:-1]
-
-
 def _cut(text, opens: array, closes: array, k: int, start: int, end: int
          ) -> tuple[list, list[int]]:
     """text[start:end] in pieces, the interior of each block at its top
@@ -439,18 +516,28 @@ def _cut(text, opens: array, closes: array, k: int, start: int, end: int
 def block_table(code: bytes) -> tuple[array, array]:
     """The block table of a file whose text blanked gives as code: opens[k]
     is the offset of its k-th '{', and closes[k] that of the '}' that
-    matches it, or the length of the text when no '}' closes it."""
-    opens = _offsets(code, b"{")
-    closes = [len(code)] * len(opens)
+    matches it, or the length of the text when no '}' closes it. One walk
+    from brace to brace, each found by a search for its character."""
+    find = code.find
+    opens = array("q")
+    closes = array("q")
     stack: list[int] = []
-    k = 0
-    for end in _offsets(code, b"}"):
-        while k < len(opens) and opens[k] < end:
-            stack.append(k)
-            k += 1
-        if stack:
-            closes[stack.pop()] = end
-    return array("q", opens), array("q", closes)
+    start = find(b"{")
+    end = find(b"}")
+    while start >= 0:
+        if 0 <= end < start:
+            if stack:
+                closes[stack.pop()] = end
+            end = find(b"}", end + 1)
+        else:
+            stack.append(len(opens))
+            opens.append(start)
+            closes.append(len(code))
+            start = find(b"{", start + 1)
+    while stack and end >= 0:
+        closes[stack.pop()] = end
+        end = find(b"}", end + 1)
+    return opens, closes
 
 
 def nests_well(code: bytes, opens: array, closes: array, k: int) -> bool:
@@ -461,10 +548,32 @@ def nests_well(code: bytes, opens: array, closes: array, k: int) -> bool:
     return not code or _well_nested(code[opens[k]:closes[k] + 1])
 
 
-def declares_type(code: bytes, opens: array, closes: array, k: int) -> bool:
-    """Whether the text of block k, outside the blocks in it, may declare a
-    member type (see _TYPE_WORD_RE)."""
-    pieces, _ = _cut(code, opens, closes, k + 1, opens[k] + 1, closes[k])
+def sole_block(code: bytes) -> tuple[array, array] | None:
+    """The block table of a file whose text blanked gives as code, cut down
+    to its one top-level block, when its brackets nest well, at most
+    MAX_NESTING deep: (opens, closes) whose entry 0 is the file's first '{'
+    and the '}' that closes it, its last, with no '{' after it. Else None.
+    One bracket check finds both the block and that it nests well: the
+    brackets between the two nest well, one level less deep, only when
+    the first '{' is closed by the last '}'. The blocks in it are not
+    looked for (see block_table)."""
+    start = code.find(b"{")
+    end = code.rfind(b"}")
+    if 0 <= start < end and code.find(b"{", end) < 0 \
+            and _well_nested(code[start + 1:end], MAX_NESTING - 1):
+        return array("q", (start,)), array("q", (end,))
+    return None
+
+
+def declares_type(code: bytes, start: int, end: int) -> bool:
+    """Whether code[start:end], the text inside a block whose braces nest
+    well, outside the blocks in it, may declare a member type (see
+    _TYPE_WORD_RE). Text that holds none of the words anywhere is not cut
+    into pieces."""
+    if not any(code.find(word, start, end) >= 0 for word in _TYPE_WORDS):
+        return False
+    body = code[start:end]
+    pieces, _ = _cut(body, *block_table(body), 0, 0, len(body))
     return _TYPE_WORD_RE.search(b"".join(pieces)) is not None
 
 
@@ -552,25 +661,22 @@ class FileCursor(Cursor):
     """A cursor over the tokens of one file, or of one block in it, that
     leaves out the interior of every block in it.
 
-    One pass over the file's characters makes its block table (see
-    block_table), the only record of where a block is: opens[k] is the
-    offset of the file's k-th '{', and closes[k] the offset of the '}' that
-    matches it, or the length of the source when no '}' closes it: that
-    block ends with the file. A file's cursor takes the blanked text and
-    table that the header scan made (see scan_header), and a block's
-    cursor its file's table. A block left out is its '{' token followed by
-    its '}' token, when it has one; braces runs beside texts: for a '{'
-    token its block's number k, else None. code is the file's text as
-    blanked gives it, for the bracket checks (see nests_well), or empty in a
-    cursor over a block whose brackets nest well, since every block in it
-    does too.
+    A cursor reads the file's block table (see block_table), the only
+    record of where a block is: opens[k] is the offset of the file's k-th
+    '{', and closes[k] the offset of the '}' that matches it, or the length
+    of the source when no '}' closes it: that block ends with the file. A
+    file's cursor and a block's take the same table. A block left out is
+    its '{' token followed by its '}' token, when it has one; braces runs
+    beside texts: for a '{' token its block's number k, else None. code is
+    the file's text as blanked gives it, for the bracket checks (see
+    nests_well), or empty in a cursor over a block whose brackets nest
+    well, since every block in it does too.
 
     The tokens never change once the cursor is made. The parsers pass a
     block left out whole, as every walk that counts brackets does
     (skip_balanced, skip_to, pass_block), read it through a cursor of its
     own (over), or leave it for later: a method body keeps its span, and a
-    class's members keep the file's table and their block's number, for
-    over."""
+    class's members their block's number, for over."""
 
     __slots__ = ("source", "code", "opens", "closes", "braces")
 

@@ -97,16 +97,29 @@ are marked, each line by a comment naming its fix:
 reproduce: the same classes, statements and diagnostics. Input nested more
 deeply than the interpreter's recursion limit allows fails here with a
 "parse failure" diagnostic.
+
+The last section keeps the character pass over a file that
+`vulnreach.java_lexer` replaced, verbatim: `blanked` blanks comments and
+literals with one regex substitution, `block_table` matches the braces of
+offset lists that `bytes.split` gives, `_well_nested` removes innermost
+bracket pairs one regex round at a time, and `declares_type` cuts a block's
+inner blocks out before it searches for a type word. They are the
+specification of the blanked text, the block table, the bracket check and
+the member-type word test.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from vulnreach.java_lexer import KEYWORDS as _KEYWORDS
+from vulnreach.java_lexer import MAX_NESTING as _MAX_NESTING
 from vulnreach.java_lexer import MODIFIERS as _MODIFIERS
 from vulnreach.java_lexer import PRIMITIVES as _PRIMITIVES
 from vulnreach.java_lexer import ParseDiagnostic
@@ -1385,3 +1398,152 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
         for d in diagnostics:
             print(d.format(), file=sys.stderr)
     return CodeModel(classes=tuple(classes), index=index, parse_log=tuple(diagnostics))
+
+
+# ---------------------------------------------------------------------------
+# the character pass over a file
+# ---------------------------------------------------------------------------
+
+_LEXEME_RE = re.compile(
+    r"""
+    [^\S\n]*
+    (?:
+      (
+        \n
+      | //[^\n]*|/\*.*?\*/
+      | "(?:\\.|[^"\\])*"
+      | '(?:\\.|[^'\\])*'
+      | \d[\w]*(?:\.[\w]+)?
+      | [A-Za-z_$][\w$]*
+      | <<=|>>>=|>>=|>>>|<<|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->|::|\.\.\.|[{}()\[\];,.<>=+\-*/%!&|^~?:@]
+      | [^\W\d][\w$]*
+      )
+    | \S
+    | \Z
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _unclosed(source: str) -> int | None:
+    """Where the first lexeme at or after rfind("*/") - 1 starts, when a
+    "/*" follows that offset, else None. Such a "/*" closes nowhere, and
+    the block-comment branch would rescan to the end at each one, so from
+    there on the text is read without that branch."""
+    cut = source.rfind("*/") - 1
+    if source.find("/*", max(cut, 0)) < 0:
+        return None
+    return next(m.start() for m in _LEXEME_RE.finditer(source) if m.start() >= cut)
+
+
+# The lexemes inside which a bracket character is no token: comments, string
+# and char literals, as LEXEME_RE matches them.
+_SKIPPED = rb"""//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*'"""
+_SKIPPED_RE = re.compile(_SKIPPED, re.DOTALL)
+_NO_BLOCK_SKIPPED_RE = re.compile(_SKIPPED.replace(rb"|/\*.*?\*/", b""), re.DOTALL)
+_NOT_BRACKETS = bytes(c for c in range(256) if c not in b"{}()[]")
+_BRACKET_PAIR_RE = re.compile(rb"\{\}|\(\)|\[\]")
+# A word that may declare a member type: no '.' before it, as in Foo.class.
+# A field or method named record matches too, and keeps its class eager.
+_TYPE_WORD_RE = re.compile(rb"(?<![\w$.])(?:class|interface|enum|record)(?![\w$])")
+
+
+def _spaces(m: re.Match) -> bytes:
+    """A comment as spaces; a literal as its quote and spaces."""
+    text = m[0]
+    if text[0] == 0x2F:  # '/'
+        return b" " * len(text)
+    return text[:1] + b" " * (len(text) - 1)
+
+
+def blanked(source: str) -> bytes:
+    """source in ASCII, one byte per character (a '?' for any other), with
+    each comment replaced by as many spaces, and each string or char
+    literal by its quote and as many spaces as the rest, so that every
+    bracket character left is a bracket token. Each '/' outside those
+    lexemes starts a lexeme of its own, so a search for one finds what the
+    lexer finds. Linear in the text: as in lexemes, no '/*' that closes
+    nowhere is tried as a comment (see _unclosed)."""
+    text = source.encode("ascii", "replace")
+    split = _unclosed(source)
+    if split is None:
+        return _SKIPPED_RE.sub(_spaces, text)
+    return (_SKIPPED_RE.sub(_spaces, text[:split])
+            + _NO_BLOCK_SKIPPED_RE.sub(_spaces, text[split:]))
+
+
+def _well_nested(code: bytes) -> bool:
+    """Whether the brackets of code nest well, at most MAX_NESTING deep.
+    Each round removes every innermost pair, so the brackets are gone
+    after as many rounds as they nest deep, or never."""
+    brackets = code.translate(None, _NOT_BRACKETS)
+    for _ in range(_MAX_NESTING):
+        if not brackets:
+            return True
+        brackets, pairs = _BRACKET_PAIR_RE.subn(b"", brackets)
+        if not pairs:
+            return False
+    return not brackets
+
+
+def _offsets(code: bytes, byte: bytes) -> list[int]:
+    """The offsets of byte in code, in order."""
+    ends = accumulate(map(len, code.split(byte)))  # the end of each piece between two
+    return [end + k for k, end in enumerate(ends)][:-1]
+
+
+def _cut(text, opens: array, closes: array, k: int, start: int, end: int
+         ) -> tuple[list, list[int]]:
+    """text[start:end] in pieces, the interior of each block at its top
+    level cut out, the blocks being those opened at opens[k] and after:
+    each piece but the last ends with a block's '{', and the next one
+    starts with its '}'. Returns the pieces and those blocks' numbers."""
+    pieces = []
+    blocks = []
+    while k < len(opens) and opens[k] < end:
+        pieces.append(text[start:opens[k] + 1])
+        blocks.append(k)
+        start = closes[k]
+        k = bisect_left(opens, start, k)
+    pieces.append(text[start:end])
+    return pieces, blocks
+
+
+def block_table(code: bytes) -> tuple[array, array]:
+    """The block table of a file whose text blanked gives as code: opens[k]
+    is the offset of its k-th '{', and closes[k] that of the '}' that
+    matches it, or the length of the text when no '}' closes it."""
+    opens = _offsets(code, b"{")
+    closes = [len(code)] * len(opens)
+    stack: list[int] = []
+    k = 0
+    for end in _offsets(code, b"}"):
+        while k < len(opens) and opens[k] < end:
+            stack.append(k)
+            k += 1
+        if stack:
+            closes[stack.pop()] = end
+    return array("q", opens), array("q", closes)
+
+
+def nests_well(code: bytes, opens: array, closes: array, k: int) -> bool:
+    """Whether block k of the file whose blanked text is code and whose
+    block table is opens and closes has a '}' and its brackets nest well,
+    at most MAX_NESTING deep; always so when code is empty, as it is for a
+    block inside one whose brackets nest well."""
+    return not code or _well_nested(code[opens[k]:closes[k] + 1])
+
+
+def declares_type(code: bytes, opens: array, closes: array, k: int) -> bool:
+    """Whether the text of block k, outside the blocks in it, may declare a
+    member type (see _TYPE_WORD_RE)."""
+    pieces, _ = _cut(code, opens, closes, k + 1, opens[k] + 1, closes[k])
+    return _TYPE_WORD_RE.search(b"".join(pieces)) is not None
+
+
+def top_level_blocks(code: bytes, opens: array, closes: array) -> list[int]:
+    """The numbers of the blocks at the top level of a file whose blanked
+    text is code and whose block table is opens and closes (no copy: what
+    the header scan reads them by)."""
+    return _cut(code, opens, closes, 0, 0, len(code))[1]

@@ -16,7 +16,7 @@ from vulnreach import cli, code_model, java_body, java_lexer, testgen
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
 from vulnreach.code_model import parse_project
 from vulnreach.confirm import read_report
-from vulnreach.testgen import ASSERT_CONDITION, ASSERT_TRIGGERED, FAIL_LINE
+from vulnreach.testgen import ASSERT_CONDITION, ASSERT_TRIGGERED, FAIL_LINE, LlmClientConfig
 from vulnreach.vuln_report import Required, check_doc, parse_report
 
 from call_graph_reference import eager_call_graph
@@ -586,6 +586,22 @@ class TestAnalyzeCommand:
         assert cli._merge(args, {}) == RunConfig(project_root=Path("p"), poc_file=Path("q"),
                                                  out_dir=Path("o"))
 
+    @pytest.mark.parametrize("name, values", [
+        ("mode", ("full", "paths-only")),
+        ("prompt_style", ("default", "zero-shot", "few-shot")),
+        ("gen_mode", ("offline", "llm")),
+    ])
+    def test_a_run_takes_only_the_values_the_config_accepts(self, name, values):
+        # A RunConfig built in code takes, for each setting that has a set of
+        # values, only those the config file and the flags accept.
+        llm = LlmClientConfig(endpoint="http://localhost:9/v1", model_name="m")
+        paths = {"project_root": Path("p"), "poc_file": Path("q"), "out_dir": Path("o")}
+        for value in values:
+            assert getattr(RunConfig(**paths, llm=llm, **{name: value}), name) == value
+        with pytest.raises(ValueError, match=f"^{name} must be one of {', '.join(values)}, "
+                                             f"not 'bogus'$"):
+            RunConfig(**paths, **{name: "bogus"})
+
     def test_every_config_key_reaches_the_run(self):
         # Two values of each leaf key give two different runs, so no key is
         # accepted and then ignored. Every str key takes both samples
@@ -779,9 +795,9 @@ class TestBodiesOnDemand:
             monkeypatch.setattr(kind, "parse", counting)
         well_nested = java_lexer._well_nested
 
-        def checking(code):
+        def checking(code, *depth):
             work["checks"] += 1
-            return well_nested(code)
+            return well_nested(code, *depth)
 
         monkeypatch.setattr(java_lexer, "_well_nested", checking)
 

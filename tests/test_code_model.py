@@ -79,6 +79,72 @@ class TestParseProject:
         assert model.method_by_signature("h.Leaf#go(String)").owner == "h.Leaf"
         assert model.method_by_signature("h.Mid#go(String)") is None
 
+    def test_subtypes_resolve_only_the_classes_that_name_the_supertype(self, tmp_path,
+                                                                     monkeypatch):
+        # Of 40 classes, only those naming a supertype by the simple name of
+        # the one asked for have their supertypes resolved, once for each
+        # fqn asked for: a dotted name counts, and so does Far, whose Base
+        # is another class.
+        (tmp_path / "Base.java").write_text("package h; public class Base { }")
+        (tmp_path / "Mid.java").write_text("package h; public class Mid extends Base { }")
+        (tmp_path / "Leaf.java").write_text(
+            "package h; public class Leaf extends h.Mid implements Runnable { }")
+        (tmp_path / "Far.java").write_text("package g; import x.Base; class Far extends Base { }")
+        for n in range(36):
+            (tmp_path / f"F{n}.java").write_text(f"package h; public class F{n} extends Other {{ }}")
+        model = parse_project(tmp_path, emit_warnings=False)
+        resolved = []
+        supertypes_of = code_model.CodeModel.supertypes_of
+
+        def counting(self, cls):
+            resolved.append(cls.fqn)
+            return supertypes_of(self, cls)
+
+        monkeypatch.setattr(code_model.CodeModel, "supertypes_of", counting)
+        assert [c.fqn for c in model.subtypes_of("h.Base")] == ["h.Mid", "h.Leaf"]
+        assert sorted(resolved) == ["g.Far", "h.Leaf", "h.Mid"]
+        assert [c.fqn for c in model.subtypes_of("h.Base")] == ["h.Mid", "h.Leaf"]
+        assert [c.fqn for c in model.subtypes_of("h.Mid")] == ["h.Leaf"]
+        assert len(resolved) == 3  # each fqn's direct subtypes are kept once found
+        assert [c.fqn for c in model.subtypes_of("x.Base")] == ["g.Far"]
+        assert sorted(resolved[3:]) == ["g.Far", "h.Mid"]
+
+    def test_the_files_are_those_rglob_finds_in_order(self, tmp_path):
+        # The walk lists what root.rglob("*.java") gives, sorted by parts:
+        # a directory named X.java, a dangling link named .java, hidden
+        # entries, but nothing under a symlinked directory; directories
+        # and files whose names sort between each other interleave.
+        root = tmp_path / "p"
+        for d in ("a/b", "a.b", "X.java/in", "ab", "z", ".h", "src/test/java/t"):
+            (root / d).mkdir(parents=True)
+        for n, f in enumerate(("A.java", "a/B.java", "a/b/C.java", "a.b/D.java",
+                               "X.java/in/E.java", "ab/F.java", "z/G.java", ".h/H.java",
+                               ".java", "Z.Java", "q.javax", "src/M.java",
+                               "src/test/java/t/T.java")):
+            (root / f).write_text(f"class K{n} {{ }}")
+        (root / "a/link").symlink_to(root / "z", target_is_directory=True)
+        (root / "a/L.java").symlink_to(root / "A.java")
+        (root / "a/dead.java").symlink_to(root / "nowhere")
+        for base in (root, root / "a"):
+            want = [str(f) for f in sorted(base.rglob("*.java"), key=lambda f: f.parts)]
+            assert code_model._java_files(base, set()) == want
+        assert [Path(f).name for f in want] == ["B.java", "L.java", "C.java", "dead.java"]
+        for excluded in ("src/test/java", "a", "X.java", "./a/b", "a/../z", ""):
+            depth = len(root.parts)
+            prefix = Path(excluded).parts
+            want = [str(f) for f in sorted(root.rglob("*.java"), key=lambda f: f.parts)
+                    if f.parts[depth:depth + len(prefix)] != prefix]
+            assert code_model._java_files(root, {prefix}) == want, excluded
+        model = parse_project(root, emit_warnings=False, exclude_dirs=("src/test/java",))
+        assert [c.file for c in model.classes] == [
+            str(root / f) for f in (".h/H.java", ".java", "A.java", "X.java/in/E.java",
+                                    "a/B.java", "a/b/C.java", "a.b/D.java", "ab/F.java",
+                                    "src/M.java", "z/G.java")]
+        assert [(Path(d.file).relative_to(root).as_posix(), d.message.split(":")[0])
+                for d in model.diagnostics] == [
+            ("X.java", "unreadable"), ("a/L.java", "duplicate class K0; keeping first"),
+            ("a/dead.java", "unreadable")]
+
     def test_parse_twice_identical(self):
         project, _, _ = fixture_paths("diamond_paths")
         a = parse_project(project, emit_warnings=False)
@@ -219,6 +285,32 @@ class TestTypeDeclarations:
                 for m in c.methods] == [("R#R(String,int)", ["a", "n"]),
                                         ("C#m(String,int[],String[])", ["doc", "k", "rest"])]
         assert (classes, diagnostics) == _parse_source(parser_reference, source)
+
+    @pytest.mark.parametrize("quote", ['"', "'"])
+    def test_unterminated_literals_of_escaped_quotes_are_linear(self, quote):
+        # A literal that closes nowhere makes every later one of its kind
+        # close nowhere too, each later quote being escaped: trying each of
+        # them again would rescan to the end of the text, quadratic. 40 KB
+        # of escaped quotes, through the lexer, the blanker and a file
+        # parse; no literal is made, so each quote and backslash is no
+        # token, and the blanked text is the source.
+        source = f"class C {{ String s = {quote}" + ("\\" + quote) * 20000 + "; }"
+        start = time.perf_counter()
+        with time_limit(10):
+            texts, lines = java_lexer.tokenize(source)
+        assert time.perf_counter() - start < 1.0
+        assert texts == ["class", "C", "{", "String", "s", "=", ";", "}"] and lines == [1] * 8
+        start = time.perf_counter()
+        with time_limit(10):
+            code = java_lexer.blanked(source)
+        assert time.perf_counter() - start < 1.0
+        assert code == source.encode()
+        start = time.perf_counter()
+        with time_limit(10):
+            classes, diagnostics = _parse_source(code_model, source)
+        assert time.perf_counter() - start < 1.0
+        assert [(c.fqn, [f.name for f in c.fields]) for c in classes] == [("C", ["s"])]
+        assert diagnostics == []
 
     def test_identifiers_start_at_any_letter(self):
         source = ("package p;\nclass Ärger extends Öl {\n"
@@ -853,9 +945,10 @@ class TestLaziness:
         assert [span for span in lexed if span[1:] != (0, None)] == [
             (id(read.source), read.start, read.end)]
 
-    def test_the_deferred_classes_of_a_file_share_its_block_table(self):
-        # Each deferred class names its body by number in its file's one
-        # block table; no deferred class or body holds offsets of its own
+    def test_the_deferred_classes_of_a_file_keep_no_block_table(self):
+        # Each deferred class names its body by number in its file's block
+        # table, which is made again from the file's text when its members
+        # are read; no deferred class or body holds offsets of its own
         # beyond its span.
         source = ("class A { void m() { if (a) { b(); } } }\n"
                   "interface B { default int f() { return 1; } }\n"
@@ -866,14 +959,11 @@ class TestLaziness:
             cls.methods
         deferred = [entry for entry in log if type(entry) is code_model._DeferredMembers]
         assert [d.fqn for d in deferred] == ["A", "B"]
-        table = deferred[0].opens, deferred[0].closes
-        assert list(map(list, table)) == list(map(list, java_lexer.block_table(
-            java_lexer.blanked(source))))
+        opens, closes = java_lexer.block_table(java_lexer.blanked(source))
         for d in deferred:
-            assert d.opens is table[0] and d.closes is table[1]
-            assert (d.opens[d.k], d.closes[d.k] + 1) == (d.start, d.end)
+            assert (opens[d.k], closes[d.k] + 1) == (d.start, d.end)
             assert source[d.start] == "{" and source[d.end - 1] == "}"
-            assert [name for name, _ in _offset_holders(d)] == ["opens", "closes"]
+            assert list(_offset_holders(d)) == []
         bodies = list(_logged_bodies(log))
         assert len(bodies) == 3
         assert all(list(_offset_holders(b)) == [] for b in bodies)
@@ -1253,6 +1343,67 @@ class TestTokenizer:
             assert java_lexer.lexemes(source) == java_lexer.LEXEME_RE.findall(source), source
 
 
+# Pieces of text for the character pass: brackets, quotes, backslashes,
+# comments that close and "/*" that may not, and the words that may declare
+# a member type, with and without a '.' before them.
+_PASS_PIECES = ["{", "}", "(", ")", "[", "]", '"', "'", "\\", '\\"', "\\'", "//", "/*",
+                "*/", "/* c */", "/*/", "\n", " ", "x", ";", "class", "record", "Foo.class",
+                "interface", "enum", "é", '"{"', "'}'"]
+
+
+# Text whose brackets mostly nest: runs of pieces and of bracketed groups of
+# them, so that a file holds one top-level block, several or none.
+_pass_text = st.recursive(
+    st.sampled_from(_PASS_PIECES),
+    lambda inner: st.lists(inner, max_size=4).map("".join) | st.tuples(
+        st.sampled_from(["{}", "{}", "()", "[]"]), st.lists(inner, max_size=4)).map(
+        lambda group: group[0][0] + "".join(group[1]) + group[0][1]),
+    max_leaves=30)
+
+
+class TestAgainstTheCharacterPassReference:
+    """The character pass over a file gives what the one it replaced gives
+    (parser_reference.blanked, block_table, _well_nested, declares_type):
+    the blanked text, the block table, each block's bracket check and
+    member-type word test, and the one top-level block that needs no table."""
+
+    @given(st.lists(st.sampled_from(_PASS_PIECES), max_size=60).map("".join) | _pass_text)
+    @settings(max_examples=2000, deadline=None)
+    def test_the_pass_matches_the_reference(self, source):
+        code = java_lexer.blanked(source)
+        assert code == parser_reference.blanked(source)
+        assert java_lexer.lexemes(source) == parser_reference._LEXEME_RE.findall(source)
+        opens, closes = java_lexer.block_table(code)
+        ref_opens, ref_closes = parser_reference.block_table(code)
+        assert (list(opens), list(closes)) == (list(ref_opens), list(ref_closes))
+        nested = [parser_reference.nests_well(code, opens, closes, k) for k in range(len(opens))]
+        assert [java_lexer.nests_well(code, opens, closes, k)
+                for k in range(len(opens))] == nested
+        assert java_lexer._well_nested(code) == parser_reference._well_nested(code)
+        for k in range(len(opens)):
+            if nested[k]:
+                assert java_lexer.declares_type(code, opens[k] + 1, closes[k]) == \
+                    parser_reference.declares_type(code, opens, closes, k)
+        top = parser_reference.top_level_blocks(code, opens, closes)
+        sole = top == [0] and nested[0] and code.rfind(b"}") == closes[0]
+        want = ([opens[0]], [closes[0]]) if sole else None
+        got = java_lexer.sole_block(code)
+        assert (got if got is None else tuple(map(list, got))) == want
+
+    def test_deep_brackets_are_checked_to_the_same_depth(self):
+        # Few brackets are checked by removing any pairs in a round, many by
+        # removing the innermost: both stop at MAX_NESTING.
+        for depth in (java_lexer.MAX_NESTING - 1, java_lexer.MAX_NESTING,
+                      java_lexer.MAX_NESTING + 1):
+            for code in (b"{" * depth + b"}" * depth, b"([" * depth + b"])" * depth,
+                         b"()" * 200 + b"{" * depth + b"}" * depth,
+                         b"{" * depth + b"}" * (depth - 1) + b")"):
+                assert java_lexer._well_nested(code) == parser_reference._well_nested(code)
+                body = b"{" + code + b"}"
+                assert (java_lexer.sole_block(body) is not None) == \
+                    parser_reference._well_nested(body)
+
+
 def _pieced_tokens(source: str) -> tuple[list[str], list[int]]:
     """The file parser's tokens of source once it has parsed it, each
     deferred class's and body's place taken by the tokens it lexes on
@@ -1289,9 +1440,7 @@ def _pieces(cur, log) -> tuple[list[str], list[int]]:
         if brace is not None:
             # The block's '{', then what a cursor of its own reads, through its '}'.
             if type(entry) is code_model._DeferredMembers:
-                inner = _pieces(java_lexer.FileCursor.over(entry.source, entry.opens,
-                                                           entry.closes, entry.k, entry.line),
-                                entry.log)
+                inner = _pieces(entry.cursor(), entry.log)
             else:
                 inner = _pieces(java_lexer.FileCursor.over(
                     cur.source, cur.opens, cur.closes, brace, cur.lines[i - 1], cur.code), log)
