@@ -61,7 +61,7 @@ class CallGraph:
         if key not in self._resolved:
             self._resolved.add(key)
             for caller, stmt, call_expr in self._model.call_sites(*key):
-                resolved = resolve_invocation(self._model, caller, call_expr)
+                resolved = resolve_invocation(self._model, caller, call_expr, stmt)
                 if isinstance(resolved, ExternalCallee):
                     continue
                 for target in resolved:
@@ -126,7 +126,7 @@ def localize_vulnerable_methods(model: CodeModel, report: VulnerabilityReport
     for method, stmt, call_expr in model.call_sites(api.method_name, len(api.param_types)):
         if found and found[-1][1] is stmt:
             continue  # one entry per statement
-        if match_signature(report, call_expr, model, method):
+        if match_signature(report, call_expr, model, method, stmt):
             found.append((method, stmt, call_expr))
     return found
 

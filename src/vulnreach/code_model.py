@@ -27,12 +27,14 @@ when MethodDecl.body is first read, or at once if its brackets are
 unbalanced or nested too deeply, so the analysis pays only for the classes
 and bodies it reads: CodeModel.call_sites reads only the classes and lexes
 and parses only the bodies that hold the name asked for as a whole word
-outside their comments and literals (see java_lexer.blanked). A deferred
-class or body reports its diagnostics when it is parsed. Within a class
-body, the parser consumes a brace only together with its match: a name
-must be an identifier, the recovery at file level passes a block whole,
-type arguments end at '{', '}' or ';', and enum constants at a closer no
-opener matches. So a malformed member stays inside its class.
+outside their comments and literals (see java_lexer.blanked). A file is
+blanked again, once for all its deferred parts, only when a question first
+reaches one of them (see _SourceFile). A deferred class or body reports
+its diagnostics when it is parsed. Within a class body, the parser
+consumes a brace only together with its match: a name must be an
+identifier, the recovery at file level passes a block whole, type
+arguments end at '{', '}' or ';', and enum constants at a closer no opener
+matches. So a malformed member stays inside its class.
 
 The model is the substrate for call-graph construction and parameter-transfer
 analysis; it is not a general-purpose Java front end (no type inference, no
@@ -131,16 +133,28 @@ class MethodDecl:
     def __post_init__(self):
         _defer(self, ("body",))
 
-    def signature(self) -> str:
+    # The signature and the hash are each made once, when first used, and
+    # kept in the instance's own attributes, as _defer keeps its state: a
+    # method never asked for them, as most of a project's are not, keeps
+    # neither.
+    @cached_property
+    def _signature(self) -> str:
         types = ",".join(p.declared_type for p in self.params)
         return f"{self.owner}#{self.name}({types})"
+
+    @cached_property
+    def _hash(self) -> int:
+        # A subset of the fields equality compares; the body is left out.
+        return hash((self.owner, self.name, self.params, self.line))
+
+    def signature(self) -> str:
+        return self._signature
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
     def __hash__(self):
-        # A subset of the fields equality compares; the body is left out.
-        return hash((self.owner, self.name, self.params, self.line))
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -434,11 +448,9 @@ class _FileParser:
     diagnostics. cur, when given, is a cursor over one class body's tokens,
     for parsing its members (see _DeferredMembers)."""
 
-    def __init__(self, path: str, source: str,
-                 diagnostics: list[ParseDiagnostic | _Deferred],
+    def __init__(self, file: _SourceFile, diagnostics: list[ParseDiagnostic | _Deferred],
                  cur: FileCursor | None = None):
-        self.path = path
-        self.source = source
+        self.file = file
         self.cur = cur
         self.diagnostics = diagnostics
         self.package = ""
@@ -451,7 +463,7 @@ class _FileParser:
         self.table = None if cur is None else (cur.opens, cur.closes)
 
     def warn(self, message: str, line: int | None = None):
-        self.diagnostics.append(ParseDiagnostic(self.path, line or self.cur.line(), message))
+        self.diagnostics.append(ParseDiagnostic(self.file.path, line or self.cur.line(), message))
 
     # -- top level ---------------------------------------------------------
 
@@ -461,7 +473,7 @@ class _FileParser:
         way gives the same classes and diagnostics. Of a file whose one
         top-level block nests well, the blocks in it are looked for only
         when a cursor reads them (see java_lexer.sole_block)."""
-        source = self.source
+        source = self.file.text
         code = self.code = java_lexer.blanked(source)
         table = java_lexer.sole_block(code)
         checked = b"" if table else code  # the text a top-level block's bracket check reads
@@ -622,12 +634,12 @@ class _FileParser:
         # be parsed later at depth 0.
         if nested and outer_fqn is None and kw in ("class", "interface") \
                 and not java_lexer.declares_type(self.code, start + 1, end):
-            deferred = _DeferredMembers(self.source, start, end + 1, k, line, self.path, fqn,
-                                        simple, kw == "interface")
+            deferred = _DeferredMembers(self.file, start, end + 1, k, line, fqn, simple,
+                                        kw == "interface")
             self.diagnostics.append(deferred)
             methods = fields = deferred
         else:
-            outer, self.cur = self.cur, FileCursor.over(self.source, *self._table(), k, line,
+            outer, self.cur = self.cur, FileCursor.over(self.file.text, *self._table(), k, line,
                                                         b"" if nested else code)
             try:
                 # The enum constants end at their ';', or at the closer that
@@ -643,10 +655,10 @@ class _FileParser:
             methods=methods,
             fields=fields,
             supertypes=tuple(dict.fromkeys(s for s in supertypes if s != simple)),
-            file=self.path,
+            file=self.file.path,
             imports=tuple(self.imports),
             wildcard_imports=tuple(self.wildcards),
-            source_text=self.source,
+            source_text=self.file.text,
         ))
 
     def _members(self, fqn: str, simple: str, in_interface: bool,
@@ -805,7 +817,7 @@ class _FileParser:
         when its brackets nest well, else parsed now."""
         cur = self.cur
         i = cur.i
-        body = _DeferredBody(self.source, *cur.span(i), cur.lines[i], self.depth, self.path)
+        body = _DeferredBody(self.file, *cur.span(i), cur.lines[i], self.depth)
         self.diagnostics.append(body)
         cur.pass_block()
         return body if cur.well_nested(i) else body.parse()["body"]
@@ -835,33 +847,52 @@ class _FileParser:
         return tuple(params)
 
 
+class _SourceFile:
+    """A file's path and text, shared by its deferred parts, and its
+    blanked text (see java_lexer.blanked) once a question has reached one
+    of them (see _Deferred.may_call), kept for all of them; None until
+    then, so that a file no question reaches keeps no blanked copy."""
+
+    __slots__ = ("path", "text", "code")
+
+    def __init__(self, path: str, text: str):
+        self.path = path
+        self.text = text
+        self.code: bytes | None = None
+
+
 class _Deferred:
-    """Part of a file parsed when first read: source[start:end] of the file
-    at path, starting on line line. Once it is parsed, log holds its
-    diagnostics, and a class's also the deferred bodies of its members, in
-    source order; if echo is set, the diagnostics are also written to
-    stderr then, and a deferred body's when it is parsed."""
+    """Part of a file parsed when first read: file.text[start:end], starting
+    on line line. Once it is parsed, log holds its diagnostics, and a
+    class's also the deferred bodies of its members, in source order; if
+    echo is set, the diagnostics are also written to stderr then, and a
+    deferred body's when it is parsed."""
 
-    __slots__ = ("source", "start", "end", "line", "path", "log", "echo")
+    __slots__ = ("file", "start", "end", "line", "log", "echo")
 
-    def __init__(self, source: str, start: int, end: int, line: int, path: str):
-        self.source = source
+    def __init__(self, file: _SourceFile, start: int, end: int, line: int):
+        self.file = file
         self.start = start
         self.end = end
         self.line = line
-        self.path = path
         self.log: list[ParseDiagnostic | _Deferred] = []
         self.echo = False
 
     def may_call(self, name: str) -> bool:
         """Whether a Call parsed from this part can be named name: whether
         name is a whole word of its text, its comments and literals
-        blanked, with no identifier character on either side. Only a part
-        whose text holds name is blanked."""
-        if self.source.find(name, self.start, self.end) < 0:
+        blanked, with no identifier character on either side. Only a file
+        whose text holds name in the part is blanked, and only once (see
+        _SourceFile): the part starts at a '{' outside any comment or
+        literal and ends after its '}' or with the file, so within the part
+        the file's blanked text is the part's own."""
+        file = self.file
+        if file.text.find(name, self.start, self.end) < 0:
             return False
+        if file.code is None:
+            file.code = java_lexer.blanked(file.text)
         word = rb"(?<![\w$])%s(?![\w$])" % re.escape(name.encode("ascii", "replace"))
-        return re.search(word, java_lexer.blanked(self.source[self.start:self.end])) is not None
+        return re.compile(word).search(file.code, self.start, self.end) is not None
 
     def _echo(self) -> None:
         if self.echo:
@@ -879,13 +910,13 @@ class _DeferredBody(_Deferred):
 
     __slots__ = ("depth",)
 
-    def __init__(self, source: str, start: int, end: int, line: int, depth: int, path: str):
-        super().__init__(source, start, end, line, path)
+    def __init__(self, file: _SourceFile, start: int, end: int, line: int, depth: int):
+        super().__init__(file, start, end, line)
         self.depth = depth
 
     def parse(self) -> dict[str, tuple[Statement, ...]]:
-        cur = Cursor(*java_lexer.tokenize(self.source, self.start, self.end, self.line))
-        body = java_body.parse_block(cur, self.depth, self.path, self.log)
+        cur = Cursor(*java_lexer.tokenize(self.file.text, self.start, self.end, self.line))
+        body = java_body.parse_block(cur, self.depth, self.file.path, self.log)
         self._echo()
         return {"body": body}
 
@@ -894,29 +925,32 @@ class _DeferredMembers(_Deferred):
     """The members of a top-level class or interface named simple, fqn in
     full, whose body declares no member type (see
     java_lexer.declares_type). The body is block k in its file's block
-    table, which is made again from the file's text when the members are
-    parsed, so that no table is kept meanwhile. A malformed member is
-    reported then."""
+    table, which is made again when the members are parsed, so that no
+    table is kept meanwhile (see cursor). A malformed member is reported
+    then."""
 
     __slots__ = ("k", "fqn", "simple", "is_interface")
 
-    def __init__(self, source: str, start: int, end: int, k: int, line: int, path: str,
+    def __init__(self, file: _SourceFile, start: int, end: int, k: int, line: int,
                  fqn: str, simple: str, is_interface: bool):
-        """The members of the class whose body, source[start:end], is block
-        k, from its '{' on line line."""
-        super().__init__(source, start, end, line, path)
+        """The members of the class whose body, file.text[start:end], is
+        block k, from its '{' on line line."""
+        super().__init__(file, start, end, line)
         self.k = k
         self.fqn = fqn
         self.simple = simple
         self.is_interface = is_interface
 
     def cursor(self) -> FileCursor:
-        """A cursor over the tokens of the class body (see FileCursor.over)."""
-        table = java_lexer.block_table(java_lexer.blanked(self.source))
-        return FileCursor.over(self.source, *table, self.k, self.line)
+        """A cursor over the tokens of the class body (see FileCursor.over),
+        through a block table made from the file's blanked text: the one a
+        question has kept, else one made for this table alone."""
+        file = self.file
+        table = java_lexer.block_table(file.code or java_lexer.blanked(file.text))
+        return FileCursor.over(file.text, *table, self.k, self.line)
 
     def parse(self) -> dict[str, tuple]:
-        parser = _FileParser(self.path, self.source, self.log, self.cursor())
+        parser = _FileParser(self.file, self.log, self.cursor())
         methods, fields = parser._members(self.fqn, self.simple, self.is_interface, None)
         self._echo()
         return {"methods": methods, "fields": fields}
@@ -944,7 +978,7 @@ def parse_file(path: str | Path, diagnostics: list[ParseDiagnostic | _Deferred]
     except OSError as e:
         diagnostics.append(ParseDiagnostic(str(path), 1, f"unreadable: {e}"))
         return []
-    parser = _FileParser(str(path), source, diagnostics)
+    parser = _FileParser(_SourceFile(str(path), source), diagnostics)
     try:
         return parser.parse()
     except Exception as e:  # pragma: no cover - last-resort guard
@@ -1009,7 +1043,9 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     bracket fault in one costs no other block its members or statements.
     CodeModel.call_sites reads only the classes, and lexes and parses only
     the bodies, that hold the name asked for as a whole word once their
-    comments and literals are blanked (see java_lexer.blanked).
+    comments and literals are blanked (see java_lexer.blanked); a file's
+    text is blanked again, once for all its parts, when a question first
+    reaches one of them (see _SourceFile).
     A malformed member is skipped with a diagnostic, when its class's
     members are parsed, and the recovery stays inside its class. Files that
     fail to parse are recorded as diagnostics, never raised. Diagnostics
@@ -1047,11 +1083,15 @@ def parse_project(root: str | Path, emit_warnings: bool = True,
     return model
 
 
-def declared_type(model: CodeModel, method: MethodDecl, var: str) -> str | None:
-    """The declared type of the variable var in method: its newest local
-    declaration, else the parameter var, else the field var of the method's
-    class; None when none of them declares var."""
-    for st in reversed(method.body):
+def declared_type(model: CodeModel, method: MethodDecl, var: str, site: Statement
+                  ) -> str | None:
+    """The declared type of the variable var where the statement site of
+    method reads it: its newest local declaration before site, else the
+    parameter var, else the field var of the method's class; None when none
+    of them declares var. A statement's index is its place in the body. A
+    declaration in a block that closed before site counts too: the flat
+    body records no block's end."""
+    for st in reversed(method.body[:site.index]):
         if st.kind == "Declaration" and st.lhs == var and st.declared_type:
             return st.declared_type
     owner = model.owner_of(method)
@@ -1059,9 +1099,10 @@ def declared_type(model: CodeModel, method: MethodDecl, var: str) -> str | None:
     return next((v.declared_type for v in (*method.params, *fields) if v.name == var), None)
 
 
-def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):
-    """Resolve the receiver of a call to ('internal', ClassDecl),
-    ('external', fqn) or ('unknown', None).
+def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr, site: Statement):
+    """Resolve the receiver of the call expr, in the statement site of
+    context, to ('internal', ClassDecl), ('external', fqn) or
+    ('unknown', None).
     """
     owner = model.owner_of(context)
     text = expr.receiver_text
@@ -1071,7 +1112,7 @@ def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):
         # Receiver type is named by the construction or the cast itself.
         resolved = model.resolve_type(expr.receiver.name, owner)
     elif text is not None:
-        declared = declared_type(model, context, text.split(".", 1)[0])
+        declared = declared_type(model, context, text.split(".", 1)[0], site)
         # A variable's declared type; else text is a type name, possibly
         # qualified (a dotted name always resolves, at least as external).
         resolved = model.resolve_type(
@@ -1086,8 +1127,9 @@ def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr):
     return "unknown", None
 
 
-def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr):
-    """Resolve a call expression to its possible targets within the model.
+def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr, site: Statement):
+    """Resolve the call expression expr, in the statement site of the
+    method context, to its possible targets within the model.
 
     Returns a set of MethodDecl using class-hierarchy dispatch over the
     statically named receiver type; an ExternalCallee marker when the
@@ -1115,7 +1157,7 @@ def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr):
             and expr.receiver.name == "super":
         owner = model.owner_of(context)
         return inherited(owner) if owner is not None else set()
-    kind, target = receiver_binding(model, context, expr)
+    kind, target = receiver_binding(model, context, expr, site)
     if kind == "external":
         return ExternalCallee(class_fqn=target, method_name=expr.name)
     if kind == "unknown":

@@ -14,7 +14,7 @@ label at a brace, so a malformed statement stays inside its block.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .java_lexer import (KEYWORDS, MAX_NESTING, PRIMITIVES, Cursor, ParseDiagnostic, ParseError,
                          erase_generics, is_ident, is_literal)
@@ -24,9 +24,9 @@ from .java_lexer import (KEYWORDS, MAX_NESTING, PRIMITIVES, Cursor, ParseDiagnos
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expr:
-    """One expression node.
+class Expr(NamedTuple):
+    """One expression node, equal to another with the same fields and
+    hashed as the tuple of them.
 
     kind-dependent use of the fields:
       VarRef       name = variable
@@ -40,9 +40,9 @@ class Expr:
 
     kind: str
     name: str = ""
-    receiver: "Expr | None" = None
+    receiver: Expr | None = None
     receiver_text: str | None = None
-    args: tuple["Expr", ...] = ()
+    args: tuple[Expr, ...] = ()
     operand_vars: frozenset[str] = frozenset()
 
     def walk(self):
@@ -66,27 +66,29 @@ class Expr:
 
 
 def _union_vars(children: tuple[Expr, ...]) -> frozenset[str]:
+    if len(children) == 1:
+        return children[0].operand_vars
     return frozenset().union(*(c.operand_vars for c in children))
 
 
 def var_ref(name: str) -> Expr:
-    return Expr("VarRef", name=name, operand_vars=frozenset({name}))
+    return Expr("VarRef", name, None, None, (), frozenset((name,)))
 
 
 def literal(text: str) -> Expr:
-    return Expr("Literal", name=text)
+    return Expr("Literal", text)
 
 
 def binary_op(op: str, *args: Expr) -> Expr:
-    return Expr("BinaryOp", name=op, args=tuple(args), operand_vars=_union_vars(tuple(args)))
+    return Expr("BinaryOp", op, None, None, args, _union_vars(args))
 
 
 def cast(target_type: str, operand: Expr) -> Expr:
-    return Expr("Cast", name=target_type, args=(operand,), operand_vars=operand.operand_vars)
+    return Expr("Cast", target_type, None, None, (operand,), operand.operand_vars)
 
 
 def new_object(type_name: str, *args: Expr) -> Expr:
-    return Expr("New", name=type_name, args=tuple(args), operand_vars=_union_vars(tuple(args)))
+    return Expr("New", type_name, None, None, args, _union_vars(args))
 
 
 # An identifier, and identifiers joined by '.'; an identifier starts with a
@@ -116,10 +118,8 @@ def field_access(receiver: Expr, name: str) -> Expr:
         # Collapse pure class-ish chains (Foo.BAR) into a var-free literal node.
         base = chain.split(".", 1)[0]
         if not (base[:1].islower() or base[:1] == "_"):
-            return Expr("FieldAccess", name=name, receiver=literal(chain),
-                        receiver_text=chain)
-    return Expr("FieldAccess", name=name, receiver=receiver, receiver_text=chain,
-                operand_vars=receiver.operand_vars)
+            return Expr("FieldAccess", name, literal(chain), chain)
+    return Expr("FieldAccess", name, receiver, chain, (), receiver.operand_vars)
 
 
 def call(name: str, receiver: Expr | None, *args: Expr) -> Expr:
@@ -132,22 +132,23 @@ def call(name: str, receiver: Expr | None, *args: Expr) -> Expr:
             if base == "this" or not (base[:1].islower() or base[:1] == "_"):
                 # Class-qualified or self-qualified call: qualifier carries no data.
                 receiver = literal(chain)
-    vars_ = _union_vars(tuple(args))
+    vars_ = _union_vars(args)
     if receiver is not None:
         vars_ |= receiver.operand_vars
-    return Expr("Call", name=name, receiver=receiver, receiver_text=receiver_text,
-                args=tuple(args), operand_vars=vars_)
+    return Expr("Call", name, receiver, receiver_text, args, vars_)
 
 
 def opaque_expr(text: str) -> Expr:
     """Fallback node for unparsed source; variable names extracted textually."""
     names = dict.fromkeys(t for t in re.findall(_IDENT, text) if t not in KEYWORDS)
-    return Expr("BinaryOp", name="<opaque>", args=tuple(var_ref(n) for n in names),
-                operand_vars=frozenset(names))
+    return Expr("BinaryOp", "<opaque>", None, None, tuple(map(var_ref, names)),
+                frozenset(names))
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
+    """One statement of a flat method body: equal to another with the same
+    fields, and hashed without its expression (see __hash__)."""
+
     kind: str
     lhs: str | None
     rhs_expr: Expr | None
@@ -175,6 +176,9 @@ def _idents(texts: list[str]) -> str:
 
 
 _COMPOUND_ASSIGN = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
+# Tokens that cannot follow a type name: one of them after a statement's
+# first identifier shows that the statement declares no local.
+_NOT_AFTER_TYPE = frozenset(("(", ")", ";", ",", "++", "--", "->", "::", *_COMPOUND_ASSIGN))
 
 # Binary operators by precedence; instanceof parses as a relational operator
 # whose right-hand side is a type.
@@ -185,6 +189,7 @@ _PRECEDENCE = {
 }
 _RELATIONAL = 7
 _PREFIX_OPS = frozenset(("!", "~", "+", "-", "++", "--"))
+_UNARY_STARTS = _PREFIX_OPS | {"("}
 _KEYWORD_PRIMARIES = frozenset(("true", "false", "null", "this", "super", "new"))
 
 
@@ -202,8 +207,7 @@ class _BodyParser:
 
     def _emit(self, kind: str, lhs: str | None, rhs: Expr | None, line: int,
               declared_type: str | None = None):
-        self.stmts.append(Statement(kind=kind, lhs=lhs, rhs_expr=rhs, line=line,
-                                    index=len(self.stmts), declared_type=declared_type))
+        self.stmts.append(Statement(kind, lhs, rhs, line, len(self.stmts), declared_type))
 
     def _nest(self) -> int:
         """Open one nesting level and return the depth outside it."""
@@ -475,7 +479,7 @@ class _BodyParser:
         """Attempt to parse 'Type name (= expr)? (, name (= expr)?)* ;'."""
         cur = self.cur
         start = cur.i
-        if not cur.at_ident() and not cur.at("@"):
+        if not cur.at("@") and (not cur.at_ident() or cur.texts[start + 1] in _NOT_AFTER_TYPE):
             return False
         try:
             declared = cur.variable_type()
@@ -512,14 +516,15 @@ class _BodyParser:
         """A conditional expression. The chain c1 ? a1 : c2 ? a2 : b groups
         to the right and is parsed in a loop; each arm counts as a level."""
         cur = self.cur
+        texts = cur.texts
         cond = self._binary(1)
-        if not cur.at("?"):
+        if texts[cur.i] != "?":
             return cond
         depth = self.depth
         arms: list[tuple[Expr, Expr]] = []
-        while cur.at("?"):
+        while texts[cur.i] == "?":
             self._nest()
-            cur.next()
+            cur.i += 1
             a = self._expr()
             cur.expect(":")
             arms.append((cond, a))
@@ -531,13 +536,19 @@ class _BodyParser:
 
     def _binary(self, min_prec: int) -> Expr:
         """Precedence climbing over operators of precedence min_prec and
-        above, left-associative. `limit` caps the next operator's precedence:
-        after `a op b` at op's, after `x instanceof T` at relational, so
-        that in `x instanceof T + y` the `+` ends the expression."""
+        above, left-associative, in one nesting level. `limit` caps the next
+        operator's precedence: after `a op b` at op's, after
+        `x instanceof T` at relational, so that in `x instanceof T + y` the
+        `+` ends the expression. An operand is a postfix expression unless
+        a prefix operator or a '(', which may start a cast, comes first
+        (see _unary)."""
         cur = self.cur
         texts = cur.texts
-        depth = self._nest()
-        left = self._unary()
+        depth = self.depth
+        if depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", cur.line())
+        self.depth = depth + 1
+        left = self._unary() if texts[cur.i] in _UNARY_STARTS else self._postfix()
         limit = 10
         while True:
             op = texts[cur.i]
@@ -561,13 +572,11 @@ class _BodyParser:
         """Prefix operators and casts, collected in a loop and counted as
         levels, around a postfix expression."""
         cur = self.cur
-        t = cur.peek()
-        if t not in _PREFIX_OPS and t != "(":
-            return self._postfix()
+        texts = cur.texts
         depth = self.depth
         prefixes: list[tuple[bool, str]] = []  # (is_cast, operator or type)
         while True:
-            t = cur.peek()
+            t = texts[cur.i]
             if t is None:
                 raise ParseError("expected expression", cur.line())
             if t in _PREFIX_OPS:
@@ -633,7 +642,7 @@ class _BodyParser:
                     # Qualified inner-class creation: treat opaque.
                     cur.i += 2
                     tp = cur.type_ref()
-                    args = self._call_args() if cur.at("(") else ()
+                    args = self._call_args() if texts[cur.i] == "(" else ()
                     e = new_object(tp, *args)
                     continue
                 if nxt == "<":
@@ -647,22 +656,22 @@ class _BodyParser:
                 if not is_ident(nxt):
                     return e
                 cur.i += 2
-                if cur.at("<"):
+                if texts[cur.i] == "<":
                     start = cur.i
                     try:
                         cur.skip_generics()
-                        if not cur.at("("):
+                        if texts[cur.i] != "(":
                             cur.i = start
                     except ParseError:
                         cur.i = start
-                if cur.at("("):
+                if texts[cur.i] == "(":
                     e = call(nxt, e, *self._call_args())
                 else:
                     e = field_access(e, nxt)
                 continue
             if t == "[":
                 cur.i += 1
-                idx = self._expr() if not cur.at("]") else literal("")
+                idx = self._expr() if texts[cur.i] != "]" else literal("")
                 cur.expect("]")
                 e = binary_op("[]", e, idx)
                 continue
@@ -682,73 +691,77 @@ class _BodyParser:
         """Parenthesised arguments. A lambda argument collapses to an opaque
         node over the variables it mentions."""
         cur = self.cur
+        texts = cur.texts
         cur.expect("(")
         args: list[Expr] = []
-        while not cur.at(")"):
+        while (t := texts[cur.i]) != ")":
             lambda_at = -1
-            if cur.at_ident() and cur.at("->", 1):
-                lambda_at = cur.i + 2
-            elif cur.at("("):
+            if t == "(":
                 start = cur.i
                 try:
                     cur.skip_balanced("(", ")")
-                    if cur.at("->"):
+                    if texts[cur.i] == "->":
                         lambda_at = cur.i + 1
                 except ParseError:
                     pass  # unbalanced: not a lambda's parameters
                 cur.i = start
+            elif t is not None and texts[cur.i + 1] == "->" and is_ident(t):
+                lambda_at = cur.i + 2
             if lambda_at < 0:
                 args.append(self._expr())
             else:
                 cur.i = lambda_at
-                if cur.at("{"):
+                if texts[lambda_at] == "{":
                     args.append(opaque_expr(_idents(cur.skip_balanced("{", "}"))))
                 else:
                     args.append(opaque_expr(" ".join(sorted(self._expr().operand_vars))))
-            if cur.at(","):
-                cur.next()
-        cur.expect(")")
+            if texts[cur.i] == ",":
+                cur.i += 1
+        cur.i += 1
         return tuple(args)
 
     def _primary(self) -> Expr:
         cur = self.cur
-        t = cur.peek()
+        texts = cur.texts
+        i = cur.i
+        t = texts[i]
         if t is None:
             raise ParseError("expected expression", cur.line())
         if is_ident(t) and t not in _KEYWORD_PRIMARIES:
-            cur.next()
-            if cur.at("("):
+            cur.i = i + 1
+            if texts[i + 1] == "(":
                 return call(t, None, *self._call_args())
             return var_ref(t)
         if is_literal(t) or t in ("true", "false", "null"):
-            cur.next()
+            cur.i = i + 1
             return literal(t)
         if t in ("this", "super"):
-            cur.next()
-            if cur.at("("):
+            cur.i = i + 1
+            if texts[i + 1] == "(":
                 return call(t, None, *self._call_args())
             return literal(t)
         if t == "new":
-            cur.next()
+            cur.i = i + 1
             tp = cur.type_ref()
-            if cur.at("("):
+            t = texts[cur.i]
+            if t == "(":
                 args = self._call_args()
-                if cur.at("{"):
+                if texts[cur.i] == "{":
                     cur.skip_balanced("{", "}")
                 return new_object(erase_generics(tp), *args)
-            if cur.at("[") or cur.at("{") and tp.endswith("]"):
+            if t == "[" or t == "{" and tp.endswith("]"):
                 sizes: list[Expr] = []
-                while cur.at("["):
-                    cur.next()
-                    if not cur.at("]"):
+                while texts[cur.i] == "[":
+                    cur.i += 1
+                    if texts[cur.i] != "]":
                         sizes.append(self._expr())
                     cur.expect("]")
-                if cur.at("{"):
+                if texts[cur.i] == "{":
                     sizes.append(opaque_expr(_idents(cur.skip_balanced("{", "}"))))
                 return new_object(erase_generics(tp.split("[", 1)[0]) + "[]", *sizes)
             return new_object(erase_generics(tp))
         if t == "(":
-            cur.next()
+            cur.i = i + 1
             e = self._expr()
             cur.expect(")")
             return e

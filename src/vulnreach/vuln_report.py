@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .code_model import ClassDecl, CodeModel, MethodDecl, declared_type, receiver_binding
 from .errors import VulnreachError
-from .java_body import Expr
+from .java_body import Expr, Statement
 from .java_lexer import PRIMITIVES, simple_type_name
 
 VULNERABILITY_KINDS = (
@@ -246,8 +246,9 @@ def serialize(report: VulnerabilityReport) -> str:
 
 
 def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeModel,
-                    context: MethodDecl) -> bool:
-    """True when a call expression invokes the reported vulnerable API.
+                    context: MethodDecl, site: Statement) -> bool:
+    """True when a call expression, in the statement site of the method
+    context, invokes the reported vulnerable API.
 
     The receiver's statically declared type must equal the vulnerable class
     (or be one of its subtypes in the model), the method name must match,
@@ -265,7 +266,7 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
     if len(call_expr.args) != len(api.param_types):
         return False
 
-    kind, target = receiver_binding(model, context, call_expr)
+    kind, target = receiver_binding(model, context, call_expr, site)
     cls_match = False
     if kind == "external":
         cls_match = target == api.class_fqn
@@ -281,7 +282,7 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
     for arg, want in zip(call_expr.args, api.param_types):
         got: str | None = None
         if arg.kind == "VarRef":
-            got = declared_type(model, context, arg.name)
+            got = declared_type(model, context, arg.name, site)
         elif arg.kind in ("Cast", "New"):
             got = arg.name
         elif arg.kind == "Literal" and arg.name.startswith('"'):

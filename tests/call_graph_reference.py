@@ -38,7 +38,7 @@ def eager_call_graph(model: CodeModel) -> EdgeListGraph:
         caller_sig = method.signature()
         for stmt in method.body:
             for call_expr in stmt.calls():
-                resolved = resolve_invocation(model, method, call_expr)
+                resolved = resolve_invocation(model, method, call_expr, stmt)
                 if isinstance(resolved, ExternalCallee):
                     continue
                 for target in sorted(resolved, key=lambda m: m.signature()):

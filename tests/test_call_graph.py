@@ -220,7 +220,7 @@ class TestExtractCallPaths:
                 assert len(sigs) == len(p.methods)  # acyclic
                 # Last method contains a statement matching the report.
                 matched = any(
-                    match_signature(report, c, model, p.methods[-1])
+                    match_signature(report, c, model, p.methods[-1], p.call_sites[-1])
                     for c in p.call_sites[-1].calls())
                 assert matched
 
@@ -353,9 +353,9 @@ class TestOnDemandGraph:
         walked = collections.Counter()
         resolve, calls = call_graph.resolve_invocation, Statement.calls
 
-        def counting_resolve(model, context, expr):
+        def counting_resolve(model, context, expr, site):
             resolved[context.signature(), id(expr)] += 1
-            return resolve(model, context, expr)
+            return resolve(model, context, expr, site)
 
         def counting_calls(stmt):
             walked[id(stmt)] += 1

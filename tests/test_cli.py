@@ -37,6 +37,26 @@ def _run(scratch_project, name, out, extra=()):
     return root, code
 
 
+def _run_traffic(scratch_project, tmp_path):
+    """Full runs on the 18 fixtures, then on each generator's pairs at seeds
+    1-3, each written under tmp_path; yields "fixtures", then each
+    generator's name, when its runs are done."""
+    for name in corpus_names():
+        assert _run(scratch_project, name, tmp_path / "out" / name)[1] == 2
+    yield "fixtures"
+    gen = bench_generators()
+    for generator in sorted(gen.GENERATORS):
+        for seed in (1, 2, 3):
+            for pair in gen.GENERATORS[generator](seed):
+                base = tmp_path / generator / f"{seed}-{pair.name}"
+                root = write_pair(pair, base / "project")
+                (root / "src/test/java").mkdir(parents=True)
+                (base / "poc.json").write_text(json.dumps(pair.poc), encoding="utf-8")
+                assert main(["analyze", "--project", str(root), "--poc",
+                             str(base / "poc.json"), "--out", str(base / "out")]) == 2
+        yield generator
+
+
 class TestAnalyzeCommand:
     def test_lion_full_offline(self, scratch_project, tmp_path):
         out = tmp_path / "out"
@@ -168,10 +188,16 @@ class TestAnalyzeCommand:
                           "  public Object go(String doc) { xml = doc;\n"
                           "    return new XStream().fromXML(xml); }\n}\n"},
          [(("app.Api#go(String)",), True)]),
+        ({"app/Api.java": "package app;\nimport com.thoughtworks.xstream.XStream;\n"
+                          "public class Api {\n  private String s;\n"
+                          "  public Object go(String doc) { s = doc;\n"
+                          "    Object r = new XStream().fromXML(s);\n"
+                          "    if (r == null) { java.io.File s = null; }\n    return r; }\n}\n"},
+         [(("app.Api#go(String)",), True)]),
     ], ids=["wildcard-import-supertype", "static-wildcard-first", "jdk-wildcard-first",
             "own-package-supertype",
             "supertype-in-a-later-file", "file-field-argument", "constructed-file-argument",
-            "string-field-argument"])
+            "string-field-argument", "local-declared-after-the-call"])
     def test_which_calls_are_the_vulnerable_api(self, tmp_path, files, paths):
         # A supertype's name resolves by CodeModel.resolve_type's one rule,
         # and an argument's type is read from a local, parameter or field,
@@ -739,7 +765,9 @@ class TestBodiesOnDemand:
     def test_only_the_classes_read_are_lexed(self, tmp_path, monkeypatch):
         # Of the project's 200 classes, the run reads the 16 of the
         # features' package: the four entries, the four interfaces and
-        # their eight implementations. No other class body is even lexed.
+        # their eight implementations. No other class body is even lexed,
+        # and resolving a type name (CodeModel.resolve_type) reads the
+        # imports of 12 classes, all among those 16.
         (pair,) = bench_generators().wide_project(21)
         root = write_pair(pair, tmp_path / "wide")
         (root / "src/test/java").mkdir(parents=True)
@@ -752,6 +780,13 @@ class TestBodiesOnDemand:
             lexed[id(source), k] += 1
             return over(source, opens, closes, k, line, code)
 
+        imported = collections.Counter()
+        import_map = code_model.ClassDecl.import_map
+
+        def importing(cls):
+            imported[cls.fqn] += 1
+            return import_map(cls)
+
         models = []
         parse = cli.parse_project
 
@@ -760,6 +795,7 @@ class TestBodiesOnDemand:
             return models[-1]
 
         monkeypatch.setattr(java_lexer.FileCursor, "over", staticmethod(counting))
+        monkeypatch.setattr(code_model.ClassDecl, "import_map", importing)
         monkeypatch.setattr(cli, "parse_project", keeping)
         assert main(["analyze", "--project", str(root), "--poc", str(poc),
                      "--out", str(tmp_path / "out")]) == 2
@@ -767,6 +803,7 @@ class TestBodiesOnDemand:
         read = [c for c in model.classes if "methods" in vars(c)]
         assert len(model.classes) == 200 and len(read) == 16
         assert sum(lexed.values()) == 16 and max(lexed.values()) == 1
+        assert len(imported) == 12 and imported.keys() <= {c.fqn for c in read}
         report = read_report(tmp_path / "out" / "report.json")
         features = {model.index[s.split("#")[0]].package
                     for p in report.paths for s in p.signatures}
@@ -807,22 +844,57 @@ class TestBodiesOnDemand:
             work.clear()
             return done
 
-        got = {}
-        for name in corpus_names():
-            assert _run(scratch_project, name, tmp_path / "out" / name)[1] == 2
-        got["fixtures"] = counted()
-        gen = bench_generators()
-        for generator in sorted(gen.GENERATORS):
-            for seed in (1, 2, 3):
-                for pair in gen.GENERATORS[generator](seed):
-                    base = tmp_path / generator / f"{seed}-{pair.name}"
-                    root = write_pair(pair, base / "project")
-                    (root / "src/test/java").mkdir(parents=True)
-                    (base / "poc.json").write_text(json.dumps(pair.poc), encoding="utf-8")
-                    assert main(["analyze", "--project", str(root), "--poc",
-                                 str(base / "poc.json"), "--out", str(base / "out")]) == 2
-            got[generator] = counted()
+        got = {workload: counted() for workload in _run_traffic(scratch_project, tmp_path)}
         assert got == self.FRONT_END_WORK
+
+    # Files parsed, and files blanked again after the parse, summed over
+    # each workload's full runs.
+    BLANKING_WORK = {
+        "fixtures": (22, 21),
+        "deep_fanout": (135, 135),
+        "sanitizer_chains": (30, 30),
+        "wide_project": (600, 48),
+    }
+
+    def test_each_file_is_blanked_at_most_once_after_the_parse(self, scratch_project, tmp_path,
+                                                               monkeypatch):
+        # On the same traffic, parse_project blanks each file once. After
+        # it, a question that reaches a file's deferred class or body blanks
+        # the whole file, once for all its parts; no part is blanked alone.
+        files = []  # each text read, kept so that no other object takes its id
+        blanks = []  # (whether in parse_project, id of the text) of each blanking
+        parsing = False
+        read_source, blanked, parse = code_model.read_source, java_lexer.blanked, cli.parse_project
+
+        def reading(path):
+            files.append(read_source(path))
+            return files[-1]
+
+        def blanking(source):
+            blanks.append((parsing, id(source)))
+            return blanked(source)
+
+        def parsing_project(*args, **kwargs):
+            nonlocal parsing
+            parsing = True
+            try:
+                return parse(*args, **kwargs)
+            finally:
+                parsing = False
+
+        monkeypatch.setattr(code_model, "read_source", reading)
+        monkeypatch.setattr(java_lexer, "blanked", blanking)
+        monkeypatch.setattr(cli, "parse_project", parsing_project)
+        got = {}
+        for workload in _run_traffic(scratch_project, tmp_path):
+            in_parse = sorted(text for parsed, text in blanks if parsed)
+            after = [text for parsed, text in blanks if not parsed]
+            assert in_parse == sorted(map(id, files))
+            assert len(set(after)) == len(after) and set(after) <= set(in_parse)
+            got[workload] = (len(in_parse), len(after))
+            files.clear()
+            blanks.clear()
+        assert got == self.BLANKING_WORK
 
     @pytest.mark.parametrize("line", [
         "String deep = " + "f(" * 127 + "xml" + ")" * 127 + ";",

@@ -3,6 +3,7 @@ import re
 import sys
 import time
 from array import array
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -34,11 +35,12 @@ def _method(model, fqn, name):
     raise AssertionError(f"{fqn}#{name} not found")
 
 
-def _first_call(method, name=None):
+def _first_call(method, name):
+    """(call, statement) of the first call named name in method."""
     for stmt in method.body:
         for c in stmt.calls():
-            if name is None or c.name == name:
-                return c
+            if c.name == name:
+                return c, stmt
     raise AssertionError("no call found")
 
 
@@ -381,8 +383,7 @@ class TestResolveInvocation:
     def test_static_call_resolves_to_declaration(self):
         model, *_ = analyse_fixture("lion_reachable")
         caller = _method(model, "com.lion.service.ConfigService", "loadConfig")
-        call_expr = _first_call(caller, "xml2Obj")
-        resolved = resolve_invocation(model, caller, call_expr)
+        resolved = resolve_invocation(model, caller, *_first_call(caller, "xml2Obj"))
         assert {m.signature() for m in resolved} == {
             "com.lion.util.XmlUtil#xml2Obj(String,Class<T>)"}
 
@@ -390,29 +391,22 @@ class TestResolveInvocation:
         model, *_ = analyse_fixture("lion_reachable")
         caller = _method(model, "com.lion.util.XmlUtil", "xml2Obj")
         # fromXML resolves externally, not to a model method.
-        call_expr = _first_call(caller, "fromXML")
-        resolved = resolve_invocation(model, caller, call_expr)
+        resolved = resolve_invocation(model, caller, *_first_call(caller, "fromXML"))
         assert isinstance(resolved, ExternalCallee)
         assert resolved.class_fqn == "com.thoughtworks.xstream.XStream"
 
     def test_interface_two_implementors(self):
         model, *_ = analyse_fixture("interface_dispatch")
         handle = _method(model, "fx.iface.Gateway", "handle")
-        call_expr = _first_call(handle, "parse")
-        resolved = resolve_invocation(model, handle, call_expr)
+        resolved = resolve_invocation(model, handle, *_first_call(handle, "parse"))
         assert {m.owner for m in resolved} == {"fx.iface.XmlParserA", "fx.iface.XmlParserB"}
         assert len(resolved) == 2
 
     def test_absent_method_name(self):
         model, *_ = analyse_fixture("interface_dispatch")
         handle = _method(model, "fx.iface.Gateway", "handle")
-        call_expr = _first_call(handle, "parse")
-        bad = call_expr.__class__(kind="Call", name="nonexistent",
-                                  receiver=call_expr.receiver,
-                                  receiver_text=call_expr.receiver_text,
-                                  args=call_expr.args,
-                                  operand_vars=call_expr.operand_vars)
-        resolved = resolve_invocation(model, handle, bad)
+        call_expr, stmt = _first_call(handle, "parse")
+        resolved = resolve_invocation(model, handle, call_expr._replace(name="nonexistent"), stmt)
         assert resolved == set()
 
     def test_name_and_arity_always_agree(self):
@@ -421,7 +415,7 @@ class TestResolveInvocation:
             for _, method in model.all_methods():
                 for stmt in method.body:
                     for call_expr in stmt.calls():
-                        resolved = resolve_invocation(model, method, call_expr)
+                        resolved = resolve_invocation(model, method, call_expr, stmt)
                         if isinstance(resolved, ExternalCallee):
                             continue
                         for m in resolved:
@@ -429,11 +423,17 @@ class TestResolveInvocation:
                             assert len(m.params) == len(call_expr.args)
 
 
+def _file_parser(source: str, log: list) -> code_model._FileParser:
+    """code_model's parser of the file Src.java whose text is source."""
+    return code_model._FileParser(code_model._SourceFile("Src.java", source), log)
+
+
 def _parse_source(module, source: str):
     """(classes, diagnostics) of one source text under a front end module,
     with every method body parsed."""
     log: list = []
-    classes = module._FileParser("Src.java", source, log).parse()
+    parse = _file_parser if module is code_model else partial(module._FileParser, "Src.java")
+    classes = parse(source, log).parse()
     return classes, list(_all_bodies_parsed(code_model.CodeModel(tuple(classes), {}, tuple(log))))
 
 
@@ -564,14 +564,14 @@ def _scan_checked(source: str) -> list[str]:
     Parsing each body still deferred over the whole file's tokens ends where
     the character pass ended the body, and the body may call, by may_call,
     every name a Call in it has."""
-    classes = code_model._FileParser("Src.java", source, []).parse()
+    classes = _file_parser(source, []).parse()
     deferred = [(m.name, vars(m)["deferred"]) for c in classes for m in c.methods
                 if "body" not in vars(m)]
     whole = java_lexer.tokenize(source)
     for _, entry in deferred:
         cur = java_lexer.Cursor(*whole)
         cur.i = _token_index(source, entry.start)
-        statements = java_body.parse_block(cur, entry.depth, entry.path, [])
+        statements = java_body.parse_block(cur, entry.depth, entry.file.path, [])
         assert cur.i == _token_index(source, entry.end), source
         assert all(entry.may_call(c.name) for st in statements for c in st.calls()), source
     return [name for name, _ in deferred]
@@ -880,16 +880,16 @@ class TestLaziness:
         # type: they are lexed once, in one piece with the body left out.
         (caller,) = _deferred_classes(model)
         assert caller.fqn == "fill.Caller"
-        assert members == [(id(caller.source), caller.start, caller.end)]
+        assert members == [(id(caller.file.text), caller.start, caller.end)]
         bodies = list(_logged_bodies(model.parse_log))
         assert len(bodies) == 36 * 3 + 1  # every body is deferred
-        holding = [b for b in bodies if "fromXML" in b.source[b.start:b.end]]
+        holding = [b for b in bodies if "fromXML" in b.file.text[b.start:b.end]]
         assert len(holding) == 1 + len(range(0, 36, 5))
         # The fillers hold the name only in a comment, a literal and a
         # longer word, so only Caller's body is lexed.
-        (read,) = [b for b in holding if "xs.fromXML" in b.source[b.start:b.end]]
+        (read,) = [b for b in holding if "xs.fromXML" in b.file.text[b.start:b.end]]
         body_spans = [span for span in lexed if span[1:] != (0, None)]
-        assert body_spans == [(id(read.source), read.start, read.end)]
+        assert body_spans == [(id(read.file.text), read.start, read.end)]
         assert len(lexed) == 2  # and Caller's members, in one piece
         assert [m.signature() for _, m in model.all_methods() if "body" in vars(m)] == [
             "fill.Caller#read(String)"]
@@ -930,20 +930,20 @@ class TestLaziness:
         lexed.clear()
         sites = model.call_sites("fromXML", 1)
         assert [(m.signature(), st.line) for m, st, _ in sites] == [("fill.Caller#read(String)", 8)]
-        holding = [c for c in _deferred_classes(model) if "fromXML" in c.source]
+        holding = [c for c in _deferred_classes(model) if "fromXML" in c.file.text]
         assert len(holding) == 1 + len(range(0, 36, 5))
         # Of the classes in those files, only Caller holds the name as a
         # whole word outside comments and literals, the fillers holding it
         # in a comment, a literal and a longer word: only Caller's members
         # are lexed, once, and then only the body that holds the name so.
         (caller,) = [c for c in holding if c.fqn == "fill.Caller"]
-        assert members == [(id(caller.source), caller.start, caller.end)]
+        assert members == [(id(caller.file.text), caller.start, caller.end)]
         assert [c.fqn for c in model.classes if "methods" in vars(c)] == ["fill.Caller"]
         assert sum(span[1:] == (0, None) for span in lexed) == 1
         (read,) = [b for b in _logged_bodies(model.parse_log)
-                   if "xs.fromXML" in b.source[b.start:b.end]]
+                   if "xs.fromXML" in b.file.text[b.start:b.end]]
         assert [span for span in lexed if span[1:] != (0, None)] == [
-            (id(read.source), read.start, read.end)]
+            (id(read.file.text), read.start, read.end)]
 
     def test_the_deferred_classes_of_a_file_keep_no_block_table(self):
         # Each deferred class names its body by number in its file's block
@@ -954,7 +954,7 @@ class TestLaziness:
                   "interface B { default int f() { return 1; } }\n"
                   "class C { static class D { void n() { x(); } } }\n")
         log: list = []
-        classes = code_model._FileParser("Src.java", source, log).parse()
+        classes = _file_parser(source, log).parse()
         for cls in classes:
             cls.methods
         deferred = [entry for entry in log if type(entry) is code_model._DeferredMembers]
@@ -974,7 +974,7 @@ class TestLaziness:
         method = model.method_by_signature("fill.F3#log(String)")
         assert (method.owner, method.name, method.line) == ("fill.F3", "log", 15)
         (owner,) = [c for c in _deferred_classes(model) if c.fqn == "fill.F3"]
-        assert members == [(id(owner.source), owner.start, owner.end)]
+        assert members == [(id(owner.file.text), owner.start, owner.end)]
         assert len(lexed) == 1  # the owner's members; no body
         assert model.method_by_signature("fill.F3#log(int)") is None
         assert model.method_by_signature("fill.Nowhere#log(String)") is None
@@ -1020,7 +1020,7 @@ class TestLaziness:
             "record-field"])
     def test_classes_parsed_at_once(self, source):
         log: list = []
-        classes = code_model._FileParser("Src.java", source, log).parse()
+        classes = _file_parser(source, log).parse()
         assert all("methods" in vars(c) for c in classes)
         assert not any(type(entry) is code_model._DeferredMembers for entry in log)
         assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
@@ -1036,7 +1036,7 @@ class TestLaziness:
         # No member type is declared, so the members wait, malformed ones
         # included, whose diagnostics come when the members are read.
         log: list = []
-        (cls,) = code_model._FileParser("Src.java", source, log).parse()
+        (cls,) = _file_parser(source, log).parse()
         assert "methods" not in vars(cls)
         (entry,) = log
         assert type(entry) is code_model._DeferredMembers and entry.log == []
@@ -1046,7 +1046,7 @@ class TestLaziness:
 
     def test_a_well_formed_class_is_deferred(self):
         log: list = []
-        (cls,) = code_model._FileParser("Src.java", "class D { void f() { g(); } }", log).parse()
+        (cls,) = _file_parser("class D { void f() { g(); } }", log).parse()
         assert "methods" not in vars(cls)
         (entry,) = log
         assert type(entry) is code_model._DeferredMembers
@@ -1059,7 +1059,7 @@ class TestLaziness:
     def test_type_words_in_method_bodies_leave_the_class_deferred(self, source):
         # Only the words outside the class body's blocks decide.
         log: list = []
-        (cls,) = code_model._FileParser("Src.java", source, log).parse()
+        (cls,) = _file_parser(source, log).parse()
         assert "methods" not in vars(cls)
         assert [type(entry) for entry in log] == [code_model._DeferredMembers]
         assert _parse_source(code_model, source) == _parse_source(parser_reference, source)
@@ -1079,7 +1079,7 @@ class TestLaziness:
                 pieces = [rng.choice(_MEMBER_PIECES) for _ in range(rng.randint(0, 12))]
                 source = "class C { " + sep.join(pieces) + " }"
                 log: list = []
-                code_model._FileParser("Src.java", source, log).parse()
+                _file_parser(source, log).parse()
                 waits = any(type(entry) is code_model._DeferredMembers for entry in log)
                 assert waits or not _EAGER_PIECES.isdisjoint(pieces), source
                 if not waits:
@@ -1106,7 +1106,7 @@ class TestLaziness:
                                ("void m(int a) throws E { f(); } " * 20000, True)):
             log: list = []
             with time_limit(5):
-                code_model._FileParser("Src.java", f"class C {{ {body} }}", log).parse()
+                _file_parser(f"class C {{ {body} }}", log).parse()
             assert any(type(e) is code_model._DeferredMembers for e in log) == deferred
 
     def test_member_types_are_read_through_cursors_of_their_own(self, monkeypatch):
@@ -1125,7 +1125,7 @@ class TestLaziness:
                 if not scanned:
                     _without_scan(patch)
                 with time_limit(10):
-                    parser = code_model._FileParser("Src.java", source, log)
+                    parser = _file_parser(source, log)
                     classes = parser.parse()
             if scanned:
                 assert parser.cur is None  # no token of the file's own was made
@@ -1279,7 +1279,7 @@ class TestHeaderScan:
         scans = _record_scans(monkeypatch)
         start = time.perf_counter()
         with time_limit(5):
-            parsed = code_model._FileParser("Src.java", source, []).parse()
+            parsed = _file_parser(source, []).parse()
         assert time.perf_counter() - start < 0.5
         assert scans == [scanned] and len(parsed) == classes
 
@@ -1390,6 +1390,17 @@ class TestAgainstTheCharacterPassReference:
         got = java_lexer.sole_block(code)
         assert (got if got is None else tuple(map(list, got))) == want
 
+    @given(st.lists(st.sampled_from(_PASS_PIECES), max_size=60).map("".join) | _pass_text)
+    @settings(max_examples=1000, deadline=None)
+    def test_a_block_blanks_alike_alone_and_in_its_file(self, source):
+        # A deferred part searches its file's blanked text within its span
+        # (see _Deferred.may_call): each block, from its '{' through its
+        # '}' or to the end of the file, blanks to that text.
+        code = java_lexer.blanked(source)
+        opens, closes = java_lexer.block_table(code)
+        for start, end in zip(opens, closes):
+            assert java_lexer.blanked(source[start:end + 1]) == code[start:end + 1]
+
     def test_deep_brackets_are_checked_to_the_same_depth(self):
         # Few brackets are checked by removing any pairs in a round, many by
         # removing the innermost: both stop at MAX_NESTING.
@@ -1410,7 +1421,7 @@ def _pieced_tokens(source: str) -> tuple[list[str], list[int]]:
     demand, and every other block left out by those of a cursor of its
     own."""
     log: list = []
-    for cls in code_model._FileParser("Src.java", source, log).parse():
+    for cls in _file_parser(source, log).parse():
         cls.methods  # each deferred class logs its bodies
     return _pieces(_file_cursor(source), log)
 
@@ -1428,7 +1439,7 @@ def _pieces(cur, log) -> tuple[list[str], list[int]]:
         brace = cur.braces[i]
         entry = None if brace is None else deferred.get(cur.span(i)[0])
         if type(entry) is code_model._DeferredBody:
-            body_texts, body_lines = java_lexer.tokenize(entry.source, entry.start, entry.end,
+            body_texts, body_lines = java_lexer.tokenize(entry.file.text, entry.start, entry.end,
                                                          entry.line)
             texts += body_texts
             lines += body_lines
@@ -1495,7 +1506,7 @@ _ISOLATED = ("class Z {\n  int z;\n  void z(String s) { g(s); }\n}\n"
 def _shapes(source: str) -> dict:
     """fqn -> (methods as (signature, line), fields) of source's classes
     other than A and its member types."""
-    classes = code_model._FileParser("Src.java", source, []).parse()
+    classes = _file_parser(source, []).parse()
     return {c.fqn: ([(m.signature(), m.line) for m in c.methods], c.fields)
             for c in classes if c.fqn.split(".")[0] != "A"}
 
@@ -1586,7 +1597,7 @@ class TestErrorRecovery:
             classes, diagnostics = _parse_source(module, source)
             assert [c.fqn for c in classes] == fqns, module
             assert [d.message for d in diagnostics] == messages
-        parser = code_model._FileParser("Src.java", source, [])
+        parser = _file_parser(source, [])
         parser.parse()  # from the file's tokens, which it leaves as they were made
         assert parser.cur.texts == _file_cursor(source).texts
 

@@ -323,7 +323,7 @@ def _random_path(rng):
         n_args = len(methods[i + 1].params) if i + 1 < len(methods) \
             else rng.randrange(1, 4)
         site = method.body[-1]
-        site = dataclasses.replace(site, rhs_expr=call(
+        site = site._replace(rhs_expr=call(
             "generated" if i + 1 < len(methods) else "sink", None,
             *[_random_arg(rng, names) for _ in range(n_args)]))
         methods[i] = dataclasses.replace(method, body=method.body[:-1] + (site,))

@@ -181,15 +181,17 @@ class TestMatchSignature:
         return model, report, method
 
     def _call(self, method, name):
+        """(call, statement) of the first call named name in method."""
         for stmt in method.body:
             for c in stmt.calls():
                 if c.name == name:
-                    return c
+                    return c, stmt
         raise AssertionError(f"no call {name}")
 
     def test_matching_call(self, lion):
         model, report, method = lion
-        assert match_signature(report, self._call(method, "fromXML"), model, method)
+        call, stmt = self._call(method, "fromXML")
+        assert match_signature(report, call, model, method, stmt)
 
     def test_name_mismatch(self, lion, tmp_path):
         model, report, _ = lion
@@ -200,7 +202,8 @@ class TestMatchSignature:
             "  return xStream.toXML(obj); } }")
         m2 = parse_project(tmp_path, emit_warnings=False)
         method2 = next(m for _, m in m2.all_methods())
-        assert not match_signature(report, self._call(method2, "toXML"), m2, method2)
+        call, stmt = self._call(method2, "toXML")
+        assert not match_signature(report, call, m2, method2, stmt)
 
     def test_arity_mismatch(self, lion, tmp_path):
         model, report, _ = lion
@@ -211,7 +214,8 @@ class TestMatchSignature:
             "  return xStream.fromXML(xml, root); } }")
         m2 = parse_project(tmp_path, emit_warnings=False)
         method2 = next(m for _, m in m2.all_methods())
-        assert not match_signature(report, self._call(method2, "fromXML"), m2, method2)
+        call, stmt = self._call(method2, "fromXML")
+        assert not match_signature(report, call, m2, method2, stmt)
 
     def test_subtype_receiver_matches(self, lion, tmp_path):
         model, report, _ = lion
@@ -226,12 +230,13 @@ class TestMatchSignature:
             "  return s.fromXML(xml); } }")
         m2 = parse_project(tmp_path, emit_warnings=False)
         user = next(m for _, m in m2.all_methods() if m.name == "go")
-        assert match_signature(report, self._call(user, "fromXML"), m2, user)
+        call, stmt = self._call(user, "fromXML")
+        assert match_signature(report, call, m2, user, stmt)
 
     def test_deterministic(self, lion):
         model, report, method = lion
-        c = self._call(method, "fromXML")
-        assert all(match_signature(report, c, model, method) for _ in range(3))
+        c, stmt = self._call(method, "fromXML")
+        assert all(match_signature(report, c, model, method, stmt) for _ in range(3))
 
     def test_receiver_text_names_the_class(self, lion, tmp_path):
         # With no import, XStream resolves to app.XStream; the call still
@@ -243,8 +248,9 @@ class TestMatchSignature:
             "  XStream.fromXML(xml); Other.fromXML(xml); } }")
         m2 = parse_project(tmp_path, emit_warnings=False)
         method = next(m for _, m in m2.all_methods())
-        calls = [c for st in method.body for c in st.calls()]
-        assert [(c.receiver_text, match_signature(report, c, m2, method)) for c in calls] == [
+        calls = [(c, st) for st in method.body for c in st.calls()]
+        assert [(c.receiver_text, match_signature(report, c, m2, method, st))
+                for c, st in calls] == [
             ("XStream", True), ("Other", False)]
 
     def test_qualified_receiver_text_is_its_own_type(self, lion, tmp_path):
@@ -257,8 +263,9 @@ class TestMatchSignature:
             "  com.thoughtworks.xstream.XStream.fromXML(xml); org.Other.fromXML(xml); } }")
         m2 = parse_project(tmp_path, emit_warnings=False)
         method = next(m for _, m in m2.all_methods())
-        calls = [c for st in method.body for c in st.calls()]
-        assert [(c.receiver_text, match_signature(report, c, m2, method)) for c in calls] == [
+        calls = [(c, st) for st in method.body for c in st.calls()]
+        assert [(c.receiver_text, match_signature(report, c, m2, method, st))
+                for c, st in calls] == [
             ("com.thoughtworks.xstream.XStream", True), ("org.Other", False)]
 
     def test_string_literal_argument_is_a_string(self, lion, tmp_path):
@@ -271,10 +278,10 @@ class TestMatchSignature:
             "  XStream xs = new XStream(); xs.fromXML(\"<a/>\"); xs.fromXML(r); } }")
         m2 = parse_project(tmp_path, emit_warnings=False)
         method = next(m for _, m in m2.all_methods())
-        literal, variable = [c for st in method.body for c in st.calls()]
-        assert match_signature(report, literal, m2, method)
-        assert not match_signature(on_reader, literal, m2, method)
-        assert match_signature(on_reader, variable, m2, method)
+        (literal, st1), (variable, st2) = [(c, st) for st in method.body for c in st.calls()]
+        assert match_signature(report, literal, m2, method, st1)
+        assert not match_signature(on_reader, literal, m2, method, st1)
+        assert match_signature(on_reader, variable, m2, method, st2)
 
     @pytest.mark.parametrize("param, arg, matches", [
         ("java.io.InputStream", "new ByteArrayInputStream(b)", True),
@@ -311,4 +318,5 @@ class TestMatchSignature:
             f"  Object go(String xml, byte[] b, int n, Doc doc) {{ return new XStream().fromXML({arg}); }} }}")
         m2 = parse_project(tmp_path, emit_warnings=False)
         method = next(m for _, m in m2.all_methods() if m.name == "go")
-        assert match_signature(on_param, self._call(method, "fromXML"), m2, method) is matches
+        call, stmt = self._call(method, "fromXML")
+        assert match_signature(on_param, call, m2, method, stmt) is matches
