@@ -159,19 +159,22 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
     it is a maximal acyclic caller chain. Paths are ordered lexicographically
     by signature sequence, then by call-site (line, index) sequence; one path
     is produced per combination of call sites along its methods. Each hop
-    carries the call of its edge, and the last the target's call.
+    carries the call of its edge, and the last a target's call.
 
-    The budget bounds the search, not only its output. Per target, a backward
-    breadth-first search gives every method's distance to the target within
-    max_depth - 1 hops; only the calls to those methods are indexed, as no
-    other call can lie on a kept path. The search reads the graph only
-    through graph.incoming, so an on-demand graph resolves only the calls
-    into the methods the search visits. A depth-first search runs from each
+    The budget bounds the search, not only its output. The targets are
+    grouped by method, and one search serves all of a method's vulnerable
+    calls: its last hop lists them by (line, index), as every other hop
+    lists its call sites. Per vulnerable method, a backward breadth-first
+    search gives every method's distance to it within max_depth - 1 hops;
+    only the calls to those methods are indexed, as no other call can lie
+    on a kept path. The search reads the graph only through graph.incoming,
+    so an on-demand graph resolves only the calls into the methods the
+    search visits. A depth-first search runs from each
     entry-eligible first method in signature order, over distinct callees in
     signature order. It skips a callee from which the path could not, within
     max_depth methods, still take in every caller of the first method and
-    then reach the target. It thus yields the target's paths lazily in the
-    documented order. The per-target streams are merged and only
+    then reach the target. It thus yields the method's paths lazily in the
+    documented order. The per-method streams are merged and only
     max_paths + 1 paths are drawn; the extra one only signals truncation,
     which appends "path budget exceeded (max_paths=N)" to diagnostics.
     """
@@ -182,7 +185,7 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
     max_depth = filters.max_depth
     incoming = graph.incoming
 
-    def target_paths(target: MethodDecl, site: Statement, call: Expr):
+    def target_paths(target: MethodDecl, vulnerable: list[tuple[Statement, Expr]]):
         t = target.signature()
         dist = _hops_to(t, incoming, max_depth - 1,
                         lambda sig: model.method_by_signature(sig) is not None)
@@ -194,7 +197,8 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
                 callees.setdefault(e.caller, set()).add(v)
                 sites.setdefault((e.caller, v), []).append((e.site, e.call))
         ordered_callees = {u: sorted(cs) for u, cs in callees.items()}
-        for hop_sites in sites.values():
+        # Body order is not line order: a do-while's condition follows its body.
+        for hop_sites in (*sites.values(), vulnerable):
             hop_sites.sort(key=lambda hop: _site_key(hop[0]))
         hops_to_caller: dict[str, dict[str, int]] = {}
         for head in sorted(dist):
@@ -210,13 +214,16 @@ def extract_call_paths(graph: CallGraph, model: CodeModel,
                 required[m] = hops_to_caller[m]
             for sigs in _simple_paths(head, t, ordered_callees, dist, required, max_depth):
                 methods = tuple(model.method_by_signature(s) for s in sigs[:-1]) + (target,)
-                hops = [sites[pair] for pair in zip(sigs, sigs[1:])] + [[(site, call)]]
+                hops = [sites[pair] for pair in zip(sigs, sigs[1:])] + [vulnerable]
                 for chosen in itertools.product(*hops):
                     call_sites, calls = zip(*chosen)
                     key = (sigs, tuple(_site_key(s) for s in call_sites))
                     yield key, MethodCallPath(methods, call_sites, calls)
 
-    merged = heapq.merge(*(target_paths(*target) for target in targets),
+    by_method: dict[MethodDecl, list[tuple[Statement, Expr]]] = {}
+    for method, site, call in targets:
+        by_method.setdefault(method, []).append((site, call))
+    merged = heapq.merge(*itertools.starmap(target_paths, by_method.items()),
                          key=lambda item: item[0])
     results = [path for _, path in itertools.islice(merged, filters.max_paths + 1)]
     if len(results) > filters.max_paths:

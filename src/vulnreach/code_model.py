@@ -47,6 +47,7 @@ import os
 import re
 import sys
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -133,10 +134,18 @@ class MethodDecl:
     def __post_init__(self):
         _defer(self, ("body",))
 
-    # The signature and the hash are each made once, when first used, and
+    # The signature, the hash and the typed local declarations (by name, as
+    # (index, type) in body order) are each made once, when first used, and
     # kept in the instance's own attributes, as _defer keeps its state: a
-    # method never asked for them, as most of a project's are not, keeps
-    # neither.
+    # method never asked for them, as most of a project's are not, keeps none.
+    @cached_property
+    def _locals(self) -> dict[str, list]:
+        found = {}
+        for st in self.body:
+            if st.kind == "Declaration" and st.declared_type:
+                found.setdefault(st.lhs, []).append((st.index, st.declared_type))
+        return found
+
     @cached_property
     def _signature(self) -> str:
         types = ",".join(p.declared_type for p in self.params)
@@ -418,12 +427,10 @@ class CodeModel:
         pending = self.supertypes_of(cls)
         while pending:
             cur = pending.pop(0)
-            if cur in out:
-                continue
-            out.append(cur)
-            parent = self.index.get(cur)
-            if parent is not None:
-                pending.extend(self.supertypes_of(parent))
+            if cur not in out:
+                out.append(cur)
+                if cur in self.index:
+                    pending.extend(self.supertypes_of(self.index[cur]))
         return out
 
 
@@ -1088,12 +1095,13 @@ def declared_type(model: CodeModel, method: MethodDecl, var: str, site: Statemen
     """The declared type of the variable var where the statement site of
     method reads it: its newest local declaration before site, else the
     parameter var, else the field var of the method's class; None when none
-    of them declares var. A statement's index is its place in the body. A
+    of them declares var. A statement's index is its place in the body,
+    and the method's declarations are indexed once, on first use. A
     declaration in a block that closed before site counts too: the flat
     body records no block's end."""
-    for st in reversed(method.body[:site.index]):
-        if st.kind == "Declaration" and st.lhs == var and st.declared_type:
-            return st.declared_type
+    decls = method._locals.get(var, ())
+    if i := bisect_left(decls, (site.index,)):
+        return decls[i - 1][1]
     owner = model.owner_of(method)
     fields = owner.fields if owner is not None else ()
     return next((v.declared_type for v in (*method.params, *fields) if v.name == var), None)
@@ -1101,30 +1109,21 @@ def declared_type(model: CodeModel, method: MethodDecl, var: str, site: Statemen
 
 def receiver_binding(model: CodeModel, context: MethodDecl, expr: Expr, site: Statement):
     """Resolve the receiver of the call expr, in the statement site of
-    context, to ('internal', ClassDecl), ('external', fqn) or
-    ('unknown', None).
-    """
+    context, as resolve_type does: to a ClassDecl, an external fqn, or None
+    when its type is unknown."""
     owner = model.owner_of(context)
-    text = expr.receiver_text
-    if expr.receiver is None or (expr.receiver.kind == "Literal" and expr.receiver.name == "this"):
-        resolved = owner
-    elif expr.receiver.kind in ("New", "Cast"):
-        # Receiver type is named by the construction or the cast itself.
-        resolved = model.resolve_type(expr.receiver.name, owner)
-    elif text is not None:
-        declared = declared_type(model, context, text.split(".", 1)[0], site)
-        # A variable's declared type; else text is a type name, possibly
-        # qualified (a dotted name always resolves, at least as external).
-        resolved = model.resolve_type(
-            declared if declared is not None and "." not in text else text, owner)
-    else:
-        # Receiver is a computed expression (call result etc.); type unknown.
-        resolved = None
-    if isinstance(resolved, ClassDecl):
-        return "internal", resolved
-    if isinstance(resolved, str):
-        return "external", resolved
-    return "unknown", None
+    receiver, text = expr.receiver, expr.receiver_text
+    if receiver is None or (receiver.kind == "Literal" and receiver.name == "this"):
+        return owner
+    if receiver.kind in ("New", "Cast"):
+        text = receiver.name  # the construction or the cast names the type
+    elif text is None:
+        return None  # a computed expression (call result etc.)
+    elif "." not in text:
+        # A variable's declared type; else text names a type. A dotted
+        # name is a type name, which always resolves, at least as external.
+        text = declared_type(model, context, text, site) or text
+    return model.resolve_type(text, owner)
 
 
 def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr, site: Statement):
@@ -1157,11 +1156,10 @@ def resolve_invocation(model: CodeModel, context: MethodDecl, expr: Expr, site: 
             and expr.receiver.name == "super":
         owner = model.owner_of(context)
         return inherited(owner) if owner is not None else set()
-    kind, target = receiver_binding(model, context, expr, site)
-    if kind == "external":
-        return ExternalCallee(class_fqn=target, method_name=expr.name)
-    if kind == "unknown":
+    target = receiver_binding(model, context, expr, site)
+    if isinstance(target, str):
+        return ExternalCallee(target, expr.name)
+    if target is None:
         return set()
-    assert isinstance(target, ClassDecl)
     # Virtual dispatch may also land on an inherited declaration.
     return declared_in([target] + model.subtypes_of(target.fqn)) or inherited(target)

@@ -112,7 +112,6 @@ class ArgAnalysis:
     the argument-pass hop; its evidence is the call statement."""
 
     position: int
-    expr: Expr
     display_name: str
     terminal_vars: tuple[str, ...]
     graph: "DefUseGraph"
@@ -152,7 +151,6 @@ class MethodTransfer:
     """Per-method slice of the path analysis (one call site of interest)."""
 
     method: MethodDecl
-    call_stmt: Statement
     args: tuple[ArgAnalysis, ...]
 
 
@@ -236,18 +234,22 @@ def known_variables(method: MethodDecl, fields: frozenset[str] = frozenset()) ->
 def upstream_closure(method: MethodDecl) -> frozenset[str]:
     """Variables carrying the method's input: the formal parameters plus
     everything derived from them through benign hops only. Order-insensitive
-    so a field assigned from a formal anywhere in the body counts."""
-    upstream: set[str] = {p.name for p in method.params}
-    changed = True
-    while changed:  # a benign right-hand side reads an upstream variable
-        changed = False
-        for st in method.body:
-            if st.kind in ("Declaration", "Assignment") and st.lhs and st.lhs not in upstream \
-                    and st.rhs_expr is not None \
-                    and not upstream.isdisjoint(st.rhs_expr.operand_vars) \
-                    and classify_statement(st, upstream).kind in BENIGN:
-                upstream.add(st.lhs)
-                changed = True
+    so a field assigned from a formal anywhere in the body counts. A
+    definition is classified again only when a variable it reads joins the
+    set; a classification only turns benign as the set grows."""
+    readers: dict[str, list[Statement]] = {}
+    for st in method.body:
+        if st.kind in ("Declaration", "Assignment") and st.lhs and st.rhs_expr is not None:
+            for v in st.rhs_expr.operand_vars:
+                readers.setdefault(v, []).append(st)
+    upstream: set[str] = set()
+    todo = [p.name for p in method.params]
+    while todo:
+        var = todo.pop()
+        if var not in upstream:
+            upstream.add(var)
+            todo.extend(st.lhs for st in readers.get(var, ()) if st.lhs not in upstream
+                        and classify_statement(st, upstream).kind in BENIGN)
     return frozenset(upstream)
 
 
@@ -260,41 +262,33 @@ _NO_DEFS = (0, None, frozenset(), frozenset(), False)
 
 
 class DefUseGraph:
-    """Def-use graph of one method over states (variable, before-index), on
-    the backward slices of the roots. A use links to every earlier definition
-    of the variable (flattened branches cannot prove a kill) and, when none
-    is a declaration, to its entry value (a formal or a field): the chain's
-    origin. A definition links to its sources, or ends the chain with origin
-    None. sources holds, by statement index, the known variables each
-    definition on the slices reads, in order. In index order
-    each definition is classified once and stores running unions over its
+    """Def-use graph of one method over states (variable, before-index),
+    given the method's known and upstream variables. A use links to every
+    earlier definition of the variable (flattened branches cannot prove a
+    kill) and, when none is a declaration, to its entry value (a formal or a
+    field): the chain's origin. A definition links to its sources, or ends
+    the chain with origin None. sources holds, by statement index, the known
+    variables each definition reads, in order. In index order each
+    definition is classified once and stores running unions over its
     variable's definitions so far (a prefix of them all) of the origins
-    reaching them through benign hops only and of the kinds on their slices."""
+    reaching them through benign hops only and of the kinds on their slices.
+    A definition's summary depends only on the definitions before it, so
+    the one graph answers every (var, before) query of its method."""
 
-    def __init__(self, method: MethodDecl, roots: list[tuple[str, int]],
-                 known: frozenset[str], upstream: frozenset[str]):
-        defs: dict[str, list[Statement]] = {}
-        for st in method.body:
-            if st.lhs and st.kind in ("Declaration", "Assignment"):
-                defs.setdefault(st.lhs, []).append(st)
+    def __init__(self, method: MethodDecl, known: frozenset[str], upstream: frozenset[str]):
+        self.known, self.upstream = known, upstream
         self.sources: dict[int, tuple[str, ...]] = {}
-        todo = list(roots)
-        while todo:
-            var, before = todo.pop()
-            for d in defs.get(var, ()):
-                if d.index >= before:
-                    break
-                if d.index not in self.sources:
-                    self.sources[d.index] = (ordered_vars(d.rhs_expr, known)
-                                             if d.rhs_expr is not None else ())
-                    todo.extend((src, d.index) for src in self.sources[d.index])
         self.types: dict[int, TransferType] = {}
         # var -> (index, statement, origins, kinds, declared so far) per definition
         self._sums: dict[str, list[tuple]] = {}
-        for st in (st for st in method.body if st.index in self.sources):
+        for st in method.body:
+            if not st.lhs or st.kind not in ("Declaration", "Assignment"):
+                continue
+            srcs = self.sources[st.index] = (ordered_vars(st.rhs_expr, known)
+                                             if st.rhs_expr is not None else ())
             t = self.types[st.index] = classify_statement(st, upstream)
-            origins, kinds = (set() if self.sources[st.index] else {None}), {t.kind}
-            for v in self.sources[st.index]:
+            origins, kinds = (set() if srcs else {None}), {t.kind}
+            for v in srcs:
                 _, _, o, k, declared = self._last(v, st.index)
                 origins |= o if declared else o | {v}
                 kinds |= k
@@ -369,20 +363,19 @@ class DefUseGraph:
 
 
 def analyse_call_site(method: MethodDecl, call_stmt: Statement, call_expr: Expr,
-                      facts: tuple[frozenset[str], frozenset[str]] | None = None
-                      ) -> MethodTransfer:
+                      graph: DefUseGraph | None = None) -> MethodTransfer:
     """Analyse how values reach the arguments of one call site in a method.
-    facts, when given, are the method's known and upstream variables, as
-    analyse_path computes them once for all its call sites."""
-    known, upstream = facts or (known_variables(method), upstream_closure(method))
-    terminals = [ordered_vars(arg_expr, known) for arg_expr in call_expr.args]
-    graph = DefUseGraph(method, [(v, call_stmt.index) for vs in terminals for v in vs],
-                        known, upstream)
+    graph, when given, is the method's DefUseGraph, as analyse_path builds
+    it once for all its call sites; else one is built here, on the method's
+    own variables (no fields)."""
+    if graph is None:
+        graph = DefUseGraph(method, known_variables(method), upstream_closure(method))
     args = tuple(ArgAnalysis(
-        j, arg_expr, arg_expr.name if arg_expr.kind == "VarRef" else f"arg{j}", terminals[j],
-        graph, TransferType(classify_expr(arg_expr, upstream), call_stmt))
+        j, arg_expr.name if arg_expr.kind == "VarRef" else f"arg{j}",
+        ordered_vars(arg_expr, graph.known), graph,
+        TransferType(classify_expr(arg_expr, graph.upstream), call_stmt))
         for j, arg_expr in enumerate(call_expr.args))
-    return MethodTransfer(method=method, call_stmt=call_stmt, args=args)
+    return MethodTransfer(method=method, args=args)
 
 
 def analyse_path(path: MethodCallPath, model: CodeModel,
@@ -392,13 +385,13 @@ def analyse_path(path: MethodCallPath, model: CodeModel,
     method): path.calls[i] in path.call_sites[i].
 
     memo keeps what the calls sharing it have computed: per method, its
-    known and upstream variables; per hop (method, call statement, callee,
-    with callee None on the last hop), its MethodTransfer. A hop already in
-    memo is not analysed again. run_pipeline passes one dict per run, so the
-    paths of one run share it and nothing outlives the run; every call
-    sharing a memo must pass the same model, and paths whose hops each go
-    through the call that the model's call graph gives them. Without one,
-    the path gets a fresh dict."""
+    DefUseGraph, built once for all its call sites; per hop (method, call
+    statement, callee, with callee None on the last hop), its
+    MethodTransfer. A hop already in memo is not analysed again.
+    run_pipeline passes one dict per run, so the paths of one run share it
+    and nothing outlives the run; every call sharing a memo must pass the
+    same model, and paths whose hops each go through the call that the
+    model's call graph gives them. Without one, the path gets a fresh dict."""
     memo = {} if memo is None else memo
     per_method: list[MethodTransfer] = []
     k = len(path.methods)
@@ -409,8 +402,9 @@ def analyse_path(path: MethodCallPath, model: CodeModel,
             if method not in memo:
                 owner = model.owner_of(method)
                 fields = owner.field_names() if owner is not None else frozenset()
-                memo[method] = known_variables(method, fields), upstream_closure(method)
-            memo[key] = analyse_call_site(method, stmt, path.calls[i], facts=memo[method])
+                memo[method] = DefUseGraph(method, known_variables(method, fields),
+                                           upstream_closure(method))
+            memo[key] = analyse_call_site(method, stmt, path.calls[i], graph=memo[method])
         per_method.append(memo[key])
     return PathAnalysis(path=path, per_method=tuple(per_method))
 

@@ -266,14 +266,11 @@ def match_signature(report: VulnerabilityReport, call_expr: Expr, model: CodeMod
     if len(call_expr.args) != len(api.param_types):
         return False
 
-    kind, target = receiver_binding(model, context, call_expr, site)
-    cls_match = False
-    if kind == "external":
+    target = receiver_binding(model, context, call_expr, site)
+    if isinstance(target, ClassDecl):
+        cls_match = target.fqn == api.class_fqn or api.class_fqn in model.supertype_chain(target)
+    else:
         cls_match = target == api.class_fqn
-    elif kind == "internal":
-        assert isinstance(target, ClassDecl)
-        cls_match = (target.fqn == api.class_fqn
-                     or api.class_fqn in model.supertype_chain(target))
     if not cls_match and call_expr.receiver_text != api.class_simple_name:
         # Nor is the raw receiver text the class's simple name.
         return False

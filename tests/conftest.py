@@ -1,16 +1,13 @@
 import contextlib
-import importlib.util
-import json
 import shutil
 import signal
-import sys
 from pathlib import Path
 
 import pytest
 
-CORPUS = Path(__file__).parent / "corpus"
+from workloads import fixture_paths
+
 GOLDEN = Path(__file__).parent / "golden"
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Criterion label -> passed, filled by the acceptance module's tests.
 ACCEPTANCE_RESULTS: dict[str, bool] = {}
@@ -48,44 +45,6 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def corpus_names() -> list[str]:
-    return sorted(p.name for p in CORPUS.iterdir() if p.is_dir())
-
-
-def fixture_paths(name: str) -> tuple[Path, Path, dict]:
-    base = CORPUS / name
-    expected = json.loads((base / "expected.json").read_text(encoding="utf-8"))
-    return base / "project", base / "poc.json", expected
-
-
-def _bench_module(stem: str):
-    """bench/<stem>.py, loaded by path and only read: bench/ is not a package."""
-    name = f"bench_{stem}"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, BENCH / f"{stem}.py")
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
-def bench_generators():
-    """The benchmark's workload generators (bench/gen.py)."""
-    return _bench_module("gen")
-
-
-def bench_spans():
-    """The traced run's span recorder (bench/spans.py)."""
-    return _bench_module("spans")
-
-
-def write_pair(pair, root: Path) -> Path:
-    """Write a generated (project, PoC) pair's project files under root."""
-    for rel, text in pair.files.items():
-        (root / rel).parent.mkdir(parents=True, exist_ok=True)
-        (root / rel).write_text(text, encoding="utf-8")
-    return root
 
 
 def analyse_fixture(name: str):

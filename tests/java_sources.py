@@ -9,9 +9,8 @@ conditionals, lambdas), where a soup seldom gets.
 
 import random
 import re
-from pathlib import Path
 
-CORPUS = Path(__file__).parent / "corpus"
+from workloads import CORPUS
 
 VOCAB = (
     "class interface enum record extends implements public private static final "

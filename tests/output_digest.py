@@ -36,7 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conftest import bench_generators, corpus_names, fixture_paths, write_pair
+from workloads import bench_generators, corpus_names, fixture_paths, write_pair
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"

@@ -9,8 +9,12 @@ analysis must reproduce: the same verdicts, the same witness chains and
 the same blocking transfer types.
 
 `build_ptg` lists a method's Parameter Transfer Graph tuples on the backward
-slices of given variables, from `DefUseGraph.sources`, for tests that check
-the slices edge by edge.
+slices of given variables, walked over `DefUseGraph.sources`, for tests that
+check the slices edge by edge.
+
+`upstream_closure` is the loop that `vulnreach.ptg.upstream_closure`'s
+worklist replaced: it classifies the whole body again until no variable
+joins, quadratic in the body's length, and serves as its specification.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from vulnreach.ptg import (
     classify_statement,
     known_variables,
     ordered_vars,
-    upstream_closure,
 )
 from vulnreach.vuln_report import VulnerabilityReport
 
@@ -56,11 +59,40 @@ def build_ptg(method: MethodDecl, callee_params: list[str],
     mentioned = known.union(*(st.rhs_expr.operand_vars for st in method.body if st.rhs_expr))
     if unknown := [cp for cp in callee_params if cp not in mentioned]:
         raise UnknownVariable(unknown[0])
-    graph = DefUseGraph(method, [(cp, use_index) for cp in callee_params], known,
-                        upstream_closure(method))
-    hops = (PtgTuple(src, st.lhs, st) for st in method.body if st.index in graph.sources
+    graph = DefUseGraph(method, known, upstream_closure(method))
+    defs: dict[str, list[Statement]] = {}
+    for st in method.body:
+        if st.index in graph.sources:
+            defs.setdefault(st.lhs, []).append(st)
+    on_slice: set[int] = set()
+    todo = [(cp, use_index) for cp in callee_params]
+    while todo:
+        var, before = todo.pop()
+        for d in defs.get(var, ()):
+            if d.index < before and d.index not in on_slice:
+                on_slice.add(d.index)
+                todo.extend((src, d.index) for src in graph.sources[d.index])
+    hops = (PtgTuple(src, st.lhs, st) for st in method.body if st.index in on_slice
             for src in graph.sources[st.index] or (None,))
     return tuple(sorted(hops, key=lambda t: (t.edge.index, t.target, t.source or "")))
+
+
+def upstream_closure(method: MethodDecl) -> frozenset[str]:
+    """Variables carrying the method's input: the formal parameters plus
+    everything derived from them through benign hops only. Order-insensitive
+    so a field assigned from a formal anywhere in the body counts."""
+    upstream: set[str] = {p.name for p in method.params}
+    changed = True
+    while changed:  # a benign right-hand side reads an upstream variable
+        changed = False
+        for st in method.body:
+            if st.kind in ("Declaration", "Assignment") and st.lhs and st.lhs not in upstream \
+                    and st.rhs_expr is not None \
+                    and not upstream.isdisjoint(st.rhs_expr.operand_vars) \
+                    and classify_statement(st, upstream).kind in BENIGN:
+                upstream.add(st.lhs)
+                changed = True
+    return frozenset(upstream)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ from vulnreach.vuln_report import (
     serialize,
 )
 
-from conftest import GOLDEN, analyse_fixture, corpus_names, fixture_paths
+from conftest import GOLDEN, analyse_fixture
+from workloads import corpus_names, fixture_paths
 from descriptor_cases import MALFORMED_CASES, VALID_DESCRIPTOR
 from ptg_oracle import oracle_chains, random_method
 

@@ -18,7 +18,8 @@ from vulnreach.vuln_report import load_report, match_signature, parse_report
 
 import call_graph_reference
 from call_graph_reference import eager_call_graph
-from conftest import analyse_fixture, bench_generators, corpus_names, fixture_paths, write_pair
+from conftest import analyse_fixture, time_limit
+from workloads import bench_generators, corpus_names, fixture_paths, write_pair
 from path_oracle import layered_graph, oracle_call_paths, random_graph
 
 
@@ -76,6 +77,21 @@ class TestLocalize:
         ((_, stmt, call),) = localize_vulnerable_methods(model, load_report(poc))
         _, _, xs_call = stmt.calls()
         assert call is xs_call and xs_call.receiver_text == "xs"
+
+    def test_many_calls_on_a_field(self, tmp_path):
+        # Each call's receiver and argument are typed without a walk over
+        # the body before it, which made the work quadratic in the calls.
+        n = 20_000
+        (tmp_path / "A.java").write_text(
+            "package g; import com.thoughtworks.xstream.XStream;\n"
+            "public class A { private XStream xs = new XStream();\n"
+            "  public void m(String doc) {\n" + "    xs.fromXML(doc);\n" * n + "  } }\n")
+        _, poc, _ = fixture_paths("lion_reachable")
+        report = load_report(poc)
+        with time_limit(10):
+            found = localize_vulnerable_methods(parse_project(tmp_path, emit_warnings=False),
+                                                report)
+        assert [stmt.line for _, stmt, _ in found] == list(range(4, n + 4))
 
 
 class TestBuildCallGraph:
@@ -261,6 +277,40 @@ class TestExtractCallPaths:
         assert [p.signatures() for p in a] == [p.signatures() for p in b]
         assert [[s.index for s in p.call_sites] for p in a] == \
                [[s.index for s in p.call_sites] for p in b]
+
+
+class TestOneSearchPerMethod:
+    def test_vulnerable_calls_of_one_method_share_its_search(self, tmp_path, monkeypatch):
+        # 50 vulnerable calls in one method with one caller: one backward
+        # search for the method and one for its caller. The paths list the
+        # calls by line, which is not body order: a do-while's condition
+        # comes after its body, on the line before it.
+        (tmp_path / "A.java").write_text(
+            "package g; import com.thoughtworks.xstream.XStream;\n"
+            "public class A { private XStream xs = new XStream();\n"
+            "  public void m(String doc) {\n"
+            + "    do {\n      xs.fromXML(doc);\n    } while (xs.fromXML(doc) != null);\n" * 25
+            + "  } }\n")
+        (tmp_path / "B.java").write_text(
+            "package g; public class B { public void run(String d) { new A().m(d); } }\n")
+        model = parse_project(tmp_path, emit_warnings=False)
+        _, poc, _ = fixture_paths("lion_reachable")
+        targets = localize_vulnerable_methods(model, load_report(poc))
+        searches = []
+        hops_to = call_graph._hops_to
+
+        def searching(start, *args):
+            searches.append(start)
+            return hops_to(start, *args)
+
+        monkeypatch.setattr(call_graph, "_hops_to", searching)
+        graph = build_call_graph(model)
+        paths = extract_call_paths(graph, model, targets)
+        assert searches == ["g.A#m(String)", "g.B#run(String)"]
+        sites = [p.call_sites[-1] for p in paths]
+        assert len(paths) == 50 and [s.line for s in sites] == sorted(s.line for s in sites)
+        assert [s.index for s in sites] != sorted(s.index for s in sites)
+        assert paths == oracle_call_paths(graph, model, targets)
 
 
 class TestBudgetedSearch:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulnreach import cli, code_model, java_body, java_lexer, testgen
+from vulnreach import cli, code_model, java_body, java_lexer, ptg, testgen
 from vulnreach.cli import main, run_pipeline, RunConfig, MODE_PATHS_ONLY
 from vulnreach.code_model import parse_project
 from vulnreach.confirm import read_report
@@ -20,8 +20,8 @@ from vulnreach.testgen import ASSERT_CONDITION, ASSERT_TRIGGERED, FAIL_LINE, Llm
 from vulnreach.vuln_report import Required, check_doc, parse_report
 
 from call_graph_reference import eager_call_graph
-from conftest import (bench_generators, bench_spans, corpus_names, fixture_paths, time_limit,
-                      write_pair)
+from conftest import time_limit
+from workloads import bench_generators, bench_spans, corpus_names, fixture_paths, write_pair
 from java_sources import VOCAB
 import output_digest
 
@@ -846,6 +846,39 @@ class TestBodiesOnDemand:
 
         got = {workload: counted() for workload in _run_traffic(scratch_project, tmp_path)}
         assert got == self.FRONT_END_WORK
+
+    # Def-use graphs built, summed over each workload's full runs.
+    GRAPHS_BUILT = {"fixtures": 26, "deep_fanout": 72, "sanitizer_chains": 30, "wide_project": 24}
+
+    def test_each_analysed_method_gets_one_graph_per_run(self, scratch_project, tmp_path,
+                                                         monkeypatch):
+        # On the same traffic, a run builds one def-use graph for each
+        # method on its kept paths, and no other.
+        runs = []  # per run: (the methods a graph was built for, the methods analysed)
+        pipeline, analyse, init = cli.run_pipeline, cli.analyse_path, ptg.DefUseGraph.__init__
+
+        def running(cfg):
+            runs.append(([], set()))
+            return pipeline(cfg)
+
+        def analysing(path, *args, **kwargs):
+            runs[-1][1].update(path.methods)
+            return analyse(path, *args, **kwargs)
+
+        def building(graph, method, *args):
+            runs[-1][0].append(method)
+            init(graph, method, *args)
+
+        monkeypatch.setattr(cli, "run_pipeline", running)
+        monkeypatch.setattr(cli, "analyse_path", analysing)
+        monkeypatch.setattr(ptg.DefUseGraph, "__init__", building)
+        got = {}
+        for workload in _run_traffic(scratch_project, tmp_path):
+            for built, analysed in runs:
+                assert len(built) == len(set(built)) and set(built) == analysed
+            got[workload] = sum(len(built) for built, _ in runs)
+            runs.clear()
+        assert got == self.GRAPHS_BUILT
 
     # Files parsed, and files blanked again after the parse, summed over
     # each workload's full runs.

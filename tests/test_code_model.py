@@ -19,8 +19,8 @@ from vulnreach.code_model import (
 )
 
 import parser_reference
-from conftest import (analyse_fixture, bench_generators, corpus_names, fixture_paths,
-                      time_limit, write_pair)
+from conftest import analyse_fixture, time_limit
+from workloads import bench_generators, corpus_names, fixture_paths, traffic, write_pair
 from java_sources import mutated_corpus_file, random_method_source, token_soup
 
 gen = bench_generators()
@@ -1155,17 +1155,6 @@ def _record_scans(monkeypatch) -> list[bool]:
     return scanned
 
 
-def _traffic(tmp_path):
-    """(workload, project root) of the 18 fixtures and of each generator's
-    pairs at seeds 1-3, written under tmp_path."""
-    for name in corpus_names():
-        yield "fixtures", fixture_paths(name)[0]
-    for generator in sorted(gen.GENERATORS):
-        for seed in (1, 2, 3):
-            for pair in gen.GENERATORS[generator](seed):
-                yield generator, write_pair(pair, tmp_path / generator / f"{seed}-{pair.name}")
-
-
 def _read_whole(model) -> tuple:
     """The model's classes and its diagnostics once every class and body
     has been read."""
@@ -1245,7 +1234,7 @@ class TestHeaderScan:
             assert not re.search(r"[*+?}]\+|\(\?>", text), text
 
     def test_the_scan_and_the_tokens_read_the_traffic_alike(self, tmp_path, monkeypatch):
-        for _, root in _traffic(tmp_path):
+        for _, root in traffic(tmp_path):
             scanned = _read_whole(parse_project(root, emit_warnings=False))
             with monkeypatch.context() as patch:
                 _without_scan(patch)
@@ -1254,7 +1243,7 @@ class TestHeaderScan:
     def test_the_scan_reads_every_header_of_the_traffic(self, tmp_path, monkeypatch):
         scans = _record_scans(monkeypatch)
         read: dict = {}
-        for workload, root in _traffic(tmp_path):
+        for workload, root in traffic(tmp_path):
             parse_project(root, emit_warnings=False)
             read[workload] = [a + b for a, b in zip(read.get(workload, (0, 0)),
                                                     (sum(scans), scans.count(False)))]

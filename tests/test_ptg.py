@@ -14,7 +14,7 @@ from vulnreach.call_graph import (
     extract_call_paths,
     localize_vulnerable_methods,
 )
-from vulnreach.code_model import parse_project
+from vulnreach.code_model import MethodDecl, Param, parse_project
 from vulnreach.java_body import (
     Statement,
     binary_op,
@@ -44,7 +44,8 @@ from vulnreach.vuln_report import parse_report
 import ptg_reference
 from ptg_reference import UnknownVariable, build_ptg
 from descriptor_cases import VALID_DESCRIPTOR
-from conftest import analyse_fixture, bench_generators, corpus_names, write_pair
+from conftest import analyse_fixture, time_limit
+from workloads import bench_generators, corpus_names, traffic, write_pair
 from ptg_oracle import oracle_chains, random_method
 
 
@@ -457,6 +458,56 @@ class TestSharedMemo:
             visited += sum(len(p.methods) for p in paths)
         assert len(calls) == hops == 70
         assert visited == 411
+
+    def test_each_method_gets_one_graph(self, tmp_path, monkeypatch):
+        # The 6x6 pair at seed 7 keeps 64 paths through 57 hops of 17
+        # methods: one def-use graph serves all of a method's hops.
+        built = []
+        init = ptg.DefUseGraph.__init__
+
+        def building(graph, method, *args):
+            built.append(method)
+            init(graph, method, *args)
+
+        monkeypatch.setattr(ptg.DefUseGraph, "__init__", building)
+        model, _, paths = next(_deep_fanout_runs(tmp_path, seed=7))
+        memo = {}
+        for path in paths:
+            analyse_path(path, model, memo=memo)
+        assert len(paths) == 64 and len(set().union(*map(_hops, paths))) == 57
+        assert len(built) == len(set(built)) == 17
+        assert set(built) == {m for p in paths for m in p.methods}
+
+
+class TestUpstreamClosure:
+    """The worklist closure equals the loop that it replaced
+    (ptg_reference.upstream_closure), in time linear in the body."""
+
+    def test_equals_the_loop_on_random_bodies(self):
+        rng = random.Random(20261022)
+        for n in range(5000):
+            method, _ = random_method(rng, max_statements=8 + n % 17)
+            assert upstream_closure(method) == ptg_reference.upstream_closure(method)
+
+    def test_equals_the_loop_on_the_traffic(self, tmp_path):
+        compared = 0
+        for _, root in traffic(tmp_path):
+            for _, method in parse_project(root, emit_warnings=False).all_methods():
+                assert upstream_closure(method) == ptg_reference.upstream_closure(method)
+                compared += 1
+        assert compared == 4183
+
+    def test_backward_copies(self):
+        # v0 = v1; v1 = v2; ... v(n-1) = p: the loop took one pass over the
+        # body per variable.
+        n = 20_000
+        body = tuple(Statement("Assignment", f"v{i}", var_ref(f"v{i + 1}" if i + 1 < n else "p"),
+                               i + 2, i) for i in range(n))
+        method = MethodDecl(owner="g.T", name="m", params=(Param("p", "String"),),
+                            return_type="void", visibility="public", is_static=False,
+                            annotations=(), body=body)
+        with time_limit(5):
+            assert upstream_closure(method) == {"p", *(f"v{i}" for i in range(n))}
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from vulnreach.testgen import (
 from vulnreach.vuln_report import load_report, parse_report
 from vulnreach import assets
 
-from conftest import analyse_fixture, fixture_paths
+from conftest import analyse_fixture
+from workloads import fixture_paths
 from descriptor_cases import VALID_DESCRIPTOR
 
 

@@ -15,8 +15,8 @@ from vulnreach.vuln_report import (
     serialize,
 )
 
-from conftest import fixture_paths
 from descriptor_cases import MALFORMED_CASES, VALID_DESCRIPTOR
+from workloads import fixture_paths
 
 
 class TestLoadReport:
